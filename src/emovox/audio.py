@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import MalformedWavError, UnsupportedWavError, UpsamplingError
 
@@ -181,6 +180,8 @@ def _design_decimation_filter(op_rate: int) -> np.ndarray:
     Passband holds to ~3.9 kHz, stopband from ~4.04 kHz; the -6 dB point sits
     just under the 4 kHz target Nyquist so near-Nyquist content survives.
     """
+    from scipy import signal as sps  # imported on use: it slows the CLI start by ~1 s
+
     cutoff_hz = 3970.0
     width_hz = 140.0
     numtaps, beta = sps.kaiserord(80.0, 2.0 * width_hz / op_rate)
@@ -198,6 +199,8 @@ def resample_to_8k(w: Waveform) -> Waveform:
             "upsampling not supported")
     g = math.gcd(TARGET_RATE, w.sample_rate)
     up, down = TARGET_RATE // g, w.sample_rate // g
+    from scipy import signal as sps
+
     taps = _design_decimation_filter(w.sample_rate * up)
     y = sps.resample_poly(w.samples, up, down, window=taps)
     return Waveform(np.clip(y, -1.0, 1.0), TARGET_RATE, source_id=w.source_id)
@@ -207,7 +210,9 @@ def make_window(kind: str, length: int) -> np.ndarray:
     if kind == "hann":
         return np.hanning(length)
     if kind == "gaussian":
-        return sps.windows.gaussian(length, std=length / 6.0)
+        from scipy.signal import windows
+
+        return windows.gaussian(length, std=length / 6.0)
     if kind == "rectangular":
         return np.ones(length)
     raise ValueError(f"unknown window kind {kind!r}")

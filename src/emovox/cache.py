@@ -40,11 +40,12 @@ class FeatureCache:
         path = self._path(key)
         try:
             _, arrays, meta = read_container(path, "feature")
-        except FileNotFoundError:
+        except (FileNotFoundError, ModelFormatError):
+            # absent or corrupt: either way it is (re)computed and overwritten
             self.misses += 1
             return None
-        except ModelFormatError:
-            # treat a corrupt entry as absent; it will be overwritten
+        if "scheme" not in meta or "values" not in arrays:
+            # a well-formed container that is not a feature entry
             self.misses += 1
             return None
         self.hits += 1
@@ -59,10 +60,3 @@ class FeatureCache:
                         meta={"scheme": vector.scheme,
                               "source_id": vector.source_id,
                               "warning": vector.warning})
-
-    def lookup(self, audio_bytes: bytes, scheme_tag: str, version: str):
-        return self.get(feature_key(audio_bytes, scheme_tag, version))
-
-    def store(self, audio_bytes: bytes, scheme_tag: str, version: str,
-              vector: FeatureVector) -> None:
-        self.put(feature_key(audio_bytes, scheme_tag, version), vector)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
-from scipy import signal as sps
 
 from .audio import FRAME_MS, STEP_MS, Waveform, frame_count
 
@@ -98,7 +97,10 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
         shift = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
         values[t] = rate / (k + np.clip(shift, -0.5, 0.5))
     values[(values > 0) & ((values < fmin) | (values > fmax))] = 0.0
-    values = sps.medfilt(values, 3) if n >= 3 else values
+    if n >= 3:
+        from scipy.signal import medfilt  # imported on use: it slows the CLI start by ~1 s
+
+        values = medfilt(values, 3)
     strength[e0 < floor] = 0.0
     return F0Track(values, strength, frame_ms, step_ms)
 

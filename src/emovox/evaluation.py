@@ -3,7 +3,9 @@
 Fold plans are built once (speaker-independent plans never split a speaker
 across folds, at either level) and the nested loop selects (C, gamma) on inner
 folds only, so outer-test predictions can never influence a decision.  The
-bookkeeping that proves that is stored on the report.
+bookkeeping that proves that is stored on the report.  Each inner split
+trains the whole grid at once (``svm.train_grid``), and only the outer fit
+with the selected cell goes through ``svm.train_multiclass``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.special import betainc, gammaincc
 
 from .errors import EvaluationError
-from .svm import SMO_TOL, decision_scores, predict, train_multiclass
+from .svm import SMO_TOL, decision_scores, predict, train_grid, train_multiclass
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -389,25 +391,27 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
             raise EvaluationError("outer fold %d is degenerate" % fold)
         inner_assign = np.asarray(plan.inner[fold])
         touched_ids = set()
+        uars = [[] for _cell in cells]
+        for inner_fold in range(plan.k_inner):
+            val_mask = inner_assign == inner_fold
+            fit_mask = (inner_assign != -1) & (inner_assign != inner_fold)
+            if not val_mask.any() or not fit_mask.any():
+                continue
+            fit_labels = labels[fit_mask].tolist()
+            cls_counts = {cl: fit_labels.count(cl) for cl in classes}
+            if any(count < 2 for count in cls_counts.values()):
+                continue  # a class is missing or untrainable in this inner split
+            touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
+            x_val = x[val_mask]
+            val_truth = labels[val_mask].tolist()
+            models = train_grid(x[fit_mask], fit_labels, cells, tol=tol)
+            for cell_uars, model in zip(uars, models):
+                cell_uars.append(_inner_uar(classes, val_truth, predict(model, x_val)))
         best = (-1.0, None)
-        for c_val, g_val in cells:
-            uars = []
-            for inner_fold in range(plan.k_inner):
-                val_mask = inner_assign == inner_fold
-                fit_mask = (inner_assign != -1) & (inner_assign != inner_fold)
-                if not val_mask.any() or not fit_mask.any():
-                    continue
-                fit_labels = labels[fit_mask].tolist()
-                cls_counts = {cl: fit_labels.count(cl) for cl in classes}
-                if any(count < 2 for count in cls_counts.values()):
-                    continue  # a class is missing or untrainable in this inner split
-                touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
-                model = train_multiclass(x[fit_mask], fit_labels, c_val, g_val, tol=tol)
-                guesses = predict(model, x[val_mask])
-                uars.append(_inner_uar(classes, labels[val_mask].tolist(), guesses))
-            score = float(np.mean(uars)) if uars else 0.0
+        for cell, cell_uars in zip(cells, uars):
+            score = float(np.mean(cell_uars)) if cell_uars else 0.0
             if score > best[0]:
-                best = (score, (c_val, g_val))
+                best = (score, cell)
         if best[1] is None:
             raise EvaluationError("no usable grid cell in outer fold %d" % fold)
         c_win, g_win = best[1]

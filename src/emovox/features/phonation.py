@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import signal as sps
 
 from ..audio import VOICED, Waveform, frame_signal, voiced_segments
 from ..dsp import delta, estimate_f0, log_frame_energy
@@ -46,10 +45,11 @@ def detect_pulses(x: np.ndarray, rate: int, f0_hz: float):
     """
     if f0_hz <= 0 or x.size < 3:
         return np.zeros(0), np.zeros(0)
+    from scipy.signal import find_peaks  # imported on use: it slows the CLI start by ~1 s
+
     period = rate / f0_hz
     height = 0.3 * float(np.max(x)) if np.max(x) > 0 else None
-    peaks, _ = sps.find_peaks(x, distance=max(int(0.6 * period), 1),
-                              height=height)
+    peaks, _ = find_peaks(x, distance=max(int(0.6 * period), 1), height=height)
     marks, amps = [], []
     for k in peaks:
         pos, amp = _parabolic_peak(x, int(k))

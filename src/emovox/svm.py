@@ -1,16 +1,23 @@
 """Soft-margin RBF-kernel SVM trained by sequential minimal optimization.
 
-The binary solver keeps the full kernel matrix in memory and updates the
-maximal-violating pair each step.  Multi-class classification is one-vs-one
-with majority voting; ties fall back to summed decision margins and finally
-to lexicographic class order.  Feature standardization is fitted on training
+The solver keeps the full kernel matrix in memory and updates the
+maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
+batched: one loop advances many duals that share samples and labels, each
+with its own kernel and box, and takes for each one exactly the steps a lone
+solve would.  ``train_binary_smo`` and ``train_multiclass`` are the one-cell
+case; ``train_grid`` trains one model per (C, gamma) cell of a grid on the
+same rows, with one standardization, one distance matrix per class pair, one
+kernel per gamma and one batched solve per pair, and yields the cells'
+models one at a time.  Multi-class classification is one-vs-one with
+majority voting; ties fall back to summed decision margins and finally to
+lexicographic class order.  Feature standardization is fitted on training
 data only and travels with the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,13 +78,18 @@ def rbf_kernel(x, y, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def _kernel_matrix(a, b, gamma):
+def _sq_distances(a, b):
+    """Squared Euclidean distances between the rows of ``a`` and ``b``, floored at 0."""
     sq = (
         np.sum(a ** 2, axis=1)[:, None]
         + np.sum(b ** 2, axis=1)[None, :]
         - 2.0 * (a @ b.T)
     )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.maximum(sq, 0.0)
+
+
+def _kernel_matrix(a, b, gamma):
+    return np.exp(-gamma * _sq_distances(a, b))
 
 
 @dataclass(frozen=True)
@@ -118,69 +130,78 @@ def dual_objective(svm: BinarySvm) -> float:
     return float(np.sum(np.abs(coef)) - 0.5 * coef @ k @ coef)
 
 
-def train_binary_smo(
-    x,
-    y,
-    c: float,
-    gamma: float,
-    tol: float = SMO_TOL,
-    max_passes: Optional[int] = None,
-    sample_c=None,
-) -> BinarySvm:
-    """Solve the soft-margin dual by maximal-violating-pair SMO.
+def _smo_batch(kernels_t, kernel_index, y, cbox, tol, max_passes):
+    """Maximal-violating-pair SMO on many duals that share samples and labels.
 
-    ``sample_c`` optionally overrides the box bound per sample (used for class
-    weighting).  If the violation gap is still above ``tol`` after
-    ``max_passes`` pair updates (default 10 * n), the best-effort model is
-    returned with ``converged`` False.
+    Row r of ``cbox`` (cells, n) is one problem's per-sample box; its kernel
+    is ``kernels_t[kernel_index[r]]`` stored transposed, so row i of it is
+    kernel column i.  Every row takes the steps a lone solve would: the
+    first-index maximal violating pair, the same clipping, the same gradient
+    update, each in the same floating-point order.  A row stops when it has
+    no violating pair or its gap is at most ``tol``; a row still running
+    after ``max_passes`` pair updates is unconverged.  Returns the alphas,
+    clipped to the box, and the per-row converged flags.
     """
-    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    n = xm.shape[0]
-    if yv.shape[0] != n:
-        raise TrainingError("label count does not match sample count")
-    if not np.all(np.isin(yv, (-1.0, 1.0))):
-        raise TrainingError("binary labels must be -1 or +1")
-    if np.all(yv == yv[0]):
-        raise TrainingError("training data contains a single class")
-    if c <= 0 or gamma <= 0:
-        raise TrainingError("C and gamma must be positive")
-    if max_passes is None:
-        max_passes = 10 * n
-    cbox = np.full(n, float(c)) if sample_c is None else np.asarray(sample_c, dtype=np.float64)
-    if cbox.shape != (n,) or np.any(cbox <= 0):
-        raise TrainingError("per-sample box bounds must be positive, one per sample")
-
-    k = _kernel_matrix(xm, xm, gamma)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective being minimized
+    cells, n = cbox.shape
+    alpha = np.zeros((cells, n))
+    converged = np.zeros(cells, dtype=bool)
+    pos = y > 0
+    neg_y = -y
+    # Working arrays hold only the rows still iterating.
+    rows = np.arange(cells)
+    a = np.zeros((cells, n))
+    grad = np.full((cells, n), -1.0)  # gradient of the dual objective being minimized
+    box = cbox
     eps = _BOUND_EPS * (1.0 + cbox)
-    converged = False
+    top = box - eps
+    kid = np.asarray(kernel_index)
+    r = np.arange(cells)
     for _ in range(int(max_passes)):
-        below_c = alpha < cbox - eps
-        above_0 = alpha > eps
-        up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
-        low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
-        if not (up.any() and low.any()):
-            converged = True
-            break
-        viol = -yv * grad
-        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
-        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
-        gap = viol[i] - viol[j]
-        if gap <= tol:
-            converged = True
-            break
-        curv = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        below_c = a < top
+        above_0 = a > eps
+        up = np.where(pos, below_c, above_0)
+        low = np.where(pos, above_0, below_c)
+        viol = neg_y * grad
+        i = np.where(up, viol, -np.inf).argmax(axis=1)
+        j = np.where(low, viol, np.inf).argmin(axis=1)
+        gap = viol[r, i] - viol[r, j]
+        done = ~(up.any(axis=1) & low.any(axis=1)) | (gap <= tol)
+        if done.any():
+            alpha[rows[done]] = a[done]
+            converged[rows[done]] = True
+            keep = ~done
+            if not keep.any():
+                break
+            rows, a, grad, box, eps, top, kid = (
+                rows[keep], a[keep], grad[keep], box[keep], eps[keep], top[keep], kid[keep])
+            i, j, gap = i[keep], j[keep], gap[keep]
+            r = np.arange(rows.size)
+        col_i = kernels_t[kid, i]
+        col_j = kernels_t[kid, j]
+        curv = col_i[r, i] + col_j[r, j] - 2.0 * col_j[r, i]
+        curv = np.where(1e-12 > curv, 1e-12, curv)
         step = gap / curv
-        step = min(step, cbox[i] - alpha[i] if yv[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if yv[j] > 0 else cbox[j] - alpha[j])
-        step = max(step, 0.0)
-        alpha[i] += yv[i] * step
-        alpha[j] -= yv[j] * step
-        grad += step * yv * (k[:, i] - k[:, j])
+        yi = y[i]
+        yj = y[j]
+        ai = a[r, i]
+        aj = a[r, j]
+        # min/max as Python's builtins take them, operand order included
+        room = np.where(yi > 0, box[r, i] - ai, ai)
+        step = np.where(room < step, room, step)
+        room = np.where(yj > 0, aj, box[r, j] - aj)
+        step = np.where(room < step, room, step)
+        step = np.where(0.0 > step, 0.0, step)
+        a[r, i] += yi * step
+        a[r, j] -= yj * step
+        grad += (step[:, None] * y) * (col_i - col_j)
+    else:
+        alpha[rows] = a
+    return np.clip(alpha, 0.0, cbox), converged
 
-    alpha = np.clip(alpha, 0.0, cbox)
+
+def _binary_svm(xm, k, yv, alpha, cbox, c, gamma, converged) -> BinarySvm:
+    """Bias and support vectors of one solved dual (``alpha`` already clipped)."""
+    eps = _BOUND_EPS * (1.0 + cbox)
     fvals = k @ (alpha * yv)
     u = yv - fvals
     free = (alpha > eps) & (alpha < cbox - eps)
@@ -204,9 +225,48 @@ def train_binary_smo(
         bias=bias,
         c=float(c),
         gamma=float(gamma),
-        converged=converged,
+        converged=bool(converged),
         alphas=model_alpha,
     )
+
+
+def train_binary_smo(
+    x,
+    y,
+    c: float,
+    gamma: float,
+    tol: float = SMO_TOL,
+    max_passes: Optional[int] = None,
+    sample_c=None,
+) -> BinarySvm:
+    """Solve the soft-margin dual by maximal-violating-pair SMO.
+
+    ``sample_c`` optionally overrides the box bound per sample (used for class
+    weighting).  If the violation gap is still above ``tol`` after
+    ``max_passes`` pair updates (default 10 * n), the best-effort model is
+    returned with ``converged`` False.  This is the one-cell case of the
+    batched solver behind ``train_grid``.
+    """
+    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    n = xm.shape[0]
+    if yv.shape[0] != n:
+        raise TrainingError("label count does not match sample count")
+    if not np.all(np.isin(yv, (-1.0, 1.0))):
+        raise TrainingError("binary labels must be -1 or +1")
+    if np.all(yv == yv[0]):
+        raise TrainingError("training data contains a single class")
+    if c <= 0 or gamma <= 0:
+        raise TrainingError("C and gamma must be positive")
+    if max_passes is None:
+        max_passes = 10 * n
+    cbox = np.full(n, float(c)) if sample_c is None else np.asarray(sample_c, dtype=np.float64)
+    if cbox.shape != (n,) or np.any(cbox <= 0):
+        raise TrainingError("per-sample box bounds must be positive, one per sample")
+
+    k = _kernel_matrix(xm, xm, gamma)
+    alpha, converged = _smo_batch(k.T[None], [0], yv, cbox[None], tol, max_passes)
+    return _binary_svm(xm, k, yv, alpha[0], cbox, c, gamma, converged[0])
 
 
 @dataclass(frozen=True)
@@ -224,18 +284,11 @@ class MulticlassSvm:
         return all(m.converged for m in self.machines.values())
 
 
-def train_multiclass(
-    x,
-    labels,
-    c: float,
-    gamma: float,
-    tol: float = SMO_TOL,
-    class_weight: Optional[Dict] = None,
-) -> MulticlassSvm:
-    """Train k(k-1)/2 pairwise machines on standardized features.
+def _one_vs_one(x, labels, class_weight):
+    """Validated classes, the fitted standardizer, and one entry per class pair.
 
-    In each pairwise machine the lexicographically smaller class takes the +1
-    side.  ``class_weight`` maps labels to multipliers on C (default: none).
+    Each entry is ((a, b), standardized rows of a and b, labels +1 for a and
+    -1 for b, per-sample multipliers on C).
     """
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     lab = list(labels)
@@ -256,18 +309,79 @@ def train_multiclass(
     if class_weight:
         weights.update({cl: float(w) for cl, w in class_weight.items()})
 
-    machines = {}
+    pairs = []
     for ia in range(len(classes)):
         for ib in range(ia + 1, len(classes)):
             a, b = classes[ia], classes[ib]
             mask = (lab_arr == a) | (lab_arr == b)
             sub_lab = lab_arr[mask]
             yv = np.where(sub_lab == a, 1.0, -1.0)
-            sample_c = np.array([c * weights[cl] for cl in sub_lab], dtype=np.float64)
-            machines[(a, b)] = train_binary_smo(
-                z[mask], yv, c, gamma, tol=tol, sample_c=sample_c
-            )
-    return MulticlassSvm(tuple(classes), machines, scaler, float(c), float(gamma))
+            weight = np.array([weights[cl] for cl in sub_lab], dtype=np.float64)
+            pairs.append(((a, b), z[mask], yv, weight))
+    return tuple(classes), scaler, pairs
+
+
+def train_multiclass(
+    x,
+    labels,
+    c: float,
+    gamma: float,
+    tol: float = SMO_TOL,
+    class_weight: Optional[Dict] = None,
+) -> MulticlassSvm:
+    """Train k(k-1)/2 pairwise machines on standardized features.
+
+    In each pairwise machine the lexicographically smaller class takes the +1
+    side.  ``class_weight`` maps labels to multipliers on C (default: none).
+    """
+    classes, scaler, pairs = _one_vs_one(x, labels, class_weight)
+    machines = {
+        pair: train_binary_smo(z, yv, c, gamma, tol=tol, sample_c=c * weight)
+        for pair, z, yv, weight in pairs
+    }
+    return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
+
+
+def train_grid(
+    x,
+    labels,
+    cells: Sequence[Tuple[float, float]],
+    tol: float = SMO_TOL,
+    class_weight: Optional[Dict] = None,
+) -> Iterator[MulticlassSvm]:
+    """Yield ``train_multiclass(x, labels, c, gamma, tol, class_weight)`` for
+    each (c, gamma) in ``cells``, in order, bit for bit.
+
+    The standardizer is fitted once, each pair's distance matrix is built
+    once and its kernel once per distinct gamma, and one batched SMO solves
+    the pair for every cell.  Each cell's models are built from the solved
+    alphas only when it is yielded, so the caller holds one cell at a time.
+    """
+    cells = [(float(c), float(g)) for c, g in cells]
+    if not cells:
+        return
+    if any(c <= 0 or g <= 0 for c, g in cells):
+        raise TrainingError("C and gamma must be positive")
+    classes, scaler, pairs = _one_vs_one(x, labels, class_weight)
+    gammas = list(dict.fromkeys(g for _c, g in cells))
+    kernel_index = [gammas.index(g) for _c, g in cells]
+    c_col = np.array([c for c, _g in cells])[:, None]
+
+    solved = []
+    for pair, z, yv, weight in pairs:
+        sq = _sq_distances(z, z)
+        kernels = [np.exp(-g * sq) for g in gammas]
+        cbox = c_col * weight
+        alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
+                                      yv, cbox, tol, 10 * z.shape[0])
+        solved.append((pair, z, kernels, yv, alpha, cbox, converged))
+
+    for cell, (c, g) in enumerate(cells):
+        yield MulticlassSvm(classes, {
+            pair: _binary_svm(z, kernels[kernel_index[cell]], yv, alpha[cell], cbox[cell],
+                              c, g, converged[cell])
+            for pair, z, kernels, yv, alpha, cbox, converged in solved
+        }, scaler, c, g)
 
 
 def decision_scores(model: MulticlassSvm, x) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,13 @@
 """End-to-end command-line checks: extract, evaluate, train, predict, stats."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import emovox
 from emovox.cli import main
 from emovox.manifest import ManifestRow, write_manifest
 
@@ -27,6 +32,18 @@ def workspace(tmp_path_factory):
         "seed = 5\n"
         "cache_dir = %s\n" % (root / "cache"))
     return root, manifest, config, rows
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # evaluate/train/predict on a warm cache never filter audio, so the
+    # command line must not pay for importing scipy.signal at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emovox.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, emovox.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_extract_success(workspace):

@@ -10,7 +10,9 @@ from emovox.config import parse_config
 from emovox.errors import ConfigError
 from emovox.features import FeatureVector
 from emovox.manifest import Manifest, ManifestRow
+from emovox.modelio import write_container
 from emovox.pipeline import (
+    EXTRACTOR_VERSION,
     extract_for_manifest,
     feature_csv,
     load_embedding_models,
@@ -98,6 +100,32 @@ def test_extract_fusion_caches_members(tmp_path, corpus):
     single = parse_config("scheme = prosody\n")
     reuse = extract_for_manifest(Manifest(tuple(rows)), single, cache)
     assert (reuse.cache_hits, reuse.computed) == (6, 0)
+
+
+@pytest.mark.parametrize("arrays, meta", [
+    ({"values": np.zeros(28)}, {"source_id": "x"}),   # no scheme meta
+    ({"other": np.zeros(28)}, {"scheme": "phonation"}),   # no values array
+])
+def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
+    _, rows = corpus
+    config = parse_config("scheme = phonation\n")
+    fresh = extract_for_manifest(Manifest(tuple(rows)), config, None)
+    cache = FeatureCache(tmp_path / "c")
+    with open(rows[0].path, "rb") as fh:
+        key = feature_key(fh.read(), "phonation", EXTRACTOR_VERSION)
+    os.makedirs(os.path.dirname(cache._path(key)))
+    write_container(cache._path(key), "feature", arrays, meta=meta)
+
+    result = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    assert result.failures == []
+    assert (result.cache_hits, result.computed) == (0, 6)
+    assert cache.misses == 6
+    assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
+    # the entry was overwritten with a complete one
+    stored = cache.get(key)
+    assert stored.scheme == "phonation"
+    assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
+    assert cache.hits == 1
 
 
 def test_extract_collects_failures(tmp_path, corpus):

@@ -1,10 +1,15 @@
-"""RBF-SVM tests: kernel, standardizer, SMO solver, one-vs-one ensemble."""
+"""RBF-SVM tests: kernel, standardizer, SMO against its scalar oracle, grid, one-vs-one."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from emovox.errors import TrainingError
 from emovox.svm import (
+    _BOUND_EPS,
+    SMO_TOL,
     STD_FLOOR,
     BinarySvm,
     MulticlassSvm,
@@ -16,6 +21,7 @@ from emovox.svm import (
     predict,
     rbf_kernel,
     train_binary_smo,
+    train_grid,
     train_multiclass,
 )
 
@@ -75,6 +81,103 @@ def kkt_worst_violation(model, x, y):
         else:
             worst = max(worst, abs(margin - 1.0))
     return worst
+
+
+def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sample_c=None):
+    """One-problem maximal-violating-pair SMO with scalar steps: the oracle
+    that every cell of the batched solver must reproduce bit for bit."""
+    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    n = xm.shape[0]
+    if max_passes is None:
+        max_passes = 10 * n
+    cbox = np.full(n, float(c)) if sample_c is None else np.asarray(sample_c, dtype=np.float64)
+
+    k = _kernel_matrix(xm, xm, gamma)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    eps = _BOUND_EPS * (1.0 + cbox)
+    converged = False
+    for _ in range(int(max_passes)):
+        below_c = alpha < cbox - eps
+        above_0 = alpha > eps
+        up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
+        low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
+        if not (up.any() and low.any()):
+            converged = True
+            break
+        viol = -yv * grad
+        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
+        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
+        gap = viol[i] - viol[j]
+        if gap <= tol:
+            converged = True
+            break
+        curv = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        step = gap / curv
+        step = min(step, cbox[i] - alpha[i] if yv[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if yv[j] > 0 else cbox[j] - alpha[j])
+        step = max(step, 0.0)
+        alpha[i] += yv[i] * step
+        alpha[j] -= yv[j] * step
+        grad += step * yv * (k[:, i] - k[:, j])
+
+    alpha = np.clip(alpha, 0.0, cbox)
+    u = yv - k @ (alpha * yv)
+    free = (alpha > eps) & (alpha < cbox - eps)
+    if free.any():
+        bias = float(u[free].mean())
+    else:
+        below_c = alpha < cbox - eps
+        above_0 = alpha > eps
+        up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
+        low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
+        hi = u[up].max() if up.any() else 0.0
+        lo = u[low].min() if low.any() else 0.0
+        bias = 0.5 * float(hi + lo)
+    kept = alpha > 0.0
+    return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], bias, float(c), float(gamma),
+                     converged, alpha)
+
+
+def scalar_multiclass(x, labels, c, gamma, tol=SMO_TOL, class_weight=None):
+    """One-vs-one ensemble of ``scalar_smo`` machines (the oracle for the grid)."""
+    scaler = fit_standardizer(x)
+    z = scaler.transform(x)
+    lab = np.array(labels, dtype=object)
+    classes = sorted(set(labels))
+    weights = {cl: 1.0 for cl in classes}
+    weights.update(class_weight or {})
+    machines = {}
+    for ia, a in enumerate(classes):
+        for b in classes[ia + 1:]:
+            mask = (lab == a) | (lab == b)
+            sample_c = np.array([c * weights[cl] for cl in lab[mask]])
+            machines[(a, b)] = scalar_smo(z[mask], np.where(lab[mask] == a, 1.0, -1.0),
+                                          c, gamma, tol=tol, sample_c=sample_c)
+    return MulticlassSvm(tuple(classes), machines, scaler, float(c), float(gamma))
+
+
+def assert_same_machine(got, want):
+    assert np.array_equal(got.alphas, want.alphas)
+    assert np.array_equal(got.dual_coef, want.dual_coef)
+    assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert got.bias == want.bias
+    assert got.converged is want.converged
+    assert (got.c, got.gamma) == (want.c, want.gamma)
+
+
+def assert_same_ensemble(got, want):
+    assert got.classes == want.classes
+    assert (got.c, got.gamma) == (want.c, want.gamma)
+    assert np.array_equal(got.standardizer.mean, want.standardizer.mean)
+    assert np.array_equal(got.standardizer.std, want.standardizer.std)
+    assert list(got.machines) == list(want.machines)
+    for pair, machine in got.machines.items():
+        assert_same_machine(machine, want.machines[pair])
+
+
+GRID_CELLS = [(c, g) for c in (1e-2, 1.0, 100.0, 1e4) for g in (1e-3, 0.1, 1.0, 10.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +348,75 @@ def test_sample_c_bounds_respected():
     sample_c = np.where(y > 0, 2.0, 0.5)
     model = train_binary_smo(x, y, 1.0, 1.0, sample_c=sample_c)
     assert np.all(model.alphas <= sample_c + 1e-12)
+
+
+def test_smo_matches_scalar_oracle():
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        x, y = random_binary_problem(seed, n=int(r.integers(2, 25)), dim=int(r.integers(1, 6)))
+        c = float(10.0 ** r.integers(-3, 5))
+        gamma = float(10.0 ** r.integers(-3, 3))
+        sample_c = c * r.choice([0.5, 1.0, 3.0], size=len(y)) if seed % 3 == 0 else None
+        assert_same_machine(train_binary_smo(x, y, c, gamma, sample_c=sample_c),
+                            scalar_smo(x, y, c, gamma, sample_c=sample_c))
+
+
+# ---------------------------------------------------------------------------
+# grid trainer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_grid_matches_scalar_oracle(n_classes):
+    names = ["a", "b", "c"][:n_classes]
+    for seed in range(6):
+        r = np.random.default_rng(100 + seed)
+        labels = [names[i % n_classes] for i in range(int(r.integers(3 * n_classes, 24)))]
+        x = r.standard_normal((len(labels), 4)) + 0.8 * np.array(
+            [names.index(label) for label in labels])[:, None]
+        models = list(train_grid(x, labels, GRID_CELLS))
+        assert len(models) == len(GRID_CELLS)
+        for (c, g), model in zip(GRID_CELLS, models):
+            assert_same_ensemble(model, scalar_multiclass(x, labels, c, g))
+            assert_same_ensemble(model, train_multiclass(x, labels, c, g))
+
+
+def test_grid_matches_scalar_oracle_with_class_weight(rng):
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.5, 0.0), "c": (0.0, 1.5)}, 7, sigma=1.0)
+    weights = {"a": 2.0, "c": 0.25}
+    for (c, g), model in zip(GRID_CELLS, train_grid(x, labels, GRID_CELLS, class_weight=weights)):
+        assert_same_ensemble(model, scalar_multiclass(x, labels, c, g, class_weight=weights))
+
+
+def test_grid_unconverged_cells_match_scalar_oracle():
+    rng = np.random.default_rng(3)
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.0, 1.0)}, 20, sigma=1.0)
+    cells = [(c, g) for c in (1.0, 1e3, 1e4) for g in (1.0, 30.0)]
+    models = list(train_grid(x, labels, cells, tol=1e-9))
+    assert any(not m.converged for m in models) and any(m.converged for m in models)
+    for (c, g), model in zip(cells, models):
+        assert_same_ensemble(model, scalar_multiclass(x, labels, c, g, tol=1e-9))
+
+
+def test_grid_holds_one_cell_at_a_time(rng):
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0), "c": (0.0, 3.0)}, 6)
+    refs = []
+    for model in train_grid(x, labels, GRID_CELLS):
+        refs.append([weakref.ref(m) for m in model.machines.values()])
+        del model
+        gc.collect()
+        # once the caller drops a cell, nothing keeps its machines alive
+        assert all(ref() is None for cell in refs for ref in cell)
+    assert len(refs) == len(GRID_CELLS)
+
+
+def test_grid_validation(rng):
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0)}, 4)
+    with pytest.raises(TrainingError):
+        list(train_grid(x, labels, [(1.0, 1.0), (0.0, 1.0)]))
+    with pytest.raises(TrainingError, match="rare"):
+        list(train_grid(x[:5], labels[:4] + ["rare"], [(1.0, 1.0)]))
+    assert list(train_grid(x, labels, [])) == []
 
 
 # ---------------------------------------------------------------------------
