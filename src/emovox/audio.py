@@ -114,13 +114,21 @@ class Transition:
 
 
 def load_wav(path) -> Waveform:
-    """Read a PCM RIFF/WAVE file (8/16-bit, mono or stereo) as a mono Waveform.
+    """Read a PCM RIFF/WAVE file as a mono Waveform (see ``parse_wav``).
 
-    Stereo channels are averaged; integer samples are scaled to [-1, 1].
     Raises FileNotFoundError, MalformedWavError, or UnsupportedWavError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return parse_wav(fh.read(), path)
+
+
+def parse_wav(raw: bytes, path="") -> Waveform:
+    """Decode the bytes of a PCM RIFF/WAVE file (8/16-bit, mono or stereo).
+
+    Stereo channels are averaged; integer samples are scaled to [-1, 1].
+    ``path`` names the source in errors and becomes the source id.  Raises
+    MalformedWavError or UnsupportedWavError.
+    """
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 
@@ -269,20 +277,23 @@ def _frame_runs_to_spans(runs, step: int, n_samples: int, kind_of) -> list[Segme
     return spans
 
 
-def detect_speech(w: Waveform) -> list[SegmentSpan]:
+def detect_speech(w: Waveform, f0: "F0Track | None" = None) -> list[SegmentSpan]:
     """Energy + periodicity VAD: speech/silence spans on the 25/10 ms grid.
 
     A frame is speech when it clears the noise floor by 10 dB or carries a
-    pitch; decisions are smoothed with a 5-frame majority vote.
+    pitch; decisions are smoothed with a 5-frame majority vote.  ``f0`` is
+    the default ``estimate_f0(w)`` track when the caller already has it.
     """
-    from .dsp import estimate_f0
-
     n = w.samples.size
     energy_db = frame_log_energy_db(w)
     if energy_db.size == 0:
         return [SegmentSpan(0, n, SILENCE)]
     floor = min(np.percentile(energy_db, VAD_NOISE_PERCENTILE), VAD_FLOOR_CAP_DB)
-    voiced = estimate_f0(w).values > 0
+    if f0 is None:
+        from .dsp import estimate_f0
+
+        f0 = estimate_f0(w)
+    voiced = f0.values > 0
     speech = (energy_db > floor + VAD_MARGIN_DB) | voiced
 
     if speech.size >= 2:

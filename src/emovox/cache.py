@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 
-from .errors import ModelFormatError
+from .errors import FeatureSchemeError, ModelFormatError
 from .features import FeatureVector
 from .modelio import read_container, write_container
 
@@ -44,14 +44,17 @@ class FeatureCache:
             # absent or corrupt: either way it is (re)computed and overwritten
             self.misses += 1
             return None
-        if "scheme" not in meta or "values" not in arrays:
-            # a well-formed container that is not a feature entry
+        try:
+            vector = FeatureVector(meta["scheme"], arrays["values"],
+                                   source_id=meta.get("source_id", ""),
+                                   warning=meta.get("warning", ""))
+        except (KeyError, FeatureSchemeError):
+            # a well-formed container that is not a valid feature entry: no
+            # scheme or values, an unknown scheme, the wrong width, non-finite
             self.misses += 1
             return None
         self.hits += 1
-        return FeatureVector(meta["scheme"], arrays["values"],
-                             source_id=meta.get("source_id", ""),
-                             warning=meta.get("warning", ""))
+        return vector
 
     def put(self, key: str, vector: FeatureVector) -> None:
         path = self._path(key)

@@ -39,7 +39,6 @@ class ExperimentConfig:
     cache_dir: str = ".emovox_cache"
     workers: int = 1
     positive_label: Optional[str] = None
-    ubm_model: Optional[str] = None
     tv_model: Optional[str] = None
     xvector_model: Optional[str] = None
     train_c: float = 1.0

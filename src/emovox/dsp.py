@@ -106,76 +106,108 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r(0..max_lag)."""
+    """Biased autocorrelation r(0..max_lag) of a frame, or of each matrix row.
+
+    Lags at or beyond the frame length are 0.
+    """
     x = np.asarray(x, dtype=np.float64)
-    full = np.correlate(x, x, mode="full")
-    return full[x.size - 1:x.size + max_lag]
+    n = x.shape[-1]
+    return np.stack([(x[..., :max(n - k, 0)] * x[..., k:]).sum(axis=-1)
+                     for k in range(max_lag + 1)], axis=-1)
 
 
 def lpc(x: np.ndarray, order: int):
-    """Autocorrelation-method LPC via Levinson-Durbin.
+    """Autocorrelation-method LPC via Levinson-Durbin, over every frame at once.
 
-    Returns (a, err) where a = [1, a1..ap] defines A(z) = 1 + sum a_k z^-k
-    and err is the final prediction-error power.  Degenerate (silent) input
-    yields the trivial predictor a = [1, 0..0].
+    ``x`` is one frame or a frame matrix (one frame per row).  Returns (a, err)
+    where a = [1, a1..ap] defines A(z) = 1 + sum a_k z^-k and err is the final
+    prediction-error power; for a matrix, a has one row and err one entry per
+    frame.  Degenerate (silent) frames yield the trivial predictor
+    a = [1, 0..0] with err = 0.
     """
-    r = autocorrelation(x, order)
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    if r[0] <= 0.0:
-        return a, 0.0
-    err = r[0]
+    r = np.atleast_2d(autocorrelation(x, order))
+    a = np.zeros((r.shape[0], order + 1))
+    a[:, 0] = 1.0
+    live = r[:, 0] > 0.0
+    err = np.where(live, r[:, 0], 1.0)
     for i in range(1, order + 1):
-        acc = r[i] + a[1:i] @ r[1:i][::-1]
-        k = -acc / err
-        prev = a[1:i].copy()
-        a[1:i] = prev + k * prev[::-1]
-        a[i] = k
-        err *= (1.0 - k * k)
-        if err <= 0.0:
-            err = LOG_FLOOR
+        acc = r[:, i] + (a[:, 1:i] * r[:, i - 1:0:-1]).sum(axis=1)
+        k = np.where(live, -acc / err, 0.0)
+        prev = a[:, 1:i].copy()
+        a[:, 1:i] = prev + k[:, None] * prev[:, ::-1]
+        a[:, i] = k
+        err = err * (1.0 - k * k)
+        err[err <= 0.0] = LOG_FLOOR
+    err = np.where(live, err, 0.0)
+    if np.ndim(x) == 1:
+        return a[0], float(err[0])
     return a, err
 
 
+def _poly_roots(polys: np.ndarray) -> np.ndarray:
+    """Roots of each row polynomial (highest power first, leading term nonzero).
+
+    Companion matrices are built exactly as ``np.roots`` builds them and solved
+    by one stacked ``eigvals`` call, so each row's roots carry the same bits as
+    ``np.roots`` of that row (which would also strip trailing zero
+    coefficients; here they give the same roots at 0 from the companion).
+    """
+    m, size = polys.shape
+    comp = np.zeros((m, size - 1, size - 1))
+    comp[:, 1:, :-1] = np.eye(size - 2)
+    comp[:, 0, :] = -polys[:, 1:] / polys[:, :1]
+    return np.linalg.eigvals(comp)
+
+
 def formants_f1_f2(segment: np.ndarray, rate: int):
-    """First two formant frequencies of a short voiced segment.
+    """First two formant frequencies of a short voiced segment, or of each row.
 
     Pre-emphasized, Hamming-windowed LPC of order 8; poles with bandwidth
     under 400 Hz and frequency inside (90, 3800) Hz qualify.  Missing
-    formants come back as NaN.
+    formants come back as NaN, as do both formants of silent segments and of
+    segments shorter than 16 samples.  One segment gives two floats, a
+    segment matrix two arrays with one entry per row.
     """
     x = np.asarray(segment, dtype=np.float64)
-    if x.size < FORMANT_LPC_ORDER * 2 or not np.any(x):
-        return math.nan, math.nan
-    x = np.append(x[0], x[1:] - FORMANT_PREEMPHASIS * x[:-1]) * np.hamming(x.size)
-    a, _ = lpc(x, FORMANT_LPC_ORDER)
-    roots = np.roots(a)
-    roots = roots[np.imag(roots) > 0]
-    freqs = np.angle(roots) * rate / (2.0 * math.pi)
-    bws = -np.log(np.maximum(np.abs(roots), 1e-12)) * rate / math.pi
-    ok = (bws < FORMANT_MAX_BW_HZ) & (freqs > FORMANT_MIN_HZ) & (freqs < FORMANT_MAX_HZ)
-    cand = np.sort(freqs[ok])
-    f1 = float(cand[0]) if cand.size >= 1 else math.nan
-    f2 = float(cand[1]) if cand.size >= 2 else math.nan
-    return f1, f2
+    rows = np.atleast_2d(x)
+    out = np.full((rows.shape[0], 2), math.nan)
+    live = np.any(rows, axis=1) & (rows.shape[1] >= FORMANT_LPC_ORDER * 2)
+    if np.any(live):
+        y = rows[live]
+        y = np.concatenate([y[:, :1], y[:, 1:] - FORMANT_PREEMPHASIS * y[:, :-1]],
+                           axis=1) * np.hamming(y.shape[1])
+        a, _ = lpc(y, FORMANT_LPC_ORDER)
+        roots = _poly_roots(a)
+        freqs = np.angle(roots) * rate / (2.0 * math.pi)
+        bws = -np.log(np.maximum(np.abs(roots), 1e-12)) * rate / math.pi
+        ok = ((np.imag(roots) > 0) & (bws < FORMANT_MAX_BW_HZ)
+              & (freqs > FORMANT_MIN_HZ) & (freqs < FORMANT_MAX_HZ))
+        cand = np.sort(np.where(ok, freqs, np.inf), axis=1)[:, :2]
+        out[live] = np.where(np.isinf(cand), math.nan, cand)
+    if x.ndim == 1:
+        return float(out[0, 0]), float(out[0, 1])
+    return out[:, 0], out[:, 1]
 
 
 def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
-    """Line spectral frequencies (Hz, ascending) of an LPC polynomial."""
+    """Line spectral frequencies (Hz, ascending) of an LPC polynomial, or of each row.
+
+    The LSFs of A(z) (a[0] != 0, order p) are the root angles in (0, pi) of
+    P(z) = A(z) + z^-(p+1) A(1/z) and Q(z) = A(z) - z^-(p+1) A(1/z); the
+    lowest p are kept, zero-padded when fewer qualify.
+    """
     a = np.asarray(a, dtype=np.float64)
-    p = a.size - 1
-    ext = np.append(a, 0.0)
-    angles = []
-    for poly in (ext + ext[::-1], ext - ext[::-1]):
-        if np.allclose(poly, 0.0):
-            continue
-        rts = np.roots(poly)
-        ang = np.angle(rts)
-        angles.extend(ang[(ang > 1e-6) & (ang < math.pi - 1e-6)])
-    lsf = np.sort(np.asarray(angles)) * rate / (2.0 * math.pi)
-    if lsf.size < p:
-        lsf = np.pad(lsf, (0, p - lsf.size))
-    return lsf[:p]
+    rows = np.atleast_2d(a)
+    if not np.all(rows[:, 0] != 0.0):
+        raise ValueError("lsp_from_lpc needs a nonzero leading coefficient")
+    n, p = rows.shape[0], rows.shape[1] - 1
+    ext = np.pad(rows, ((0, 0), (0, 1)))
+    ang = np.angle(_poly_roots(np.concatenate([ext + ext[:, ::-1], ext - ext[:, ::-1]])))
+    ang = np.where((ang > 1e-6) & (ang < math.pi - 1e-6), ang, np.inf)
+    ang = np.sort(np.concatenate([ang[:n], ang[n:]], axis=1), axis=1)[:, :p]
+    lsf = ang * rate / (2.0 * math.pi)
+    lsf[np.isinf(lsf)] = 0.0
+    return lsf[0] if a.ndim == 1 else lsf
 
 
 def hz_to_mel(f):

@@ -37,11 +37,20 @@ def transition_descriptors(chunk: np.ndarray, rate: int) -> np.ndarray:
     return np.concatenate([bbe, mf, dmf, ddmf])
 
 
+def voiced_frames(w: Waveform, f0, spans) -> np.ndarray:
+    """Rectangular frames of the pitch grid (one per row) that start in a voiced span."""
+    frames = frame_signal(w, f0.frame_len_ms, f0.step_ms, "rectangular").frames
+    starts = np.arange(frames.shape[0]) * round(f0.step_ms * w.sample_rate / 1000.0)
+    voiced = np.zeros(starts.size, dtype=bool)
+    for s in spans:
+        if s.kind == VOICED:
+            voiced |= (s.start_sample <= starts) & (starts < s.end_sample)
+    return frames[voiced]
+
+
 def articulation_features(w: Waveform) -> FeatureVector:
     f0 = estimate_f0(w)
     spans, transitions = voiced_segments(w, f0)
-    step = round(f0.step_ms * w.sample_rate / 1000.0)
-    frame_len = round(f0.frame_len_ms * w.sample_rate / 1000.0)
 
     warnings = []
     onset_rows, offset_rows = [], []
@@ -51,43 +60,27 @@ def articulation_features(w: Waveform) -> FeatureVector:
     if not transitions:
         warnings.append("no transitions")
 
-    f1s, f2s = [], []
-    for s in spans:
-        if s.kind != VOICED:
-            continue
-        for t in range(f0.values.size):
-            start = t * step
-            if not (s.start_sample <= start < s.end_sample):
-                continue
-            seg = w.samples[start:start + frame_len]
-            if seg.size < frame_len:
-                continue
-            f1, f2 = formants_f1_f2(seg, w.sample_rate)
-            f1s.append(f1)
-            f2s.append(f2)
-    if not f1s:
+    f1s, f2s = formants_f1_f2(voiced_frames(w, f0, spans), w.sample_rate)
+    if not f1s.size:
         warnings.append("no voiced frames")
 
-    def contour_and_deltas(vals):
-        arr = np.asarray(vals, dtype=np.float64)
+    def contour_and_deltas(arr):
         arr = arr[np.isfinite(arr)]
         if arr.size == 0:
             absent = np.full(1, np.nan)
             return absent, absent, absent
         return arr, delta(arr), delta(delta(arr))
 
-    f1c, df1, ddf1 = contour_and_deltas(f1s)
-    f2c, df2, ddf2 = contour_and_deltas(f2s)
-
-    four = FunctionalSet(FOUR_MOMENTS)
-    parts = []
-    for rows in (onset_rows, offset_rows):
-        mat = (np.asarray(rows) if rows else np.full((1, 58), np.nan))
-        track = FeatureTrack(mat, tuple(f"d{j}" for j in range(58)))
-        parts.append(apply_functionals(track, four))
-    for name, col in (("f1", f1c), ("df1", df1), ("ddf1", ddf1),
-                      ("f2", f2c), ("df2", df2), ("ddf2", ddf2)):
-        track = FeatureTrack(col.reshape(-1, 1), (name,))
-        parts.append(apply_functionals(track, four))
-    return FeatureVector("articulation", np.concatenate(parts), w.source_id,
+    # One track: 58 onset and 58 offset descriptors, then the six formant
+    # contours, each column NaN-padded (absent) to the longest.
+    blocks = [np.asarray(rows) if rows else np.full((1, 58), np.nan)
+              for rows in (onset_rows, offset_rows)]
+    blocks += [c[:, None] for c in contour_and_deltas(f1s) + contour_and_deltas(f2s)]
+    n = max(b.shape[0] for b in blocks)
+    track = np.hstack([np.pad(b, ((0, n - b.shape[0]), (0, 0)), constant_values=np.nan)
+                       for b in blocks])
+    names = tuple(f"{d}{j}" for d in ("onset", "offset") for j in range(58)) + (
+        "f1", "df1", "ddf1", "f2", "df2", "ddf2")
+    vec = apply_functionals(FeatureTrack(track, names), FunctionalSet(FOUR_MOMENTS))
+    return FeatureVector("articulation", vec, w.source_id,
                          warning="; ".join(warnings))

@@ -92,12 +92,9 @@ def i2010pc_features(w: Waveform) -> FeatureVector:
     ceps = mfcc_frames(frames_mat, rate, n_mels=N_MELS_MFCC, n_ceps=15, first=0)
     mel8 = log_mel_energies(frames_mat, rate, n_mels=8)
 
-    lsp = np.zeros((n, 8))
-    for t in range(n):
-        x = frames_mat[t]
-        pre = np.append(x[0], x[1:] - PREEMPHASIS * x[:-1])
-        a, _ = lpc(pre, 8)
-        lsp[t] = lsp_from_lpc(a, rate)
+    pre = np.concatenate([frames_mat[:, :1],
+                          frames_mat[:, 1:] - PREEMPHASIS * frames_mat[:, :-1]], axis=1)
+    lsp = lsp_from_lpc(lpc(pre, 8)[0], rate)
 
     padded, _, pitch = _pitch_grid_track(w)
     f0v = pitch.values[:n] if pitch.values.size >= n else np.pad(

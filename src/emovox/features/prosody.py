@@ -74,7 +74,7 @@ def _track_stats(values, name, fs):
 def prosody_features(w: Waveform) -> FeatureVector:
     f0 = estimate_f0(w)
     spans, _ = voiced_segments(w, f0)
-    vad = detect_speech(w)
+    vad = detect_speech(w, f0)
     n = f0.values.size
     step = round(f0.step_ms * w.sample_rate / 1000.0)
 

@@ -56,73 +56,80 @@ class FeatureTrack:
         return self.values.shape[0]
 
 
-def _column_stats(x: np.ndarray) -> dict:
-    """All supported functionals of one finite non-empty column."""
-    n = x.size
+def _row_stats(x: np.ndarray) -> dict:
+    """All supported functionals of each row of a finite (g x m, m >= 1) matrix.
+
+    Every reduction runs along contiguous rows, so each row gets the same bits
+    as the same NumPy call on that row alone.  The regression line is the
+    closed-form least-squares fit.
+    """
+    n = x.shape[1]
+    zero = np.zeros(x.shape[0])
     t = np.arange(n, dtype=np.float64)
-    if n > 1:
-        slope, offset = np.polyfit(t, x, 1)
-    else:
-        slope, offset = 0.0, float(x[0])
-    resid = x - (slope * t + offset)
-    m = x.mean()
-    c = x - m
-    q1, q2, q3, p1, p99 = np.percentile(x, [25, 50, 75, 1, 99])
-    lo, hi = x.min(), x.max()
+    tc = t - t.mean()
+    m = x.mean(axis=1)
+    c = x - m[:, None]
+    slope = (c @ tc) / (tc @ tc) if n > 1 else zero
+    offset = m - slope * t.mean()
+    resid = x - (slope[:, None] * t + offset[:, None])
+    q1, q2, q3, p1, p99 = np.percentile(x, [25, 50, 75, 1, 99], axis=1)
+    lo, hi = x.min(axis=1), x.max(axis=1)
     rng = hi - lo
-    # Exactly-constant columns: define all dispersion/shape statistics as 0
+    # Exactly-constant rows: define all dispersion/shape statistics as 0
     # rather than amplifying float rounding noise.
-    m2 = np.mean(c ** 2) if rng > 0 else 0.0
+    m2 = np.where(rng > 0, np.mean(c ** 2, axis=1), 0.0)
+    shaped = m2 > 0
+    # Powers of m2 one value at a time, as on a scalar: NumPy's vectorised
+    # pow and square can differ from libm's pow in the last bit.
+    m2_15, m2_sq = np.array([(v ** 1.5, v ** 2) for v in np.where(shaped, m2, 1.0).tolist()]
+                            ).reshape(-1, 2).T
 
     def uplevel(frac):
-        # Zero-range columns count as never exceeding the level; keeps
-        # all-zero descriptor tracks mapping to all-zero functionals.
-        return float(np.mean(x >= lo + frac * rng)) if rng > 0 else 0.0
+        # Zero-range rows count as never exceeding the level; keeps all-zero
+        # descriptor tracks mapping to all-zero functionals.
+        return np.where(rng > 0, np.mean(x >= (lo + frac * rng)[:, None], axis=1), 0.0)
 
     return {
-        "mean": float(m),
-        "std": float(x.std(ddof=1)) if n > 1 and rng > 0 else 0.0,
-        "skewness": float(np.mean(c ** 3) / m2 ** 1.5) if m2 > 0 else 0.0,
-        "kurtosis": float(np.mean(c ** 4) / m2 ** 2 - 3.0) if m2 > 0 else 0.0,
-        "max": float(hi),
-        "min": float(lo),
-        "position_max": float(np.argmax(x) / (n - 1)) if n > 1 else 0.0,
-        "position_min": float(np.argmin(x) / (n - 1)) if n > 1 else 0.0,
-        "lin_reg_slope": float(slope),
-        "lin_reg_offset": float(offset),
-        "lin_reg_err_quadratic": float(np.mean(resid ** 2)),
-        "lin_reg_err_absolute": float(np.mean(np.abs(resid))),
-        "quartile1": float(q1),
-        "quartile2": float(q2),
-        "quartile3": float(q3),
-        "iqr12": float(q2 - q1),
-        "iqr23": float(q3 - q2),
-        "iqr13": float(q3 - q1),
-        "percentile1": float(p1),
-        "percentile99": float(p99),
-        "percentile_range_99_1": float(p99 - p1),
+        "mean": m,
+        "std": np.where(rng > 0, x.std(axis=1, ddof=1), 0.0) if n > 1 else zero,
+        "skewness": np.where(shaped, np.mean(c ** 3, axis=1) / m2_15, 0.0),
+        "kurtosis": np.where(shaped, np.mean(c ** 4, axis=1) / m2_sq - 3.0, 0.0),
+        "max": hi,
+        "min": lo,
+        "position_max": x.argmax(axis=1) / (n - 1) if n > 1 else zero,
+        "position_min": x.argmin(axis=1) / (n - 1) if n > 1 else zero,
+        "lin_reg_slope": slope,
+        "lin_reg_offset": offset,
+        "lin_reg_err_quadratic": np.mean(resid ** 2, axis=1),
+        "lin_reg_err_absolute": np.mean(np.abs(resid), axis=1),
+        "quartile1": q1,
+        "quartile2": q2,
+        "quartile3": q3,
+        "iqr12": q2 - q1,
+        "iqr23": q3 - q2,
+        "iqr13": q3 - q1,
+        "percentile1": p1,
+        "percentile99": p99,
+        "percentile_range_99_1": p99 - p1,
         "uplevel_time75": uplevel(0.75),
         "uplevel_time90": uplevel(0.90),
     }
 
 
-def column_functionals(column: np.ndarray, fs: FunctionalSet) -> np.ndarray:
-    """Functionals of one descriptor column; absent (NaN) values are dropped.
-
-    A column that is empty after dropping absences yields all zeros.
-    """
-    x = np.asarray(column, dtype=np.float64)
-    x = x[np.isfinite(x)]
-    if x.size == 0:
-        return np.zeros(len(fs))
-    stats = _column_stats(x)
-    return np.array([stats[name] for name in fs.names])
-
-
 def apply_functionals(track: FeatureTrack, fs: FunctionalSet) -> np.ndarray:
-    """Summarize every descriptor column; descriptor-major, functional-minor."""
-    blocks = [column_functionals(track.values[:, j], fs)
-              for j in range(len(track.names))]
-    if not blocks:
-        return np.zeros(0)
-    return np.concatenate(blocks)
+    """Summarize every descriptor column; descriptor-major, functional-minor.
+
+    Absent (non-finite) values are dropped per column, and a column left
+    empty yields all zeros.  Columns that keep the same frames are reduced
+    together, as contiguous rows of the transposed track.
+    """
+    values = track.values
+    out = np.zeros((values.shape[1], len(fs)))
+    groups = {}
+    for j, keep in enumerate(np.isfinite(values).T):
+        groups.setdefault(keep.tobytes(), (keep, []))[1].append(j)
+    for keep, cols in groups.values():
+        if keep.any():
+            stats = _row_stats(np.ascontiguousarray(values[keep][:, cols].T))
+            out[cols] = np.column_stack([stats[name] for name in fs.names])
+    return out.ravel()

@@ -25,7 +25,7 @@ from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
 from .manifest import Manifest
 from . import modelio
 
-EXTRACTOR_VERSION = "1"
+EXTRACTOR_VERSION = "2"
 EMBEDDING_N_CEPS = 24
 
 
@@ -136,7 +136,8 @@ def _extract_row(row, spec: FusionSpec, models, cache: FeatureCache | None):
                                 warning=vec.warning)
         else:
             if waveform is None:
-                waveform = load_audio(row.path)
+                # decoded from the bytes that were hashed, not a second read
+                waveform = audio.resample_to_8k(audio.parse_wav(raw, row.path))
             vec = extract_scheme(waveform, scheme, models, source_id=row.path)
             computed += 1
             if cache:

@@ -4,7 +4,7 @@ import pytest
 from emovox import audio
 from emovox.audio import (SILENCE, SPEECH, UNVOICED, VOICED, SegmentSpan,
                           Transition, Waveform, detect_speech, frame_count,
-                          frame_signal, load_wav, make_window, resample_to_8k,
+                          frame_signal, load_wav, make_window, parse_wav, resample_to_8k,
                           save_wav, voiced_segments)
 from emovox.dsp import F0Track, estimate_f0
 from emovox.errors import MalformedWavError, UnsupportedWavError, UpsamplingError
@@ -239,6 +239,23 @@ def test_vad_idempotent_on_speech_output():
     again = detect_speech(wf(speech))
     kept = sum(s.n_samples for s in again if s.kind == SPEECH)
     assert kept >= speech.size - 2 * 200
+
+
+def test_vad_reuses_callers_f0_track(rng):
+    x = np.concatenate([tone(220, 0.4), 0.01 * rng.standard_normal(3000), tone(180, 0.3)])
+    w = wf(x)
+    assert detect_speech(w, estimate_f0(w)) == detect_speech(w)
+
+
+def test_parse_wav_matches_load_wav(tmp_path):
+    path = tmp_path / "t.wav"
+    save_wav(path, wf(tone(300, 0.2, amp=0.5)))
+    loaded = load_wav(path)
+    parsed = parse_wav(path.read_bytes(), path)
+    assert parsed.samples.tobytes() == loaded.samples.tobytes()
+    assert (parsed.sample_rate, parsed.source_id) == (loaded.sample_rate, str(path))
+    with pytest.raises(MalformedWavError, match="bytes.wav"):
+        parse_wav(b"RIFX" + bytes(40), "bytes.wav")
 
 
 def test_vad_micro_recording():

@@ -159,6 +159,124 @@ def test_lsp_roots_on_unit_circle(rng):
         np.testing.assert_allclose(mags, 1.0, atol=1e-6)
 
 
+# ------------------------------------- batched LPC and roots, scalar oracles
+
+def scalar_lpc(x, order):
+    """Levinson-Durbin on one frame, one coefficient at a time."""
+    r = np.correlate(x, x, mode="full")[x.size - 1:x.size + order]
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    if r[0] <= 0.0:
+        return a, 0.0
+    err = r[0]
+    for i in range(1, order + 1):
+        acc = r[i] + a[1:i] @ r[1:i][::-1]
+        k = -acc / err
+        prev = a[1:i].copy()
+        a[1:i] = prev + k * prev[::-1]
+        a[i] = k
+        err *= (1.0 - k * k)
+        if err <= 0.0:
+            err = dsp.LOG_FLOOR
+    return a, err
+
+
+def roots_lsp(a, rate):
+    """LSFs of one LPC polynomial from two np.roots calls."""
+    p = a.size - 1
+    ext = np.append(a, 0.0)
+    angles = []
+    for poly in (ext + ext[::-1], ext - ext[::-1]):
+        if np.allclose(poly, 0.0):
+            continue
+        ang = np.angle(np.roots(poly))
+        angles.extend(ang[(ang > 1e-6) & (ang < math.pi - 1e-6)])
+    lsf = np.sort(np.asarray(angles)) * rate / (2.0 * math.pi)
+    if lsf.size < p:
+        lsf = np.pad(lsf, (0, p - lsf.size))
+    return lsf[:p]
+
+
+def roots_formants(segment, rate):
+    """F1/F2 of one segment: one-row LPC, then np.roots."""
+    x = np.asarray(segment, dtype=np.float64)
+    if x.size < 16 or not np.any(x):
+        return math.nan, math.nan
+    x = np.append(x[0], x[1:] - dsp.FORMANT_PREEMPHASIS * x[:-1]) * np.hamming(x.size)
+    a, _ = lpc(x, dsp.FORMANT_LPC_ORDER)
+    roots = np.roots(a)
+    roots = roots[np.imag(roots) > 0]
+    freqs = np.angle(roots) * rate / (2.0 * math.pi)
+    bws = -np.log(np.maximum(np.abs(roots), 1e-12)) * rate / math.pi
+    ok = ((bws < dsp.FORMANT_MAX_BW_HZ) & (freqs > dsp.FORMANT_MIN_HZ)
+          & (freqs < dsp.FORMANT_MAX_HZ))
+    cand = np.sort(freqs[ok])
+    return (float(cand[0]) if cand.size >= 1 else math.nan,
+            float(cand[1]) if cand.size >= 2 else math.nan)
+
+
+def _frames(rng, n=60, length=200):
+    """Voice-like, noise, silent, tonal and tiny frames, one per row."""
+    rows = [_resonator([(rng.uniform(300, 900), 80), (rng.uniform(1000, 2500), 120)],
+                       length, rng) * np.hanning(length) for _ in range(n)]
+    rows += [rng.standard_normal(length), np.zeros(length),
+             tone(200, length / 8000, amp=0.7), 1e-150 * rng.standard_normal(length)]
+    return np.array(rows)
+
+
+def _within(got, want):
+    return np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def test_lpc_batched_matches_scalar_levinson(rng):
+    frames = _frames(rng)
+    a, err = lpc(frames, 8)
+    assert a.shape == (frames.shape[0], 9) and err.shape == (frames.shape[0],)
+    for t, x in enumerate(frames):
+        want_a, want_err = scalar_lpc(x, 8)
+        assert _within(a[t], want_a) and _within(err[t], want_err)
+        one_a, one_err = lpc(x, 8)  # the one-row case of the same code
+        assert one_a.tobytes() == a[t].tobytes() and one_err == err[t]
+    silent = np.flatnonzero(~np.any(frames, axis=1))
+    np.testing.assert_array_equal(a[silent], np.eye(1, 9).repeat(silent.size, 0))
+    np.testing.assert_array_equal(err[silent], 0.0)
+
+
+def test_lsp_batched_matches_np_roots(rng):
+    a, _ = lpc(_frames(rng), 8)
+    # polynomials far from minimum phase: some P/Q roots go real, so fewer
+    # than p LSFs qualify and the rest are zero padding
+    wild = np.column_stack([np.ones(20), 4.0 * rng.standard_normal((20, 8))])
+    polys = np.vstack([a, wild, np.eye(1, 9)])
+    got = lsp_from_lpc(polys, 8000)
+    want = np.array([roots_lsp(row, 8000) for row in polys])
+    assert got.tobytes() == want.tobytes()
+    assert np.any(got[:, -1] == 0.0)
+    assert lsp_from_lpc(polys[0], 8000).tobytes() == got[0].tobytes()
+
+
+def test_lsp_rejects_zero_leading_coefficient():
+    with pytest.raises(ValueError, match="leading"):
+        lsp_from_lpc(np.zeros(9), 8000)
+
+
+def test_formants_batched_matches_np_roots(rng):
+    frames = _frames(rng)
+    f1, f2 = formants_f1_f2(frames, 8000)
+    want = np.array([roots_formants(x, 8000) for x in frames])
+    np.testing.assert_array_equal(np.column_stack([f1, f2]), want)
+    assert np.isnan(f2).any() and not np.isnan(f1).all()
+    one = formants_f1_f2(frames[0], 8000)
+    np.testing.assert_array_equal(one, want[0])
+
+
+def test_formants_batched_degenerate_shapes():
+    f1, f2 = formants_f1_f2(np.zeros((0, 200)), 8000)
+    assert f1.shape == f2.shape == (0,)
+    f1, f2 = formants_f1_f2(np.ones((3, 10)), 8000)  # shorter than 16 samples
+    assert np.isnan(f1).all() and np.isnan(f2).all()
+
+
 # -------------------------------------------------------------------- mfcc
 
 def test_mfcc_flat_spectrum_concentrates_in_c0():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from emovox.audio import Waveform
+from emovox.audio import VOICED, Waveform, voiced_segments
+from emovox.dsp import estimate_f0
 from emovox.features import (EXTRACTORS, FeatureVector, FusionSpec, fuse)
-from emovox.features.articulation import articulation_features
+from emovox.features.articulation import articulation_features, voiced_frames
 from emovox.features.i2010pc import LLD_NAMES, i2010pc_features
 from emovox.features.phonation import (detect_pulses, _clean_periods,
                                        jitter_local, jitter_ppq5, jitter_ddp,
@@ -116,6 +117,29 @@ def test_articulation_sustained_vowel_formant_block():
     assert 450 <= mean_f1 <= 550
     mean_f2 = v.values[464 + 12]
     assert 1350 <= mean_f2 <= 1650
+
+
+def test_voiced_frames_match_span_by_frame_loop(rng):
+    x = np.concatenate([vowel(140, [(600, 80), (1700, 100)], 0.5),
+                        0.01 * rng.standard_normal(2400),
+                        vowel(210, [(400, 80), (2100, 100)], 0.4, seed=1)])
+    w = wf(x)
+    f0 = estimate_f0(w)
+    spans, _ = voiced_segments(w, f0)
+    step, frame_len = 80, 200
+    want = []   # every frame start tested against every voiced span
+    for s in spans:
+        if s.kind != VOICED:
+            continue
+        for t in range(f0.values.size):
+            start = t * step
+            if s.start_sample <= start < s.end_sample:
+                seg = w.samples[start:start + frame_len]
+                if seg.size == frame_len:
+                    want.append(seg)
+    got = voiced_frames(w, f0, spans)
+    assert len(want) > 20
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_articulation_silence_all_zero():

@@ -4,11 +4,93 @@ from scipy import stats
 
 from emovox.functionals import (ALL_FUNCTIONALS, FOUR_MOMENTS, IS10_FUNCTIONALS,
                                 SIX_BASIC, FeatureTrack, FunctionalSet,
-                                apply_functionals, column_functionals)
+                                apply_functionals)
+
+LIN_REG = tuple(name for name in ALL_FUNCTIONALS if name.startswith("lin_reg"))
 
 
 def fs(*names):
     return FunctionalSet(tuple(names))
+
+
+def column_functionals(column, fset):
+    """The one-column case of apply_functionals."""
+    return apply_functionals(FeatureTrack(np.reshape(column, (-1, 1)), ("x",)), fset)
+
+
+# ------------------------------------------------- per-column reference code
+
+def _column_stats(x):
+    """All supported functionals of one finite non-empty column, one at a time."""
+    n = x.size
+    t = np.arange(n, dtype=np.float64)
+    if n > 1:
+        slope, offset = np.polyfit(t, x, 1)
+    else:
+        slope, offset = 0.0, float(x[0])
+    resid = x - (slope * t + offset)
+    m = x.mean()
+    c = x - m
+    q1, q2, q3, p1, p99 = np.percentile(x, [25, 50, 75, 1, 99])
+    lo, hi = x.min(), x.max()
+    rng = hi - lo
+    m2 = np.mean(c ** 2) if rng > 0 else 0.0
+
+    def uplevel(frac):
+        return float(np.mean(x >= lo + frac * rng)) if rng > 0 else 0.0
+
+    return {
+        "mean": float(m),
+        "std": float(x.std(ddof=1)) if n > 1 and rng > 0 else 0.0,
+        "skewness": float(np.mean(c ** 3) / m2 ** 1.5) if m2 > 0 else 0.0,
+        "kurtosis": float(np.mean(c ** 4) / m2 ** 2 - 3.0) if m2 > 0 else 0.0,
+        "max": float(hi),
+        "min": float(lo),
+        "position_max": float(np.argmax(x) / (n - 1)) if n > 1 else 0.0,
+        "position_min": float(np.argmin(x) / (n - 1)) if n > 1 else 0.0,
+        "lin_reg_slope": float(slope),
+        "lin_reg_offset": float(offset),
+        "lin_reg_err_quadratic": float(np.mean(resid ** 2)),
+        "lin_reg_err_absolute": float(np.mean(np.abs(resid))),
+        "quartile1": float(q1),
+        "quartile2": float(q2),
+        "quartile3": float(q3),
+        "iqr12": float(q2 - q1),
+        "iqr23": float(q3 - q2),
+        "iqr13": float(q3 - q1),
+        "percentile1": float(p1),
+        "percentile99": float(p99),
+        "percentile_range_99_1": float(p99 - p1),
+        "uplevel_time75": uplevel(0.75),
+        "uplevel_time90": uplevel(0.90),
+    }
+
+
+def oracle_functionals(values, fset):
+    """apply_functionals computed column by column with _column_stats."""
+    blocks = []
+    for column in np.atleast_2d(values).T:
+        x = column[np.isfinite(column)]
+        if x.size == 0:
+            blocks.append(np.zeros(len(fset)))
+        else:
+            stats = _column_stats(x)
+            blocks.append(np.array([stats[name] for name in fset.names]))
+    return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def assert_matches_oracle(values):
+    """Bit-identical to the per-column path, lin_reg_* within 1e-9 relative."""
+    fset = FunctionalSet(ALL_FUNCTIONALS)
+    names = tuple(f"c{j}" for j in range(np.atleast_2d(values).shape[1]))
+    got = apply_functionals(FeatureTrack(values, names), fset).reshape(-1, len(fset))
+    want = oracle_functionals(values, fset).reshape(-1, len(fset))
+    for j, name in enumerate(fset.names):
+        if name in LIN_REG:
+            np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-9, atol=1e-9,
+                                       err_msg=name)
+        else:
+            assert got[:, j].tobytes() == want[:, j].tobytes(), name
 
 
 def test_set_sizes():
@@ -135,3 +217,50 @@ def test_invalid_functional_names_rejected():
 def test_track_shape_validation():
     with pytest.raises(ValueError):
         FeatureTrack(np.zeros((3, 2)), ("only_one",))
+
+
+# ------------------------------------------- batched path against the oracle
+
+def test_batched_matches_oracle_random(rng):
+    for _ in range(10):
+        n = int(rng.integers(1, 300))
+        d = int(rng.integers(1, 80))
+        scale = 10.0 ** rng.uniform(-3, 3, size=d)
+        assert_matches_oracle(scale * rng.standard_normal((n, d)) + rng.normal(size=d))
+
+
+def test_batched_matches_oracle_many_columns(rng):
+    # enough columns that a last-bit difference in a power (about one value
+    # in a thousand between NumPy's vector pow and libm's) shows up
+    assert_matches_oracle(rng.lognormal(size=(12, 3000)) ** 3)
+
+
+def test_batched_matches_oracle_single_row(rng):
+    assert_matches_oracle(rng.standard_normal((1, 7)))
+
+
+def test_batched_matches_oracle_constant_and_silent_columns(rng):
+    x = rng.standard_normal((40, 6))
+    x[:, 1] = 0.0
+    x[:, 3] = 4.2
+    x[:, 5] = -1e-3
+    assert_matches_oracle(x)
+
+
+def test_batched_matches_oracle_nan_columns(rng):
+    x = rng.standard_normal((50, 7))
+    x[:, 0] = np.nan                 # all absent
+    x[3:20, 2] = np.nan              # partly absent
+    x[3:20, 4] = np.nan              # same frames absent as column 2
+    x[::4, 5] = np.inf               # non-finite counts as absent
+    x[1:, 6] = np.nan                # one value left
+    assert_matches_oracle(x)
+
+
+def test_batched_matches_oracle_ragged_track(rng):
+    # columns NaN-padded to a common length, as articulation builds its track
+    x = np.full((30, 3), np.nan)
+    x[:30, 0] = rng.standard_normal(30)
+    x[:12, 1] = rng.standard_normal(12)
+    x[:2, 2] = rng.standard_normal(2)
+    assert_matches_oracle(x)

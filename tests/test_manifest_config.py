@@ -132,6 +132,9 @@ def test_config_full_file(tmp_path):
 def test_unknown_key_fatal():
     with pytest.raises(ConfigError, match="line 2.*unknown key 'shceme'"):
         parse_config("seed = 1\nshceme = phonation\n")
+    # the TV model file embeds its UBM, so there is no separate UBM key
+    with pytest.raises(ConfigError, match="line 2.*unknown key 'ubm_model'"):
+        parse_config("scheme = ivector\nubm_model = ubm.emvx\ntv_model = tv.emvx\n")
 
 
 def test_duplicate_key_fatal():

@@ -10,6 +10,7 @@ from emovox.config import parse_config
 from emovox.errors import ConfigError
 from emovox.features import FeatureVector
 from emovox.manifest import Manifest, ManifestRow
+from emovox import pipeline
 from emovox.modelio import write_container
 from emovox.pipeline import (
     EXTRACTOR_VERSION,
@@ -105,6 +106,9 @@ def test_extract_fusion_caches_members(tmp_path, corpus):
 @pytest.mark.parametrize("arrays, meta", [
     ({"values": np.zeros(28)}, {"source_id": "x"}),   # no scheme meta
     ({"other": np.zeros(28)}, {"scheme": "phonation"}),   # no values array
+    ({"values": np.zeros(27)}, {"scheme": "phonation"}),  # wrong width
+    ({"values": np.full(28, np.nan)}, {"scheme": "phonation"}),  # non-finite
+    ({"values": np.zeros(28)}, {"scheme": "spectral"}),   # unknown scheme
 ])
 def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     _, rows = corpus
@@ -126,6 +130,31 @@ def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     assert stored.scheme == "phonation"
     assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
     assert cache.hits == 1
+
+
+def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
+    _, rows = corpus
+    config = parse_config("scheme = phonation\n")
+    target = tmp_path / "row.wav"
+    with open(rows[0].path, "rb") as fh:
+        original = fh.read()
+    target.write_bytes(original)
+    row = ManifestRow(str(target), rows[0].label, rows[0].speaker, rows[0].gender)
+    fresh = extract_for_manifest(Manifest((row,)), config, None)
+
+    def key_then_replace(raw, tag, version):
+        # the file changes on disk right after its bytes were hashed
+        with open(rows[1].path, "rb") as fh:
+            target.write_bytes(fh.read())
+        return feature_key(raw, tag, version)
+
+    monkeypatch.setattr(pipeline, "feature_key", key_then_replace)
+    cache = FeatureCache(tmp_path / "c")
+    result = extract_for_manifest(Manifest((row,)), config, cache)
+    assert result.failures == [] and result.computed == 1
+    stored = cache.get(feature_key(original, "phonation", EXTRACTOR_VERSION))
+    assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
+    assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
 
 
 def test_extract_collects_failures(tmp_path, corpus):
