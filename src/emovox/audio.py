@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from .dsp import F0Track
 
 TARGET_RATE = 8000
+MAX_RESAMPLE_TAPS = 2 ** 17
 FRAME_MS = 25.0
 STEP_MS = 10.0
 
@@ -182,11 +183,14 @@ def save_wav(path, w: Waveform) -> None:
         fh.write(hdr + pcm)
 
 
-def _design_decimation_filter(op_rate: int) -> np.ndarray:
+def _design_decimation_filter(op_rate: int, name: str) -> np.ndarray:
     """Windowed-sinc low-pass for the polyphase resampler.
 
     Passband holds to ~3.9 kHz, stopband from ~4.04 kHz; the -6 dB point sits
     just under the 4 kHz target Nyquist so near-Nyquist content survives.
+    The tap count is checked before any design work: every standard rate up
+    to 192 kHz needs at most 126,466 taps, while a header rate such as
+    96,001 Hz would need 27.5 M.
     """
     from scipy import signal as sps  # imported on use: it slows the CLI start by ~1 s
 
@@ -194,6 +198,10 @@ def _design_decimation_filter(op_rate: int) -> np.ndarray:
     width_hz = 140.0
     numtaps, beta = sps.kaiserord(80.0, 2.0 * width_hz / op_rate)
     numtaps |= 1
+    if numtaps > MAX_RESAMPLE_TAPS:
+        raise UnsupportedWavError(
+            f"{name}: resampling to {TARGET_RATE} Hz needs a {numtaps}-tap filter "
+            f"(limit {MAX_RESAMPLE_TAPS})")
     return sps.firwin(numtaps, 2.0 * cutoff_hz / op_rate, window=("kaiser", beta))
 
 
@@ -209,7 +217,8 @@ def resample_to_8k(w: Waveform) -> Waveform:
     up, down = TARGET_RATE // g, w.sample_rate // g
     from scipy import signal as sps
 
-    taps = _design_decimation_filter(w.sample_rate * up)
+    name = f"{w.source_id or 'waveform'}: rate {w.sample_rate}"
+    taps = _design_decimation_filter(w.sample_rate * up, name)
     y = sps.resample_poly(w.samples, up, down, window=taps)
     return Waveform(np.clip(y, -1.0, 1.0), TARGET_RATE, source_id=w.source_id)
 

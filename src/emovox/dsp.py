@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,9 +221,15 @@ def mel_to_hz(m):
 
 def mel_filterbank(n_mels: int, n_fft_bins: int, rate: int,
                    fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular mel filters, each normalized to unit weight sum."""
-    if fmax is None:
-        fmax = rate / 2.0
+    """Triangular mel filters, each normalized to unit weight sum.
+
+    Built once per argument set and shared: the returned array is read-only.
+    """
+    return _mel_filterbank(n_mels, n_fft_bins, rate, fmin, rate / 2.0 if fmax is None else fmax)
+
+
+@functools.lru_cache(maxsize=32)
+def _mel_filterbank(n_mels, n_fft_bins, rate, fmin, fmax):
     edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     freqs = np.arange(n_fft_bins) * rate / (2.0 * (n_fft_bins - 1))
     fb = np.zeros((n_mels, n_fft_bins))
@@ -234,6 +241,7 @@ def mel_filterbank(n_mels: int, n_fft_bins: int, rate: int,
         s = tri.sum()
         if s > 0:
             fb[m] = tri / s
+    fb.setflags(write=False)
     return fb
 
 

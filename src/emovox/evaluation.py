@@ -4,8 +4,10 @@ Fold plans are built once (speaker-independent plans never split a speaker
 across folds, at either level) and the nested loop selects (C, gamma) on inner
 folds only, so outer-test predictions can never influence a decision.  The
 bookkeeping that proves that is stored on the report.  Each inner split
-trains the whole grid at once (``svm.train_grid``), and only the outer fit
-with the selected cell goes through ``svm.train_multiclass``.
+trains and scores the whole grid at once (``svm.grid_predictions``, one
+prediction matrix of cells x validation rows, no per-cell model), all of its
+inner UARs come from that matrix together, and only the outer fit with the
+selected cell builds a model, through ``svm.train_multiclass``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.special import betainc, gammaincc
 
 from .errors import EvaluationError
-from .svm import SMO_TOL, decision_scores, predict, train_grid, train_multiclass
+from .svm import SMO_TOL, decision_scores, grid_predictions, predict, train_multiclass
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -343,11 +345,14 @@ def _confusion(classes, truth, predicted):
     return m
 
 
-def _inner_uar(classes, truth, predicted):
-    c = _confusion(classes, truth, predicted)
-    row_sums = c.sum(axis=1)
-    present = row_sums > 0
-    return float(np.mean(np.diag(c)[present] / row_sums[present]))
+def _inner_uars(truth, guesses):
+    """UAR of each row of ``guesses`` (cells, rows) against ``truth`` (rows),
+    both class indices: recall averaged over the classes present in truth."""
+    present = np.unique(truth)
+    hits = np.stack([np.count_nonzero(guesses[:, truth == cl] == cl, axis=1)
+                     for cl in present], axis=1)
+    counts = np.array([np.count_nonzero(truth == cl) for cl in present])
+    return np.mean(hits / counts, axis=1)
 
 
 def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
@@ -380,6 +385,7 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
 
     outer = np.asarray(plan.outer)
     cells = grid.cells()
+    truth_index = np.array([classes.index(label) for label in labels])
     folds = []
     leakage = []
     pooled_scores = []
@@ -391,7 +397,7 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
             raise EvaluationError("outer fold %d is degenerate" % fold)
         inner_assign = np.asarray(plan.inner[fold])
         touched_ids = set()
-        uars = [[] for _cell in cells]
+        uars = []  # one row of per-cell inner UARs per usable inner split
         for inner_fold in range(plan.k_inner):
             val_mask = inner_assign == inner_fold
             fit_mask = (inner_assign != -1) & (inner_assign != inner_fold)
@@ -402,19 +408,11 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
             if any(count < 2 for count in cls_counts.values()):
                 continue  # a class is missing or untrainable in this inner split
             touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
-            x_val = x[val_mask]
-            val_truth = labels[val_mask].tolist()
-            models = train_grid(x[fit_mask], fit_labels, cells, tol=tol)
-            for cell_uars, model in zip(uars, models):
-                cell_uars.append(_inner_uar(classes, val_truth, predict(model, x_val)))
-        best = (-1.0, None)
-        for cell, cell_uars in zip(cells, uars):
-            score = float(np.mean(cell_uars)) if cell_uars else 0.0
-            if score > best[0]:
-                best = (score, cell)
-        if best[1] is None:
-            raise EvaluationError("no usable grid cell in outer fold %d" % fold)
-        c_win, g_win = best[1]
+            # every class is in the fit rows, so indices refer to ``classes``
+            guesses = grid_predictions(x[fit_mask], fit_labels, x[val_mask], cells, tol=tol)
+            uars.append(_inner_uars(truth_index[val_mask], guesses))
+        scores = np.mean(uars, axis=0) if uars else np.zeros(len(cells))
+        c_win, g_win = cells[int(np.argmax(scores))]  # first best: smallest C, then gamma
 
         test_ids = set(np.array(ids)[test_mask].tolist())
         overlap = touched_ids & test_ids

@@ -5,19 +5,20 @@ maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
 batched: one loop advances many duals that share samples and labels, each
 with its own kernel and box, and takes for each one exactly the steps a lone
 solve would.  ``train_binary_smo`` and ``train_multiclass`` are the one-cell
-case; ``train_grid`` trains one model per (C, gamma) cell of a grid on the
-same rows, with one standardization, one distance matrix per class pair, one
-kernel per gamma and one batched solve per pair, and yields the cells'
-models one at a time.  Multi-class classification is one-vs-one with
-majority voting; ties fall back to summed decision margins and finally to
-lexicographic class order.  Feature standardization is fitted on training
-data only and travels with the model.
+case; ``grid_predictions`` trains every (C, gamma) cell of a grid on the same
+rows and scores held-out rows with all of them, building no per-cell model:
+one standardization, one fit and one validation distance matrix per class
+pair, one kernel per gamma, one batched solve per pair, and one product per
+gamma for all cells' decision values.  Multi-class classification is
+one-vs-one with majority voting; ties fall back to summed decision margins
+and finally to lexicographic class order.  Feature standardization is
+fitted on training data only and travels with the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,7 +246,7 @@ def train_binary_smo(
     weighting).  If the violation gap is still above ``tol`` after
     ``max_passes`` pair updates (default 10 * n), the best-effort model is
     returned with ``converged`` False.  This is the one-cell case of the
-    batched solver behind ``train_grid``.
+    batched solver behind ``grid_predictions``.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -342,46 +343,103 @@ def train_multiclass(
     return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
 
 
-def train_grid(
-    x,
-    labels,
-    cells: Sequence[Tuple[float, float]],
-    tol: float = SMO_TOL,
-    class_weight: Optional[Dict] = None,
-) -> Iterator[MulticlassSvm]:
-    """Yield ``train_multiclass(x, labels, c, gamma, tol, class_weight)`` for
-    each (c, gamma) in ``cells``, in order, bit for bit.
+class _PairGrid(NamedTuple):
+    """One class pair's machines for every grid cell, stacked along axis 0."""
 
-    The standardizer is fitted once, each pair's distance matrix is built
-    once and its kernel once per distinct gamma, and one batched SMO solves
-    the pair for every cell.  Each cell's models are built from the solved
-    alphas only when it is yielded, so the caller holds one cell at a time.
+    pair: Tuple
+    alphas: np.ndarray      # (cells, pair rows), clipped to each cell's box
+    converged: np.ndarray   # (cells,)
+    bias: np.ndarray        # (cells,)
+    decision: np.ndarray    # (cells, validation rows)
+
+
+def _grid_biases(alpha, fvals, yv, cbox):
+    """Each cell's bias from its solved dual: the rule of ``_binary_svm``
+    (the mean of u = y - f over free vectors, else the midpoint of the up
+    and low bounds) applied to all rows of ``alpha`` (cells, n) at once."""
+    eps = _BOUND_EPS * (1.0 + cbox)
+    u = yv - fvals
+    below_c = alpha < cbox - eps
+    above_0 = alpha > eps
+    free = above_0 & below_c
+    n_free = free.sum(axis=1)
+    free_mean = np.where(free, u, 0.0).sum(axis=1) / np.maximum(n_free, 1)
+    pos = yv > 0
+    up = np.where(pos, below_c, above_0)
+    low = np.where(pos, above_0, below_c)
+    hi = np.where(up.any(axis=1), np.where(up, u, -np.inf).max(axis=1), 0.0)
+    lo = np.where(low.any(axis=1), np.where(low, u, np.inf).min(axis=1), 0.0)
+    return np.where(n_free > 0, free_mean, 0.5 * (hi + lo))
+
+
+def _grid_machines(x, labels, x_val, cells, tol):
+    """Train every (c, gamma) cell on ``x`` and score ``x_val`` with it.
+
+    Per cell this is ``train_multiclass(x, labels, c, gamma, tol)`` followed
+    by ``decision_values`` of each pair machine: the alphas and converged
+    flags are the same bits; biases and decision values agree to rounding,
+    since their sums run in another order.
+    The standardizer is fitted once; per class pair the fit and validation
+    distance matrices are built once, each kernel once per gamma, one batched
+    SMO solves every cell, and one product per gamma gives all cells'
+    training and validation decision values.  Returns the classes and one
+    ``_PairGrid`` per pair in ``train_multiclass`` order.
     """
     cells = [(float(c), float(g)) for c, g in cells]
-    if not cells:
-        return
     if any(c <= 0 or g <= 0 for c, g in cells):
         raise TrainingError("C and gamma must be positive")
-    classes, scaler, pairs = _one_vs_one(x, labels, class_weight)
+    classes, scaler, pairs = _one_vs_one(x, labels, None)
+    if not cells:
+        return classes, []
+    z_val = scaler.transform(x_val)
     gammas = list(dict.fromkeys(g for _c, g in cells))
-    kernel_index = [gammas.index(g) for _c, g in cells]
+    kernel_index = np.array([gammas.index(g) for _c, g in cells])
     c_col = np.array([c for c, _g in cells])[:, None]
 
-    solved = []
+    machines = []
     for pair, z, yv, weight in pairs:
         sq = _sq_distances(z, z)
+        sq_val = _sq_distances(z_val, z)
         kernels = [np.exp(-g * sq) for g in gammas]
         cbox = c_col * weight
         alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
                                       yv, cbox, tol, 10 * z.shape[0])
-        solved.append((pair, z, kernels, yv, alpha, cbox, converged))
+        coef = alpha * yv
+        fvals = np.empty_like(alpha)
+        decision = np.empty((len(cells), z_val.shape[0]))
+        for gi, (g, k) in enumerate(zip(gammas, kernels)):
+            sel = kernel_index == gi
+            fvals[sel] = coef[sel] @ k
+            decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
+        bias = _grid_biases(alpha, fvals, yv, cbox)
+        machines.append(_PairGrid(pair, alpha, converged, bias, decision + bias[:, None]))
+    return classes, machines
 
-    for cell, (c, g) in enumerate(cells):
-        yield MulticlassSvm(classes, {
-            pair: _binary_svm(z, kernels[kernel_index[cell]], yv, alpha[cell], cbox[cell],
-                              c, g, converged[cell])
-            for pair, z, kernels, yv, alpha, cbox, converged in solved
-        }, scaler, c, g)
+
+def grid_predictions(x, labels, x_val, cells: Sequence[Tuple[float, float]],
+                     tol: float = SMO_TOL) -> np.ndarray:
+    """Predicted class of every ``x_val`` row under every (c, gamma) cell.
+
+    Returns an int array (cells, validation rows) of indices into
+    ``sorted(set(labels))``; row r is ``predict`` of
+    ``train_multiclass(x, labels, *cells[r], tol)`` on ``x_val``, except
+    where that vote hangs on a pair decision value that is zero to rounding
+    (duplicate rows with different labels, a dimension constant in ``x``,
+    a gamma so large that no kernel value survives), whose sign may differ.
+    Votes and margins of all cells are summed as one array and ``_winners``
+    picks each row's class.
+    """
+    classes, machines = _grid_machines(x, labels, x_val, cells, tol)
+    votes = np.zeros((len(cells), len(np.atleast_2d(x_val)), len(classes)))
+    margins = np.zeros_like(votes)
+    index = {cl: i for i, cl in enumerate(classes)}
+    for m in machines:
+        ia, ib = index[m.pair[0]], index[m.pair[1]]
+        margins[:, :, ia] += m.decision
+        margins[:, :, ib] -= m.decision
+        votes[:, :, ia] += m.decision > 0
+        votes[:, :, ib] += m.decision <= 0
+    return _winners(votes, margins)
 
 
 def decision_scores(model: MulticlassSvm, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -401,13 +459,13 @@ def decision_scores(model: MulticlassSvm, x) -> Tuple[np.ndarray, np.ndarray]:
     return votes, margins
 
 
+def _winners(votes, margins) -> np.ndarray:
+    """Winning class index along the last axis: the most votes, then the
+    largest summed margin among those, then the first class in order."""
+    most = votes == votes.max(axis=-1, keepdims=True)
+    return np.where(most, margins, -np.inf).argmax(axis=-1)
+
+
 def predict(model: MulticlassSvm, x) -> list:
     """Majority vote; ties resolved by summed margin, then class order."""
-    votes, margins = decision_scores(model, x)
-    out = []
-    for v, mg in zip(votes, margins):
-        tied = np.flatnonzero(v == v.max())
-        if tied.size > 1:
-            tied = tied[mg[tied] == mg[tied].max()]
-        out.append(model.classes[int(tied[0])])
-    return out
+    return [model.classes[i] for i in _winners(*decision_scores(model, x))]

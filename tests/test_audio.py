@@ -139,7 +139,9 @@ def test_resample_rejects_upsampling():
         resample_to_8k(w)
 
 
-@pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
+# 11.025 kHz and its multiples need the longest filter, 126,466 taps
+@pytest.mark.parametrize("rate", [11025, 16000, 22050, 44100, 48000, 88200, 96000, 176400,
+                                  192000])
 def test_resample_output_length(rate):
     n = rate  # one second
     w = wf(tone(500, dur_s=1.0, rate=rate), rate=rate)

@@ -11,7 +11,7 @@ import emovox
 from emovox.cli import main
 from emovox.manifest import ManifestRow, write_manifest
 
-from conftest import make_corpus
+from conftest import craft_wav, make_corpus, tone, write_pcm16
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,43 @@ def test_extract_partial_on_missing_file(workspace, caplog):
     assert rc == 1
     assert len(out.read_text().strip().split("\n")) == len(rows) + 1
     assert any("gone.wav" in r.message for r in caplog.records)
+
+
+# each case's 44.1 kHz row has its own tone, so the shared cache never holds it
+@pytest.mark.parametrize("rate, fine_hz", [(96001, 200.0), (4_294_967_295, 230.0)])
+def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, monkeypatch,
+                                                   caplog):
+    from scipy import signal as sps
+
+    from emovox.audio import MAX_RESAMPLE_TAPS
+
+    root, _, config, rows = workspace
+    designed = []
+    firwin = sps.firwin
+
+    def checked_firwin(numtaps, *args, **kwargs):
+        designed.append(numtaps)
+        assert numtaps <= MAX_RESAMPLE_TAPS
+        return firwin(numtaps, *args, **kwargs)
+
+    monkeypatch.setattr(sps, "firwin", checked_firwin)
+    hostile = craft_wav(root / ("rate_%d.wav" % rate), bits=8, rate=rate,
+                        payload=bytes(range(0, 256, 4)) * 4)
+    fine = write_pcm16(root / ("fine_44k_%d.wav" % rate), tone(fine_hz, dur_s=0.5, rate=44100),
+                       44100)
+    extra = [ManifestRow(str(hostile), "rough", "spk9", "f"),
+             ManifestRow(str(fine), "smooth", "spk9", "f")]
+    manifest = root / ("hostile_%d.csv" % rate)
+    write_manifest(manifest, rows + extra)
+    out = root / ("hostile_%d_features.csv" % rate)
+    with caplog.at_level("WARNING", logger="emovox"):
+        rc = main(["extract", "--manifest", str(manifest), "--config", str(config),
+                   "--out-csv", str(out)])
+    assert rc == 1
+    assert designed  # the 44.1 kHz row still designs its filter
+    ids = [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]]
+    assert ids == [r.path for r in rows] + [str(fine)]
+    assert any(hostile.name in r.message and "tap" in r.message for r in caplog.records)
 
 
 def test_extract_fatal_when_nothing_succeeds(workspace):

@@ -313,6 +313,20 @@ def test_mel_filters_unit_sum():
     np.testing.assert_allclose(sums[sums > 0], 1.0, atol=1e-9)
 
 
+def test_mel_filterbank_is_shared_and_read_only():
+    fb = mel_filterbank(24, 101, 8000)
+    again = mel_filterbank(24, 101, 8000, 0.0, 4000.0)
+    assert np.array_equal(again, fb)
+    assert np.array_equal(mel_filterbank(24, 101, 8000, fmax=3000.0),
+                          mel_filterbank(24, 101, 8000, 0.0, 3000.0))
+    assert not np.array_equal(mel_filterbank(24, 101, 8000, fmax=3000.0), fb)
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        again[:] = 0.0
+    assert np.array_equal(mel_filterbank(24, 101, 8000), fb)
+
+
 # -------------------------------------------------------------------- bark
 
 def test_bark_zero_chunk_at_floor():

@@ -230,6 +230,61 @@ def test_nested_cv_binary_roc_and_positive_class():
         assert fold.sen is not None and fold.spe is not None
 
 
+def per_cell_selection(samples, feats, plan, grid):
+    """(C, gamma) of each outer fold by the per-cell loop: one model per cell,
+    predicted and scored one cell at a time, first best mean inner UAR."""
+    from test_svm import train_grid
+
+    from emovox.svm import predict
+
+    labels = np.array([s.label for s in samples], dtype=object)
+    classes = sorted(set(labels))
+    cells = grid.cells()
+    chosen = []
+    for fold in range(plan.k_outer):
+        inner = np.asarray(plan.inner[fold])
+        uars = [[] for _cell in cells]
+        for inner_fold in range(plan.k_inner):
+            val = inner == inner_fold
+            fit = (inner != -1) & ~val
+            fit_labels = labels[fit].tolist()
+            if not val.any() or any(fit_labels.count(cl) < 2 for cl in classes):
+                continue
+            truth = labels[val]
+            for cell_uars, model in zip(uars, train_grid(feats[fit], fit_labels, cells)):
+                guess = np.array(predict(model, feats[val]), dtype=object)
+                cell_uars.append(np.mean([np.mean(guess[truth == cl] == cl)
+                                          for cl in classes if cl in truth]))
+        scores = [np.mean(u) if u else 0.0 for u in uars]
+        chosen.append(cells[scores.index(max(scores))])
+    return chosen
+
+
+@pytest.mark.parametrize("class_names", [("angry", "happy", "sad"),
+                                         ("dissatisfied", "satisfied")])
+def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
+    from emovox import evaluation
+
+    from test_svm import oracle_grid_predictions
+
+    rng = np.random.default_rng(21)
+    samples, feats = blob_dataset(rng, class_names=class_names, n_per=12, sep=1.5,
+                                  sigma=1.0, n_speakers=6)
+    feats = np.hstack([feats, rng.standard_normal((len(feats), 4))])
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 3, 3, seed=2)
+    report = nested_cv(samples, feats, plan, Grid())
+    assert [(f.c, f.gamma) for f in report.folds] == per_cell_selection(
+        samples, feats, plan, Grid())
+    monkeypatch.setattr(evaluation, "grid_predictions", oracle_grid_predictions)
+    oracle = nested_cv(samples, feats, plan, Grid())
+    assert format_report(report) == format_report(oracle)
+    assert fold_metrics_csv(report) == fold_metrics_csv(oracle)
+    if len(class_names) == 2:
+        assert roc_csv(report) == roc_csv(oracle)
+    # the fixture is hard enough that folds select different cells
+    assert len({(f.c, f.gamma) for f in report.folds}) > 1
+
+
 def test_nested_cv_skips_unusable_inner_folds():
     rng = np.random.default_rng(13)
     samples, feats = [], []

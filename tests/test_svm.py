@@ -1,12 +1,11 @@
-"""RBF-SVM tests: kernel, standardizer, SMO against its scalar oracle, grid, one-vs-one."""
-
-import gc
-import weakref
+"""RBF-SVM tests: kernel, standardizer, SMO against its scalar oracle, grid
+scorer against per-cell models, one-vs-one."""
 
 import numpy as np
 import pytest
 
 from emovox.errors import TrainingError
+from emovox.evaluation import Grid
 from emovox.svm import (
     _BOUND_EPS,
     SMO_TOL,
@@ -14,14 +13,19 @@ from emovox.svm import (
     BinarySvm,
     MulticlassSvm,
     Standardizer,
+    _binary_svm,
+    _grid_machines,
     _kernel_matrix,
+    _one_vs_one,
+    _smo_batch,
+    _sq_distances,
     decision_scores,
     dual_objective,
     fit_standardizer,
+    grid_predictions,
     predict,
     rbf_kernel,
     train_binary_smo,
-    train_grid,
     train_multiclass,
 )
 
@@ -175,6 +179,61 @@ def assert_same_ensemble(got, want):
     assert list(got.machines) == list(want.machines)
     for pair, machine in got.machines.items():
         assert_same_machine(machine, want.machines[pair])
+
+
+def train_grid(x, labels, cells, tol=SMO_TOL, class_weight=None):
+    """Yield ``train_multiclass(x, labels, c, gamma, tol, class_weight)`` for
+    each (c, gamma) in ``cells``, bit for bit, from one batched SMO per class
+    pair: the per-cell oracle for the grid scorer."""
+    cells = [(float(c), float(g)) for c, g in cells]
+    classes, scaler, pairs = _one_vs_one(x, labels, class_weight)
+    gammas = list(dict.fromkeys(g for _c, g in cells))
+    kernel_index = [gammas.index(g) for _c, g in cells]
+    c_col = np.array([c for c, _g in cells])[:, None]
+    solved = []
+    for pair, z, yv, weight in pairs:
+        sq = _sq_distances(z, z)
+        kernels = [np.exp(-g * sq) for g in gammas]
+        cbox = c_col * weight
+        alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
+                                      yv, cbox, tol, 10 * z.shape[0])
+        solved.append((pair, z, kernels, yv, alpha, cbox, converged))
+    for cell, (c, g) in enumerate(cells):
+        yield MulticlassSvm(classes, {
+            pair: _binary_svm(z, kernels[kernel_index[cell]], yv, alpha[cell], cbox[cell],
+                              c, g, converged[cell])
+            for pair, z, kernels, yv, alpha, cbox, converged in solved
+        }, scaler, c, g)
+
+
+def oracle_grid_predictions(x, labels, x_val, cells, tol=SMO_TOL):
+    """``grid_predictions`` the slow way: one model per cell, then ``predict``."""
+    classes = sorted(set(labels))
+    return np.array([[classes.index(label) for label in predict(model, x_val)]
+                     for model in train_grid(x, labels, cells, tol=tol)],
+                    dtype=np.intp).reshape(len(cells), len(x_val))
+
+
+def assert_close(got, want):
+    want = np.asarray(want, dtype=np.float64)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def assert_grid_matches_scalar(x, labels, x_val, cells, tol=SMO_TOL):
+    """Alphas and converged flags bit for bit, biases and validation decision
+    values to 1e-9 relative, against a ``scalar_multiclass`` per cell."""
+    classes, machines = _grid_machines(x, labels, x_val, cells, tol)
+    assert classes == tuple(sorted(set(labels)))
+    for cell, (c, g) in enumerate(cells):
+        ref = scalar_multiclass(x, labels, c, g, tol=tol)
+        z_val = ref.standardizer.transform(x_val)
+        assert [m.pair for m in machines] == list(ref.machines)
+        for m in machines:
+            want = ref.machines[m.pair]
+            assert np.array_equal(m.alphas[cell], want.alphas)
+            assert bool(m.converged[cell]) is want.converged
+            assert_close(m.bias[cell], want.bias)
+            assert_close(m.decision[cell], want.decision_values(z_val))
 
 
 GRID_CELLS = [(c, g) for c in (1e-2, 1.0, 100.0, 1e4) for g in (1e-3, 0.1, 1.0, 10.0)]
@@ -374,49 +433,95 @@ def test_grid_matches_scalar_oracle(n_classes):
         labels = [names[i % n_classes] for i in range(int(r.integers(3 * n_classes, 24)))]
         x = r.standard_normal((len(labels), 4)) + 0.8 * np.array(
             [names.index(label) for label in labels])[:, None]
-        models = list(train_grid(x, labels, GRID_CELLS))
-        assert len(models) == len(GRID_CELLS)
-        for (c, g), model in zip(GRID_CELLS, models):
+        x_val = r.standard_normal((int(r.integers(1, 9)), 4)) * 1.5
+        assert_grid_matches_scalar(x, labels, x_val, GRID_CELLS)
+        guesses = grid_predictions(x, labels, x_val, GRID_CELLS)
+        assert guesses.shape == (len(GRID_CELLS), len(x_val))
+        for (c, g), row in zip(GRID_CELLS, guesses):
+            model = train_multiclass(x, labels, c, g)
             assert_same_ensemble(model, scalar_multiclass(x, labels, c, g))
-            assert_same_ensemble(model, train_multiclass(x, labels, c, g))
+            assert [names[i] for i in row] == predict(model, x_val)
 
 
 def test_grid_matches_scalar_oracle_with_class_weight(rng):
+    # class weights give each sample its own box; only train_multiclass takes them
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.5, 0.0), "c": (0.0, 1.5)}, 7, sigma=1.0)
     weights = {"a": 2.0, "c": 0.25}
     for (c, g), model in zip(GRID_CELLS, train_grid(x, labels, GRID_CELLS, class_weight=weights)):
-        assert_same_ensemble(model, scalar_multiclass(x, labels, c, g, class_weight=weights))
+        want = scalar_multiclass(x, labels, c, g, class_weight=weights)
+        assert_same_ensemble(model, want)
+        assert_same_ensemble(train_multiclass(x, labels, c, g, class_weight=weights), want)
 
 
 def test_grid_unconverged_cells_match_scalar_oracle():
     rng = np.random.default_rng(3)
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.0, 1.0)}, 20, sigma=1.0)
     cells = [(c, g) for c in (1.0, 1e3, 1e4) for g in (1.0, 30.0)]
-    models = list(train_grid(x, labels, cells, tol=1e-9))
-    assert any(not m.converged for m in models) and any(m.converged for m in models)
-    for (c, g), model in zip(cells, models):
-        assert_same_ensemble(model, scalar_multiclass(x, labels, c, g, tol=1e-9))
+    _classes, machines = _grid_machines(x, labels, x[:5], cells, 1e-9)
+    converged = machines[0].converged
+    assert not converged.all() and converged.any()
+    assert_grid_matches_scalar(x, labels, x[:5], cells, tol=1e-9)
+    assert np.array_equal(grid_predictions(x, labels, x[:5], cells, tol=1e-9),
+                          oracle_grid_predictions(x, labels, x[:5], cells, tol=1e-9))
 
 
-def test_grid_holds_one_cell_at_a_time(rng):
-    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0), "c": (0.0, 3.0)}, 6)
-    refs = []
-    for model in train_grid(x, labels, GRID_CELLS):
-        refs.append([weakref.ref(m) for m in model.machines.values()])
-        del model
-        gc.collect()
-        # once the caller drops a cell, nothing keeps its machines alive
-        assert all(ref() is None for cell in refs for ref in cell)
-    assert len(refs) == len(GRID_CELLS)
+def rounding_decided(model, x_val):
+    """Rows whose per-cell vote hangs on rounding: a pair decision value
+    within 1e-9 of zero, or leading classes whose summed margins tie to 1e-8."""
+    z = model.standardizer.transform(x_val)
+    near_zero = np.zeros(len(z), dtype=bool)
+    for machine in model.machines.values():
+        near_zero |= np.abs(machine.decision_values(z)) <= 1e-9
+    votes, margins = decision_scores(model, x_val)
+    leading = np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf)
+    top2 = np.sort(leading, axis=1)[:, -2:]
+    return near_zero | (top2[:, 1] - top2[:, 0] <= 1e-8)
+
+
+def test_grid_predictions_match_per_cell_oracle_random():
+    # Duplicate rows, constant dimensions and large gamma give pair machines
+    # whose decision is zero in exact arithmetic; its sign is then rounding
+    # noise in either summation order, so only those cells may disagree.
+    cells = Grid().cells()
+    exempt = compared = 0
+    for seed in range(24):
+        r = np.random.default_rng(400 + seed)
+        k = int(r.integers(2, 5))
+        dim = int(r.integers(1, 61))
+        names = ("w", "x", "y", "z")[:k]
+        labels = [names[i % k] for i in range(int(r.integers(2 * k, 8 * k)))]
+        x = r.standard_normal((len(labels), dim)) + 0.6 * np.array(
+            [names.index(label) for label in labels])[:, None]
+        x_val = r.standard_normal((1 if seed % 3 == 0 else int(r.integers(2, 9)), dim))
+        if seed % 2:
+            col = int(r.integers(dim))
+            x[:, col] = 2.5  # constant over the training rows
+            x_val[:, col] = 2.5 if seed % 4 == 1 else x_val[:, col]
+        if seed % 4 < 2:
+            x[k] = x[0]  # a duplicate with the same label
+            x_val[0] = x[0]
+        if seed % 8 < 4:
+            x[-1] = x[1]  # a duplicate with another label
+        got = grid_predictions(x, labels, x_val, cells)
+        want = oracle_grid_predictions(x, labels, x_val, cells)
+        compared += got.size
+        for cell, model in enumerate(train_grid(x, labels, cells)):
+            differ = got[cell] != want[cell]
+            if differ.any():
+                assert rounding_decided(model, x_val)[differ].all(), (seed, cells[cell])
+                exempt += int(differ.sum())
+    assert exempt <= 0.01 * compared
 
 
 def test_grid_validation(rng):
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0)}, 4)
     with pytest.raises(TrainingError):
-        list(train_grid(x, labels, [(1.0, 1.0), (0.0, 1.0)]))
+        grid_predictions(x, labels, x[:2], [(1.0, 1.0), (0.0, 1.0)])
     with pytest.raises(TrainingError, match="rare"):
-        list(train_grid(x[:5], labels[:4] + ["rare"], [(1.0, 1.0)]))
-    assert list(train_grid(x, labels, [])) == []
+        grid_predictions(x[:5], labels[:4] + ["rare"], x[:2], [(1.0, 1.0)])
+    with pytest.raises(ValueError):
+        grid_predictions(x, labels, np.zeros((2, 3)), [(1.0, 1.0)])
+    assert grid_predictions(x, labels, x[:3], []).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
