@@ -1,10 +1,12 @@
 """Audio ingestion, 8 kHz resampling, framing, and speech/voicing segmentation.
 
 All downstream feature code consumes the 8 kHz mono `Waveform` produced here.
+Each resampling filter is designed once per operating rate and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -184,14 +186,24 @@ def save_wav(path, w: Waveform) -> None:
 
 
 def _design_decimation_filter(op_rate: int, name: str) -> np.ndarray:
-    """Windowed-sinc low-pass for the polyphase resampler.
+    """Windowed-sinc low-pass for the polyphase resampler (read-only, shared).
 
     Passband holds to ~3.9 kHz, stopband from ~4.04 kHz; the -6 dB point sits
     just under the 4 kHz target Nyquist so near-Nyquist content survives.
     The tap count is checked before any design work: every standard rate up
     to 192 kHz needs at most 126,466 taps, while a header rate such as
-    96,001 Hz would need 27.5 M.
+    96,001 Hz would need 27.5 M.  ``name`` only labels the error.
     """
+    try:
+        return _decimation_taps(op_rate)
+    except UnsupportedWavError as exc:
+        raise UnsupportedWavError(f"{name}: {exc}") from None
+
+
+@functools.lru_cache(maxsize=8)
+def _decimation_taps(op_rate: int) -> np.ndarray:
+    """The filter for one operating rate, designed once (a 44.1 kHz file's
+    126,467 taps take ~25 ms); a rejected rate raises and is not cached."""
     from scipy import signal as sps  # imported on use: it slows the CLI start by ~1 s
 
     cutoff_hz = 3970.0
@@ -200,9 +212,11 @@ def _design_decimation_filter(op_rate: int, name: str) -> np.ndarray:
     numtaps |= 1
     if numtaps > MAX_RESAMPLE_TAPS:
         raise UnsupportedWavError(
-            f"{name}: resampling to {TARGET_RATE} Hz needs a {numtaps}-tap filter "
+            f"resampling to {TARGET_RATE} Hz needs a {numtaps}-tap filter "
             f"(limit {MAX_RESAMPLE_TAPS})")
-    return sps.firwin(numtaps, 2.0 * cutoff_hz / op_rate, window=("kaiser", beta))
+    taps = sps.firwin(numtaps, 2.0 * cutoff_hz / op_rate, window=("kaiser", beta))
+    taps.setflags(write=False)
+    return taps
 
 
 def resample_to_8k(w: Waveform) -> Waveform:
@@ -268,12 +282,33 @@ def frame_log_energy_db(w: Waveform, frame_len_ms: float = FRAME_MS,
 
 def _runs(labels: np.ndarray):
     """Run-length encode a 1-D bool/int label array into (start, end, value)."""
-    out = []
-    start = 0
-    for t in range(1, labels.size + 1):
-        if t == labels.size or labels[t] != labels[start]:
-            out.append((start, t, labels[start]))
-            start = t
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        return []
+    starts = np.flatnonzero(np.concatenate([[True], labels[1:] != labels[:-1]]))
+    ends = np.append(starts[1:], labels.size)
+    return list(zip(starts.tolist(), ends.tolist(), labels[starts].tolist()))
+
+
+def _merge_short_runs(runs):
+    """Absorb runs shorter than MIN_VOICED_RUN_FRAMES into their neighbours.
+
+    One left-to-right pass with the result of flipping the leftmost short run
+    until none is left (or one run remains): that run's left neighbour is
+    always long, so the flip joins it to the runs on both sides.  Only a
+    short first run has no left neighbour; it takes its right one's value.
+    """
+    out = []  # [start, end, value], every entry but a lone first one long
+    for start, end, value in runs:
+        if out and out[-1][2] == value:           # the run after a flip
+            out[-1][1] = end
+        elif len(out) == 1 and out[0][1] - out[0][0] < MIN_VOICED_RUN_FRAMES:
+            out[0] = [out[0][0], end, value]      # a short first run flips
+        else:
+            out.append([start, end, value])
+        if len(out) > 1 and end - out[-1][0] < MIN_VOICED_RUN_FRAMES:
+            out.pop()                             # flips into its left neighbour
+            out[-1][1] = end
     return out
 
 
@@ -326,17 +361,7 @@ def voiced_segments(w: Waveform, f0: "F0Track"):
     labels = np.asarray(f0.values) > 0
     if labels.size == 0:
         return [], []
-    runs = _runs(labels)
-    # Flip short runs (leftmost first) until every surviving run is long enough.
-    while len(runs) > 1:
-        short = next((i for i, (s, e, _) in enumerate(runs)
-                      if e - s < MIN_VOICED_RUN_FRAMES), None)
-        if short is None:
-            break
-        s, e, v = runs[short]
-        merged = np.concatenate([np.full(en - st, bool(kv)) for st, en, kv in runs])
-        merged[s:e] = not v
-        runs = _runs(merged)
+    runs = _merge_short_runs(_runs(labels))
 
     step = round(f0.step_ms * w.sample_rate / 1000.0)
     spans = _frame_runs_to_spans(runs, step, w.samples.size,

@@ -99,11 +99,19 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
         values[t] = rate / (k + np.clip(shift, -0.5, 0.5))
     values[(values > 0) & ((values < fmin) | (values > fmax))] = 0.0
     if n >= 3:
-        from scipy.signal import medfilt  # imported on use: it slows the CLI start by ~1 s
-
-        values = medfilt(values, 3)
+        values = _median3(values)
     strength[e0 < floor] = 0.0
     return F0Track(values, strength, frame_ms, step_ms)
+
+
+def _median3(x: np.ndarray) -> np.ndarray:
+    """3-point running median with zero-padded ends (``medfilt(x, 3)``).
+
+    The median of three is a pure selection, so the bits are medfilt's.
+    """
+    p = np.pad(x, 1)
+    a, b, c = p[:-2], p[1:-1], p[2:]
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:

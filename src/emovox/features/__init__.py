@@ -1,4 +1,8 @@
-"""Per-utterance feature families and fusion."""
+"""Per-utterance feature families and fusion.
+
+Each extractor in ``EXTRACTORS`` takes a ``Waveform`` or the row's shared
+``emovox.analysis.Analysis``; given a bare waveform it builds its own.
+"""
 
 from __future__ import annotations
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..audio import ONSET, VOICED, Waveform, frame_count, frame_signal, voiced_segments
-from ..dsp import bark_band_energies, delta, estimate_f0, formants_f1_f2, mfcc_frames
+from ..analysis import Analysis
+from ..audio import ONSET, VOICED, Waveform, frame_count, frame_signal, make_window
+from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 
 from . import FeatureVector
@@ -18,23 +19,30 @@ from . import FeatureVector
 N_MFCC = 12
 
 
-def transition_descriptors(chunk: np.ndarray, rate: int) -> np.ndarray:
-    """58 values for one 80 ms transition chunk.
+def transition_descriptors(chunks: np.ndarray, rate: int) -> np.ndarray:
+    """58 values for each 80 ms transition chunk (one chunk per row).
 
     Bark-band energies of the whole chunk plus MFCC/delta/delta-delta
-    averaged over 25/10 ms sub-frames.
+    averaged over its 25/10 ms Hann sub-frames; all chunks go through one
+    ``bark_band_energies`` and one ``mfcc_frames`` call.
     """
-    bbe = bark_band_energies(chunk, rate)
-    n = frame_count(chunk.size, round(0.025 * rate), round(0.010 * rate))
+    chunks = np.atleast_2d(chunks)
+    n_chunks, size = chunks.shape
+    bbe = bark_band_energies(chunks, rate)
+    frame_len, step = round(0.025 * rate), round(0.010 * rate)
+    n = frame_count(size, frame_len, step)
     if n == 0:
-        mf = dmf = ddmf = np.zeros(N_MFCC)
-    else:
-        frames = frame_signal(Waveform(chunk, rate, "chunk")).frames
-        ceps = mfcc_frames(frames, rate, n_mels=24, n_ceps=N_MFCC, first=1)
-        mf = ceps.mean(axis=0)
-        dmf = delta(ceps).mean(axis=0)
-        ddmf = delta(delta(ceps)).mean(axis=0)
-    return np.concatenate([bbe, mf, dmf, ddmf])
+        return np.hstack([bbe, np.zeros((n_chunks, 3 * N_MFCC))])
+    idx = np.arange(frame_len)[None, :] + step * np.arange(n)[:, None]
+    frames = chunks[:, idx] * make_window("hann", frame_len)
+    ceps = mfcc_frames(frames.reshape(-1, frame_len), rate, n_mels=24,
+                       n_ceps=N_MFCC, first=1).reshape(n_chunks, n, N_MFCC)
+    # deltas run along each chunk's frames: frames down, (chunk, coefficient) across
+    by_frame = ceps.transpose(1, 0, 2).reshape(n, -1)
+    d1 = delta(by_frame)
+    d2 = delta(d1)
+    return np.hstack([bbe, ceps.mean(axis=1)] + [
+        d.reshape(n, n_chunks, N_MFCC).mean(axis=0) for d in (d1, d2)])
 
 
 def voiced_frames(w: Waveform, f0, spans) -> np.ndarray:
@@ -48,16 +56,19 @@ def voiced_frames(w: Waveform, f0, spans) -> np.ndarray:
     return frames[voiced]
 
 
-def articulation_features(w: Waveform) -> FeatureVector:
-    f0 = estimate_f0(w)
-    spans, transitions = voiced_segments(w, f0)
+def articulation_features(source: Waveform | Analysis) -> FeatureVector:
+    a = Analysis.of(source)
+    w, f0 = a.waveform, a.f0
+    spans, transitions = a.segments
 
     warnings = []
-    onset_rows, offset_rows = [], []
-    for tr in transitions:
-        row = transition_descriptors(tr.chunk, w.sample_rate)
-        (onset_rows if tr.direction == ONSET else offset_rows).append(row)
-    if not transitions:
+    onset_rows = offset_rows = []
+    if transitions:
+        rows = transition_descriptors(np.array([tr.chunk for tr in transitions]),
+                                      w.sample_rate)
+        onset = np.array([tr.direction == ONSET for tr in transitions])
+        onset_rows, offset_rows = rows[onset], rows[~onset]
+    else:
         warnings.append("no transitions")
 
     f1s, f2s = formants_f1_f2(voiced_frames(w, f0, spans), w.sample_rate)
@@ -73,7 +84,7 @@ def articulation_features(w: Waveform) -> FeatureVector:
 
     # One track: 58 onset and 58 offset descriptors, then the six formant
     # contours, each column NaN-padded (absent) to the longest.
-    blocks = [np.asarray(rows) if rows else np.full((1, 58), np.nan)
+    blocks = [rows if len(rows) else np.full((1, 58), np.nan)
               for rows in (onset_rows, offset_rows)]
     blocks += [c[:, None] for c in contour_and_deltas(f1s) + contour_and_deltas(f2s)]
     n = max(b.shape[0] for b in blocks)

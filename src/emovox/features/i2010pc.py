@@ -6,18 +6,20 @@ statistical functionals: (38 + 38) x 21 = 1596.
 
 Loudness is approximated by log frame energy and voicing probability by the
 normalized-correlation peak; see the package docs for the deviations from
-the original challenge toolkit.
+the original challenge toolkit.  Per-frame jitter and shimmer come from the
+pulses of every voiced 60 ms window, picked in one scan of the utterance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..analysis import Analysis
 from ..audio import Waveform, frame_signal
 from ..dsp import (delta, estimate_f0, log_frame_energy, log_mel_energies, lpc,
                    lsp_from_lpc, mfcc_frames, moving_average, PREEMPHASIS)
 from ..functionals import IS10_FUNCTIONALS, FeatureTrack, FunctionalSet, apply_functionals
-from .phonation import detect_pulses, _clean_periods, jitter_local, jitter_ddp, shimmer_local
+from .phonation import MAX_PERIOD_DEVIATION, pulse_windows
 
 from . import FeatureVector
 
@@ -47,37 +49,71 @@ def _pitch_grid_track(w: Waveform):
 
 
 def _hold_last_voiced(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    last = 0.0
-    for i, v in enumerate(out):
-        if v > 0:
-            last = v
-        else:
-            out[i] = last
+    """Each unvoiced frame takes the last voiced value before it (0 before any)."""
+    last = np.maximum.accumulate(np.where(values > 0, np.arange(values.size), -1))
+    return np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
+
+
+def _per_window(values: np.ndarray, counts: np.ndarray, min_count: int, fn):
+    """``fn`` of each window's run of ``values`` (runs back to back, ``counts`` long).
+
+    Windows with equal counts go through ``fn`` together, one per row of a
+    matrix, and each row reduces exactly as the 1-D call on that window
+    would.  Windows with fewer than ``min_count`` values get 0.
+    """
+    out = np.zeros(counts.size)
+    offsets = np.cumsum(counts) - counts
+    for m in np.unique(counts[counts >= min_count]).tolist():
+        rows = np.flatnonzero(counts == m)
+        out[rows] = fn(values[offsets[rows, None] + np.arange(m)])
     return out
+
+
+def _relative_mean_abs_diff(rows: np.ndarray, order: int = 1) -> np.ndarray:
+    """100 x mean |order-th difference| / mean, per row: the local jitter,
+    DDP jitter and local shimmer of ``phonation``."""
+    return 100.0 * np.mean(np.abs(np.diff(rows, order, axis=1)), axis=1) \
+        / np.mean(rows, axis=1)
 
 
 def _per_frame_perturbation(padded: Waveform, f0_values: np.ndarray, step: int,
                             frame_len: int):
-    """Frame-wise jitter (local, DDP) and shimmer from 60 ms pulse windows."""
-    jit = np.zeros(f0_values.size)
-    ddp = np.zeros(f0_values.size)
-    shim = np.zeros(f0_values.size)
-    for t, f0_t in enumerate(f0_values):
-        if f0_t <= 0:
-            continue
-        seg = padded.samples[t * step:t * step + frame_len]
-        marks, amps = detect_pulses(seg, padded.sample_rate, float(f0_t))
-        periods = _clean_periods(marks) / padded.sample_rate
-        for arr, fn, data in ((jit, jitter_local, periods),
-                              (ddp, jitter_ddp, periods),
-                              (shim, shimmer_local, amps)):
-            v = fn(data)
-            arr[t] = 0.0 if np.isnan(v) else v
+    """Frame-wise jitter (local, DDP) and shimmer from 60 ms pulse windows.
+
+    Pulses of every voiced window come from one ``pulse_windows`` scan;
+    periods, their 40 % clean-up and the three measures are computed for
+    all windows with the same count at once, with the bits of
+    ``_clean_periods``, ``jitter_local``, ``jitter_ddp`` and
+    ``shimmer_local`` on each window.  Undefined measures are 0.
+    """
+    rate = padded.sample_rate
+    starts = np.arange(f0_values.size) * step
+    marks, amps, counts = pulse_windows(padded.samples, starts, frame_len, f0_values, rate)
+    window = np.repeat(np.arange(counts.size), counts)
+
+    # a period per mark after each window's first, cleaned against its window's median
+    later = np.ones(marks.size, dtype=bool)
+    later[(np.cumsum(counts) - counts)[counts > 0]] = False
+    periods = (marks[1:] - marks[:-1])[later[1:]]
+    of = window[later]
+    n_periods = np.maximum(counts - 1, 0)
+    med = _per_window(periods, n_periods, 1, lambda rows: np.median(rows, axis=1))[of]
+    clean = np.abs(periods - med) <= MAX_PERIOD_DEVIATION * med
+    periods = periods[clean] / rate
+    n_clean = np.bincount(of[clean], minlength=counts.size)
+
+    jit = _per_window(periods, n_clean, 2, _relative_mean_abs_diff)
+    ddp = _per_window(periods, n_clean, 3, lambda rows: _relative_mean_abs_diff(rows, 2))
+    loud = amps > 0
+    shim = _per_window(amps[loud], np.bincount(window[loud], minlength=counts.size), 2,
+                       _relative_mean_abs_diff)
+    for arr in (jit, ddp, shim):
+        arr[np.isnan(arr)] = 0.0
     return jit, ddp, shim
 
 
-def i2010pc_features(w: Waveform) -> FeatureVector:
+def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
+    w = Analysis.of(source).waveform
     frames = frame_signal(w)  # hann 25/10
     n = frames.n_frames
     if n == 0:

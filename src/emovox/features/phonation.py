@@ -2,6 +2,10 @@
 
 Seven descriptor tracks over the voiced portion of the utterance, each
 summarized by {mean, std, skewness, kurtosis}: 28 values.
+
+Glottal pulses are picked by ``pulse_windows``, a NumPy form of
+``scipy.signal.find_peaks`` that serves many windows from one scan of the
+signal; i2010pc uses it for its per-frame jitter and shimmer.
 """
 
 from __future__ import annotations
@@ -9,9 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..audio import VOICED, Waveform, frame_signal, voiced_segments
-from ..dsp import delta, estimate_f0, log_frame_energy
+from ..analysis import Analysis
+from ..audio import VOICED, Waveform
+from ..dsp import delta
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 from . import FeatureVector
 
@@ -23,39 +29,130 @@ PHONATION_TRACKS = ("delta_f0", "delta2_f0", "jitter", "shimmer",
 MAX_PERIOD_DEVIATION = 0.40
 
 
-def _parabolic_peak(x: np.ndarray, k: int):
-    """Sub-sample position/height of a local maximum at integer index k."""
-    if k <= 0 or k >= x.size - 1:
-        return float(k), float(x[k])
+def _local_maxima(x: np.ndarray):
+    """Every local maximum of x, plateaus included, as ``find_peaks`` finds them.
+
+    A maximum is a run of equal samples with a strictly lower sample on each
+    side.  Returns the first and last index of each run and its midpoint
+    (first + last) // 2, all ascending.
+    """
+    if x.size < 3:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, none
+    first = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    last = np.concatenate([first[1:], [x.size]]) - 1
+    level = x[first]
+    peak = np.flatnonzero((level[:-2] < level[1:-1]) & (level[2:] < level[1:-1])) + 1
+    first, last = first[peak], last[peak]
+    return first, last, (first + last) // 2
+
+
+def _refine(x: np.ndarray, k: np.ndarray):
+    """Sub-sample offsets and heights of the maxima at interior indices k.
+
+    Parabolic interpolation through each maximum and its two neighbours; the
+    offset is clipped to half a sample and is 0 where the parabola is flat.
+    """
     a, b, c = x[k - 1], x[k], x[k + 1]
     denom = a - 2.0 * b + c
-    if abs(denom) < 1e-30:
-        return float(k), float(b)
-    shift = 0.5 * (a - c) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
+    flat = np.abs(denom) < 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
     height = b - 0.25 * (a - c) * shift
-    return k + shift, float(height)
+    return np.where(flat, 0.0, shift), np.where(flat, b, height)
+
+
+def _keep_by_distance(pos: list, heights: np.ndarray, distance: int) -> list:
+    """``find_peaks``' distance rule on one window's candidates: a keep flag each.
+
+    The highest candidate first (ranked by ``np.argsort``, as SciPy ranks
+    them, so ties fall the same way) removes every neighbour closer than
+    ``distance`` samples.
+    """
+    keep = [True] * len(pos)
+    for j in reversed(np.argsort(heights).tolist()):
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and pos[j] - pos[k] < distance:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(pos) and pos[k] - pos[j] < distance:
+            keep[k] = False
+            k += 1
+    return keep
+
+
+def pulse_windows(x: np.ndarray, starts, length: int, f0_hz, rate: int):
+    """Glottal pulses of every window x[start:start + length], in one scan of x.
+
+    Window i is peak-picked at roughly one peak per period of ``f0_hz[i]``:
+    local maxima at least 0.3 x the window maximum (when that is positive),
+    thinned so no two are closer than 0.6 periods, each refined by parabolic
+    interpolation.  That is ``scipy.signal.find_peaks`` on the window,
+    bit for bit, with the maxima found once for all windows: a window's
+    candidates are the maxima whose whole plateau lies strictly inside it.
+    Windows are cut short at the end of x; those under 3 samples, or with
+    f0 <= 0, get no pulses.
+
+    Returns (marks, amps, counts): the pulse positions (fractional samples
+    from each window's start) and heights of all windows back to back, and
+    the number of pulses per window.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    f0_hz = np.asarray(f0_hz, dtype=np.float64)
+    ends = np.minimum(starts + length, x.size)
+    counts = np.zeros(starts.size, dtype=np.intp)
+    first, last, mid = _local_maxima(x)
+    live = np.flatnonzero((f0_hz > 0) & (ends - starts >= 3))
+    if live.size == 0 or mid.size == 0:
+        return np.zeros(0), np.zeros(0), counts
+
+    # each live window's run of candidate maxima [lo, hi), and its height gate
+    lo = np.searchsorted(first, starts[live] + 1)
+    hi = np.maximum(np.searchsorted(last, ends[live] - 2, side="right"), lo)
+    tail = max(int(starts[live].max()) + length - x.size, 0)
+    padded = np.concatenate([x, np.full(tail, -np.inf)])
+    top = sliding_window_view(padded, length)[starts[live]].max(axis=1)
+    gate = np.where(top > 0, 0.3 * top, -np.inf)
+
+    # candidates of all windows back to back: the window owning each, its maximum
+    n_cand = hi - lo
+    owner = np.repeat(np.arange(live.size), n_cand)
+    cand = np.arange(owner.size) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand) + lo[owner]
+    tall = x[mid[cand]] >= gate[owner]
+    cand, owner = cand[tall], owner[tall]
+
+    # the distance rule only matters where two candidates sit too close
+    distance = np.maximum((0.6 * (rate / f0_hz[live])).astype(np.intp), 1)
+    close = (owner[1:] == owner[:-1]) & (np.diff(mid[cand]) < distance[owner[1:]])
+    if np.any(close):
+        keep = np.ones(cand.size, dtype=bool)
+        bounds = np.searchsorted(owner, np.arange(live.size + 1))
+        for i in np.unique(owner[1:][close]).tolist():
+            peaks = mid[cand[bounds[i]:bounds[i + 1]]]
+            keep[bounds[i]:bounds[i + 1]] = _keep_by_distance(peaks.tolist(), x[peaks],
+                                                              int(distance[i]))
+        cand, owner = cand[keep], owner[keep]
+
+    shift, amps = _refine(x, mid[cand])
+    marks = (mid[cand] - starts[live][owner]) + shift
+    counts[live] = np.bincount(owner, minlength=live.size)
+    return marks, amps, counts
 
 
 def detect_pulses(x: np.ndarray, rate: int, f0_hz: float):
     """Glottal pulse positions (fractional samples) and amplitudes.
 
     Peak-picks the waveform at roughly one peak per period of the given
-    fundamental, then refines each mark by parabolic interpolation.
+    fundamental, then refines each mark by parabolic interpolation: the
+    one-window case of ``pulse_windows``.
     """
-    if f0_hz <= 0 or x.size < 3:
-        return np.zeros(0), np.zeros(0)
-    from scipy.signal import find_peaks  # imported on use: it slows the CLI start by ~1 s
-
-    period = rate / f0_hz
-    height = 0.3 * float(np.max(x)) if np.max(x) > 0 else None
-    peaks, _ = find_peaks(x, distance=max(int(0.6 * period), 1), height=height)
-    marks, amps = [], []
-    for k in peaks:
-        pos, amp = _parabolic_peak(x, int(k))
-        marks.append(pos)
-        amps.append(amp)
-    return np.asarray(marks), np.asarray(amps)
+    x = np.asarray(x, dtype=np.float64)
+    marks, amps, _ = pulse_windows(x, [0], x.size, [f0_hz], rate)
+    return marks, amps
 
 
 def _clean_periods(marks: np.ndarray):
@@ -108,9 +205,10 @@ def shimmer_apq11(amps: np.ndarray) -> float:
     return 100.0 * np.mean(devs) / np.mean(amps)
 
 
-def phonation_features(w: Waveform) -> FeatureVector:
-    f0 = estimate_f0(w)
-    spans, _ = voiced_segments(w, f0)
+def phonation_features(source: Waveform | Analysis) -> FeatureVector:
+    a = Analysis.of(source)
+    w, f0 = a.waveform, a.f0
+    spans, _ = a.segments
     voiced_spans = [s for s in spans if s.kind == VOICED]
     step = round(f0.step_ms * w.sample_rate / 1000.0)
 
@@ -118,16 +216,16 @@ def phonation_features(w: Waveform) -> FeatureVector:
         return FeatureVector("phonation", np.zeros(28), w.source_id,
                              warning="no voiced frames")
 
-    energy = log_frame_energy(frame_signal(w, window_kind="rectangular").frames)
-
+    energy = a.log_energy
     contour, log_e = [], []
     jit, shim, apq, ppq = [], [], [], []
     for span in voiced_spans:
-        frames = [t for t in range(f0.values.size)
-                  if span.start_sample <= t * step < span.end_sample]
-        seg_f0 = np.array([f0.values[t] for t in frames if f0.values[t] > 0])
-        contour.extend(seg_f0)
-        log_e.extend(energy[t] for t in frames)
+        # the grid frames that start inside the span
+        lo = -(-span.start_sample // step)
+        hi = min(-(-span.end_sample // step), f0.values.size)
+        seg_f0 = f0.values[lo:hi][f0.values[lo:hi] > 0]
+        contour.append(seg_f0)
+        log_e.append(energy[lo:hi])
         if seg_f0.size == 0:
             continue
         marks, amps = detect_pulses(
@@ -139,7 +237,8 @@ def phonation_features(w: Waveform) -> FeatureVector:
         shim.append(shimmer_local(amps))
         apq.append(shimmer_apq11(amps))
 
-    contour = np.asarray(contour)
+    contour = np.concatenate(contour)
+    log_e = np.concatenate(log_e)
     tracks = {
         "delta_f0": delta(contour) if contour.size else contour,
         "delta2_f0": delta(delta(contour)) if contour.size else contour,
@@ -147,7 +246,7 @@ def phonation_features(w: Waveform) -> FeatureVector:
         "shimmer": np.asarray(shim),
         "apq": np.asarray(apq),
         "ppq": np.asarray(ppq),
-        "log_energy": np.asarray(log_e),
+        "log_energy": log_e,
     }
     parts = []
     four = FunctionalSet(FOUR_MOMENTS)

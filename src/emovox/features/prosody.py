@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..audio import SPEECH, Waveform, detect_speech, frame_signal, voiced_segments
-from ..dsp import estimate_f0, log_frame_energy
+from ..analysis import Analysis
+from ..audio import SPEECH, Waveform, detect_speech
 from ..functionals import SIX_BASIC, FeatureTrack, FunctionalSet, apply_functionals
 
 from . import FeatureVector
@@ -71,9 +71,10 @@ def _track_stats(values, name, fs):
     return apply_functionals(FeatureTrack(col, (name,)), fs)
 
 
-def prosody_features(w: Waveform) -> FeatureVector:
-    f0 = estimate_f0(w)
-    spans, _ = voiced_segments(w, f0)
+def prosody_features(source: Waveform | Analysis) -> FeatureVector:
+    a = Analysis.of(source)
+    w, f0 = a.waveform, a.f0
+    spans, _ = a.segments
     vad = detect_speech(w, f0)
     n = f0.values.size
     step = round(f0.step_ms * w.sample_rate / 1000.0)
@@ -95,7 +96,7 @@ def prosody_features(w: Waveform) -> FeatureVector:
         return FeatureVector("prosody", np.zeros(78), w.source_id,
                              warning="no voiced speech")
 
-    energy = log_frame_energy(frame_signal(w, window_kind="rectangular").frames)
+    energy = a.log_energy
     unvoiced = speech & ~voiced
     pause = ~speech
 

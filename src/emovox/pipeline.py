@@ -2,7 +2,9 @@
 
 The cache key folds in the extractor version and, for embedding schemes, a
 digest of the model file bytes, so stale entries can never be returned after
-either changes.  Per-file failures are collected, not raised; callers decide
+either changes.  A row's first cache miss decodes its audio into one
+``Analysis`` that every scheme of the row shares; a fully cached row decodes
+nothing.  Per-file failures are collected, not raised; callers decide
 how to report them.
 """
 
@@ -13,20 +15,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 
 from . import audio
 from .cache import FeatureCache, feature_key
+from .analysis import Analysis, embedding_mfcc  # noqa: F401 (embedding_mfcc re-exported)
 from .config import ExperimentConfig
-from .dsp import mfcc_frames
 from .embeddings import baum_welch_stats, extract_ivector, xvector_forward
 from .errors import ConfigError, EmovoxError
 from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
 from .manifest import Manifest
 from . import modelio
 
-EXTRACTOR_VERSION = "2"
-EMBEDDING_N_CEPS = 24
+EXTRACTOR_VERSION = "3"
 
 
 @dataclass(frozen=True)
@@ -72,32 +72,26 @@ def load_audio(path) -> audio.Waveform:
     return audio.resample_to_8k(audio.load_wav(path))
 
 
-def embedding_mfcc(w: audio.Waveform) -> np.ndarray:
-    """24-dim MFCC matrix used as input to both embedding extractors."""
-    frames = audio.frame_signal(w)
-    return mfcc_frames(frames.frames, w.sample_rate,
-                       n_mels=EMBEDDING_N_CEPS, n_ceps=EMBEDDING_N_CEPS)
-
-
-def extract_scheme(w: audio.Waveform, scheme: str,
+def extract_scheme(source: audio.Waveform | Analysis, scheme: str,
                    models: EmbeddingModels | None = None,
                    source_id: str = "") -> FeatureVector:
-    """One feature vector for one base scheme."""
+    """One feature vector for one base scheme, from a waveform or its shared analysis."""
     if scheme in EXTRACTORS:
-        vec = EXTRACTORS[scheme](w)
+        vec = EXTRACTORS[scheme](source)
         return FeatureVector(scheme, vec.values, source_id=source_id,
                              warning=vec.warning)
     if scheme == "ivector":
         if models is None or models.tv is None:
             raise ConfigError("i-vector extraction needs a loaded TV model")
-        stats = baum_welch_stats(models.tv.ubm, embedding_mfcc(w))
+        stats = baum_welch_stats(models.tv.ubm, Analysis.of(source).embedding_mfcc)
         return FeatureVector("ivector", extract_ivector(models.tv, stats),
                              source_id=source_id)
     if scheme == "xvector":
         if models is None or models.xvector is None:
             raise ConfigError("x-vector extraction needs loaded weights")
         return FeatureVector("xvector",
-                             xvector_forward(models.xvector, embedding_mfcc(w)),
+                             xvector_forward(models.xvector,
+                                             Analysis.of(source).embedding_mfcc),
                              source_id=source_id)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
@@ -123,7 +117,7 @@ class ExtractionResult:
 def _extract_row(row, spec: FusionSpec, models, cache: FeatureCache | None):
     with open(row.path, "rb") as fh:
         raw = fh.read()
-    waveform = None
+    analysis = None   # built on the first cache miss and shared by every scheme
     parts = []
     hits = computed = 0
     for scheme in spec.schemes:
@@ -135,10 +129,10 @@ def _extract_row(row, spec: FusionSpec, models, cache: FeatureCache | None):
             vec = FeatureVector(vec.scheme, vec.values, source_id=row.path,
                                 warning=vec.warning)
         else:
-            if waveform is None:
+            if analysis is None:
                 # decoded from the bytes that were hashed, not a second read
-                waveform = audio.resample_to_8k(audio.parse_wav(raw, row.path))
-            vec = extract_scheme(waveform, scheme, models, source_id=row.path)
+                analysis = Analysis(audio.resample_to_8k(audio.parse_wav(raw, row.path)))
+            vec = extract_scheme(analysis, scheme, models, source_id=row.path)
             computed += 1
             if cache:
                 cache.put(key, vec)

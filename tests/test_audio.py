@@ -149,6 +149,46 @@ def test_resample_output_length(rate):
     assert abs(len(y) - round(n * 8000 / rate)) <= 1
 
 
+def test_decimation_filter_is_designed_once_per_rate(monkeypatch):
+    from scipy import signal as sps
+
+    audio._decimation_taps.cache_clear()
+    designed = []
+    firwin = sps.firwin
+
+    def counted_firwin(numtaps, *args, **kwargs):
+        designed.append(numtaps)
+        return firwin(numtaps, *args, **kwargs)
+
+    monkeypatch.setattr(sps, "firwin", counted_firwin)
+    w = wf(tone(300, dur_s=0.2, rate=44100), rate=44100)
+    first = resample_to_8k(w).samples
+    again = resample_to_8k(wf(tone(300, dur_s=0.3, rate=44100), rate=44100))
+    assert len(designed) == 1 and again.sample_rate == 8000
+    assert resample_to_8k(w).samples.tobytes() == first.tobytes()
+    taps = audio._design_decimation_filter(44100 * 80, "x")
+    assert not taps.flags.writeable
+    with pytest.raises(ValueError):
+        taps[0] = 1.0
+    # the name only labels errors: another name shares the taps
+    assert audio._design_decimation_filter(44100 * 80, "y") is taps
+    assert len(designed) == 1
+
+
+def test_rejected_rate_is_not_memoised(monkeypatch):
+    from scipy import signal as sps
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("firwin called for a rejected rate")
+
+    monkeypatch.setattr(sps, "firwin", no_design)
+    audio._decimation_taps.cache_clear()
+    for name in ("a.wav", "b.wav"):
+        with pytest.raises(UnsupportedWavError, match=name + ": rate 96001: resampling to 8000 Hz"):
+            resample_to_8k(wf(np.zeros(64), rate=96001, source=name))
+    assert audio._decimation_taps.cache_info().currsize == 0
+
+
 def test_resample_linearity(rng):
     x = rng.standard_normal(16000) * 0.1
     a = 0.37
@@ -308,6 +348,61 @@ def test_partition_and_transition_count(rng):
         if len(spans) > 1:
             for s in spans[:-1]:
                 assert s.n_samples >= 3 * 80
+
+
+def runs_oracle(labels):
+    """Run-length encoding one frame at a time, as ``_runs`` did it."""
+    out = []
+    start = 0
+    for t in range(1, labels.size + 1):
+        if t == labels.size or labels[t] != labels[start]:
+            out.append((start, t, labels[start]))
+            start = t
+    return out
+
+
+def merged_runs_oracle(labels):
+    """Flip the leftmost short run and re-encode, until none is short."""
+    runs = runs_oracle(labels)
+    while len(runs) > 1:
+        short = next((i for i, (s, e, _) in enumerate(runs) if e - s < 3), None)
+        if short is None:
+            break
+        s, e, v = runs[short]
+        merged = np.concatenate([np.full(en - st, bool(kv)) for st, en, kv in runs])
+        merged[s:e] = not v
+        runs = runs_oracle(merged)
+    return [(s, e, bool(v)) for s, e, v in runs]
+
+
+def test_short_run_merge_matches_flip_loop_oracle(rng):
+    cases = [np.zeros(0, bool), np.ones(1, bool), np.zeros(7, bool),   # single run
+             np.array([1, 0, 1, 0, 1, 0, 1], bool),                   # all short
+             np.array([1, 0, 0, 1, 1, 1, 1, 1], bool),                # leading short run
+             np.array([1, 1, 0, 1, 0, 0, 0], bool)]
+    for _ in range(400):
+        n = int(rng.integers(1, 60))
+        lengths = rng.choice([1, 1, 2, 2, 3, 5, 9], size=n)
+        cases.append((np.arange(lengths.sum()) * 0 + np.repeat(np.arange(n) % 2, lengths))
+                     .astype(bool) ^ bool(rng.integers(2)))
+    for labels in cases:
+        assert [(s, e, bool(v)) for s, e, v in audio._runs(labels)] == \
+            [(s, e, bool(v)) for s, e, v in runs_oracle(labels)]
+        got = [(s, e, bool(v)) for s, e, v in audio._merge_short_runs(audio._runs(labels))]
+        assert got == merged_runs_oracle(labels), labels.astype(int).tolist()
+
+
+def test_voiced_segments_linear_in_frames():
+    # alternating 1-2 frame runs: the flip-and-re-encode loop took 15 s on 40 s of audio
+    import time
+
+    values = np.tile([150.0, 0.0, 0.0, 150.0, 150.0, 0.0], 700)
+    track = F0Track(values, np.ones(values.size), 25.0, 10.0)
+    w = wf(np.full(values.size * 80 + 120, 0.1))
+    start = time.perf_counter()
+    spans, _ = voiced_segments(w, track)
+    assert time.perf_counter() - start < 1.0
+    assert spans[0].start_sample == 0 and spans[-1].end_sample == w.samples.size
 
 
 def test_transition_chunks_are_80ms_zero_padded():

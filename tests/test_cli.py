@@ -46,6 +46,35 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_8k_extract_leaves_scipy_signal_unloaded(workspace, tmp_path):
+    # telephone-rate audio needs no resampling filter, and nothing else in
+    # the six-scheme extract may pull scipy.signal in
+    from emovox.embeddings import GmmUbm, TotalVariabilityModel, random_xvector_weights
+    from emovox.modelio import save_tv, save_xvector
+
+    _, manifest, _, rows = workspace
+    rng = np.random.default_rng(3)
+    ubm = GmmUbm(np.full(2, 0.5), rng.standard_normal((2, 24)), np.ones((2, 24)))
+    save_tv(tmp_path / "tv.emvx",
+            TotalVariabilityModel(0.1 * rng.standard_normal((48, 2)), ubm, 2))
+    save_xvector(tmp_path / "xv.emvx", random_xvector_weights(seed=0))
+    config = tmp_path / "six.cfg"
+    config.write_text(
+        "scheme = articulation+prosody+phonation+i2010pc+ivector+xvector\n"
+        "tv_model = %s\nxvector_model = %s\ncache_dir = %s\n"
+        % (tmp_path / "tv.emvx", tmp_path / "xv.emvx", tmp_path / "cache"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emovox.__file__)))
+    argv = ["extract", "--manifest", str(manifest), "--config", str(config),
+            "--out-csv", str(tmp_path / "six.csv")]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from emovox.cli import main; rc = main(sys.argv[1:]); "
+         "print(rc, 'scipy.signal' in sys.modules)"] + argv,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert len((tmp_path / "six.csv").read_text().strip().split("\n")) == len(rows) + 1
+
+
 def test_extract_success(workspace):
     root, manifest, config, rows = workspace
     out = root / "features.csv"
@@ -90,9 +119,10 @@ def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, mon
                                                    caplog):
     from scipy import signal as sps
 
-    from emovox.audio import MAX_RESAMPLE_TAPS
+    from emovox.audio import MAX_RESAMPLE_TAPS, _decimation_taps
 
     root, _, config, rows = workspace
+    _decimation_taps.cache_clear()  # filters are memoised per rate; design afresh here
     designed = []
     firwin = sps.firwin
 

@@ -69,6 +69,14 @@ def test_f0_values_stay_in_range(rng):
 
 # --------------------------------------------------------------------- lpc
 
+def test_median3_is_medfilt(rng):
+    # the F0 post-filter: a pure selection, so the bits must be medfilt's
+    for n in range(3, 40):
+        for _ in range(20):
+            x = rng.choice([0.0, 61.0, 150.0, 150.0, 399.5], n) + rng.random(n) * rng.integers(2)
+            assert dsp._median3(x).tobytes() == sps.medfilt(x, 3).tobytes()
+
+
 def test_lpc_recovers_ar2_process(rng):
     # x(n) = 1.6 x(n-1) - 0.64 x(n-2) + e(n)
     e = rng.standard_normal(50000)

@@ -7,13 +7,17 @@ from scipy import signal as sps
 from emovox.audio import VOICED, Waveform, voiced_segments
 from emovox.dsp import estimate_f0
 from emovox.features import (EXTRACTORS, FeatureVector, FusionSpec, fuse)
-from emovox.features.articulation import articulation_features, voiced_frames
-from emovox.features.i2010pc import LLD_NAMES, i2010pc_features
+from emovox.features.articulation import (N_MFCC, articulation_features,
+                                          transition_descriptors, voiced_frames)
+from emovox.features.i2010pc import (LLD_NAMES, _hold_last_voiced, _per_frame_perturbation,
+                                     i2010pc_features)
 from emovox.features.phonation import (detect_pulses, _clean_periods,
                                        jitter_local, jitter_ppq5, jitter_ddp,
                                        phonation_features, shimmer_apq11,
                                        shimmer_local)
 from emovox.features.prosody import PROSODY_FEATURE_NAMES, prosody_features
+from emovox.dsp import bark_band_energies, delta, mfcc_frames
+from emovox.audio import frame_count, frame_signal
 from emovox.errors import FeatureSchemeError
 from emovox.functionals import IS10_FUNCTIONALS
 
@@ -100,6 +104,117 @@ def test_pulse_marks_subsample_accuracy():
     np.testing.assert_allclose(amps, 0.8, atol=0.02)
 
 
+# ---------------------------------------------- pulse picking against find_peaks
+
+def parabolic_peak_oracle(x, k):
+    """Per-peak parabolic refinement, as detect_pulses did it before the scan."""
+    if k <= 0 or k >= x.size - 1:
+        return float(k), float(x[k])
+    a, b, c = x[k - 1], x[k], x[k + 1]
+    denom = a - 2.0 * b + c
+    if abs(denom) < 1e-30:
+        return float(k), float(b)
+    shift = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
+    return k + shift, float(b - 0.25 * (a - c) * shift)
+
+
+def find_peaks_pulses(x, rate, f0_hz):
+    """The find_peaks-based detect_pulses: the oracle of the NumPy picker."""
+    if f0_hz <= 0 or x.size < 3:
+        return np.zeros(0), np.zeros(0)
+    period = rate / f0_hz
+    height = 0.3 * float(np.max(x)) if np.max(x) > 0 else None
+    peaks, _ = sps.find_peaks(x, distance=max(int(0.6 * period), 1), height=height)
+    refined = [parabolic_peak_oracle(x, int(k)) for k in peaks]
+    return np.asarray([m for m, _ in refined]), np.asarray([a for _, a in refined])
+
+
+def per_frame_perturbation_oracle(padded, f0_values, step, frame_len):
+    """One find_peaks window per voiced frame, each reduced on its own."""
+    out = np.zeros((3, f0_values.size))
+    for t, f0_t in enumerate(f0_values):
+        if f0_t <= 0:
+            continue
+        seg = padded.samples[t * step:t * step + frame_len]
+        marks, amps = find_peaks_pulses(seg, padded.sample_rate, float(f0_t))
+        periods = _clean_periods(marks) / padded.sample_rate
+        for row, v in enumerate((jitter_local(periods), jitter_ddp(periods),
+                                 shimmer_local(amps))):
+            out[row, t] = 0.0 if np.isnan(v) else v
+    return out
+
+
+def hostile_signal(rng, kind, n):
+    """Voice-like, quantised (plateaus), gappy (zero runs), silent or sparse pulses."""
+    t = np.arange(n) / 8000
+    f0 = rng.uniform(55, 420)
+    x = 0.5 * np.sin(2 * np.pi * f0 * t + 0.5 * np.sin(2 * np.pi * 3 * t))
+    x = x + rng.uniform(0, 0.3) * rng.standard_normal(n)
+    if kind == "plateaus":
+        x = np.round(x * rng.choice([3, 20])) / 20
+    elif kind == "zero runs":
+        x[rng.random(n) < 0.3] = 0.0
+        x[n // 3:2 * n // 3] = 0.0
+    elif kind == "silence":
+        x = np.zeros(n)
+    elif kind == "sparse":   # 0-2 pulses per 60 ms window
+        x = np.zeros(n)
+        x[rng.choice(n, size=max(n // 500, 1), replace=False)] = rng.uniform(0.2, 0.9)
+    return x
+
+
+PULSE_KINDS = ("voice", "plateaus", "zero runs", "silence", "sparse")
+
+
+def test_detect_pulses_matches_find_peaks_oracle(rng):
+    for trial in range(150):
+        n = int(rng.integers(0, 6)) if trial % 15 == 0 else int(rng.integers(6, 4000))
+        x = hostile_signal(rng, PULSE_KINDS[trial % 5], max(n, 1))[:n]
+        for f0 in (rng.uniform(55, 420), rng.uniform(55, 420), 0.0):
+            want = find_peaks_pulses(x, 8000, f0)
+            got = detect_pulses(x, 8000, f0)
+            assert got[0].tobytes() == want[0].tobytes(), (trial, f0)
+            assert got[1].tobytes() == want[1].tobytes(), (trial, f0)
+
+
+def test_per_frame_perturbation_matches_per_window_oracle(rng):
+    for trial in range(100):
+        x = hostile_signal(rng, PULSE_KINDS[trial % 5], int(rng.integers(1, 5000)))
+        step = int(rng.choice([80, 37, 160]))
+        frame_len = int(rng.choice([480, 480, 100, 3, 2]))
+        # windows past the end of the signal are cut short, down to nothing
+        n_windows = int(rng.integers(0, x.size // step + 8))
+        f0 = rng.uniform(55, 420, n_windows) * (rng.random(n_windows) < 0.7)
+        padded = wf(x)
+        want = per_frame_perturbation_oracle(padded, f0, step, frame_len)
+        got = np.array(_per_frame_perturbation(padded, f0, step, frame_len))
+        assert got.tobytes() == want.tobytes(), trial
+
+
+def test_per_frame_perturbation_on_voice_matches_oracle():
+    x = np.concatenate([vowel(130, [(600, 80), (1700, 100)], 0.6), np.zeros(800),
+                        pulse_train([0.005, 0.0051] * 60)])
+    padded = wf(np.pad(x, 140))
+    f0 = np.where(np.arange(x.size // 80) % 17 < 12, 140.0, 0.0)
+    want = per_frame_perturbation_oracle(padded, f0, 80, 480)
+    assert np.count_nonzero(want[0]) > 20
+    got = np.array(_per_frame_perturbation(padded, f0, 80, 480))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hold_last_voiced_matches_loop(rng):
+    for n in (0, 1, 2, 7, 50):
+        values = rng.uniform(60, 300, n) * (rng.random(n) < 0.5)
+        want = values.copy()
+        last = 0.0
+        for i, v in enumerate(want):
+            if v > 0:
+                last = v
+            else:
+                want[i] = last
+        assert _hold_last_voiced(values).tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- articulation
 
 def test_articulation_dim_is_488(rng):
@@ -140,6 +255,32 @@ def test_voiced_frames_match_span_by_frame_loop(rng):
     got = voiced_frames(w, f0, spans)
     assert len(want) > 20
     assert got.tobytes() == np.array(want).tobytes()
+
+
+def transition_descriptors_oracle(chunk, rate):
+    """58 values for one chunk: its own bark_band_energies and mfcc_frames calls."""
+    bbe = bark_band_energies(chunk, rate)
+    if frame_count(chunk.size, round(0.025 * rate), round(0.010 * rate)) == 0:
+        return np.concatenate([bbe, np.zeros(3 * N_MFCC)])
+    ceps = mfcc_frames(frame_signal(wf(chunk, rate)).frames, rate, n_mels=24,
+                       n_ceps=N_MFCC, first=1)
+    return np.concatenate([bbe, ceps.mean(axis=0), delta(ceps).mean(axis=0),
+                           delta(delta(ceps)).mean(axis=0)])
+
+
+@pytest.mark.parametrize("rate, n_chunks", [(8000, 1), (8000, 9), (2000, 4)])
+def test_transition_descriptors_match_per_chunk_oracle(rng, rate, n_chunks):
+    # at 2 kHz an 80 ms chunk (160 samples) still holds 25 ms frames; a
+    # 64-sample chunk at 8 kHz holds none
+    chunks = rng.standard_normal((n_chunks, round(0.080 * rate)))
+    chunks[0, :40] = 0.0
+    want = np.array([transition_descriptors_oracle(c, rate) for c in chunks])
+    got = transition_descriptors(chunks, rate)
+    assert got.shape == (n_chunks, 58)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
+    short = rng.standard_normal((2, 64))
+    want = [transition_descriptors_oracle(c, 8000) for c in short]
+    np.testing.assert_allclose(transition_descriptors(short, 8000), want, rtol=1e-12)
 
 
 def test_articulation_silence_all_zero():

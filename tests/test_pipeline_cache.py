@@ -206,3 +206,69 @@ def test_feature_csv_rejects_mixed_dims(rng):
         feature_csv(vecs)
     with pytest.raises(ValueError, match="no feature"):
         feature_csv([])
+
+
+def six_scheme_models(rng):
+    """In-memory i-vector (2 components, rank 2) and x-vector models."""
+    from emovox.embeddings import GmmUbm, TotalVariabilityModel, random_xvector_weights
+    from emovox.pipeline import EmbeddingModels
+
+    ubm = GmmUbm(np.full(2, 0.5), rng.standard_normal((2, 24)), np.ones((2, 24)))
+    tv = TotalVariabilityModel(0.1 * rng.standard_normal((48, 2)), ubm, 2)
+    return EmbeddingModels(ubm=ubm, tv=tv, xvector=random_xvector_weights(seed=0))
+
+
+SIX = "articulation+prosody+phonation+i2010pc+ivector+xvector"
+
+
+def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
+    import sys
+
+    from emovox import analysis, audio, dsp
+
+    _, rows = corpus
+    calls = {"estimate_f0": 0, "voiced_segments": 0, "embedding_mfcc": 0}
+    # wrap every binding of each function in the package, as a tracer would
+    for owner, name in ((dsp, "estimate_f0"), (audio, "voiced_segments"),
+                        (analysis, "embedding_mfcc")):
+        original = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("emovox") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    models = six_scheme_models(rng)
+    spec = parse_config("scheme = %s\n" % SIX).fusion_spec()
+    fused, hits, computed = pipeline._extract_row(rows[0], spec, models, None)
+    assert (hits, computed) == (0, 6)
+    # one 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track
+    assert calls == {"estimate_f0": 2, "voiced_segments": 1, "embedding_mfcc": 1}
+
+    monkeypatch.undo()
+    w = pipeline.load_audio(rows[0].path)
+    alone = np.concatenate([pipeline.extract_scheme(w, s, models).values
+                            for s in SIX.split("+")])
+    assert fused.values.tobytes() == alone.tobytes()
+
+
+def test_warm_row_decodes_no_audio(tmp_path, corpus, monkeypatch, rng):
+    from emovox import audio
+
+    _, rows = corpus
+    models = six_scheme_models(rng)
+    config = parse_config("scheme = %s\n" % SIX)
+    cache = FeatureCache(tmp_path / "c")
+    cold = extract_for_manifest(Manifest(tuple(rows[:2])), config, cache, models)
+
+    def no_audio(*args, **kwargs):
+        raise AssertionError("a warm row decoded or analysed audio")
+
+    for name in ("parse_wav", "load_wav", "resample_to_8k"):
+        monkeypatch.setattr(audio, name, no_audio)
+    monkeypatch.setattr(pipeline, "Analysis", no_audio)
+    warm = extract_for_manifest(Manifest(tuple(rows[:2])), config, cache, models)
+    assert warm.failures == [] and (warm.cache_hits, warm.computed) == (12, 0)
+    for a, b in zip(cold.vectors, warm.vectors):
+        assert a.values.tobytes() == b.values.tobytes()
