@@ -1,17 +1,19 @@
 """Per-utterance intermediates shared by every feature scheme of a manifest row.
 
-An ``Analysis`` wraps one 8 kHz ``Waveform`` and computes each intermediate
-the first time a scheme asks for it: the 25/10 ms F0 track, the voiced /
-unvoiced segmentation of that track, the rectangular-frame log energy and the
-MFCC matrix both embeddings read.  The pipeline builds one per row on its
-first cache miss; an extractor given a bare ``Waveform`` builds its own.
+An ``Analysis`` wraps one 8 kHz ``Waveform`` and owns its 25/10 ms frame
+grid: the Hann and rectangular frame matrices, the F0 track, the voiced /
+unvoiced segmentation of that track, the mask of voiced grid frames, the
+rectangular-frame log energy and the MFCC matrix both embeddings read.  Each
+is computed the first time a scheme asks for it.  The pipeline builds one
+per row on its first cache miss; an extractor given a bare ``Waveform``
+builds its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .audio import Waveform, frame_signal, voiced_segments
+from .audio import STEP_MS, VOICED, Waveform, frame_signal, voiced_segments
 from .dsp import estimate_f0, log_frame_energy, mfcc_frames
 
 EMBEDDING_N_CEPS = 24
@@ -19,9 +21,7 @@ EMBEDDING_N_CEPS = 24
 
 def embedding_mfcc(w: Waveform) -> np.ndarray:
     """24-dim MFCC matrix used as input to both embedding extractors."""
-    frames = frame_signal(w)
-    return mfcc_frames(frames.frames, w.sample_rate,
-                       n_mels=EMBEDDING_N_CEPS, n_ceps=EMBEDDING_N_CEPS)
+    return Analysis(w).embedding_mfcc
 
 
 class Analysis:
@@ -38,12 +38,26 @@ class Analysis:
 
     def _once(self, key, make):
         if key not in self._memo:
-            self._memo[key] = make()
+            value = make()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # shared by every scheme of the row
+            self._memo[key] = value
         return self._memo[key]
 
     @property
+    def hann_frames(self) -> np.ndarray:
+        """Hann-windowed 25/10 ms frames, one per row."""
+        return self._once("hann_frames", lambda: frame_signal(self.waveform))
+
+    @property
+    def rect_frames(self) -> np.ndarray:
+        """Rectangular 25/10 ms frames, one per row."""
+        return self._once("rect_frames", lambda: frame_signal(
+            self.waveform, window_kind="rectangular"))
+
+    @property
     def f0(self):
-        """``estimate_f0`` with its defaults: 25 ms frames every 10 ms."""
+        """``estimate_f0`` with its defaults: one value per grid frame."""
         return self._once("f0", lambda: estimate_f0(self.waveform))
 
     @property
@@ -51,12 +65,27 @@ class Analysis:
         """(spans, transitions) of ``voiced_segments`` on the F0 track."""
         return self._once("segments", lambda: voiced_segments(self.waveform, self.f0))
 
+    def frames_in(self, spans) -> np.ndarray:
+        """Mask of the grid frames whose first sample lies in one of ``spans``."""
+        step = round(STEP_MS * self.waveform.sample_rate / 1000.0)
+        mask = np.zeros(self.f0.values.size, dtype=bool)
+        for s in spans:
+            mask[-(-s.start_sample // step):-(-s.end_sample // step)] = True
+        return mask
+
+    @property
+    def voiced(self) -> np.ndarray:
+        """Mask of the grid frames that start inside a voiced span."""
+        return self._once("voiced", lambda: self.frames_in(
+            s for s in self.segments[0] if s.kind == VOICED))
+
     @property
     def log_energy(self) -> np.ndarray:
-        """Natural-log energy of the rectangular 25/10 ms frames."""
-        return self._once("log_energy", lambda: log_frame_energy(
-            frame_signal(self.waveform, window_kind="rectangular").frames))
+        """Natural-log energy of the rectangular frames."""
+        return self._once("log_energy", lambda: log_frame_energy(self.rect_frames))
 
     @property
     def embedding_mfcc(self) -> np.ndarray:
-        return self._once("embedding_mfcc", lambda: embedding_mfcc(self.waveform))
+        return self._once("embedding_mfcc", lambda: mfcc_frames(
+            self.hann_frames, self.waveform.sample_rate,
+            n_mels=EMBEDDING_N_CEPS, n_ceps=EMBEDDING_N_CEPS))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MalformedWavError, UnsupportedWavError, UpsamplingError
 
@@ -66,29 +67,6 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class FrameSeries:
-    """Windowed analysis frames: matrix of shape (n_frames, frame_len)."""
-
-    frames: np.ndarray
-    frame_len_ms: float
-    step_ms: float
-    window_kind: str
-    sample_rate: int
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def step_samples(self) -> int:
-        return round(self.step_ms * self.sample_rate / 1000.0)
-
-    @property
-    def frame_len(self) -> int:
-        return self.frames.shape[1] if self.frames.ndim == 2 else 0
-
-
-@dataclass(frozen=True)
 class SegmentSpan:
     """Half-open sample span [start_sample, end_sample) of one segment kind."""
 
@@ -101,10 +79,6 @@ class SegmentSpan:
             raise ValueError("span must satisfy start < end")
         if self.kind not in (SPEECH, SILENCE, VOICED, UNVOICED):
             raise ValueError(f"unknown span kind {self.kind!r}")
-
-    @property
-    def n_samples(self) -> int:
-        return self.end_sample - self.start_sample
 
 
 @dataclass(frozen=True)
@@ -173,18 +147,6 @@ def parse_wav(raw: bytes, path="") -> Waveform:
     return Waveform(x, int(sample_rate), source_id=str(path))
 
 
-def save_wav(path, w: Waveform) -> None:
-    """Write a Waveform as 16-bit mono PCM (test/tooling helper)."""
-    x = np.clip(w.samples, -1.0, 1.0)
-    pcm = np.round(x * 32767.0).astype("<i2").tobytes()
-    hdr = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
-    hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, w.sample_rate,
-                                 w.sample_rate * 2, 2, 16)
-    hdr += b"data" + struct.pack("<I", len(pcm))
-    with open(path, "wb") as fh:
-        fh.write(hdr + pcm)
-
-
 def _design_decimation_filter(op_rate: int, name: str) -> np.ndarray:
     """Windowed-sinc low-pass for the polyphase resampler (read-only, shared).
 
@@ -240,12 +202,6 @@ def resample_to_8k(w: Waveform) -> Waveform:
 def make_window(kind: str, length: int) -> np.ndarray:
     if kind == "hann":
         return np.hanning(length)
-    if kind == "gaussian":
-        from scipy.signal import windows
-
-        return windows.gaussian(length, std=length / 6.0)
-    if kind == "rectangular":
-        return np.ones(length)
     raise ValueError(f"unknown window kind {kind!r}")
 
 
@@ -256,28 +212,31 @@ def frame_count(n_samples: int, frame_len: int, step: int) -> int:
 
 
 def frame_signal(w: Waveform, frame_len_ms: float = FRAME_MS,
-                 step_ms: float = STEP_MS, window_kind: str = "hann") -> FrameSeries:
-    """Slice the waveform into overlapping windowed frames."""
+                 step_ms: float = STEP_MS, window_kind: str = "hann") -> np.ndarray:
+    """Overlapping windowed frames of the waveform, one per row (n_frames x frame_len).
+
+    Rectangular frames are a read-only view of the samples, not a copy.
+    """
     if not frame_len_ms >= step_ms > 0:
         raise ValueError("require frame_len_ms >= step_ms > 0")
     frame_len = round(frame_len_ms * w.sample_rate / 1000.0)
     step = round(step_ms * w.sample_rate / 1000.0)
     n = frame_count(w.samples.size, frame_len, step)
     if n == 0:
-        frames = np.zeros((0, frame_len))
-    else:
-        idx = np.arange(frame_len)[None, :] + step * np.arange(n)[:, None]
-        frames = w.samples[idx] * make_window(window_kind, frame_len)[None, :]
-    return FrameSeries(frames, frame_len_ms, step_ms, window_kind, w.sample_rate)
+        return np.zeros((0, frame_len))
+    frames = sliding_window_view(w.samples, frame_len)[::step][:n]
+    if window_kind == "rectangular":
+        return frames
+    return frames * make_window(window_kind, frame_len)
 
 
 def frame_log_energy_db(w: Waveform, frame_len_ms: float = FRAME_MS,
                         step_ms: float = STEP_MS) -> np.ndarray:
     """Per-frame energy in dBFS on the rectangular 25/10 ms grid."""
-    fs = frame_signal(w, frame_len_ms, step_ms, "rectangular")
-    if fs.n_frames == 0:
+    frames = frame_signal(w, frame_len_ms, step_ms, "rectangular")
+    if frames.shape[0] == 0:
         return np.zeros(0)
-    return 10.0 * np.log10(np.mean(fs.frames ** 2, axis=1) + 1e-12)
+    return 10.0 * np.log10(np.mean(frames ** 2, axis=1) + 1e-12)
 
 
 def _runs(labels: np.ndarray):

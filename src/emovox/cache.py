@@ -51,6 +51,7 @@ class FeatureCache:
         except (KeyError, FeatureSchemeError):
             # a well-formed container that is not a valid feature entry: no
             # scheme or values, an unknown scheme, the wrong width, non-finite
+            # values, a source id or warning that is not a string
             self.misses += 1
             return None
         self.hits += 1

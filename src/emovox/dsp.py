@@ -40,10 +40,6 @@ class F0Track:
     frame_len_ms: float
     step_ms: float
 
-    @property
-    def voiced(self) -> np.ndarray:
-        return self.values > 0
-
 
 def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
                 frame_ms: float = FRAME_MS, step_ms: float = STEP_MS,

@@ -187,12 +187,3 @@ def xvector_forward(weights: XVectorWeights, mfcc) -> np.ndarray:
     pooled = stats_pool(frame_representations(weights, mfcc))
     w, b = weights.layers["segment6"]
     return pooled @ w + b
-
-
-def xvector_logits(weights: XVectorWeights, mfcc) -> np.ndarray:
-    """Class logits through segment7 and the softmax affine layer."""
-    h = np.maximum(xvector_forward(weights, mfcc), 0.0)
-    w, b = weights.layers["segment7"]
-    h = np.maximum(h @ w + b, 0.0)
-    w, b = weights.layers["softmax"]
-    return h @ w + b

@@ -35,6 +35,8 @@ class FeatureVector:
     def __post_init__(self):
         if self.scheme not in KNOWN_SCHEMES:
             raise FeatureSchemeError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.source_id, str) or not isinstance(self.warning, str):
+            raise FeatureSchemeError(f"{self.scheme}: source_id and warning must be strings")
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise FeatureSchemeError("feature values must be one-dimensional")

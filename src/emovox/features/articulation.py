@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import ONSET, VOICED, Waveform, frame_count, frame_signal, make_window
+from ..audio import ONSET, Waveform, frame_count, make_window
 from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 
@@ -45,24 +45,13 @@ def transition_descriptors(chunks: np.ndarray, rate: int) -> np.ndarray:
         d.reshape(n, n_chunks, N_MFCC).mean(axis=0) for d in (d1, d2)])
 
 
-def voiced_frames(w: Waveform, f0, spans) -> np.ndarray:
-    """Rectangular frames of the pitch grid (one per row) that start in a voiced span."""
-    frames = frame_signal(w, f0.frame_len_ms, f0.step_ms, "rectangular").frames
-    starts = np.arange(frames.shape[0]) * round(f0.step_ms * w.sample_rate / 1000.0)
-    voiced = np.zeros(starts.size, dtype=bool)
-    for s in spans:
-        if s.kind == VOICED:
-            voiced |= (s.start_sample <= starts) & (starts < s.end_sample)
-    return frames[voiced]
-
-
 def articulation_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
-    w, f0 = a.waveform, a.f0
-    spans, transitions = a.segments
+    w = a.waveform
+    _, transitions = a.segments
 
     warnings = []
-    onset_rows = offset_rows = []
+    onset_rows = offset_rows = np.zeros((0, 58))
     if transitions:
         rows = transition_descriptors(np.array([tr.chunk for tr in transitions]),
                                       w.sample_rate)
@@ -71,27 +60,20 @@ def articulation_features(source: Waveform | Analysis) -> FeatureVector:
     else:
         warnings.append("no transitions")
 
-    f1s, f2s = formants_f1_f2(voiced_frames(w, f0, spans), w.sample_rate)
+    f1s, f2s = formants_f1_f2(a.rect_frames[a.voiced], w.sample_rate)
     if not f1s.size:
         warnings.append("no voiced frames")
 
     def contour_and_deltas(arr):
         arr = arr[np.isfinite(arr)]
         if arr.size == 0:
-            absent = np.full(1, np.nan)
-            return absent, absent, absent
+            return arr, arr, arr
         return arr, delta(arr), delta(delta(arr))
 
-    # One track: 58 onset and 58 offset descriptors, then the six formant
-    # contours, each column NaN-padded (absent) to the longest.
-    blocks = [rows if len(rows) else np.full((1, 58), np.nan)
-              for rows in (onset_rows, offset_rows)]
-    blocks += [c[:, None] for c in contour_and_deltas(f1s) + contour_and_deltas(f2s)]
-    n = max(b.shape[0] for b in blocks)
-    track = np.hstack([np.pad(b, ((0, n - b.shape[0]), (0, 0)), constant_values=np.nan)
-                       for b in blocks])
+    # 58 onset and 58 offset descriptors, then the six formant contours
+    blocks = [onset_rows, offset_rows, *contour_and_deltas(f1s), *contour_and_deltas(f2s)]
     names = tuple(f"{d}{j}" for d in ("onset", "offset") for j in range(58)) + (
         "f1", "df1", "ddf1", "f2", "df2", "ddf2")
-    vec = apply_functionals(FeatureTrack(track, names), FunctionalSet(FOUR_MOMENTS))
+    vec = apply_functionals(FeatureTrack.stack(blocks, names), FunctionalSet(FOUR_MOMENTS))
     return FeatureVector("articulation", vec, w.source_id,
                          warning="; ".join(warnings))

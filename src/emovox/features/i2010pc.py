@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import Waveform, frame_signal
+from ..audio import Waveform
 from ..dsp import (delta, estimate_f0, log_frame_energy, log_mel_energies, lpc,
                    lsp_from_lpc, mfcc_frames, moving_average, PREEMPHASIS)
 from ..functionals import IS10_FUNCTIONALS, FeatureTrack, FunctionalSet, apply_functionals
@@ -113,16 +113,13 @@ def _per_frame_perturbation(padded: Waveform, f0_values: np.ndarray, step: int,
 
 
 def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
-    w = Analysis.of(source).waveform
-    frames = frame_signal(w)  # hann 25/10
-    n = frames.n_frames
-    if n == 0:
+    a = Analysis.of(source)
+    w, rate = a.waveform, a.waveform.sample_rate
+    frames_mat = a.hann_frames
+    if frames_mat.shape[0] == 0:
         # micro-recordings: behave as a single silent frame
-        frames_mat = np.zeros((1, round(0.025 * w.sample_rate)))
-        n = 1
-    else:
-        frames_mat = frames.frames
-    rate = w.sample_rate
+        frames_mat = np.zeros((1, frames_mat.shape[1]))
+    n = frames_mat.shape[0]
 
     loud = log_frame_energy(frames_mat)
     ceps = mfcc_frames(frames_mat, rate, n_mels=N_MELS_MFCC, n_ceps=15, first=0)

@@ -207,25 +207,16 @@ def shimmer_apq11(amps: np.ndarray) -> float:
 
 def phonation_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
-    w, f0 = a.waveform, a.f0
-    spans, _ = a.segments
-    voiced_spans = [s for s in spans if s.kind == VOICED]
-    step = round(f0.step_ms * w.sample_rate / 1000.0)
+    w, f0 = a.waveform, a.f0.values
+    voiced_spans = [s for s in a.segments[0] if s.kind == VOICED]
 
-    if not voiced_spans or not np.any(f0.values > 0):
+    if not voiced_spans or not np.any(f0 > 0):
         return FeatureVector("phonation", np.zeros(28), w.source_id,
                              warning="no voiced frames")
 
-    energy = a.log_energy
-    contour, log_e = [], []
     jit, shim, apq, ppq = [], [], [], []
     for span in voiced_spans:
-        # the grid frames that start inside the span
-        lo = -(-span.start_sample // step)
-        hi = min(-(-span.end_sample // step), f0.values.size)
-        seg_f0 = f0.values[lo:hi][f0.values[lo:hi] > 0]
-        contour.append(seg_f0)
-        log_e.append(energy[lo:hi])
+        seg_f0 = f0[a.frames_in([span]) & (f0 > 0)]
         if seg_f0.size == 0:
             continue
         marks, amps = detect_pulses(
@@ -237,22 +228,10 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
         shim.append(shimmer_local(amps))
         apq.append(shimmer_apq11(amps))
 
-    contour = np.concatenate(contour)
-    log_e = np.concatenate(log_e)
-    tracks = {
-        "delta_f0": delta(contour) if contour.size else contour,
-        "delta2_f0": delta(delta(contour)) if contour.size else contour,
-        "jitter": np.asarray(jit),
-        "shimmer": np.asarray(shim),
-        "apq": np.asarray(apq),
-        "ppq": np.asarray(ppq),
-        "log_energy": log_e,
-    }
-    parts = []
-    four = FunctionalSet(FOUR_MOMENTS)
-    for name in PHONATION_TRACKS:
-        col = tracks[name].reshape(-1, 1)
-        if col.size == 0:
-            col = np.full((1, 1), np.nan)
-        parts.append(apply_functionals(FeatureTrack(col, (name,)), four))
-    return FeatureVector("phonation", np.concatenate(parts), w.source_id)
+    contour = f0[a.voiced & (f0 > 0)]
+    d1 = delta(contour) if contour.size else contour
+    d2 = delta(d1) if contour.size else contour
+    track = FeatureTrack.stack([d1, d2, jit, shim, apq, ppq, a.log_energy[a.voiced]],
+                               PHONATION_TRACKS)
+    return FeatureVector("phonation", apply_functionals(track, FunctionalSet(FOUR_MOMENTS)),
+                         w.source_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import SPEECH, Waveform, detect_speech
+from ..audio import SPEECH, Waveform, _runs, detect_speech
 from ..functionals import SIX_BASIC, FeatureTrack, FunctionalSet, apply_functionals
 
 from . import FeatureVector
@@ -40,20 +40,6 @@ PROSODY_FEATURE_NAMES = tuple(
 assert len(PROSODY_FEATURE_NAMES) == 78
 
 
-def _frame_runs(labels: np.ndarray):
-    runs = []
-    start = None
-    for t, v in enumerate(labels):
-        if v and start is None:
-            start = t
-        elif not v and start is not None:
-            runs.append((start, t))
-            start = None
-    if start is not None:
-        runs.append((start, labels.size))
-    return runs
-
-
 def _slope_and_mse(y: np.ndarray):
     """Least-squares slope (per second) and mean squared residual over time."""
     if y.size < 2:
@@ -64,35 +50,13 @@ def _slope_and_mse(y: np.ndarray):
     return float(slope), float(np.mean(resid ** 2))
 
 
-def _track_stats(values, name, fs):
-    col = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    if col.size == 0:
-        col = np.full((1, 1), np.nan)
-    return apply_functionals(FeatureTrack(col, (name,)), fs)
-
-
 def prosody_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
-    w, f0 = a.waveform, a.f0
-    spans, _ = a.segments
-    vad = detect_speech(w, f0)
-    n = f0.values.size
-    step = round(f0.step_ms * w.sample_rate / 1000.0)
+    w, f0 = a.waveform, a.f0.values
+    voiced = a.voiced
+    speech = a.frames_in(s for s in detect_speech(w, a.f0) if s.kind == SPEECH)
 
-    voiced = np.zeros(n, dtype=bool)
-    for s in spans:
-        if s.kind == "voiced":
-            lo = int(np.ceil(s.start_sample / step))
-            hi = int(np.ceil(s.end_sample / step))
-            voiced[lo:min(hi, n)] = True
-    speech = np.zeros(n, dtype=bool)
-    for s in vad:
-        if s.kind == SPEECH:
-            lo = int(np.ceil(s.start_sample / step))
-            hi = int(np.ceil(s.end_sample / step))
-            speech[lo:min(hi, n)] = True
-
-    if n == 0 or not np.any(voiced):
+    if f0.size == 0 or not np.any(voiced):
         return FeatureVector("prosody", np.zeros(78), w.source_id,
                              warning="no voiced speech")
 
@@ -100,22 +64,18 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
     unvoiced = speech & ~voiced
     pause = ~speech
 
-    voiced_runs = _frame_runs(voiced)
-    pause_runs = _frame_runs(pause)
-    unvoiced_runs = _frame_runs(unvoiced)
+    voiced_runs, unvoiced_runs, pause_runs = (
+        [(lo, hi) for lo, hi, on in _runs(mask) if on] for mask in (voiced, unvoiced, pause))
 
-    f0_contour = f0.values[voiced & (f0.values > 0)]
+    f0_contour = f0[voiced & (f0 > 0)]
     energy_contour = energy[voiced]
-    voiced_dur = np.array([(b - a) * STEP_S for a, b in voiced_runs])
-    unvoiced_dur = np.array([(b - a) * STEP_S for a, b in unvoiced_runs])
-    pause_dur = np.array([(b - a) * STEP_S for a, b in pause_runs])
 
     f0_slopes, f0_errs, f0_ranges = [], [], []
     e_slopes, e_errs, e_ranges = [], [], []
-    for a, b in voiced_runs:
-        seg_f0 = f0.values[a:b]
+    for lo, hi in voiced_runs:
+        seg_f0 = f0[lo:hi]
         seg_f0 = seg_f0[seg_f0 > 0]
-        seg_e = energy[a:b]
+        seg_e = energy[lo:hi]
         s, q = _slope_and_mse(seg_f0)
         f0_slopes.append(s)
         f0_errs.append(q)
@@ -125,20 +85,26 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
         e_errs.append(q)
         e_ranges.append(seg_e.max() - seg_e.min() if seg_e.size else np.nan)
 
-    total_s = w.duration_s
-    six = FunctionalSet(SIX_BASIC)
-    contour_vals = {
+    def durations(runs):
+        return np.array([(hi - lo) * STEP_S for lo, hi in runs])
+
+    tracks = {
         "f0_contour": f0_contour, "energy_contour": energy_contour,
-        "voiced_duration": voiced_dur, "unvoiced_duration": unvoiced_dur,
-        "pause_duration": pause_dur,
+        "voiced_duration": durations(voiced_runs),
+        "unvoiced_duration": durations(unvoiced_runs),
+        "pause_duration": durations(pause_runs),
         "f0_slope_per_segment": f0_slopes, "energy_slope_per_segment": e_slopes,
         "f0_range_per_segment": f0_ranges, "energy_range_per_segment": e_ranges,
         "f0_fit_error_per_segment": f0_errs, "energy_fit_error_per_segment": e_errs,
     }
+    stats = apply_functionals(FeatureTrack.stack(tracks.values(), tuple(tracks)),
+                              FunctionalSet(SIX_BASIC))
+    values = dict(zip((f"{t}.{f}" for t in tracks for f in SIX_BASIC), stats))
 
+    total_s = w.duration_s
     g_f0_slope, _ = _slope_and_mse(f0_contour)
     g_e_slope, _ = _slope_and_mse(energy_contour)
-    scalar_vals = {
+    values.update({
         "voiced_segments_per_second": len(voiced_runs) / total_s,
         "pauses_per_second": len(pause_runs) / total_s,
         "voiced_time_ratio": float(np.mean(voiced)),
@@ -151,16 +117,6 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
         "total_pause_s": float(np.sum(pause)) * STEP_S,
         "global_f0_slope": 0.0 if np.isnan(g_f0_slope) else g_f0_slope,
         "global_energy_slope": 0.0 if np.isnan(g_e_slope) else g_e_slope,
-    }
-
-    out = []
-    done_tracks = {}
-    for name in PROSODY_FEATURE_NAMES:
-        if "." in name:
-            track, func = name.split(".")
-            if track not in done_tracks:
-                done_tracks[track] = _track_stats(contour_vals[track], track, six)
-            out.append(done_tracks[track][SIX_BASIC.index(func)])
-        else:
-            out.append(scalar_vals[name])
-    return FeatureVector("prosody", np.asarray(out), w.source_id)
+    })
+    return FeatureVector("prosody", np.array([values[name] for name in PROSODY_FEATURE_NAMES]),
+                         w.source_id)

@@ -51,6 +51,18 @@ class FeatureTrack:
             raise ValueError("descriptor count does not match names")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def stack(cls, blocks, names: tuple) -> "FeatureTrack":
+        """Blocks side by side, each padded with absent rows to the longest.
+
+        A block is a 1-D column or a 2-D (rows x columns) array; one with no
+        rows stays absent throughout.  The track has at least one row.
+        """
+        blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+        n = max([1] + [b.shape[0] for b in blocks])
+        return cls(np.hstack([np.pad(b.astype(np.float64), ((0, n - b.shape[0]), (0, 0)),
+                                     constant_values=np.nan) for b in blocks]), names)
+
     @property
     def n_frames(self) -> int:
         return self.values.shape[0]

@@ -4,7 +4,7 @@ Layout (all integers little-endian):
 
     magic   4 bytes  b"EMVX"
     version u32      format revision (currently 1)
-    kind    u32 len + utf-8 bytes      ("ubm", "tv", "xvector", "svm", "feature")
+    kind    u32 len + utf-8 bytes      ("tv", "xvector", "svm", "feature")
     meta    u32 len + utf-8 JSON object (strings / numbers / bools / lists)
     count   u32      number of array sections
     per section:
@@ -20,6 +20,7 @@ directory followed by os.replace, so readers never observe partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -68,17 +69,21 @@ class _Reader:
         return _U64.unpack(self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{self.path}: undecodable string ({exc})")
 
     def array(self) -> np.ndarray:
         ndim = self.u32()
         if ndim > 8:
             raise ModelFormatError(f"{self.path}: implausible array rank {ndim}")
         shape = tuple(self.u64() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = self.take(count * 8)
-        arr = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-        return arr
+        data = self.take(math.prod(shape) * 8)
+        try:
+            return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise ModelFormatError(f"{self.path}: array shape {shape} ({exc})")
 
 
 def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> None:
@@ -126,6 +131,8 @@ def read_container(path, expected_kind: str | None = None):
         meta = json.loads(r.string())
     except ValueError as exc:
         raise ModelFormatError(f"{path}: bad metadata block ({exc})")
+    if not isinstance(meta, dict):
+        raise ModelFormatError(f"{path}: metadata is not a JSON object")
     arrays = {}
     for _ in range(r.u32()):
         name = r.string()
@@ -138,26 +145,6 @@ def read_container(path, expected_kind: str | None = None):
 # ---------------------------------------------------------------------------
 # model-specific wrappers
 # ---------------------------------------------------------------------------
-
-
-def save_ubm(path, ubm: GmmUbm) -> None:
-    write_container(path, "ubm", {
-        "weights": ubm.weights,
-        "means": ubm.means,
-        "variances": ubm.variances,
-        "log_likelihoods": np.asarray(ubm.log_likelihoods, dtype=np.float64),
-    })
-
-
-def load_ubm(path) -> GmmUbm:
-    _, arrays, _ = read_container(path, "ubm")
-    try:
-        return GmmUbm(arrays["weights"], arrays["means"], arrays["variances"],
-                      tuple(arrays.get("log_likelihoods", np.zeros(0)).tolist()))
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: missing section {exc}")
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}")
 
 
 def save_tv(path, tv: TotalVariabilityModel) -> None:
@@ -180,7 +167,7 @@ def load_tv(path) -> TotalVariabilityModel:
             tuple(arrays.get("objectives", np.zeros(0)).tolist()))
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing section {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: {exc}")
 
 

@@ -67,18 +67,6 @@ def fit_standardizer(x) -> Standardizer:
     return Standardizer(z.mean(axis=0), np.maximum(z.std(axis=0), STD_FLOOR))
 
 
-def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    a = np.asarray(x, dtype=np.float64).ravel()
-    b = np.asarray(y, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError("kernel arguments differ in dimension")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = a - b
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 def _sq_distances(a, b):
     """Squared Euclidean distances between the rows of ``a`` and ``b``, floored at 0."""
     sq = (

@@ -436,7 +436,7 @@ def test_log_frame_energy_floor():
 
 
 def test_log_mel_energy_finite_everywhere(rng):
-    frames = frame_signal(wf(0.2 * rng.standard_normal(4000)), 25, 10).frames
+    frames = frame_signal(wf(0.2 * rng.standard_normal(4000)), 25, 10)
     out = log_mel_energies(frames, 8000, 8)
     assert out.shape == (frames.shape[0], 8)
     assert np.all(np.isfinite(out))

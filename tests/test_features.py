@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from emovox.audio import VOICED, Waveform, voiced_segments
+from emovox.audio import SILENCE, SPEECH, VOICED, SegmentSpan, Waveform, voiced_segments
 from emovox.dsp import estimate_f0
 from emovox.features import (EXTRACTORS, FeatureVector, FusionSpec, fuse)
+from emovox.analysis import Analysis
 from emovox.features.articulation import (N_MFCC, articulation_features,
-                                          transition_descriptors, voiced_frames)
+                                          transition_descriptors)
 from emovox.features.i2010pc import (LLD_NAMES, _hold_last_voiced, _per_frame_perturbation,
                                      i2010pc_features)
-from emovox.features.phonation import (detect_pulses, _clean_periods,
+from emovox.features.phonation import (PHONATION_TRACKS, detect_pulses, _clean_periods,
                                        jitter_local, jitter_ppq5, jitter_ddp,
                                        phonation_features, shimmer_apq11,
                                        shimmer_local)
-from emovox.features.prosody import PROSODY_FEATURE_NAMES, prosody_features
-from emovox.dsp import bark_band_energies, delta, mfcc_frames
-from emovox.audio import frame_count, frame_signal
+from emovox.features.prosody import PROSODY_FEATURE_NAMES, _slope_and_mse, prosody_features
+from emovox.dsp import bark_band_energies, delta, log_frame_energy, mfcc_frames
+from emovox.audio import _runs, detect_speech, frame_count, frame_signal
 from emovox.errors import FeatureSchemeError
-from emovox.functionals import IS10_FUNCTIONALS
+from emovox.functionals import (FOUR_MOMENTS, IS10_FUNCTIONALS, SIX_BASIC, FeatureTrack,
+                                FunctionalSet, apply_functionals)
 
-from conftest import tone, wf
+from conftest import tone, voice_like, wf
 
 
 def pulse_train(periods_s, rate=8000, amp=0.8, sigma=3.0, pad=100):
@@ -234,6 +236,18 @@ def test_articulation_sustained_vowel_formant_block():
     assert 1350 <= mean_f2 <= 1650
 
 
+def ceil_loop_mask(spans, kind, n, step):
+    """A frame mask as prosody built it: each span's frames from ceil(start /
+    step) up to ceil(end / step)."""
+    mask = np.zeros(n, dtype=bool)
+    for s in spans:
+        if s.kind == kind:
+            lo = int(np.ceil(s.start_sample / step))
+            hi = int(np.ceil(s.end_sample / step))
+            mask[lo:min(hi, n)] = True
+    return mask
+
+
 def test_voiced_frames_match_span_by_frame_loop(rng):
     x = np.concatenate([vowel(140, [(600, 80), (1700, 100)], 0.5),
                         0.01 * rng.standard_normal(2400),
@@ -252,9 +266,25 @@ def test_voiced_frames_match_span_by_frame_loop(rng):
                 seg = w.samples[start:start + frame_len]
                 if seg.size == frame_len:
                     want.append(seg)
-    got = voiced_frames(w, f0, spans)
+    a = Analysis(w)
+    got = a.rect_frames[a.voiced]
     assert len(want) > 20
     assert got.tobytes() == np.array(want).tobytes()
+    assert np.array_equal(a.voiced, ceil_loop_mask(spans, VOICED, f0.values.size, step))
+
+
+@pytest.mark.parametrize("n_samples", [150, 199, 200, 280, 801, 8000, 12345])
+def test_frame_masks_match_ceil_loop(rng, n_samples):
+    """Random span layouts, including spans that end past the last frame start."""
+    a = Analysis(wf(0.1 * rng.standard_normal(n_samples)))
+    n = a.f0.values.size
+    for _ in range(50):
+        cuts = np.unique(rng.integers(1, n_samples, size=rng.integers(0, 12)))
+        bounds = [0] + cuts.tolist() + [n_samples]
+        kinds = rng.choice([SPEECH, SILENCE], size=len(bounds) - 1)
+        spans = [SegmentSpan(lo, hi, k) for lo, hi, k in zip(bounds[:-1], bounds[1:], kinds)]
+        got = a.frames_in(s for s in spans if s.kind == SPEECH)
+        assert np.array_equal(got, ceil_loop_mask(spans, SPEECH, n, 80))
 
 
 def transition_descriptors_oracle(chunk, rate):
@@ -262,7 +292,7 @@ def transition_descriptors_oracle(chunk, rate):
     bbe = bark_band_energies(chunk, rate)
     if frame_count(chunk.size, round(0.025 * rate), round(0.010 * rate)) == 0:
         return np.concatenate([bbe, np.zeros(3 * N_MFCC)])
-    ceps = mfcc_frames(frame_signal(wf(chunk, rate)).frames, rate, n_mels=24,
+    ceps = mfcc_frames(frame_signal(wf(chunk, rate)), rate, n_mels=24,
                        n_ceps=N_MFCC, first=1)
     return np.concatenate([bbe, ceps.mean(axis=0), delta(ceps).mean(axis=0),
                            delta(delta(ceps)).mean(axis=0)])
@@ -347,6 +377,137 @@ def test_prosody_ratios_sum_to_one(rng):
     total = sum(v.values[idx[k]] for k in
                 ("voiced_time_ratio", "unvoiced_time_ratio", "pause_time_ratio"))
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+
+def _one_track_stats(values, name, fs):
+    col = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    if col.size == 0:
+        col = np.full((1, 1), np.nan)
+    return apply_functionals(FeatureTrack(col, (name,)), fs)
+
+
+def phonation_per_track_oracle(w):
+    """Phonation as first written: each voiced span's grid frames sliced by
+    ceil(start / step), and one ``apply_functionals`` call per track."""
+    f0 = estimate_f0(w)
+    spans, _ = voiced_segments(w, f0)
+    voiced_spans = [s for s in spans if s.kind == VOICED]
+    if not voiced_spans or not np.any(f0.values > 0):
+        return np.zeros(28)
+    energy = log_frame_energy(frame_signal(w, window_kind="rectangular"))
+    contour, log_e, jit, shim, apq, ppq = [], [], [], [], [], []
+    for span in voiced_spans:
+        lo = -(-span.start_sample // 80)
+        hi = min(-(-span.end_sample // 80), f0.values.size)
+        seg_f0 = f0.values[lo:hi][f0.values[lo:hi] > 0]
+        contour.append(seg_f0)
+        log_e.append(energy[lo:hi])
+        if seg_f0.size == 0:
+            continue
+        marks, amps = detect_pulses(w.samples[span.start_sample:span.end_sample],
+                                    w.sample_rate, float(np.median(seg_f0)))
+        periods = _clean_periods(marks) / w.sample_rate
+        jit.append(jitter_local(periods))
+        ppq.append(jitter_ppq5(periods))
+        shim.append(shimmer_local(amps))
+        apq.append(shimmer_apq11(amps))
+    contour = np.concatenate(contour)
+    tracks = {
+        "delta_f0": delta(contour) if contour.size else contour,
+        "delta2_f0": delta(delta(contour)) if contour.size else contour,
+        "jitter": jit, "shimmer": shim, "apq": apq, "ppq": ppq,
+        "log_energy": np.concatenate(log_e),
+    }
+    four = FunctionalSet(FOUR_MOMENTS)
+    return np.concatenate([_one_track_stats(tracks[t], t, four) for t in PHONATION_TRACKS])
+
+
+def _true_runs(mask):
+    return [(lo, hi) for lo, hi, on in _runs(mask) if on]
+
+
+def prosody_per_track_oracle(w):
+    """Prosody as first written: speech and voiced masks from ceil loops over
+    the spans, and one ``apply_functionals`` call per track."""
+    f0 = estimate_f0(w)
+    spans, _ = voiced_segments(w, f0)
+    n = f0.values.size
+    voiced = ceil_loop_mask(spans, VOICED, n, 80)
+    speech = ceil_loop_mask(detect_speech(w, f0), SPEECH, n, 80)
+    if n == 0 or not np.any(voiced):
+        return np.zeros(78)
+    energy = log_frame_energy(frame_signal(w, window_kind="rectangular"))
+    unvoiced, pause = speech & ~voiced, ~speech
+    runs = {"voiced": _true_runs(voiced), "unvoiced": _true_runs(unvoiced),
+            "pause": _true_runs(pause)}
+    tracks = {"f0_contour": f0.values[voiced & (f0.values > 0)],
+              "energy_contour": energy[voiced]}
+    for kind in ("voiced", "unvoiced", "pause"):
+        tracks[kind + "_duration"] = [(hi - lo) * 0.010 for lo, hi in runs[kind]]
+    for name in ("slope", "range", "fit_error"):
+        tracks["f0_%s_per_segment" % name], tracks["energy_%s_per_segment" % name] = [], []
+    for lo, hi in runs["voiced"]:
+        seg_f0 = f0.values[lo:hi]
+        seg_f0 = seg_f0[seg_f0 > 0]
+        for key, seg in (("f0", seg_f0), ("energy", energy[lo:hi])):
+            slope, mse = _slope_and_mse(seg)
+            tracks[key + "_slope_per_segment"].append(slope)
+            tracks[key + "_fit_error_per_segment"].append(mse)
+            tracks[key + "_range_per_segment"].append(seg.max() - seg.min() if seg.size
+                                                      else np.nan)
+    g_f0, _ = _slope_and_mse(tracks["f0_contour"])
+    g_e, _ = _slope_and_mse(tracks["energy_contour"])
+    total_s = w.duration_s
+    scalars = {
+        "voiced_segments_per_second": len(runs["voiced"]) / total_s,
+        "pauses_per_second": len(runs["pause"]) / total_s,
+        "voiced_time_ratio": float(np.mean(voiced)),
+        "unvoiced_time_ratio": float(np.mean(unvoiced)),
+        "pause_time_ratio": float(np.mean(pause)),
+        "n_voiced_segments": float(len(runs["voiced"])),
+        "n_pauses": float(len(runs["pause"])),
+        "total_duration_s": total_s,
+        "total_voiced_s": float(np.sum(voiced)) * 0.010,
+        "total_pause_s": float(np.sum(pause)) * 0.010,
+        "global_f0_slope": 0.0 if np.isnan(g_f0) else g_f0,
+        "global_energy_slope": 0.0 if np.isnan(g_e) else g_e,
+    }
+    six = FunctionalSet(SIX_BASIC)
+    out = []
+    for name in PROSODY_FEATURE_NAMES:
+        if "." in name:
+            track, func = name.split(".")
+            out.append(_one_track_stats(tracks[track], track, six)[SIX_BASIC.index(func)])
+        else:
+            out.append(scalars[name])
+    return np.asarray(out)
+
+
+def oracle_signals(rng):
+    """Voice-like rows with gaps, silence, unvoiced noise and one-span voices."""
+    out = {"silent": np.zeros(8000), "clip": 0.3 * rng.standard_normal(150),
+           "noise": 0.2 * rng.standard_normal(9000),
+           "one_span": voice_like(150, 1.0, seed=1),
+           "one_span_rough": voice_like(95, 0.7, rough=1.0, seed=2)}
+    for i in range(6):
+        parts = []
+        for _ in range(rng.integers(1, 5)):
+            parts.append(voice_like(rng.uniform(80, 300), rng.uniform(0.05, 0.6),
+                                    rough=rng.uniform(0, 1.5), seed=int(rng.integers(1000))))
+            parts.append(rng.uniform(0, 0.05) * rng.standard_normal(rng.integers(0, 3000)))
+        out[f"voice{i}"] = np.concatenate(parts)
+    return out
+
+
+def test_phonation_and_prosody_match_per_track_oracles(rng):
+    voiced_rows = 0
+    for name, x in oracle_signals(rng).items():
+        w = wf(x, source=name)
+        pho, pro = phonation_features(w), prosody_features(w)
+        assert pho.values.tobytes() == phonation_per_track_oracle(w).tobytes(), name
+        assert pro.values.tobytes() == prosody_per_track_oracle(w).tobytes(), name
+        voiced_rows += bool(np.any(pho.values))
+    assert voiced_rows >= 6
 
 
 # ------------------------------------------------------------------- i2010pc

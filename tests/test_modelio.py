@@ -7,6 +7,7 @@ import pytest
 
 from emovox import modelio
 from emovox.embeddings import (
+    GmmUbm,
     baum_welch_stats,
     extract_ivector,
     random_xvector_weights,
@@ -80,10 +81,25 @@ def test_no_temp_files_left_behind(tmp_path):
     assert names == ["f0.emvx", "f1.emvx", "f2.emvx"]
 
 
+def save_ubm(path, ubm):
+    modelio.write_container(path, "ubm", {
+        "weights": ubm.weights,
+        "means": ubm.means,
+        "variances": ubm.variances,
+        "log_likelihoods": np.asarray(ubm.log_likelihoods, dtype=np.float64),
+    })
+
+
+def load_ubm(path):
+    _, arrays, _ = modelio.read_container(path, "ubm")
+    return GmmUbm(arrays["weights"], arrays["means"], arrays["variances"],
+                  tuple(arrays["log_likelihoods"].tolist()))
+
+
 def test_ubm_roundtrip(tmp_path, small_ubm):
     path = tmp_path / "m.ubm"
-    modelio.save_ubm(path, small_ubm)
-    back = modelio.load_ubm(path)
+    save_ubm(path, small_ubm)
+    back = load_ubm(path)
     assert back.weights.tobytes() == small_ubm.weights.tobytes()
     assert back.means.tobytes() == small_ubm.means.tobytes()
     assert back.variances.tobytes() == small_ubm.variances.tobytes()
@@ -147,3 +163,14 @@ def test_svm_missing_section_error(tmp_path, rng):
     modelio.write_container(path, kind, arrays, meta)
     with pytest.raises(ModelFormatError, match="missing"):
         modelio.load_svm(path)
+
+
+@pytest.mark.parametrize("rank", [[2], {"r": 2}, None, "two"])
+def test_tv_rank_of_wrong_type_is_format_error(tmp_path, small_ubm, rank):
+    path = tmp_path / "m.tv"
+    modelio.write_container(path, "tv", {
+        "t_matrix": np.zeros((6, 2)), "ubm.weights": small_ubm.weights,
+        "ubm.means": small_ubm.means, "ubm.variances": small_ubm.variances},
+        meta={"rank": rank})
+    with pytest.raises(ModelFormatError):
+        modelio.load_tv(path)

@@ -1,6 +1,7 @@
 """Feature cache keying/atomicity and batch extraction behavior."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -103,12 +104,27 @@ def test_extract_fusion_caches_members(tmp_path, corpus):
     assert (reuse.cache_hits, reuse.computed) == (6, 0)
 
 
+def emvx_blob(kind=b"feature", shape=(28,)):
+    """A feature container assembled byte by byte, so any field can be hostile."""
+    def pack(raw):
+        return struct.pack("<I", len(raw)) + raw
+    head = b"EMVX" + struct.pack("<I", 1) + pack(kind) + pack(b'{"scheme": "phonation"}')
+    return (head + struct.pack("<I", 1) + pack(b"values") + struct.pack("<I", len(shape))
+            + b"".join(struct.pack("<Q", d) for d in shape) + bytes(8 * 28))
+
+
 @pytest.mark.parametrize("arrays, meta", [
     ({"values": np.zeros(28)}, {"source_id": "x"}),   # no scheme meta
     ({"other": np.zeros(28)}, {"scheme": "phonation"}),   # no values array
     ({"values": np.zeros(27)}, {"scheme": "phonation"}),  # wrong width
     ({"values": np.full(28, np.nan)}, {"scheme": "phonation"}),  # non-finite
     ({"values": np.zeros(28)}, {"scheme": "spectral"}),   # unknown scheme
+    pytest.param({"values": np.zeros(28)}, ["phonation"], id="meta-not-object"),
+    pytest.param({"values": np.zeros(28)}, {"scheme": "phonation", "warning": 5},
+                 id="warning-not-string"),
+    pytest.param(emvx_blob(kind=b"feat\xffure"), None, id="kind-not-utf8"),
+    pytest.param(emvx_blob(shape=(2 ** 32, 2 ** 32)), None, id="shape-overflows"),
+    pytest.param(emvx_blob(shape=(0, 2 ** 64 - 1)), None, id="shape-too-large"),
 ])
 def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     _, rows = corpus
@@ -118,7 +134,11 @@ def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     with open(rows[0].path, "rb") as fh:
         key = feature_key(fh.read(), "phonation", EXTRACTOR_VERSION)
     os.makedirs(os.path.dirname(cache._path(key)))
-    write_container(cache._path(key), "feature", arrays, meta=meta)
+    if isinstance(arrays, bytes):
+        with open(cache._path(key), "wb") as fh:
+            fh.write(arrays)
+    else:
+        write_container(cache._path(key), "feature", arrays, meta=meta)
 
     result = extract_for_manifest(Manifest(tuple(rows)), config, cache)
     assert result.failures == []
@@ -224,17 +244,24 @@ SIX = "articulation+prosody+phonation+i2010pc+ivector+xvector"
 def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     import sys
 
-    from emovox import analysis, audio, dsp
+    from emovox import analysis, audio, dsp, functionals
 
     _, rows = corpus
-    calls = {"estimate_f0": 0, "voiced_segments": 0, "embedding_mfcc": 0}
+    calls = {"estimate_f0": 0, "voiced_segments": 0, "embedding_mfcc": 0, "mfcc_frames": 0,
+             "apply_functionals": 0, "frame_signal hann": 0, "frame_signal rectangular": 0}
+
+    def label(name, args, kwargs):
+        if name != "frame_signal":
+            return name
+        return "frame_signal " + kwargs.get("window_kind", args[3] if len(args) > 3 else "hann")
     # wrap every binding of each function in the package, as a tracer would
     for owner, name in ((dsp, "estimate_f0"), (audio, "voiced_segments"),
-                        (analysis, "embedding_mfcc")):
+                        (analysis, "embedding_mfcc"), (dsp, "mfcc_frames"),
+                        (functionals, "apply_functionals"), (audio, "frame_signal")):
         original = getattr(owner, name)
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
+            calls[label(_name, args, kwargs)] += 1
             return _fn(*args, **kwargs)
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("emovox") and getattr(module, name, None) is original:
@@ -243,8 +270,15 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     spec = parse_config("scheme = %s\n" % SIX).fusion_spec()
     fused, hits, computed = pipeline._extract_row(rows[0], spec, models, None)
     assert (hits, computed) == (0, 6)
-    # one 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track
-    assert calls == {"estimate_f0": 2, "voiced_segments": 1, "embedding_mfcc": 1}
+    # One 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track;
+    # one Hann framing shared by i2010pc and the embeddings, one rectangular
+    # framing besides the VAD's own; MFCCs once for i2010pc and once for both
+    # embeddings (this voice has no voicing transitions); one summary per
+    # hand-built scheme.  The embedding MFCCs are an Analysis attribute, so
+    # the module-level helper is not called.
+    assert calls == {"estimate_f0": 2, "voiced_segments": 1, "embedding_mfcc": 0,
+                     "mfcc_frames": 2, "apply_functionals": 4,
+                     "frame_signal hann": 1, "frame_signal rectangular": 2}
 
     monkeypatch.undo()
     w = pipeline.load_audio(rows[0].path)

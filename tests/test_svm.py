@@ -24,7 +24,6 @@ from emovox.svm import (
     fit_standardizer,
     grid_predictions,
     predict,
-    rbf_kernel,
     train_binary_smo,
     train_multiclass,
 )
@@ -242,6 +241,18 @@ GRID_CELLS = [(c, g) for c in (1e-2, 1.0, 100.0, 1e4) for g in (1e-3, 0.1, 1.0, 
 # ---------------------------------------------------------------------------
 # kernel and standardizer
 # ---------------------------------------------------------------------------
+
+
+def rbf_kernel(x, y, gamma: float) -> float:
+    """exp(-gamma * ||x - y||^2) of two vectors: the oracle for ``_kernel_matrix``."""
+    a = np.asarray(x, dtype=np.float64).ravel()
+    b = np.asarray(y, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError("kernel arguments differ in dimension")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    d = a - b
+    return float(np.exp(-gamma * np.dot(d, d)))
 
 
 def test_rbf_self_similarity(rng):
