@@ -59,8 +59,12 @@ class FeatureCache:
 
     def put(self, key: str, vector: FeatureVector) -> None:
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_container(path, "feature", {"values": vector.values},
-                        meta={"scheme": vector.scheme,
-                              "source_id": vector.source_id,
-                              "warning": vector.warning})
+        arrays = {"values": vector.values}
+        meta = {"scheme": vector.scheme, "source_id": vector.source_id,
+                "warning": vector.warning}
+        try:
+            write_container(path, "feature", arrays, meta)
+        except FileNotFoundError:
+            # the shard directory is made by the first write that misses it
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_container(path, "feature", arrays, meta)

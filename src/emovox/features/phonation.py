@@ -5,7 +5,7 @@ summarized by {mean, std, skewness, kurtosis}: 28 values.
 
 Glottal pulses are picked by ``pulse_windows``, a NumPy form of
 ``scipy.signal.find_peaks`` that serves many windows from one scan of the
-signal; i2010pc uses it for its per-frame jitter and shimmer.
+signal: here one window per voiced span, in i2010pc one per frame.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..analysis import Analysis
 from ..audio import VOICED, Waveform
@@ -84,7 +83,7 @@ def _keep_by_distance(pos: list, heights: np.ndarray, distance: int) -> list:
     return keep
 
 
-def pulse_windows(x: np.ndarray, starts, length: int, f0_hz, rate: int):
+def pulse_windows(x: np.ndarray, starts, length, f0_hz, rate: int):
     """Glottal pulses of every window x[start:start + length], in one scan of x.
 
     Window i is peak-picked at roughly one peak per period of ``f0_hz[i]``:
@@ -93,8 +92,9 @@ def pulse_windows(x: np.ndarray, starts, length: int, f0_hz, rate: int):
     interpolation.  That is ``scipy.signal.find_peaks`` on the window,
     bit for bit, with the maxima found once for all windows: a window's
     candidates are the maxima whose whole plateau lies strictly inside it.
-    Windows are cut short at the end of x; those under 3 samples, or with
-    f0 <= 0, get no pulses.
+    ``length`` is one length for all windows or one per window.  Windows
+    are cut short at the end of x; those under 3 samples, or with f0 <= 0,
+    get no pulses.
 
     Returns (marks, amps, counts): the pulse positions (fractional samples
     from each window's start) and heights of all windows back to back, and
@@ -103,7 +103,7 @@ def pulse_windows(x: np.ndarray, starts, length: int, f0_hz, rate: int):
     x = np.asarray(x, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.intp)
     f0_hz = np.asarray(f0_hz, dtype=np.float64)
-    ends = np.minimum(starts + length, x.size)
+    ends = np.minimum(starts + np.asarray(length, dtype=np.intp), x.size)
     counts = np.zeros(starts.size, dtype=np.intp)
     first, last, mid = _local_maxima(x)
     live = np.flatnonzero((f0_hz > 0) & (ends - starts >= 3))
@@ -113,9 +113,9 @@ def pulse_windows(x: np.ndarray, starts, length: int, f0_hz, rate: int):
     # each live window's run of candidate maxima [lo, hi), and its height gate
     lo = np.searchsorted(first, starts[live] + 1)
     hi = np.maximum(np.searchsorted(last, ends[live] - 2, side="right"), lo)
-    tail = max(int(starts[live].max()) + length - x.size, 0)
-    padded = np.concatenate([x, np.full(tail, -np.inf)])
-    top = sliding_window_view(padded, length)[starts[live]].max(axis=1)
+    # each window's maximum; the appended sample only makes index x.size valid
+    top = np.maximum.reduceat(np.append(x, 0.0),
+                              np.column_stack([starts[live], ends[live]]).ravel())[::2]
     gate = np.where(top > 0, 0.3 * top, -np.inf)
 
     # candidates of all windows back to back: the window owning each, its maximum
@@ -141,18 +141,6 @@ def pulse_windows(x: np.ndarray, starts, length: int, f0_hz, rate: int):
     marks = (mid[cand] - starts[live][owner]) + shift
     counts[live] = np.bincount(owner, minlength=live.size)
     return marks, amps, counts
-
-
-def detect_pulses(x: np.ndarray, rate: int, f0_hz: float):
-    """Glottal pulse positions (fractional samples) and amplitudes.
-
-    Peak-picks the waveform at roughly one peak per period of the given
-    fundamental, then refines each mark by parabolic interpolation: the
-    one-window case of ``pulse_windows``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    marks, amps, _ = pulse_windows(x, [0], x.size, [f0_hz], rate)
-    return marks, amps
 
 
 def _clean_periods(marks: np.ndarray):
@@ -214,19 +202,23 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
         return FeatureVector("phonation", np.zeros(28), w.source_id,
                              warning="no voiced frames")
 
-    jit, shim, apq, ppq = [], [], [], []
+    # one pulse window per voiced span with a pitched frame, at its median F0
+    starts, lengths, span_f0 = [], [], []
     for span in voiced_spans:
         seg_f0 = f0[a.frames_in([span]) & (f0 > 0)]
-        if seg_f0.size == 0:
-            continue
-        marks, amps = detect_pulses(
-            w.samples[span.start_sample:span.end_sample],
-            w.sample_rate, float(np.median(seg_f0)))
-        periods = _clean_periods(marks) / w.sample_rate
+        if seg_f0.size:
+            starts.append(span.start_sample)
+            lengths.append(span.end_sample - span.start_sample)
+            span_f0.append(float(np.median(seg_f0)))
+    marks, amps, counts = pulse_windows(w.samples, starts, lengths, span_f0, w.sample_rate)
+    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    jit, shim, apq, ppq = [], [], [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        periods = _clean_periods(marks[lo:hi]) / w.sample_rate
         jit.append(jitter_local(periods))
         ppq.append(jitter_ppq5(periods))
-        shim.append(shimmer_local(amps))
-        apq.append(shimmer_apq11(amps))
+        shim.append(shimmer_local(amps[lo:hi]))
+        apq.append(shimmer_apq11(amps[lo:hi]))
 
     contour = f0[a.voiced & (f0 > 0)]
     d1 = delta(contour) if contour.size else contour

@@ -68,64 +68,68 @@ class FeatureTrack:
         return self.values.shape[0]
 
 
-def _row_stats(x: np.ndarray) -> dict:
-    """All supported functionals of each row of a finite (g x m, m >= 1) matrix.
+_PERCENTILE_NAMES = frozenset(name for name in ALL_FUNCTIONALS
+                              if name.startswith(("quartile", "iqr", "percentile")))
 
-    Every reduction runs along contiguous rows, so each row gets the same bits
-    as the same NumPy call on that row alone.  The regression line is the
-    closed-form least-squares fit.
+
+def _row_stats(x: np.ndarray, names: tuple) -> list:
+    """The named functionals of each row of a finite (g x m, m >= 1) matrix.
+
+    Only what the names need is computed, and each functional gets the same
+    bits whatever else is asked for.  Every reduction runs along contiguous
+    rows, so each row gets the same bits as the same NumPy call on that row
+    alone.  The regression line is the closed-form least-squares fit.
     """
     n = x.shape[1]
     zero = np.zeros(x.shape[0])
-    t = np.arange(n, dtype=np.float64)
-    tc = t - t.mean()
     m = x.mean(axis=1)
-    c = x - m[:, None]
-    slope = (c @ tc) / (tc @ tc) if n > 1 else zero
-    offset = m - slope * t.mean()
-    resid = x - (slope[:, None] * t + offset[:, None])
-    q1, q2, q3, p1, p99 = np.percentile(x, [25, 50, 75, 1, 99], axis=1)
     lo, hi = x.min(axis=1), x.max(axis=1)
     rng = hi - lo
+    stats = {"mean": m, "max": hi, "min": lo}
+    want = set(names)
+
     # Exactly-constant rows: define all dispersion/shape statistics as 0
     # rather than amplifying float rounding noise.
-    m2 = np.where(rng > 0, np.mean(c ** 2, axis=1), 0.0)
-    shaped = m2 > 0
-    # Powers of m2 one value at a time, as on a scalar: NumPy's vectorised
-    # pow and square can differ from libm's pow in the last bit.
-    m2_15, m2_sq = np.array([(v ** 1.5, v ** 2) for v in np.where(shaped, m2, 1.0).tolist()]
-                            ).reshape(-1, 2).T
+    if "std" in want:
+        stats["std"] = np.where(rng > 0, x.std(axis=1, ddof=1), 0.0) if n > 1 else zero
+    if want & {"skewness", "kurtosis"}:
+        c = x - m[:, None]
+        m2 = np.where(rng > 0, np.mean(c ** 2, axis=1), 0.0)
+        shaped = m2 > 0
+        # Powers of m2 one value at a time, as on a scalar: NumPy's vectorised
+        # pow and square can differ from libm's pow in the last bit.
+        m2_15, m2_sq = np.array([(v ** 1.5, v ** 2) for v in np.where(shaped, m2, 1.0).tolist()]
+                                ).reshape(-1, 2).T
+        stats["skewness"] = np.where(shaped, np.mean(c ** 3, axis=1) / m2_15, 0.0)
+        stats["kurtosis"] = np.where(shaped, np.mean(c ** 4, axis=1) / m2_sq - 3.0, 0.0)
 
-    def uplevel(frac):
-        # Zero-range rows count as never exceeding the level; keeps all-zero
-        # descriptor tracks mapping to all-zero functionals.
-        return np.where(rng > 0, np.mean(x >= (lo + frac * rng)[:, None], axis=1), 0.0)
+    if want & {"position_max", "position_min"}:
+        stats["position_max"] = x.argmax(axis=1) / (n - 1) if n > 1 else zero
+        stats["position_min"] = x.argmin(axis=1) / (n - 1) if n > 1 else zero
 
-    return {
-        "mean": m,
-        "std": np.where(rng > 0, x.std(axis=1, ddof=1), 0.0) if n > 1 else zero,
-        "skewness": np.where(shaped, np.mean(c ** 3, axis=1) / m2_15, 0.0),
-        "kurtosis": np.where(shaped, np.mean(c ** 4, axis=1) / m2_sq - 3.0, 0.0),
-        "max": hi,
-        "min": lo,
-        "position_max": x.argmax(axis=1) / (n - 1) if n > 1 else zero,
-        "position_min": x.argmin(axis=1) / (n - 1) if n > 1 else zero,
-        "lin_reg_slope": slope,
-        "lin_reg_offset": offset,
-        "lin_reg_err_quadratic": np.mean(resid ** 2, axis=1),
-        "lin_reg_err_absolute": np.mean(np.abs(resid), axis=1),
-        "quartile1": q1,
-        "quartile2": q2,
-        "quartile3": q3,
-        "iqr12": q2 - q1,
-        "iqr23": q3 - q2,
-        "iqr13": q3 - q1,
-        "percentile1": p1,
-        "percentile99": p99,
-        "percentile_range_99_1": p99 - p1,
-        "uplevel_time75": uplevel(0.75),
-        "uplevel_time90": uplevel(0.90),
-    }
+    if any(name.startswith("lin_reg") for name in want):
+        t = np.arange(n, dtype=np.float64)
+        tc = t - t.mean()
+        slope = ((x - m[:, None]) @ tc) / (tc @ tc) if n > 1 else zero
+        offset = m - slope * t.mean()
+        resid = x - (slope[:, None] * t + offset[:, None])
+        stats.update(lin_reg_slope=slope, lin_reg_offset=offset,
+                     lin_reg_err_quadratic=np.mean(resid ** 2, axis=1),
+                     lin_reg_err_absolute=np.mean(np.abs(resid), axis=1))
+
+    if want & _PERCENTILE_NAMES:
+        q1, q2, q3, p1, p99 = np.percentile(x, [25, 50, 75, 1, 99], axis=1)
+        stats.update(quartile1=q1, quartile2=q2, quartile3=q3,
+                     iqr12=q2 - q1, iqr23=q3 - q2, iqr13=q3 - q1,
+                     percentile1=p1, percentile99=p99, percentile_range_99_1=p99 - p1)
+
+    for frac, name in ((0.75, "uplevel_time75"), (0.90, "uplevel_time90")):
+        if name in want:
+            # Zero-range rows count as never exceeding the level; keeps all-zero
+            # descriptor tracks mapping to all-zero functionals.
+            stats[name] = np.where(rng > 0, np.mean(x >= (lo + frac * rng)[:, None], axis=1),
+                                   0.0)
+    return [stats[name] for name in names]
 
 
 def apply_functionals(track: FeatureTrack, fs: FunctionalSet) -> np.ndarray:
@@ -142,6 +146,6 @@ def apply_functionals(track: FeatureTrack, fs: FunctionalSet) -> np.ndarray:
         groups.setdefault(keep.tobytes(), (keep, []))[1].append(j)
     for keep, cols in groups.values():
         if keep.any():
-            stats = _row_stats(np.ascontiguousarray(values[keep][:, cols].T))
-            out[cols] = np.column_stack([stats[name] for name in fs.names])
+            out[cols] = np.column_stack(
+                _row_stats(np.ascontiguousarray(values[keep][:, cols].T), fs.names))
     return out.ravel()

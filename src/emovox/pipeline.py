@@ -26,7 +26,7 @@ from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
 from .manifest import Manifest
 from . import modelio
 
-EXTRACTOR_VERSION = "3"
+EXTRACTOR_VERSION = "4"
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -167,18 +168,55 @@ def test_resample_output_length(rate):
     assert abs(len(y) - round(n * 8000 / rate)) <= 1
 
 
-def test_decimation_filter_is_designed_once_per_rate(monkeypatch):
+def scipy_resample(x, rate):
+    """The SciPy resampler the NumPy one replaced, the oracle: (taps, samples)."""
     from scipy import signal as sps
 
+    g = math.gcd(8000, rate)
+    up, down = 8000 // g, rate // g
+    op_rate = rate * up
+    numtaps, beta = sps.kaiserord(80.0, 2.0 * 140.0 / op_rate)
+    taps = sps.firwin(numtaps | 1, 2.0 * 3970.0 / op_rate, window=("kaiser", beta))
+    return taps, np.clip(sps.resample_poly(x, up, down, window=taps), -1.0, 1.0)
+
+
+def assert_close_to_oracle(got, ref):
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("rate", [11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000,
+                                  176400, 192000])
+def test_resample_matches_scipy_oracle(rate, rng):
+    up = 8000 // math.gcd(8000, rate)
+    taps = audio._design_decimation_filter(rate * up, "x")
+    ref_taps, _ = scipy_resample(np.zeros(1), rate)
+    assert_close_to_oracle(taps, ref_taps)
+    # one sample, shorter than the filter, odd lengths, a clipping level, silence
+    for n in (1, 2, 7, taps.size // 3 | 1, taps.size + 6, rate // 2 + 1):
+        for x in (rng.uniform(-1.0, 1.0, n), np.zeros(n)):
+            _, ref = scipy_resample(x, rate)
+            assert_close_to_oracle(resample_to_8k(wf(x, rate=rate)).samples, ref)
+
+
+def test_long_file_takes_several_products(rng, monkeypatch):
+    # the product is split to bound memory; the seams must not show
+    monkeypatch.setattr(audio, "_PRODUCT_FLOATS", 5000)
+    x = rng.uniform(-1.0, 1.0, 48000)
+    _, ref = scipy_resample(x, 16000)
+    assert_close_to_oracle(resample_to_8k(wf(x, rate=16000)).samples, ref)
+
+
+def test_decimation_filter_is_designed_once_per_rate(monkeypatch):
     audio._decimation_taps.cache_clear()
     designed = []
-    firwin = sps.firwin
+    design = audio._kaiser_lowpass
 
-    def counted_firwin(numtaps, *args, **kwargs):
+    def counted_design(numtaps, *args, **kwargs):
         designed.append(numtaps)
-        return firwin(numtaps, *args, **kwargs)
+        return design(numtaps, *args, **kwargs)
 
-    monkeypatch.setattr(sps, "firwin", counted_firwin)
+    monkeypatch.setattr(audio, "_kaiser_lowpass", counted_design)
     w = wf(tone(300, dur_s=0.2, rate=44100), rate=44100)
     first = resample_to_8k(w).samples
     again = resample_to_8k(wf(tone(300, dur_s=0.3, rate=44100), rate=44100))
@@ -193,18 +231,32 @@ def test_decimation_filter_is_designed_once_per_rate(monkeypatch):
     assert len(designed) == 1
 
 
-def test_rejected_rate_is_not_memoised(monkeypatch):
-    from scipy import signal as sps
-
-    def no_design(*args, **kwargs):
-        raise AssertionError("firwin called for a rejected rate")
-
-    monkeypatch.setattr(sps, "firwin", no_design)
+def test_polyphase_matrix_is_built_once_per_rate():
     audio._decimation_taps.cache_clear()
+    audio._polyphase_matrix.cache_clear()
+    for rate in (44100, 22050, 44100, 22050):
+        resample_to_8k(wf(tone(300, dur_s=0.2, rate=rate), rate=rate))
+    # 44.1 and 22.05 kHz share one operating rate, so one filter, two matrices
+    assert audio._decimation_taps.cache_info().currsize == 1
+    info = audio._polyphase_matrix.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    matrix, _ = audio._polyphase_matrix(80, 441)
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
+
+
+def test_rejected_rate_is_not_memoised(monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("filter designed for a rejected rate")
+
+    monkeypatch.setattr(audio, "_kaiser_lowpass", no_design)
+    audio._decimation_taps.cache_clear()
+    audio._polyphase_matrix.cache_clear()
     for name in ("a.wav", "b.wav"):
         with pytest.raises(UnsupportedWavError, match=name + ": rate 96001: resampling to 8000 Hz"):
             resample_to_8k(wf(np.zeros(64), rate=96001, source=name))
     assert audio._decimation_taps.cache_info().currsize == 0
+    assert audio._polyphase_matrix.cache_info().currsize == 0
 
 
 def test_resample_linearity(rng):

@@ -11,7 +11,7 @@ import emovox
 from emovox.cli import main
 from emovox.manifest import ManifestRow, write_manifest
 
-from conftest import craft_wav, make_corpus, tone, write_pcm16
+from conftest import craft_wav, make_corpus, tone, voice_like, write_pcm16
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +47,19 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_8k_extract_leaves_scipy_signal_unloaded(workspace, tmp_path):
-    # telephone-rate audio needs no resampling filter, and nothing else in
-    # the six-scheme extract may pull scipy.signal in
+    # neither the NumPy resampler nor anything else in the six-scheme
+    # extract may pull scipy.signal in, whatever the mix of input rates
     from emovox.embeddings import GmmUbm, TotalVariabilityModel, random_xvector_weights
     from emovox.modelio import save_tv, save_xvector
 
-    _, manifest, _, rows = workspace
+    _, _, _, rows = workspace
+    mixed = [ManifestRow(str(write_pcm16(tmp_path / ("r%d.wav" % rate),
+                                         voice_like(f0, rate=rate, seed=rate), rate)),
+                         "smooth", "spk8", "m")
+             for rate, f0 in ((16000, 140.0), (44100, 210.0))]
+    rows = rows + mixed
+    manifest = tmp_path / "mixed.csv"
+    write_manifest(manifest, rows)
     rng = np.random.default_rng(3)
     ubm = GmmUbm(np.full(2, 0.5), rng.standard_normal((2, 24)), np.ones((2, 24)))
     save_tv(tmp_path / "tv.emvx",
@@ -117,21 +124,20 @@ def test_extract_partial_on_missing_file(workspace, caplog):
 @pytest.mark.parametrize("rate, fine_hz", [(96001, 200.0), (4_294_967_295, 230.0)])
 def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, monkeypatch,
                                                    caplog):
-    from scipy import signal as sps
-
+    from emovox import audio
     from emovox.audio import MAX_RESAMPLE_TAPS, _decimation_taps
 
     root, _, config, rows = workspace
     _decimation_taps.cache_clear()  # filters are memoised per rate; design afresh here
     designed = []
-    firwin = sps.firwin
+    design = audio._kaiser_lowpass
 
-    def checked_firwin(numtaps, *args, **kwargs):
+    def checked_design(numtaps, *args, **kwargs):
         designed.append(numtaps)
         assert numtaps <= MAX_RESAMPLE_TAPS
-        return firwin(numtaps, *args, **kwargs)
+        return design(numtaps, *args, **kwargs)
 
-    monkeypatch.setattr(sps, "firwin", checked_firwin)
+    monkeypatch.setattr(audio, "_kaiser_lowpass", checked_design)
     hostile = craft_wav(root / ("rate_%d.wav" % rate), bits=8, rate=rate,
                         payload=bytes(range(0, 256, 4)) * 4)
     fine = write_pcm16(root / ("fine_44k_%d.wav" % rate), tone(fine_hz, dur_s=0.5, rate=44100),

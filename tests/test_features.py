@@ -12,10 +12,9 @@ from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
 from emovox.features.i2010pc import (LLD_NAMES, _hold_last_voiced, _per_frame_perturbation,
                                      i2010pc_features)
-from emovox.features.phonation import (PHONATION_TRACKS, detect_pulses, _clean_periods,
-                                       jitter_local, jitter_ppq5, jitter_ddp,
-                                       phonation_features, shimmer_apq11,
-                                       shimmer_local)
+from emovox.features.phonation import (PHONATION_TRACKS, _clean_periods, jitter_local,
+                                       jitter_ppq5, jitter_ddp, phonation_features,
+                                       pulse_windows, shimmer_apq11, shimmer_local)
 from emovox.features.prosody import PROSODY_FEATURE_NAMES, _slope_and_mse, prosody_features
 from emovox.dsp import bark_band_energies, delta, log_frame_energy, mfcc_frames
 from emovox.audio import _runs, detect_speech, frame_count, frame_signal
@@ -24,6 +23,13 @@ from emovox.functionals import (FOUR_MOMENTS, IS10_FUNCTIONALS, SIX_BASIC, Featu
                                 FunctionalSet, apply_functionals)
 
 from conftest import tone, voice_like, wf
+
+
+def detect_pulses(x, rate, f0_hz):
+    """Pulse marks and amplitudes of one whole signal: one window of pulse_windows."""
+    x = np.asarray(x, dtype=np.float64)
+    marks, amps, _ = pulse_windows(x, [0], x.size, [f0_hz], rate)
+    return marks, amps
 
 
 def pulse_train(periods_s, rate=8000, amp=0.8, sigma=3.0, pad=100):
@@ -177,6 +183,25 @@ def test_detect_pulses_matches_find_peaks_oracle(rng):
             got = detect_pulses(x, 8000, f0)
             assert got[0].tobytes() == want[0].tobytes(), (trial, f0)
             assert got[1].tobytes() == want[1].tobytes(), (trial, f0)
+
+
+def test_pulse_windows_of_own_lengths_match_find_peaks_oracle(rng):
+    # phonation's windows: one per voiced span, each of its own length
+    for trial in range(60):
+        x = hostile_signal(rng, PULSE_KINDS[trial % 5], int(rng.integers(1, 5000)))
+        n_windows = int(rng.integers(0, 12))
+        starts = rng.integers(0, x.size + 40, n_windows)
+        # overlapping, empty, short or past the end
+        lengths = np.where(rng.random(n_windows) < 0.5, rng.integers(0, 40, n_windows),
+                           rng.integers(0, 1500, n_windows))
+        f0 = rng.uniform(55, 420, n_windows) * (rng.random(n_windows) < 0.8)
+        marks, amps, counts = pulse_windows(x, starts, lengths, f0, 8000)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        for i in range(n_windows):
+            want = find_peaks_pulses(x[starts[i]:starts[i] + lengths[i]], 8000, f0[i])
+            got = marks[bounds[i]:bounds[i + 1]], amps[bounds[i]:bounds[i + 1]]
+            assert got[0].tobytes() == want[0].tobytes(), (trial, i)
+            assert got[1].tobytes() == want[1].tobytes(), (trial, i)
 
 
 def test_per_frame_perturbation_matches_per_window_oracle(rng):

@@ -79,9 +79,8 @@ def oracle_functionals(values, fset):
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-def assert_matches_oracle(values):
+def assert_matches_oracle(values, fset=FunctionalSet(ALL_FUNCTIONALS)):
     """Bit-identical to the per-column path, lin_reg_* within 1e-9 relative."""
-    fset = FunctionalSet(ALL_FUNCTIONALS)
     names = tuple(f"c{j}" for j in range(np.atleast_2d(values).shape[1]))
     got = apply_functionals(FeatureTrack(values, names), fset).reshape(-1, len(fset))
     want = oracle_functionals(values, fset).reshape(-1, len(fset))
@@ -264,3 +263,30 @@ def test_batched_matches_oracle_ragged_track(rng):
     x[:12, 1] = rng.standard_normal(12)
     x[:2, 2] = rng.standard_normal(2)
     assert_matches_oracle(x)
+
+
+def test_requested_subsets_match_oracle_and_full_set(rng, monkeypatch):
+    # each functional keeps its bits whatever else is asked for, and the
+    # percentiles are only taken when one of them is asked for
+    x = rng.standard_normal((40, 6)) * 10.0 ** rng.uniform(-3, 3, size=6)
+    x[:, 1] = 0.0
+    x[:, 3] = 4.2
+    x[3:20, 2] = np.nan
+    x[1:, 5] = np.nan
+    track = FeatureTrack(x, tuple("abcdef"))
+    full = apply_functionals(track, FunctionalSet(ALL_FUNCTIONALS)).reshape(6, -1)
+    percentile = np.percentile
+    calls = []
+    monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(1) or percentile(*a, **k))
+    subsets = [FOUR_MOMENTS, SIX_BASIC, IS10_FUNCTIONALS] + [(name,) for name in ALL_FUNCTIONALS]
+    subsets += [tuple(rng.permutation(ALL_FUNCTIONALS)[:int(rng.integers(1, 23))])
+                for _ in range(20)]
+    for names in subsets:
+        fset = FunctionalSet(names)
+        calls.clear()
+        got = apply_functionals(track, fset).reshape(6, -1)
+        want = full[:, [ALL_FUNCTIONALS.index(name) for name in names]]
+        assert got.tobytes() == want.tobytes(), names
+        asks_percentile = any(n.startswith(("quartile", "iqr", "percentile")) for n in names)
+        assert bool(calls) == asks_percentile, names
+        assert_matches_oracle(x, fset)

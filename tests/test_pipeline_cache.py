@@ -1,6 +1,7 @@
 """Feature cache keying/atomicity and batch extraction behavior."""
 
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -87,6 +88,39 @@ def test_extract_phonation_counts(tmp_path, corpus):
     again = extract_for_manifest(Manifest(tuple(rows)), config, cache)
     assert (again.cache_hits, again.computed) == (6, 0)
     for a, b in zip(result.vectors, again.vectors):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_cache_makes_each_shard_directory_once(tmp_path, corpus, monkeypatch, rng):
+    made = []
+    mkdir = os.mkdir
+
+    def counted_mkdir(path, *args, **kwargs):
+        made.append(os.fspath(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counted_mkdir)
+    root = tmp_path / "c"
+    cache = FeatureCache(root)
+    for key in ("ab" + "0" * 62, "ab" + "1" * 62, "ab" + "2" * 62, "cd" + "0" * 62):
+        cache.put(key, FeatureVector("prosody", rng.standard_normal(78)))
+    assert made == [str(root), str(root / "ab"), str(root / "cd")]
+
+    # a cold extract makes each new shard once; a shard removed between runs is remade
+    _, rows = corpus
+    config = parse_config("scheme = phonation+prosody\n")
+    made.clear()
+    cold = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    shards = {str(root / name) for name in os.listdir(root)}
+    assert cold.computed == 12 and len(made) == len(set(made)) and set(made) <= shards
+    victim = sorted(shards - {str(root / "ab"), str(root / "cd")})[0]
+    n_lost = len(os.listdir(victim))
+    shutil.rmtree(victim)
+    made.clear()
+    again = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    assert (again.computed, made) == (n_lost, [victim])
+    assert len(os.listdir(victim)) == n_lost
+    for a, b in zip(cold.vectors, again.vectors):
         assert a.values.tobytes() == b.values.tobytes()
 
 
