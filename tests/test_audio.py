@@ -192,7 +192,7 @@ def test_resample_matches_scipy_oracle(rate, rng):
     taps = audio._design_decimation_filter(rate * up, "x")
     ref_taps, _ = scipy_resample(np.zeros(1), rate)
     assert_close_to_oracle(taps, ref_taps)
-    # one sample, shorter than the filter, odd lengths, a clipping level, silence
+    # one sample, inputs shorter and longer than the filter, odd lengths; noise and silence
     for n in (1, 2, 7, taps.size // 3 | 1, taps.size + 6, rate // 2 + 1):
         for x in (rng.uniform(-1.0, 1.0, n), np.zeros(n)):
             _, ref = scipy_resample(x, rate)
