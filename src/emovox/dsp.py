@@ -85,14 +85,15 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
     floor = max(LOG_FLOOR, 1e-4 * float(e0.max()))
     values = np.zeros(n)
     strength = np.clip(peak, 0.0, 1.0)
-    for t in range(n):
-        if e0[t] < floor or peak[t] < threshold:
-            continue
-        k = min(max(earliest[t], 1), K - 1)
-        a, b, c = phi[t, k - 1], phi[t, k], phi[t, k + 1]
-        denom = a - 2.0 * b + c
-        shift = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
-        values[t] = rate / (k + np.clip(shift, -0.5, 0.5))
+    # Parabolic refinement around the picked lag, on voiced frames only.
+    rows = np.flatnonzero(~((e0 < floor) | (peak < threshold)))
+    k = np.clip(earliest[rows], 1, K - 1)
+    a, b, c = phi[rows, k - 1], phi[rows, k], phi[rows, k + 1]
+    denom = a - 2.0 * b + c
+    curved = np.abs(denom) > 1e-12
+    shift = np.zeros(rows.size)
+    shift[curved] = 0.5 * (a - c)[curved] / denom[curved]
+    values[rows] = rate / (k + np.clip(shift, -0.5, 0.5))
     values[(values > 0) & ((values < fmin) | (values > fmax))] = 0.0
     if n >= 3:
         values = _median3(values)

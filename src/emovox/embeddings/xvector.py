@@ -5,11 +5,15 @@ frames to 1500-dim representations; mean and population standard deviation are
 pooled over time and a final affine layer (before its nonlinearity) yields the
 512-dim embedding.  Only the forward pass lives here — weights are loaded from
 a model file or randomly initialized.
+
+The frame layers run in single precision, as Kaldi computes this network.  The
+weights as stored and loaded, the mean normalization, the pooled statistics,
+``segment6`` and the embedding stay in double precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -44,9 +48,13 @@ class XVectorWeights:
 
     Weight matrices are stored input-major: layer output = h @ W + b.  The
     ``softmax`` layer may have any output width (the class count).
+    ``frame32`` holds read-only float32 copies of the five frame layers, which
+    the forward pass runs on.
     """
 
     layers: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    frame32: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked = {}
@@ -71,19 +79,23 @@ class XVectorWeights:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ModelFormatError("layer %r has non-finite parameters" % name)
-            w = w.copy()
-            b = b.copy()
-            w.setflags(write=False)
-            b.setflags(write=False)
-            checked[name] = (w, b)
+            checked[name] = (_read_only(w.copy()), _read_only(b.copy()))
         extra = set(self.layers) - set(checked)
         if extra:
             raise ModelFormatError("unknown x-vector layers: %s" % sorted(extra))
         object.__setattr__(self, "layers", checked)
+        object.__setattr__(self, "frame32", {
+            name: tuple(_read_only(a.astype(np.float32)) for a in checked[name])
+            for name in _FRAME_LAYERS})
 
     @property
     def n_classes(self) -> int:
         return self.layers["softmax"][0].shape[1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def random_xvector_weights(n_classes: int = 8, seed: int = 0, scale: float = 0.05) -> XVectorWeights:
@@ -137,15 +149,17 @@ def _splice(h, offsets):
 
 def _run_frame_layers(weights, h):
     for name in _FRAME_LAYERS:
-        w, b = weights.layers[name]
+        w, b = weights.frame32[name]
         if name in SPLICE_OFFSETS:
             h = _splice(h, SPLICE_OFFSETS[name])
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
     return h
 
 
 def frame_representations(weights: XVectorWeights, mfcc) -> np.ndarray:
-    """Run the frame-level layers; output has 14 fewer rows than the input."""
+    """Run the frame-level layers in float32; 14 fewer rows than the input."""
     x = np.atleast_2d(np.asarray(mfcc, dtype=np.float64))
     if x.shape[1] != N_INPUT_CEPS:
         raise ValueError("expected %d-dim input frames, got %d" % (N_INPUT_CEPS, x.shape[1]))
@@ -156,7 +170,7 @@ def frame_representations(weights: XVectorWeights, mfcc) -> np.ndarray:
             "need at least %d frames for the full context window, got %d"
             % (MIN_FRAMES, x.shape[0])
         )
-    h = sliding_mean_normalize(x)
+    h = sliding_mean_normalize(x).astype(np.float32)
     if np.all(h == h[0]):
         # Identical frames must give identical representations, but BLAS matmul
         # rounding depends on row position; evaluate one row and tile instead.
@@ -166,18 +180,20 @@ def frame_representations(weights: XVectorWeights, mfcc) -> np.ndarray:
 
 
 def stats_pool(representations) -> np.ndarray:
-    """Concatenated per-dimension mean and population std over frames.
+    """Concatenated per-dimension mean and population std over frames, float64.
 
-    Column sums run over sorted values, which makes the pooled vector exactly
-    invariant to the order of the frame representations; constant columns give
-    an exact zero std.
+    Both column sums run in float64 over the values sorted once per column,
+    which makes the pooled vector exactly invariant to the order of the frame
+    representations; constant columns give an exact zero std.
     """
-    h = np.atleast_2d(np.asarray(representations, dtype=np.float64))
+    h = np.atleast_2d(np.asarray(representations))
+    if h.dtype != np.float32:
+        h = h.astype(np.float64, copy=False)
     n = h.shape[0]
     ordered = np.sort(h, axis=0)
     constant = ordered[0] == ordered[-1]
-    mean = np.where(constant, ordered[0], ordered.sum(axis=0) / n)
-    var = np.sort((h - mean) ** 2, axis=0).sum(axis=0) / n
+    mean = np.where(constant, ordered[0], ordered.sum(axis=0, dtype=np.float64) / n)
+    var = ((ordered - mean) ** 2).sum(axis=0) / n
     std = np.sqrt(np.where(constant, 0.0, var))
     return np.concatenate([mean, std])
 

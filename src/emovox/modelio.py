@@ -50,12 +50,14 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 
 class _Reader:
+    """Sequential reads from a memoryview; sections are not copied out."""
+
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise ModelFormatError(f"{self.path}: truncated container")
         out = self.blob[self.pos:self.pos + n]
@@ -70,7 +72,7 @@ class _Reader:
 
     def string(self) -> str:
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return bytes(self.take(self.u32())).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{self.path}: undecodable string ({exc})")
 
@@ -118,7 +120,7 @@ def read_container(path, expected_kind: str | None = None):
     except OSError as exc:
         raise ModelFormatError(f"{path}: {exc}")
     r = _Reader(blob, path)
-    if r.take(4) != MAGIC:
+    if bytes(r.take(4)) != MAGIC:
         raise ModelFormatError(f"{path}: not an EMVX container")
     version = r.u32()
     if version != FORMAT_VERSION:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sfft
 from scipy import linalg as sla
 from scipy import signal as sps
 from scipy import stats
@@ -11,9 +13,9 @@ from emovox.dsp import (bark_band_energies, delta, estimate_f0, formants_f1_f2,
                         hz_to_bark, log_frame_energy, log_mel_energies, lpc,
                         lsp_from_lpc, mel_filterbank, mfcc_frames,
                         moving_average, teager_energy)
-from emovox.audio import frame_signal
+from emovox.audio import frame_count, frame_signal
 
-from conftest import tone, wf
+from conftest import tone, voice_like, wf
 
 
 # ------------------------------------------------------------- estimate_f0
@@ -65,6 +67,74 @@ def test_f0_values_stay_in_range(rng):
     track = estimate_f0(wf(x))
     v = track.values[track.values > 0]
     assert np.all((v >= 60.0) & (v <= 400.0))
+
+
+def loop_estimate_f0(w, fmin=dsp.F0_MIN_HZ, fmax=dsp.F0_MAX_HZ,
+                     frame_ms=dsp.FRAME_MS, step_ms=dsp.STEP_MS,
+                     threshold=dsp.VOICING_THRESHOLD):
+    """``estimate_f0`` with its parabolic refinement as a per-frame loop."""
+    rate = w.sample_rate
+    L = round(frame_ms * rate / 1000.0)
+    S = round(step_ms * rate / 1000.0)
+    lag_min = max(2, int(rate / fmax))
+    K = int(math.ceil(rate / fmin))
+    n = frame_count(w.samples.size, L, S)
+    if n == 0 or lag_min >= K:
+        return np.zeros(0), np.zeros(0)
+    xp = np.concatenate([w.samples, np.zeros(K)])
+    seg = sliding_window_view(xp, L + K)[::S][:n]
+    cs = np.concatenate([np.zeros((n, 1)), np.cumsum(seg ** 2, axis=1)], axis=1)
+    energy = cs[:, L:] - cs[:, :K + 1]
+    nfft = sfft.next_fast_len(L + K)
+    spec = sfft.rfft(seg, nfft, axis=1)
+    base = sfft.rfft(seg[:, :L], nfft, axis=1)
+    corr = sfft.irfft(np.conj(base) * spec, nfft, axis=1)[:, :K + 1]
+    phi = corr / np.sqrt(np.maximum(energy[:, :1] * energy, 1e-300))
+    band = phi[:, lag_min:]
+    peak = band.max(axis=1)
+    earliest = np.argmax(band >= peak[:, None] - 0.01, axis=1) + lag_min
+    e0 = energy[:, 0]
+    floor = max(dsp.LOG_FLOOR, 1e-4 * float(e0.max()))
+    values = np.zeros(n)
+    strength = np.clip(peak, 0.0, 1.0)
+    for t in range(n):
+        if e0[t] < floor or peak[t] < threshold:
+            continue
+        k = min(max(earliest[t], 1), K - 1)
+        a, b, c = phi[t, k - 1], phi[t, k], phi[t, k + 1]
+        denom = a - 2.0 * b + c
+        shift = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
+        values[t] = rate / (k + np.clip(shift, -0.5, 0.5))
+    values[(values > 0) & ((values < fmin) | (values > fmax))] = 0.0
+    if n >= 3:
+        values = dsp._median3(values)
+    strength[e0 < floor] = 0.0
+    return values, strength
+
+
+def test_f0_matches_per_frame_loop_oracle(rng):
+    voiced = np.concatenate([voice_like(110, 0.6, rough=0.3, seed=1),
+                             np.zeros(1600), voice_like(230, 0.4, seed=2)])
+    rows = {
+        "voiced": voiced,
+        "silent": np.zeros(4000),
+        "clipped": np.clip(tone(140, amp=3.0), -0.3, 0.3),
+        "dc": np.full(2400, 0.25),
+        "near_dc": 0.25 + 1e-6 * rng.standard_normal(2400),
+        "noise": 0.5 * rng.standard_normal(6000),
+        "mixed": np.concatenate([tone(90, 0.4), 0.4 * rng.standard_normal(3200),
+                                 np.zeros(800), tone(380, 0.4)]),
+    }
+    # The dc rows have flat NCCF peaks, where the 1e-12 curvature guard decides.
+    refined = 0
+    for name, x in rows.items():
+        for frame_ms in (dsp.FRAME_MS, 60.0):
+            track = estimate_f0(wf(x), frame_ms=frame_ms)
+            values, strength = loop_estimate_f0(wf(x), frame_ms=frame_ms)
+            assert track.values.tobytes() == values.tobytes(), (name, frame_ms)
+            assert track.strength.tobytes() == strength.tobytes(), (name, frame_ms)
+            refined += int(np.count_nonzero(values))
+    assert refined > 0
 
 
 # --------------------------------------------------------------------- lpc

@@ -18,9 +18,13 @@ from emovox.embeddings import (
     xvector_forward,
     zero_xvector_weights,
 )
+from emovox.analysis import embedding_mfcc
 from emovox.embeddings.gmm import VARIANCE_FLOOR, _reseed_empty
-from emovox.embeddings.xvector import sliding_mean_normalize
+from emovox.embeddings.xvector import (SPLICE_OFFSETS, _FRAME_LAYERS, _splice,
+                                       sliding_mean_normalize)
 from emovox.errors import ModelFormatError, TrainingError
+
+from conftest import voice_like, wf
 
 
 def random_ubm(n_comp, dim, rng):
@@ -317,6 +321,59 @@ def test_xvector_frame_permutation_exact(xw, rng):
     reps = frame_representations(xw, rng.standard_normal((80, 24)))
     shuffled = reps[rng.permutation(reps.shape[0])]
     assert np.array_equal(stats_pool(reps), stats_pool(shuffled))
+
+
+def float64_frame_representations(weights, mfcc):
+    """The frame layers in double precision, on the float64 model weights."""
+    h = sliding_mean_normalize(mfcc)
+    for name in _FRAME_LAYERS:
+        w, b = weights.layers[name]
+        if name in SPLICE_OFFSETS:
+            h = _splice(h, SPLICE_OFFSETS[name])
+        h = np.maximum(h @ w + b, 0.0)
+    return h
+
+
+def float64_xvector(weights, mfcc):
+    w, b = weights.layers["segment6"]
+    return stats_pool(float64_frame_representations(weights, mfcc)) @ w + b
+
+
+def test_xvector_float32_matches_float64_oracle(rng):
+    inputs = [rng.standard_normal((n, 24)) for n in (15, 16, 120, 400)]
+    inputs += [embedding_mfcc(wf(voice_like(f0, dur, rough=rough, seed=seed)))
+               for f0, dur, rough, seed in ((110, 1.0, 0.0, 1), (220, 2.5, 0.4, 2),
+                                            (150, 4.0, 0.1, 3))]
+    for seed in (0, 7):
+        weights = random_xvector_weights(n_classes=4, seed=seed)
+        for mfcc in inputs:
+            emb = xvector_forward(weights, mfcc)
+            ref = float64_xvector(weights, mfcc)
+            assert emb.dtype == np.float64
+            assert np.max(np.abs(emb - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def test_xvector_float32_layers_built_once_read_only(xw, rng):
+    assert sorted(xw.frame32) == sorted(_FRAME_LAYERS)
+    before = {name: tuple(id(a) for a in pair) for name, pair in xw.frame32.items()}
+    for name, pair in xw.frame32.items():
+        for a, a64 in zip(pair, xw.layers[name]):
+            assert a.dtype == np.float32 and not a.flags.writeable
+            assert a64.dtype == np.float64 and not a64.flags.writeable
+            assert np.array_equal(a, a64.astype(np.float32))
+    mfcc = rng.standard_normal((60, 24))
+    assert np.array_equal(xvector_forward(xw, mfcc), xvector_forward(xw, mfcc))
+    assert frame_representations(xw, mfcc).dtype == np.float32
+    after = {name: tuple(id(a) for a in pair) for name, pair in xw.frame32.items()}
+    assert after == before
+
+
+def test_stats_pool_float32_equals_float64_cast(rng):
+    reps = np.maximum(rng.standard_normal((90, 40)), 0.0).astype(np.float32)
+    reps[:, 3] = 0.25
+    pooled = stats_pool(reps)
+    assert pooled.dtype == np.float64
+    assert pooled.tobytes() == stats_pool(reps.astype(np.float64)).tobytes()
 
 
 def test_stats_pool_hand_case():

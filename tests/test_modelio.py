@@ -1,6 +1,7 @@
 """Round-trip and corruption checks for the binary container format."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def test_container_roundtrip_bit_exact(tmp_path):
     assert meta == {"k": "v", "n": 3}
     for name, arr in arrays.items():
         assert back[name].tobytes() == np.asarray(arr, dtype=np.float64).tobytes()
+
+
+def test_read_container_copies_each_section_once(tmp_path):
+    # The file's bytes plus one copy of the array; slicing the bytes before
+    # the array copy made it three.
+    values = np.random.default_rng(5).standard_normal(2 ** 18)
+    path = tmp_path / "one.emvx"
+    modelio.write_container(path, "test", {"a": values})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, back, _ = modelio.read_container(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back["a"].tobytes() == values.tobytes()
+    assert peak <= 2.05 * size
 
 
 def test_container_rejects_garbage(tmp_path):
@@ -126,6 +144,9 @@ def test_xvector_roundtrip(tmp_path, rng):
     modelio.save_xvector(path, weights)
     back = modelio.load_xvector(path)
     assert sorted(back.layers) == sorted(weights.layers)
+    for name, (w, b) in weights.layers.items():
+        assert back.layers[name][0].tobytes() == w.tobytes()
+        assert back.layers[name][1].tobytes() == b.tobytes()
     mfcc = rng.standard_normal((40, 24))
     assert np.array_equal(xvector_forward(weights, mfcc),
                           xvector_forward(back, mfcc))
