@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
 
 from .audio import FRAME_MS, STEP_MS, Waveform, frame_count
 
@@ -67,10 +66,10 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
     cs = np.concatenate([np.zeros((n, 1)), np.cumsum(seg ** 2, axis=1)], axis=1)
     energy = cs[:, L:] - cs[:, :K + 1]  # e(k) for k = 0..K
 
-    nfft = sfft.next_fast_len(L + K)
-    spec = sfft.rfft(seg, nfft, axis=1)
-    base = sfft.rfft(seg[:, :L], nfft, axis=1)
-    corr = sfft.irfft(np.conj(base) * spec, nfft, axis=1)[:, :K + 1]
+    nfft = _next_fast_len(L + K)
+    spec = np.fft.rfft(seg, nfft, axis=1)
+    base = np.fft.rfft(seg[:, :L], nfft, axis=1)
+    corr = np.fft.irfft(np.conj(base) * spec, nfft, axis=1)[:, :K + 1]
     # Flooring (not adding) the normalizer keeps phi scale-free down to
     # arbitrarily quiet input; zero segments give corr = 0 and phi = 0.
     phi = corr / np.sqrt(np.maximum(energy[:, :1] * energy, 1e-300))
@@ -99,6 +98,19 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
         values = _median3(values)
     strength[e0 < floor] = 0.0
     return F0Track(values, strength, frame_ms, step_ms)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 11 (``scipy.fft.next_fast_len``)."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _median3(x: np.ndarray) -> np.ndarray:
@@ -269,8 +281,18 @@ def mfcc_frames(frames: np.ndarray, rate: int, n_mels: int = 24,
     Returns coefficients first..first+n_ceps-1 (c0 included by default).
     """
     logmel = log_mel_energies(frames, rate, n_mels)
-    ceps = sfft.dct(logmel, type=2, norm="ortho", axis=1)
-    return ceps[:, first:first + n_ceps]
+    return logmel @ _dct_matrix(n_mels)[first:first + n_ceps].T
+
+
+@functools.lru_cache(maxsize=8)
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II as an (n, n) matrix: row k holds basis k, so
+    ``x @ D.T`` is ``scipy.fft.dct(x, type=2, norm="ortho")``.  Read-only."""
+    k = np.arange(n)[:, None]
+    d = np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n)) * math.sqrt(2.0 / n)
+    d[0] /= math.sqrt(2.0)
+    d.setflags(write=False)
+    return d
 
 
 def hz_to_bark(f):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import TrainingError
 
@@ -74,7 +73,9 @@ def _log_densities(means, variances, x):
 def _posteriors(weights, means, variances, x):
     """Responsibilities (n, c) and the total log-likelihood of the frames."""
     joint = np.log(np.maximum(weights, 1e-300)) + _log_densities(means, variances, x)
-    total = logsumexp(joint, axis=1)
+    peak = joint.max(axis=1)
+    peak[~np.isfinite(peak)] = 0.0   # an all -inf row sums to log(0), not nan
+    total = np.log(np.exp(joint - peak[:, None]).sum(axis=1)) + peak
     return np.exp(joint - total[:, None]), float(np.sum(total))
 
 

@@ -48,8 +48,10 @@ class XVectorWeights:
 
     Weight matrices are stored input-major: layer output = h @ W + b.  The
     ``softmax`` layer may have any output width (the class count).
-    ``frame32`` holds read-only float32 copies of the five frame layers, which
-    the forward pass runs on.
+    Read-only arrays that own their data, as ``modelio.load_xvector`` gives,
+    are kept as they are; any other input is copied, so later writes to it
+    leave the weights unchanged.  ``frame32`` holds read-only float32 copies
+    of the five frame layers, which the forward pass runs on.
     """
 
     layers: Dict[str, Tuple[np.ndarray, np.ndarray]]
@@ -79,14 +81,20 @@ class XVectorWeights:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ModelFormatError("layer %r has non-finite parameters" % name)
-            checked[name] = (_read_only(w.copy()), _read_only(b.copy()))
+            checked[name] = (_frozen(w), _frozen(b))
         extra = set(self.layers) - set(checked)
         if extra:
             raise ModelFormatError("unknown x-vector layers: %s" % sorted(extra))
+        frame32 = {}
+        for name in _FRAME_LAYERS:
+            with np.errstate(over="ignore"):
+                pair = tuple(_read_only(a.astype(np.float32)) for a in checked[name])
+            if not all(np.all(np.isfinite(a)) for a in pair):
+                raise ModelFormatError("layer %r has parameters beyond the float32 range"
+                                       % name)
+            frame32[name] = pair
         object.__setattr__(self, "layers", checked)
-        object.__setattr__(self, "frame32", {
-            name: tuple(_read_only(a.astype(np.float32)) for a in checked[name])
-            for name in _FRAME_LAYERS})
+        object.__setattr__(self, "frame32", frame32)
 
     @property
     def n_classes(self) -> int:
@@ -95,6 +103,14 @@ class XVectorWeights:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only and owns its data (as loaded model
+    arrays are), else a read-only copy that no caller can write to."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = _read_only(a.copy())
     return a
 
 

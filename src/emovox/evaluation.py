@@ -12,12 +12,12 @@ selected cell builds a model, through ``svm.train_multiclass``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc, gammaincc
 
 from .errors import EvaluationError
 from .svm import SMO_TOL, decision_scores, grid_predictions, predict, train_multiclass
@@ -276,7 +276,13 @@ def roc_curve(scores, labels) -> Tuple[tuple, float]:
 
 
 def _student_t_sf(t: float, df: float) -> float:
-    """Upper-tail probability of Student's t (via the incomplete beta)."""
+    """Upper-tail probability of Student's t (via the incomplete beta).
+
+    SciPy is imported here, not at module level: only ``emovox stats`` needs
+    it, and every other command starts without it.
+    """
+    from scipy.special import betainc
+
     x = df / (df + t * t)
     tail = 0.5 * float(betainc(0.5 * df, 0.5, x))
     return tail if t >= 0 else 1.0 - tail
@@ -301,7 +307,11 @@ def welch_t_test(a, b) -> Tuple[float, float]:
 
 
 def chi_square_independence(table) -> Tuple[float, float]:
-    """Pearson chi-square on a 2x2 table, df=1, p from the upper incomplete gamma."""
+    """Pearson chi-square on a 2x2 table, df=1.
+
+    p is the regularized upper incomplete gamma Q(1/2, chi2/2), which for
+    one degree of freedom is erfc(sqrt(chi2/2)).
+    """
     o = np.asarray(table, dtype=np.float64)
     if o.shape != (2, 2) or np.any(o < 0):
         raise EvaluationError("expected a non-negative 2x2 table")
@@ -311,7 +321,7 @@ def chi_square_independence(table) -> Tuple[float, float]:
         raise EvaluationError("zero marginal in contingency table")
     expected = np.outer(rows, cols) / o.sum()
     chi2 = float(((o - expected) ** 2 / expected).sum())
-    p = float(gammaincc(0.5, 0.5 * chi2))
+    p = math.erfc(math.sqrt(0.5 * chi2))
     return chi2, p
 
 

@@ -50,18 +50,34 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 
 class _Reader:
-    """Sequential reads from a memoryview; sections are not copied out."""
+    """Sequential reads from an open container file.
 
-    def __init__(self, blob: bytes, path):
-        self.blob = memoryview(blob)
-        self.pos = 0
+    Each array section is read straight into its own float64 array, so the
+    file's bytes are held once and every array is aligned.  Every byte read
+    is also fed to ``digest`` (a ``hashlib`` object) when one is given.
+    """
+
+    def __init__(self, fh, path, digest):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
         self.path = path
+        self.digest = digest
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def _consume(self, n: int, got: int) -> None:
+        if got != n:   # the file shrank while it was read
             raise ModelFormatError(f"{self.path}: truncated container")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
+        self.left -= n
+
+    def _check(self, n: int) -> None:
+        if n > self.left:
+            raise ModelFormatError(f"{self.path}: truncated container")
+
+    def take(self, n: int) -> bytes:
+        self._check(n)
+        out = self.fh.read(n)
+        self._consume(n, len(out))
+        if self.digest is not None:
+            self.digest.update(out)
         return out
 
     def u32(self) -> int:
@@ -72,20 +88,27 @@ class _Reader:
 
     def string(self) -> str:
         try:
-            return bytes(self.take(self.u32())).decode("utf-8")
+            return self.take(self.u32()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{self.path}: undecodable string ({exc})")
 
     def array(self) -> np.ndarray:
+        """The next section as a read-only float64 array that owns its data."""
         ndim = self.u32()
         if ndim > 8:
             raise ModelFormatError(f"{self.path}: implausible array rank {ndim}")
         shape = tuple(self.u64() for _ in range(ndim))
-        data = self.take(math.prod(shape) * 8)
+        n = math.prod(shape) * 8
+        self._check(n)
         try:
-            return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-        except ValueError as exc:
+            out = np.empty(shape, dtype="<f8")
+        except (ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{self.path}: array shape {shape} ({exc})")
+        self._consume(n, self.fh.readinto(out))
+        if self.digest is not None:
+            self.digest.update(out)
+        out.setflags(write=False)
+        return out
 
 
 def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> None:
@@ -110,17 +133,25 @@ def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> 
         raise
 
 
-def read_container(path, expected_kind: str | None = None):
-    """Return (kind, arrays dict, meta dict); validates magic/version/kind."""
+def read_container(path, expected_kind: str | None = None, digest=None):
+    """Return (kind, arrays dict, meta dict); validates magic/version/kind.
+
+    The file is opened and read once.  Arrays are read-only and hold the
+    file's section bytes without a second copy.  ``digest``, a ``hashlib``
+    object, is fed every byte read, so it names exactly the bytes that were
+    parsed even if the file is replaced right after.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _parse(_Reader(fh, path, digest), path, expected_kind)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ModelFormatError(f"{path}: {exc}")
-    r = _Reader(blob, path)
-    if bytes(r.take(4)) != MAGIC:
+
+
+def _parse(r: _Reader, path, expected_kind):
+    if r.take(4) != MAGIC:
         raise ModelFormatError(f"{path}: not an EMVX container")
     version = r.u32()
     if version != FORMAT_VERSION:
@@ -139,7 +170,7 @@ def read_container(path, expected_kind: str | None = None):
     for _ in range(r.u32()):
         name = r.string()
         arrays[name] = r.array()
-    if r.pos != len(blob):
+    if r.left:
         raise ModelFormatError(f"{path}: trailing bytes after last section")
     return kind, arrays, meta
 
@@ -159,8 +190,9 @@ def save_tv(path, tv: TotalVariabilityModel) -> None:
     }, meta={"rank": tv.rank})
 
 
-def load_tv(path) -> TotalVariabilityModel:
-    _, arrays, meta = read_container(path, "tv")
+def load_tv(path, digest=None) -> TotalVariabilityModel:
+    """The model in a "tv" file; ``digest`` is fed its bytes (``read_container``)."""
+    _, arrays, meta = read_container(path, "tv", digest)
     try:
         ubm = GmmUbm(arrays["ubm.weights"], arrays["ubm.means"],
                      arrays["ubm.variances"])
@@ -181,8 +213,10 @@ def save_xvector(path, weights: XVectorWeights) -> None:
     write_container(path, "xvector", arrays)
 
 
-def load_xvector(path) -> XVectorWeights:
-    _, arrays, _ = read_container(path, "xvector")
+def load_xvector(path, digest=None) -> XVectorWeights:
+    """The weights in an "xvector" file; ``digest`` is fed its bytes
+    (``read_container``).  The weights keep the read-only arrays read."""
+    _, arrays, _ = read_container(path, "xvector", digest)
     layers = {}
     for key, arr in arrays.items():
         if key.endswith(".w"):

@@ -26,7 +26,7 @@ from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
 from .manifest import Manifest
 from . import modelio
 
-EXTRACTOR_VERSION = "5"
+EXTRACTOR_VERSION = "6"
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,15 @@ class EmbeddingModels:
         return scheme
 
 
-def _file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+def _load_tagged(load, path):
+    """A model and the short digest of the very bytes it was parsed from.
+
+    The file is read once, so replacing it during the run cannot give the
+    cache tag of one set of weights to vectors computed with another.
+    """
+    digest = hashlib.sha256()
+    model = load(path, digest)
+    return model, digest.hexdigest()[:16]
 
 
 def load_embedding_models(config: ExperimentConfig) -> EmbeddingModels:
@@ -55,15 +61,13 @@ def load_embedding_models(config: ExperimentConfig) -> EmbeddingModels:
     if "ivector" in schemes:
         if not config.tv_model:
             raise ConfigError("scheme 'ivector' requires tv_model in the config")
-        tv = modelio.load_tv(config.tv_model)
+        tv, tags["ivector"] = _load_tagged(modelio.load_tv, config.tv_model)
         ubm = tv.ubm
-        tags["ivector"] = _file_digest(config.tv_model)
     if "xvector" in schemes:
         if not config.xvector_model:
             raise ConfigError(
                 "scheme 'xvector' requires xvector_model in the config")
-        xvec = modelio.load_xvector(config.xvector_model)
-        tags["xvector"] = _file_digest(config.xvector_model)
+        xvec, tags["xvector"] = _load_tagged(modelio.load_xvector, config.xvector_model)
     return EmbeddingModels(ubm=ubm, tv=tv, xvector=xvec, tags=tags)
 
 

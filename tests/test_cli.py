@@ -34,21 +34,34 @@ def workspace(tmp_path_factory):
     return root, manifest, config, rows
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # evaluate/train/predict on a warm cache never filter audio, so the
-    # command line must not pay for importing scipy.signal at start-up
-    src = os.path.dirname(os.path.dirname(os.path.abspath(emovox.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, emovox.cli; print('scipy.signal' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(emovox.__file__)))
 
 
-def test_8k_extract_leaves_scipy_signal_unloaded(workspace, tmp_path):
-    # neither the NumPy resampler nor anything else in the six-scheme
-    # extract may pull scipy.signal in, whatever the mix of input rates
+def fresh_cli(argv):
+    """Run ``emovox argv`` in a fresh interpreter (``[]``: import the CLI only).
+
+    Returns the exit code (0 for a bare import) and the sorted names of the
+    ``scipy`` modules the interpreter had loaded when it finished.
+    """
+    code = ("import sys; from emovox.cli import main; "
+            "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code] + [str(a) for a in argv],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
+    rc, *loaded = out.stdout.splitlines()[-1].split()
+    return int(rc), loaded
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every command but stats runs on NumPy alone, so none pays for
+    # importing SciPy at start-up
+    assert fresh_cli([]) == (0, [])
+
+
+def test_extract_leaves_scipy_unloaded(workspace, tmp_path):
+    # nothing in the six-scheme extract (resampler, F0, MFCC, GMM
+    # posteriors) may pull SciPy in, whatever the mix of input rates
     from emovox.embeddings import GmmUbm, TotalVariabilityModel, random_xvector_weights
     from emovox.modelio import save_tv, save_xvector
 
@@ -70,16 +83,38 @@ def test_8k_extract_leaves_scipy_signal_unloaded(workspace, tmp_path):
         "scheme = articulation+prosody+phonation+i2010pc+ivector+xvector\n"
         "tv_model = %s\nxvector_model = %s\ncache_dir = %s\n"
         % (tmp_path / "tv.emvx", tmp_path / "xv.emvx", tmp_path / "cache"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(emovox.__file__)))
-    argv = ["extract", "--manifest", str(manifest), "--config", str(config),
-            "--out-csv", str(tmp_path / "six.csv")]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from emovox.cli import main; rc = main(sys.argv[1:]); "
-         "print(rc, 'scipy.signal' in sys.modules)"] + argv,
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "False"]
+    argv = ["extract", "--manifest", manifest, "--config", config,
+            "--out-csv", tmp_path / "six.csv"]
+    assert fresh_cli(argv) == (0, [])
     assert len((tmp_path / "six.csv").read_text().strip().split("\n")) == len(rows) + 1
+
+
+def test_warm_cache_commands_leave_scipy_unloaded(workspace, tmp_path):
+    root, manifest, config, _ = workspace
+    assert main(["extract", "--manifest", str(manifest), "--config", str(config),
+                 "--out-csv", str(tmp_path / "warm.csv")]) == 0
+    common = ["--manifest", manifest, "--config", config]
+    model = tmp_path / "m.svm"
+    for argv in (["evaluate"] + common + ["--report", tmp_path / "report.txt",
+                                          "--metrics-csv", tmp_path / "metrics.csv",
+                                          "--roc-csv", tmp_path / "roc.csv"],
+                 ["train"] + common + ["--model", model],
+                 ["predict"] + common + ["--model", model,
+                                         "--out-csv", tmp_path / "pred.csv"]):
+        assert fresh_cli(argv) == (0, []), argv[0]
+
+
+def test_stats_loads_only_scipy_special(tmp_path, rng):
+    # the Welch test's incomplete beta is the one SciPy function left
+    manifest = tmp_path / "stats.csv"
+    make_stats_manifest(manifest, rng)
+    rc, loaded = fresh_cli(["stats", "--manifest", manifest,
+                            "--out", tmp_path / "stats.txt"])
+    assert rc == 0
+    assert "scipy.special" in loaded
+    public = {m.split(".")[1] for m in loaded
+              if "." in m and not m.split(".")[1].startswith("_")}
+    assert public <= {"special", "version"}
 
 
 def test_extract_success(workspace):

@@ -112,6 +112,11 @@ def loop_estimate_f0(w, fmin=dsp.F0_MIN_HZ, fmax=dsp.F0_MAX_HZ,
     return values, strength
 
 
+def test_next_fast_len_matches_scipy():
+    assert [dsp._next_fast_len(n) for n in range(1, 10_001)] == \
+        [sfft.next_fast_len(n) for n in range(1, 10_001)]
+
+
 def test_f0_matches_per_frame_loop_oracle(rng):
     voiced = np.concatenate([voice_like(110, 0.6, rough=0.3, seed=1),
                              np.zeros(1600), voice_like(230, 0.4, seed=2)])
@@ -380,9 +385,25 @@ def test_mfcc_zero_frame_finite():
 
 
 def test_dct_matrix_orthonormal():
-    from scipy.fft import dct
-    m = dct(np.eye(24), type=2, norm="ortho", axis=0)
+    m = dsp._dct_matrix(24)
     np.testing.assert_allclose(m @ m.T, np.eye(24), atol=1e-9)
+    np.testing.assert_allclose(m, sfft.dct(np.eye(24), type=2, norm="ortho", axis=0),
+                               atol=1e-15)
+    assert dsp._dct_matrix(24) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
+def test_mfcc_matches_scipy_dct_oracle(rng):
+    # the matrix product sums in another order than scipy's DCT: a few ulps
+    frames = np.concatenate([0.3 * rng.standard_normal((40, 200)), np.zeros((2, 200)),
+                             1e-3 * rng.standard_normal((2, 200))])
+    for n_mels, n_ceps, first in ((24, 13, 0), (24, 24, 0), (40, 20, 1), (23, 13, 2)):
+        logmel = dsp.log_mel_energies(frames, 8000, n_mels)
+        ref = sfft.dct(logmel, type=2, norm="ortho", axis=1)[:, first:first + n_ceps]
+        got = mfcc_frames(frames, 8000, n_mels, n_ceps, first)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_mel_filters_unit_sum():

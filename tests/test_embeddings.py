@@ -134,6 +134,24 @@ def test_gmm_parameter_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_posteriors_match_scipy_logsumexp_oracle(rng):
+    # the max-shifted sum in NumPy against scipy's logsumexp, also with
+    # empty components whose weight is floored at 1e-300
+    from scipy.special import logsumexp
+
+    from emovox.embeddings.gmm import _log_densities, _posteriors
+
+    x = 3.0 * rng.standard_normal((2000, 3))
+    means = rng.standard_normal((4, 3))
+    variances = rng.uniform(0.2, 2.0, (4, 3))
+    for weights in (np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.0, 0.7, 0.3, 0.0])):
+        joint = np.log(np.maximum(weights, 1e-300)) + _log_densities(means, variances, x)
+        total = logsumexp(joint, axis=1)
+        post, loglik = _posteriors(weights, means, variances, x)
+        np.testing.assert_allclose(post, np.exp(joint - total[:, None]), rtol=1e-12, atol=0)
+        assert loglik == pytest.approx(float(np.sum(total)), rel=1e-13)
+
+
 def test_bw_occupancy_sums_to_frame_count(rng):
     ubm = random_ubm(4, 3, rng)
     x = rng.standard_normal((200, 3))

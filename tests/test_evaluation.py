@@ -497,6 +497,42 @@ def test_chi2_extreme_association():
     assert p < 1e-10
 
 
+def chi2_tables(rng):
+    """2x2 tables whose chi-square spans about 0 to 1e3."""
+    tables = [[[50, 50], [50, 50]], [[50, 51], [50, 50]]]
+    for n in (20, 200, 2000):
+        for _ in range(300):
+            tables.append(rng.integers(1, n, (2, 2)).tolist())
+    return tables
+
+
+def test_chi2_p_matches_incomplete_gamma_oracle(rng):
+    # scipy's Q(1/2, x) is itself off by up to ~1.1e-13 relative at large
+    # chi2 (against mpmath, below), so the bound is its accuracy, not erfc's
+    from scipy.special import gammaincc
+
+    chi2s = []
+    for table in chi2_tables(rng):
+        chi2, p = chi_square_independence(table)
+        if chi2 > 1e3:
+            continue
+        chi2s.append(chi2)
+        want = float(gammaincc(0.5, 0.5 * chi2))
+        assert p == pytest.approx(want, rel=2e-13, abs=0), table
+    assert min(chi2s) == 0.0 and max(chi2s) > 500
+
+
+def test_chi2_p_matches_high_precision_erfc(rng):
+    # Rounding sqrt(x), x = chi2 / 2, moves erfc by a relative x * 2.2e-16;
+    # erfc itself adds about two ulps.
+    mpmath = pytest.importorskip("mpmath")
+    for table in chi2_tables(rng)[::10]:
+        chi2, p = chi_square_independence(table)
+        with mpmath.workdps(40):
+            want = float(mpmath.erfc(mpmath.sqrt(mpmath.mpf(chi2) / 2)))
+        assert p == pytest.approx(want, rel=2.2e-16 * (2.0 + 0.5 * chi2), abs=0), table
+
+
 def test_chi2_zero_marginal_error():
     with pytest.raises(EvaluationError):
         chi_square_independence([[0, 0], [5, 5]])

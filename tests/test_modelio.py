@@ -1,14 +1,18 @@
 """Round-trip and corruption checks for the binary container format."""
 
+import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from emovox import modelio
 from emovox.embeddings import (
     GmmUbm,
+    XVectorWeights,
     baum_welch_stats,
     extract_ivector,
     random_xvector_weights,
@@ -47,8 +51,9 @@ def test_container_roundtrip_bit_exact(tmp_path):
 
 
 def test_read_container_copies_each_section_once(tmp_path):
-    # The file's bytes plus one copy of the array; slicing the bytes before
-    # the array copy made it three.
+    # Each section is read straight into its array: the file's bytes are held
+    # once.  Reading the whole file and copying the arrays out of it made it
+    # two copies, and slicing the bytes before the array copy made it three.
     values = np.random.default_rng(5).standard_normal(2 ** 18)
     path = tmp_path / "one.emvx"
     modelio.write_container(path, "test", {"a": values})
@@ -60,7 +65,40 @@ def test_read_container_copies_each_section_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert back["a"].tobytes() == values.tobytes()
-    assert peak <= 2.05 * size
+    assert not back["a"].flags.writeable
+    assert peak <= 1.05 * size
+
+
+def test_load_xvector_holds_the_file_once(tmp_path):
+    # the read-only arrays read are kept; the float32 frame-layer copies the
+    # forward pass runs on add about 0.3x the file
+    path = tmp_path / "xv.emvx"
+    modelio.save_xvector(path, random_xvector_weights(seed=2))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        weights = modelio.load_xvector(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * size
+    for pair in weights.layers.values():
+        assert all(not a.flags.writeable and a.flags.aligned for a in pair)
+
+
+def test_xvector_weights_copy_writable_input(rng):
+    layers = {name: (w.copy(), b.copy())
+              for name, (w, b) in random_xvector_weights(seed=3).layers.items()}
+    weights = XVectorWeights(layers)
+    before = {name: (w.copy(), b.copy()) for name, (w, b) in weights.layers.items()}
+    mfcc = rng.standard_normal((40, 24))
+    embedding = xvector_forward(weights, mfcc)
+    for w, b in layers.values():
+        w[:] = 1.0
+        b[:] = -1.0
+    for name, (w, b) in weights.layers.items():
+        assert np.array_equal(w, before[name][0]) and np.array_equal(b, before[name][1])
+    assert np.array_equal(xvector_forward(weights, mfcc), embedding)
 
 
 def test_container_rejects_garbage(tmp_path):
@@ -81,6 +119,18 @@ def test_container_truncation_detected(tmp_path):
         modelio.read_container(path)
     path.write_bytes(blob + b"XX")
     with pytest.raises(ModelFormatError, match="trailing"):
+        modelio.read_container(path)
+
+
+def test_container_shape_beyond_address_space(tmp_path):
+    # zero elements, so no size check trips, but no array can have that shape
+    path = tmp_path / "s.emvx"
+    modelio.write_container(path, "test", {"a": np.zeros((0, 5))})
+    blob = path.read_bytes()
+    shape = struct.pack("<QQ", 0, 5)
+    assert blob.count(shape) == 1
+    path.write_bytes(blob.replace(shape, struct.pack("<QQ", 0, 2 ** 64 - 1)))
+    with pytest.raises(ModelFormatError, match="shape"):
         modelio.read_container(path)
 
 
@@ -195,3 +245,139 @@ def test_tv_rank_of_wrong_type_is_format_error(tmp_path, small_ubm, rank):
         meta={"rank": rank})
     with pytest.raises(ModelFormatError):
         modelio.load_tv(path)
+
+
+# ---------------------------------------------------------------------------
+# fault injection: truncated, bit-flipped and extended containers
+# ---------------------------------------------------------------------------
+
+FAULTS = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def data_spans(blob):
+    """(start, end) of each array's data bytes in a valid container."""
+    def u32(pos):
+        return struct.unpack_from("<I", blob, pos)[0]
+
+    pos = 8
+    pos += 4 + u32(pos)   # kind
+    pos += 4 + u32(pos)   # meta
+    count, pos = u32(pos), pos + 4
+    spans = []
+    for _ in range(count):
+        pos += 4 + u32(pos)   # name
+        ndim, pos = u32(pos), pos + 4
+        n = 8 * math.prod(struct.unpack_from("<%dQ" % ndim, blob, pos))
+        pos += 8 * ndim
+        spans.append((pos, pos + n))
+        pos += n
+    assert pos == len(blob)
+    return spans
+
+
+def structure_offsets(blob):
+    """Offsets of every byte outside array data: headers, names, ranks, shapes."""
+    inside = np.zeros(len(blob), dtype=bool)
+    for start, end in data_spans(blob):
+        inside[start:end] = True
+    return np.flatnonzero(~inside).tolist()
+
+
+def flipped(blob, pos, mask):
+    out = bytearray(blob)
+    out[pos] ^= mask
+    return bytes(out)
+
+
+def corruptions(blob):
+    """Corrupted copies of ``blob``, each with whether it must fail to parse.
+
+    Positions come from the structure bytes half the time, since in a model
+    file nearly every byte is array data.  A flipped data byte may still
+    parse; a truncated or extended file never does.
+    """
+    where = st.one_of(st.sampled_from(structure_offsets(blob)),
+                      st.integers(0, len(blob) - 1))
+    return st.one_of(
+        where.map(lambda n: (blob[:n], True)),
+        st.binary(min_size=1, max_size=64).map(lambda tail: (blob + tail, True)),
+        st.tuples(where, st.integers(1, 255)).map(lambda c: (flipped(blob, *c), False)))
+
+
+@pytest.fixture(scope="module")
+def fault_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("faults")
+
+
+@pytest.fixture(scope="module")
+def xvector_blob(fault_dir):
+    path = fault_dir / "valid.xv"
+    modelio.save_xvector(path, random_xvector_weights(n_classes=3, seed=6))
+    return path.read_bytes()
+
+
+def test_xvector_weights_beyond_float32_are_a_format_error():
+    # finite in float64, but the frame layers run in float32 where it is inf
+    layers = dict(random_xvector_weights(seed=1).layers)
+    w, b = layers["frame3"]
+    w = w.copy()
+    w[7, 9] = 1e39
+    layers["frame3"] = (w, b)
+    with pytest.raises(ModelFormatError, match="float32"):
+        XVectorWeights(layers)
+
+
+def test_corrupt_xvector_parses_or_is_a_format_error(fault_dir, xvector_blob):
+    # each case writes and reads a 36 MB model, hence fewer of them
+    path = fault_dir / "corrupt.xv"
+
+    @settings(FAULTS, max_examples=25)
+    @given(corruptions(xvector_blob))
+    def check(case):
+        blob, must_fail = case
+        path.write_bytes(blob)
+        try:
+            weights = modelio.load_xvector(path)
+        except ModelFormatError:
+            return
+        assert not must_fail
+        for pair in weights.frame32.values():
+            assert all(np.all(np.isfinite(a)) for a in pair)
+
+    check()
+
+
+def test_corrupt_cache_entry_is_a_miss(fault_dir):
+    from emovox.cache import FeatureCache
+    from emovox.features import FeatureVector
+
+    cache = FeatureCache(fault_dir / "cache")
+    key = "ab" + "0" * 62
+    cache.put(key, FeatureVector("phonation", np.linspace(-1.0, 1.0, 28),
+                                 source_id="a.wav", warning="no voiced frames"))
+    entry = cache._path(key)
+    with open(entry, "rb") as fh:
+        valid = fh.read()
+
+    @FAULTS
+    @given(corruptions(valid))
+    def check(case):
+        blob, must_fail = case
+        with open(entry, "wb") as fh:
+            fh.write(blob)
+        try:
+            modelio.read_container(entry, "feature")
+            parsed = True
+        except ModelFormatError:
+            parsed = False
+        assert not (must_fail and parsed)
+        hits, misses = cache.hits, cache.misses
+        vector = cache.get(key)
+        if vector is None:
+            assert (cache.hits, cache.misses) == (hits, misses + 1)
+        else:
+            assert parsed and (cache.hits, cache.misses) == (hits + 1, misses)
+            assert vector.dim == 28 and np.all(np.isfinite(vector.values))
+
+    check()

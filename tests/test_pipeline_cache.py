@@ -211,6 +211,64 @@ def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
     assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
 
 
+def test_model_tag_names_the_bytes_that_were_parsed(tmp_path, monkeypatch):
+    # each model file is opened once, and replacing it right after it was
+    # read leaves the tag naming the weights that were loaded
+    import builtins
+    import hashlib
+
+    from emovox import modelio
+    from emovox.embeddings import GmmUbm, TotalVariabilityModel, random_xvector_weights
+
+    rng = np.random.default_rng(8)
+    ubm = GmmUbm(np.full(2, 0.5), rng.standard_normal((2, 24)), np.ones((2, 24)))
+    tv_path, xv_path = str(tmp_path / "tv.emvx"), str(tmp_path / "xv.emvx")
+    loaded, replacement = {}, {}
+    for path, save, first, second in (
+            (tv_path, modelio.save_tv,
+             TotalVariabilityModel(0.1 * rng.standard_normal((48, 2)), ubm, 2),
+             TotalVariabilityModel(0.2 * rng.standard_normal((48, 2)), ubm, 2)),
+            (xv_path, modelio.save_xvector,
+             random_xvector_weights(seed=0), random_xvector_weights(seed=1))):
+        save(path, second)
+        with open(path, "rb") as fh:
+            replacement[path] = fh.read()
+        save(path, first)
+        loaded[path] = first
+    with open(tv_path, "rb") as fh:
+        tv_bytes = fh.read()
+    with open(xv_path, "rb") as fh:
+        xv_bytes = fh.read()
+
+    real_open, real_read = builtins.open, modelio.read_container
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def read_then_replace(path, *args, **kwargs):
+        out = real_read(path, *args, **kwargs)
+        with real_open(path, "wb") as fh:
+            fh.write(replacement[path])
+        return out
+
+    monkeypatch.setattr(modelio, "read_container", read_then_replace)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    config = parse_config("scheme = ivector+xvector\ntv_model = %s\nxvector_model = %s\n"
+                          % (tv_path, xv_path))
+    models = load_embedding_models(config)
+    monkeypatch.undo()
+    assert opened.count(tv_path) == 1 and opened.count(xv_path) == 1
+    assert models.tags == {"ivector": hashlib.sha256(tv_bytes).hexdigest()[:16],
+                           "xvector": hashlib.sha256(xv_bytes).hexdigest()[:16]}
+    assert np.array_equal(models.tv.t_matrix, loaded[tv_path].t_matrix)
+    assert np.array_equal(models.xvector.layers["segment6"][0],
+                          loaded[xv_path].layers["segment6"][0])
+    with open(xv_path, "rb") as fh:
+        assert fh.read() == replacement[xv_path]
+
+
 def test_extract_collects_failures(tmp_path, corpus):
     directory, rows = corpus
     bad = rows + [ManifestRow(str(directory / "missing.wav"), "smooth", "s9", "m")]
