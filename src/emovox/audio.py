@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .arrays import frozen
 from .errors import MalformedWavError, UnsupportedWavError, UpsamplingError
 
 if TYPE_CHECKING:
@@ -53,14 +54,13 @@ class Waveform:
     source_id: str = ""
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        samples = frozen(self.samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("waveform must be a non-empty 1-D sample sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -149,6 +149,7 @@ def parse_wav(raw: bytes, path="") -> Waveform:
         x = x[:usable].reshape(-1, n_channels).mean(axis=1)
     if x.size == 0:
         raise MalformedWavError(f"{path}: empty data chunk")
+    x.flags.writeable = False  # nothing else holds x, so Waveform keeps it uncopied
     return Waveform(x, int(sample_rate), source_id=str(path))
 
 
@@ -270,8 +271,9 @@ def resample_to_8k(w: Waveform) -> Waveform:
     # the tap check first, with the file named in its error
     _design_decimation_filter(w.sample_rate * up, f"{w.source_id or 'waveform'}: "
                                                   f"rate {w.sample_rate}")
-    y = _decimate(w.samples, up, down)
-    return Waveform(np.clip(y, -1.0, 1.0), TARGET_RATE, source_id=w.source_id)
+    y = np.clip(_decimate(w.samples, up, down), -1.0, 1.0)
+    y.flags.writeable = False  # nothing else holds y, so Waveform keeps it uncopied
+    return Waveform(y, TARGET_RATE, source_id=w.source_id)
 
 
 def make_window(kind: str, length: int) -> np.ndarray:

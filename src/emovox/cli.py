@@ -37,8 +37,7 @@ from .pipeline import (
     load_audio,
     load_embedding_models,
 )
-from .svm import predict as svm_predict
-from .svm import decision_scores, train_multiclass
+from .svm import predict_with_margins, train_multiclass
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -142,8 +141,7 @@ def cmd_predict(args) -> int:
         log.error("model expects %s-dim features, extracted %d dims",
                   meta.get("feature_dim"), feats.shape[1])
         return EXIT_FATAL
-    labels = svm_predict(model, feats)
-    _, margins = decision_scores(model, feats)
+    labels, margins = predict_with_margins(model, feats)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source_id", "label"]

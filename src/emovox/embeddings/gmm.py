@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..arrays import frozen
 from ..errors import TrainingError
 
 VARIANCE_FLOOR = 1e-4
@@ -38,9 +39,9 @@ class GmmUbm:
     log_likelihoods: tuple = ()
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        m = np.atleast_2d(np.array(self.means, dtype=np.float64))
-        v = np.atleast_2d(np.array(self.variances, dtype=np.float64))
+        w = frozen(self.weights)
+        m = np.atleast_2d(frozen(self.means))
+        v = np.atleast_2d(frozen(self.variances))
         if m.shape != v.shape or w.shape != (m.shape[0],):
             raise ValueError("inconsistent mixture parameter shapes")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
@@ -50,7 +51,6 @@ class GmmUbm:
         if np.any(v < VARIANCE_FLOOR * (1.0 - 1e-9)):
             raise ValueError("variances below the %g floor" % VARIANCE_FLOOR)
         for name, arr in (("weights", w), ("means", m), ("variances", v)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arrays import frozen
 from ..errors import TrainingError
 from .gmm import GmmUbm
 
@@ -37,13 +38,12 @@ class TotalVariabilityModel:
     objectives: tuple = ()
 
     def __post_init__(self):
-        t = np.array(self.t_matrix, dtype=np.float64)
+        t = frozen(self.t_matrix)
         expected = (self.ubm.n_components * self.ubm.dim, self.rank)
         if t.shape != expected:
             raise ValueError("subspace shape %s, expected %s" % (t.shape, expected))
         if t.size and not np.all(np.isfinite(t)):
             raise ValueError("subspace matrix must be finite")
-        t.setflags(write=False)
         object.__setattr__(self, "t_matrix", t)
 
 

@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ..arrays import frozen
 from ..errors import ModelFormatError
 
 N_INPUT_CEPS = 24
@@ -63,8 +64,8 @@ class XVectorWeights:
         for name in list(LAYER_SHAPES) + ["softmax"]:
             if name not in self.layers:
                 raise ModelFormatError("missing x-vector layer %r" % name)
-            w = np.asarray(self.layers[name][0], dtype=np.float64)
-            b = np.asarray(self.layers[name][1], dtype=np.float64)
+            w = frozen(self.layers[name][0])
+            b = frozen(self.layers[name][1])
             if name == "softmax":
                 expected = (512, b.shape[0] if b.ndim == 1 else -1)
                 ok = w.ndim == 2 and w.shape[0] == 512 and w.shape[1] >= 1
@@ -81,14 +82,14 @@ class XVectorWeights:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ModelFormatError("layer %r has non-finite parameters" % name)
-            checked[name] = (_frozen(w), _frozen(b))
+            checked[name] = (w, b)
         extra = set(self.layers) - set(checked)
         if extra:
             raise ModelFormatError("unknown x-vector layers: %s" % sorted(extra))
         frame32 = {}
         for name in _FRAME_LAYERS:
             with np.errstate(over="ignore"):
-                pair = tuple(_read_only(a.astype(np.float32)) for a in checked[name])
+                pair = tuple(frozen(a, np.float32) for a in checked[name])
             if not all(np.all(np.isfinite(a)) for a in pair):
                 raise ModelFormatError("layer %r has parameters beyond the float32 range"
                                        % name)
@@ -99,19 +100,6 @@ class XVectorWeights:
     @property
     def n_classes(self) -> int:
         return self.layers["softmax"][0].shape[1]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is read-only and owns its data (as loaded model
-    arrays are), else a read-only copy that no caller can write to."""
-    if a.flags.writeable or not a.flags.owndata:
-        a = _read_only(a.copy())
-    return a
 
 
 def random_xvector_weights(n_classes: int = 8, seed: int = 0, scale: float = 0.05) -> XVectorWeights:

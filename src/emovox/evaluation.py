@@ -7,20 +7,21 @@ bookkeeping that proves that is stored on the report.  Each inner split
 trains and scores the whole grid at once (``svm.grid_predictions``, one
 prediction matrix of cells x validation rows, no per-cell model), all of its
 inner UARs come from that matrix together, and only the outer fit with the
-selected cell builds a model, through ``svm.train_multiclass``.
+selected cell builds a model, through ``svm.train_multiclass``.  One pass of
+``svm.predict_with_margins`` gives its outer-test labels and ROC scores.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .arrays import frozen
 from .errors import EvaluationError
-from .svm import SMO_TOL, decision_scores, grid_predictions, predict, train_multiclass
+from .svm import grid_predictions, predict_with_margins, train_multiclass
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -100,9 +101,7 @@ class FoldOutcome:
     converged: bool
 
     def __post_init__(self):
-        m = np.asarray(self.confusion, dtype=np.int64)
-        m.setflags(write=False)
-        object.__setattr__(self, "confusion", m)
+        object.__setattr__(self, "confusion", frozen(self.confusion, np.int64))
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,6 @@ class EvalReport:
     roc_points: Optional[tuple]
     auc: Optional[float]
     leakage: tuple
-    runtime_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +364,13 @@ def _inner_uars(truth, guesses):
 
 
 def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
-              positive_label: Optional[str] = None, tol: float = SMO_TOL) -> EvalReport:
+              positive_label: Optional[str] = None) -> EvalReport:
     """Run the nested loop described by ``plan`` and ``grid``.
 
     Hyperparameters are chosen per outer fold by mean inner-fold UAR (ties:
     smallest C, then smallest gamma).  Inner folds whose training part lacks a
     trainable class are skipped; a cell with no usable inner fold scores 0.
     """
-    started = time.perf_counter()
     ids = tuple(s.source_id for s in samples)
     if ids != plan.source_ids:
         raise EvaluationError("sample set does not match the fold plan")
@@ -419,7 +416,7 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
                 continue  # a class is missing or untrainable in this inner split
             touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
             # every class is in the fit rows, so indices refer to ``classes``
-            guesses = grid_predictions(x[fit_mask], fit_labels, x[val_mask], cells, tol=tol)
+            guesses = grid_predictions(x[fit_mask], fit_labels, x[val_mask], cells)
             uars.append(_inner_uars(truth_index[val_mask], guesses))
         scores = np.mean(uars, axis=0) if uars else np.zeros(len(cells))
         c_win, g_win = cells[int(np.argmax(scores))]  # first best: smallest C, then gamma
@@ -432,8 +429,8 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
             )
         leakage.append((len(touched_ids), len(test_ids), 0))
 
-        model = train_multiclass(x[train_mask], labels[train_mask].tolist(), c_win, g_win, tol=tol)
-        guesses = predict(model, x[test_mask])
+        model = train_multiclass(x[train_mask], labels[train_mask].tolist(), c_win, g_win)
+        guesses, margins = predict_with_margins(model, x[test_mask])
         confusion = _confusion(classes, labels[test_mask].tolist(), guesses)
         fold_metrics = metrics(confusion, positive_index=pos_index)
         folds.append(FoldOutcome(
@@ -449,7 +446,6 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
             converged=model.converged,
         ))
         if binary:
-            _votes, margins = decision_scores(model, x[test_mask])
             pooled_scores.extend(margins[:, pos_index].tolist())
             pooled_truth.extend((labels[test_mask] == classes[pos_index]).tolist())
 
@@ -468,7 +464,6 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
         roc_points=roc_points,
         auc=auc,
         leakage=tuple(leakage),
-        runtime_s=time.perf_counter() - started,
     )
 
 
@@ -477,10 +472,10 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def format_report(report: EvalReport, include_runtime: bool = False) -> str:
+def format_report(report: EvalReport) -> str:
     """Key-value text document with one nested block per outer fold.
 
-    Runtime is off by default so same-seed runs serialize byte-identically.
+    It holds no timings, so same-seed runs serialize byte-identically.
     """
     lines = [
         "mode: %s" % report.mode,
@@ -494,8 +489,6 @@ def format_report(report: EvalReport, include_runtime: bool = False) -> str:
         lines.append("positive_label: %s" % report.positive_label)
     if report.auc is not None:
         lines.append("auc: %r" % report.auc)
-    if include_runtime:
-        lines.append("runtime_s: %r" % report.runtime_s)
     for fold, audit in zip(report.folds, report.leakage):
         lines.append("fold %d:" % fold.fold)
         lines.append("  c: %r" % fold.c)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arrays import frozen
 from ..errors import FeatureSchemeError
 
 # Fixed output dimensionality per scheme; i-vectors vary with the model rank
@@ -37,7 +38,7 @@ class FeatureVector:
             raise FeatureSchemeError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.source_id, str) or not isinstance(self.warning, str):
             raise FeatureSchemeError(f"{self.scheme}: source_id and warning must be strings")
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen(self.values)
         if values.ndim != 1:
             raise FeatureSchemeError("feature values must be one-dimensional")
         if not np.all(np.isfinite(values)):
@@ -46,7 +47,6 @@ class FeatureVector:
         if want is not None and values.size != want:
             raise FeatureSchemeError(
                 f"{self.scheme}: expected {want} values, got {values.size}")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property

@@ -31,7 +31,6 @@ EXTRACTOR_VERSION = "6"
 
 @dataclass(frozen=True)
 class EmbeddingModels:
-    ubm: Optional[object] = None
     tv: Optional[object] = None
     xvector: Optional[object] = None
     tags: dict = None  # scheme -> short digest of the model file bytes
@@ -56,19 +55,18 @@ def _load_tagged(load, path):
 def load_embedding_models(config: ExperimentConfig) -> EmbeddingModels:
     """Load whichever model files the configured scheme needs."""
     schemes = config.fusion_schemes()
-    ubm = tv = xvec = None
+    tv = xvec = None
     tags = {}
     if "ivector" in schemes:
         if not config.tv_model:
             raise ConfigError("scheme 'ivector' requires tv_model in the config")
         tv, tags["ivector"] = _load_tagged(modelio.load_tv, config.tv_model)
-        ubm = tv.ubm
     if "xvector" in schemes:
         if not config.xvector_model:
             raise ConfigError(
                 "scheme 'xvector' requires xvector_model in the config")
         xvec, tags["xvector"] = _load_tagged(modelio.load_xvector, config.xvector_model)
-    return EmbeddingModels(ubm=ubm, tv=tv, xvector=xvec, tags=tags)
+    return EmbeddingModels(tv=tv, xvector=xvec, tags=tags)
 
 
 def load_audio(path) -> audio.Waveform:

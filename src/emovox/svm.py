@@ -3,15 +3,16 @@
 The solver keeps the full kernel matrix in memory and updates the
 maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
 batched: one loop advances many duals that share samples and labels, each
-with its own kernel and box, and takes for each one exactly the steps a lone
-solve would.  ``train_binary_smo`` and ``train_multiclass`` are the one-cell
-case; ``grid_predictions`` trains every (C, gamma) cell of a grid on the same
-rows and scores held-out rows with all of them, building no per-cell model:
-one standardization, one fit and one validation distance matrix per class
-pair, one kernel per gamma, one batched solve per pair, and one product per
-gamma for all cells' decision values.  Multi-class classification is
-one-vs-one with majority voting; ties fall back to summed decision margins
-and finally to lexicographic class order.  Feature standardization is
+with its own kernel and box bound C, and takes for each one exactly the
+steps a lone solve would.  ``train_binary_smo`` and ``train_multiclass`` are
+the one-cell case; ``grid_predictions`` trains every (C, gamma) cell of a
+grid on the same rows and scores held-out rows with all of them, building
+no per-cell model: one standardization, one fit and one validation distance
+matrix per class pair, one kernel per gamma, one batched solve per pair, and
+one product per gamma for all cells' decision values.  Multi-class
+classification is one-vs-one with majority voting; ties fall back to summed
+decision margins and finally to lexicographic class order, one tally rule
+for a model and for a grid.  Feature standardization is
 fitted on training data only and travels with the model.
 """
 
@@ -22,6 +23,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .arrays import frozen
 from .errors import TrainingError
 
 STD_FLOOR = 1e-8
@@ -37,16 +39,12 @@ class Standardizer:
     std: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mean, dtype=np.float64).ravel()
-        s = np.asarray(self.std, dtype=np.float64).ravel()
+        m = frozen(self.mean).ravel()
+        s = frozen(self.std).ravel()
         if m.shape != s.shape:
             raise ValueError("mean/std length mismatch")
         if np.any(s < STD_FLOOR * (1.0 - 1e-12)):
             raise ValueError("std below the %g floor" % STD_FLOOR)
-        m = m.copy()
-        s = s.copy()
-        m.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
 
@@ -119,11 +117,11 @@ def dual_objective(svm: BinarySvm) -> float:
     return float(np.sum(np.abs(coef)) - 0.5 * coef @ k @ coef)
 
 
-def _smo_batch(kernels_t, kernel_index, y, cbox, tol, max_passes):
+def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     """Maximal-violating-pair SMO on many duals that share samples and labels.
 
-    Row r of ``cbox`` (cells, n) is one problem's per-sample box; its kernel
-    is ``kernels_t[kernel_index[r]]`` stored transposed, so row i of it is
+    Problem r has box bound ``c[r]`` for every sample and kernel
+    ``kernels_t[kernel_index[r]]``, stored transposed, so row i of it is
     kernel column i.  Every row takes the steps a lone solve would: the
     first-index maximal violating pair, the same clipping, the same gradient
     update, each in the same floating-point order.  A row stops when it has
@@ -131,7 +129,8 @@ def _smo_batch(kernels_t, kernel_index, y, cbox, tol, max_passes):
     after ``max_passes`` pair updates is unconverged.  Returns the alphas,
     clipped to the box, and the per-row converged flags.
     """
-    cells, n = cbox.shape
+    c = np.asarray(c, dtype=np.float64)
+    cells, n = c.size, y.size
     alpha = np.zeros((cells, n))
     converged = np.zeros(cells, dtype=bool)
     pos = y > 0
@@ -140,9 +139,9 @@ def _smo_batch(kernels_t, kernel_index, y, cbox, tol, max_passes):
     rows = np.arange(cells)
     a = np.zeros((cells, n))
     grad = np.full((cells, n), -1.0)  # gradient of the dual objective being minimized
-    box = cbox
-    eps = _BOUND_EPS * (1.0 + cbox)
-    top = box - eps
+    box = c
+    eps = _BOUND_EPS * (1.0 + c[:, None])
+    top = c[:, None] - eps
     kid = np.asarray(kernel_index)
     r = np.arange(cells)
     for _ in range(int(max_passes)):
@@ -175,9 +174,9 @@ def _smo_batch(kernels_t, kernel_index, y, cbox, tol, max_passes):
         ai = a[r, i]
         aj = a[r, j]
         # min/max as Python's builtins take them, operand order included
-        room = np.where(yi > 0, box[r, i] - ai, ai)
+        room = np.where(yi > 0, box - ai, ai)
         step = np.where(room < step, room, step)
-        room = np.where(yj > 0, aj, box[r, j] - aj)
+        room = np.where(yj > 0, aj, box - aj)
         step = np.where(room < step, room, step)
         step = np.where(0.0 > step, 0.0, step)
         a[r, i] += yi * step
@@ -185,19 +184,19 @@ def _smo_batch(kernels_t, kernel_index, y, cbox, tol, max_passes):
         grad += (step[:, None] * y) * (col_i - col_j)
     else:
         alpha[rows] = a
-    return np.clip(alpha, 0.0, cbox), converged
+    return np.clip(alpha, 0.0, c[:, None]), converged
 
 
-def _binary_svm(xm, k, yv, alpha, cbox, c, gamma, converged) -> BinarySvm:
+def _binary_svm(xm, k, yv, alpha, c, gamma, converged) -> BinarySvm:
     """Bias and support vectors of one solved dual (``alpha`` already clipped)."""
-    eps = _BOUND_EPS * (1.0 + cbox)
+    eps = _BOUND_EPS * (1.0 + c)
     fvals = k @ (alpha * yv)
     u = yv - fvals
-    free = (alpha > eps) & (alpha < cbox - eps)
+    free = (alpha > eps) & (alpha < c - eps)
     if free.any():
         bias = float(u[free].mean())
     else:
-        below_c = alpha < cbox - eps
+        below_c = alpha < c - eps
         above_0 = alpha > eps
         up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
         low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
@@ -226,15 +225,13 @@ def train_binary_smo(
     gamma: float,
     tol: float = SMO_TOL,
     max_passes: Optional[int] = None,
-    sample_c=None,
 ) -> BinarySvm:
     """Solve the soft-margin dual by maximal-violating-pair SMO.
 
-    ``sample_c`` optionally overrides the box bound per sample (used for class
-    weighting).  If the violation gap is still above ``tol`` after
-    ``max_passes`` pair updates (default 10 * n), the best-effort model is
-    returned with ``converged`` False.  This is the one-cell case of the
-    batched solver behind ``grid_predictions``.
+    If the violation gap is still above ``tol`` after ``max_passes`` pair
+    updates (default 10 * n), the best-effort model is returned with
+    ``converged`` False.  This is the one-cell case of the batched solver
+    behind ``grid_predictions``.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -249,13 +246,10 @@ def train_binary_smo(
         raise TrainingError("C and gamma must be positive")
     if max_passes is None:
         max_passes = 10 * n
-    cbox = np.full(n, float(c)) if sample_c is None else np.asarray(sample_c, dtype=np.float64)
-    if cbox.shape != (n,) or np.any(cbox <= 0):
-        raise TrainingError("per-sample box bounds must be positive, one per sample")
 
     k = _kernel_matrix(xm, xm, gamma)
-    alpha, converged = _smo_batch(k.T[None], [0], yv, cbox[None], tol, max_passes)
-    return _binary_svm(xm, k, yv, alpha[0], cbox, c, gamma, converged[0])
+    alpha, converged = _smo_batch(k.T[None], [0], yv, [float(c)], tol, max_passes)
+    return _binary_svm(xm, k, yv, alpha[0], float(c), gamma, converged[0])
 
 
 @dataclass(frozen=True)
@@ -273,11 +267,11 @@ class MulticlassSvm:
         return all(m.converged for m in self.machines.values())
 
 
-def _one_vs_one(x, labels, class_weight):
+def _one_vs_one(x, labels):
     """Validated classes, the fitted standardizer, and one entry per class pair.
 
     Each entry is ((a, b), standardized rows of a and b, labels +1 for a and
-    -1 for b, per-sample multipliers on C).
+    -1 for b).
     """
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     lab = list(labels)
@@ -294,9 +288,6 @@ def _one_vs_one(x, labels, class_weight):
     scaler = fit_standardizer(xm)
     z = scaler.transform(xm)
     lab_arr = np.array(lab, dtype=object)
-    weights = {cl: 1.0 for cl in classes}
-    if class_weight:
-        weights.update({cl: float(w) for cl, w in class_weight.items()})
 
     pairs = []
     for ia in range(len(classes)):
@@ -304,9 +295,7 @@ def _one_vs_one(x, labels, class_weight):
             a, b = classes[ia], classes[ib]
             mask = (lab_arr == a) | (lab_arr == b)
             sub_lab = lab_arr[mask]
-            yv = np.where(sub_lab == a, 1.0, -1.0)
-            weight = np.array([weights[cl] for cl in sub_lab], dtype=np.float64)
-            pairs.append(((a, b), z[mask], yv, weight))
+            pairs.append(((a, b), z[mask], np.where(sub_lab == a, 1.0, -1.0)))
     return tuple(classes), scaler, pairs
 
 
@@ -316,18 +305,14 @@ def train_multiclass(
     c: float,
     gamma: float,
     tol: float = SMO_TOL,
-    class_weight: Optional[Dict] = None,
 ) -> MulticlassSvm:
     """Train k(k-1)/2 pairwise machines on standardized features.
 
     In each pairwise machine the lexicographically smaller class takes the +1
-    side.  ``class_weight`` maps labels to multipliers on C (default: none).
+    side.
     """
-    classes, scaler, pairs = _one_vs_one(x, labels, class_weight)
-    machines = {
-        pair: train_binary_smo(z, yv, c, gamma, tol=tol, sample_c=c * weight)
-        for pair, z, yv, weight in pairs
-    }
+    classes, scaler, pairs = _one_vs_one(x, labels)
+    machines = {pair: train_binary_smo(z, yv, c, gamma, tol=tol) for pair, z, yv in pairs}
     return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
 
 
@@ -341,13 +326,15 @@ class _PairGrid(NamedTuple):
     decision: np.ndarray    # (cells, validation rows)
 
 
-def _grid_biases(alpha, fvals, yv, cbox):
+def _grid_biases(alpha, fvals, yv, c):
     """Each cell's bias from its solved dual: the rule of ``_binary_svm``
     (the mean of u = y - f over free vectors, else the midpoint of the up
-    and low bounds) applied to all rows of ``alpha`` (cells, n) at once."""
-    eps = _BOUND_EPS * (1.0 + cbox)
+    and low bounds) applied to all rows of ``alpha`` (cells, n) at once,
+    row r with box bound ``c[r]``."""
+    c = c[:, None]
+    eps = _BOUND_EPS * (1.0 + c)
     u = yv - fvals
-    below_c = alpha < cbox - eps
+    below_c = alpha < c - eps
     above_0 = alpha > eps
     free = above_0 & below_c
     n_free = free.sum(axis=1)
@@ -376,22 +363,21 @@ def _grid_machines(x, labels, x_val, cells, tol):
     cells = [(float(c), float(g)) for c, g in cells]
     if any(c <= 0 or g <= 0 for c, g in cells):
         raise TrainingError("C and gamma must be positive")
-    classes, scaler, pairs = _one_vs_one(x, labels, None)
+    classes, scaler, pairs = _one_vs_one(x, labels)
     if not cells:
         return classes, []
     z_val = scaler.transform(x_val)
     gammas = list(dict.fromkeys(g for _c, g in cells))
     kernel_index = np.array([gammas.index(g) for _c, g in cells])
-    c_col = np.array([c for c, _g in cells])[:, None]
+    c_values = np.array([c for c, _g in cells])
 
     machines = []
-    for pair, z, yv, weight in pairs:
+    for pair, z, yv in pairs:
         sq = _sq_distances(z, z)
         sq_val = _sq_distances(z_val, z)
         kernels = [np.exp(-g * sq) for g in gammas]
-        cbox = c_col * weight
         alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
-                                      yv, cbox, tol, 10 * z.shape[0])
+                                      yv, c_values, tol, 10 * z.shape[0])
         coef = alpha * yv
         fvals = np.empty_like(alpha)
         decision = np.empty((len(cells), z_val.shape[0]))
@@ -399,7 +385,7 @@ def _grid_machines(x, labels, x_val, cells, tol):
             sel = kernel_index == gi
             fvals[sel] = coef[sel] @ k
             decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
-        bias = _grid_biases(alpha, fvals, yv, cbox)
+        bias = _grid_biases(alpha, fvals, yv, c_values)
         machines.append(_PairGrid(pair, alpha, converged, bias, decision + bias[:, None]))
     return classes, machines
 
@@ -418,33 +404,31 @@ def grid_predictions(x, labels, x_val, cells: Sequence[Tuple[float, float]],
     picks each row's class.
     """
     classes, machines = _grid_machines(x, labels, x_val, cells, tol)
-    votes = np.zeros((len(cells), len(np.atleast_2d(x_val)), len(classes)))
+    shape = (len(cells), len(np.atleast_2d(x_val)))
+    return _winners(*_tally(classes, shape, ((m.pair, m.decision) for m in machines)))
+
+
+def _tally(classes, shape, decisions):
+    """Per-class vote counts and summed signed margins, each of ``shape``
+    plus a last axis ordered like ``classes``, from ((a, b), f) pairs in
+    which f > 0 is a vote for a and f <= 0 one for b."""
+    votes = np.zeros(shape + (len(classes),))
     margins = np.zeros_like(votes)
     index = {cl: i for i, cl in enumerate(classes)}
-    for m in machines:
-        ia, ib = index[m.pair[0]], index[m.pair[1]]
-        margins[:, :, ia] += m.decision
-        margins[:, :, ib] -= m.decision
-        votes[:, :, ia] += m.decision > 0
-        votes[:, :, ib] += m.decision <= 0
-    return _winners(votes, margins)
+    for (a, b), f in decisions:
+        ia, ib = index[a], index[b]
+        margins[..., ia] += f
+        margins[..., ib] -= f
+        votes[..., ia] += f > 0
+        votes[..., ib] += f <= 0
+    return votes, margins
 
 
 def decision_scores(model: MulticlassSvm, x) -> Tuple[np.ndarray, np.ndarray]:
     """Per-class vote counts and summed signed margins, ordered like model.classes."""
     z = model.standardizer.transform(x)
-    n_classes = len(model.classes)
-    index = {cl: i for i, cl in enumerate(model.classes)}
-    votes = np.zeros((z.shape[0], n_classes))
-    margins = np.zeros((z.shape[0], n_classes))
-    for (a, b), machine in model.machines.items():
-        f = machine.decision_values(z)
-        ia, ib = index[a], index[b]
-        margins[:, ia] += f
-        margins[:, ib] -= f
-        votes[:, ia] += (f > 0).astype(np.float64)
-        votes[:, ib] += (f <= 0).astype(np.float64)
-    return votes, margins
+    return _tally(model.classes, (z.shape[0],),
+                  ((pair, m.decision_values(z)) for pair, m in model.machines.items()))
 
 
 def _winners(votes, margins) -> np.ndarray:
@@ -454,6 +438,13 @@ def _winners(votes, margins) -> np.ndarray:
     return np.where(most, margins, -np.inf).argmax(axis=-1)
 
 
+def predict_with_margins(model: MulticlassSvm, x) -> Tuple[list, np.ndarray]:
+    """``predict`` and the summed margins of ``decision_scores`` from one
+    scoring pass over ``x``."""
+    votes, margins = decision_scores(model, x)
+    return [model.classes[i] for i in _winners(votes, margins)], margins
+
+
 def predict(model: MulticlassSvm, x) -> list:
     """Majority vote; ties resolved by summed margin, then class order."""
-    return [model.classes[i] for i in _winners(*decision_scores(model, x))]
+    return predict_with_margins(model, x)[0]

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from emovox import modelio
 from emovox.embeddings import (
     GmmUbm,
+    TotalVariabilityModel,
     XVectorWeights,
     baum_welch_stats,
     extract_ivector,
@@ -84,6 +85,25 @@ def test_load_xvector_holds_the_file_once(tmp_path):
     assert peak <= 1.4 * size
     for pair in weights.layers.values():
         assert all(not a.flags.writeable and a.flags.aligned for a in pair)
+
+
+def test_load_tv_holds_the_file_once(tmp_path, rng):
+    # the read-only arrays read are kept; the finiteness checks add a boolean
+    # temporary of 0.125x the largest one
+    ubm = GmmUbm(np.full(64, 1.0 / 64), rng.standard_normal((64, 24)), np.ones((64, 24)))
+    path = tmp_path / "tv.emvx"
+    modelio.save_tv(path, TotalVariabilityModel(0.1 * rng.standard_normal((64 * 24, 400)),
+                                                ubm, 400))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        tv = modelio.load_tv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * size
+    arrays = (tv.t_matrix, tv.ubm.weights, tv.ubm.means, tv.ubm.variances)
+    assert all(not a.flags.writeable for a in arrays)
 
 
 def test_xvector_weights_copy_writable_input(rng):

@@ -327,7 +327,7 @@ def six_scheme_models(rng):
 
     ubm = GmmUbm(np.full(2, 0.5), rng.standard_normal((2, 24)), np.ones((2, 24)))
     tv = TotalVariabilityModel(0.1 * rng.standard_normal((48, 2)), ubm, 2)
-    return EmbeddingModels(ubm=ubm, tv=tv, xvector=random_xvector_weights(seed=0))
+    return EmbeddingModels(tv=tv, xvector=random_xvector_weights(seed=0))
 
 
 SIX = "articulation+prosody+phonation+i2010pc+ivector+xvector"

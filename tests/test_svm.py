@@ -86,7 +86,7 @@ def kkt_worst_violation(model, x, y):
     return worst
 
 
-def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sample_c=None):
+def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None):
     """One-problem maximal-violating-pair SMO with scalar steps: the oracle
     that every cell of the batched solver must reproduce bit for bit."""
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -94,15 +94,15 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sample_c=None):
     n = xm.shape[0]
     if max_passes is None:
         max_passes = 10 * n
-    cbox = np.full(n, float(c)) if sample_c is None else np.asarray(sample_c, dtype=np.float64)
+    c = float(c)
 
     k = _kernel_matrix(xm, xm, gamma)
     alpha = np.zeros(n)
     grad = -np.ones(n)
-    eps = _BOUND_EPS * (1.0 + cbox)
+    eps = _BOUND_EPS * (1.0 + c)
     converged = False
     for _ in range(int(max_passes)):
-        below_c = alpha < cbox - eps
+        below_c = alpha < c - eps
         above_0 = alpha > eps
         up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
         low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
@@ -118,20 +118,20 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sample_c=None):
             break
         curv = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
         step = gap / curv
-        step = min(step, cbox[i] - alpha[i] if yv[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if yv[j] > 0 else cbox[j] - alpha[j])
+        step = min(step, c - alpha[i] if yv[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if yv[j] > 0 else c - alpha[j])
         step = max(step, 0.0)
         alpha[i] += yv[i] * step
         alpha[j] -= yv[j] * step
         grad += step * yv * (k[:, i] - k[:, j])
 
-    alpha = np.clip(alpha, 0.0, cbox)
+    alpha = np.clip(alpha, 0.0, c)
     u = yv - k @ (alpha * yv)
-    free = (alpha > eps) & (alpha < cbox - eps)
+    free = (alpha > eps) & (alpha < c - eps)
     if free.any():
         bias = float(u[free].mean())
     else:
-        below_c = alpha < cbox - eps
+        below_c = alpha < c - eps
         above_0 = alpha > eps
         up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
         low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
@@ -139,25 +139,22 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sample_c=None):
         lo = u[low].min() if low.any() else 0.0
         bias = 0.5 * float(hi + lo)
     kept = alpha > 0.0
-    return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], bias, float(c), float(gamma),
+    return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], bias, c, float(gamma),
                      converged, alpha)
 
 
-def scalar_multiclass(x, labels, c, gamma, tol=SMO_TOL, class_weight=None):
+def scalar_multiclass(x, labels, c, gamma, tol=SMO_TOL):
     """One-vs-one ensemble of ``scalar_smo`` machines (the oracle for the grid)."""
     scaler = fit_standardizer(x)
     z = scaler.transform(x)
     lab = np.array(labels, dtype=object)
     classes = sorted(set(labels))
-    weights = {cl: 1.0 for cl in classes}
-    weights.update(class_weight or {})
     machines = {}
     for ia, a in enumerate(classes):
         for b in classes[ia + 1:]:
             mask = (lab == a) | (lab == b)
-            sample_c = np.array([c * weights[cl] for cl in lab[mask]])
             machines[(a, b)] = scalar_smo(z[mask], np.where(lab[mask] == a, 1.0, -1.0),
-                                          c, gamma, tol=tol, sample_c=sample_c)
+                                          c, gamma, tol=tol)
     return MulticlassSvm(tuple(classes), machines, scaler, float(c), float(gamma))
 
 
@@ -180,28 +177,27 @@ def assert_same_ensemble(got, want):
         assert_same_machine(machine, want.machines[pair])
 
 
-def train_grid(x, labels, cells, tol=SMO_TOL, class_weight=None):
-    """Yield ``train_multiclass(x, labels, c, gamma, tol, class_weight)`` for
-    each (c, gamma) in ``cells``, bit for bit, from one batched SMO per class
+def train_grid(x, labels, cells, tol=SMO_TOL):
+    """Yield ``train_multiclass(x, labels, c, gamma, tol)`` for each
+    (c, gamma) in ``cells``, bit for bit, from one batched SMO per class
     pair: the per-cell oracle for the grid scorer."""
     cells = [(float(c), float(g)) for c, g in cells]
-    classes, scaler, pairs = _one_vs_one(x, labels, class_weight)
+    classes, scaler, pairs = _one_vs_one(x, labels)
     gammas = list(dict.fromkeys(g for _c, g in cells))
     kernel_index = [gammas.index(g) for _c, g in cells]
-    c_col = np.array([c for c, _g in cells])[:, None]
+    c_values = np.array([c for c, _g in cells])
     solved = []
-    for pair, z, yv, weight in pairs:
+    for pair, z, yv in pairs:
         sq = _sq_distances(z, z)
         kernels = [np.exp(-g * sq) for g in gammas]
-        cbox = c_col * weight
         alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
-                                      yv, cbox, tol, 10 * z.shape[0])
-        solved.append((pair, z, kernels, yv, alpha, cbox, converged))
+                                      yv, c_values, tol, 10 * z.shape[0])
+        solved.append((pair, z, kernels, yv, alpha, converged))
     for cell, (c, g) in enumerate(cells):
         yield MulticlassSvm(classes, {
-            pair: _binary_svm(z, kernels[kernel_index[cell]], yv, alpha[cell], cbox[cell],
-                              c, g, converged[cell])
-            for pair, z, kernels, yv, alpha, cbox, converged in solved
+            pair: _binary_svm(z, kernels[kernel_index[cell]], yv, alpha[cell], c, g,
+                              converged[cell])
+            for pair, z, kernels, yv, alpha, converged in solved
         }, scaler, c, g)
 
 
@@ -413,22 +409,13 @@ def test_decision_crosses_zero_once():
     assert np.count_nonzero(np.diff(np.sign(f))) == 1
 
 
-def test_sample_c_bounds_respected():
-    x, y = random_binary_problem(7, n=12)
-    sample_c = np.where(y > 0, 2.0, 0.5)
-    model = train_binary_smo(x, y, 1.0, 1.0, sample_c=sample_c)
-    assert np.all(model.alphas <= sample_c + 1e-12)
-
-
 def test_smo_matches_scalar_oracle():
     for seed in range(40):
         r = np.random.default_rng(seed)
         x, y = random_binary_problem(seed, n=int(r.integers(2, 25)), dim=int(r.integers(1, 6)))
         c = float(10.0 ** r.integers(-3, 5))
         gamma = float(10.0 ** r.integers(-3, 3))
-        sample_c = c * r.choice([0.5, 1.0, 3.0], size=len(y)) if seed % 3 == 0 else None
-        assert_same_machine(train_binary_smo(x, y, c, gamma, sample_c=sample_c),
-                            scalar_smo(x, y, c, gamma, sample_c=sample_c))
+        assert_same_machine(train_binary_smo(x, y, c, gamma), scalar_smo(x, y, c, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +439,6 @@ def test_grid_matches_scalar_oracle(n_classes):
             model = train_multiclass(x, labels, c, g)
             assert_same_ensemble(model, scalar_multiclass(x, labels, c, g))
             assert [names[i] for i in row] == predict(model, x_val)
-
-
-def test_grid_matches_scalar_oracle_with_class_weight(rng):
-    # class weights give each sample its own box; only train_multiclass takes them
-    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.5, 0.0), "c": (0.0, 1.5)}, 7, sigma=1.0)
-    weights = {"a": 2.0, "c": 0.25}
-    for (c, g), model in zip(GRID_CELLS, train_grid(x, labels, GRID_CELLS, class_weight=weights)):
-        want = scalar_multiclass(x, labels, c, g, class_weight=weights)
-        assert_same_ensemble(model, want)
-        assert_same_ensemble(train_multiclass(x, labels, c, g, class_weight=weights), want)
 
 
 def test_grid_unconverged_cells_match_scalar_oracle():
