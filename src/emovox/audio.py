@@ -153,21 +153,6 @@ def parse_wav(raw: bytes, path="") -> Waveform:
     return Waveform(x, int(sample_rate), source_id=str(path))
 
 
-def _design_decimation_filter(op_rate: int, name: str) -> np.ndarray:
-    """Windowed-sinc low-pass for the polyphase resampler (read-only, shared).
-
-    Passband holds to ~3.9 kHz, stopband from ~4.04 kHz; the -6 dB point sits
-    just under the 4 kHz target Nyquist so near-Nyquist content survives.
-    The tap count is checked before any design work: every standard rate up
-    to 192 kHz needs at most 126,466 taps, while a header rate such as
-    96,001 Hz would need 27.5 M.  ``name`` only labels the error.
-    """
-    try:
-        return _decimation_taps(op_rate)
-    except UnsupportedWavError as exc:
-        raise UnsupportedWavError(f"{name}: {exc}") from None
-
-
 def _kaiser_lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
     """Kaiser-windowed sinc with unit DC gain; ``cutoff`` is relative to Nyquist.
 
@@ -180,11 +165,16 @@ def _kaiser_lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _decimation_taps(op_rate: int) -> np.ndarray:
-    """The filter for one operating rate, designed once; a rejected rate
-    raises and is not cached.
+    """Windowed-sinc low-pass for the polyphase resampler (read-only, shared).
 
-    Order and beta come from Kaiser's formulas for 80 dB over a 140 Hz
-    transition band, as ``scipy.signal.kaiserord`` gives them.
+    Passband holds to ~3.9 kHz, stopband from ~4.04 kHz; the -6 dB point sits
+    just under the 4 kHz target Nyquist so near-Nyquist content survives.
+    Designed once per operating rate.  The tap count is checked before any
+    design work: every standard rate up to 192 kHz needs at most 126,466
+    taps, while a header rate such as 96,001 Hz would need 27.5 M; a
+    rejected rate raises and is not cached.  Order and beta come from
+    Kaiser's formulas for 80 dB over a 140 Hz transition band, as
+    ``scipy.signal.kaiserord`` gives them.
     """
     atten_db, cutoff_hz, width_hz = 80.0, 3970.0, 140.0
     width = 2.0 * width_hz / op_rate
@@ -268,10 +258,11 @@ def resample_to_8k(w: Waveform) -> Waveform:
             "upsampling not supported")
     g = math.gcd(TARGET_RATE, w.sample_rate)
     up, down = TARGET_RATE // g, w.sample_rate // g
-    # the tap check first, with the file named in its error
-    _design_decimation_filter(w.sample_rate * up, f"{w.source_id or 'waveform'}: "
-                                                  f"rate {w.sample_rate}")
-    y = np.clip(_decimate(w.samples, up, down), -1.0, 1.0)
+    try:
+        y = np.clip(_decimate(w.samples, up, down), -1.0, 1.0)
+    except UnsupportedWavError as exc:   # the tap check, with the file named
+        raise UnsupportedWavError(
+            f"{w.source_id or 'waveform'}: rate {w.sample_rate}: {exc}") from None
     y.flags.writeable = False  # nothing else holds y, so Waveform keeps it uncopied
     return Waveform(y, TARGET_RATE, source_id=w.source_id)
 
@@ -357,22 +348,18 @@ def _frame_runs_to_spans(runs, step: int, n_samples: int, kind_of) -> list[Segme
     return spans
 
 
-def detect_speech(w: Waveform, f0: "F0Track | None" = None) -> list[SegmentSpan]:
+def detect_speech(w: Waveform, f0: "F0Track") -> list[SegmentSpan]:
     """Energy + periodicity VAD: speech/silence spans on the 25/10 ms grid.
 
     A frame is speech when it clears the noise floor by 10 dB or carries a
-    pitch; decisions are smoothed with a 5-frame majority vote.  ``f0`` is
-    the default ``estimate_f0(w)`` track when the caller already has it.
+    pitch in ``f0`` (the ``estimate_f0(w)`` track); decisions are smoothed
+    with a 5-frame majority vote.
     """
     n = w.samples.size
     energy_db = frame_log_energy_db(w)
     if energy_db.size == 0:
         return [SegmentSpan(0, n, SILENCE)]
     floor = min(np.percentile(energy_db, VAD_NOISE_PERCENTILE), VAD_FLOOR_CAP_DB)
-    if f0 is None:
-        from .dsp import estimate_f0
-
-        f0 = estimate_f0(w)
     voiced = f0.values > 0
     speech = (energy_db > floor + VAD_MARGIN_DB) | voiced
 

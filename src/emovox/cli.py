@@ -60,6 +60,8 @@ def _extract(manifest: Manifest, config: ExperimentConfig) -> ExtractionResult:
     log.info("extracted %d/%d rows (%d cache hits, %d computed)",
              len(result.vectors), result.total, result.cache_hits,
              result.computed)
+    if not result.vectors:
+        raise EmovoxError("no rows extracted successfully")
     return result
 
 
@@ -76,9 +78,6 @@ def cmd_extract(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = _extract(manifest, config)
-    if not result.vectors:
-        log.error("no rows extracted successfully")
-        return EXIT_FATAL
     _write_text(args.out_csv, feature_csv(result.vectors))
     log.info("wrote %s", args.out_csv)
     return EXIT_PARTIAL if result.failures else EXIT_OK
@@ -88,9 +87,6 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = _extract(manifest, config)
-    if not result.vectors:
-        log.error("no rows extracted successfully")
-        return EXIT_FATAL
     samples = _samples_for(manifest, result)
     plan = make_folds(samples, config.mode, config.k_outer, config.k_inner,
                       seed=config.seed)
@@ -110,9 +106,6 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = _extract(manifest, config)
-    if not result.vectors:
-        log.error("no rows extracted successfully")
-        return EXIT_FATAL
     samples = _samples_for(manifest, result)
     feats = np.array([v.values for v in result.vectors])
     labels = [s.label for s in samples]
@@ -133,9 +126,6 @@ def cmd_predict(args) -> int:
                   meta["scheme"], config.scheme)
         return EXIT_FATAL
     result = _extract(manifest, config)
-    if not result.vectors:
-        log.error("no rows extracted successfully")
-        return EXIT_FATAL
     feats = np.array([v.values for v in result.vectors])
     if feats.shape[1] != int(meta.get("feature_dim", feats.shape[1])):
         log.error("model expects %s-dim features, extracted %d dims",

@@ -7,7 +7,8 @@ statistical functionals: (38 + 38) x 21 = 1596.
 Loudness is approximated by log frame energy and voicing probability by the
 normalized-correlation peak; see the package docs for the deviations from
 the original challenge toolkit.  Per-frame jitter and shimmer come from the
-pulses of every voiced 60 ms window, picked in one scan of the utterance.
+pulses of every voiced 60 ms window, picked in one scan of the utterance and
+measured by ``phonation.glottal_cycles``, which phonation uses too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..audio import Waveform
 from ..dsp import (delta, estimate_f0, log_frame_energy, log_mel_energies, lpc,
                    lsp_from_lpc, mfcc_frames, moving_average, PREEMPHASIS)
 from ..functionals import IS10_FUNCTIONALS, FeatureTrack, FunctionalSet, apply_functionals
-from .phonation import MAX_PERIOD_DEVIATION, pulse_windows
+from .phonation import glottal_cycles, pulse_windows
 
 from . import FeatureVector
 
@@ -54,62 +55,19 @@ def _hold_last_voiced(values: np.ndarray) -> np.ndarray:
     return np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
 
 
-def _per_window(values: np.ndarray, counts: np.ndarray, min_count: int, fn):
-    """``fn`` of each window's run of ``values`` (runs back to back, ``counts`` long).
-
-    Windows with equal counts go through ``fn`` together, one per row of a
-    matrix, and each row reduces exactly as the 1-D call on that window
-    would.  Windows with fewer than ``min_count`` values get 0.
-    """
-    out = np.zeros(counts.size)
-    offsets = np.cumsum(counts) - counts
-    for m in np.unique(counts[counts >= min_count]).tolist():
-        rows = np.flatnonzero(counts == m)
-        out[rows] = fn(values[offsets[rows, None] + np.arange(m)])
-    return out
-
-
-def _relative_mean_abs_diff(rows: np.ndarray, order: int = 1) -> np.ndarray:
-    """100 x mean |order-th difference| / mean, per row: the local jitter,
-    DDP jitter and local shimmer of ``phonation``."""
-    return 100.0 * np.mean(np.abs(np.diff(rows, order, axis=1)), axis=1) \
-        / np.mean(rows, axis=1)
-
-
 def _per_frame_perturbation(padded: Waveform, f0_values: np.ndarray, step: int,
                             frame_len: int):
-    """Frame-wise jitter (local, DDP) and shimmer from 60 ms pulse windows.
+    """Frame-wise jitter (local, DDP) and local shimmer from 60 ms pulse windows.
 
-    Pulses of every voiced window come from one ``pulse_windows`` scan;
-    periods, their 40 % clean-up and the three measures are computed for
-    all windows with the same count at once, with the bits of
-    ``_clean_periods``, ``jitter_local``, ``jitter_ddp`` and
-    ``shimmer_local`` on each window.  Undefined measures are 0.
+    The pulses of every voiced window come from one ``pulse_windows`` scan
+    and go through ``phonation.glottal_cycles``; undefined measures are 0.
     """
-    rate = padded.sample_rate
     starts = np.arange(f0_values.size) * step
-    marks, amps, counts = pulse_windows(padded.samples, starts, frame_len, f0_values, rate)
-    window = np.repeat(np.arange(counts.size), counts)
-
-    # a period per mark after each window's first, cleaned against its window's median
-    later = np.ones(marks.size, dtype=bool)
-    later[(np.cumsum(counts) - counts)[counts > 0]] = False
-    periods = (marks[1:] - marks[:-1])[later[1:]]
-    of = window[later]
-    n_periods = np.maximum(counts - 1, 0)
-    med = _per_window(periods, n_periods, 1, lambda rows: np.median(rows, axis=1))[of]
-    clean = np.abs(periods - med) <= MAX_PERIOD_DEVIATION * med
-    periods = periods[clean] / rate
-    n_clean = np.bincount(of[clean], minlength=counts.size)
-
-    jit = _per_window(periods, n_clean, 2, _relative_mean_abs_diff)
-    ddp = _per_window(periods, n_clean, 3, lambda rows: _relative_mean_abs_diff(rows, 2))
-    loud = amps > 0
-    shim = _per_window(amps[loud], np.bincount(window[loud], minlength=counts.size), 2,
-                       _relative_mean_abs_diff)
-    for arr in (jit, ddp, shim):
-        arr[np.isnan(arr)] = 0.0
-    return jit, ddp, shim
+    periods, heights = glottal_cycles(
+        *pulse_windows(padded.samples, starts, frame_len, f0_values, padded.sample_rate),
+        padded.sample_rate)
+    measures = (periods.relative_diff(1), periods.relative_diff(2), heights.relative_diff(1))
+    return tuple(np.where(np.isnan(m), 0.0, m) for m in measures)
 
 
 def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:

@@ -6,11 +6,15 @@ summarized by {mean, std, skewness, kurtosis}: 28 values.
 Glottal pulses are picked by ``pulse_windows``, a NumPy form of
 ``scipy.signal.find_peaks`` that serves many windows from one scan of the
 signal: here one window per voiced span, in i2010pc one per frame.
+``glottal_cycles`` turns every window's pulses into cleaned periods and
+heights, whose ``WindowValues`` methods give the perturbation measures of
+all windows at once; they are the only jitter and shimmer code of both
+schemes, and each scheme asks for the measures it reads.
 """
 
 from __future__ import annotations
 
-import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,54 +147,69 @@ def pulse_windows(x: np.ndarray, starts, length, f0_hz, rate: int):
     return marks, amps, counts
 
 
-def _clean_periods(marks: np.ndarray):
-    periods = np.diff(marks)
-    if periods.size == 0:
-        return periods
-    med = np.median(periods)
-    keep = np.abs(periods - med) <= MAX_PERIOD_DEVIATION * med
-    return periods[keep]
+class WindowValues(NamedTuple):
+    """The values of many windows back to back, and how many each window has."""
+
+    values: np.ndarray
+    counts: np.ndarray
+
+    def per_window(self, min_count: int, fn) -> np.ndarray:
+        """``fn`` of each window's values; NaN where it has under ``min_count``.
+
+        Windows with equal counts go through ``fn`` together, one per row of
+        a matrix, and each row reduces exactly as the 1-D call on that window
+        would.
+        """
+        out = np.full(self.counts.size, np.nan)
+        offsets = np.cumsum(self.counts) - self.counts
+        for m in np.unique(self.counts[self.counts >= min_count]).tolist():
+            rows = np.flatnonzero(self.counts == m)
+            out[rows] = fn(self.values[offsets[rows, None] + np.arange(m)])
+        return out
+
+    def relative_diff(self, order: int) -> np.ndarray:
+        """100 x mean |order-th difference| / mean, per window, in %: local
+        jitter or shimmer (order 1) and DDP jitter (order 2)."""
+        return self.per_window(order + 1, lambda rows: 100.0 * np.mean(
+            np.abs(np.diff(rows, order, axis=1)), axis=1) / np.mean(rows, axis=1))
+
+    def quotient(self, points: int) -> np.ndarray:
+        """Perturbation quotient over ``points`` neighbours, per window, in %:
+        100 x mean |value - mean of the points centred on it| / mean.  PPQ5
+        of periods, APQ11 of heights."""
+        half = points // 2
+
+        def of_rows(rows):
+            m = rows.shape[1]
+            # C order, so each neighbourhood sums as its own 1-D mean would;
+            # the fancy index alone lays the rows out innermost
+            near = np.ascontiguousarray(rows[:, np.arange(m - 2 * half)[:, None]
+                                             + np.arange(points)])
+            local = np.mean(near, axis=2)
+            return 100.0 * np.mean(np.abs(rows[:, half:m - half] - local), axis=1) \
+                / np.mean(rows, axis=1)
+        return self.per_window(points, of_rows)
 
 
-def jitter_local(periods: np.ndarray) -> float:
-    """Mean absolute consecutive period difference over mean period, in %."""
-    if periods.size < 2:
-        return math.nan
-    return 100.0 * np.mean(np.abs(np.diff(periods))) / np.mean(periods)
+def glottal_cycles(marks: np.ndarray, amps: np.ndarray, counts: np.ndarray, rate: int):
+    """Periods (s) and heights of every pulse window, as ``pulse_windows`` gives them.
 
-
-def jitter_ppq5(periods: np.ndarray) -> float:
-    """Five-point pitch perturbation quotient, in %."""
-    if periods.size < 5:
-        return math.nan
-    devs = [abs(periods[i] - np.mean(periods[i - 2:i + 3]))
-            for i in range(2, periods.size - 2)]
-    return 100.0 * np.mean(devs) / np.mean(periods)
-
-
-def jitter_ddp(periods: np.ndarray) -> float:
-    """Mean absolute difference of consecutive period differences, in %."""
-    if periods.size < 3:
-        return math.nan
-    return 100.0 * np.mean(np.abs(np.diff(periods, 2))) / np.mean(periods)
-
-
-def shimmer_local(amps: np.ndarray) -> float:
-    """Mean absolute consecutive amplitude difference over mean amplitude, %."""
-    amps = amps[amps > 0]
-    if amps.size < 2:
-        return math.nan
-    return 100.0 * np.mean(np.abs(np.diff(amps))) / np.mean(amps)
-
-
-def shimmer_apq11(amps: np.ndarray) -> float:
-    """Eleven-point amplitude perturbation quotient, in %."""
-    amps = amps[amps > 0]
-    if amps.size < 11:
-        return math.nan
-    devs = [abs(amps[i] - np.mean(amps[i - 5:i + 6]))
-            for i in range(5, amps.size - 5)]
-    return 100.0 * np.mean(devs) / np.mean(amps)
+    A window's periods are the gaps between its consecutive marks, less those
+    further than ``MAX_PERIOD_DEVIATION`` from the window's median gap; its
+    heights are the positive pulse heights.  Returns (periods, heights) as
+    ``WindowValues``, from which each scheme takes the measures it reads.
+    """
+    window = np.repeat(np.arange(counts.size), counts)
+    later = np.ones(marks.size, dtype=bool)   # every mark after its window's first
+    later[(np.cumsum(counts) - counts)[counts > 0]] = False
+    periods = (marks[1:] - marks[:-1])[later[1:]]
+    of = window[later]
+    med = WindowValues(periods, np.maximum(counts - 1, 0)).per_window(
+        1, lambda rows: np.median(rows, axis=1))[of]
+    clean = np.abs(periods - med) <= MAX_PERIOD_DEVIATION * med
+    loud = amps > 0
+    return (WindowValues(periods[clean] / rate, np.bincount(of[clean], minlength=counts.size)),
+            WindowValues(amps[loud], np.bincount(window[loud], minlength=counts.size)))
 
 
 def phonation_features(source: Waveform | Analysis) -> FeatureVector:
@@ -210,15 +229,10 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
             starts.append(span.start_sample)
             lengths.append(span.end_sample - span.start_sample)
             span_f0.append(float(np.median(seg_f0)))
-    marks, amps, counts = pulse_windows(w.samples, starts, lengths, span_f0, w.sample_rate)
-    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    jit, shim, apq, ppq = [], [], [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        periods = _clean_periods(marks[lo:hi]) / w.sample_rate
-        jit.append(jitter_local(periods))
-        ppq.append(jitter_ppq5(periods))
-        shim.append(shimmer_local(amps[lo:hi]))
-        apq.append(shimmer_apq11(amps[lo:hi]))
+    periods, heights = glottal_cycles(
+        *pulse_windows(w.samples, starts, lengths, span_f0, w.sample_rate), w.sample_rate)
+    jit, ppq = periods.relative_diff(1), periods.quotient(5)
+    shim, apq = heights.relative_diff(1), heights.quotient(11)
 
     contour = f0[a.voiced & (f0 > 0)]
     d1 = delta(contour) if contour.size else contour

@@ -189,7 +189,7 @@ def assert_close_to_oracle(got, ref):
                                   176400, 192000])
 def test_resample_matches_scipy_oracle(rate, rng):
     up = 8000 // math.gcd(8000, rate)
-    taps = audio._design_decimation_filter(rate * up, "x")
+    taps = audio._decimation_taps(rate * up)
     ref_taps, _ = scipy_resample(np.zeros(1), rate)
     assert_close_to_oracle(taps, ref_taps)
     # one sample, inputs shorter and longer than the filter, odd lengths; noise and silence
@@ -209,6 +209,7 @@ def test_long_file_takes_several_products(rng, monkeypatch):
 
 def test_decimation_filter_is_designed_once_per_rate(monkeypatch):
     audio._decimation_taps.cache_clear()
+    audio._polyphase_matrix.cache_clear()
     designed = []
     design = audio._kaiser_lowpass
 
@@ -222,12 +223,11 @@ def test_decimation_filter_is_designed_once_per_rate(monkeypatch):
     again = resample_to_8k(wf(tone(300, dur_s=0.3, rate=44100), rate=44100))
     assert len(designed) == 1 and again.sample_rate == 8000
     assert resample_to_8k(w).samples.tobytes() == first.tobytes()
-    taps = audio._design_decimation_filter(44100 * 80, "x")
+    taps = audio._decimation_taps(44100 * 80)
     assert not taps.flags.writeable
     with pytest.raises(ValueError):
         taps[0] = 1.0
-    # the name only labels errors: another name shares the taps
-    assert audio._design_decimation_filter(44100 * 80, "y") is taps
+    assert audio._decimation_taps(44100 * 80) is taps
     assert len(designed) == 1
 
 
@@ -308,22 +308,28 @@ def test_frame_bad_lengths_rejected():
 
 # ------------------------------------------------------------ detect_speech
 
+def vad(x):
+    """``detect_speech`` of x at 8 kHz, on x's own F0 track."""
+    w = wf(x)
+    return detect_speech(w, estimate_f0(w))
+
+
 def test_vad_all_zero_is_one_silence_span():
-    spans = detect_speech(wf(np.zeros(8000)))
+    spans = vad(np.zeros(8000))
     assert len(spans) == 1
     s = spans[0]
     assert (s.start_sample, s.end_sample, s.kind) == (0, 8000, SILENCE)
 
 
 def test_vad_sine_covers_signal():
-    spans = detect_speech(wf(tone(200, amp=0.9)))
+    spans = vad(tone(200, amp=0.9))
     speech = sum(span_len(s) for s in spans if s.kind == SPEECH)
     assert speech >= 0.95 * 8000
 
 
 def test_vad_tone_silence_tone_layout():
     x = np.concatenate([tone(250, 0.5), np.zeros(8000), tone(250, 0.5)])
-    spans = detect_speech(wf(x))
+    spans = vad(x)
     kinds = [s.kind for s in spans]
     assert kinds.count(SPEECH) >= 2
     mid = [s for s in spans if s.kind == SILENCE
@@ -334,7 +340,7 @@ def test_vad_tone_silence_tone_layout():
 def test_vad_spans_partition_signal(rng):
     x = np.concatenate([tone(200, 0.3), 0.001 * rng.standard_normal(4000),
                         tone(300, 0.3)])
-    spans = detect_speech(wf(x))
+    spans = vad(x)
     assert spans[0].start_sample == 0
     assert spans[-1].end_sample == x.size
     for a, b in zip(spans[:-1], spans[1:]):
@@ -344,18 +350,12 @@ def test_vad_spans_partition_signal(rng):
 
 def test_vad_idempotent_on_speech_output():
     x = np.concatenate([tone(250, 0.5), np.zeros(8000), tone(250, 0.5)])
-    spans = detect_speech(wf(x))
+    spans = vad(x)
     speech = np.concatenate([x[s.start_sample:s.end_sample]
                              for s in spans if s.kind == SPEECH])
-    again = detect_speech(wf(speech))
+    again = vad(speech)
     kept = sum(span_len(s) for s in again if s.kind == SPEECH)
     assert kept >= speech.size - 2 * 200
-
-
-def test_vad_reuses_callers_f0_track(rng):
-    x = np.concatenate([tone(220, 0.4), 0.01 * rng.standard_normal(3000), tone(180, 0.3)])
-    w = wf(x)
-    assert detect_speech(w, estimate_f0(w)) == detect_speech(w)
 
 
 def test_parse_wav_matches_load_wav(tmp_path):
@@ -370,7 +370,7 @@ def test_parse_wav_matches_load_wav(tmp_path):
 
 
 def test_vad_micro_recording():
-    spans = detect_speech(wf(np.zeros(80)))  # 10 ms: shorter than one frame
+    spans = vad(np.zeros(80))  # 10 ms: shorter than one frame
     assert len(spans) == 1 and spans[0].kind == SILENCE
 
 

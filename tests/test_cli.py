@@ -163,7 +163,9 @@ def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, mon
     from emovox.audio import MAX_RESAMPLE_TAPS, _decimation_taps
 
     root, _, config, rows = workspace
-    _decimation_taps.cache_clear()  # filters are memoised per rate; design afresh here
+    # filters and decimators are memoised per rate; design afresh here
+    _decimation_taps.cache_clear()
+    audio._polyphase_matrix.cache_clear()
     designed = []
     design = audio._kaiser_lowpass
 
@@ -192,16 +194,31 @@ def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, mon
     assert any(hostile.name in r.message and "tap" in r.message for r in caplog.records)
 
 
-def test_extract_fatal_when_nothing_succeeds(workspace):
-    root, _, config, _ = workspace
+@pytest.mark.parametrize("command", ["extract", "evaluate", "train", "predict"])
+def test_extract_fatal_when_nothing_succeeds(workspace, command, tmp_path, caplog):
+    root, corpus, config, _ = workspace
     manifest = root / "all_missing.csv"
     write_manifest(manifest, [
         ManifestRow(str(root / "nope1.wav"), "x", "s", "m"),
         ManifestRow(str(root / "nope2.wav"), "x", "s", "m"),
     ])
-    rc = main(["extract", "--manifest", str(manifest), "--config", str(config),
-               "--out-csv", str(root / "none.csv")])
+    model = tmp_path / "model.svm"
+    if command == "predict":   # a model of the config's scheme, so only the rows fail
+        assert main(["train", "--manifest", str(corpus), "--config", str(config),
+                     "--model", str(model)]) == 0
+    outputs = {"extract": ["--out-csv", str(tmp_path / "none.csv")],
+               "evaluate": ["--report", str(tmp_path / "report.txt"),
+                            "--metrics-csv", str(tmp_path / "metrics.csv")],
+               "train": ["--model", str(model)],
+               "predict": ["--model", str(model), "--out-csv", str(tmp_path / "none.csv")]}
+    with caplog.at_level("ERROR", logger="emovox"):
+        rc = main([command, "--manifest", str(manifest), "--config", str(config)]
+                  + outputs[command])
     assert rc == 2
+    assert [r.message for r in caplog.records if r.levelname == "ERROR"] \
+        == ["no rows extracted successfully"]
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == (["model.svm"] if command == "predict" else [])
 
 
 def test_extract_fatal_on_bad_manifest(workspace):

@@ -12,9 +12,9 @@ from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
 from emovox.features.i2010pc import (LLD_NAMES, _hold_last_voiced, _per_frame_perturbation,
                                      i2010pc_features)
-from emovox.features.phonation import (PHONATION_TRACKS, _clean_periods, jitter_local,
-                                       jitter_ppq5, jitter_ddp, phonation_features,
-                                       pulse_windows, shimmer_apq11, shimmer_local)
+from emovox.features.phonation import (MAX_PERIOD_DEVIATION, PHONATION_TRACKS,
+                                       WindowValues, glottal_cycles, phonation_features,
+                                       pulse_windows)
 from emovox.features.prosody import PROSODY_FEATURE_NAMES, _slope_and_mse, prosody_features
 from emovox.dsp import bark_band_energies, delta, log_frame_energy, mfcc_frames
 from emovox.audio import _runs, detect_speech, frame_count, frame_signal
@@ -80,20 +80,74 @@ def test_phonation_unvoiced_input_zero_with_warning(rng):
     assert v.warning == "no voiced frames"
 
 
+# The perturbation measures one window at a time, as phonation first computed
+# them per voiced span: the oracle of glottal_cycles and WindowValues.
+
+def clean_periods(marks):
+    """One window's gaps between marks, less those over 40 % from their median."""
+    periods = np.diff(marks)
+    if periods.size == 0:
+        return periods
+    med = np.median(periods)
+    keep = np.abs(periods - med) <= MAX_PERIOD_DEVIATION * med
+    return periods[keep]
+
+
+def jitter_local(periods):
+    if periods.size < 2:
+        return math.nan
+    return 100.0 * np.mean(np.abs(np.diff(periods))) / np.mean(periods)
+
+
+def jitter_ppq5(periods):
+    if periods.size < 5:
+        return math.nan
+    devs = [abs(periods[i] - np.mean(periods[i - 2:i + 3]))
+            for i in range(2, periods.size - 2)]
+    return 100.0 * np.mean(devs) / np.mean(periods)
+
+
+def jitter_ddp(periods):
+    if periods.size < 3:
+        return math.nan
+    return 100.0 * np.mean(np.abs(np.diff(periods, 2))) / np.mean(periods)
+
+
+def shimmer_local(amps):
+    amps = amps[amps > 0]
+    if amps.size < 2:
+        return math.nan
+    return 100.0 * np.mean(np.abs(np.diff(amps))) / np.mean(amps)
+
+
+def shimmer_apq11(amps):
+    amps = amps[amps > 0]
+    if amps.size < 11:
+        return math.nan
+    devs = [abs(amps[i] - np.mean(amps[i - 5:i + 6]))
+            for i in range(5, amps.size - 5)]
+    return 100.0 * np.mean(devs) / np.mean(amps)
+
+
+def one_window(values):
+    values = np.asarray(values, dtype=np.float64)
+    return WindowValues(values, np.array([values.size]))
+
+
 def test_jitter_shimmer_primitives():
-    const = np.full(20, 0.005)
-    assert jitter_local(const) == 0.0
-    assert jitter_ppq5(const) == 0.0
-    assert jitter_ddp(const) == 0.0
-    assert math.isnan(jitter_ppq5(np.full(4, 0.005)))
-    assert math.isnan(jitter_local(np.array([0.005])))
-    assert math.isnan(shimmer_apq11(np.ones(10)))
-    assert shimmer_local(np.ones(5)) == 0.0
+    const = one_window(np.full(20, 0.005))
+    assert const.relative_diff(1)[0] == 0.0
+    assert const.quotient(5)[0] == 0.0
+    assert const.relative_diff(2)[0] == 0.0
+    assert math.isnan(one_window(np.full(4, 0.005)).quotient(5)[0])
+    assert math.isnan(one_window([0.005]).relative_diff(1)[0])
+    assert math.isnan(one_window(np.ones(10)).quotient(11)[0])
+    assert one_window(np.ones(5)).relative_diff(1)[0] == 0.0
 
 
 def test_apq11_matches_brute_force():
     amps = np.array([1.0, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1])
-    got = shimmer_apq11(amps)
+    got = one_window(amps).quotient(11)[0]
     # independent direct summation
     devs = []
     for i in range(5, amps.size - 5):
@@ -145,7 +199,7 @@ def per_frame_perturbation_oracle(padded, f0_values, step, frame_len):
             continue
         seg = padded.samples[t * step:t * step + frame_len]
         marks, amps = find_peaks_pulses(seg, padded.sample_rate, float(f0_t))
-        periods = _clean_periods(marks) / padded.sample_rate
+        periods = clean_periods(marks) / padded.sample_rate
         for row, v in enumerate((jitter_local(periods), jitter_ddp(periods),
                                  shimmer_local(amps))):
             out[row, t] = 0.0 if np.isnan(v) else v
@@ -216,6 +270,35 @@ def test_per_frame_perturbation_matches_per_window_oracle(rng):
         want = per_frame_perturbation_oracle(padded, f0, step, frame_len)
         got = np.array(_per_frame_perturbation(padded, f0, step, frame_len))
         assert got.tobytes() == want.tobytes(), trial
+
+
+def test_glottal_cycles_match_scalar_measures_per_window(rng):
+    # phonation's windows, each of its own length, of 0 to 15 pulses, every one
+    # twice so windows of equal counts share a matrix; some heights zeroed or
+    # made negative, which the positive-height rule drops
+    seen = set()
+    for trial in range(80):
+        x = hostile_signal(rng, PULSE_KINDS[trial % 5], int(rng.integers(1, 8000)))
+        n_windows = int(rng.integers(1, 7))
+        f0 = np.tile(rng.uniform(55, 420, n_windows), 2)
+        lengths = (np.tile(rng.integers(0, 16, n_windows), 2) * 8000 / f0).astype(int)
+        starts = np.tile(rng.integers(0, x.size, n_windows), 2)
+        marks, amps, counts = pulse_windows(x, starts, lengths, f0, 8000)
+        amps = np.where(rng.random(amps.size) < 0.15,
+                        rng.choice([0.0, -0.1], amps.size), amps)
+        periods, heights = glottal_cycles(marks, amps, counts, 8000)
+        got = np.column_stack([periods.relative_diff(1), periods.relative_diff(2),
+                               periods.quotient(5), heights.relative_diff(1),
+                               heights.quotient(11)])
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        for i in range(2 * n_windows):
+            p = clean_periods(marks[bounds[i]:bounds[i + 1]]) / 8000
+            a = amps[bounds[i]:bounds[i + 1]]
+            want = np.array([jitter_local(p), jitter_ddp(p), jitter_ppq5(p),
+                             shimmer_local(a), shimmer_apq11(a)])
+            assert got[i].tobytes() == want.tobytes(), (trial, i)
+        seen.update(counts.tolist())
+    assert seen >= set(range(14))
 
 
 def test_per_frame_perturbation_on_voice_matches_oracle():
@@ -431,7 +514,7 @@ def phonation_per_track_oracle(w):
             continue
         marks, amps = detect_pulses(w.samples[span.start_sample:span.end_sample],
                                     w.sample_rate, float(np.median(seg_f0)))
-        periods = _clean_periods(marks) / w.sample_rate
+        periods = clean_periods(marks) / w.sample_rate
         jit.append(jitter_local(periods))
         ppq.append(jitter_ppq5(periods))
         shim.append(shimmer_local(amps))

@@ -21,7 +21,7 @@ from emovox.pipeline import (
     load_embedding_models,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, voice_like, write_pcm16
 
 
 def test_feature_key_sensitivity():
@@ -278,6 +278,36 @@ def test_extract_collects_failures(tmp_path, corpus):
     assert len(result.failures) == 1
     assert "missing.wav" in result.failures[0].path
     assert "FileNotFoundError" in result.failures[0].reason
+
+
+def degenerate_rows(directory, rate):
+    """All-zero, DC, full-scale square and clipped-voice rows, 1 sample to 1 s."""
+    rows = []
+    for n in (1, rate // 100, rate // 4, rate):
+        t = np.arange(n) / rate
+        kinds = {"zero": np.zeros(n), "dc_pos": np.full(n, 0.5), "dc_neg": np.full(n, -1.0),
+                 "square": np.where(np.sin(2 * np.pi * 150 * t) >= 0, 1.0, -1.0),
+                 "clipped": np.clip(6.0 * voice_like(130, n / rate, rate=rate), -1.0, 1.0)}
+        for kind, x in kinds.items():
+            path = write_pcm16(directory / ("%s_%d_%d.wav" % (kind, rate, n)), x, rate)
+            rows.append(ManifestRow(str(path), "x", "s1", "m"))
+    return rows
+
+
+def test_degenerate_rows_end_finite_or_counted(tmp_path):
+    # silence, DC, square waves and clipping reach every division by a mean
+    # period, pulse height or energy in the four hand-built schemes
+    rows = [row for rate in (8000, 16000, 44100) for row in degenerate_rows(tmp_path, rate)]
+    config = parse_config("scheme = articulation+prosody+phonation+i2010pc\n")
+    result = extract_for_manifest(Manifest(tuple(rows)), config, None)
+    assert result.total == len(rows) == 60
+    assert all(np.all(np.isfinite(v.values)) for v in result.vectors)
+    # the square and clipped rows of 0.25 s and 1 s are voiced, so jitter and
+    # shimmer run on them
+    voiced = {os.path.basename(v.source_id) for v in result.vectors
+              if "no voiced frames" not in v.warning}
+    assert {"%s_%d_%d.wav" % (kind, rate, n) for kind in ("square", "clipped")
+            for rate in (8000, 16000, 44100) for n in (rate // 4, rate)} <= voiced
 
 
 def test_extract_parallel_matches_serial(tmp_path, corpus):
