@@ -273,16 +273,56 @@ def roc_curve(scores, labels) -> Tuple[tuple, float]:
     return tuple(points), auc
 
 
+def _log_beta_half(a: float) -> float:
+    """ln B(a, 1/2).  From a = 25 on, lgamma(a) - lgamma(a + 1/2) would lose
+    up to 1e-12 to cancellation, so the difference comes from Stirling's
+    series instead, to about 1e-15."""
+    if a < 25.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+
+    def series(z):
+        z2 = z * z
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * z2)) / z2) / z2) / z2) / z
+
+    shift = a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a) + series(a + 0.5) - series(a)
+    return 0.5 * math.log(math.pi) - shift
+
+
+def _incomplete_beta(a: float, b: float, x: float) -> float:
+    """Regularised incomplete beta I_x(a, b), one of a and b being 1/2, for
+    x < (a + 1) / (a + b + 2), where its continued fraction converges fast;
+    evaluated by the modified Lentz method (Press et al., Numerical Recipes,
+    2nd ed., section 6.4)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 10_000):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            frac *= d * c
+        if abs(d * c - 1.0) <= 1e-16:
+            break
+    front = a * math.log(x) + b * math.log1p(-x) - _log_beta_half(max(a, b))
+    return math.exp(front) * frac / a
+
+
 def _student_t_sf(t: float, df: float) -> float:
-    """Upper-tail probability of Student's t (via the incomplete beta).
-
-    SciPy is imported here, not at module level: only ``emovox stats`` needs
-    it, and every other command starts without it.
-    """
-    from scipy.special import betainc
-
+    """Upper-tail probability of Student's t: half of I_x(df/2, 1/2) at
+    x = df / (df + t^2), or of one minus its mirror I_(1-x)(1/2, df/2)
+    where that converges faster (always near t = 0)."""
+    a = 0.5 * df
     x = df / (df + t * t)
-    tail = 0.5 * float(betainc(0.5 * df, 0.5, x))
+    if t == 0.0:
+        tail = 0.5
+    elif x < (a + 1.0) / (a + 2.5):
+        tail = 0.5 * _incomplete_beta(a, 0.5, x)
+    else:
+        tail = 0.5 - 0.5 * _incomplete_beta(0.5, a, t * t / (df + t * t))
     return tail if t >= 0 else 1.0 - tail
 
 
@@ -411,8 +451,7 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
             if not val_mask.any() or not fit_mask.any():
                 continue
             fit_labels = labels[fit_mask].tolist()
-            cls_counts = {cl: fit_labels.count(cl) for cl in classes}
-            if any(count < 2 for count in cls_counts.values()):
+            if any(fit_labels.count(cl) < 2 for cl in classes):
                 continue  # a class is missing or untrainable in this inner split
             touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
             # every class is in the fit rows, so indices refer to ``classes``

@@ -2,22 +2,23 @@
 
 The solver keeps the full kernel matrix in memory and updates the
 maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
-batched: one loop advances many duals that share samples and labels, each
-with its own kernel and box bound C, and takes for each one exactly the
-steps a lone solve would.  ``train_binary_smo`` and ``train_multiclass`` are
-the one-cell case; ``grid_predictions`` trains every (C, gamma) cell of a
-grid on the same rows and scores held-out rows with all of them, building
-no per-cell model: one standardization, one fit and one validation distance
-matrix per class pair, one kernel per gamma, one batched solve per pair, and
-one product per gamma for all cells' decision values.  Multi-class
-classification is one-vs-one with majority voting; ties fall back to summed
-decision margins and finally to lexicographic class order, one tally rule
-for a model and for a grid.  Feature standardization is
+packed: one loop advances many independent duals of different sizes, each
+with its own labels, kernel, box bound C and pass limit, padded at the end
+to a common length, and takes for each exactly the steps a lone solve
+would.  All class pairs of a one-vs-one fit go into one packed solve (more
+only if their stacked kernels would pass ``_PACK_FLOATS``): one cell for
+``train_multiclass``, every (C, gamma) cell of a grid for
+``grid_predictions``, which scores held-out rows with all cells at once and
+builds no per-cell model.  ``train_binary_smo`` is the one-problem case.
+Multi-class classification is one-vs-one with majority voting; ties fall
+back to summed decision margins and finally to lexicographic class order,
+one tally rule for a model and for a grid.  Feature standardization is
 fitted on training data only and travels with the model.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -29,6 +30,7 @@ from .errors import TrainingError
 STD_FLOOR = 1e-8
 SMO_TOL = 1e-3
 _BOUND_EPS = 1e-12
+_PACK_FLOATS = 2 ** 21  # floats of stacked kernels one packed solve holds (16 MB)
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,7 @@ def fit_standardizer(x) -> Standardizer:
 
 def _sq_distances(a, b):
     """Squared Euclidean distances between the rows of ``a`` and ``b``, floored at 0."""
-    sq = (
-        np.sum(a ** 2, axis=1)[:, None]
-        + np.sum(b ** 2, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    sq = np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(sq, 0.0)
 
 
@@ -108,43 +106,36 @@ class BinarySvm:
         return k @ self.dual_coef + self.bias
 
 
-def dual_objective(svm: BinarySvm) -> float:
-    """Value of the SVM dual sum(alpha) - 0.5 * sum alpha_i alpha_j y_i y_j K_ij."""
-    coef = svm.dual_coef
-    if coef.size == 0:
-        return 0.0
-    k = _kernel_matrix(svm.support_vectors, svm.support_vectors, svm.gamma)
-    return float(np.sum(np.abs(coef)) - 0.5 * coef @ k @ coef)
-
-
 def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
-    """Maximal-violating-pair SMO on many duals that share samples and labels.
+    """Maximal-violating-pair SMO on many independent duals in one loop.
 
-    Problem r has box bound ``c[r]`` for every sample and kernel
-    ``kernels_t[kernel_index[r]]``, stored transposed, so row i of it is
-    kernel column i.  Every row takes the steps a lone solve would: the
-    first-index maximal violating pair, the same clipping, the same gradient
-    update, each in the same floating-point order.  A row stops when it has
-    no violating pair or its gap is at most ``tol``; a row still running
-    after ``max_passes`` pair updates is unconverged.  Returns the alphas,
-    clipped to the box, and the per-row converged flags.
+    Problem r has labels ``y[r]``, +1 or -1 and then 0 on the padding that
+    ends every shorter row, box bound ``c[r]``, pass limit ``max_passes[r]``
+    and kernel ``kernels_t[kernel_index[r]]``, transposed and zero on padded
+    rows and columns.  A padded entry is in neither the up nor the low set,
+    so its alpha stays 0, and as padding comes last each row takes a lone
+    solve's steps: the same first-index pair, clipping and gradient update,
+    in the same floating-point order.  A row stops when it has no violating
+    pair or a gap of at most ``tol``, and is unconverged if still running
+    after its pass limit.  Returns the clipped alphas and converged flags.
     """
     c = np.asarray(c, dtype=np.float64)
-    cells, n = c.size, y.size
+    cells, n = y.shape
+    limit = np.asarray(max_passes)
     alpha = np.zeros((cells, n))
     converged = np.zeros(cells, dtype=bool)
-    pos = y > 0
-    neg_y = -y
     # Working arrays hold only the rows still iterating.
     rows = np.arange(cells)
     a = np.zeros((cells, n))
     grad = np.full((cells, n), -1.0)  # gradient of the dual objective being minimized
     box = c
     eps = _BOUND_EPS * (1.0 + c[:, None])
-    top = c[:, None] - eps
+    top = np.where(y != 0.0, c[:, None] - eps, 0.0)  # a padded alpha is never below it
+    pos = y > 0
+    neg_y = -y
     kid = np.asarray(kernel_index)
     r = np.arange(cells)
-    for _ in range(int(max_passes)):
+    for t in range(int(limit.max(initial=0))):
         below_c = a < top
         above_0 = a > eps
         up = np.where(pos, below_c, above_0)
@@ -153,15 +144,17 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
         i = np.where(up, viol, -np.inf).argmax(axis=1)
         j = np.where(low, viol, np.inf).argmin(axis=1)
         gap = viol[r, i] - viol[r, j]
-        done = ~(up.any(axis=1) & low.any(axis=1)) | (gap <= tol)
-        if done.any():
-            alpha[rows[done]] = a[done]
+        expired = limit <= t
+        done = ~expired & (~(up.any(axis=1) & low.any(axis=1)) | (gap <= tol))
+        stop = done | expired
+        if stop.any():
+            alpha[rows[stop]] = a[stop]
             converged[rows[done]] = True
-            keep = ~done
+            keep = ~stop
             if not keep.any():
                 break
-            rows, a, grad, box, eps, top, kid = (
-                rows[keep], a[keep], grad[keep], box[keep], eps[keep], top[keep], kid[keep])
+            rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit = (
+                v[keep] for v in (rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit))
             i, j, gap = i[keep], j[keep], gap[keep]
             r = np.arange(rows.size)
         col_i = kernels_t[kid, i]
@@ -169,8 +162,8 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
         curv = col_i[r, i] + col_j[r, j] - 2.0 * col_j[r, i]
         curv = np.where(1e-12 > curv, 1e-12, curv)
         step = gap / curv
-        yi = y[i]
-        yj = y[j]
+        yi = y[r, i]
+        yj = y[r, j]
         ai = a[r, i]
         aj = a[r, j]
         # min/max as Python's builtins take them, operand order included
@@ -185,6 +178,42 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     else:
         alpha[rows] = a
     return np.clip(alpha, 0.0, c[:, None]), converged
+
+
+def _solve_pairs(pairs, cells, tol):
+    """Solve every (c, gamma) cell of every class pair (pass limit 10 * n),
+    one ``_smo_batch`` call per run of as many pairs as keep their stacked
+    kernels, gammas x n_max**2 floats each at the largest pair's n, within
+    ``_PACK_FLOATS``.  Yields (pair, z, yv, {gamma: kernel}, alphas (cells,
+    n), converged (cells,)) per pair in order, with a lone solve's bits.
+    """
+    if any(c <= 0 or g <= 0 for c, g in cells):
+        raise TrainingError("C and gamma must be positive")
+    gammas = list(dict.fromkeys(g for _c, g in cells))
+    kernel_index = np.array([gammas.index(g) for _c, g in cells])
+    c_values = np.array([c for c, _g in cells])
+    n_cells, n_kernels = len(cells), len(gammas)
+    per_run = max(1, _PACK_FLOATS // (n_kernels * max(yv.size for *_, yv in pairs) ** 2))
+    for start in range(0, len(pairs), per_run):
+        run = pairs[start:start + per_run]
+        sizes = np.array([yv.size for *_, yv in run])
+        n_max = sizes.max()
+        stacked = np.zeros((len(run), n_kernels, n_max, n_max))
+        y = np.zeros((len(run), n_cells, n_max))
+        kernels = []
+        for p, (_pair, z, yv) in enumerate(run):
+            sq = _sq_distances(z, z)
+            kernels.append({g: np.exp(-g * sq) for g in gammas})
+            for gi, k in enumerate(kernels[p].values()):
+                stacked[p, gi, :yv.size, :yv.size] = k.T
+            y[p, :, :yv.size] = yv
+        alpha, converged = _smo_batch(
+            stacked.reshape(-1, n_max, n_max),
+            (np.arange(len(run))[:, None] * n_kernels + kernel_index).ravel(),
+            y.reshape(-1, n_max), np.tile(c_values, len(run)), tol, np.repeat(10 * sizes, n_cells))
+        for p, (pair, z, yv) in enumerate(run):
+            rows = slice(p * n_cells, (p + 1) * n_cells)
+            yield pair, z, yv, kernels[p], alpha[rows, :yv.size], converged[rows]
 
 
 def _binary_svm(xm, k, yv, alpha, c, gamma, converged) -> BinarySvm:
@@ -207,31 +236,18 @@ def _binary_svm(xm, k, yv, alpha, c, gamma, converged) -> BinarySvm:
     kept = alpha > 0.0
     model_alpha = alpha.copy()
     model_alpha.setflags(write=False)
-    return BinarySvm(
-        support_vectors=xm[kept].copy(),
-        dual_coef=(alpha * yv)[kept],
-        bias=bias,
-        c=float(c),
-        gamma=float(gamma),
-        converged=bool(converged),
-        alphas=model_alpha,
-    )
+    return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], bias, float(c), float(gamma),
+                     bool(converged), model_alpha)
 
 
-def train_binary_smo(
-    x,
-    y,
-    c: float,
-    gamma: float,
-    tol: float = SMO_TOL,
-    max_passes: Optional[int] = None,
-) -> BinarySvm:
+def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
+                     max_passes: Optional[int] = None) -> BinarySvm:
     """Solve the soft-margin dual by maximal-violating-pair SMO.
 
     If the violation gap is still above ``tol`` after ``max_passes`` pair
     updates (default 10 * n), the best-effort model is returned with
-    ``converged`` False.  This is the one-cell case of the batched solver
-    behind ``grid_predictions``.
+    ``converged`` False.  This is the one-problem case of the packed solver
+    behind ``train_multiclass`` and ``grid_predictions``.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -248,7 +264,7 @@ def train_binary_smo(
         max_passes = 10 * n
 
     k = _kernel_matrix(xm, xm, gamma)
-    alpha, converged = _smo_batch(k.T[None], [0], yv, [float(c)], tol, max_passes)
+    alpha, converged = _smo_batch(k.T[None], [0], yv[None], [float(c)], tol, [max_passes])
     return _binary_svm(xm, k, yv, alpha[0], float(c), gamma, converged[0])
 
 
@@ -280,40 +296,34 @@ def _one_vs_one(x, labels):
     classes = sorted(set(lab))
     if len(classes) < 2:
         raise TrainingError("need at least 2 classes, got %d" % len(classes))
-    counts = {cl: lab.count(cl) for cl in classes}
     for cl in classes:
-        if counts[cl] < 2:
-            raise TrainingError("class %r has %d sample(s); need at least 2" % (cl, counts[cl]))
+        if lab.count(cl) < 2:
+            raise TrainingError("class %r has %d sample(s); need at least 2" % (cl, lab.count(cl)))
 
     scaler = fit_standardizer(xm)
     z = scaler.transform(xm)
     lab_arr = np.array(lab, dtype=object)
 
     pairs = []
-    for ia in range(len(classes)):
-        for ib in range(ia + 1, len(classes)):
-            a, b = classes[ia], classes[ib]
-            mask = (lab_arr == a) | (lab_arr == b)
-            sub_lab = lab_arr[mask]
-            pairs.append(((a, b), z[mask], np.where(sub_lab == a, 1.0, -1.0)))
+    for a, b in itertools.combinations(classes, 2):
+        mask = (lab_arr == a) | (lab_arr == b)
+        pairs.append(((a, b), z[mask], np.where(lab_arr[mask] == a, 1.0, -1.0)))
     return tuple(classes), scaler, pairs
 
 
-def train_multiclass(
-    x,
-    labels,
-    c: float,
-    gamma: float,
-    tol: float = SMO_TOL,
-) -> MulticlassSvm:
+def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) -> MulticlassSvm:
     """Train k(k-1)/2 pairwise machines on standardized features.
 
     In each pairwise machine the lexicographically smaller class takes the +1
-    side.
+    side.  All pairs are solved together, the one-cell case of the grid's
+    packed solve; each machine is ``train_binary_smo`` of its pair, bit for
+    bit.
     """
     classes, scaler, pairs = _one_vs_one(x, labels)
-    machines = {pair: train_binary_smo(z, yv, c, gamma, tol=tol) for pair, z, yv in pairs}
-    return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
+    c, gamma = float(c), float(gamma)
+    machines = {pair: _binary_svm(z, kernels[gamma], yv, alpha[0], c, gamma, ok[0])
+                for pair, z, yv, kernels, alpha, ok in _solve_pairs(pairs, [(c, gamma)], tol)}
+    return MulticlassSvm(classes, machines, scaler, c, gamma)
 
 
 class _PairGrid(NamedTuple):
@@ -353,36 +363,26 @@ def _grid_machines(x, labels, x_val, cells, tol):
     Per cell this is ``train_multiclass(x, labels, c, gamma, tol)`` followed
     by ``decision_values`` of each pair machine: the alphas and converged
     flags are the same bits; biases and decision values agree to rounding,
-    since their sums run in another order.
-    The standardizer is fitted once; per class pair the fit and validation
-    distance matrices are built once, each kernel once per gamma, one batched
-    SMO solves every cell, and one product per gamma gives all cells'
-    training and validation decision values.  Returns the classes and one
-    ``_PairGrid`` per pair in ``train_multiclass`` order.
+    since their sums run in another order.  One standardizer, one packed
+    solve (``_solve_pairs``), and per pair one validation distance matrix
+    and one product per gamma for all cells' decision values.  Returns the
+    classes and one ``_PairGrid`` per pair in ``train_multiclass`` order.
     """
     cells = [(float(c), float(g)) for c, g in cells]
-    if any(c <= 0 or g <= 0 for c, g in cells):
-        raise TrainingError("C and gamma must be positive")
     classes, scaler, pairs = _one_vs_one(x, labels)
     if not cells:
         return classes, []
     z_val = scaler.transform(x_val)
-    gammas = list(dict.fromkeys(g for _c, g in cells))
-    kernel_index = np.array([gammas.index(g) for _c, g in cells])
-    c_values = np.array([c for c, _g in cells])
+    c_values, cell_gammas = np.array(cells).T
 
     machines = []
-    for pair, z, yv in pairs:
-        sq = _sq_distances(z, z)
+    for pair, z, yv, kernels, alpha, converged in _solve_pairs(pairs, cells, tol):
         sq_val = _sq_distances(z_val, z)
-        kernels = [np.exp(-g * sq) for g in gammas]
-        alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
-                                      yv, c_values, tol, 10 * z.shape[0])
         coef = alpha * yv
-        fvals = np.empty_like(alpha)
+        fvals = np.empty_like(coef)
         decision = np.empty((len(cells), z_val.shape[0]))
-        for gi, (g, k) in enumerate(zip(gammas, kernels)):
-            sel = kernel_index == gi
+        for g, k in kernels.items():
+            sel = cell_gammas == g
             fvals[sel] = coef[sel] @ k
             decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
         bias = _grid_biases(alpha, fvals, yv, c_values)

@@ -7,6 +7,16 @@ import numpy as np
 import pytest
 
 from emovox.audio import Waveform
+from emovox.svm import BinarySvm, _kernel_matrix
+
+
+def dual_objective(svm: BinarySvm) -> float:
+    """Value of the SVM dual sum(alpha) - 0.5 * sum alpha_i alpha_j y_i y_j K_ij."""
+    coef = svm.dual_coef
+    if coef.size == 0:
+        return 0.0
+    k = _kernel_matrix(svm.support_vectors, svm.support_vectors, svm.gamma)
+    return float(np.sum(np.abs(coef)) - 0.5 * coef @ k @ coef)
 
 
 def tone(freq, dur_s=1.0, rate=8000, amp=0.5, phase=0.0):

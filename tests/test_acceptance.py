@@ -42,9 +42,9 @@ from emovox.evaluation import (
 from emovox.features import EXTRACTORS, SCHEME_DIMS
 from emovox.features.phonation import phonation_features
 from emovox.manifest import ManifestRow, write_manifest
-from emovox.svm import dual_objective, train_binary_smo
+from emovox.svm import train_binary_smo
 
-from conftest import make_corpus, tone, voice_like, wf, write_pcm16
+from conftest import dual_objective, make_corpus, tone, voice_like, wf, write_pcm16
 from test_evaluation import SMALL_GRID, blob_dataset, mann_whitney_auc
 from test_features import pulse_train
 from test_svm import kkt_worst_violation, projected_gradient_dual

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from emovox import audio
 from emovox.audio import (SILENCE, SPEECH, UNVOICED, VOICED, SegmentSpan,
@@ -367,6 +368,75 @@ def test_parse_wav_matches_load_wav(tmp_path):
     assert (parsed.sample_rate, parsed.source_id) == (loaded.sample_rate, str(path))
     with pytest.raises(MalformedWavError, match="bytes.wav"):
         parse_wav(b"RIFX" + bytes(40), "bytes.wav")
+
+
+def riff(fmt_body, data, pad=True):
+    """A RIFF/WAVE blob of a fmt and a data chunk; ``pad`` adds the byte that
+    word-aligns an odd-length chunk, which a careless writer leaves out."""
+    def chunk(tag, body):
+        return tag + struct.pack("<I", len(body)) + body + (b"\0" if pad and len(body) % 2 else b"")
+    body = b"WAVE" + chunk(b"fmt ", fmt_body) + chunk(b"data", data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def pcm_fmt(bits, channels=1, rate=8000, tag=1):
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+
+
+VALID_WAVS = (
+    riff(pcm_fmt(16), (np.round(tone(300, 0.01) * 32767.0).astype("<i2")).tobytes()),
+    riff(pcm_fmt(8, channels=2), bytes(range(0, 255, 3))),
+)
+# byte offsets of the RIFF, fmt and data chunk sizes in both valid files
+SIZE_FIELDS = (4, 16, 40)
+
+
+def hostile_wavs():
+    """Truncated, byte-flipped and chunk-size-corrupted copies of the valid
+    16-bit mono and 8-bit stereo files, and files whose fmt or data chunk has
+    an odd length, with or without its pad byte."""
+    valid = st.sampled_from(VALID_WAVS)
+    header_or_any = st.one_of(st.integers(0, 43), st.integers(0, len(VALID_WAVS[1]) - 1))
+    sizes = st.one_of(st.sampled_from([0, 1, 2, 15, 16, 17, 2 ** 31, 2 ** 32 - 1]),
+                      st.integers(0, 2 ** 32 - 1))
+
+    def flip(blob, pos, mask):
+        out = bytearray(blob)
+        out[pos % len(blob)] ^= mask
+        return bytes(out)
+
+    def resize(blob, field, size):
+        return blob[:field] + struct.pack("<I", size) + blob[field + 4:]
+
+    odd = st.builds(
+        lambda bits, channels, extra, data, pad: riff(pcm_fmt(bits, channels) + extra, data, pad),
+        st.sampled_from([8, 16]), st.integers(0, 3), st.binary(max_size=3),
+        st.binary(max_size=9), st.booleans())
+    return st.one_of(
+        st.tuples(valid, st.integers(0, len(VALID_WAVS[0]))).map(lambda c: c[0][:c[1]]),
+        st.builds(flip, valid, header_or_any, st.integers(1, 255)),
+        st.builds(resize, valid, st.sampled_from(SIZE_FIELDS), sizes),
+        odd)
+
+
+def test_hostile_wav_decodes_finite_or_is_a_wav_error():
+    # the two files every variant starts from are valid
+    assert [len(parse_wav(v)) for v in VALID_WAVS] == [80, 42]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(hostile_wavs())
+    def check(blob):
+        try:
+            w = parse_wav(blob, "hostile.wav")
+        except (MalformedWavError, UnsupportedWavError):
+            return
+        assert isinstance(w, Waveform)
+        assert w.samples.size > 0 and np.all(np.isfinite(w.samples))
+        assert w.sample_rate > 0
+
+    check()
 
 
 def test_vad_micro_recording():

@@ -1,6 +1,7 @@
 """Fold construction, nested CV, metrics, ROC, and statistical-test checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +305,57 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     assert len({(f.c, f.gamma) for f in report.folds}) > 1
 
 
+def test_nested_cv_makes_one_solve_per_inner_split_and_outer_fold(monkeypatch):
+    # all six class pairs of a 4-class split share one packed SMO call
+    from emovox import svm
+
+    calls = []
+    solve = svm._smo_batch
+    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(len(a[2])) or solve(*a))
+    rng = np.random.default_rng(31)
+    samples, feats = blob_dataset(rng, class_names=("angry", "happy", "neutral", "sad"),
+                                  n_per=8, sep=2.0, sigma=1.0, n_speakers=8)
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=1)
+    nested_cv(samples, feats, plan, SMALL_GRID)
+    labels = np.array([s.label for s in samples], dtype=object)
+    want = []
+    for fold in range(plan.k_outer):
+        inner = np.asarray(plan.inner[fold])
+        for inner_fold in range(plan.k_inner):
+            val, fit = inner == inner_fold, (inner != -1) & (inner != inner_fold)
+            fit_labels = labels[fit].tolist()
+            if val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)):
+                want.append(6 * len(SMALL_GRID.cells()))
+        want.append(6)
+    assert len(want) > 2 * plan.k_outer
+    assert calls == want
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+def test_train_multiclass_matches_per_pair_binary_smo(n_classes):
+    from test_svm import assert_same_machine
+
+    from emovox.svm import train_binary_smo, train_multiclass
+
+    for seed in range(3):
+        r = np.random.default_rng(50 * n_classes + seed)
+        names = "vwxyz"[:n_classes]
+        labels = [name for name in names for _ in range(int(r.integers(2, 12)))]
+        x = r.standard_normal((len(labels), 3)) + np.array(
+            [names.index(label) for label in labels])[:, None]
+        c, gamma = float(10.0 ** r.integers(-2, 5)), float(10.0 ** r.integers(-3, 2))
+        model = train_multiclass(x, labels, c, gamma)
+        z = model.standardizer.transform(x)
+        lab = np.array(labels, dtype=object)
+        assert list(model.machines) == [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        for (a, b), machine in model.machines.items():
+            mask = (lab == a) | (lab == b)
+            want = train_binary_smo(z[mask], np.where(lab[mask] == a, 1.0, -1.0), c, gamma)
+            assert_same_machine(machine, want)
+            assert machine.alphas.tobytes() == want.alphas.tobytes()
+            assert machine.dual_coef.tobytes() == want.dual_coef.tobytes()
+
+
 def test_nested_cv_skips_unusable_inner_folds():
     rng = np.random.default_rng(13)
     samples, feats = [], []
@@ -465,6 +517,41 @@ def test_t_cdf_against_numeric_integration():
     for t, df in ((2.0, 10.0), (0.5, 3.0), (4.2, 25.0), (-1.3, 7.0)):
         assert _student_t_sf(t, df) == pytest.approx(numeric_t_tail(t, df), abs=1e-8)
     assert 2.0 * _student_t_sf(2.0, 10.0) == pytest.approx(0.0734, abs=1e-3)
+
+
+def scipy_t_tail(t, df):
+    """``_student_t_sf`` from SciPy's incomplete beta, given the same x the
+    function computes, or 1 - x (which the complement ``betaincc`` takes
+    exactly) where the function takes that branch."""
+    from scipy.special import betainc, betaincc
+
+    a, x = 0.5 * df, df / (df + t * t)
+    if x < (a + 1.0) / (a + 2.5):
+        tail = 0.5 * float(betainc(a, 0.5, x))
+    else:
+        tail = 0.5 * float(betaincc(0.5, a, t * t / (df + t * t)))
+    return tail if t >= 0 else 1.0 - tail
+
+
+def test_t_tail_matches_scipy_incomplete_beta(rng):
+    dfs = np.concatenate([[2.0, 2.5, 3.0, 49.9, 50.0, 50.1, 2000.0],
+                          10.0 ** rng.uniform(math.log10(2.0), math.log10(2000.0), 60)])
+    ts = np.concatenate([[0.0, 1e-9, 0.01, 1.0, 1.2, 50.0], rng.uniform(0.0, 50.0, 20),
+                         10.0 ** rng.uniform(-6.0, math.log10(50.0), 20)])
+    mirrored = direct = 0
+    for df in dfs:
+        for t in np.concatenate([ts, -ts]):
+            got, want = _student_t_sf(t, df), scipy_t_tail(t, df)
+            if want < sys.float_info.min:   # below double precision
+                assert got < sys.float_info.min, (df, t)
+                continue
+            assert abs(got - want) <= 1e-12 * want, (df, t, got, want)
+            if df / (df + t * t) < (0.5 * df + 1.0) / (0.5 * df + 2.5):
+                direct += 1
+            else:
+                mirrored += 1
+    assert _student_t_sf(0.0, 7.3) == 0.5
+    assert direct > 1000 and mirrored > 1000
 
 
 def test_welch_identical_groups():

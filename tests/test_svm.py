@@ -18,15 +18,16 @@ from emovox.svm import (
     _kernel_matrix,
     _one_vs_one,
     _smo_batch,
-    _sq_distances,
+    _solve_pairs,
     decision_scores,
-    dual_objective,
     fit_standardizer,
     grid_predictions,
     predict,
     train_binary_smo,
     train_multiclass,
 )
+
+from conftest import dual_objective
 
 
 def random_binary_problem(seed, n=10, dim=3):
@@ -179,25 +180,15 @@ def assert_same_ensemble(got, want):
 
 def train_grid(x, labels, cells, tol=SMO_TOL):
     """Yield ``train_multiclass(x, labels, c, gamma, tol)`` for each
-    (c, gamma) in ``cells``, bit for bit, from one batched SMO per class
-    pair: the per-cell oracle for the grid scorer."""
+    (c, gamma) in ``cells``, bit for bit, from one packed SMO of all pairs
+    and cells: the per-cell oracle for the grid scorer."""
     cells = [(float(c), float(g)) for c, g in cells]
     classes, scaler, pairs = _one_vs_one(x, labels)
-    gammas = list(dict.fromkeys(g for _c, g in cells))
-    kernel_index = [gammas.index(g) for _c, g in cells]
-    c_values = np.array([c for c, _g in cells])
-    solved = []
-    for pair, z, yv in pairs:
-        sq = _sq_distances(z, z)
-        kernels = [np.exp(-g * sq) for g in gammas]
-        alpha, converged = _smo_batch(np.stack([k.T for k in kernels]), kernel_index,
-                                      yv, c_values, tol, 10 * z.shape[0])
-        solved.append((pair, z, kernels, yv, alpha, converged))
+    solved = list(_solve_pairs(pairs, cells, tol))
     for cell, (c, g) in enumerate(cells):
         yield MulticlassSvm(classes, {
-            pair: _binary_svm(z, kernels[kernel_index[cell]], yv, alpha[cell], c, g,
-                              converged[cell])
-            for pair, z, kernels, yv, alpha, converged in solved
+            pair: _binary_svm(z, kernels[g], yv, alpha[cell], c, g, converged[cell])
+            for pair, z, yv, kernels, alpha, converged in solved
         }, scaler, c, g)
 
 
@@ -416,6 +407,81 @@ def test_smo_matches_scalar_oracle():
         c = float(10.0 ** r.integers(-3, 5))
         gamma = float(10.0 ** r.integers(-3, 3))
         assert_same_machine(train_binary_smo(x, y, c, gamma), scalar_smo(x, y, c, gamma))
+
+
+def packed_problems(seed, count=24):
+    """Random duals for one packed ``_smo_batch`` call, as (x, y, c, gamma,
+    pass limit), in twos that share rows and gamma, so a kernel: n from 2
+    to 20, some with a duplicate row of the other label, limits of 10 * n or
+    of a few passes."""
+    r = np.random.default_rng(seed)
+    problems = []
+    for p in range(count // 2):
+        n = 2 if p % 3 == 0 else int(r.integers(3, 21))
+        x, y = random_binary_problem(1000 * seed + p, n=n, dim=int(r.integers(1, 5)))
+        if p % 2 and n > 2:
+            x[-1], y[-1] = x[0], -y[0]
+        gamma = float(10.0 ** r.integers(-2, 2))
+        for labels in (y, -y if p % 4 < 2 else y):
+            limit = 10 * n if r.random() < 0.7 else int(r.integers(0, 4))
+            problems.append((x, labels, float(10.0 ** r.integers(-2, 5)), gamma, limit))
+    return problems
+
+
+def solve_packed(problems, tol=SMO_TOL):
+    """One ``_smo_batch`` call over ``problems`` padded to the longest n."""
+    n_max = max(len(y) for _x, y, *_rest in problems)
+    kernels = np.zeros((len(problems) // 2, n_max, n_max))
+    y_pad = np.zeros((len(problems), n_max))
+    for p, (x, y, _c, gamma, _limit) in enumerate(problems):
+        kernels[p // 2, :len(y), :len(y)] = _kernel_matrix(x, x, gamma).T
+        y_pad[p, :len(y)] = y
+    return _smo_batch(kernels, np.arange(len(problems)) // 2, y_pad,
+                      [p[2] for p in problems], tol, [p[4] for p in problems])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_smo_matches_lone_scalar_solves(seed):
+    problems = packed_problems(seed)
+    alpha, converged = solve_packed(problems)
+    assert alpha.shape[0] == converged.shape[0] == len(problems)
+    assert converged.any() and not converged.all()
+    for p, (x, y, c, gamma, limit) in enumerate(problems):
+        want = scalar_smo(x, y, c, gamma, max_passes=limit)
+        assert alpha[p, :len(y)].tobytes() == want.alphas.tobytes(), p
+        assert bool(converged[p]) is want.converged, p
+        assert alpha[p, len(y):].tobytes() == bytes(8 * (alpha.shape[1] - len(y)))
+
+
+def pair_bits(machines):
+    return [(m.pair, m.alphas.tobytes(), m.converged.tobytes(), m.bias.tobytes(),
+             m.decision.tobytes()) for m in machines]
+
+
+def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
+    from emovox import svm
+
+    r = np.random.default_rng(9)
+    labels = [name for name, count in zip("abcd", (9, 5, 13, 7)) for _ in range(count)]
+    x = r.standard_normal((len(labels), 5)) + np.array(
+        ["abcd".index(label) for label in labels])[:, None]
+    calls = []
+    solve = svm._smo_batch
+    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[2].shape) or solve(*a))
+    whole = _grid_machines(x, labels, x[::3], GRID_CELLS, SMO_TOL)
+    model = train_multiclass(x, labels, 10.0, 0.1)
+    assert calls == [(6 * len(GRID_CELLS), 22), (6, 22)]
+    # pairs of 14, 22, 16, 18, 12 and 20 rows and 4 gammas: 3 x 4 x 22**2
+    # stacked kernel floats pass this cap, 2 x 4 x 22**2 do not
+    monkeypatch.setattr(svm, "_PACK_FLOATS", 3 * 4 * 22 ** 2 - 1)
+    calls.clear()
+    split = _grid_machines(x, labels, x[::3], GRID_CELLS, SMO_TOL)
+    assert calls == [(2 * len(GRID_CELLS), n_max) for n_max in (22, 18, 20)]
+    assert pair_bits(split[1]) == pair_bits(whole[1])
+    monkeypatch.setattr(svm, "_PACK_FLOATS", 1)
+    calls.clear()
+    assert_same_ensemble(train_multiclass(x, labels, 10.0, 0.1), model)
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
