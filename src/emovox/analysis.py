@@ -1,12 +1,13 @@
 """Per-utterance intermediates shared by every feature scheme of a manifest row.
 
 An ``Analysis`` wraps one 8 kHz ``Waveform`` and owns its 25/10 ms frame
-grid: the Hann and rectangular frame matrices, the F0 track, the voiced /
-unvoiced segmentation of that track, the mask of voiced grid frames, the
-rectangular-frame log energy and the MFCC matrix both embeddings read.  Each
-is computed the first time a scheme asks for it.  The pipeline builds one
-per row on its first cache miss; an extractor given a bare ``Waveform``
-builds its own.
+grid: the Hann and rectangular frame matrices, the Hann frames' power
+spectrum (i2010pc's MFCCs and mel bands and the embedding MFCCs read it),
+the F0 track, the voiced / unvoiced segmentation of that track, the mask of
+voiced grid frames, the rectangular-frame log energy and the MFCC matrix
+both embeddings read.  Each is computed the first time a scheme asks for
+it.  The pipeline builds one per row on its first cache miss; an extractor
+given a bare ``Waveform`` builds its own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import STEP_MS, VOICED, Waveform, frame_signal, voiced_segments
-from .dsp import estimate_f0, log_frame_energy, mfcc_frames
+from .dsp import estimate_f0, log_frame_energy, mfcc_frames, power_spectrum
 
 EMBEDDING_N_CEPS = 24
 
@@ -48,6 +49,11 @@ class Analysis:
     def hann_frames(self) -> np.ndarray:
         """Hann-windowed 25/10 ms frames, one per row."""
         return self._once("hann_frames", lambda: frame_signal(self.waveform))
+
+    @property
+    def hann_power(self) -> np.ndarray:
+        """Power spectrum of the Hann frames, one row per frame."""
+        return self._once("hann_power", lambda: power_spectrum(self.hann_frames))
 
     @property
     def rect_frames(self) -> np.ndarray:
@@ -87,5 +93,5 @@ class Analysis:
     @property
     def embedding_mfcc(self) -> np.ndarray:
         return self._once("embedding_mfcc", lambda: mfcc_frames(
-            self.hann_frames, self.waveform.sample_rate,
+            self.hann_power, self.waveform.sample_rate,
             n_mels=EMBEDDING_N_CEPS, n_ceps=EMBEDDING_N_CEPS))

@@ -11,9 +11,15 @@ import argparse
 import csv
 import io
 import logging
+import os
 import sys
 
-import numpy as np
+# A threaded OpenBLAS product sums in another order, so output bytes would follow
+# the CPU count: pin one BLAS thread before NumPy loads (library callers too).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402 (after the BLAS pin)
 
 from . import modelio
 from .cache import FeatureCache

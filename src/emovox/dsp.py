@@ -29,6 +29,12 @@ FORMANT_PREEMPHASIS = 0.5
 
 N_BARK_BANDS = 22
 
+# LSF search: grid points over [0, pi], Newton steps per root, and the
+# largest last step (in x = cos w) of a root taken as settled.
+LSP_GRID = 128
+LSP_NEWTON_STEPS = 4
+LSP_STEP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class F0Track:
@@ -207,12 +213,57 @@ def formants_f1_f2(segment: np.ndarray, rate: int):
     return out[:, 0], out[:, 1]
 
 
+def _lsp_search(polys: np.ndarray, m: int):
+    """Root angles of stacked P (first half) and Q rows by Kabal & Ramachandran's
+    search: less its trivial root (z = -1 of P, z = +1 of Q), each row is a
+    Chebyshev series in x = cos w.  Returns which frames were found and the m
+    angles of each of their P and Q rows."""
+    n = polys.shape[0] // 2
+    q = polys[:, :m + 1].copy()
+    for k in range(1, m + 1):   # synthetic division by 1 + z^-1 (P), 1 - z^-1 (Q)
+        q[:n, k] -= q[:n, k - 1]
+        q[n:, k] += q[n:, k - 1]
+    d = np.concatenate([q[:, m:], 2.0 * q[:, m - 1::-1]], axis=1)
+    t = np.cos(np.arange(m + 1)[:, None] * np.linspace(0.0, math.pi, LSP_GRID))
+    grid = d[:, :1] + d[:, 1:2] * t[1]
+    for k in range(2, m + 1):   # elementwise, so no BLAS setting moves a bit
+        grid += d[:, k:k + 1] * t[k]
+    row, g = np.divmod(np.flatnonzero(np.diff(grid > 0.0, axis=1)), LSP_GRID - 1)
+    count = np.bincount(row, minlength=2 * n)
+    found = (count[:n] == m) & (count[n:] == m)
+    both = np.tile(found, 2)
+    g, rows = g[both[row]].reshape(-1, m), np.flatnonzero(both)[:, None]
+    d, f_lo, f_hi = d[rows[:, 0]], grid[rows, g], grid[rows, g + 1]
+    x_lo, x_hi = t[1][g], t[1][g + 1]   # x falls as w rises
+    x = x_lo + f_lo * (x_hi - x_lo) / (f_lo - f_hi)
+    for _ in range(LSP_NEWTON_STEPS):
+        # the series and its slope at x, by the recurrences of T_k and T_k'
+        t0, t1, u0, u1 = 1.0, x, 0.0, 1.0
+        value, slope = d[:, :1] + d[:, 1:2] * x, d[:, 1:2]
+        for k in range(2, m + 1):
+            t0, t1, u0, u1 = t1, 2.0 * x * t1 - t0, u1, 2.0 * t1 + 2.0 * x * u1 - u0
+            value, slope = value + d[:, k:k + 1] * t1, slope + d[:, k:k + 1] * u1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(value == 0.0, 0.0, value / slope)
+        x = np.clip(x - step, x_hi, x_lo)
+    # a root whose last step the bracket clipped, or a large one, is unsettled
+    settled = np.all(np.abs(step) <= LSP_STEP_TOL, axis=1).reshape(2, -1).all(axis=0)
+    found[found] = settled
+    return found, np.arccos(x[np.tile(settled, 2)])
+
+
 def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
     """Line spectral frequencies (Hz, ascending) of an LPC polynomial, or of each row.
 
-    The LSFs of A(z) (a[0] != 0, order p) are the root angles in (0, pi) of
-    P(z) = A(z) + z^-(p+1) A(1/z) and Q(z) = A(z) - z^-(p+1) A(1/z); the
-    lowest p are kept, zero-padded when fewer qualify.
+    The LSFs of A(z) (a[0] != 0, order p) are the root angles in (1e-6,
+    pi - 1e-6) of P(z) = A(z) + z^-(p+1) A(1/z) and Q(z) = A(z) - z^-(p+1) A(1/z);
+    the lowest p are kept, zero-padded when fewer qualify.  For even p,
+    ``_lsp_search`` finds them for all frames at once: sign changes on
+    LSP_GRID points from w = 0 to pi, then LSP_NEWTON_STEPS Newton steps from
+    a secant start, clipped to the grid step.  Frames of odd p, or whose
+    series do not change sign exactly p/2 times (two roots in one step, A(z)
+    far from minimum phase), or with a last step over LSP_STEP_TOL, get
+    companion-matrix ``eigvals`` instead, bit for bit ``np.roots``.
     """
     a = np.asarray(a, dtype=np.float64)
     rows = np.atleast_2d(a)
@@ -220,7 +271,13 @@ def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
         raise ValueError("lsp_from_lpc needs a nonzero leading coefficient")
     n, p = rows.shape[0], rows.shape[1] - 1
     ext = np.pad(rows, ((0, 0), (0, 1)))
-    ang = np.angle(_poly_roots(np.concatenate([ext + ext[:, ::-1], ext - ext[:, ::-1]])))
+    polys = np.concatenate([ext + ext[:, ::-1], ext - ext[:, ::-1]])
+    ang = np.full((2 * n, p + 1), np.inf)
+    found = np.zeros(n, dtype=bool)
+    if p > 0 and p % 2 == 0:
+        found, searched = _lsp_search(polys, p // 2)
+        ang[np.tile(found, 2), :p // 2] = searched
+    ang[~np.tile(found, 2)] = np.angle(_poly_roots(polys[~np.tile(found, 2)]))
     ang = np.where((ang > 1e-6) & (ang < math.pi - 1e-6), ang, np.inf)
     ang = np.sort(np.concatenate([ang[:n], ang[n:]], axis=1), axis=1)[:, :p]
     lsf = ang * rate / (2.0 * math.pi)
@@ -267,20 +324,20 @@ def power_spectrum(frames: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, axis=-1)) ** 2
 
 
-def log_mel_energies(frames: np.ndarray, rate: int, n_mels: int,
+def log_mel_energies(spec: np.ndarray, rate: int, n_mels: int,
                      fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    spec = power_spectrum(np.atleast_2d(frames))
-    fb = mel_filterbank(n_mels, spec.shape[1], rate, fmin, fmax)
+    """Log mel band energies per frame of a ``power_spectrum`` (one frame per row)."""
+    fb = mel_filterbank(n_mels, spec.shape[-1], rate, fmin, fmax)
     return np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
 
 
-def mfcc_frames(frames: np.ndarray, rate: int, n_mels: int = 24,
+def mfcc_frames(spec: np.ndarray, rate: int, n_mels: int = 24,
                 n_ceps: int = 13, first: int = 0) -> np.ndarray:
-    """MFCCs per frame: orthonormal DCT-II of the log mel energies.
+    """MFCCs per frame of a ``power_spectrum``: orthonormal DCT-II of the log mel energies.
 
     Returns coefficients first..first+n_ceps-1 (c0 included by default).
     """
-    logmel = log_mel_energies(frames, rate, n_mels)
+    logmel = log_mel_energies(spec, rate, n_mels)
     return logmel @ _dct_matrix(n_mels)[first:first + n_ceps].T
 
 

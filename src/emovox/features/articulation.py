@@ -11,7 +11,7 @@ import numpy as np
 
 from ..analysis import Analysis
 from ..audio import ONSET, Waveform, frame_count, make_window
-from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames
+from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames, power_spectrum
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 
 from . import FeatureVector
@@ -35,7 +35,7 @@ def transition_descriptors(chunks: np.ndarray, rate: int) -> np.ndarray:
         return np.hstack([bbe, np.zeros((n_chunks, 3 * N_MFCC))])
     idx = np.arange(frame_len)[None, :] + step * np.arange(n)[:, None]
     frames = chunks[:, idx] * make_window("hann", frame_len)
-    ceps = mfcc_frames(frames.reshape(-1, frame_len), rate, n_mels=24,
+    ceps = mfcc_frames(power_spectrum(frames.reshape(-1, frame_len)), rate, n_mels=24,
                        n_ceps=N_MFCC, first=1).reshape(n_chunks, n, N_MFCC)
     # deltas run along each chunk's frames: frames down, (chunk, coefficient) across
     by_frame = ceps.transpose(1, 0, 2).reshape(n, -1)

@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis import Analysis
 from ..audio import Waveform
 from ..dsp import (delta, estimate_f0, log_frame_energy, log_mel_energies, lpc,
-                   lsp_from_lpc, mfcc_frames, moving_average, PREEMPHASIS)
+                   lsp_from_lpc, mfcc_frames, moving_average, power_spectrum, PREEMPHASIS)
 from ..functionals import IS10_FUNCTIONALS, FeatureTrack, FunctionalSet, apply_functionals
 from .phonation import glottal_cycles, pulse_windows
 
@@ -73,15 +73,16 @@ def _per_frame_perturbation(padded: Waveform, f0_values: np.ndarray, step: int,
 def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
     w, rate = a.waveform, a.waveform.sample_rate
-    frames_mat = a.hann_frames
+    frames_mat, spec = a.hann_frames, a.hann_power
     if frames_mat.shape[0] == 0:
         # micro-recordings: behave as a single silent frame
         frames_mat = np.zeros((1, frames_mat.shape[1]))
+        spec = power_spectrum(frames_mat)
     n = frames_mat.shape[0]
 
     loud = log_frame_energy(frames_mat)
-    ceps = mfcc_frames(frames_mat, rate, n_mels=N_MELS_MFCC, n_ceps=15, first=0)
-    mel8 = log_mel_energies(frames_mat, rate, n_mels=8)
+    ceps = mfcc_frames(spec, rate, n_mels=N_MELS_MFCC, n_ceps=15, first=0)
+    mel8 = log_mel_energies(spec, rate, n_mels=8)
 
     pre = np.concatenate([frames_mat[:, :1],
                           frames_mat[:, 1:] - PREEMPHASIS * frames_mat[:, :-1]], axis=1)

@@ -65,26 +65,38 @@ def _refine(x: np.ndarray, k: np.ndarray):
     return np.where(flat, 0.0, shift), np.where(flat, b, height)
 
 
-def _keep_by_distance(pos: list, heights: np.ndarray, distance: int) -> list:
-    """``find_peaks``' distance rule on one window's candidates: a keep flag each.
+def _keep_by_distance(pos: np.ndarray, heights: np.ndarray, owner: np.ndarray,
+                      distance: np.ndarray) -> np.ndarray:
+    """``find_peaks``' distance rule on many windows' candidates: a keep flag each.
 
-    The highest candidate first (ranked by ``np.argsort``, as SciPy ranks
-    them, so ties fall the same way) removes every neighbour closer than
-    ``distance`` samples.
+    Candidates come window by window (``owner``), ascending in ``pos``.  The
+    highest candidate of a window first removes its neighbours closer than
+    ``distance[window]``, ranked by ``np.argsort`` of the window's heights as
+    SciPy ranks them (one call per candidate count, on a matrix whose rows
+    sort as 1-D calls would), so ties fall the same way.  In rounds, every
+    live candidate that outranks its live neighbours is kept and they go.
     """
-    keep = [True] * len(pos)
-    for j in reversed(np.argsort(heights).tolist()):
-        if not keep[j]:
-            continue
-        k = j - 1
-        while k >= 0 and pos[j] - pos[k] < distance:
-            keep[k] = False
-            k -= 1
-        k = j + 1
-        while k < len(pos) and pos[k] - pos[j] < distance:
-            keep[k] = False
-            k += 1
-    return keep
+    k = pos.size
+    counts = np.bincount(owner, minlength=distance.size)
+    offsets = np.cumsum(counts) - counts
+    rank = np.zeros(k + 1, dtype=np.intp)   # slot k: the end of the last range
+    steps = np.arange(counts.max())
+    for m in set(counts.tolist()) - {0, 1}:
+        first = offsets[counts == m, None]
+        rank[first + heights[first + steps[:m]].argsort(axis=1)] = steps[:m]
+    # each candidate's neighbours [lo, hi), itself included, on a key that keeps windows apart
+    stride = 2 * int(pos.max()) + 2
+    key = owner * stride + pos
+    span = np.minimum(distance, stride // 2)[owner]
+    ends = np.full(2 * k + 1, k)
+    ends[:-1:2] = key.searchsorted(key - span, side="right")
+    ends[1::2] = key.searchsorted(key + span)
+    keep, live = np.zeros(k + 1, dtype=bool), np.arange(k + 1) < k
+    while live.any():
+        now = live & (rank == np.maximum.reduceat(np.where(live, rank, -1), ends)[::2])
+        keep |= now
+        live &= ~np.logical_or.reduceat(now, ends)[::2]
+    return keep[:k]
 
 
 def pulse_windows(x: np.ndarray, starts, length, f0_hz, rate: int):
@@ -133,12 +145,7 @@ def pulse_windows(x: np.ndarray, starts, length, f0_hz, rate: int):
     distance = np.maximum((0.6 * (rate / f0_hz[live])).astype(np.intp), 1)
     close = (owner[1:] == owner[:-1]) & (np.diff(mid[cand]) < distance[owner[1:]])
     if np.any(close):
-        keep = np.ones(cand.size, dtype=bool)
-        bounds = np.searchsorted(owner, np.arange(live.size + 1))
-        for i in np.unique(owner[1:][close]).tolist():
-            peaks = mid[cand[bounds[i]:bounds[i + 1]]]
-            keep[bounds[i]:bounds[i + 1]] = _keep_by_distance(peaks.tolist(), x[peaks],
-                                                              int(distance[i]))
+        keep = _keep_by_distance(mid[cand], x[mid[cand]], owner, distance)
         cand, owner = cand[keep], owner[keep]
 
     shift, amps = _refine(x, mid[cand])

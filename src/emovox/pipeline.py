@@ -26,7 +26,7 @@ from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
 from .manifest import Manifest
 from . import modelio
 
-EXTRACTOR_VERSION = "6"
+EXTRACTOR_VERSION = "7"
 
 
 @dataclass(frozen=True)

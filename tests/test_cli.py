@@ -104,6 +104,51 @@ def test_warm_cache_commands_leave_scipy_unloaded(workspace, tmp_path):
         assert fresh_cli(argv) == (0, []), argv[0]
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS sums a product it splits over threads in another order, so the
+    # 44.1 kHz rows' resampler bits would follow the thread count; extract and
+    # evaluate must give the same bytes under one, two and the default count
+    cpus = set(sorted(os.sched_getaffinity(0))[:2])
+    if len(cpus) < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread whatever the setting")
+    rows = []
+    for i, rate in enumerate((8000, 16000, 44100) * 4):
+        label, rough = (("smooth", 0.0), ("rough", 1.0))[i % 2]
+        x = voice_like(110.0 + 9.0 * i, 1.0, rate, rough=rough, seed=i)
+        rows.append(ManifestRow(str(write_pcm16(tmp_path / ("r%d.wav" % i), x, rate)),
+                                label, "spk%d" % (i % 4), "mf"[i % 2]))
+    manifest = tmp_path / "rates.csv"
+    write_manifest(manifest, rows)
+    # the default count is one per CPU of the process: at most two here
+    code = ("import os, sys; os.sched_setaffinity(0, %r); from emovox.cli import main; "
+            "sys.exit(main(sys.argv[1:]))" % (cpus,))
+    outputs = []
+    for threads in ("1", "2", None):
+        run = tmp_path / ("threads_%s" % threads)
+        run.mkdir()
+        (run / "exp.cfg").write_text(
+            "scheme = i2010pc\nmode = speaker_independent\nk_outer = 2\nk_inner = 2\n"
+            "c_exp_min = 0\nc_exp_max = 1\ngamma_exp_min = -2\ngamma_exp_max = -1\n"
+            "cache_dir = %s\n" % (run / "cache"))
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = SRC
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        common = ["--manifest", manifest, "--config", run / "exp.cfg"]
+        for argv in (["extract"] + common + ["--out-csv", run / "features.csv"],
+                     ["evaluate"] + common + ["--report", run / "report.txt", "--metrics-csv",
+                                              run / "metrics.csv", "--roc-csv", run / "roc.csv"]):
+            subprocess.run([sys.executable, "-c", code] + [str(a) for a in argv], env=env,
+                           capture_output=True, check=True)
+        outputs.append({f: (run / f).read_bytes()
+                        for f in ("features.csv", "report.txt", "metrics.csv", "roc.csv")})
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_stats_leaves_scipy_unloaded(tmp_path, rng):
     # the Welch test's incomplete beta is NumPy-free too, so no command
     # needs SciPy

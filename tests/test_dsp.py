@@ -12,7 +12,7 @@ from emovox import dsp
 from emovox.dsp import (bark_band_energies, delta, estimate_f0, formants_f1_f2,
                         hz_to_bark, log_frame_energy, log_mel_energies, lpc,
                         lsp_from_lpc, mel_filterbank, mfcc_frames,
-                        moving_average, teager_energy)
+                        moving_average, power_spectrum, teager_energy)
 from emovox.audio import frame_count, frame_signal
 
 from conftest import tone, voice_like, wf
@@ -325,6 +325,11 @@ def test_lpc_batched_matches_scalar_levinson(rng):
     np.testing.assert_array_equal(err[silent], 0.0)
 
 
+# LSFs of the Chebyshev search against 50-digit roots; the eigensolve's own
+# error on the sharpest rows below is up to 7e-11 Hz
+LSP_TOL_HZ = 1e-9
+
+
 def test_lsp_batched_matches_np_roots(rng):
     a, _ = lpc(_frames(rng), 8)
     # polynomials far from minimum phase: some P/Q roots go real, so fewer
@@ -333,9 +338,98 @@ def test_lsp_batched_matches_np_roots(rng):
     polys = np.vstack([a, wild, np.eye(1, 9)])
     got = lsp_from_lpc(polys, 8000)
     want = np.array([roots_lsp(row, 8000) for row in polys])
-    assert got.tobytes() == want.tobytes()
+    # minimum-phase rows are searched and agree to the oracle tolerance; the
+    # wild rows fall back to the eigensolve and agree bit for bit
+    searched = np.r_[:a.shape[0], -1]
+    assert np.all(np.abs(got[searched] - want[searched]) <= LSP_TOL_HZ)
+    assert got[a.shape[0]:-1].tobytes() == want[a.shape[0]:-1].tobytes()
     assert np.any(got[:, -1] == 0.0)
     assert lsp_from_lpc(polys[0], 8000).tobytes() == got[0].tobytes()
+
+
+def mp_lsp(a, rate):
+    """LSFs of one LPC polynomial from 50-digit mpmath roots of P and Q."""
+    mpmath = pytest.importorskip("mpmath", reason="the 50-digit LSF oracle needs mpmath")
+    mpmath.mp.dps = 50
+    ext = np.append(a, 0.0)
+    angles = []
+    for poly in (ext + ext[::-1], ext - ext[::-1]):
+        roots = mpmath.polyroots([mpmath.mpf(float(c)) for c in poly],
+                                 maxsteps=100, extraprec=60)
+        angles += [mpmath.arg(r) for r in roots if 1e-6 < mpmath.arg(r) < math.pi - 1e-6]
+    lsf = [float(w * rate / (2 * mpmath.pi)) for w in sorted(angles)[:a.size - 1]]
+    return np.pad(lsf, (0, a.size - 1 - len(lsf)))
+
+
+def resonances_lpc(freqs_hz, radius, rate=8000):
+    """A(z) with one pole pair of the given radius at each frequency."""
+    a = np.ones(1)
+    for f in freqs_hz:
+        w = 2.0 * math.pi * f / rate
+        a = np.convolve(a, [1.0, -2.0 * radius * math.cos(w), radius * radius])
+    return a
+
+
+def minimum_phase_lpc(rng):
+    """Order-8 rows: LPC of voice-like, noise, silent, tonal and tiny frames,
+    the silent predictor, and sharp resonances up to pole radius 0.999."""
+    a, _ = lpc(_frames(rng, n=16), 8)
+    sharp = [resonances_lpc(f, r) for f in ((500, 1500, 2500, 3500), (300, 900, 2200, 3100),
+                                            (250, 700, 1900, 3700)) for r in (0.98, 0.995, 0.999)]
+    sharp += [resonances_lpc((120, 180, 3800, 3880), r) for r in (0.98, 0.995)]
+    return np.vstack([a, np.eye(1, 9), sharp])
+
+
+def spy_poly_roots(monkeypatch):
+    """Record every matrix of polynomials that reaches the eigensolve."""
+    seen = []
+    original = dsp._poly_roots
+
+    def spy(polys):
+        seen.append(polys.copy())
+        return original(polys)
+    monkeypatch.setattr(dsp, "_poly_roots", spy)
+    return seen
+
+
+def p_and_q(rows):
+    ext = np.pad(rows, ((0, 0), (0, 1)))
+    return np.concatenate([ext + ext[:, ::-1], ext - ext[:, ::-1]])
+
+
+def test_lsp_search_matches_mpmath_oracle(rng, monkeypatch):
+    a = minimum_phase_lpc(rng)
+    seen = spy_poly_roots(monkeypatch)
+    got = lsp_from_lpc(a, 8000)
+    assert sum(polys.shape[0] for polys in seen) == 0   # every row is searched
+    want = np.array([mp_lsp(row, 8000) for row in a])
+    assert np.all(np.abs(got - want) <= LSP_TOL_HZ)
+    assert np.all(got > 0) and np.all(np.diff(got, axis=1) > 0)
+
+
+def test_lsp_fallback_rows_are_np_roots_bit_for_bit(rng, monkeypatch):
+    searched = minimum_phase_lpc(rng)
+    wild = np.column_stack([np.ones(20), 4.0 * rng.standard_normal((20, 8))])
+    assert all(np.any(np.abs(np.abs(np.roots(poly)) - 1.0) > 1e-6) for poly in p_and_q(wild))
+    # two pole pairs 6 Hz apart in the middle of one grid step: two roots of
+    # P and two of Q share the step, so neither series changes sign there
+    step_hz = 8000 / 2 / (dsp.LSP_GRID - 1)
+    close = resonances_lpc((32.3 * step_hz, 32.3 * step_hz + 6.0, 2500, 3500), 0.999)
+    # pole pairs 60 Hz apart near both band edges: the Newton steps do not settle
+    too_sharp = resonances_lpc((120, 180, 3800, 3880), 0.999)
+    rows = np.vstack([searched[:30], wild[:10], close, too_sharp, searched[30:], wild[10:]])
+    fallback = np.r_[30:42, 42 + searched.shape[0] - 30:rows.shape[0]]
+    seen = spy_poly_roots(monkeypatch)
+    got = lsp_from_lpc(rows, 8000)
+    assert len(seen) == 1 and seen[0].tobytes() == p_and_q(rows[fallback]).tobytes()
+    want = np.array([roots_lsp(row, 8000) for row in rows[fallback]])
+    assert got[fallback].tobytes() == want.tobytes()
+    # an odd order has no trivial roots to divide out: every row falls back
+    seen.clear()
+    odd, _ = lpc(_frames(rng), 7)
+    got = lsp_from_lpc(odd, 8000)
+    assert len(seen) == 1 and seen[0].tobytes() == p_and_q(odd).tobytes()
+    assert got.tobytes() == np.array([roots_lsp(row, 8000) for row in odd]).tobytes()
 
 
 def test_lsp_rejects_zero_leading_coefficient():
@@ -365,22 +459,22 @@ def test_formants_batched_degenerate_shapes():
 def test_mfcc_flat_spectrum_concentrates_in_c0():
     frame = np.zeros(200)
     frame[0] = 0.5  # impulse: flat power spectrum
-    ceps = mfcc_frames(frame[None, :], 8000, n_mels=24, n_ceps=13)[0]
+    ceps = mfcc_frames(power_spectrum(frame[None, :]), 8000, n_mels=24, n_ceps=13)[0]
     assert abs(ceps[0]) > 0
     assert np.all(np.abs(ceps[1:]) < 1e-6 * abs(ceps[0]))
 
 
 def test_mfcc_scaling_moves_only_c0(rng):
     frames = 0.3 * rng.standard_normal((5, 200))
-    c_base = mfcc_frames(frames, 8000, 24, 13)
-    c_scaled = mfcc_frames(2.0 * frames, 8000, 24, 13)
+    c_base = mfcc_frames(power_spectrum(frames), 8000, 24, 13)
+    c_scaled = mfcc_frames(power_spectrum(2.0 * frames), 8000, 24, 13)
     np.testing.assert_allclose(c_scaled[:, 1:], c_base[:, 1:], atol=1e-6)
     shift = math.sqrt(24) * math.log(4.0)
     np.testing.assert_allclose(c_scaled[:, 0] - c_base[:, 0], shift, atol=1e-6)
 
 
 def test_mfcc_zero_frame_finite():
-    ceps = mfcc_frames(np.zeros((3, 200)), 8000, 24, 13)
+    ceps = mfcc_frames(power_spectrum(np.zeros((3, 200))), 8000, 24, 13)
     assert np.all(np.isfinite(ceps))
 
 
@@ -399,9 +493,9 @@ def test_mfcc_matches_scipy_dct_oracle(rng):
     frames = np.concatenate([0.3 * rng.standard_normal((40, 200)), np.zeros((2, 200)),
                              1e-3 * rng.standard_normal((2, 200))])
     for n_mels, n_ceps, first in ((24, 13, 0), (24, 24, 0), (40, 20, 1), (23, 13, 2)):
-        logmel = dsp.log_mel_energies(frames, 8000, n_mels)
+        logmel = dsp.log_mel_energies(power_spectrum(frames), 8000, n_mels)
         ref = sfft.dct(logmel, type=2, norm="ortho", axis=1)[:, first:first + n_ceps]
-        got = mfcc_frames(frames, 8000, n_mels, n_ceps, first)
+        got = mfcc_frames(power_spectrum(frames), 8000, n_mels, n_ceps, first)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -528,6 +622,6 @@ def test_log_frame_energy_floor():
 
 def test_log_mel_energy_finite_everywhere(rng):
     frames = frame_signal(wf(0.2 * rng.standard_normal(4000)), 25, 10)
-    out = log_mel_energies(frames, 8000, 8)
+    out = log_mel_energies(power_spectrum(frames), 8000, 8)
     assert out.shape == (frames.shape[0], 8)
     assert np.all(np.isfinite(out))

@@ -16,7 +16,8 @@ from emovox.features.phonation import (MAX_PERIOD_DEVIATION, PHONATION_TRACKS,
                                        WindowValues, glottal_cycles, phonation_features,
                                        pulse_windows)
 from emovox.features.prosody import PROSODY_FEATURE_NAMES, _slope_and_mse, prosody_features
-from emovox.dsp import bark_band_energies, delta, log_frame_energy, mfcc_frames
+from emovox.dsp import (bark_band_energies, delta, log_frame_energy, mfcc_frames,
+                        power_spectrum)
 from emovox.audio import _runs, detect_speech, frame_count, frame_signal
 from emovox.errors import FeatureSchemeError
 from emovox.functionals import (FOUR_MOMENTS, IS10_FUNCTIONALS, SIX_BASIC, FeatureTrack,
@@ -258,6 +259,49 @@ def test_pulse_windows_of_own_lengths_match_find_peaks_oracle(rng):
             assert got[1].tobytes() == want[1].tobytes(), (trial, i)
 
 
+def stable_distance_rule(peaks, heights, distance):
+    """find_peaks' distance rule with ties ranked by a stable sort instead."""
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(heights, kind="stable")[::-1]:
+        if keep[j]:
+            near = np.abs(peaks - peaks[j]) < distance
+            near[j] = False
+            keep[near] = False
+    return keep
+
+
+def test_pulse_windows_rank_ties_as_find_peaks(rng):
+    # clipped voice: noise splits each clipped crest into plateaus at exactly
+    # the clip level, so tied candidates sit closer than the distance rule,
+    # and long windows hold more than 16 candidates, where np.argsort is not
+    # a stable sort; some windows keep other pulses under a stable tie order
+    many = tie_sensitive = 0
+    for trial in range(40):
+        n = int(rng.integers(2000, 8000))
+        t = np.arange(n) / 8000
+        x = np.clip(rng.uniform(1.2, 3.0) * np.sin(2 * np.pi * rng.uniform(70, 300) * t)
+                    + rng.uniform(0.02, 0.3) * rng.standard_normal(n), -1.0, 1.0)
+        if trial % 2:
+            x = np.round(x * 64) / 64   # coarse quantisation: ties below the clip too
+        starts = rng.integers(0, n // 2, 8)
+        lengths = rng.integers(100, n, 8)
+        f0 = rng.uniform(55, 420, 8)
+        marks, amps, counts = pulse_windows(x, starts, lengths, f0, 8000)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        for i in range(8):
+            seg = x[starts[i]:starts[i] + lengths[i]]
+            want = find_peaks_pulses(seg, 8000, f0[i])
+            assert marks[bounds[i]:bounds[i + 1]].tobytes() == want[0].tobytes(), (trial, i)
+            assert amps[bounds[i]:bounds[i + 1]].tobytes() == want[1].tobytes(), (trial, i)
+            peaks, _ = sps.find_peaks(seg, height=0.3 * seg.max())
+            distance = max(int(0.6 * 8000 / f0[i]), 1)
+            kept, _ = sps.find_peaks(seg, height=0.3 * seg.max(), distance=distance)
+            many += peaks.size > 16
+            stable = peaks[stable_distance_rule(peaks, seg[peaks], distance)]
+            tie_sensitive += not np.array_equal(stable, kept)
+    assert many >= 150 and tie_sensitive >= 50
+
+
 def test_per_frame_perturbation_matches_per_window_oracle(rng):
     for trial in range(100):
         x = hostile_signal(rng, PULSE_KINDS[trial % 5], int(rng.integers(1, 5000)))
@@ -400,7 +444,7 @@ def transition_descriptors_oracle(chunk, rate):
     bbe = bark_band_energies(chunk, rate)
     if frame_count(chunk.size, round(0.025 * rate), round(0.010 * rate)) == 0:
         return np.concatenate([bbe, np.zeros(3 * N_MFCC)])
-    ceps = mfcc_frames(frame_signal(wf(chunk, rate)), rate, n_mels=24,
+    ceps = mfcc_frames(power_spectrum(frame_signal(wf(chunk, rate))), rate, n_mels=24,
                        n_ceps=N_MFCC, first=1)
     return np.concatenate([bbe, ceps.mean(axis=0), delta(ceps).mean(axis=0),
                            delta(delta(ceps)).mean(axis=0)])

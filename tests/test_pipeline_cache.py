@@ -370,7 +370,8 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
 
     _, rows = corpus
     calls = {"estimate_f0": 0, "voiced_segments": 0, "embedding_mfcc": 0, "mfcc_frames": 0,
-             "apply_functionals": 0, "frame_signal hann": 0, "frame_signal rectangular": 0}
+             "power_spectrum": 0, "apply_functionals": 0, "frame_signal hann": 0,
+             "frame_signal rectangular": 0}
 
     def label(name, args, kwargs):
         if name != "frame_signal":
@@ -379,7 +380,8 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     # wrap every binding of each function in the package, as a tracer would
     for owner, name in ((dsp, "estimate_f0"), (audio, "voiced_segments"),
                         (analysis, "embedding_mfcc"), (dsp, "mfcc_frames"),
-                        (functionals, "apply_functionals"), (audio, "frame_signal")):
+                        (dsp, "power_spectrum"), (functionals, "apply_functionals"),
+                        (audio, "frame_signal")):
         original = getattr(owner, name)
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
@@ -394,12 +396,13 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     assert (hits, computed) == (0, 6)
     # One 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track;
     # one Hann framing shared by i2010pc and the embeddings, one rectangular
-    # framing besides the VAD's own; MFCCs once for i2010pc and once for both
-    # embeddings (this voice has no voicing transitions); one summary per
+    # framing besides the VAD's own; one power spectrum of the Hann frames,
+    # from which MFCCs come once for i2010pc and once for both embeddings
+    # (this voice has no voicing transitions); one summary per
     # hand-built scheme.  The embedding MFCCs are an Analysis attribute, so
     # the module-level helper is not called.
     assert calls == {"estimate_f0": 2, "voiced_segments": 1, "embedding_mfcc": 0,
-                     "mfcc_frames": 2, "apply_functionals": 4,
+                     "mfcc_frames": 2, "power_spectrum": 1, "apply_functionals": 4,
                      "frame_signal hann": 1, "frame_signal rectangular": 2}
 
     monkeypatch.undo()
