@@ -1,20 +1,22 @@
 """Per-utterance intermediates shared by every feature scheme of a manifest row.
 
-An ``Analysis`` wraps one 8 kHz ``Waveform`` and owns its 25/10 ms frame
-grid: the Hann and rectangular frame matrices, the Hann frames' power
-spectrum (i2010pc's MFCCs and mel bands and the embedding MFCCs read it),
-the F0 track, the voiced / unvoiced segmentation of that track, the mask of
-voiced grid frames, the rectangular-frame log energy and the MFCC matrix
-both embeddings read.  Each is computed the first time a scheme asks for
-it.  The pipeline builds one per row on its first cache miss; an extractor
-given a bare ``Waveform`` builds its own.
+An ``Analysis`` wraps one 8 kHz ``Waveform`` and frames it once on the
+25/10 ms grid that ``emovox.audio.grid`` defines: the rectangular frames (a
+view of the samples, which the VAD ``detect_speech`` reads too) and the Hann
+frames made from them, the Hann frames' power spectrum (i2010pc's MFCCs and
+mel bands and the embedding MFCCs read it), the F0 track, the voiced /
+unvoiced segmentation of that track, the mask of voiced grid frames, the
+rectangular-frame log energy and the MFCC matrix both embeddings read.  Each
+is computed the first time a scheme asks for it.  The pipeline builds one
+per row on its first cache miss; an extractor given a bare ``Waveform``
+builds its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .audio import STEP_MS, VOICED, Waveform, frame_signal, voiced_segments
+from .audio import VOICED, Waveform, frame_signal, grid, voiced_segments
 from .dsp import estimate_f0, log_frame_energy, mfcc_frames, power_spectrum
 
 EMBEDDING_N_CEPS = 24
@@ -46,20 +48,20 @@ class Analysis:
         return self._memo[key]
 
     @property
+    def rect_frames(self) -> np.ndarray:
+        """Rectangular grid frames, one per row: a view of the samples."""
+        return self._once("rect_frames", lambda: frame_signal(self.waveform))
+
+    @property
     def hann_frames(self) -> np.ndarray:
-        """Hann-windowed 25/10 ms frames, one per row."""
-        return self._once("hann_frames", lambda: frame_signal(self.waveform))
+        """Hann-windowed grid frames, one per row."""
+        return self._once("hann_frames", lambda: self.rect_frames * np.hanning(
+            self.rect_frames.shape[1]))
 
     @property
     def hann_power(self) -> np.ndarray:
         """Power spectrum of the Hann frames, one row per frame."""
         return self._once("hann_power", lambda: power_spectrum(self.hann_frames))
-
-    @property
-    def rect_frames(self) -> np.ndarray:
-        """Rectangular 25/10 ms frames, one per row."""
-        return self._once("rect_frames", lambda: frame_signal(
-            self.waveform, window_kind="rectangular"))
 
     @property
     def f0(self):
@@ -73,7 +75,7 @@ class Analysis:
 
     def frames_in(self, spans) -> np.ndarray:
         """Mask of the grid frames whose first sample lies in one of ``spans``."""
-        step = round(STEP_MS * self.waveform.sample_rate / 1000.0)
+        step = grid(self.waveform.sample_rate)[1]
         mask = np.zeros(self.f0.values.size, dtype=bool)
         for s in spans:
             mask[-(-s.start_sample // step):-(-s.end_sample // step)] = True

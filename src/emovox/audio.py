@@ -1,6 +1,7 @@
-"""Audio ingestion, 8 kHz resampling, framing, and speech/voicing segmentation.
+"""Audio ingestion, 8 kHz resampling, the frame grid, and speech/voicing segmentation.
 
-All downstream feature code consumes the 8 kHz mono `Waveform` produced here.
+All downstream feature code consumes the 8 kHz mono `Waveform` produced here
+and frames it on the one 25/10 ms grid defined here (``grid``, ``frames``).
 Resampling is NumPy alone (no ``scipy.signal``): the Kaiser low-pass of
 ``scipy.signal.firwin`` is designed once per operating rate, and the
 polyphase decimation of ``scipy.signal.resample_poly`` is one matrix
@@ -22,6 +23,7 @@ from .arrays import frozen
 from .errors import MalformedWavError, UnsupportedWavError, UpsamplingError
 
 if TYPE_CHECKING:
+    from .analysis import Analysis
     from .dsp import F0Track
 
 TARGET_RATE = 8000
@@ -267,10 +269,9 @@ def resample_to_8k(w: Waveform) -> Waveform:
     return Waveform(y, TARGET_RATE, source_id=w.source_id)
 
 
-def make_window(kind: str, length: int) -> np.ndarray:
-    if kind == "hann":
-        return np.hanning(length)
-    raise ValueError(f"unknown window kind {kind!r}")
+def grid(rate: int) -> tuple[int, int]:
+    """Length and step in samples of the 25/10 ms frame grid at ``rate``."""
+    return round(FRAME_MS * rate / 1000.0), round(STEP_MS * rate / 1000.0)
 
 
 def frame_count(n_samples: int, frame_len: int, step: int) -> int:
@@ -279,32 +280,19 @@ def frame_count(n_samples: int, frame_len: int, step: int) -> int:
     return (n_samples - frame_len) // step + 1
 
 
-def frame_signal(w: Waveform, frame_len_ms: float = FRAME_MS,
-                 step_ms: float = STEP_MS, window_kind: str = "hann") -> np.ndarray:
-    """Overlapping windowed frames of the waveform, one per row (n_frames x frame_len).
+def frames(x: np.ndarray, length: int, step: int) -> np.ndarray:
+    """Frames of ``length`` samples every ``step`` along the last axis of x.
 
-    Rectangular frames are a read-only view of the samples, not a copy.
+    A read-only strided view of x, not a copy: (..., n_frames, length).
     """
-    if not frame_len_ms >= step_ms > 0:
-        raise ValueError("require frame_len_ms >= step_ms > 0")
-    frame_len = round(frame_len_ms * w.sample_rate / 1000.0)
-    step = round(step_ms * w.sample_rate / 1000.0)
-    n = frame_count(w.samples.size, frame_len, step)
-    if n == 0:
-        return np.zeros((0, frame_len))
-    frames = sliding_window_view(w.samples, frame_len)[::step][:n]
-    if window_kind == "rectangular":
-        return frames
-    return frames * make_window(window_kind, frame_len)
+    if x.shape[-1] < length:
+        return np.zeros(x.shape[:-1] + (0, length))
+    return sliding_window_view(x, length, axis=-1)[..., ::step, :]
 
 
-def frame_log_energy_db(w: Waveform, frame_len_ms: float = FRAME_MS,
-                        step_ms: float = STEP_MS) -> np.ndarray:
-    """Per-frame energy in dBFS on the rectangular 25/10 ms grid."""
-    frames = frame_signal(w, frame_len_ms, step_ms, "rectangular")
-    if frames.shape[0] == 0:
-        return np.zeros(0)
-    return 10.0 * np.log10(np.mean(frames ** 2, axis=1) + 1e-12)
+def frame_signal(w: Waveform) -> np.ndarray:
+    """Rectangular frames of the 25/10 ms grid, one per row (n_frames x frame_len)."""
+    return frames(w.samples, *grid(w.sample_rate))
 
 
 def _runs(labels: np.ndarray):
@@ -348,19 +336,19 @@ def _frame_runs_to_spans(runs, step: int, n_samples: int, kind_of) -> list[Segme
     return spans
 
 
-def detect_speech(w: Waveform, f0: "F0Track") -> list[SegmentSpan]:
-    """Energy + periodicity VAD: speech/silence spans on the 25/10 ms grid.
+def detect_speech(a: "Analysis") -> list[SegmentSpan]:
+    """Energy + periodicity VAD: speech/silence spans of an utterance's ``Analysis``.
 
-    A frame is speech when it clears the noise floor by 10 dB or carries a
-    pitch in ``f0`` (the ``estimate_f0(w)`` track); decisions are smoothed
-    with a 5-frame majority vote.
+    A grid frame (``a.rect_frames``) is speech when it clears the noise floor
+    by 10 dB or carries a pitch in ``a.f0``; decisions are smoothed with a
+    5-frame majority vote.
     """
-    n = w.samples.size
-    energy_db = frame_log_energy_db(w)
-    if energy_db.size == 0:
+    n = a.waveform.samples.size
+    if a.rect_frames.shape[0] == 0:
         return [SegmentSpan(0, n, SILENCE)]
+    energy_db = 10.0 * np.log10(np.mean(a.rect_frames ** 2, axis=1) + 1e-12)
     floor = min(np.percentile(energy_db, VAD_NOISE_PERCENTILE), VAD_FLOOR_CAP_DB)
-    voiced = f0.values > 0
+    voiced = a.f0.values > 0
     speech = (energy_db > floor + VAD_MARGIN_DB) | voiced
 
     if speech.size >= 2:
@@ -369,8 +357,7 @@ def detect_speech(w: Waveform, f0: "F0Track") -> list[SegmentSpan]:
         votes = np.convolve(padded, np.ones(VAD_SMOOTH_FRAMES, dtype=int), "valid")
         speech = votes > VAD_SMOOTH_FRAMES // 2
 
-    step = round(STEP_MS * w.sample_rate / 1000.0)
-    return _frame_runs_to_spans(_runs(speech), step, n,
+    return _frame_runs_to_spans(_runs(speech), grid(a.waveform.sample_rate)[1], n,
                                 lambda v: SPEECH if v else SILENCE)
 
 
@@ -386,8 +373,7 @@ def voiced_segments(w: Waveform, f0: "F0Track"):
         return [], []
     runs = _merge_short_runs(_runs(labels))
 
-    step = round(f0.step_ms * w.sample_rate / 1000.0)
-    spans = _frame_runs_to_spans(runs, step, w.samples.size,
+    spans = _frame_runs_to_spans(runs, grid(w.sample_rate)[1], w.samples.size,
                                  lambda v: VOICED if v else UNVOICED)
     chunk_len = round(TRANSITION_CHUNK_S * w.sample_rate)
     transitions = []

@@ -35,7 +35,7 @@ from .evaluation import (
     roc_csv,
     welch_t_test,
 )
-from .manifest import Manifest, read_manifest
+from .manifest import GENDERS, Manifest, read_manifest
 from .pipeline import (
     ExtractionResult,
     extract_for_manifest,
@@ -168,8 +168,7 @@ def _stats_text(manifest: Manifest, durations: dict) -> str:
         rows = [r for r in manifest if r.label == cls]
         durs = [durations[r.path] for r in rows if durations.get(r.path) is not None]
         mean, std = _mean_std(durs)
-        genders = {g: sum(1 for r in rows if r.gender == g)
-                   for g in ("m", "f", "unknown")}
+        genders = {g: sum(1 for r in rows if r.gender == g) for g in GENDERS}
         per_class_gender[cls] = genders
         lines.append("class %s:" % cls)
         lines.append("  count: %d" % len(rows))
@@ -178,8 +177,7 @@ def _stats_text(manifest: Manifest, durations: dict) -> str:
                          % (mean, std, len(durs)))
         else:
             lines.append("  duration_s: unavailable")
-        lines.append("  gender: m=%d f=%d unknown=%d"
-                     % (genders["m"], genders["f"], genders["unknown"]))
+        lines.append("  gender: " + " ".join("%s=%d" % kv for kv in genders.items()))
         lines.append("")
     if len(classes) == 1:
         lines.append("tests skipped: only one class present")

@@ -15,8 +15,8 @@ defaults give C in 10^-3..10^4 and gamma in 10^-6..10^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, get_type_hints
 
 from .errors import ConfigError
 from .evaluation import Grid, MODES, SPEAKER_INDEPENDENT
@@ -83,10 +83,8 @@ class ExperimentConfig:
         return Grid(c_values, gamma_values)
 
 
-_INT_KEYS = {"k_outer", "k_inner", "c_exp_min", "c_exp_max",
-             "gamma_exp_min", "gamma_exp_max", "seed", "workers"}
-_FLOAT_KEYS = {"train_c", "train_gamma"}
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
+# each key's type, from the field annotations: int and float values are parsed
+_KEY_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config(text: str, origin: str = "config") -> ExperimentConfig:
@@ -101,29 +99,23 @@ def parse_config(text: str, origin: str = "config") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{origin}: line {lineno}: unknown key {key!r}")
         if key in seen_lines:
             raise ConfigError(
                 f"{origin}: line {lineno}: duplicate key {key!r} "
                 f"(first set on line {seen_lines[key]})")
         seen_lines[key] = lineno
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{origin}: line {lineno}: {key} must be an integer, "
-                    f"got {value!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{origin}: line {lineno}: {key} must be a number, "
-                    f"got {value!r}")
-        else:
+        kind = _KEY_TYPES[key]
+        if kind not in (int, float):
             values[key] = value
+            continue
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"{origin}: line {lineno}: {key} must be "
+                f"{'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:

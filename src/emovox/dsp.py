@@ -7,9 +7,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FRAME_MS, STEP_MS, Waveform, frame_count
+from .audio import FRAME_MS, Waveform, frames, grid
 
 F0_MIN_HZ = 60.0
 F0_MAX_HZ = 400.0
@@ -29,6 +28,10 @@ FORMANT_PREEMPHASIS = 0.5
 
 N_BARK_BANDS = 22
 
+# Frames on each side of a regression delta; points of a moving average.
+DELTA_WIDTH = 2
+SMOOTH_WIDTH = 3
+
 # LSF search: grid points over [0, pi], Newton steps per root, and the
 # largest last step (in x = cos w) of a root taken as settled.
 LSP_GRID = 128
@@ -42,33 +45,30 @@ class F0Track:
 
     values: np.ndarray
     strength: np.ndarray
-    frame_len_ms: float
-    step_ms: float
 
 
-def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
-                frame_ms: float = FRAME_MS, step_ms: float = STEP_MS,
-                threshold: float = VOICING_THRESHOLD) -> F0Track:
+def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
     """Pitch track from the normalized cross-correlation of each frame.
 
-    For frame samples x(0..L-1) with lookahead, the score at lag k is
+    Frames of ``frame_ms`` start on the steps of the 25/10 ms grid.  For
+    frame samples x(0..L-1) with lookahead, the score at lag k is
     phi(k) = sum x(n) x(n+k) / sqrt(e(0) e(k)); the earliest lag within 0.01
     of the maximum wins (suppresses octave-down picks on clean tones) and is
     refined by parabolic interpolation.  Frames whose peak falls below the
-    voicing threshold are set to 0, then the track is median-filtered (width 3).
+    voicing threshold, or whose phi never falls below it over the lag band
+    (a constant signal has no period), are set to 0, then the track is
+    median-filtered (width 3).
     """
     rate = w.sample_rate
     L = round(frame_ms * rate / 1000.0)
-    S = round(step_ms * rate / 1000.0)
-    lag_min = max(2, int(rate / fmax))
-    K = int(math.ceil(rate / fmin))
-    n = frame_count(w.samples.size, L, S)
+    lag_min = max(2, int(rate / F0_MAX_HZ))
+    K = int(math.ceil(rate / F0_MIN_HZ))
+    seg = frames(np.concatenate([w.samples, np.zeros(K)]), L + K, grid(rate)[1])
+    n = seg.shape[0]
     if n == 0 or lag_min >= K:
         z = np.zeros(0)
-        return F0Track(z, z.copy(), frame_ms, step_ms)
+        return F0Track(z, z.copy())
 
-    xp = np.concatenate([w.samples, np.zeros(K)])
-    seg = sliding_window_view(xp, L + K)[::S][:n]
     cs = np.concatenate([np.zeros((n, 1)), np.cumsum(seg ** 2, axis=1)], axis=1)
     energy = cs[:, L:] - cs[:, :K + 1]  # e(k) for k = 0..K
 
@@ -91,7 +91,8 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
     values = np.zeros(n)
     strength = np.clip(peak, 0.0, 1.0)
     # Parabolic refinement around the picked lag, on voiced frames only.
-    rows = np.flatnonzero(~((e0 < floor) | (peak < threshold)))
+    rows = np.flatnonzero(~((e0 < floor) | (peak < VOICING_THRESHOLD)
+                            | (band.min(axis=1) >= VOICING_THRESHOLD)))
     k = np.clip(earliest[rows], 1, K - 1)
     a, b, c = phi[rows, k - 1], phi[rows, k], phi[rows, k + 1]
     denom = a - 2.0 * b + c
@@ -99,11 +100,11 @@ def estimate_f0(w: Waveform, fmin: float = F0_MIN_HZ, fmax: float = F0_MAX_HZ,
     shift = np.zeros(rows.size)
     shift[curved] = 0.5 * (a - c)[curved] / denom[curved]
     values[rows] = rate / (k + np.clip(shift, -0.5, 0.5))
-    values[(values > 0) & ((values < fmin) | (values > fmax))] = 0.0
+    values[(values > 0) & ((values < F0_MIN_HZ) | (values > F0_MAX_HZ))] = 0.0
     if n >= 3:
         values = _median3(values)
     strength[e0 < floor] = 0.0
-    return F0Track(values, strength, frame_ms, step_ms)
+    return F0Track(values, strength)
 
 
 def _next_fast_len(n: int) -> int:
@@ -293,18 +294,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft_bins: int, rate: int,
-                   fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular mel filters, each normalized to unit weight sum.
+@functools.lru_cache(maxsize=32)
+def mel_filterbank(n_mels: int, n_fft_bins: int, rate: int) -> np.ndarray:
+    """Triangular mel filters from 0 Hz to Nyquist, each normalized to unit weight sum.
 
     Built once per argument set and shared: the returned array is read-only.
     """
-    return _mel_filterbank(n_mels, n_fft_bins, rate, fmin, rate / 2.0 if fmax is None else fmax)
-
-
-@functools.lru_cache(maxsize=32)
-def _mel_filterbank(n_mels, n_fft_bins, rate, fmin, fmax):
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), n_mels + 2))
     freqs = np.arange(n_fft_bins) * rate / (2.0 * (n_fft_bins - 1))
     fb = np.zeros((n_mels, n_fft_bins))
     for m in range(n_mels):
@@ -324,10 +320,9 @@ def power_spectrum(frames: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, axis=-1)) ** 2
 
 
-def log_mel_energies(spec: np.ndarray, rate: int, n_mels: int,
-                     fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
+def log_mel_energies(spec: np.ndarray, rate: int, n_mels: int) -> np.ndarray:
     """Log mel band energies per frame of a ``power_spectrum`` (one frame per row)."""
-    fb = mel_filterbank(n_mels, spec.shape[-1], rate, fmin, fmax)
+    fb = mel_filterbank(n_mels, spec.shape[-1], rate)
     return np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
 
 
@@ -357,8 +352,7 @@ def hz_to_bark(f):
     return 13.0 * np.arctan(0.00076 * f) + 3.5 * np.arctan((f / 7500.0) ** 2)
 
 
-def bark_band_energies(chunk: np.ndarray, rate: int,
-                       n_bands: int = N_BARK_BANDS) -> np.ndarray:
+def bark_band_energies(chunk: np.ndarray, rate: int) -> np.ndarray:
     """Natural-log energies in equal-width critical-band intervals.
 
     Accepts one chunk of >= 64 samples (returns 22 values) or a frame matrix
@@ -372,9 +366,10 @@ def bark_band_energies(chunk: np.ndarray, rate: int,
     n_bins = spec.shape[1]
     freqs = np.arange(n_bins) * rate / (2.0 * (n_bins - 1))
     z = hz_to_bark(freqs)
-    idx = np.minimum((z / (hz_to_bark(rate / 2.0) / n_bands)).astype(int), n_bands - 1)
-    bands = np.zeros((spec.shape[0], n_bands))
-    for b in range(n_bands):
+    idx = np.minimum((z / (hz_to_bark(rate / 2.0) / N_BARK_BANDS)).astype(int),
+                     N_BARK_BANDS - 1)
+    bands = np.zeros((spec.shape[0], N_BARK_BANDS))
+    for b in range(N_BARK_BANDS):
         sel = idx == b
         if np.any(sel):
             bands[:, b] = spec[:, sel].sum(axis=1)
@@ -395,13 +390,14 @@ def teager_energy(x: np.ndarray) -> np.ndarray:
     return np.concatenate([core[:1], core, core[-1:]])
 
 
-def delta(feat: np.ndarray, width: int = 2) -> np.ndarray:
-    """Regression delta over +/-width neighbors with edge replication."""
+def delta(feat: np.ndarray) -> np.ndarray:
+    """Regression delta over +/-DELTA_WIDTH neighbors with edge replication."""
     feat = np.asarray(feat, dtype=np.float64)
     squeeze = feat.ndim == 1
     f = np.atleast_2d(feat.T).T if squeeze else feat
     if f.shape[0] == 0:
         return feat.copy()
+    width = DELTA_WIDTH
     padded = np.pad(f, ((width, width), (0, 0)), mode="edge")
     norm = 2.0 * sum(k * k for k in range(1, width + 1))
     out = np.zeros_like(f)
@@ -412,16 +408,16 @@ def delta(feat: np.ndarray, width: int = 2) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def moving_average(feat: np.ndarray, width: int = 3) -> np.ndarray:
-    """Centered moving average along axis 0 with edge replication."""
+def moving_average(feat: np.ndarray) -> np.ndarray:
+    """Centered SMOOTH_WIDTH-point moving average along axis 0 with edge replication."""
     feat = np.asarray(feat, dtype=np.float64)
     squeeze = feat.ndim == 1
     f = feat[:, None] if squeeze else feat
-    if f.shape[0] == 0 or width <= 1:
+    if f.shape[0] == 0:
         return feat.copy()
-    half = width // 2
+    half = SMOOTH_WIDTH // 2
     padded = np.pad(f, ((half, half), (0, 0)), mode="edge")
-    kernel = np.ones(width) / width
+    kernel = np.ones(SMOOTH_WIDTH) / SMOOTH_WIDTH
     out = np.apply_along_axis(lambda c: np.convolve(c, kernel, "valid"), 0, padded)
     return out[:, 0] if squeeze else out
 

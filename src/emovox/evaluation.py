@@ -21,6 +21,7 @@ import numpy as np
 
 from .arrays import frozen
 from .errors import EvaluationError
+from .manifest import GENDERS
 from .svm import grid_predictions, predict_with_margins, train_multiclass
 
 SPEAKER_INDEPENDENT = "speaker_independent"
@@ -30,7 +31,6 @@ MODES = (SPEAKER_INDEPENDENT, SPEAKER_DEPENDENT)
 C_VALUES = tuple(10.0 ** e for e in range(-3, 5))
 GAMMA_VALUES = tuple(10.0 ** e for e in range(-6, 4))
 DEFAULT_POSITIVE_LABEL = "dissatisfied"
-GENDERS = ("m", "f", "unknown")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import ONSET, Waveform, frame_count, make_window
+from ..audio import ONSET, Waveform, frames, grid
 from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames, power_spectrum
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 
@@ -27,15 +27,14 @@ def transition_descriptors(chunks: np.ndarray, rate: int) -> np.ndarray:
     ``bark_band_energies`` and one ``mfcc_frames`` call.
     """
     chunks = np.atleast_2d(chunks)
-    n_chunks, size = chunks.shape
+    n_chunks = chunks.shape[0]
     bbe = bark_band_energies(chunks, rate)
-    frame_len, step = round(0.025 * rate), round(0.010 * rate)
-    n = frame_count(size, frame_len, step)
+    sub = frames(chunks, *grid(rate))
+    n, frame_len = sub.shape[1:]
     if n == 0:
         return np.hstack([bbe, np.zeros((n_chunks, 3 * N_MFCC))])
-    idx = np.arange(frame_len)[None, :] + step * np.arange(n)[:, None]
-    frames = chunks[:, idx] * make_window("hann", frame_len)
-    ceps = mfcc_frames(power_spectrum(frames.reshape(-1, frame_len)), rate, n_mels=24,
+    hann = (sub * np.hanning(frame_len)).reshape(-1, frame_len)
+    ceps = mfcc_frames(power_spectrum(hann), rate, n_mels=24,
                        n_ceps=N_MFCC, first=1).reshape(n_chunks, n, N_MFCC)
     # deltas run along each chunk's frames: frames down, (chunk, coefficient) across
     by_frame = ceps.transpose(1, 0, 2).reshape(n, -1)
@@ -66,8 +65,6 @@ def articulation_features(source: Waveform | Analysis) -> FeatureVector:
 
     def contour_and_deltas(arr):
         arr = arr[np.isfinite(arr)]
-        if arr.size == 0:
-            return arr, arr, arr
         return arr, delta(arr), delta(delta(arr))
 
     # 58 onset and 58 offset descriptors, then the six formant contours

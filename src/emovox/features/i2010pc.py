@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import Waveform
+from ..audio import FRAME_MS, Waveform, grid
 from ..dsp import (delta, estimate_f0, log_frame_energy, log_mel_energies, lpc,
                    lsp_from_lpc, mfcc_frames, moving_average, power_spectrum, PREEMPHASIS)
 from ..functionals import IS10_FUNCTIONALS, FeatureTrack, FunctionalSet, apply_functionals
@@ -44,9 +44,9 @@ def _pitch_grid_track(w: Waveform):
     Padding both ends by (60-25)/2 ms keeps the frame count and frame centers
     identical to the 25/10 ms analysis grid.
     """
-    pad = round((PITCH_FRAME_MS - 25.0) / 2 / 1000.0 * w.sample_rate)
+    pad = round((PITCH_FRAME_MS - FRAME_MS) / 2 / 1000.0 * w.sample_rate)
     padded = Waveform(np.pad(w.samples, pad), w.sample_rate, w.source_id)
-    return padded, pad, estimate_f0(padded, frame_ms=PITCH_FRAME_MS)
+    return padded, estimate_f0(padded, frame_ms=PITCH_FRAME_MS)
 
 
 def _hold_last_voiced(values: np.ndarray) -> np.ndarray:
@@ -88,21 +88,19 @@ def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
                           frames_mat[:, 1:] - PREEMPHASIS * frames_mat[:, :-1]], axis=1)
     lsp = lsp_from_lpc(lpc(pre, 8)[0], rate)
 
-    padded, _, pitch = _pitch_grid_track(w)
-    f0v = pitch.values[:n] if pitch.values.size >= n else np.pad(
-        pitch.values, (0, n - pitch.values.size))
-    strength = pitch.strength[:n] if pitch.strength.size >= n else np.pad(
-        pitch.strength, (0, n - pitch.strength.size))
-    step = round(pitch.step_ms * rate / 1000.0) if pitch.values.size else 80
+    padded, pitch = _pitch_grid_track(w)
+    # the padded 60 ms track, cut or zero-padded to one value per grid frame
+    f0v, strength = (np.pad(t, (0, max(n - t.size, 0)))[:n]
+                     for t in (pitch.values, pitch.strength))
     frame_len = round(PITCH_FRAME_MS * rate / 1000.0)
-    jit, ddp, shim = _per_frame_perturbation(padded, f0v, step, frame_len)
+    jit, ddp, shim = _per_frame_perturbation(padded, f0v, grid(rate)[1], frame_len)
 
     lld = np.column_stack(
         [loud, ceps, mel8, lsp,
          f0v, _hold_last_voiced(f0v), strength, jit, ddp, shim])
     assert lld.shape == (n, 38)
 
-    lld = moving_average(lld, 3)
+    lld = moving_average(lld)
     full = np.column_stack([lld, delta(lld)])
     names = LLD_NAMES + tuple(f"d_{s}" for s in LLD_NAMES)
     vec = apply_functionals(FeatureTrack(full, names),

@@ -242,8 +242,8 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
     shim, apq = heights.relative_diff(1), heights.quotient(11)
 
     contour = f0[a.voiced & (f0 > 0)]
-    d1 = delta(contour) if contour.size else contour
-    d2 = delta(d1) if contour.size else contour
+    d1 = delta(contour)
+    d2 = delta(d1)
     track = FeatureTrack.stack([d1, d2, jit, shim, apq, ppq, a.log_energy[a.voiced]],
                                PHONATION_TRACKS)
     return FeatureVector("phonation", apply_functionals(track, FunctionalSet(FOUR_MOMENTS)),

@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import SPEECH, Waveform, _runs, detect_speech
+from ..audio import SPEECH, STEP_MS, Waveform, _runs, detect_speech
 from ..functionals import SIX_BASIC, FeatureTrack, FunctionalSet, apply_functionals
 
 from . import FeatureVector
 
-STEP_S = 0.010
+STEP_S = STEP_MS / 1000.0
 
 _CONTOUR_TRACKS = ("f0_contour", "energy_contour", "voiced_duration",
                    "unvoiced_duration", "pause_duration")
@@ -54,7 +54,7 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
     w, f0 = a.waveform, a.f0.values
     voiced = a.voiced
-    speech = a.frames_in(s for s in detect_speech(w, a.f0) if s.kind == SPEECH)
+    speech = a.frames_in(s for s in detect_speech(a) if s.kind == SPEECH)
 
     if f0.size == 0 or not np.any(voiced):
         return FeatureVector("prosody", np.zeros(78), w.source_id,

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from emovox import audio
+from emovox.analysis import Analysis
 from emovox.audio import (SILENCE, SPEECH, UNVOICED, VOICED, SegmentSpan,
                           Transition, Waveform, detect_speech, frame_count,
-                          frame_signal, load_wav, make_window, parse_wav, resample_to_8k,
+                          frame_signal, grid, load_wav, parse_wav, resample_to_8k,
                           voiced_segments)
 from emovox.dsp import F0Track, estimate_f0
 from emovox.errors import MalformedWavError, UnsupportedWavError, UpsamplingError
@@ -271,7 +272,7 @@ def test_resample_linearity(rng):
 # ------------------------------------------------------------ frame_signal
 
 def test_frame_count_one_second():
-    frames = frame_signal(wf(tone(100)), 25.0, 10.0)
+    frames = frame_signal(wf(tone(100)))
     assert frames.shape == (98, 200)
 
 
@@ -280,39 +281,48 @@ def test_frame_count_formula_random_lengths(rng):
         n = int(n)
         expected = (n - 200) // 80 + 1 if n >= 200 else 0
         assert frame_count(n, 200, 80) == expected
-    frames = frame_signal(wf(np.ones(777)), 25.0, 10.0)
+    frames = frame_signal(wf(np.ones(777)))
     assert frames.shape[0] == (777 - 200) // 80 + 1
 
 
 def test_rectangular_window_constant_signal():
-    frames = frame_signal(wf(np.ones(1000)), 25.0, 10.0, "rectangular")
+    frames = frame_signal(wf(np.ones(1000)))
     assert np.all(frames == 1.0)
 
 
 def test_hann_window_endpoints():
-    frames = frame_signal(wf(np.ones(1000)), 25.0, 10.0, "hann")
+    frames = Analysis(wf(np.ones(1000))).hann_frames
     assert np.all(np.abs(frames[:, 0]) < 1e-12)
     assert np.all(np.abs(frames[:, -1]) < 1e-12)
 
 
 def test_short_signal_gives_empty_series():
-    frames = frame_signal(wf(np.ones(100)), 25.0, 10.0)
+    frames = frame_signal(wf(np.ones(100)))
     assert frames.shape == (0, 200)
 
 
-def test_frame_bad_lengths_rejected():
-    with pytest.raises(ValueError):
-        frame_signal(wf(np.ones(1000)), 5.0, 10.0)
-    with pytest.raises(ValueError):
-        make_window("blackman", 100)
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_every_frame_series_is_on_the_grid(rng, rate):
+    # 1 sample to 1 s, on and either side of the lengths where a frame is added
+    length, step = grid(rate)
+    sizes = {1, rate}
+    for k in (0, 1, 2, (rate - length) // step):
+        sizes |= {length + k * step - 1, length + k * step, length + k * step + 1}
+    for n in sorted(sizes):
+        a = Analysis(wf(tone(170, n / rate, rate=rate) + 0.01 * rng.standard_normal(n), rate))
+        want = frame_count(n, length, step)
+        series = {"rect_frames": a.rect_frames, "hann_frames": a.hann_frames,
+                  "hann_power": a.hann_power, "log_energy": a.log_energy,
+                  "voiced": a.voiced, "f0.values": a.f0.values, "f0.strength": a.f0.strength}
+        for name, got in series.items():
+            assert got.shape[0] == want, (rate, n, name)
 
 
 # ------------------------------------------------------------ detect_speech
 
 def vad(x):
-    """``detect_speech`` of x at 8 kHz, on x's own F0 track."""
-    w = wf(x)
-    return detect_speech(w, estimate_f0(w))
+    """``detect_speech`` of x at 8 kHz, on x's own frames and F0 track."""
+    return detect_speech(Analysis(wf(x)))
 
 
 def test_vad_all_zero_is_one_silence_span():
@@ -475,7 +485,7 @@ def test_partition_and_transition_count(rng):
     w = wf(np.ones(8000) * 0.1)
     for _ in range(50):
         values = rng.choice([0.0, 150.0], size=98, p=[0.5, 0.5])
-        track = F0Track(values, np.ones(98), 25.0, 10.0)
+        track = F0Track(values, np.ones(98))
         spans, transitions = voiced_segments(w, track)
         assert spans[0].start_sample == 0
         assert spans[-1].end_sample == 8000
@@ -536,7 +546,7 @@ def test_voiced_segments_linear_in_frames():
     import time
 
     values = np.tile([150.0, 0.0, 0.0, 150.0, 150.0, 0.0], 700)
-    track = F0Track(values, np.ones(values.size), 25.0, 10.0)
+    track = F0Track(values, np.ones(values.size))
     w = wf(np.full(values.size * 80 + 120, 0.1))
     start = time.perf_counter()
     spans, _ = voiced_segments(w, track)
@@ -546,7 +556,7 @@ def test_voiced_segments_linear_in_frames():
 
 def test_transition_chunks_are_80ms_zero_padded():
     values = np.concatenate([np.zeros(4), np.full(94, 200.0)])
-    track = F0Track(values, np.ones(98), 25.0, 10.0)
+    track = F0Track(values, np.ones(98))
     w = wf(np.ones(8000) * 0.5)
     _, transitions = voiced_segments(w, track)
     assert len(transitions) == 1
@@ -559,7 +569,7 @@ def test_transition_chunks_are_80ms_zero_padded():
     assert np.all(tr.chunk == 0.5)
 
     early = F0Track(np.concatenate([np.full(3, 200.0), np.zeros(95)]),
-                    np.ones(98), 25.0, 10.0)
+                    np.ones(98))
     _, trs = voiced_segments(w, early)
     # boundary at frame 3 => sample 240 < 320: head of chunk is zero-padded
     assert trs[0].chunk[0] == 0.0

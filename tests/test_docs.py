@@ -29,3 +29,15 @@ def test_file_formats_doc_mentions_every_scheme():
         if scheme == "fusion":
             continue
         assert f"`{scheme}`" in text, scheme
+
+
+def test_file_formats_config_table_names_every_config_key():
+    from dataclasses import fields
+
+    from emovox.config import ExperimentConfig
+
+    with open(os.path.join(DOCS, "file_formats.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Experiment config", 1)[1].split("\n## ", 1)[0]
+    keys = [key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))

@@ -444,7 +444,8 @@ def transition_descriptors_oracle(chunk, rate):
     bbe = bark_band_energies(chunk, rate)
     if frame_count(chunk.size, round(0.025 * rate), round(0.010 * rate)) == 0:
         return np.concatenate([bbe, np.zeros(3 * N_MFCC)])
-    ceps = mfcc_frames(power_spectrum(frame_signal(wf(chunk, rate))), rate, n_mels=24,
+    frames = frame_signal(wf(chunk, rate))
+    ceps = mfcc_frames(power_spectrum(frames * np.hanning(frames.shape[1])), rate, n_mels=24,
                        n_ceps=N_MFCC, first=1)
     return np.concatenate([bbe, ceps.mean(axis=0), delta(ceps).mean(axis=0),
                            delta(delta(ceps)).mean(axis=0)])
@@ -546,7 +547,7 @@ def phonation_per_track_oracle(w):
     voiced_spans = [s for s in spans if s.kind == VOICED]
     if not voiced_spans or not np.any(f0.values > 0):
         return np.zeros(28)
-    energy = log_frame_energy(frame_signal(w, window_kind="rectangular"))
+    energy = log_frame_energy(frame_signal(w))
     contour, log_e, jit, shim, apq, ppq = [], [], [], [], [], []
     for span in voiced_spans:
         lo = -(-span.start_sample // 80)
@@ -585,10 +586,10 @@ def prosody_per_track_oracle(w):
     spans, _ = voiced_segments(w, f0)
     n = f0.values.size
     voiced = ceil_loop_mask(spans, VOICED, n, 80)
-    speech = ceil_loop_mask(detect_speech(w, f0), SPEECH, n, 80)
+    speech = ceil_loop_mask(detect_speech(Analysis(w)), SPEECH, n, 80)
     if n == 0 or not np.any(voiced):
         return np.zeros(78)
-    energy = log_frame_energy(frame_signal(w, window_kind="rectangular"))
+    energy = log_frame_energy(frame_signal(w))
     unvoiced, pause = speech & ~voiced, ~speech
     runs = {"voiced": _true_runs(voiced), "unvoiced": _true_runs(unvoiced),
             "pause": _true_runs(pause)}
