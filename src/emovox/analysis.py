@@ -4,19 +4,19 @@ An ``Analysis`` wraps one 8 kHz ``Waveform`` and frames it once on the
 25/10 ms grid that ``emovox.audio.grid`` defines: the rectangular frames (a
 view of the samples, which the VAD ``detect_speech`` reads too) and the Hann
 frames made from them, the Hann frames' power spectrum (i2010pc's MFCCs and
-mel bands and the embedding MFCCs read it), the F0 track, the voiced /
-unvoiced segmentation of that track, the mask of voiced grid frames, the
-rectangular-frame log energy and the MFCC matrix both embeddings read.  Each
-is computed the first time a scheme asks for it.  The pipeline builds one
-per row on its first cache miss; an extractor given a bare ``Waveform``
-builds its own.
+mel bands and the embedding MFCCs read it), the F0 track, the speech and
+voiced masks of the grid frames, the voicing transitions (an onset flag and
+an 80 ms chunk per run boundary of the voiced mask), the rectangular-frame
+log energy and the MFCC matrix both embeddings read.  Each is computed the
+first time a scheme asks for it.  The pipeline builds one per row on its
+first cache miss; an extractor given a bare ``Waveform`` builds its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .audio import VOICED, Waveform, frame_signal, grid, voiced_segments
+from .audio import Waveform, detect_speech, frame_signal, voiced_segments
 from .dsp import estimate_f0, log_frame_energy, mfcc_frames, power_spectrum
 
 EMBEDDING_N_CEPS = 24
@@ -42,8 +42,9 @@ class Analysis:
     def _once(self, key, make):
         if key not in self._memo:
             value = make()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False  # shared by every scheme of the row
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False  # shared by every scheme of the row
             self._memo[key] = value
         return self._memo[key]
 
@@ -69,23 +70,25 @@ class Analysis:
         return self._once("f0", lambda: estimate_f0(self.waveform))
 
     @property
-    def segments(self):
-        """(spans, transitions) of ``voiced_segments`` on the F0 track."""
+    def _segments(self):
+        """``voiced_segments`` on the F0 track: (voiced mask, onset flags, chunks)."""
         return self._once("segments", lambda: voiced_segments(self.waveform, self.f0))
-
-    def frames_in(self, spans) -> np.ndarray:
-        """Mask of the grid frames whose first sample lies in one of ``spans``."""
-        step = grid(self.waveform.sample_rate)[1]
-        mask = np.zeros(self.f0.values.size, dtype=bool)
-        for s in spans:
-            mask[-(-s.start_sample // step):-(-s.end_sample // step)] = True
-        return mask
 
     @property
     def voiced(self) -> np.ndarray:
-        """Mask of the grid frames that start inside a voiced span."""
-        return self._once("voiced", lambda: self.frames_in(
-            s for s in self.segments[0] if s.kind == VOICED))
+        """Mask of the voiced grid frames, short voicing runs merged away."""
+        return self._segments[0]
+
+    @property
+    def transitions(self):
+        """(onset flags, chunk matrix): one flag and one 80 ms chunk per run
+        boundary of the voiced mask, True where voicing starts."""
+        return self._segments[1:]
+
+    @property
+    def speech(self) -> np.ndarray:
+        """Mask of the grid frames the VAD ``detect_speech`` calls speech."""
+        return self._once("speech", lambda: detect_speech(self))
 
     @property
     def log_energy(self) -> np.ndarray:

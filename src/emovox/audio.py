@@ -2,6 +2,9 @@
 
 All downstream feature code consumes the 8 kHz mono `Waveform` produced here
 and frames it on the one 25/10 ms grid defined here (``grid``, ``frames``).
+Segmentation is decided per grid frame and kept as frame masks: the VAD's
+speech mask, and the voicing mask whose run boundaries are the transitions,
+each with the 80 ms chunk of samples centred on it.
 Resampling is NumPy alone (no ``scipy.signal``): the Kaiser low-pass of
 ``scipy.signal.firwin`` is designed once per operating rate, and the
 polyphase decimation of ``scipy.signal.resample_poly`` is one matrix
@@ -13,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,9 +46,6 @@ VAD_SMOOTH_FRAMES = 5
 MIN_VOICED_RUN_FRAMES = 3
 TRANSITION_CHUNK_S = 0.080
 
-SPEECH, SILENCE, VOICED, UNVOICED = "speech", "silence", "voiced", "unvoiced"
-ONSET, OFFSET = "onset", "offset"
-
 
 @dataclass(frozen=True)
 class Waveform:
@@ -71,30 +71,6 @@ class Waveform:
 
     def __len__(self):
         return self.samples.size
-
-
-@dataclass(frozen=True)
-class SegmentSpan:
-    """Half-open sample span [start_sample, end_sample) of one segment kind."""
-
-    start_sample: int
-    end_sample: int
-    kind: str
-
-    def __post_init__(self):
-        if not self.start_sample < self.end_sample:
-            raise ValueError("span must satisfy start < end")
-        if self.kind not in (SPEECH, SILENCE, VOICED, UNVOICED):
-            raise ValueError(f"unknown span kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Voicing boundary with an 80 ms chunk of samples centered on it."""
-
-    center_sample: int
-    direction: str  # onset: unvoiced -> voiced; offset: voiced -> unvoiced
-    chunk: np.ndarray = field(repr=False)
 
 
 def load_wav(path) -> Waveform:
@@ -327,25 +303,15 @@ def _merge_short_runs(runs):
     return out
 
 
-def _frame_runs_to_spans(runs, step: int, n_samples: int, kind_of) -> list[SegmentSpan]:
-    spans = []
-    for i, (s, e, v) in enumerate(runs):
-        lo = s * step
-        hi = e * step if i < len(runs) - 1 else n_samples
-        spans.append(SegmentSpan(lo, hi, kind_of(v)))
-    return spans
-
-
-def detect_speech(a: "Analysis") -> list[SegmentSpan]:
-    """Energy + periodicity VAD: speech/silence spans of an utterance's ``Analysis``.
+def detect_speech(a: "Analysis") -> np.ndarray:
+    """Energy + periodicity VAD: the speech mask of an utterance's grid frames.
 
     A grid frame (``a.rect_frames``) is speech when it clears the noise floor
     by 10 dB or carries a pitch in ``a.f0``; decisions are smoothed with a
     5-frame majority vote.
     """
-    n = a.waveform.samples.size
     if a.rect_frames.shape[0] == 0:
-        return [SegmentSpan(0, n, SILENCE)]
+        return np.zeros(0, dtype=bool)
     energy_db = 10.0 * np.log10(np.mean(a.rect_frames ** 2, axis=1) + 1e-12)
     floor = min(np.percentile(energy_db, VAD_NOISE_PERCENTILE), VAD_FLOOR_CAP_DB)
     voiced = a.f0.values > 0
@@ -356,33 +322,23 @@ def detect_speech(a: "Analysis") -> list[SegmentSpan]:
         padded = np.pad(speech.astype(int), half, mode="edge")
         votes = np.convolve(padded, np.ones(VAD_SMOOTH_FRAMES, dtype=int), "valid")
         speech = votes > VAD_SMOOTH_FRAMES // 2
-
-    return _frame_runs_to_spans(_runs(speech), grid(a.waveform.sample_rate)[1], n,
-                                lambda v: SPEECH if v else SILENCE)
+    return speech
 
 
 def voiced_segments(w: Waveform, f0: "F0Track"):
-    """Split the frame grid into voiced/unvoiced spans and boundary transitions.
+    """Voicing mask of the grid frames, and its run boundaries with their chunks.
 
-    Voicing runs shorter than 3 frames are absorbed by their neighbors; each
-    remaining boundary yields a Transition with an 80 ms centered chunk
-    (zero-padded at the signal edges).
+    Voicing runs shorter than 3 frames are absorbed by their neighbors.
+    Returns the merged mask, one flag per boundary between runs (True for an
+    onset, unvoiced -> voiced), and a (boundaries x 80 ms) matrix of the
+    samples centred on each boundary's first sample, zero-padded at the
+    signal edges.
     """
-    labels = np.asarray(f0.values) > 0
-    if labels.size == 0:
-        return [], []
-    runs = _merge_short_runs(_runs(labels))
-
-    spans = _frame_runs_to_spans(runs, grid(w.sample_rate)[1], w.samples.size,
-                                 lambda v: VOICED if v else UNVOICED)
+    runs = np.array(_merge_short_runs(_runs(np.asarray(f0.values) > 0)),
+                    dtype=np.intp).reshape(-1, 3)
+    starts, values = runs[:, 0], runs[:, 2].astype(bool)
+    mask = np.repeat(values, runs[:, 1] - starts)
     chunk_len = round(TRANSITION_CHUNK_S * w.sample_rate)
-    transitions = []
-    for prev, cur in zip(spans[:-1], spans[1:]):
-        center = cur.start_sample
-        direction = ONSET if cur.kind == VOICED else OFFSET
-        chunk = np.zeros(chunk_len)
-        lo = center - chunk_len // 2
-        src_lo, src_hi = max(lo, 0), min(lo + chunk_len, w.samples.size)
-        chunk[src_lo - lo:src_hi - lo] = w.samples[src_lo:src_hi]
-        transitions.append(Transition(center, direction, chunk))
-    return spans, transitions
+    padded = np.pad(w.samples, (chunk_len // 2, chunk_len - chunk_len // 2))
+    chunks = padded[starts[1:, None] * grid(w.sample_rate)[1] + np.arange(chunk_len)]
+    return mask, values[1:], chunks

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import ONSET, Waveform, frames, grid
+from ..audio import Waveform, frames, grid
 from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames, power_spectrum
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 
@@ -47,14 +47,12 @@ def transition_descriptors(chunks: np.ndarray, rate: int) -> np.ndarray:
 def articulation_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
     w = a.waveform
-    _, transitions = a.segments
+    onset, chunks = a.transitions
 
     warnings = []
     onset_rows = offset_rows = np.zeros((0, 58))
-    if transitions:
-        rows = transition_descriptors(np.array([tr.chunk for tr in transitions]),
-                                      w.sample_rate)
-        onset = np.array([tr.direction == ONSET for tr in transitions])
+    if onset.size:
+        rows = transition_descriptors(chunks, w.sample_rate)
         onset_rows, offset_rows = rows[onset], rows[~onset]
     else:
         warnings.append("no transitions")

@@ -5,7 +5,7 @@ summarized by {mean, std, skewness, kurtosis}: 28 values.
 
 Glottal pulses are picked by ``pulse_windows``, a NumPy form of
 ``scipy.signal.find_peaks`` that serves many windows from one scan of the
-signal: here one window per voiced span, in i2010pc one per frame.
+signal: here one window per voiced run, in i2010pc one per frame.
 ``glottal_cycles`` turns every window's pulses into cleaned periods and
 heights, whose ``WindowValues`` methods give the perturbation measures of
 all windows at once; they are the only jitter and shimmer code of both
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import VOICED, Waveform
+from ..audio import Waveform, _runs, grid
 from ..dsp import delta
 from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
 from . import FeatureVector
@@ -222,22 +222,25 @@ def glottal_cycles(marks: np.ndarray, amps: np.ndarray, counts: np.ndarray, rate
 def phonation_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
     w, f0 = a.waveform, a.f0.values
-    voiced_spans = [s for s in a.segments[0] if s.kind == VOICED]
+    runs = [(lo, hi) for lo, hi, on in _runs(a.voiced) if on]
 
-    if not voiced_spans or not np.any(f0 > 0):
+    if not runs or not np.any(f0 > 0):
         return FeatureVector("phonation", np.zeros(28), w.source_id,
                              warning="no voiced frames")
 
-    # one pulse window per voiced span with a pitched frame, at its median F0
-    starts, lengths, span_f0 = [], [], []
-    for span in voiced_spans:
-        seg_f0 = f0[a.frames_in([span]) & (f0 > 0)]
+    # one pulse window per voiced run with a pitched frame, at its median F0:
+    # frames lo..hi-1 span samples lo*step up to hi*step, or to the last
+    # sample for a run that ends on the last frame
+    step = grid(w.sample_rate)[1]
+    starts, lengths, run_f0 = [], [], []
+    for lo, hi in runs:
+        seg_f0 = f0[lo:hi][f0[lo:hi] > 0]
         if seg_f0.size:
-            starts.append(span.start_sample)
-            lengths.append(span.end_sample - span.start_sample)
-            span_f0.append(float(np.median(seg_f0)))
+            starts.append(lo * step)
+            lengths.append((hi * step if hi < f0.size else w.samples.size) - lo * step)
+            run_f0.append(float(np.median(seg_f0)))
     periods, heights = glottal_cycles(
-        *pulse_windows(w.samples, starts, lengths, span_f0, w.sample_rate), w.sample_rate)
+        *pulse_windows(w.samples, starts, lengths, run_f0, w.sample_rate), w.sample_rate)
     jit, ppq = periods.relative_diff(1), periods.quotient(5)
     shim, apq = heights.relative_diff(1), heights.quotient(11)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Analysis
-from ..audio import SPEECH, STEP_MS, Waveform, _runs, detect_speech
+from ..audio import STEP_MS, Waveform, _runs
 from ..functionals import SIX_BASIC, FeatureTrack, FunctionalSet, apply_functionals
 
 from . import FeatureVector
@@ -53,8 +53,7 @@ def _slope_and_mse(y: np.ndarray):
 def prosody_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
     w, f0 = a.waveform, a.f0.values
-    voiced = a.voiced
-    speech = a.frames_in(s for s in detect_speech(a) if s.kind == SPEECH)
+    voiced, speech = a.voiced, a.speech
 
     if f0.size == 0 or not np.any(voiced):
         return FeatureVector("prosody", np.zeros(78), w.source_id,

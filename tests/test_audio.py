@@ -7,10 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from emovox import audio
 from emovox.analysis import Analysis
-from emovox.audio import (SILENCE, SPEECH, UNVOICED, VOICED, SegmentSpan,
-                          Transition, Waveform, detect_speech, frame_count,
-                          frame_signal, grid, load_wav, parse_wav, resample_to_8k,
-                          voiced_segments)
+from emovox.audio import (Waveform, detect_speech, frame_count, frame_signal, grid,
+                          load_wav, parse_wav, resample_to_8k, voiced_segments)
 from emovox.dsp import F0Track, estimate_f0
 from emovox.errors import MalformedWavError, UnsupportedWavError, UpsamplingError
 
@@ -27,10 +25,6 @@ def save_wav(path, w: Waveform) -> None:
     hdr += b"data" + struct.pack("<I", len(pcm))
     with open(path, "wb") as fh:
         fh.write(hdr + pcm)
-
-
-def span_len(s):
-    return s.end_sample - s.start_sample
 
 
 # ---------------------------------------------------------------- load_wav
@@ -313,7 +307,8 @@ def test_every_frame_series_is_on_the_grid(rng, rate):
         want = frame_count(n, length, step)
         series = {"rect_frames": a.rect_frames, "hann_frames": a.hann_frames,
                   "hann_power": a.hann_power, "log_energy": a.log_energy,
-                  "voiced": a.voiced, "f0.values": a.f0.values, "f0.strength": a.f0.strength}
+                  "voiced": a.voiced, "speech": a.speech, "f0.values": a.f0.values,
+                  "f0.strength": a.f0.strength}
         for name, got in series.items():
             assert got.shape[0] == want, (rate, n, name)
 
@@ -325,48 +320,37 @@ def vad(x):
     return detect_speech(Analysis(wf(x)))
 
 
+def true_runs(mask):
+    return [(lo, hi) for lo, hi, on in audio._runs(mask) if on]
+
+
 def test_vad_all_zero_is_one_silence_span():
-    spans = vad(np.zeros(8000))
-    assert len(spans) == 1
-    s = spans[0]
-    assert (s.start_sample, s.end_sample, s.kind) == (0, 8000, SILENCE)
+    speech = vad(np.zeros(8000))
+    assert speech.shape == (frame_count(8000, 200, 80),) and speech.dtype == bool
+    assert not np.any(speech)
 
 
 def test_vad_sine_covers_signal():
-    spans = vad(tone(200, amp=0.9))
-    speech = sum(span_len(s) for s in spans if s.kind == SPEECH)
-    assert speech >= 0.95 * 8000
+    speech = vad(tone(200, amp=0.9))
+    assert np.count_nonzero(speech) >= 0.95 * speech.size
 
 
 def test_vad_tone_silence_tone_layout():
     x = np.concatenate([tone(250, 0.5), np.zeros(8000), tone(250, 0.5)])
-    spans = vad(x)
-    kinds = [s.kind for s in spans]
-    assert kinds.count(SPEECH) >= 2
-    mid = [s for s in spans if s.kind == SILENCE
-           and s.start_sample > 3000 and s.end_sample < 13000]
-    assert mid, f"no central silence span in {spans}"
-
-
-def test_vad_spans_partition_signal(rng):
-    x = np.concatenate([tone(200, 0.3), 0.001 * rng.standard_normal(4000),
-                        tone(300, 0.3)])
-    spans = vad(x)
-    assert spans[0].start_sample == 0
-    assert spans[-1].end_sample == x.size
-    for a, b in zip(spans[:-1], spans[1:]):
-        assert a.end_sample == b.start_sample
-        assert a.kind != b.kind
+    speech = vad(x)
+    assert len(true_runs(speech)) >= 2
+    mid = [(lo, hi) for lo, hi in true_runs(~speech) if lo * 80 > 3000 and hi * 80 < 13000]
+    assert mid, f"no central silence run in {audio._runs(speech)}"
 
 
 def test_vad_idempotent_on_speech_output():
     x = np.concatenate([tone(250, 0.5), np.zeros(8000), tone(250, 0.5)])
-    spans = vad(x)
-    speech = np.concatenate([x[s.start_sample:s.end_sample]
-                             for s in spans if s.kind == SPEECH])
-    again = vad(speech)
-    kept = sum(span_len(s) for s in again if s.kind == SPEECH)
-    assert kept >= speech.size - 2 * 200
+    speech = vad(x)
+    # a run ends at its end frame's first sample, the last run at the last sample
+    kept_x = np.concatenate([x[lo * 80:(hi * 80 if hi < speech.size else x.size)]
+                             for lo, hi in true_runs(speech)])
+    again = vad(kept_x)
+    assert np.count_nonzero(again) * 80 >= kept_x.size - 2 * 200
 
 
 def test_parse_wav_matches_load_wav(tmp_path):
@@ -450,18 +434,17 @@ def test_hostile_wav_decodes_finite_or_is_a_wav_error():
 
 
 def test_vad_micro_recording():
-    spans = vad(np.zeros(80))  # 10 ms: shorter than one frame
-    assert len(spans) == 1 and spans[0].kind == SILENCE
+    speech = vad(np.zeros(80))  # 10 ms: shorter than one frame
+    assert speech.shape == (0,) and speech.dtype == bool
 
 
 # ---------------------------------------------------------- voiced_segments
 
 def test_fully_voiced_single_span():
     w = wf(tone(200, amp=0.8))
-    spans, transitions = voiced_segments(w, estimate_f0(w))
-    assert [s.kind for s in spans] == [VOICED]
-    assert transitions == []
-    assert spans[0].start_sample == 0 and spans[0].end_sample == len(w)
+    voiced, onset, chunks = voiced_segments(w, estimate_f0(w))
+    assert voiced.shape == (frame_count(len(w), 200, 80),) and np.all(voiced)
+    assert onset.shape == (0,) and chunks.shape == (0, 640)
 
 
 def test_voiced_unvoiced_voiced_pattern(rng):
@@ -469,34 +452,31 @@ def test_voiced_unvoiced_voiced_pattern(rng):
                         0.3 * rng.standard_normal(2400),
                         tone(200, 0.3, amp=0.8)])
     w = wf(x)
-    spans, transitions = voiced_segments(w, estimate_f0(w))
-    assert [s.kind for s in spans] == [VOICED, UNVOICED, VOICED]
-    assert [t.direction for t in transitions] == [audio.OFFSET, audio.ONSET]
+    voiced, onset, chunks = voiced_segments(w, estimate_f0(w))
+    assert [bool(v) for _, _, v in audio._runs(voiced)] == [True, False, True]
+    assert onset.tolist() == [False, True] and chunks.shape == (2, 640)
 
 
 def test_silence_single_unvoiced_span():
     w = wf(np.zeros(8000))
-    spans, transitions = voiced_segments(w, estimate_f0(w))
-    assert [s.kind for s in spans] == [UNVOICED]
-    assert transitions == []
+    voiced, onset, chunks = voiced_segments(w, estimate_f0(w))
+    assert voiced.shape == (98,) and not np.any(voiced)
+    assert onset.shape == (0,) and chunks.shape == (0, 640)
 
 
 def test_partition_and_transition_count(rng):
     w = wf(np.ones(8000) * 0.1)
     for _ in range(50):
         values = rng.choice([0.0, 150.0], size=98, p=[0.5, 0.5])
-        track = F0Track(values, np.ones(98))
-        spans, transitions = voiced_segments(w, track)
-        assert spans[0].start_sample == 0
-        assert spans[-1].end_sample == 8000
-        for a, b in zip(spans[:-1], spans[1:]):
-            assert a.end_sample == b.start_sample
-            assert a.kind != b.kind
-        assert len(transitions) == len(spans) - 1
-        # surviving runs honor the 3-frame minimum (except a lone span)
-        if len(spans) > 1:
-            for s in spans[:-1]:
-                assert span_len(s) >= 3 * 80
+        voiced, onset, chunks = voiced_segments(w, F0Track(values, np.ones(98)))
+        runs = audio._runs(voiced)
+        assert voiced.shape == (98,)
+        # one onset flag and one chunk per run boundary, flags alternating
+        assert onset.tolist() == [bool(v) for _, _, v in runs[1:]]
+        assert chunks.shape == (len(runs) - 1, 640)
+        # surviving runs honor the 3-frame minimum (except a lone run)
+        if len(runs) > 1:
+            assert all(hi - lo >= 3 for lo, hi, _ in runs)
 
 
 def runs_oracle(labels):
@@ -549,34 +529,23 @@ def test_voiced_segments_linear_in_frames():
     track = F0Track(values, np.ones(values.size))
     w = wf(np.full(values.size * 80 + 120, 0.1))
     start = time.perf_counter()
-    spans, _ = voiced_segments(w, track)
+    voiced, _, _ = voiced_segments(w, track)
     assert time.perf_counter() - start < 1.0
-    assert spans[0].start_sample == 0 and spans[-1].end_sample == w.samples.size
+    assert voiced.shape == values.shape
 
 
 def test_transition_chunks_are_80ms_zero_padded():
+    x = np.arange(8000) / 8000.0   # each sample names its own index
+    w = wf(x)
     values = np.concatenate([np.zeros(4), np.full(94, 200.0)])
-    track = F0Track(values, np.ones(98))
-    w = wf(np.ones(8000) * 0.5)
-    _, transitions = voiced_segments(w, track)
-    assert len(transitions) == 1
-    tr = transitions[0]
-    assert isinstance(tr, Transition)
-    assert tr.chunk.size == round(0.08 * 8000)
-    assert tr.center_sample == 4 * 80
-    # center sits at sample 320; the first 320 samples of signal fit, the
-    # chunk head holds exactly that content and nothing was zero-padded here
-    assert np.all(tr.chunk == 0.5)
+    onset, chunks = voiced_segments(w, F0Track(values, np.ones(98)))[1:]
+    assert onset.tolist() == [True] and chunks.shape == (1, round(0.08 * 8000))
+    # centred on the boundary's first sample, 4 * 80 = 320: the 640 samples
+    # from 0 fit, so nothing was zero-padded here
+    assert chunks[0].tobytes() == x[:640].tobytes()
 
-    early = F0Track(np.concatenate([np.full(3, 200.0), np.zeros(95)]),
-                    np.ones(98))
-    _, trs = voiced_segments(w, early)
-    # boundary at frame 3 => sample 240 < 320: head of chunk is zero-padded
-    assert trs[0].chunk[0] == 0.0
-
-
-def test_span_validation():
-    with pytest.raises(ValueError):
-        SegmentSpan(5, 5, VOICED)
-    with pytest.raises(ValueError):
-        SegmentSpan(0, 5, "noise")
+    early = F0Track(np.concatenate([np.full(3, 200.0), np.zeros(95)]), np.ones(98))
+    onset, chunks = voiced_segments(w, early)[1:]
+    # boundary at frame 3 => sample 240 < 320: the head of the chunk is zero-padded
+    assert onset.tolist() == [False]
+    assert not np.any(chunks[0, :80]) and chunks[0, 80:].tobytes() == x[:560].tobytes()

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from emovox.audio import SILENCE, SPEECH, VOICED, SegmentSpan, Waveform, voiced_segments
-from emovox.dsp import estimate_f0
+from emovox import analysis
+from emovox.audio import Waveform, _merge_short_runs
+from emovox.dsp import F0Track, estimate_f0
 from emovox.features import (EXTRACTORS, FeatureVector, FusionSpec, fuse)
 from emovox.analysis import Analysis
 from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
 from emovox.features.i2010pc import (LLD_NAMES, _hold_last_voiced, _per_frame_perturbation,
                                      i2010pc_features)
+from emovox.features import phonation
 from emovox.features.phonation import (MAX_PERIOD_DEVIATION, PHONATION_TRACKS,
                                        WindowValues, glottal_cycles, phonation_features,
                                        pulse_windows)
 from emovox.features.prosody import PROSODY_FEATURE_NAMES, _slope_and_mse, prosody_features
 from emovox.dsp import (bark_band_energies, delta, log_frame_energy, mfcc_frames,
                         power_spectrum)
-from emovox.audio import _runs, detect_speech, frame_count, frame_signal
+from emovox.audio import _runs, detect_speech, frame_count, frame_signal, grid
 from emovox.errors import FeatureSchemeError
 from emovox.functionals import (FOUR_MOMENTS, IS10_FUNCTIONALS, SIX_BASIC, FeatureTrack,
                                 FunctionalSet, apply_functionals)
@@ -388,16 +390,52 @@ def test_articulation_sustained_vowel_formant_block():
     assert 1350 <= mean_f2 <= 1650
 
 
-def ceil_loop_mask(spans, kind, n, step):
-    """A frame mask as prosody built it: each span's frames from ceil(start /
-    step) up to ceil(end / step)."""
+# The sample-span rule the segmenter once used: frame runs became sample
+# spans, and the schemes turned the spans back into frame masks.
+
+def frame_runs_to_spans(runs, step, n_samples):
+    """(start, end, on) sample spans of (lo, hi, on) frame runs: run lo..hi
+    covers samples lo*step up to hi*step, and the last run ends at the last
+    sample."""
+    return [(lo * step, hi * step if i < len(runs) - 1 else n_samples, bool(on))
+            for i, (lo, hi, on) in enumerate(runs)]
+
+
+def ceil_loop_mask(spans, n, step):
+    """A frame mask as prosody built it: each ``on`` span's frames from
+    ceil(start / step) up to ceil(end / step)."""
     mask = np.zeros(n, dtype=bool)
-    for s in spans:
-        if s.kind == kind:
-            lo = int(np.ceil(s.start_sample / step))
-            hi = int(np.ceil(s.end_sample / step))
+    for start, end, on in spans:
+        if on:
+            lo = int(np.ceil(start / step))
+            hi = int(np.ceil(end / step))
             mask[lo:min(hi, n)] = True
     return mask
+
+
+def voiced_spans_oracle(w, f0):
+    """Sample spans of an F0 track's voicing runs, short runs merged away."""
+    runs = _merge_short_runs(_runs(f0.values > 0))
+    return frame_runs_to_spans(runs, grid(w.sample_rate)[1], w.samples.size)
+
+
+def speech_spans_oracle(w):
+    """Sample spans of the runs of the VAD's speech frames."""
+    return frame_runs_to_spans(_runs(detect_speech(Analysis(w))), grid(w.sample_rate)[1],
+                               w.samples.size)
+
+
+def transitions_oracle(w, spans):
+    """Onset flag and 80 ms chunk of each span boundary, one chunk at a time,
+    zero-padded where it runs off the signal."""
+    size = round(0.080 * w.sample_rate)
+    onset, chunks = [], np.zeros((len(spans) - 1 if spans else 0, size))
+    for chunk, (center, _, on) in zip(chunks, spans[1:]):
+        lo = center - size // 2
+        src_lo, src_hi = max(lo, 0), min(lo + size, w.samples.size)
+        chunk[src_lo - lo:src_hi - lo] = w.samples[src_lo:src_hi]
+        onset.append(on)
+    return onset, chunks
 
 
 def test_voiced_frames_match_span_by_frame_loop(rng):
@@ -406,15 +444,15 @@ def test_voiced_frames_match_span_by_frame_loop(rng):
                         vowel(210, [(400, 80), (2100, 100)], 0.4, seed=1)])
     w = wf(x)
     f0 = estimate_f0(w)
-    spans, _ = voiced_segments(w, f0)
+    spans = voiced_spans_oracle(w, f0)
     step, frame_len = 80, 200
     want = []   # every frame start tested against every voiced span
-    for s in spans:
-        if s.kind != VOICED:
+    for start_sample, end_sample, on in spans:
+        if not on:
             continue
         for t in range(f0.values.size):
             start = t * step
-            if s.start_sample <= start < s.end_sample:
+            if start_sample <= start < end_sample:
                 seg = w.samples[start:start + frame_len]
                 if seg.size == frame_len:
                     want.append(seg)
@@ -422,21 +460,54 @@ def test_voiced_frames_match_span_by_frame_loop(rng):
     got = a.rect_frames[a.voiced]
     assert len(want) > 20
     assert got.tobytes() == np.array(want).tobytes()
-    assert np.array_equal(a.voiced, ceil_loop_mask(spans, VOICED, f0.values.size, step))
+    assert np.array_equal(a.voiced, ceil_loop_mask(spans, f0.values.size, step))
 
 
 @pytest.mark.parametrize("n_samples", [150, 199, 200, 280, 801, 8000, 12345])
-def test_frame_masks_match_ceil_loop(rng, n_samples):
-    """Random span layouts, including spans that end past the last frame start."""
-    a = Analysis(wf(0.1 * rng.standard_normal(n_samples)))
-    n = a.f0.values.size
-    for _ in range(50):
-        cuts = np.unique(rng.integers(1, n_samples, size=rng.integers(0, 12)))
-        bounds = [0] + cuts.tolist() + [n_samples]
-        kinds = rng.choice([SPEECH, SILENCE], size=len(bounds) - 1)
-        spans = [SegmentSpan(lo, hi, k) for lo, hi, k in zip(bounds[:-1], bounds[1:], kinds)]
-        got = a.frames_in(s for s in spans if s.kind == SPEECH)
-        assert np.array_equal(got, ceil_loop_mask(spans, SPEECH, n, 80))
+def test_frame_masks_match_ceil_loop(rng, monkeypatch, n_samples):
+    """Speech and voiced masks, phonation's pulse windows and the transitions
+    against the sample-span rule, bit for bit, on random F0 tracks at 8, 16
+    and 44.1 kHz.  ``n_samples`` is a length at 8 kHz; each rate takes the
+    same duration and one sample either side, around where a frame is added."""
+    windows = []
+
+    def spy(x, starts, lengths, f0_hz, rate):
+        windows.append(list(zip(starts, lengths)))
+        return pulse_windows(x, starts, lengths, f0_hz, rate)
+    monkeypatch.setattr(phonation, "pulse_windows", spy)
+    cases = 0
+    for rate in (8000, 16000, 44100):
+        step = grid(rate)[1]
+        for n in (round(n_samples * rate / 8000) + d for d in (-1, 0, 1)):
+            n_frames = frame_count(n, *grid(rate))
+            for _ in range(3):
+                runs = rng.choice([1, 1, 2, 3, 5, 9], size=n_frames + 1)
+                voiced = np.repeat(np.arange(runs.size) % 2 == rng.integers(2), runs)[:n_frames]
+                track = F0Track(np.where(voiced, rng.uniform(80, 300), 0.0),
+                                rng.random(n_frames))
+                monkeypatch.setattr(analysis, "estimate_f0", lambda w, track=track: track)
+                # loud, quiet and silent stretches, so the VAD's mask has runs too
+                level = np.repeat(rng.choice([0.0, 1e-4, 0.3], size=n // step + 1), step)
+                a = Analysis(wf(level[:n] * rng.standard_normal(n), rate))
+                spans = voiced_spans_oracle(a.waveform, track)
+                assert np.array_equal(a.voiced, ceil_loop_mask(spans, n_frames, step))
+                assert np.array_equal(a.speech, ceil_loop_mask(
+                    speech_spans_oracle(a.waveform), n_frames, step))
+                assert a.speech.shape == a.voiced.shape == (n_frames,)
+
+                windows.clear()
+                phonation_features(a)
+                want = [(start, end - start) for start, end, on in spans if on and np.any(
+                    track.values[ceil_loop_mask([(start, end, on)], n_frames, step)] > 0)]
+                assert (windows[0] if windows else []) == want
+
+                onset, chunks = a.transitions
+                want_onset, want_chunks = transitions_oracle(a.waveform, spans)
+                assert onset.tolist() == want_onset
+                assert chunks.shape == want_chunks.shape
+                assert chunks.tobytes() == want_chunks.tobytes()
+                cases += len(want_onset) > 0
+    assert cases > 0 or n_samples < 801   # up to two frames hold no boundary
 
 
 def transition_descriptors_oracle(chunk, rate):
@@ -543,21 +614,20 @@ def phonation_per_track_oracle(w):
     """Phonation as first written: each voiced span's grid frames sliced by
     ceil(start / step), and one ``apply_functionals`` call per track."""
     f0 = estimate_f0(w)
-    spans, _ = voiced_segments(w, f0)
-    voiced_spans = [s for s in spans if s.kind == VOICED]
+    voiced_spans = [(start, end) for start, end, on in voiced_spans_oracle(w, f0) if on]
     if not voiced_spans or not np.any(f0.values > 0):
         return np.zeros(28)
     energy = log_frame_energy(frame_signal(w))
     contour, log_e, jit, shim, apq, ppq = [], [], [], [], [], []
-    for span in voiced_spans:
-        lo = -(-span.start_sample // 80)
-        hi = min(-(-span.end_sample // 80), f0.values.size)
+    for start, end in voiced_spans:
+        lo = -(-start // 80)
+        hi = min(-(-end // 80), f0.values.size)
         seg_f0 = f0.values[lo:hi][f0.values[lo:hi] > 0]
         contour.append(seg_f0)
         log_e.append(energy[lo:hi])
         if seg_f0.size == 0:
             continue
-        marks, amps = detect_pulses(w.samples[span.start_sample:span.end_sample],
+        marks, amps = detect_pulses(w.samples[start:end],
                                     w.sample_rate, float(np.median(seg_f0)))
         periods = clean_periods(marks) / w.sample_rate
         jit.append(jitter_local(periods))
@@ -583,10 +653,9 @@ def prosody_per_track_oracle(w):
     """Prosody as first written: speech and voiced masks from ceil loops over
     the spans, and one ``apply_functionals`` call per track."""
     f0 = estimate_f0(w)
-    spans, _ = voiced_segments(w, f0)
     n = f0.values.size
-    voiced = ceil_loop_mask(spans, VOICED, n, 80)
-    speech = ceil_loop_mask(detect_speech(Analysis(w)), SPEECH, n, 80)
+    voiced = ceil_loop_mask(voiced_spans_oracle(w, f0), n, 80)
+    speech = ceil_loop_mask(speech_spans_oracle(w), n, 80)
     if n == 0 or not np.any(voiced):
         return np.zeros(78)
     energy = log_frame_energy(frame_signal(w))

@@ -374,12 +374,13 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     from emovox import analysis, audio, dsp, functionals
 
     _, rows = corpus
-    calls = {"estimate_f0": 0, "voiced_segments": 0, "embedding_mfcc": 0, "mfcc_frames": 0,
-             "power_spectrum": 0, "apply_functionals": 0, "frame_signal": 0}
+    calls = {"estimate_f0": 0, "detect_speech": 0, "voiced_segments": 0, "embedding_mfcc": 0,
+             "mfcc_frames": 0, "power_spectrum": 0, "apply_functionals": 0, "frame_signal": 0}
 
     # wrap every binding of each function in the package, as a tracer would
-    for owner, name in ((dsp, "estimate_f0"), (audio, "voiced_segments"),
-                        (analysis, "embedding_mfcc"), (dsp, "mfcc_frames"),
+    for owner, name in ((dsp, "estimate_f0"), (audio, "detect_speech"),
+                        (audio, "voiced_segments"), (analysis, "embedding_mfcc"),
+                        (dsp, "mfcc_frames"),
                         (dsp, "power_spectrum"), (functionals, "apply_functionals"),
                         (audio, "frame_signal")):
         original = getattr(owner, name)
@@ -395,15 +396,16 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     fused, hits, computed = pipeline._extract_row(rows[0], spec, models, None)
     assert (hits, computed) == (0, 6)
     # One 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track;
-    # one framing of the grid, shared by the VAD, the voiced frames and (as
-    # Hann frames) i2010pc and the embeddings; one power spectrum of the Hann
-    # frames, from which MFCCs come once for i2010pc and once for both
-    # embeddings (this voice has no voicing transitions); one summary per
-    # hand-built scheme.  The embedding MFCCs are an Analysis attribute, so
+    # one speech mask and one voicing segmentation (the counts perfbench
+    # reports per row); one framing of the grid, shared by the VAD, the
+    # voiced frames and (as Hann frames) i2010pc and the embeddings; one
+    # power spectrum of the Hann frames, from which MFCCs come once for
+    # i2010pc and once for both embeddings (this voice has no voicing
+    # transitions); one summary per hand-built scheme.  The embedding MFCCs are an Analysis attribute, so
     # the module-level helper is not called.
-    assert calls == {"estimate_f0": 2, "voiced_segments": 1, "embedding_mfcc": 0,
-                     "mfcc_frames": 2, "power_spectrum": 1, "apply_functionals": 4,
-                     "frame_signal": 1}
+    assert calls == {"estimate_f0": 2, "detect_speech": 1, "voiced_segments": 1,
+                     "embedding_mfcc": 0, "mfcc_frames": 2, "power_spectrum": 1,
+                     "apply_functionals": 4, "frame_signal": 1}
 
     monkeypatch.undo()
     w = pipeline.load_audio(rows[0].path)
