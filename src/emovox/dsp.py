@@ -144,13 +144,13 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
 def lpc(x: np.ndarray, order: int):
     """Autocorrelation-method LPC via Levinson-Durbin, over every frame at once.
 
-    ``x`` is one frame or a frame matrix (one frame per row).  Returns (a, err)
-    where a = [1, a1..ap] defines A(z) = 1 + sum a_k z^-k and err is the final
-    prediction-error power; for a matrix, a has one row and err one entry per
-    frame.  Degenerate (silent) frames yield the trivial predictor
-    a = [1, 0..0] with err = 0.
+    ``x`` is a frame matrix, one frame per row.  Returns (a, err), one row of
+    a and one entry of err per frame: a = [1, a1..ap] defines
+    A(z) = 1 + sum a_k z^-k and err is the final prediction-error power.
+    Degenerate (silent) frames yield the trivial predictor a = [1, 0..0]
+    with err = 0.
     """
-    r = np.atleast_2d(autocorrelation(x, order))
+    r = autocorrelation(x, order)
     a = np.zeros((r.shape[0], order + 1))
     a[:, 0] = 1.0
     live = r[:, 0] > 0.0
@@ -163,10 +163,7 @@ def lpc(x: np.ndarray, order: int):
         a[:, i] = k
         err = err * (1.0 - k * k)
         err[err <= 0.0] = LOG_FLOOR
-    err = np.where(live, err, 0.0)
-    if np.ndim(x) == 1:
-        return a[0], float(err[0])
-    return a, err
+    return a, np.where(live, err, 0.0)
 
 
 def _poly_roots(polys: np.ndarray) -> np.ndarray:
@@ -184,17 +181,15 @@ def _poly_roots(polys: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def formants_f1_f2(segment: np.ndarray, rate: int):
-    """First two formant frequencies of a short voiced segment, or of each row.
+def formants_f1_f2(segments: np.ndarray, rate: int):
+    """First two formant frequencies of each short voiced segment (matrix row).
 
     Pre-emphasized, Hamming-windowed LPC of order 8; poles with bandwidth
     under 400 Hz and frequency inside (90, 3800) Hz qualify.  Missing
     formants come back as NaN, as do both formants of silent segments and of
-    segments shorter than 16 samples.  One segment gives two floats, a
-    segment matrix two arrays with one entry per row.
+    segments shorter than 16 samples.  Returns two arrays, one entry per row.
     """
-    x = np.asarray(segment, dtype=np.float64)
-    rows = np.atleast_2d(x)
+    rows = np.asarray(segments, dtype=np.float64)
     out = np.full((rows.shape[0], 2), math.nan)
     live = np.any(rows, axis=1) & (rows.shape[1] >= FORMANT_LPC_ORDER * 2)
     if np.any(live):
@@ -209,8 +204,6 @@ def formants_f1_f2(segment: np.ndarray, rate: int):
               & (freqs > FORMANT_MIN_HZ) & (freqs < FORMANT_MAX_HZ))
         cand = np.sort(np.where(ok, freqs, np.inf), axis=1)[:, :2]
         out[live] = np.where(np.isinf(cand), math.nan, cand)
-    if x.ndim == 1:
-        return float(out[0, 0]), float(out[0, 1])
     return out[:, 0], out[:, 1]
 
 
@@ -254,7 +247,7 @@ def _lsp_search(polys: np.ndarray, m: int):
 
 
 def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
-    """Line spectral frequencies (Hz, ascending) of an LPC polynomial, or of each row.
+    """Line spectral frequencies (Hz, ascending) of each LPC polynomial (matrix row).
 
     The LSFs of A(z) (a[0] != 0, order p) are the root angles in (1e-6,
     pi - 1e-6) of P(z) = A(z) + z^-(p+1) A(1/z) and Q(z) = A(z) - z^-(p+1) A(1/z);
@@ -266,8 +259,7 @@ def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
     far from minimum phase), or with a last step over LSP_STEP_TOL, get
     companion-matrix ``eigvals`` instead, bit for bit ``np.roots``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    rows = np.atleast_2d(a)
+    rows = np.asarray(a, dtype=np.float64)
     if not np.all(rows[:, 0] != 0.0):
         raise ValueError("lsp_from_lpc needs a nonzero leading coefficient")
     n, p = rows.shape[0], rows.shape[1] - 1
@@ -283,7 +275,7 @@ def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
     ang = np.sort(np.concatenate([ang[:n], ang[n:]], axis=1), axis=1)[:, :p]
     lsf = ang * rate / (2.0 * math.pi)
     lsf[np.isinf(lsf)] = 0.0
-    return lsf[0] if a.ndim == 1 else lsf
+    return lsf
 
 
 def hz_to_mel(f):
@@ -352,17 +344,17 @@ def hz_to_bark(f):
     return 13.0 * np.arctan(0.00076 * f) + 3.5 * np.arctan((f / 7500.0) ** 2)
 
 
-def bark_band_energies(chunk: np.ndarray, rate: int) -> np.ndarray:
+def bark_band_energies(chunks: np.ndarray, rate: int) -> np.ndarray:
     """Natural-log energies in equal-width critical-band intervals.
 
-    Accepts one chunk of >= 64 samples (returns 22 values) or a frame matrix
-    (returns 22 per row).  Bands split the Bark axis [0, z(rate/2)] evenly so
+    Takes a matrix of chunks of >= 64 samples, one per row, and returns 22
+    values per row.  Bands split the Bark axis [0, z(rate/2)] evenly so
     every band keeps at least one FFT bin.
     """
-    arr = np.asarray(chunk, dtype=np.float64)
+    arr = np.asarray(chunks, dtype=np.float64)
     if arr.shape[-1] < 64:
         raise ValueError("bark_band_energies needs at least 64 samples")
-    spec = power_spectrum(np.atleast_2d(arr))
+    spec = power_spectrum(arr)
     n_bins = spec.shape[1]
     freqs = np.arange(n_bins) * rate / (2.0 * (n_bins - 1))
     z = hz_to_bark(freqs)
@@ -373,8 +365,7 @@ def bark_band_energies(chunk: np.ndarray, rate: int) -> np.ndarray:
         sel = idx == b
         if np.any(sel):
             bands[:, b] = spec[:, sel].sum(axis=1)
-    out = np.log(np.maximum(bands, LOG_FLOOR))
-    return out[0] if arr.ndim == 1 else out
+    return np.log(np.maximum(bands, LOG_FLOOR))
 
 
 def teager_energy(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ def transition_descriptors(chunks: np.ndarray, rate: int) -> np.ndarray:
     averaged over its 25/10 ms Hann sub-frames; all chunks go through one
     ``bark_band_energies`` and one ``mfcc_frames`` call.
     """
-    chunks = np.atleast_2d(chunks)
     n_chunks = chunks.shape[0]
     bbe = bark_band_energies(chunks, rate)
     sub = frames(chunks, *grid(rate))

@@ -512,7 +512,7 @@ def test_frame_masks_match_ceil_loop(rng, monkeypatch, n_samples):
 
 def transition_descriptors_oracle(chunk, rate):
     """58 values for one chunk: its own bark_band_energies and mfcc_frames calls."""
-    bbe = bark_band_energies(chunk, rate)
+    (bbe,) = bark_band_energies(chunk[None], rate)
     if frame_count(chunk.size, round(0.025 * rate), round(0.010 * rate)) == 0:
         return np.concatenate([bbe, np.zeros(3 * N_MFCC)])
     frames = frame_signal(wf(chunk, rate))
