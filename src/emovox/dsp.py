@@ -57,7 +57,8 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
     refined by parabolic interpolation.  Frames whose peak falls below the
     voicing threshold, or whose phi never falls below it over the lag band
     (a constant signal has no period), are set to 0, then the track is
-    median-filtered (width 3).
+    median-filtered (width 3).  The strength is 0 on frames below the energy
+    gate and on frames without that dip.
     """
     rate = w.sample_rate
     L = round(frame_ms * rate / 1000.0)
@@ -90,9 +91,9 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
     floor = max(LOG_FLOOR, 1e-4 * float(e0.max()))
     values = np.zeros(n)
     strength = np.clip(peak, 0.0, 1.0)
+    aperiodic = (e0 < floor) | (band.min(axis=1) >= VOICING_THRESHOLD)
     # Parabolic refinement around the picked lag, on voiced frames only.
-    rows = np.flatnonzero(~((e0 < floor) | (peak < VOICING_THRESHOLD)
-                            | (band.min(axis=1) >= VOICING_THRESHOLD)))
+    rows = np.flatnonzero(~(aperiodic | (peak < VOICING_THRESHOLD)))
     k = np.clip(earliest[rows], 1, K - 1)
     a, b, c = phi[rows, k - 1], phi[rows, k], phi[rows, k + 1]
     denom = a - 2.0 * b + c
@@ -103,7 +104,7 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
     values[(values > 0) & ((values < F0_MIN_HZ) | (values > F0_MAX_HZ))] = 0.0
     if n >= 3:
         values = _median3(values)
-    strength[e0 < floor] = 0.0
+    strength[aperiodic] = 0.0
     return F0Track(values, strength)
 
 

@@ -26,7 +26,7 @@ from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
 from .manifest import Manifest
 from . import modelio
 
-EXTRACTOR_VERSION = "8"
+EXTRACTOR_VERSION = "9"
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ def test_f0_zero_signal_all_unvoiced():
 def test_f0_constant_signal_unvoiced_tone_on_dc_voiced():
     # a constant frame scores phi = 1 at every lag: it has no period
     for level in (0.5, -1.0):
-        assert not np.any(estimate_f0(wf(np.full(8000, level))).values)
+        track = estimate_f0(wf(np.full(8000, level)))
+        assert not np.any(track.values) and not np.any(track.strength)
     assert np.all(estimate_f0(wf(0.3 + tone(100, amp=0.3))).values > 0)
 
 
@@ -104,9 +105,10 @@ def loop_estimate_f0(w, frame_ms=dsp.FRAME_MS):
     values = np.zeros(n)
     strength = np.clip(peak, 0.0, 1.0)
     for t in range(n):
-        if e0[t] < floor or peak[t] < threshold:
-            continue
         if np.all(band[t] >= threshold):   # no dip over the lag band: no period
+            strength[t] = 0.0
+            continue
+        if e0[t] < floor or peak[t] < threshold:
             continue
         k = min(max(earliest[t], 1), K - 1)
         a, b, c = phi[t, k - 1], phi[t, k], phi[t, k + 1]

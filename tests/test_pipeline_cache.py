@@ -10,7 +10,9 @@ import pytest
 from emovox.cache import FeatureCache, feature_key
 from emovox.config import parse_config
 from emovox.errors import ConfigError
-from emovox.features import FeatureVector
+from emovox.features import SCHEME_DIMS, FeatureVector
+from emovox.features.i2010pc import LLD_NAMES
+from emovox.functionals import IS10_FUNCTIONALS
 from emovox.manifest import Manifest, ManifestRow
 from emovox import pipeline
 from emovox.modelio import write_container
@@ -308,11 +310,16 @@ def test_degenerate_rows_end_finite_or_counted(tmp_path):
               if "no voiced frames" not in v.warning}
     assert {"%s_%d_%d.wav" % (kind, rate, n) for kind in ("square", "clipped")
             for rate in (8000, 16000, 44100) for n in (rate // 4, rate)} <= voiced
-    # a constant signal has no period, so the DC rows are unvoiced throughout
+    # a constant signal has no period, so the DC rows are unvoiced throughout,
+    # and i2010pc's voicing probability (and its delta) is 0 on every frame
+    k = len(IS10_FUNCTIONALS)
+    i2010pc = sum(SCHEME_DIMS[s] for s in ("articulation", "prosody", "phonation"))
+    prob = [i2010pc + k * (d + LLD_NAMES.index("voicing_prob")) for d in (0, len(LLD_NAMES))]
     for v in result.vectors:
         if os.path.basename(v.source_id).startswith("dc_"):
             assert "no voiced frames" in v.warning and "no voiced speech" in v.warning, \
                 v.source_id
+            assert not np.any([v.values[c:c + k] for c in prob]), v.source_id
 
 
 def test_extract_parallel_matches_serial(tmp_path, corpus):
