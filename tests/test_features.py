@@ -7,13 +7,12 @@ from scipy import signal as sps
 from emovox import analysis
 from emovox.audio import Waveform, _merge_short_runs
 from emovox.dsp import F0Track, estimate_f0
-from emovox.features import (EXTRACTORS, FeatureVector, FusionSpec, fuse)
+from emovox.features import EXTRACTORS, FeatureVector, FusionSpec, fuse, phonation
 from emovox.analysis import Analysis
 from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
 from emovox.features.i2010pc import (LLD_NAMES, _hold_last_voiced, _per_frame_perturbation,
                                      i2010pc_features)
-from emovox.features import phonation
 from emovox.features.phonation import (MAX_PERIOD_DEVIATION, PHONATION_TRACKS,
                                        WindowValues, glottal_cycles, phonation_features,
                                        pulse_windows)
