@@ -36,22 +36,22 @@ class FeatureCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".fv")
 
-    def get(self, key: str):
-        path = self._path(key)
+    def get(self, key: str, scheme: str):
+        """The stored vector of ``scheme``, or None: a counted miss.
+
+        Absent and corrupt entries miss, and so does a well-formed container
+        that is not a valid entry of ``scheme``: no scheme or values, another
+        or an unknown scheme, the wrong width, non-finite values, a source id
+        or warning that is not a string.  Each is recomputed and overwritten.
+        """
         try:
-            _, arrays, meta = read_container(path, "feature")
-        except (FileNotFoundError, ModelFormatError):
-            # absent or corrupt: either way it is (re)computed and overwritten
-            self.misses += 1
-            return None
-        try:
+            _, arrays, meta = read_container(self._path(key), "feature")
             vector = FeatureVector(meta["scheme"], arrays["values"],
                                    source_id=meta.get("source_id", ""),
                                    warning=meta.get("warning", ""))
-        except (KeyError, FeatureSchemeError):
-            # a well-formed container that is not a valid feature entry: no
-            # scheme or values, an unknown scheme, the wrong width, non-finite
-            # values, a source id or warning that is not a string
+        except (FileNotFoundError, ModelFormatError, KeyError, FeatureSchemeError):
+            vector = None
+        if vector is None or vector.scheme != scheme:
             self.misses += 1
             return None
         self.hits += 1

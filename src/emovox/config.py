@@ -10,19 +10,24 @@ Example file::
     cache_dir = .emovox_cache
 
 Grid bounds are decimal exponents; the grid enumerates whole decades, so the
-defaults give C in 10^-3..10^4 and gamma in 10^-6..10^3.
+defaults give C in 10^-3..10^4 and gamma in 10^-6..10^3.  Every value is
+checked when the config is made, so a bad one fails before any extraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, get_type_hints
 
 from .errors import ConfigError
 from .evaluation import Grid, MODES, SPEAKER_INDEPENDENT
-from .features import KNOWN_SCHEMES, FusionSpec
+from .features import KNOWN_SCHEMES
 
 _BASE_SCHEMES = tuple(s for s in KNOWN_SCHEMES if s != "fusion")
+
+# the whole exponents e for which 10.0 ** e is a finite positive float
+_GRID_EXPONENTS = range(-323, 309)
 
 
 @dataclass(frozen=True)
@@ -52,14 +57,21 @@ class ExperimentConfig:
         for name in ("k_outer", "k_inner"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2")
-        if self.c_exp_min > self.c_exp_max:
-            raise ConfigError("c_exp_min must not exceed c_exp_max")
-        if self.gamma_exp_min > self.gamma_exp_max:
-            raise ConfigError("gamma_exp_min must not exceed gamma_exp_max")
+        for lo, hi in (("c_exp_min", "c_exp_max"), ("gamma_exp_min", "gamma_exp_max")):
+            for name in (lo, hi):
+                if getattr(self, name) not in _GRID_EXPONENTS:
+                    raise ConfigError(
+                        f"{name} must be in -323..308, got {getattr(self, name)}")
+            if getattr(self, lo) > getattr(self, hi):
+                raise ConfigError(f"{lo} must not exceed {hi}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not (self.train_c > 0.0 and self.train_gamma > 0.0):
-            raise ConfigError("train_c and train_gamma must be positive")
+        for name in ("train_c", "train_gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}")
 
     def fusion_schemes(self) -> tuple:
         """Member schemes, in order ('a+b+c' syntax; single scheme is itself)."""
@@ -71,9 +83,6 @@ class ExperimentConfig:
         if len(parts) != len(set(parts)):
             raise ConfigError(f"duplicate scheme in {self.scheme!r}")
         return parts
-
-    def fusion_spec(self) -> FusionSpec:
-        return FusionSpec(self.fusion_schemes())
 
     def grid(self) -> Grid:
         c_values = tuple(10.0 ** e for e in

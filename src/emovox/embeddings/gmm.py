@@ -19,7 +19,6 @@ from ..errors import TrainingError
 VARIANCE_FLOOR = 1e-4
 MIN_FRAMES_PER_COMPONENT = 50
 EM_REL_TOL = 1e-5
-DEFAULT_UBM_COMPONENTS = 64
 
 # occupancy below this fraction of the total mass counts as an empty component
 _EMPTY_FRACTION = 1e-10

@@ -21,7 +21,6 @@ from .gmm import GmmUbm
 
 POSTERIOR_RIDGE = 1e-6
 MIN_UTTERANCES_PER_RANK = 10
-DEFAULT_RANK = 100
 
 
 @dataclass(frozen=True)

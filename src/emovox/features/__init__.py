@@ -6,7 +6,7 @@ Each extractor in ``EXTRACTORS`` takes a ``Waveform`` or the row's shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,44 +54,14 @@ class FeatureVector:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class FusionSpec:
-    """Ordered list of schemes whose vectors are concatenated."""
-
-    schemes: tuple
-
-    def __post_init__(self):
-        if not self.schemes:
-            raise FeatureSchemeError("fusion spec must name at least one scheme")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise FeatureSchemeError("duplicate scheme in fusion spec")
-        for s in self.schemes:
-            if s not in KNOWN_SCHEMES or s == "fusion":
-                raise FeatureSchemeError(f"cannot fuse scheme {s!r}")
-
-
-def fuse(vectors: list, spec: FusionSpec) -> FeatureVector:
-    """Concatenate one vector per scheme in spec order (identity for one)."""
-    by_scheme = {}
-    for v in vectors:
-        if v.scheme in by_scheme:
-            raise FeatureSchemeError(f"duplicate vector for scheme {v.scheme!r}")
-        by_scheme[v.scheme] = v
-    missing = [s for s in spec.schemes if s not in by_scheme]
-    extra = [s for s in by_scheme if s not in spec.schemes]
-    if missing or extra:
-        raise FeatureSchemeError(
-            f"fusion mismatch: missing {missing}, unexpected {extra}")
-    sources = {v.source_id for v in vectors}
-    if len(sources) > 1:
-        raise FeatureSchemeError(f"fusion across different sources: {sources}")
-    if len(spec.schemes) == 1:
-        return by_scheme[spec.schemes[0]]
-    parts = [by_scheme[s] for s in spec.schemes]
+def fuse(vectors: list) -> FeatureVector:
+    """One row's vectors concatenated in scheme order (a lone vector is itself)."""
+    if len(vectors) == 1:
+        return vectors[0]
     return FeatureVector(
-        "fusion", np.concatenate([p.values for p in parts]),
-        source_id=parts[0].source_id,
-        warning="; ".join(p.warning for p in parts if p.warning))
+        "fusion", np.concatenate([v.values for v in vectors]),
+        source_id=vectors[0].source_id,
+        warning="; ".join(v.warning for v in vectors if v.warning))
 
 
 from .phonation import phonation_features  # noqa: E402

@@ -12,7 +12,7 @@ import numpy as np
 from ..analysis import Analysis
 from ..audio import Waveform, frames, grid
 from ..dsp import bark_band_energies, delta, formants_f1_f2, mfcc_frames, power_spectrum
-from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
+from ..functionals import FOUR_MOMENTS, apply_functionals
 
 from . import FeatureVector
 
@@ -66,8 +66,6 @@ def articulation_features(source: Waveform | Analysis) -> FeatureVector:
 
     # 58 onset and 58 offset descriptors, then the six formant contours
     blocks = [onset_rows, offset_rows, *contour_and_deltas(f1s), *contour_and_deltas(f2s)]
-    names = tuple(f"{d}{j}" for d in ("onset", "offset") for j in range(58)) + (
-        "f1", "df1", "ddf1", "f2", "df2", "ddf2")
-    vec = apply_functionals(FeatureTrack.stack(blocks, names), FunctionalSet(FOUR_MOMENTS))
+    vec = apply_functionals(blocks, FOUR_MOMENTS)
     return FeatureVector("articulation", vec, w.source_id,
                          warning="; ".join(warnings))

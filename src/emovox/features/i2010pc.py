@@ -19,7 +19,7 @@ from ..analysis import Analysis
 from ..audio import FRAME_MS, Waveform, grid
 from ..dsp import (delta, estimate_f0, log_frame_energy, log_mel_energies, lpc,
                    lsp_from_lpc, mfcc_frames, moving_average, power_spectrum, PREEMPHASIS)
-from ..functionals import IS10_FUNCTIONALS, FeatureTrack, FunctionalSet, apply_functionals
+from ..functionals import IS10_FUNCTIONALS, apply_functionals
 from .phonation import glottal_cycles, pulse_windows
 
 from . import FeatureVector
@@ -101,8 +101,6 @@ def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
     assert lld.shape == (n, 38)
 
     lld = moving_average(lld)
-    full = np.column_stack([lld, delta(lld)])
-    names = LLD_NAMES + tuple(f"d_{s}" for s in LLD_NAMES)
-    vec = apply_functionals(FeatureTrack(full, names),
-                            FunctionalSet(IS10_FUNCTIONALS))
+    # the LLD_NAMES columns, then their deltas
+    vec = apply_functionals([lld, delta(lld)], IS10_FUNCTIONALS)
     return FeatureVector("i2010pc", vec, w.source_id)

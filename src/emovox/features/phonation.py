@@ -21,7 +21,7 @@ import numpy as np
 from ..analysis import Analysis
 from ..audio import Waveform, _runs, grid
 from ..dsp import delta
-from ..functionals import FOUR_MOMENTS, FeatureTrack, FunctionalSet, apply_functionals
+from ..functionals import FOUR_MOMENTS, apply_functionals
 from . import FeatureVector
 
 PHONATION_TRACKS = ("delta_f0", "delta2_f0", "jitter", "shimmer",
@@ -247,7 +247,7 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
     contour = f0[a.voiced & (f0 > 0)]
     d1 = delta(contour)
     d2 = delta(d1)
-    track = FeatureTrack.stack([d1, d2, jit, shim, apq, ppq, a.log_energy[a.voiced]],
-                               PHONATION_TRACKS)
-    return FeatureVector("phonation", apply_functionals(track, FunctionalSet(FOUR_MOMENTS)),
+    # one block per PHONATION_TRACKS entry, in that order
+    blocks = [d1, d2, jit, shim, apq, ppq, a.log_energy[a.voiced]]
+    return FeatureVector("phonation", apply_functionals(blocks, FOUR_MOMENTS),
                          w.source_id)

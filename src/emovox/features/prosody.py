@@ -11,7 +11,7 @@ import numpy as np
 
 from ..analysis import Analysis
 from ..audio import STEP_MS, Waveform, _runs
-from ..functionals import SIX_BASIC, FeatureTrack, FunctionalSet, apply_functionals
+from ..functionals import SIX_BASIC, apply_functionals
 
 from . import FeatureVector
 
@@ -96,8 +96,7 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
         "f0_range_per_segment": f0_ranges, "energy_range_per_segment": e_ranges,
         "f0_fit_error_per_segment": f0_errs, "energy_fit_error_per_segment": e_errs,
     }
-    stats = apply_functionals(FeatureTrack.stack(tracks.values(), tuple(tracks)),
-                              FunctionalSet(SIX_BASIC))
+    stats = apply_functionals(tracks.values(), SIX_BASIC)
     values = dict(zip((f"{t}.{f}" for t in tracks for f in SIX_BASIC), stats))
 
     total_s = w.duration_s

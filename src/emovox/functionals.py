@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ALL_FUNCTIONALS = (
@@ -21,51 +19,6 @@ ALL_FUNCTIONALS = (
 IS10_FUNCTIONALS = tuple(f for f in ALL_FUNCTIONALS if f not in ("max", "min"))
 SIX_BASIC = ("mean", "std", "skewness", "kurtosis", "max", "min")
 FOUR_MOMENTS = ("mean", "std", "skewness", "kurtosis")
-
-
-@dataclass(frozen=True)
-class FunctionalSet:
-    names: tuple
-
-    def __post_init__(self):
-        for name in self.names:
-            if name not in ALL_FUNCTIONALS:
-                raise ValueError(f"unknown functional {name!r}")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate functional names")
-
-    def __len__(self):
-        return len(self.names)
-
-
-@dataclass(frozen=True)
-class FeatureTrack:
-    """Per-frame descriptor matrix (n_frames x d); NaN marks an absent value."""
-
-    values: np.ndarray
-    names: tuple
-
-    def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        if values.shape[1] != len(self.names):
-            raise ValueError("descriptor count does not match names")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def stack(cls, blocks, names: tuple) -> "FeatureTrack":
-        """Blocks side by side, each padded with absent rows to the longest.
-
-        A block is a 1-D column or a 2-D (rows x columns) array; one with no
-        rows stays absent throughout.  The track has at least one row.
-        """
-        blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
-        n = max([1] + [b.shape[0] for b in blocks])
-        return cls(np.hstack([np.pad(b.astype(np.float64), ((0, n - b.shape[0]), (0, 0)),
-                                     constant_values=np.nan) for b in blocks]), names)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
 
 
 _PERCENTILE_NAMES = frozenset(name for name in ALL_FUNCTIONALS
@@ -132,20 +85,26 @@ def _row_stats(x: np.ndarray, names: tuple) -> list:
     return [stats[name] for name in names]
 
 
-def apply_functionals(track: FeatureTrack, fs: FunctionalSet) -> np.ndarray:
+def apply_functionals(blocks, names: tuple) -> np.ndarray:
     """Summarize every descriptor column; descriptor-major, functional-minor.
 
-    Absent (non-finite) values are dropped per column, and a column left
-    empty yields all zeros.  Columns that keep the same frames are reduced
-    together, as contiguous rows of the transposed track.
+    The blocks stand side by side in one track: each is a 1-D column or a
+    2-D (rows x columns) array, padded with absent rows to the longest, and
+    one with no rows stays absent throughout.  Absent (non-finite) values are
+    dropped per column, and a column left empty yields all zeros.  Columns
+    that keep the same frames are reduced together, as contiguous rows of
+    the transposed track.
     """
-    values = track.values
-    out = np.zeros((values.shape[1], len(fs)))
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    n = max([1] + [b.shape[0] for b in blocks])
+    values = np.hstack([np.pad(b.astype(np.float64), ((0, n - b.shape[0]), (0, 0)),
+                               constant_values=np.nan) for b in blocks])
+    out = np.zeros((values.shape[1], len(names)))
     groups = {}
     for j, keep in enumerate(np.isfinite(values).T):
         groups.setdefault(keep.tobytes(), (keep, []))[1].append(j)
     for keep, cols in groups.values():
         if keep.any():
             out[cols] = np.column_stack(
-                _row_stats(np.ascontiguousarray(values[keep][:, cols].T), fs.names))
+                _row_stats(np.ascontiguousarray(values[keep][:, cols].T), names))
     return out.ravel()

@@ -31,7 +31,6 @@ class ManifestRow:
 @dataclass(frozen=True)
 class Manifest:
     rows: tuple
-    has_durations: bool = False
 
     def __len__(self):
         return len(self.rows)
@@ -100,7 +99,7 @@ def parse_manifest(text: str, origin: str = "manifest") -> Manifest:
         rows.append(row)
     if not rows:
         raise ManifestError(f"{origin}: no data rows")
-    return Manifest(tuple(rows), has_durations=(n_cols == 5))
+    return Manifest(tuple(rows))
 
 
 def read_manifest(path) -> Manifest:

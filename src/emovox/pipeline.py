@@ -22,7 +22,7 @@ from .analysis import Analysis, embedding_mfcc  # noqa: F401 (embedding_mfcc re-
 from .config import ExperimentConfig
 from .embeddings import baum_welch_stats, extract_ivector, xvector_forward
 from .errors import ConfigError, EmovoxError
-from .features import EXTRACTORS, FeatureVector, FusionSpec, fuse
+from .features import EXTRACTORS, FeatureVector, fuse
 from .manifest import Manifest
 from . import modelio
 
@@ -116,16 +116,16 @@ class ExtractionResult:
         return len(self.vectors) + len(self.failures)
 
 
-def _extract_row(row, spec: FusionSpec, models, cache: FeatureCache | None):
+def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
     with open(row.path, "rb") as fh:
         raw = fh.read()
     analysis = None   # built on the first cache miss and shared by every scheme
     parts = []
     hits = computed = 0
-    for scheme in spec.schemes:
+    for scheme in schemes:
         tag = models.tag(scheme) if models else scheme
         key = feature_key(raw, tag, EXTRACTOR_VERSION) if cache else None
-        vec = cache.get(key) if cache else None
+        vec = cache.get(key, scheme) if cache else None
         if vec is not None:
             hits += 1
             vec = FeatureVector(vec.scheme, vec.values, source_id=row.path,
@@ -139,7 +139,7 @@ def _extract_row(row, spec: FusionSpec, models, cache: FeatureCache | None):
             if cache:
                 cache.put(key, vec)
         parts.append(vec)
-    return fuse(parts, spec), hits, computed
+    return fuse(parts), hits, computed
 
 
 def extract_for_manifest(manifest: Manifest, config: ExperimentConfig,
@@ -150,13 +150,13 @@ def extract_for_manifest(manifest: Manifest, config: ExperimentConfig,
     Rows whose audio cannot be read or processed become ExtractionFailures;
     the returned vectors keep manifest order.
     """
-    spec = config.fusion_spec()
+    schemes = config.fusion_schemes()
     if models is None:
         models = load_embedding_models(config)
 
     def work(row):
         try:
-            return _extract_row(row, spec, models, cache)
+            return _extract_row(row, schemes, models, cache)
         except (EmovoxError, OSError, ValueError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             return ExtractionFailure(row.path, reason)

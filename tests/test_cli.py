@@ -271,6 +271,19 @@ def test_extract_fatal_on_bad_manifest(workspace):
     assert rc == 2
 
 
+def test_evaluate_bad_config_value_fatal_before_extraction(workspace, tmp_path):
+    # a negative seed would only fail at fold making, after a full extraction
+    _, manifest, _, _ = workspace
+    config = tmp_path / "neg.cfg"
+    config.write_text("scheme = phonation\nseed = -1\ncache_dir = %s\n"
+                      % (tmp_path / "cache"))
+    rc = main(["evaluate", "--manifest", str(manifest), "--config", str(config),
+               "--report", str(tmp_path / "report.txt"),
+               "--metrics-csv", str(tmp_path / "metrics.csv")])
+    assert rc == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["neg.cfg"]
+
+
 def test_evaluate_writes_reports(workspace):
     root, manifest, config, _ = workspace
     report = root / "report.txt"

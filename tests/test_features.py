@@ -7,7 +7,7 @@ from scipy import signal as sps
 from emovox import analysis
 from emovox.audio import Waveform, _merge_short_runs
 from emovox.dsp import F0Track, estimate_f0
-from emovox.features import EXTRACTORS, FeatureVector, FusionSpec, fuse, phonation
+from emovox.features import EXTRACTORS, FeatureVector, fuse, phonation
 from emovox.analysis import Analysis
 from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
@@ -21,8 +21,7 @@ from emovox.dsp import (bark_band_energies, delta, log_frame_energy, mfcc_frames
                         power_spectrum)
 from emovox.audio import _runs, detect_speech, frame_count, frame_signal, grid
 from emovox.errors import FeatureSchemeError
-from emovox.functionals import (FOUR_MOMENTS, IS10_FUNCTIONALS, SIX_BASIC, FeatureTrack,
-                                FunctionalSet, apply_functionals)
+from emovox.functionals import FOUR_MOMENTS, IS10_FUNCTIONALS, SIX_BASIC, apply_functionals
 
 from conftest import tone, voice_like, wf
 
@@ -602,13 +601,6 @@ def test_prosody_ratios_sum_to_one(rng):
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
-def _one_track_stats(values, name, fs):
-    col = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    if col.size == 0:
-        col = np.full((1, 1), np.nan)
-    return apply_functionals(FeatureTrack(col, (name,)), fs)
-
-
 def phonation_per_track_oracle(w):
     """Phonation as first written: each voiced span's grid frames sliced by
     ceil(start / step), and one ``apply_functionals`` call per track."""
@@ -640,8 +632,7 @@ def phonation_per_track_oracle(w):
         "jitter": jit, "shimmer": shim, "apq": apq, "ppq": ppq,
         "log_energy": np.concatenate(log_e),
     }
-    four = FunctionalSet(FOUR_MOMENTS)
-    return np.concatenate([_one_track_stats(tracks[t], t, four) for t in PHONATION_TRACKS])
+    return np.concatenate([apply_functionals([tracks[t]], FOUR_MOMENTS) for t in PHONATION_TRACKS])
 
 
 def _true_runs(mask):
@@ -693,12 +684,11 @@ def prosody_per_track_oracle(w):
         "global_f0_slope": 0.0 if np.isnan(g_f0) else g_f0,
         "global_energy_slope": 0.0 if np.isnan(g_e) else g_e,
     }
-    six = FunctionalSet(SIX_BASIC)
     out = []
     for name in PROSODY_FEATURE_NAMES:
         if "." in name:
             track, func = name.split(".")
-            out.append(_one_track_stats(tracks[track], track, six)[SIX_BASIC.index(func)])
+            out.append(apply_functionals([tracks[track]], SIX_BASIC)[SIX_BASIC.index(func)])
         else:
             out.append(scalars[name])
     return np.asarray(out)
@@ -781,8 +771,7 @@ def test_fuse_art_pro_pho_dim():
     art = articulation_features(w)
     pro = prosody_features(w)
     pho = phonation_features(w)
-    fused = fuse([art, pro, pho],
-                 FusionSpec(("articulation", "prosody", "phonation")))
+    fused = fuse([art, pro, pho])
     assert fused.dim == 594
     np.testing.assert_array_equal(fused.values[:488], art.values)
     np.testing.assert_array_equal(fused.values[488:566], pro.values)
@@ -791,20 +780,11 @@ def test_fuse_art_pro_pho_dim():
 
 def test_fuse_single_scheme_identity():
     v = prosody_features(wf(tone(150)))
-    assert fuse([v], FusionSpec(("prosody",))) is v
+    assert fuse([v]) is v
 
 
 def test_fuse_errors():
-    w1 = wf(tone(150), source="a")
-    w2 = wf(tone(150), source="b")
-    pro = prosody_features(w1)
-    pho = phonation_features(w2)
-    with pytest.raises(FeatureSchemeError):
-        fuse([pro, pho], FusionSpec(("prosody", "phonation")))
-    with pytest.raises(FeatureSchemeError):
-        fuse([pro], FusionSpec(("phonation",)))
-    with pytest.raises(FeatureSchemeError):
-        FusionSpec(("prosody", "prosody"))
+    # a member vector of the wrong width never reaches fuse
     with pytest.raises(FeatureSchemeError):
         FeatureVector("prosody", np.zeros(10))
 

@@ -1,21 +1,15 @@
 import numpy as np
-import pytest
 from scipy import stats
 
 from emovox.functionals import (ALL_FUNCTIONALS, FOUR_MOMENTS, IS10_FUNCTIONALS,
-                                SIX_BASIC, FeatureTrack, FunctionalSet,
-                                apply_functionals)
+                                SIX_BASIC, apply_functionals)
 
 LIN_REG = tuple(name for name in ALL_FUNCTIONALS if name.startswith("lin_reg"))
 
 
-def fs(*names):
-    return FunctionalSet(tuple(names))
-
-
-def column_functionals(column, fset):
+def column_functionals(column, names):
     """The one-column case of apply_functionals."""
-    return apply_functionals(FeatureTrack(np.reshape(column, (-1, 1)), ("x",)), fset)
+    return apply_functionals([column], names)
 
 
 # ------------------------------------------------- per-column reference code
@@ -66,25 +60,24 @@ def _column_stats(x):
     }
 
 
-def oracle_functionals(values, fset):
+def oracle_functionals(values, names):
     """apply_functionals computed column by column with _column_stats."""
     blocks = []
     for column in np.atleast_2d(values).T:
         x = column[np.isfinite(column)]
         if x.size == 0:
-            blocks.append(np.zeros(len(fset)))
+            blocks.append(np.zeros(len(names)))
         else:
             stats = _column_stats(x)
-            blocks.append(np.array([stats[name] for name in fset.names]))
+            blocks.append(np.array([stats[name] for name in names]))
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-def assert_matches_oracle(values, fset=FunctionalSet(ALL_FUNCTIONALS)):
+def assert_matches_oracle(values, names=ALL_FUNCTIONALS):
     """Bit-identical to the per-column path, lin_reg_* within 1e-9 relative."""
-    names = tuple(f"c{j}" for j in range(np.atleast_2d(values).shape[1]))
-    got = apply_functionals(FeatureTrack(values, names), fset).reshape(-1, len(fset))
-    want = oracle_functionals(values, fset).reshape(-1, len(fset))
-    for j, name in enumerate(fset.names):
+    got = apply_functionals([np.atleast_2d(values)], names).reshape(-1, len(names))
+    want = oracle_functionals(values, names).reshape(-1, len(names))
+    for j, name in enumerate(names):
         if name in LIN_REG:
             np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-9, atol=1e-9,
                                        err_msg=name)
@@ -101,18 +94,18 @@ def test_set_sizes():
 
 
 def test_mean_std_hand_case():
-    out = column_functionals(np.array([1.0, 2, 3, 4, 5]), fs("mean", "std"))
+    out = column_functionals(np.array([1.0, 2, 3, 4, 5]), ("mean", "std"))
     np.testing.assert_allclose(out, [3.0, 1.5811], atol=1e-4)
 
 
 def test_constant_column_moments_zero():
-    out = column_functionals(np.full(20, 4.2), fs("skewness", "kurtosis", "std"))
+    out = column_functionals(np.full(20, 4.2), ("skewness", "kurtosis", "std"))
     np.testing.assert_allclose(out, 0.0)
 
 
 def test_skew_kurt_match_scipy(rng):
     x = rng.standard_normal(500) ** 3
-    out = column_functionals(x, fs("skewness", "kurtosis"))
+    out = column_functionals(x, ("skewness", "kurtosis"))
     np.testing.assert_allclose(out[0], stats.skew(x, bias=True), atol=1e-9)
     np.testing.assert_allclose(out[1], stats.kurtosis(x, fisher=True, bias=True),
                                atol=1e-9)
@@ -120,76 +113,74 @@ def test_skew_kurt_match_scipy(rng):
 
 def test_uplevel_two_point_case():
     out = column_functionals(np.array([0.0, 10.0]),
-                             fs("uplevel_time75", "uplevel_time90"))
+                             ("uplevel_time75", "uplevel_time90"))
     np.testing.assert_allclose(out, [0.5, 0.5])
 
 
 def test_uplevel_zero_range_is_zero():
-    out = column_functionals(np.zeros(10), fs("uplevel_time75", "uplevel_time90"))
+    out = column_functionals(np.zeros(10), ("uplevel_time75", "uplevel_time90"))
     np.testing.assert_allclose(out, 0.0)
 
 
 def test_all_zero_column_gives_all_zero_functionals():
-    out = column_functionals(np.zeros(50), FunctionalSet(ALL_FUNCTIONALS))
+    out = column_functionals(np.zeros(50), ALL_FUNCTIONALS)
     np.testing.assert_allclose(out, 0.0)
 
 
 def test_positions_normalized():
     x = np.array([1.0, 9.0, 2.0, -3.0, 0.0])
-    out = column_functionals(x, fs("position_max", "position_min"))
+    out = column_functionals(x, ("position_max", "position_min"))
     np.testing.assert_allclose(out, [1 / 4, 3 / 4])
 
 
 def test_linear_regression_exact_line():
     x = 2.0 * np.arange(30) + 5.0
     out = column_functionals(
-        x, fs("lin_reg_slope", "lin_reg_offset",
-              "lin_reg_err_quadratic", "lin_reg_err_absolute"))
+        x, ("lin_reg_slope", "lin_reg_offset",
+            "lin_reg_err_quadratic", "lin_reg_err_absolute"))
     np.testing.assert_allclose(out, [2.0, 5.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_quartiles_hand_case():
     out = column_functionals(np.array([1.0, 2, 3, 4]),
-                             fs("quartile1", "quartile2", "quartile3",
-                                "iqr12", "iqr23", "iqr13"))
+                             ("quartile1", "quartile2", "quartile3",
+                              "iqr12", "iqr23", "iqr13"))
     np.testing.assert_allclose(out, [1.75, 2.5, 3.25, 0.75, 0.75, 1.5])
 
 
 def test_percentile_range(rng):
     x = rng.standard_normal(1000)
-    out = column_functionals(x, fs("percentile1", "percentile99",
-                                   "percentile_range_99_1"))
+    out = column_functionals(x, ("percentile1", "percentile99",
+                                 "percentile_range_99_1"))
     np.testing.assert_allclose(out[2], out[1] - out[0], atol=1e-12)
 
 
 def test_max_min():
-    out = column_functionals(np.array([3.0, -1.0, 7.0]), fs("max", "min"))
+    out = column_functionals(np.array([3.0, -1.0, 7.0]), ("max", "min"))
     np.testing.assert_allclose(out, [7.0, -1.0])
 
 
 def test_nan_values_excluded():
     x = np.array([1.0, np.nan, 2, 3, np.nan, 4, 5])
-    full = column_functionals(np.array([1.0, 2, 3, 4, 5]),
-                              FunctionalSet(ALL_FUNCTIONALS))
-    got = column_functionals(x, FunctionalSet(ALL_FUNCTIONALS))
+    full = column_functionals(np.array([1.0, 2, 3, 4, 5]), ALL_FUNCTIONALS)
+    got = column_functionals(x, ALL_FUNCTIONALS)
     np.testing.assert_allclose(got, full)
 
 
 def test_all_nan_column_zeros():
-    out = column_functionals(np.full(5, np.nan), FunctionalSet(ALL_FUNCTIONALS))
+    out = column_functionals(np.full(5, np.nan), ALL_FUNCTIONALS)
     np.testing.assert_allclose(out, 0.0)
 
 
 def test_single_value_column():
     out = column_functionals(np.array([2.0]),
-                             fs("mean", "std", "position_max", "lin_reg_slope",
-                                "lin_reg_offset"))
+                             ("mean", "std", "position_max", "lin_reg_slope",
+                              "lin_reg_offset"))
     np.testing.assert_allclose(out, [2.0, 0.0, 0.0, 0.0, 2.0])
 
 
 def test_descriptor_major_order():
-    track = FeatureTrack(np.array([[1.0, 10.0], [3.0, 30.0]]), ("a", "b"))
-    out = apply_functionals(track, fs("mean", "max"))
+    out = apply_functionals([np.array([[1.0, 10.0], [3.0, 30.0]])], ("mean", "max"))
     np.testing.assert_allclose(out, [2.0, 3.0, 20.0, 30.0])
 
 
@@ -199,23 +190,9 @@ def test_output_length_property(rng):
         d = int(rng.integers(1, 6))
         k = int(rng.integers(1, len(ALL_FUNCTIONALS) + 1))
         names = tuple(rng.choice(ALL_FUNCTIONALS, size=k, replace=False))
-        track = FeatureTrack(rng.standard_normal((n, d)),
-                             tuple(f"c{j}" for j in range(d)))
-        out = apply_functionals(track, FunctionalSet(names))
+        out = apply_functionals([rng.standard_normal((n, d))], names)
         assert out.shape == (k * d,)
         assert np.all(np.isfinite(out))
-
-
-def test_invalid_functional_names_rejected():
-    with pytest.raises(ValueError):
-        FunctionalSet(("mean", "mode"))
-    with pytest.raises(ValueError):
-        FunctionalSet(("mean", "mean"))
-
-
-def test_track_shape_validation():
-    with pytest.raises(ValueError):
-        FeatureTrack(np.zeros((3, 2)), ("only_one",))
 
 
 # ------------------------------------------- batched path against the oracle
@@ -273,8 +250,7 @@ def test_requested_subsets_match_oracle_and_full_set(rng, monkeypatch):
     x[:, 3] = 4.2
     x[3:20, 2] = np.nan
     x[1:, 5] = np.nan
-    track = FeatureTrack(x, tuple("abcdef"))
-    full = apply_functionals(track, FunctionalSet(ALL_FUNCTIONALS)).reshape(6, -1)
+    full = apply_functionals([x], ALL_FUNCTIONALS).reshape(6, -1)
     percentile = np.percentile
     calls = []
     monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(1) or percentile(*a, **k))
@@ -282,11 +258,10 @@ def test_requested_subsets_match_oracle_and_full_set(rng, monkeypatch):
     subsets += [tuple(rng.permutation(ALL_FUNCTIONALS)[:int(rng.integers(1, 23))])
                 for _ in range(20)]
     for names in subsets:
-        fset = FunctionalSet(names)
         calls.clear()
-        got = apply_functionals(track, fset).reshape(6, -1)
+        got = apply_functionals([x], names).reshape(6, -1)
         want = full[:, [ALL_FUNCTIONALS.index(name) for name in names]]
         assert got.tobytes() == want.tobytes(), names
         asks_percentile = any(n.startswith(("quartile", "iqr", "percentile")) for n in names)
         assert bool(calls) == asks_percentile, names
-        assert_matches_oracle(x, fset)
+        assert_matches_oracle(x, names)

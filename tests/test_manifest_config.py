@@ -27,14 +27,12 @@ b.wav,sad,s2,f,
 def test_parse_basic():
     m = parse_manifest(GOOD)
     assert len(m) == 3
-    assert not m.has_durations
     assert m.rows[0] == ManifestRow("a.wav", "happy", "s1", "m", None)
     assert m.rows[2].gender == "unknown"
 
 
 def test_parse_with_durations():
     m = parse_manifest(GOOD_DUR)
-    assert m.has_durations
     assert m.rows[0].duration_s == 1.5
     assert m.rows[1].duration_s is None
 
@@ -120,7 +118,6 @@ def test_config_full_file(tmp_path):
     path.write_text(text)
     cfg = load_config(path)
     assert cfg.fusion_schemes() == ("articulation", "prosody", "phonation")
-    assert cfg.fusion_spec().schemes == ("articulation", "prosody", "phonation")
     assert cfg.mode == "speaker_dependent"
     assert cfg.grid().cells() == [(1.0, 0.01), (1.0, 0.1),
                                   (10.0, 0.01), (10.0, 0.1)]
@@ -161,6 +158,20 @@ def test_bad_values():
         parse_config("workers = 0\n")
     with pytest.raises(ConfigError, match="train_c"):
         parse_config("train_c = -2\n")
+    # values that would otherwise fail only after a full extraction, or train
+    # a degenerate model
+    for key, value in (("seed", "-1"), ("c_exp_max", "309"), ("c_exp_max", "400"),
+                       ("gamma_exp_min", "-324"), ("gamma_exp_min", "-400"),
+                       ("train_c", "inf"), ("train_gamma", "inf"), ("train_gamma", "nan")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}\n")
+
+
+def test_grid_exponent_range_edges_accepted():
+    cfg = parse_config("c_exp_min = 307\nc_exp_max = 308\n"
+                       "gamma_exp_min = -323\ngamma_exp_max = -322\n")
+    assert cfg.grid().c_values == (1e307, 1e308)
+    assert cfg.grid().gamma_values == (1e-323, 1e-322)
 
 
 def test_config_not_found():

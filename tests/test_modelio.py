@@ -393,7 +393,7 @@ def test_corrupt_cache_entry_is_a_miss(fault_dir):
             parsed = False
         assert not (must_fail and parsed)
         hits, misses = cache.hits, cache.misses
-        vector = cache.get(key)
+        vector = cache.get(key, "phonation")
         if vector is None:
             assert (cache.hits, cache.misses) == (hits, misses + 1)
         else:

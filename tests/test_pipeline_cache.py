@@ -40,7 +40,7 @@ def test_cache_roundtrip_bit_identical(tmp_path, rng):
     vec = FeatureVector("prosody", rng.standard_normal(78), source_id="s1",
                         warning="w")
     cache.put("ab" + "0" * 62, vec)
-    back = cache.get("ab" + "0" * 62)
+    back = cache.get("ab" + "0" * 62, "prosody")
     assert back.values.tobytes() == vec.values.tobytes()
     assert (back.scheme, back.source_id, back.warning) == ("prosody", "s1", "w")
     assert cache.hits == 1
@@ -48,14 +48,14 @@ def test_cache_roundtrip_bit_identical(tmp_path, rng):
 
 def test_cache_miss_and_corrupt_entry(tmp_path, rng):
     cache = FeatureCache(tmp_path / "cache")
-    assert cache.get("cd" + "0" * 62) is None
+    assert cache.get("cd" + "0" * 62, "prosody") is None
     vec = FeatureVector("prosody", rng.standard_normal(78))
     key = "ef" + "0" * 62
     cache.put(key, vec)
     path = cache._path(key)
     with open(path, "wb") as fh:
         fh.write(b"junk")
-    assert cache.get(key) is None
+    assert cache.get(key, "prosody") is None
     assert cache.misses == 2
 
 
@@ -161,6 +161,8 @@ def emvx_blob(kind=b"feature", shape=(28,)):
     pytest.param(emvx_blob(kind=b"feat\xffure"), None, id="kind-not-utf8"),
     pytest.param(emvx_blob(shape=(2 ** 32, 2 ** 32)), None, id="shape-overflows"),
     pytest.param(emvx_blob(shape=(0, 2 ** 64 - 1)), None, id="shape-too-large"),
+    # a valid entry of another scheme under this scheme's key
+    pytest.param({"values": np.zeros(78)}, {"scheme": "prosody"}, id="other-scheme"),
 ])
 def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     _, rows = corpus
@@ -182,7 +184,7 @@ def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     assert cache.misses == 6
     assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
     # the entry was overwritten with a complete one
-    stored = cache.get(key)
+    stored = cache.get(key, "phonation")
     assert stored.scheme == "phonation"
     assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
     assert cache.hits == 1
@@ -208,7 +210,7 @@ def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
     cache = FeatureCache(tmp_path / "c")
     result = extract_for_manifest(Manifest((row,)), config, cache)
     assert result.failures == [] and result.computed == 1
-    stored = cache.get(feature_key(original, "phonation", EXTRACTOR_VERSION))
+    stored = cache.get(feature_key(original, "phonation", EXTRACTOR_VERSION), "phonation")
     assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
     assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
 
@@ -399,8 +401,8 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
             if mod_name.startswith("emovox") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
     models = six_scheme_models(rng)
-    spec = parse_config("scheme = %s\n" % SIX).fusion_spec()
-    fused, hits, computed = pipeline._extract_row(rows[0], spec, models, None)
+    schemes = parse_config("scheme = %s\n" % SIX).fusion_schemes()
+    fused, hits, computed = pipeline._extract_row(rows[0], schemes, models, None)
     assert (hits, computed) == (0, 6)
     # One 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track;
     # one speech mask and one voicing segmentation (the counts perfbench
