@@ -26,7 +26,6 @@ from .cache import FeatureCache
 from .config import ExperimentConfig, load_config
 from .errors import EmovoxError
 from .evaluation import (
-    Sample,
     chi_square_independence,
     fold_metrics_csv,
     format_report,
@@ -35,7 +34,7 @@ from .evaluation import (
     roc_csv,
     welch_t_test,
 )
-from .manifest import GENDERS, Manifest, read_manifest
+from .manifest import GENDERS, ManifestRow, read_manifest
 from .pipeline import (
     ExtractionResult,
     extract_for_manifest,
@@ -57,7 +56,7 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _extract(manifest: Manifest, config: ExperimentConfig) -> ExtractionResult:
+def _extract(manifest: tuple[ManifestRow, ...], config: ExperimentConfig) -> ExtractionResult:
     cache = FeatureCache(config.cache_dir) if config.cache_dir else None
     models = load_embedding_models(config)
     result = extract_for_manifest(manifest, config, cache, models)
@@ -71,13 +70,11 @@ def _extract(manifest: Manifest, config: ExperimentConfig) -> ExtractionResult:
     return result
 
 
-def _samples_for(manifest: Manifest, result: ExtractionResult) -> list:
+def _extracted_rows(manifest, result: ExtractionResult) -> tuple:
+    """The manifest rows whose vectors were extracted, in manifest order
+    (the order of ``result.vectors``)."""
     ok = {v.source_id for v in result.vectors}
-    return [
-        Sample(row.path, row.speaker, row.label, row.gender,
-               row.duration_s or 0.0)
-        for row in manifest if row.path in ok
-    ]
+    return tuple(row for row in manifest if row.path in ok)
 
 
 def cmd_extract(args) -> int:
@@ -93,11 +90,11 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = _extract(manifest, config)
-    samples = _samples_for(manifest, result)
-    plan = make_folds(samples, config.mode, config.k_outer, config.k_inner,
+    rows = _extracted_rows(manifest, result)
+    plan = make_folds(rows, config.mode, config.k_outer, config.k_inner,
                       seed=config.seed)
-    report = nested_cv(samples, result.vectors, plan, config.grid(),
-                       positive_label=config.positive_label)
+    report = nested_cv(rows, np.array([v.values for v in result.vectors]), plan,
+                       config.grid(), positive_label=config.positive_label)
     _write_text(args.report, format_report(report))
     _write_text(args.metrics_csv, fold_metrics_csv(report))
     log.info("wrote %s and %s", args.report, args.metrics_csv)
@@ -112,9 +109,8 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = _extract(manifest, config)
-    samples = _samples_for(manifest, result)
     feats = np.array([v.values for v in result.vectors])
-    labels = [s.label for s in samples]
+    labels = [row.label for row in _extracted_rows(manifest, result)]
     model = train_multiclass(feats, labels, config.train_c, config.train_gamma)
     modelio.save_svm(args.model, model, scheme=config.scheme,
                      feature_dim=feats.shape[1])
@@ -157,7 +153,7 @@ def _mean_std(values) -> tuple:
     return (float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0)
 
 
-def _stats_text(manifest: Manifest, durations: dict) -> str:
+def _stats_text(manifest: tuple[ManifestRow, ...], durations: dict) -> str:
     classes = sorted({row.label for row in manifest})
     lines = ["corpus statistics", "=" * 17, ""]
     lines.append("rows: %d" % len(manifest))

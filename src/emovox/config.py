@@ -10,7 +10,7 @@ Example file::
     cache_dir = .emovox_cache
 
 Grid bounds are decimal exponents; the grid enumerates whole decades, so the
-defaults give C in 10^-3..10^4 and gamma in 10^-6..10^3.  Every value is
+defaults give the 8 x 10 grid of C in 10^-3..10^4 and gamma in 10^-6..10^3.  Every value is
 checked when the config is made, so a bad one fails before any extraction.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, get_type_hints
 
 from .errors import ConfigError
-from .evaluation import Grid, MODES, SPEAKER_INDEPENDENT
+from .evaluation import MODES, SPEAKER_INDEPENDENT
 from .features import KNOWN_SCHEMES
 
 _BASE_SCHEMES = tuple(s for s in KNOWN_SCHEMES if s != "fusion")
@@ -84,12 +84,11 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate scheme in {self.scheme!r}")
         return parts
 
-    def grid(self) -> Grid:
-        c_values = tuple(10.0 ** e for e in
-                         range(self.c_exp_min, self.c_exp_max + 1))
-        gamma_values = tuple(10.0 ** e for e in
-                             range(self.gamma_exp_min, self.gamma_exp_max + 1))
-        return Grid(c_values, gamma_values)
+    def grid(self) -> list:
+        """All (C, gamma) cells, C-major ascending: the tie-break order."""
+        return [(10.0 ** c, 10.0 ** g)
+                for c in range(self.c_exp_min, self.c_exp_max + 1)
+                for g in range(self.gamma_exp_min, self.gamma_exp_max + 1)]
 
 
 # each key's type, from the field annotations: int and float values are parsed

@@ -21,55 +21,20 @@ import numpy as np
 
 from .arrays import frozen
 from .errors import EvaluationError
-from .manifest import GENDERS
+from .manifest import ManifestRow
 from .svm import grid_predictions, predict_with_margins, train_multiclass
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
 MODES = (SPEAKER_INDEPENDENT, SPEAKER_DEPENDENT)
 
-C_VALUES = tuple(10.0 ** e for e in range(-3, 5))
-GAMMA_VALUES = tuple(10.0 ** e for e in range(-6, 4))
 DEFAULT_POSITIVE_LABEL = "dissatisfied"
 
 
 @dataclass(frozen=True)
-class Sample:
-    source_id: str
-    speaker_id: str
-    label: str
-    gender: str = "unknown"
-    duration_s: float = 0.0
-
-    def __post_init__(self):
-        if not self.label:
-            raise ValueError("sample %r has an empty label" % (self.source_id,))
-        if self.gender not in GENDERS:
-            raise ValueError("gender must be one of %s, got %r" % (GENDERS, self.gender))
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Hyperparameter grid, powers of ten: 8 C values x 10 gamma values."""
-
-    c_values: tuple = C_VALUES
-    gamma_values: tuple = GAMMA_VALUES
-
-    def __post_init__(self):
-        if not self.c_values or not self.gamma_values:
-            raise ValueError("grid axes must be non-empty")
-        if any(v <= 0 for v in self.c_values) or any(v <= 0 for v in self.gamma_values):
-            raise ValueError("grid values must be positive")
-
-    def cells(self):
-        """All (C, gamma) pairs, C-major ascending — the tie-break order."""
-        return [(c, g) for c in self.c_values for g in self.gamma_values]
-
-
-@dataclass(frozen=True)
 class FoldPlan:
-    """Outer assignment per sample plus, per outer fold, an inner assignment
-    over that fold's training samples (-1 marks samples outside it)."""
+    """Outer assignment per row plus, per outer fold, an inner assignment
+    over that fold's training rows (-1 marks rows outside it)."""
 
     mode: str
     k_outer: int
@@ -152,25 +117,25 @@ def _stratified_assignment(indices, labels, k, rng):
     return assign
 
 
-def make_folds(samples: Sequence[Sample], mode: str, k_outer: int = 5,
+def make_folds(rows: Sequence[ManifestRow], mode: str, k_outer: int = 5,
                k_inner: int = 5, seed: int = 0) -> FoldPlan:
-    """Build a deterministic nested fold plan for the given samples."""
+    """Build a deterministic nested fold plan over manifest rows (path, speaker, label)."""
     if mode not in MODES:
         raise EvaluationError("unknown mode %r; expected one of %s" % (mode, MODES))
     if k_outer < 2 or k_inner < 2:
         raise EvaluationError("fold counts must be at least 2")
-    ids = [s.source_id for s in samples]
+    ids = [r.path for r in rows]
     if len(set(ids)) != len(ids):
         raise EvaluationError("duplicate source ids in sample set")
-    if not samples:
+    if not rows:
         raise EvaluationError("empty sample set")
-    labels = [s.label for s in samples]
+    labels = [r.label for r in rows]
     classes = sorted(set(labels))
     rng = np.random.default_rng(seed)
-    n = len(samples)
+    n = len(rows)
 
     if mode == SPEAKER_INDEPENDENT:
-        speakers = sorted(set(s.speaker_id for s in samples))
+        speakers = sorted(set(r.speaker for r in rows))
         if len(speakers) < k_outer:
             raise EvaluationError(
                 "speaker-independent folding needs >= %d speakers, got %d"
@@ -178,7 +143,7 @@ def make_folds(samples: Sequence[Sample], mode: str, k_outer: int = 5,
             )
         counts = {
             spk: np.array(
-                [sum(1 for s in samples if s.speaker_id == spk and s.label == cl)
+                [sum(1 for r in rows if r.speaker == spk and r.label == cl)
                  for cl in classes],
                 dtype=np.float64,
             )
@@ -186,11 +151,11 @@ def make_folds(samples: Sequence[Sample], mode: str, k_outer: int = 5,
         }
         order = [speakers[i] for i in rng.permutation(len(speakers))]
         outer_by_speaker = _greedy_speaker_assignment(order, counts, classes, k_outer)
-        outer = tuple(outer_by_speaker[s.speaker_id] for s in samples)
+        outer = tuple(outer_by_speaker[r.speaker] for r in rows)
 
         inner = []
         for fold in range(k_outer):
-            train_speakers = sorted({s.speaker_id for s, f in zip(samples, outer) if f != fold})
+            train_speakers = sorted({r.speaker for r, f in zip(rows, outer) if f != fold})
             if len(train_speakers) < k_inner:
                 raise EvaluationError(
                     "outer fold %d leaves %d training speakers; inner folding needs >= %d"
@@ -199,8 +164,8 @@ def make_folds(samples: Sequence[Sample], mode: str, k_outer: int = 5,
             sub_order = [train_speakers[i] for i in rng.permutation(len(train_speakers))]
             by_speaker = _greedy_speaker_assignment(sub_order, counts, classes, k_inner)
             inner.append(tuple(
-                by_speaker[s.speaker_id] if f != fold else -1
-                for s, f in zip(samples, outer)
+                by_speaker[r.speaker] if f != fold else -1
+                for r, f in zip(rows, outer)
             ))
     else:
         for cl in classes:
@@ -368,23 +333,6 @@ def chi_square_independence(table) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _feature_matrix(features):
-    rows = []
-    scheme = None
-    for fv in features:
-        values = getattr(fv, "values", fv)
-        this_scheme = getattr(fv, "scheme", None)
-        if this_scheme is not None:
-            if scheme is None:
-                scheme = this_scheme
-            elif this_scheme != scheme:
-                raise EvaluationError(
-                    "mixed feature schemes: %r vs %r" % (scheme, this_scheme)
-                )
-        rows.append(np.asarray(values, dtype=np.float64))
-    return np.vstack(rows)
-
-
 def _confusion(classes, truth, predicted):
     index = {cl: i for i, cl in enumerate(classes)}
     m = np.zeros((len(classes), len(classes)), dtype=np.int64)
@@ -403,23 +351,28 @@ def _inner_uars(truth, guesses):
     return np.mean(hits / counts, axis=1)
 
 
-def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
+def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
+              cells: Sequence[Tuple[float, float]],
               positive_label: Optional[str] = None) -> EvalReport:
-    """Run the nested loop described by ``plan`` and ``grid``.
+    """Run the nested loop of ``plan`` over manifest ``rows``, featured by the
+    rows of matrix ``x``, and the (C, gamma) ``cells`` (``config.grid()``).
 
     Hyperparameters are chosen per outer fold by mean inner-fold UAR (ties:
-    smallest C, then smallest gamma).  Inner folds whose training part lacks a
-    trainable class are skipped; a cell with no usable inner fold scores 0.
+    the first cell, in C-major order the smallest C, then gamma).  Inner folds
+    whose training part lacks a trainable class are skipped; a cell with no
+    usable inner fold scores 0.
     """
-    ids = tuple(s.source_id for s in samples)
+    ids = tuple(r.path for r in rows)
     if ids != plan.source_ids:
         raise EvaluationError("sample set does not match the fold plan")
-    x = _feature_matrix(features)
-    if x.shape[0] != len(samples):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != len(rows):
         raise EvaluationError(
-            "feature count %d does not match sample count %d" % (x.shape[0], len(samples))
+            "feature matrix of shape %s does not match sample count %d" % (x.shape, len(rows))
         )
-    labels = np.array([s.label for s in samples], dtype=object)
+    if not cells:
+        raise EvaluationError("the (C, gamma) cell list is empty")
+    labels = np.array([r.label for r in rows], dtype=object)
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise EvaluationError("need at least 2 classes, got %d" % len(classes))
@@ -431,7 +384,6 @@ def nested_cv(samples, features, plan: FoldPlan, grid: Grid,
     pos_index = classes.index(positive_label) if (binary and positive_label) else (0 if binary else None)
 
     outer = np.asarray(plan.outer)
-    cells = grid.cells()
     truth_index = np.array([classes.index(label) for label in labels])
     folds = []
     leakage = []

@@ -28,17 +28,6 @@ class ManifestRow:
     duration_s: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Manifest:
-    rows: tuple
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
 def _parse_row(cells, n_cols, lineno) -> ManifestRow:
     if len(cells) != n_cols:
         raise ManifestError(
@@ -69,7 +58,7 @@ def _parse_row(cells, n_cols, lineno) -> ManifestRow:
     return ManifestRow(path, label, speaker, gender, duration)
 
 
-def parse_manifest(text: str, origin: str = "manifest") -> Manifest:
+def parse_manifest(text: str, origin: str = "manifest") -> tuple[ManifestRow, ...]:
     reader = csv.reader(text.splitlines())
     try:
         header = next(reader)
@@ -99,10 +88,10 @@ def parse_manifest(text: str, origin: str = "manifest") -> Manifest:
         rows.append(row)
     if not rows:
         raise ManifestError(f"{origin}: no data rows")
-    return Manifest(tuple(rows))
+    return tuple(rows)
 
 
-def read_manifest(path) -> Manifest:
+def read_manifest(path) -> tuple[ManifestRow, ...]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()

@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .embeddings import baum_welch_stats, extract_ivector, xvector_forward
 from .errors import ConfigError, EmovoxError
 from .features import EXTRACTORS, FeatureVector, fuse
-from .manifest import Manifest
+from .manifest import ManifestRow
 from . import modelio
 
 EXTRACTOR_VERSION = "9"
@@ -142,7 +142,7 @@ def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
     return fuse(parts), hits, computed
 
 
-def extract_for_manifest(manifest: Manifest, config: ExperimentConfig,
+def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentConfig,
                          cache: FeatureCache | None = None,
                          models: EmbeddingModels | None = None) -> ExtractionResult:
     """Extract the configured scheme for every manifest row.
@@ -161,12 +161,11 @@ def extract_for_manifest(manifest: Manifest, config: ExperimentConfig,
             reason = f"{type(exc).__name__}: {exc}"
             return ExtractionFailure(row.path, reason)
 
-    rows = list(manifest)
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(work, rows))
+            outcomes = list(pool.map(work, manifest))
     else:
-        outcomes = [work(row) for row in rows]
+        outcomes = [work(row) for row in manifest]
 
     vectors, failures = [], []
     hits = computed = 0

@@ -31,7 +31,6 @@ from emovox.embeddings import (
 from emovox.evaluation import (
     SPEAKER_DEPENDENT,
     SPEAKER_INDEPENDENT,
-    Sample,
     fold_metrics_csv,
     format_report,
     make_folds,
@@ -231,7 +230,7 @@ def test_criterion_5_nested_cv_integrity():
         for rep in range(5):
             labels = [s.label for s in base]
             perm = rng.permutation(len(labels))
-            shuffled = [Sample(s.source_id, s.speaker_id, labels[perm[i]])
+            shuffled = [ManifestRow(s.path, labels[perm[i]], s.speaker)
                         for i, s in enumerate(base)]
             pplan = make_folds(shuffled, SPEAKER_DEPENDENT, 5, 5, seed=rep)
             uars.append(nested_cv(shuffled, bfeats, pplan, SMALL_GRID).mean_uar)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from emovox.config import ExperimentConfig
 from emovox.errors import EvaluationError
 from emovox.evaluation import (
     SPEAKER_DEPENDENT,
     SPEAKER_INDEPENDENT,
-    Grid,
-    Sample,
     _student_t_sf,
     chi_square_independence,
     fold_metrics_csv,
@@ -24,6 +23,7 @@ from emovox.evaluation import (
     roc_curve,
     welch_t_test,
 )
+from emovox.manifest import ManifestRow
 
 
 def blob_dataset(rng, class_names=("a", "b", "c"), n_per=30, sep=10.0, sigma=0.5,
@@ -37,15 +37,15 @@ def blob_dataset(rng, class_names=("a", "b", "c"), n_per=30, sep=10.0, sigma=0.5
     for name in class_names:
         for j in range(n_per):
             feats.append(np.asarray(centers[name]) + rng.standard_normal(2) * sigma)
-            samples.append(Sample(
-                source_id="%s%02d" % (name, j),
-                speaker_id="spk%d" % (j % n_speakers),
+            samples.append(ManifestRow(
+                path="%s%02d" % (name, j),
                 label=name,
+                speaker="spk%d" % (j % n_speakers),
             ))
     return samples, np.array(feats)
 
 
-SMALL_GRID = Grid((1.0, 10.0), (0.1, 1.0))
+SMALL_GRID = [(1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +55,13 @@ SMALL_GRID = Grid((1.0, 10.0), (0.1, 1.0))
 
 def test_ten_equal_speakers_two_per_fold():
     samples = [
-        Sample("u%d_%d" % (spk, i), "spk%d" % spk, "x")
+        ManifestRow("u%d_%d" % (spk, i), "x", "spk%d" % spk)
         for spk in range(10) for i in range(3)
     ]
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=3)
     by_fold = {}
     for s, f in zip(samples, plan.outer):
-        by_fold.setdefault(f, set()).add(s.speaker_id)
+        by_fold.setdefault(f, set()).add(s.speaker)
     assert sorted(by_fold) == [0, 1, 2, 3, 4]
     assert all(len(spks) == 2 for spks in by_fold.values())
 
@@ -71,16 +71,16 @@ def test_speaker_never_split_property():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 60))
         samples = [
-            Sample("id%d" % i, "spk%d" % int(rng.integers(8)),
-                   label=("p", "q")[int(rng.integers(2))])
+            ManifestRow("id%d" % i, speaker="spk%d" % int(rng.integers(8)),
+                        label=("p", "q")[int(rng.integers(2))])
             for i in range(n)
         ]
-        if len({s.speaker_id for s in samples}) < 4:
+        if len({s.speaker for s in samples}) < 4:
             continue
         plan = make_folds(samples, SPEAKER_INDEPENDENT, 4, 3, seed=seed)
         outer_of = {}
         for s, f in zip(samples, plan.outer):
-            assert outer_of.setdefault(s.speaker_id, f) == f
+            assert outer_of.setdefault(s.speaker, f) == f
         for fold in range(4):
             inner_of = {}
             for s, f, g in zip(samples, plan.outer, plan.inner[fold]):
@@ -88,7 +88,7 @@ def test_speaker_never_split_property():
                     assert g == -1
                 else:
                     assert 0 <= g < 3
-                    assert inner_of.setdefault(s.speaker_id, g) == g
+                    assert inner_of.setdefault(s.speaker, g) == g
 
 
 def test_fold_plan_deterministic():
@@ -100,14 +100,14 @@ def test_fold_plan_deterministic():
 
 
 def test_single_speaker_error():
-    samples = [Sample("u%d" % i, "only", "x") for i in range(25)]
+    samples = [ManifestRow("u%d" % i, "x", "only") for i in range(25)]
     with pytest.raises(EvaluationError, match="1"):
         make_folds(samples, SPEAKER_INDEPENDENT, 5, 5)
 
 
 def test_stratified_balance():
-    samples = [Sample("a%d" % i, "s%d" % i, "big") for i in range(30)]
-    samples += [Sample("b%d" % i, "t%d" % i, "small") for i in range(20)]
+    samples = [ManifestRow("a%d" % i, "big", "s%d" % i) for i in range(30)]
+    samples += [ManifestRow("b%d" % i, "small", "t%d" % i) for i in range(20)]
     plan = make_folds(samples, SPEAKER_DEPENDENT, 5, 5, seed=2)
     for fold in range(5):
         chosen = [s for s, f in zip(samples, plan.outer) if f == fold]
@@ -118,40 +118,33 @@ def test_stratified_balance():
 
 
 def test_stratified_small_class_error():
-    samples = [Sample("a%d" % i, "s", "big") for i in range(20)]
-    samples += [Sample("b%d" % i, "s", "tiny") for i in range(3)]
+    samples = [ManifestRow("a%d" % i, "big", "s") for i in range(20)]
+    samples += [ManifestRow("b%d" % i, "tiny", "s") for i in range(3)]
     with pytest.raises(EvaluationError, match="tiny"):
         make_folds(samples, SPEAKER_DEPENDENT, 5, 5)
 
 
 def test_fold_plan_validation():
-    samples = [Sample("a", "s1", "x"), Sample("a", "s2", "x")]
+    samples = [ManifestRow("a", "x", "s1"), ManifestRow("a", "x", "s2")]
     with pytest.raises(EvaluationError):
         make_folds(samples, SPEAKER_DEPENDENT, 2, 2)
-    ok = [Sample("a", "s1", "x"), Sample("b", "s2", "x")]
+    ok = [ManifestRow("a", "x", "s1"), ManifestRow("b", "x", "s2")]
     with pytest.raises(EvaluationError):
         make_folds(ok, "bogus_mode", 2, 2)
     with pytest.raises(EvaluationError):
         make_folds(ok, SPEAKER_DEPENDENT, 1, 2)
 
 
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        Sample("id", "spk", "")
-    with pytest.raises(ValueError):
-        Sample("id", "spk", "x", gender="male")
-    assert Sample("id", "spk", "x", gender="f").gender == "f"
-
-
 def test_grid_default_is_80_cells():
-    grid = Grid()
-    cells = grid.cells()
+    cells = ExperimentConfig().grid()
     assert len(cells) == 80
     assert cells[0] == (1e-3, 1e-6)
     assert cells[1] == (1e-3, 1e-5)
     assert cells[-1] == (1e4, 1e3)
-    with pytest.raises(ValueError):
-        Grid((1.0, -1.0), (0.1,))
+    samples, feats = blob_dataset(np.random.default_rng(0), n_per=10)
+    plan = make_folds(samples, SPEAKER_DEPENDENT, 5, 5, seed=0)
+    with pytest.raises(EvaluationError, match="empty"):
+        nested_cv(samples, feats, plan, [])
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +168,8 @@ def test_nested_cv_separable_blobs_uar(blob_report):
 
 def test_nested_cv_structure(blob_report):
     report, samples = blob_report
-    cells = SMALL_GRID.cells()
     for fold in report.folds:
-        assert (fold.c, fold.gamma) in cells
+        assert (fold.c, fold.gamma) in SMALL_GRID
         assert int(fold.confusion.sum()) == fold.test_count
         assert np.array_equal(fold.confusion.sum(axis=1) >= 0, [True] * 3)
     assert report.mean_uar == pytest.approx(np.mean([f.uar for f in report.folds]))
@@ -210,7 +202,7 @@ def test_nested_cv_permuted_labels_near_chance():
         labels = [s.label for s in base]
         perm = rng.permutation(len(labels))
         shuffled = [
-            Sample(s.source_id, s.speaker_id, labels[perm[i]])
+            ManifestRow(s.path, labels[perm[i]], s.speaker)
             for i, s in enumerate(base)
         ]
         plan = make_folds(shuffled, SPEAKER_DEPENDENT, 5, 5, seed=rep)
@@ -250,7 +242,7 @@ def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
     assert scored == [fold.test_count for fold in report.folds]
 
 
-def per_cell_selection(samples, feats, plan, grid):
+def per_cell_selection(samples, feats, plan, cells):
     """(C, gamma) of each outer fold by the per-cell loop: one model per cell,
     predicted and scored one cell at a time, first best mean inner UAR."""
     from test_svm import train_grid
@@ -259,7 +251,6 @@ def per_cell_selection(samples, feats, plan, grid):
 
     labels = np.array([s.label for s in samples], dtype=object)
     classes = sorted(set(labels))
-    cells = grid.cells()
     chosen = []
     for fold in range(plan.k_outer):
         inner = np.asarray(plan.inner[fold])
@@ -292,11 +283,12 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
                                   sigma=1.0, n_speakers=6)
     feats = np.hstack([feats, rng.standard_normal((len(feats), 4))])
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 3, 3, seed=2)
-    report = nested_cv(samples, feats, plan, Grid())
+    cells = ExperimentConfig().grid()
+    report = nested_cv(samples, feats, plan, cells)
     assert [(f.c, f.gamma) for f in report.folds] == per_cell_selection(
-        samples, feats, plan, Grid())
+        samples, feats, plan, cells)
     monkeypatch.setattr(evaluation, "grid_predictions", oracle_grid_predictions)
-    oracle = nested_cv(samples, feats, plan, Grid())
+    oracle = nested_cv(samples, feats, plan, cells)
     assert format_report(report) == format_report(oracle)
     assert fold_metrics_csv(report) == fold_metrics_csv(oracle)
     if len(class_names) == 2:
@@ -325,7 +317,7 @@ def test_nested_cv_makes_one_solve_per_inner_split_and_outer_fold(monkeypatch):
             val, fit = inner == inner_fold, (inner != -1) & (inner != inner_fold)
             fit_labels = labels[fit].tolist()
             if val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)):
-                want.append(6 * len(SMALL_GRID.cells()))
+                want.append(6 * len(SMALL_GRID))
         want.append(6)
     assert len(want) > 2 * plan.k_outer
     assert calls == want
@@ -360,16 +352,16 @@ def test_nested_cv_skips_unusable_inner_folds():
     rng = np.random.default_rng(13)
     samples, feats = [], []
     for i in range(40):
-        samples.append(Sample("y%d" % i, "s%d" % i, "y"))
+        samples.append(ManifestRow("y%d" % i, "y", "s%d" % i))
         feats.append(rng.standard_normal(2))
     for i in range(4):
-        samples.append(Sample("z%d" % i, "t%d" % i, "z"))
+        samples.append(ManifestRow("z%d" % i, "z", "t%d" % i))
         feats.append(rng.standard_normal(2) + 8.0)
     plan = make_folds(samples, SPEAKER_DEPENDENT, 2, 2, seed=0)
     report = nested_cv(samples, np.array(feats), plan, SMALL_GRID)
     # every inner split leaves < 2 "z" samples, so all cells score 0 and the
     # first grid cell wins by the tie-break
-    first = SMALL_GRID.cells()[0]
+    first = SMALL_GRID[0]
     for fold in report.folds:
         assert (fold.c, fold.gamma) == first
         assert np.isfinite(fold.uar)
@@ -384,19 +376,12 @@ def test_nested_cv_plan_mismatch_error():
         nested_cv(reordered, feats, plan, SMALL_GRID)
 
 
-def test_nested_cv_mixed_schemes_error():
-    class Fake:
-        def __init__(self, scheme, values):
-            self.scheme = scheme
-            self.values = values
-
+def test_nested_cv_row_count_error():
     rng = np.random.default_rng(15)
     samples, feats = blob_dataset(rng, class_names=("a", "b"), n_per=10)
-    wrapped = [Fake("one", f) for f in feats]
-    wrapped[3] = Fake("other", feats[3])
     plan = make_folds(samples, SPEAKER_DEPENDENT, 5, 5, seed=0)
-    with pytest.raises(EvaluationError, match="scheme"):
-        nested_cv(samples, wrapped, plan, SMALL_GRID)
+    with pytest.raises(EvaluationError, match="does not match sample count"):
+        nested_cv(samples, feats[:-1], plan, SMALL_GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from emovox.config import load_config, parse_config
 from emovox.errors import ConfigError, ManifestError
 from emovox.manifest import (
-    Manifest,
     ManifestRow,
     parse_manifest,
     read_manifest,
@@ -27,14 +26,14 @@ b.wav,sad,s2,f,
 def test_parse_basic():
     m = parse_manifest(GOOD)
     assert len(m) == 3
-    assert m.rows[0] == ManifestRow("a.wav", "happy", "s1", "m", None)
-    assert m.rows[2].gender == "unknown"
+    assert m[0] == ManifestRow("a.wav", "happy", "s1", "m", None)
+    assert m[2].gender == "unknown"
 
 
 def test_parse_with_durations():
     m = parse_manifest(GOOD_DUR)
-    assert m.rows[0].duration_s == 1.5
-    assert m.rows[1].duration_s is None
+    assert m[0].duration_s == 1.5
+    assert m[1].duration_s is None
 
 
 def test_header_required():
@@ -76,7 +75,7 @@ def test_write_read_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     write_manifest(path, rows)
     back = read_manifest(path)
-    assert back.rows == tuple(rows)
+    assert back == tuple(rows)
 
 
 def test_read_missing_manifest():
@@ -94,8 +93,7 @@ def test_config_defaults():
     assert cfg.scheme == "phonation"
     assert cfg.mode == "speaker_independent"
     assert (cfg.k_outer, cfg.k_inner, cfg.seed) == (5, 5, 0)
-    grid = cfg.grid()
-    assert len(grid.cells()) == 80
+    assert len(cfg.grid()) == 80
 
 
 def test_config_full_file(tmp_path):
@@ -119,8 +117,8 @@ def test_config_full_file(tmp_path):
     cfg = load_config(path)
     assert cfg.fusion_schemes() == ("articulation", "prosody", "phonation")
     assert cfg.mode == "speaker_dependent"
-    assert cfg.grid().cells() == [(1.0, 0.01), (1.0, 0.1),
-                                  (10.0, 0.01), (10.0, 0.1)]
+    assert cfg.grid() == [(1.0, 0.01), (1.0, 0.1),
+                          (10.0, 0.01), (10.0, 0.1)]
     assert cfg.seed == 17
     assert cfg.workers == 4
     assert cfg.positive_label == "sad"
@@ -170,8 +168,8 @@ def test_bad_values():
 def test_grid_exponent_range_edges_accepted():
     cfg = parse_config("c_exp_min = 307\nc_exp_max = 308\n"
                        "gamma_exp_min = -323\ngamma_exp_max = -322\n")
-    assert cfg.grid().c_values == (1e307, 1e308)
-    assert cfg.grid().gamma_values == (1e-323, 1e-322)
+    assert cfg.grid() == [(1e307, 1e-323), (1e307, 1e-322),
+                          (1e308, 1e-323), (1e308, 1e-322)]
 
 
 def test_config_not_found():

@@ -13,7 +13,7 @@ from emovox.errors import ConfigError
 from emovox.features import SCHEME_DIMS, FeatureVector
 from emovox.features.i2010pc import LLD_NAMES
 from emovox.functionals import IS10_FUNCTIONALS
-from emovox.manifest import Manifest, ManifestRow
+from emovox.manifest import ManifestRow
 from emovox import pipeline
 from emovox.modelio import write_container
 from emovox.pipeline import (
@@ -80,14 +80,14 @@ def test_extract_phonation_counts(tmp_path, corpus):
     _, rows = corpus
     config = parse_config("scheme = phonation\n")
     cache = FeatureCache(tmp_path / "c")
-    result = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    result = extract_for_manifest(tuple(rows), config, cache)
     assert len(result.vectors) == 6
     assert result.failures == []
     assert (result.cache_hits, result.computed) == (0, 6)
     assert all(v.dim == 28 for v in result.vectors)
     assert [v.source_id for v in result.vectors] == [r.path for r in rows]
 
-    again = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    again = extract_for_manifest(tuple(rows), config, cache)
     assert (again.cache_hits, again.computed) == (6, 0)
     for a, b in zip(result.vectors, again.vectors):
         assert a.values.tobytes() == b.values.tobytes()
@@ -112,14 +112,14 @@ def test_cache_makes_each_shard_directory_once(tmp_path, corpus, monkeypatch, rn
     _, rows = corpus
     config = parse_config("scheme = phonation+prosody\n")
     made.clear()
-    cold = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    cold = extract_for_manifest(tuple(rows), config, cache)
     shards = {str(root / name) for name in os.listdir(root)}
     assert cold.computed == 12 and len(made) == len(set(made)) and set(made) <= shards
     victim = sorted(shards - {str(root / "ab"), str(root / "cd")})[0]
     n_lost = len(os.listdir(victim))
     shutil.rmtree(victim)
     made.clear()
-    again = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    again = extract_for_manifest(tuple(rows), config, cache)
     assert (again.computed, made) == (n_lost, [victim])
     assert len(os.listdir(victim)) == n_lost
     for a, b in zip(cold.vectors, again.vectors):
@@ -130,13 +130,13 @@ def test_extract_fusion_caches_members(tmp_path, corpus):
     _, rows = corpus
     config = parse_config("scheme = phonation+prosody\n")
     cache = FeatureCache(tmp_path / "c")
-    result = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    result = extract_for_manifest(tuple(rows), config, cache)
     assert all(v.dim == 28 + 78 for v in result.vectors)
     assert all(v.scheme == "fusion" for v in result.vectors)
     assert result.computed == 12
     # member scheme entries are reusable by a single-scheme run
     single = parse_config("scheme = prosody\n")
-    reuse = extract_for_manifest(Manifest(tuple(rows)), single, cache)
+    reuse = extract_for_manifest(tuple(rows), single, cache)
     assert (reuse.cache_hits, reuse.computed) == (6, 0)
 
 
@@ -167,7 +167,7 @@ def emvx_blob(kind=b"feature", shape=(28,)):
 def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     _, rows = corpus
     config = parse_config("scheme = phonation\n")
-    fresh = extract_for_manifest(Manifest(tuple(rows)), config, None)
+    fresh = extract_for_manifest(tuple(rows), config, None)
     cache = FeatureCache(tmp_path / "c")
     with open(rows[0].path, "rb") as fh:
         key = feature_key(fh.read(), "phonation", EXTRACTOR_VERSION)
@@ -178,7 +178,7 @@ def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     else:
         write_container(cache._path(key), "feature", arrays, meta=meta)
 
-    result = extract_for_manifest(Manifest(tuple(rows)), config, cache)
+    result = extract_for_manifest(tuple(rows), config, cache)
     assert result.failures == []
     assert (result.cache_hits, result.computed) == (0, 6)
     assert cache.misses == 6
@@ -198,7 +198,7 @@ def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
         original = fh.read()
     target.write_bytes(original)
     row = ManifestRow(str(target), rows[0].label, rows[0].speaker, rows[0].gender)
-    fresh = extract_for_manifest(Manifest((row,)), config, None)
+    fresh = extract_for_manifest((row,), config, None)
 
     def key_then_replace(raw, tag, version):
         # the file changes on disk right after its bytes were hashed
@@ -208,7 +208,7 @@ def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
 
     monkeypatch.setattr(pipeline, "feature_key", key_then_replace)
     cache = FeatureCache(tmp_path / "c")
-    result = extract_for_manifest(Manifest((row,)), config, cache)
+    result = extract_for_manifest((row,), config, cache)
     assert result.failures == [] and result.computed == 1
     stored = cache.get(feature_key(original, "phonation", EXTRACTOR_VERSION), "phonation")
     assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
@@ -277,7 +277,7 @@ def test_extract_collects_failures(tmp_path, corpus):
     directory, rows = corpus
     bad = rows + [ManifestRow(str(directory / "missing.wav"), "smooth", "s9", "m")]
     config = parse_config("scheme = phonation\n")
-    result = extract_for_manifest(Manifest(tuple(bad)), config, None)
+    result = extract_for_manifest(tuple(bad), config, None)
     assert len(result.vectors) == 6
     assert len(result.failures) == 1
     assert "missing.wav" in result.failures[0].path
@@ -303,7 +303,7 @@ def test_degenerate_rows_end_finite_or_counted(tmp_path):
     # period, pulse height or energy in the four hand-built schemes
     rows = [row for rate in (8000, 16000, 44100) for row in degenerate_rows(tmp_path, rate)]
     config = parse_config("scheme = articulation+prosody+phonation+i2010pc\n")
-    result = extract_for_manifest(Manifest(tuple(rows)), config, None)
+    result = extract_for_manifest(tuple(rows), config, None)
     assert result.total == len(rows) == 60
     assert all(np.all(np.isfinite(v.values)) for v in result.vectors)
     # the square and clipped rows of 0.25 s and 1 s are voiced, so jitter and
@@ -326,9 +326,9 @@ def test_degenerate_rows_end_finite_or_counted(tmp_path):
 
 def test_extract_parallel_matches_serial(tmp_path, corpus):
     _, rows = corpus
-    serial = extract_for_manifest(Manifest(tuple(rows)),
+    serial = extract_for_manifest(tuple(rows),
                                   parse_config("scheme = prosody\n"), None)
-    parallel = extract_for_manifest(Manifest(tuple(rows)),
+    parallel = extract_for_manifest(tuple(rows),
                                     parse_config("scheme = prosody\nworkers = 3\n"),
                                     None)
     for a, b in zip(serial.vectors, parallel.vectors):
@@ -430,7 +430,7 @@ def test_warm_row_decodes_no_audio(tmp_path, corpus, monkeypatch, rng):
     models = six_scheme_models(rng)
     config = parse_config("scheme = %s\n" % SIX)
     cache = FeatureCache(tmp_path / "c")
-    cold = extract_for_manifest(Manifest(tuple(rows[:2])), config, cache, models)
+    cold = extract_for_manifest(tuple(rows[:2]), config, cache, models)
 
     def no_audio(*args, **kwargs):
         raise AssertionError("a warm row decoded or analysed audio")
@@ -438,7 +438,7 @@ def test_warm_row_decodes_no_audio(tmp_path, corpus, monkeypatch, rng):
     for name in ("parse_wav", "load_wav", "resample_to_8k"):
         monkeypatch.setattr(audio, name, no_audio)
     monkeypatch.setattr(pipeline, "Analysis", no_audio)
-    warm = extract_for_manifest(Manifest(tuple(rows[:2])), config, cache, models)
+    warm = extract_for_manifest(tuple(rows[:2]), config, cache, models)
     assert warm.failures == [] and (warm.cache_hits, warm.computed) == (12, 0)
     for a, b in zip(cold.vectors, warm.vectors):
         assert a.values.tobytes() == b.values.tobytes()

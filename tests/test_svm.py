@@ -4,8 +4,8 @@ scorer against per-cell models, one-vs-one."""
 import numpy as np
 import pytest
 
+from emovox.config import ExperimentConfig
 from emovox.errors import TrainingError
-from emovox.evaluation import Grid
 from emovox.svm import (
     _BOUND_EPS,
     SMO_TOL,
@@ -536,7 +536,7 @@ def test_grid_predictions_match_per_cell_oracle_random():
     # Duplicate rows, constant dimensions and large gamma give pair machines
     # whose decision is zero in exact arithmetic; its sign is then rounding
     # noise in either summation order, so only those cells may disagree.
-    cells = Grid().cells()
+    cells = ExperimentConfig().grid()
     exempt = compared = 0
     for seed in range(24):
         r = np.random.default_rng(400 + seed)
