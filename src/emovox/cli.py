@@ -24,7 +24,7 @@ import numpy as np  # noqa: E402 (after the BLAS pin)
 from . import modelio
 from .cache import FeatureCache
 from .config import ExperimentConfig, load_config
-from .errors import EmovoxError
+from .errors import EmovoxError, EvaluationError
 from .evaluation import (
     chi_square_independence,
     fold_metrics_csv,
@@ -89,6 +89,13 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
+    # The manifest alone decides whether folding is feasible and whether the
+    # positive label exists, so check both before extracting anything.
+    make_folds(manifest, config.mode, config.k_outer, config.k_inner, seed=config.seed)
+    classes = sorted({row.label for row in manifest})
+    if config.positive_label is not None and config.positive_label not in classes:
+        raise EvaluationError("positive label %r not among classes %s"
+                              % (config.positive_label, tuple(classes)))
     result = _extract(manifest, config)
     rows = _extracted_rows(manifest, result)
     plan = make_folds(rows, config.mode, config.k_outer, config.k_inner,
@@ -129,9 +136,9 @@ def cmd_predict(args) -> int:
         return EXIT_FATAL
     result = _extract(manifest, config)
     feats = np.array([v.values for v in result.vectors])
-    if feats.shape[1] != int(meta.get("feature_dim", feats.shape[1])):
-        log.error("model expects %s-dim features, extracted %d dims",
-                  meta.get("feature_dim"), feats.shape[1])
+    if feats.shape[1] != meta["feature_dim"]:
+        log.error("model expects %d-dim features, extracted %d dims",
+                  meta["feature_dim"], feats.shape[1])
         return EXIT_FATAL
     labels, margins = predict_with_margins(model, feats)
     buf = io.StringIO()

@@ -273,6 +273,9 @@ def load_svm(path):
         model = MulticlassSvm(
             tuple(str(c) for c in meta["classes"]), machines, standardizer,
             float(meta["c"]), float(meta["gamma"]))
+        if meta["feature_dim"] != standardizer.mean.size:
+            raise ValueError("feature_dim %r does not match the standardizer width %d"
+                             % (meta["feature_dim"], standardizer.mean.size))
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing section {exc}")
     except (TypeError, ValueError) as exc:

@@ -45,6 +45,8 @@ class Standardizer:
         s = frozen(self.std).ravel()
         if m.shape != s.shape:
             raise ValueError("mean/std length mismatch")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+            raise ValueError("mean and std must be finite")
         if np.any(s < STD_FLOOR * (1.0 - 1e-12)):
             raise ValueError("std below the %g floor" % STD_FLOOR)
         object.__setattr__(self, "mean", m)
@@ -92,6 +94,15 @@ class BinarySvm:
     gamma: float
     converged: bool = True
     alphas: np.ndarray = None
+
+    def __post_init__(self):
+        sv, coef = self.support_vectors, self.dual_coef
+        if sv.ndim != 2 or coef.shape != (sv.shape[0],):
+            raise ValueError("support vectors must be 2-D, with one dual coefficient each")
+        if not (np.all(np.isfinite(sv)) and np.all(np.isfinite(coef)) and np.isfinite(self.bias)):
+            raise ValueError("support vectors, dual coefficients and bias must be finite")
+        if not (0.0 < self.c < np.inf and 0.0 < self.gamma < np.inf):
+            raise ValueError("C and gamma must be finite and positive")
 
     def decision_values(self, x) -> np.ndarray:
         z = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -277,6 +288,15 @@ class MulticlassSvm:
     standardizer: Standardizer
     c: float
     gamma: float
+
+    def __post_init__(self):
+        if len(self.classes) < 2 or list(self.classes) != sorted(set(self.classes)):
+            raise ValueError("classes must be at least two, sorted and distinct")
+        if set(self.machines) != set(itertools.combinations(self.classes, 2)):
+            raise ValueError("machines must be keyed by exactly the class pairs")
+        if any(m.support_vectors.shape[1] != self.standardizer.mean.size
+               for m in self.machines.values()):
+            raise ValueError("machine width does not match the standardizer")
 
     @property
     def converged(self) -> bool:

@@ -239,10 +239,9 @@ def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, mon
 def test_extract_fatal_when_nothing_succeeds(workspace, command, tmp_path, caplog):
     root, corpus, config, _ = workspace
     manifest = root / "all_missing.csv"
-    write_manifest(manifest, [
-        ManifestRow(str(root / "nope1.wav"), "x", "s", "m"),
-        ManifestRow(str(root / "nope2.wav"), "x", "s", "m"),
-    ])
+    # four speakers, so that evaluate's fold plan is feasible and only the rows fail
+    write_manifest(manifest, [ManifestRow(str(root / ("nope%d.wav" % i)), "x", "s%d" % i, "m")
+                              for i in range(4)])
     model = tmp_path / "model.svm"
     if command == "predict":   # a model of the config's scheme, so only the rows fail
         assert main(["train", "--manifest", str(corpus), "--config", str(config),
@@ -359,6 +358,46 @@ def test_predict_scheme_mismatch(workspace):
     rc = main(["predict", "--manifest", str(manifest), "--config", str(other),
                "--model", str(model), "--out-csv", str(root / "no.csv")])
     assert rc == 2
+
+
+def test_predict_inconsistent_model_fatal(workspace, tmp_path, caplog):
+    # a machine keyed by a class the model does not list
+    from emovox import modelio
+
+    _, manifest, config, _ = workspace
+    model = tmp_path / "m.svm"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config),
+                 "--model", str(model)]) == 0
+    kind, arrays, meta = modelio.read_container(model)
+    meta["machines"][0]["b"] = "unknown"
+    modelio.write_container(model, kind, arrays, meta)
+    with caplog.at_level("ERROR", logger="emovox"):
+        rc = main(["predict", "--manifest", str(manifest), "--config", str(config),
+                   "--model", str(model), "--out-csv", str(tmp_path / "pred.csv")])
+    assert rc == 2
+    assert "class pairs" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.svm"]
+
+
+@pytest.mark.parametrize("setting, error", [
+    ("k_outer = 2\nk_inner = 2\npositive_label = nope", "positive label 'nope'"),
+    ("k_outer = 7", "needs >= 7 speakers, got 6")])
+def test_evaluate_infeasible_manifest_fatal_before_extraction(workspace, tmp_path, caplog,
+                                                             setting, error):
+    # six rows of six speakers: the manifest alone decides that evaluate must fail
+    _, _, _, rows = workspace
+    manifest = tmp_path / "six.csv"
+    write_manifest(manifest, [ManifestRow(row.path, row.label, "s%d" % i, row.gender)
+                              for i, row in enumerate(rows[:3] + rows[-3:])])
+    config = tmp_path / "exp.cfg"
+    config.write_text("scheme = phonation\n%s\ncache_dir = %s\n" % (setting, tmp_path / "cache"))
+    with caplog.at_level("ERROR", logger="emovox"):
+        rc = main(["evaluate", "--manifest", str(manifest), "--config", str(config),
+                   "--report", str(tmp_path / "report.txt"),
+                   "--metrics-csv", str(tmp_path / "metrics.csv")])
+    assert rc == 2
+    assert error in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "six.csv"]
 
 
 def make_stats_manifest(path, rng):

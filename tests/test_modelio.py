@@ -256,6 +256,61 @@ def test_svm_missing_section_error(tmp_path, rng):
         modelio.load_svm(path)
 
 
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+# Edits of a 3-class, 3-dim "svm" file, each leaving a well-formed container
+# whose model is inconsistent: (arrays, meta) -> None, in place.
+INCONSISTENT_SVM = {
+    "machine of an unknown class": lambda a, m: _set(m["machines"][0], "a", "zzz"),
+    "missing machine": lambda a, m: m["machines"].pop(),
+    "nan std": lambda a, m: _set(a, "standardizer.std", np.full(3, np.nan)),
+    "infinite mean": lambda a, m: _set(a, "standardizer.mean", np.array([0.0, np.inf, 0.0])),
+    "1-D support vectors": lambda a, m: _set(a, "machine0.support_vectors",
+                                             a["machine0.support_vectors"].ravel()),
+    "dual_coef one short": lambda a, m: _set(a, "machine0.dual_coef", a["machine0.dual_coef"][1:]),
+    "2-D dual_coef": lambda a, m: _set(a, "machine0.dual_coef",
+                                       a["machine0.dual_coef"].reshape(-1, 1)),
+    "nan dual_coef": lambda a, m: _set(a, "machine1.dual_coef",
+                                       a["machine1.dual_coef"] * np.nan),
+    "infinite support vector": lambda a, m: _set(a, "machine2.support_vectors",
+                                                 a["machine2.support_vectors"] + np.inf),
+    "nan bias": lambda a, m: _set(m["machines"][1], "bias", float("nan")),
+    "zero gamma": lambda a, m: _set(m, "gamma", 0.0),
+    "negative gamma": lambda a, m: _set(m, "gamma", -0.5),
+    "infinite c": lambda a, m: _set(m, "c", float("inf")),
+    "nan c": lambda a, m: _set(m, "c", float("nan")),
+    "one class": lambda a, m: (_set(m, "classes", ["a"]), _set(m, "machines", [])),
+    "unsorted classes": lambda a, m: _set(m, "classes", ["b", "a", "c"]),
+    "duplicate class": lambda a, m: _set(m, "classes", ["a", "b", "c", "c"]),
+    "narrow machine": lambda a, m: _set(a, "machine1.support_vectors",
+                                        a["machine1.support_vectors"][:, :2]),
+    "feature_dim off": lambda a, m: _set(m, "feature_dim", 4),
+}
+
+
+@pytest.fixture(scope="module")
+def three_class_svm(tmp_path_factory):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal((10, 3)) + off for off in (0.0, 5.0, -5.0)])
+    path = tmp_path_factory.mktemp("svm") / "m.svm"
+    modelio.save_svm(path, train_multiclass(x, ["a"] * 10 + ["b"] * 10 + ["c"] * 10, 1.0, 0.5),
+                     scheme="phonation")
+    return path
+
+
+@pytest.mark.parametrize("edit", INCONSISTENT_SVM.values(), ids=INCONSISTENT_SVM.keys())
+def test_inconsistent_svm_is_a_format_error(tmp_path, three_class_svm, edit):
+    modelio.load_svm(three_class_svm)  # the unedited file loads
+    kind, arrays, meta = modelio.read_container(three_class_svm)
+    edit(arrays, meta)
+    path = tmp_path / "bad.svm"
+    modelio.write_container(path, kind, arrays, meta)
+    with pytest.raises(ModelFormatError):
+        modelio.load_svm(path)
+
+
 @pytest.mark.parametrize("rank", [[2], {"r": 2}, None, "two"])
 def test_tv_rank_of_wrong_type_is_format_error(tmp_path, small_ubm, rank):
     path = tmp_path / "m.tv"
