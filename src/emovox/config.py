@@ -10,8 +10,9 @@ Example file::
     cache_dir = .emovox_cache
 
 Grid bounds are decimal exponents; the grid enumerates whole decades, so the
-defaults give the 8 x 10 grid of C in 10^-3..10^4 and gamma in 10^-6..10^3.  Every value is
-checked when the config is made, so a bad one fails before any extraction.
+defaults give the 8 x 10 grid of C in 10^-3..10^4 and gamma in 10^-6..10^3.
+Every value is checked when the config is made, so a bad one fails before
+any extraction.
 """
 
 from __future__ import annotations
