@@ -3,12 +3,13 @@
 Fold plans are built once (speaker-independent plans never split a speaker
 across folds, at either level) and the nested loop selects (C, gamma) on inner
 folds only, so outer-test predictions can never influence a decision.  The
-bookkeeping that proves that is stored on the report.  Each inner split
-trains and scores the whole grid at once (``svm.grid_predictions``, one
-prediction matrix of cells x validation rows, no per-cell model), all of its
-inner UARs come from that matrix together, and only the outer fit with the
-selected cell builds a model, through ``svm.train_multiclass``.  One pass of
-``svm.predict_with_margins`` gives its outer-test labels and ROC scores.
+bookkeeping that proves that is stored on the report.  The loop first plans
+every usable inner split of every outer fold, then solves and scores them all
+in one ``svm.grid_predictions`` call (a cells x validation rows prediction
+matrix per split, solved in packed runs within the solver's two caps, no
+per-cell model), and then per fold takes the inner UARs from those matrices,
+selects a cell and fits the outer model with it (``svm.train_multiclass``).
+One pass of ``svm.predict_with_margins`` gives outer-test labels and ROC scores.
 """
 
 from __future__ import annotations
@@ -385,18 +386,14 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
 
     outer = np.asarray(plan.outer)
     truth_index = np.array([classes.index(label) for label in labels])
-    folds = []
+    splits = []  # (outer fold, fit mask, fit labels, validation mask) of each usable inner split
     leakage = []
-    pooled_scores = []
-    pooled_truth = []
     for fold in range(plan.k_outer):
         test_mask = outer == fold
-        train_mask = ~test_mask
-        if not test_mask.any() or not train_mask.any():
+        if not test_mask.any() or test_mask.all():
             raise EvaluationError("outer fold %d is degenerate" % fold)
         inner_assign = np.asarray(plan.inner[fold])
         touched_ids = set()
-        uars = []  # one row of per-cell inner UARs per usable inner split
         for inner_fold in range(plan.k_inner):
             val_mask = inner_assign == inner_fold
             fit_mask = (inner_assign != -1) & (inner_assign != inner_fold)
@@ -406,11 +403,7 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             if any(fit_labels.count(cl) < 2 for cl in classes):
                 continue  # a class is missing or untrainable in this inner split
             touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
-            # every class is in the fit rows, so indices refer to ``classes``
-            guesses = grid_predictions(x[fit_mask], fit_labels, x[val_mask], cells)
-            uars.append(_inner_uars(truth_index[val_mask], guesses))
-        scores = np.mean(uars, axis=0) if uars else np.zeros(len(cells))
-        c_win, g_win = cells[int(np.argmax(scores))]  # first best: smallest C, then gamma
+            splits.append((fold, fit_mask, fit_labels, val_mask))
 
         test_ids = set(np.array(ids)[test_mask].tolist())
         overlap = touched_ids & test_ids
@@ -420,6 +413,19 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             )
         leakage.append((len(touched_ids), len(test_ids), 0))
 
+    # every class is in each split's fit rows, so indices refer to ``classes``
+    inner_guesses = grid_predictions(x, [split[1:] for split in splits], cells)
+    folds = []
+    pooled_scores = []
+    pooled_truth = []
+    for fold in range(plan.k_outer):
+        uars = [_inner_uars(truth_index[val], guesses)
+                for (f, _fit, _labels, val), guesses in zip(splits, inner_guesses) if f == fold]
+        scores = np.mean(uars, axis=0) if uars else np.zeros(len(cells))
+        c_win, g_win = cells[int(np.argmax(scores))]  # first best: smallest C, then gamma
+
+        test_mask = outer == fold
+        train_mask = ~test_mask
         model = train_multiclass(x[train_mask], labels[train_mask].tolist(), c_win, g_win)
         guesses, margins = predict_with_margins(model, x[test_mask])
         confusion = _confusion(classes, labels[test_mask].tolist(), guesses)

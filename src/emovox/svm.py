@@ -5,15 +5,14 @@ maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
 packed: one loop advances many independent duals of different sizes, each
 with its own labels, kernel, box bound C and pass limit, padded at the end
 to a common length, and takes for each exactly the steps a lone solve
-would.  All class pairs of a one-vs-one fit go into one packed solve (more
-only if their stacked kernels would pass ``_PACK_FLOATS``): one cell for
-``train_multiclass``, every (C, gamma) cell of a grid for
-``grid_predictions``, which scores held-out rows with all cells at once and
-builds no per-cell model.  ``train_binary_smo`` is the one-problem case.
-Multi-class classification is one-vs-one with majority voting; ties fall
-back to summed decision margins and finally to lexicographic class order,
-one tally rule for a model and for a grid.  Feature standardization is
-fitted on training data only and travels with the model.
+would.  ``_solve_pairs`` plans a stream of class pairs, each with one dual
+per (C, gamma) cell, into runs of such solves within two caps: problems x
+n_max (``_PACK_CELLS``) and stacked kernel floats (``_PACK_FLOATS``).  The
+stream is one pair set, one cell, for ``train_multiclass``, and every inner
+split's pairs and cells for ``grid_predictions``, which scores held-out rows
+with all cells at once and builds no per-cell model.  Multi-class is
+one-vs-one with majority voting; ties fall back to summed decision margins,
+then lexicographic class order.  Standardization is fitted on training data.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ STD_FLOOR = 1e-8
 SMO_TOL = 1e-3
 _BOUND_EPS = 1e-12
 _PACK_FLOATS = 2 ** 21  # floats of stacked kernels one packed solve holds (16 MB)
+_PACK_CELLS = 2 ** 14   # problems x n_max of one packed solve's working arrays
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,14 @@ class BinarySvm:
         return k @ self.dual_coef + self.bias
 
 
+def _masked(a, viol, top, eps, pos):
+    """``viol`` masked to the up set (else -inf) and to the low set (else +inf)."""
+    below_c = a < top
+    above_0 = a > eps
+    return (np.where(np.where(pos, below_c, above_0), viol, -np.inf),
+            np.where(np.where(pos, above_0, below_c), viol, np.inf))
+
+
 def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     """Maximal-violating-pair SMO on many independent duals in one loop.
 
@@ -129,6 +137,10 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     in the same floating-point order.  A row stops when it has no violating
     pair or a gap of at most ``tol``, and is unconverged if still running
     after its pass limit.  Returns the clipped alphas and converged flags.
+
+    The violation -y * gradient and its masked copies persist, updated from
+    the two changed kernel columns as in LIBSVM (Chang & Lin, 2011), and only
+    the moved entries are re-masked: the bits of recomputing them each pass.
     """
     c = np.asarray(c, dtype=np.float64)
     cells, n = y.shape
@@ -138,25 +150,20 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     # Working arrays hold only the rows still iterating.
     rows = np.arange(cells)
     a = np.zeros((cells, n))
-    grad = np.full((cells, n), -1.0)  # gradient of the dual objective being minimized
     box = c
-    eps = _BOUND_EPS * (1.0 + c[:, None])
-    top = np.where(y != 0.0, c[:, None] - eps, 0.0)  # a padded alpha is never below it
-    pos = y > 0
-    neg_y = -y
+    eps = _BOUND_EPS * (1.0 + c)
+    top = c - eps
+    viol = y.copy()  # -y * gradient, the gradient starting at -1
+    # a padded alpha is never below its top, so padding is in neither set
+    vu, vl = _masked(a, viol, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
     kid = np.asarray(kernel_index)
     r = np.arange(cells)
     for t in range(int(limit.max(initial=0))):
-        below_c = a < top
-        above_0 = a > eps
-        up = np.where(pos, below_c, above_0)
-        low = np.where(pos, above_0, below_c)
-        viol = neg_y * grad
-        i = np.where(up, viol, -np.inf).argmax(axis=1)
-        j = np.where(low, viol, np.inf).argmin(axis=1)
-        gap = viol[r, i] - viol[r, j]
+        i = vu.argmax(axis=1)
+        j = vl.argmin(axis=1)
+        gap = vu[r, i] - vl[r, j]  # -inf when the up or the low set is empty
         expired = limit <= t
-        done = ~expired & (~(up.any(axis=1) & low.any(axis=1)) | (gap <= tol))
+        done = ~expired & (gap <= tol)
         stop = done | expired
         if stop.any():
             alpha[rows[stop]] = a[stop]
@@ -164,8 +171,8 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
             keep = ~stop
             if not keep.any():
                 break
-            rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit = (
-                v[keep] for v in (rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit))
+            rows, a, viol, vu, vl, box, eps, top, y, kid, limit = (
+                v[keep] for v in (rows, a, viol, vu, vl, box, eps, top, y, kid, limit))
             i, j, gap = i[keep], j[keep], gap[keep]
             r = np.arange(rows.size)
         col_i = kernels_t[kid, i]
@@ -185,46 +192,72 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
         step = np.where(0.0 > step, 0.0, step)
         a[r, i] += yi * step
         a[r, j] -= yj * step
-        grad += (step[:, None] * y) * (col_i - col_j)
+        delta = np.subtract(col_i, col_j, out=col_i)
+        delta *= step[:, None]
+        viol -= delta
+        vu -= delta
+        vl -= delta
+        rr, ij = r[:, None], np.stack((i, j), axis=1)
+        vu[rr, ij], vl[rr, ij] = _masked(a[rr, ij], viol[rr, ij], top[:, None], eps[:, None],
+                                         y[rr, ij] > 0)
     else:
         alpha[rows] = a
     return np.clip(alpha, 0.0, c[:, None]), converged
 
 
 def _solve_pairs(pairs, cells, tol):
-    """Solve every (c, gamma) cell of every class pair (pass limit 10 * n),
-    one ``_smo_batch`` call per run of as many pairs as keep their stacked
-    kernels, gammas x n_max**2 floats each at the largest pair's n, within
-    ``_PACK_FLOATS``.  Yields (pair, z, yv, {gamma: kernel}, alphas (cells,
-    n), converged (cells,)) per pair in order, with a lone solve's bits.
+    """Solve every (c, gamma) cell of every class pair, pass limit 10 * n.
+
+    ``pairs`` yields tuples that start with a pair's squared distances
+    between its rows and its +1/-1 labels.  Their problems, pair by pair and
+    cell by cell, go to ``_smo_batch`` in runs that keep problems x n_max
+    within ``_PACK_CELLS`` and the stacked kernels, pairs x gammas x n_max**2
+    floats, within ``_PACK_FLOATS``; a run's first pair ignores the kernel
+    cap and gives it at least one problem.  Yields
+    (pair tuple, alphas (cells, n), converged (cells,)) per pair in order,
+    once all its cells are solved, with a lone solve's bits.
     """
     if any(c <= 0 or g <= 0 for c, g in cells):
         raise TrainingError("C and gamma must be positive")
     gammas = list(dict.fromkeys(g for _c, g in cells))
-    kernel_index = np.array([gammas.index(g) for _c, g in cells])
+    cell_kernel = np.array([gammas.index(g) for _c, g in cells], dtype=np.intp)
     c_values = np.array([c for c, _g in cells])
     n_cells, n_kernels = len(cells), len(gammas)
-    per_run = max(1, _PACK_FLOATS // (n_kernels * max(yv.size for *_, yv in pairs) ** 2))
-    for start in range(0, len(pairs), per_run):
-        run = pairs[start:start + per_run]
-        sizes = np.array([yv.size for *_, yv in run])
-        n_max = sizes.max()
-        stacked = np.zeros((len(run), n_kernels, n_max, n_max))
-        y = np.zeros((len(run), n_cells, n_max))
-        kernels = []
-        for p, (_pair, z, yv) in enumerate(run):
-            sq = _sq_distances(z, z)
-            kernels.append({g: np.exp(-g * sq) for g in gammas})
-            for gi, k in enumerate(kernels[p].values()):
-                stacked[p, gi, :yv.size, :yv.size] = k.T
-            y[p, :, :yv.size] = yv
-        alpha, converged = _smo_batch(
-            stacked.reshape(-1, n_max, n_max),
-            (np.arange(len(run))[:, None] * n_kernels + kernel_index).ravel(),
-            y.reshape(-1, n_max), np.tile(c_values, len(run)), tol, np.repeat(10 * sizes, n_cells))
-        for p, (pair, z, yv) in enumerate(run):
-            rows = slice(p * n_cells, (p + 1) * n_cells)
-            yield pair, z, yv, kernels[p], alpha[rows, :yv.size], converged[rows]
+
+    def solve(chunks, n_max):
+        stacked = np.zeros((len(chunks) * n_kernels, n_max, n_max))
+        labels = np.zeros((len(chunks), n_max))
+        for k, (((sq, yv, *_), _alpha, _ok), lo, hi) in enumerate(chunks):
+            labels[k, :yv.size] = yv
+            for gi in np.unique(cell_kernel[lo:hi]):
+                stacked[k * n_kernels + gi, :yv.size, :yv.size] = np.exp(-gammas[gi] * sq).T
+        slot = np.repeat(np.arange(len(chunks)), [hi - lo for _res, lo, hi in chunks])
+        cell = np.concatenate([np.arange(lo, hi) for _res, lo, hi in chunks])
+        alpha, converged = _smo_batch(stacked, slot * n_kernels + cell_kernel[cell], labels[slot],
+                                      c_values[cell], tol, 10 * np.count_nonzero(labels, 1)[slot])
+        for k, ((_pair, out_alpha, out_ok), lo, hi) in enumerate(chunks):
+            out_alpha[lo:hi] = alpha[slot == k, :out_alpha.shape[1]]
+            out_ok[lo:hi] = converged[slot == k]
+
+    chunks, ready, count, n_max = [], [], 0, 0
+    for pair in pairs:
+        result = (pair, np.zeros((n_cells, pair[1].size)), np.zeros(n_cells, dtype=bool))
+        start = 0
+        while start < n_cells:
+            m = max(n_max, pair[1].size)
+            take = max(1, min(_PACK_CELLS // m - count, n_cells - start))
+            if chunks and (count + take > _PACK_CELLS // m
+                           or (len(chunks) + 1) * n_kernels * m * m > _PACK_FLOATS):
+                solve(chunks, n_max)
+                yield from ready
+                chunks, ready, count, n_max = [], [], 0, 0
+            else:
+                chunks.append((result, start, start + take))
+                count, n_max, start = count + take, m, start + take
+        ready.append(result)
+    if chunks:
+        solve(chunks, n_max)
+    yield from ready
 
 
 def _binary_svm(xm, k, yv, alpha, c, gamma, converged) -> BinarySvm:
@@ -235,14 +268,10 @@ def _binary_svm(xm, k, yv, alpha, c, gamma, converged) -> BinarySvm:
     free = (alpha > eps) & (alpha < c - eps)
     if free.any():
         bias = float(u[free].mean())
-    else:
-        below_c = alpha < c - eps
-        above_0 = alpha > eps
-        up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
-        low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
-        hi = u[up].max() if up.any() else 0.0
-        lo = u[low].min() if low.any() else 0.0
-        bias = 0.5 * float(hi + lo)
+    else:  # the midpoint of the up and low bounds, 0 standing in for an empty set
+        vu, vl = _masked(alpha, u, c - eps, eps, yv > 0)
+        hi, lo = vu.max(), vl.min()
+        bias = 0.5 * float((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0))
 
     kept = alpha > 0.0
     model_alpha = alpha.copy()
@@ -303,23 +332,27 @@ class MulticlassSvm:
         return all(m.converged for m in self.machines.values())
 
 
-def _one_vs_one(x, labels):
-    """Validated classes, the fitted standardizer, and one entry per class pair.
-
-    Each entry is ((a, b), standardized rows of a and b, labels +1 for a and
-    -1 for b).
-    """
-    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
+def trainable_classes(labels) -> list:
+    """Sorted classes of ``labels``, at least two of at least two rows each."""
     lab = list(labels)
-    if len(lab) != xm.shape[0]:
-        raise TrainingError("label count does not match sample count")
     classes = sorted(set(lab))
     if len(classes) < 2:
         raise TrainingError("need at least 2 classes, got %d" % len(classes))
     for cl in classes:
         if lab.count(cl) < 2:
             raise TrainingError("class %r has %d sample(s); need at least 2" % (cl, lab.count(cl)))
+    return classes
 
+
+def _one_vs_one(x, labels):
+    """Validated classes, the fitted standardizer, and per class pair (a, b) the
+    squared distances between its standardized rows, labels +1 for a and -1
+    for b, (a, b) and those rows."""
+    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    lab = list(labels)
+    if len(lab) != xm.shape[0]:
+        raise TrainingError("label count does not match sample count")
+    classes = trainable_classes(lab)
     scaler = fit_standardizer(xm)
     z = scaler.transform(xm)
     lab_arr = np.array(lab, dtype=object)
@@ -327,7 +360,8 @@ def _one_vs_one(x, labels):
     pairs = []
     for a, b in itertools.combinations(classes, 2):
         mask = (lab_arr == a) | (lab_arr == b)
-        pairs.append(((a, b), z[mask], np.where(lab_arr[mask] == a, 1.0, -1.0)))
+        zp = z[mask]
+        pairs.append((_sq_distances(zp, zp), np.where(lab_arr[mask] == a, 1.0, -1.0), (a, b), zp))
     return tuple(classes), scaler, pairs
 
 
@@ -341,8 +375,8 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
     """
     classes, scaler, pairs = _one_vs_one(x, labels)
     c, gamma = float(c), float(gamma)
-    machines = {pair: _binary_svm(z, kernels[gamma], yv, alpha[0], c, gamma, ok[0])
-                for pair, z, yv, kernels, alpha, ok in _solve_pairs(pairs, [(c, gamma)], tol)}
+    machines = {pair: _binary_svm(z, np.exp(-gamma * sq), yv, alpha[0], c, gamma, ok[0])
+                for (sq, yv, pair, z), alpha, ok in _solve_pairs(pairs, [(c, gamma)], tol)}
     return MulticlassSvm(classes, machines, scaler, c, gamma)
 
 
@@ -364,68 +398,63 @@ def _grid_biases(alpha, fvals, yv, c):
     c = c[:, None]
     eps = _BOUND_EPS * (1.0 + c)
     u = yv - fvals
-    below_c = alpha < c - eps
-    above_0 = alpha > eps
-    free = above_0 & below_c
+    free = (alpha > eps) & (alpha < c - eps)
     n_free = free.sum(axis=1)
     free_mean = np.where(free, u, 0.0).sum(axis=1) / np.maximum(n_free, 1)
-    pos = yv > 0
-    up = np.where(pos, below_c, above_0)
-    low = np.where(pos, above_0, below_c)
-    hi = np.where(up.any(axis=1), np.where(up, u, -np.inf).max(axis=1), 0.0)
-    lo = np.where(low.any(axis=1), np.where(low, u, np.inf).min(axis=1), 0.0)
-    return np.where(n_free > 0, free_mean, 0.5 * (hi + lo))
+    vu, vl = _masked(alpha, u, c - eps, eps, yv > 0)
+    hi, lo = vu.max(axis=1), vl.min(axis=1)
+    mid = 0.5 * (np.where(hi > -np.inf, hi, 0.0) + np.where(lo < np.inf, lo, 0.0))
+    return np.where(n_free > 0, free_mean, mid)
 
 
-def _grid_machines(x, labels, x_val, cells, tol):
-    """Train every (c, gamma) cell on ``x`` and score ``x_val`` with it.
+def _split_pairs(x, splits):
+    """Each split, standardized on its fit rows, reduced at once to per pair (fit
+    x fit squared distances, labels, split index, classes, pair, val x fit ones)."""
+    for s, (fit, labels, val) in enumerate(splits):
+        classes, scaler, pairs = _one_vs_one(x[fit], labels)
+        z_val = scaler.transform(x[val])
+        for sq, yv, pair, z in pairs:
+            yield sq, yv, s, classes, pair, _sq_distances(z_val, z)
 
-    Per cell this is ``train_multiclass(x, labels, c, gamma, tol)`` followed
-    by ``decision_values`` of each pair machine: the alphas and converged
-    flags are the same bits; biases and decision values agree to rounding,
-    since their sums run in another order.  One standardizer, one packed
-    solve (``_solve_pairs``), and per pair one validation distance matrix
-    and one product per gamma for all cells' decision values.  Returns the
-    classes and one ``_PairGrid`` per pair in ``train_multiclass`` order.
-    """
+
+def _grid_machines(x, splits, cells, tol):
+    """Per (fit rows, fit labels, validation rows) split of ``x``, its classes
+    and a ``_PairGrid`` per pair: ``train_multiclass(x[fit], labels, c,
+    gamma, tol)`` and its pair machines' ``decision_values`` on ``x[val]`` for
+    every cell, with the same alphas and converged flags and biases and
+    decision values equal to rounding.  All splits' problems stream through
+    ``_solve_pairs``; one product per pair and gamma scores all cells."""
     cells = [(float(c), float(g)) for c, g in cells]
-    classes, scaler, pairs = _one_vs_one(x, labels)
-    if not cells:
-        return classes, []
-    z_val = scaler.transform(x_val)
-    c_values, cell_gammas = np.array(cells).T
-
-    machines = []
-    for pair, z, yv, kernels, alpha, converged in _solve_pairs(pairs, cells, tol):
-        sq_val = _sq_distances(z_val, z)
-        coef = alpha * yv
-        fvals = np.empty_like(coef)
-        decision = np.empty((len(cells), z_val.shape[0]))
-        for g, k in kernels.items():
-            sel = cell_gammas == g
-            fvals[sel] = coef[sel] @ k
-            decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
-        bias = _grid_biases(alpha, fvals, yv, c_values)
-        machines.append(_PairGrid(pair, alpha, converged, bias, decision + bias[:, None]))
-    return classes, machines
+    c_values, cell_gammas = np.array(cells).reshape(-1, 2).T
+    solved = _solve_pairs(_split_pairs(np.asarray(x, dtype=np.float64), splits), cells, tol)
+    for _s, split in itertools.groupby(solved, key=lambda res: res[0][2]):
+        machines = []
+        for (sq, yv, _s, classes, pair, sq_val), alpha, converged in split:
+            coef = alpha * yv
+            fvals = np.empty_like(coef)
+            decision = np.empty((len(cells), sq_val.shape[0]))
+            for g in dict.fromkeys(cell_gammas):
+                sel = cell_gammas == g
+                fvals[sel] = coef[sel] @ np.exp(-g * sq)
+                decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
+            bias = _grid_biases(alpha, fvals, yv, c_values)
+            machines.append(_PairGrid(pair, alpha, converged, bias, decision + bias[:, None]))
+        yield classes, machines
 
 
-def grid_predictions(x, labels, x_val, cells: Sequence[Tuple[float, float]],
-                     tol: float = SMO_TOL) -> np.ndarray:
-    """Predicted class of every ``x_val`` row under every (c, gamma) cell.
-
-    Returns an int array (cells, validation rows) of indices into
-    ``sorted(set(labels))``; row r is ``predict`` of
-    ``train_multiclass(x, labels, *cells[r], tol)`` on ``x_val``, except
-    where that vote hangs on a pair decision value that is zero to rounding
-    (duplicate rows with different labels, a dimension constant in ``x``,
-    a gamma so large that no kernel value survives), whose sign may differ.
-    Votes and margins of all cells are summed as one array and ``_winners``
-    picks each row's class.
-    """
-    classes, machines = _grid_machines(x, labels, x_val, cells, tol)
-    shape = (len(cells), len(np.atleast_2d(x_val)))
-    return _winners(*_tally(classes, shape, ((m.pair, m.decision) for m in machines)))
+def grid_predictions(x, splits, cells: Sequence[Tuple[float, float]],
+                     tol: float = SMO_TOL) -> list:
+    """Per (fit rows, fit labels, validation rows) split of ``x``, an int
+    array (cells, validation rows) of indices into ``sorted(set(labels))``:
+    row r is ``predict`` of ``train_multiclass(x[fit], labels, *cells[r],
+    tol)`` on ``x[val]``, except where that vote hangs on a pair decision
+    value that is zero to rounding (duplicate rows of different labels, a
+    dimension constant in the fit rows, a gamma that no kernel value
+    survives), whose sign may differ.  ``_winners`` picks from all cells'
+    summed votes and margins at once."""
+    return [_winners(*_tally(classes, machines[0].decision.shape,
+                             ((m.pair, m.decision) for m in machines)))
+            for classes, machines in _grid_machines(x, splits, cells, tol)]
 
 
 def _tally(classes, shape, decisions):

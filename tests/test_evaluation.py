@@ -287,7 +287,8 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     report = nested_cv(samples, feats, plan, cells)
     assert [(f.c, f.gamma) for f in report.folds] == per_cell_selection(
         samples, feats, plan, cells)
-    monkeypatch.setattr(evaluation, "grid_predictions", oracle_grid_predictions)
+    monkeypatch.setattr(evaluation, "grid_predictions", lambda x, splits, cells: [
+        oracle_grid_predictions(x[fit], labels, x[val], cells) for fit, labels, val in splits])
     oracle = nested_cv(samples, feats, plan, cells)
     assert format_report(report) == format_report(oracle)
     assert fold_metrics_csv(report) == fold_metrics_csv(oracle)
@@ -297,30 +298,34 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     assert len({(f.c, f.gamma) for f in report.folds}) > 1
 
 
-def test_nested_cv_makes_one_solve_per_inner_split_and_outer_fold(monkeypatch):
-    # all six class pairs of a 4-class split share one packed SMO call
+def test_nested_cv_packs_inner_splits_then_one_solve_per_outer_fold(monkeypatch):
+    # the problems of every usable inner split of every outer fold share
+    # packed SMO calls within the working-array cap; then each outer fit
+    # solves its six class pairs in one call
     from emovox import svm
 
     calls = []
     solve = svm._smo_batch
-    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(len(a[2])) or solve(*a))
+    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[2].shape) or solve(*a))
     rng = np.random.default_rng(31)
     samples, feats = blob_dataset(rng, class_names=("angry", "happy", "neutral", "sad"),
                                   n_per=8, sep=2.0, sigma=1.0, n_speakers=8)
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=1)
     nested_cv(samples, feats, plan, SMALL_GRID)
     labels = np.array([s.label for s in samples], dtype=object)
-    want = []
+    usable = 0
     for fold in range(plan.k_outer):
         inner = np.asarray(plan.inner[fold])
         for inner_fold in range(plan.k_inner):
             val, fit = inner == inner_fold, (inner != -1) & (inner != inner_fold)
             fit_labels = labels[fit].tolist()
-            if val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)):
-                want.append(6 * len(SMALL_GRID))
-        want.append(6)
-    assert len(want) > 2 * plan.k_outer
-    assert calls == want
+            usable += bool(val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)))
+    assert usable > 2 * plan.k_outer
+    inner_calls, outer_calls = calls[:-plan.k_outer], calls[-plan.k_outer:]
+    assert sum(problems for problems, _n_max in inner_calls) == 6 * len(SMALL_GRID) * usable
+    assert all(problems * n_max <= svm._PACK_CELLS for problems, n_max in inner_calls)
+    assert len(inner_calls) < usable
+    assert [problems for problems, _n_max in outer_calls] == [6] * plan.k_outer
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])

@@ -187,9 +187,29 @@ def train_grid(x, labels, cells, tol=SMO_TOL):
     solved = list(_solve_pairs(pairs, cells, tol))
     for cell, (c, g) in enumerate(cells):
         yield MulticlassSvm(classes, {
-            pair: _binary_svm(z, kernels[g], yv, alpha[cell], c, g, converged[cell])
-            for pair, z, yv, kernels, alpha, converged in solved
+            pair: _binary_svm(z, np.exp(-g * sq), yv, alpha[cell], c, g, converged[cell])
+            for (sq, yv, pair, z), alpha, converged in solved
         }, scaler, c, g)
+
+
+def one_split(x, labels, x_val):
+    """``x`` and ``x_val`` stacked as one matrix, and the one split that fits
+    on the rows of ``x`` and validates on those of ``x_val``."""
+    n = len(x)
+    return np.vstack([x, x_val]), [(np.arange(n), list(labels), np.arange(n, n + len(x_val)))]
+
+
+def grid_machines(x, labels, x_val, cells, tol=SMO_TOL):
+    """Classes and pair grids of ``_grid_machines`` on one split."""
+    (classes, machines), = _grid_machines(*one_split(x, labels, x_val), cells, tol)
+    return classes, machines
+
+
+def split_predictions(x, labels, x_val, cells, tol=SMO_TOL):
+    """``grid_predictions`` of one split."""
+    matrix, splits = one_split(x, labels, x_val)
+    guesses, = grid_predictions(matrix, splits, cells, tol)
+    return guesses
 
 
 def oracle_grid_predictions(x, labels, x_val, cells, tol=SMO_TOL):
@@ -208,7 +228,7 @@ def assert_close(got, want):
 def assert_grid_matches_scalar(x, labels, x_val, cells, tol=SMO_TOL):
     """Alphas and converged flags bit for bit, biases and validation decision
     values to 1e-9 relative, against a ``scalar_multiclass`` per cell."""
-    classes, machines = _grid_machines(x, labels, x_val, cells, tol)
+    classes, machines = grid_machines(x, labels, x_val, cells, tol)
     assert classes == tuple(sorted(set(labels)))
     for cell, (c, g) in enumerate(cells):
         ref = scalar_multiclass(x, labels, c, g, tol=tol)
@@ -428,34 +448,113 @@ def packed_problems(seed, count=24):
     return problems
 
 
-def solve_packed(problems, tol=SMO_TOL):
-    """One ``_smo_batch`` call over ``problems`` padded to the longest n."""
+def loop_smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
+    """``_smo_batch`` as it was before it kept its selection arrays between
+    passes: every pass rebuilds the up and low masks, the violation -y *
+    gradient and both masked copies from the alphas and the gradient.  The
+    packed solver must give its alphas and converged flags bit for bit."""
+    c = np.asarray(c, dtype=np.float64)
+    cells, n = y.shape
+    limit = np.asarray(max_passes)
+    alpha = np.zeros((cells, n))
+    converged = np.zeros(cells, dtype=bool)
+    rows = np.arange(cells)
+    a = np.zeros((cells, n))
+    grad = np.full((cells, n), -1.0)
+    box = c
+    eps = _BOUND_EPS * (1.0 + c[:, None])
+    top = np.where(y != 0.0, c[:, None] - eps, 0.0)
+    pos = y > 0
+    neg_y = -y
+    kid = np.asarray(kernel_index)
+    r = np.arange(cells)
+    for t in range(int(limit.max(initial=0))):
+        below_c = a < top
+        above_0 = a > eps
+        up = np.where(pos, below_c, above_0)
+        low = np.where(pos, above_0, below_c)
+        viol = neg_y * grad
+        i = np.where(up, viol, -np.inf).argmax(axis=1)
+        j = np.where(low, viol, np.inf).argmin(axis=1)
+        gap = viol[r, i] - viol[r, j]
+        expired = limit <= t
+        done = ~expired & (~(up.any(axis=1) & low.any(axis=1)) | (gap <= tol))
+        stop = done | expired
+        if stop.any():
+            alpha[rows[stop]] = a[stop]
+            converged[rows[done]] = True
+            keep = ~stop
+            if not keep.any():
+                break
+            rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit = (
+                v[keep] for v in (rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit))
+            i, j, gap = i[keep], j[keep], gap[keep]
+            r = np.arange(rows.size)
+        col_i = kernels_t[kid, i]
+        col_j = kernels_t[kid, j]
+        curv = col_i[r, i] + col_j[r, j] - 2.0 * col_j[r, i]
+        curv = np.where(1e-12 > curv, 1e-12, curv)
+        step = gap / curv
+        yi = y[r, i]
+        yj = y[r, j]
+        ai = a[r, i]
+        aj = a[r, j]
+        room = np.where(yi > 0, box - ai, ai)
+        step = np.where(room < step, room, step)
+        room = np.where(yj > 0, aj, box - aj)
+        step = np.where(room < step, room, step)
+        step = np.where(0.0 > step, 0.0, step)
+        a[r, i] += yi * step
+        a[r, j] -= yj * step
+        grad += (step[:, None] * y) * (col_i - col_j)
+    else:
+        alpha[rows] = a
+    return np.clip(alpha, 0.0, c[:, None]), converged
+
+
+def solve_packed(problems, tol=SMO_TOL, solver=_smo_batch):
+    """One ``solver`` call over ``problems`` padded to the longest n."""
     n_max = max(len(y) for _x, y, *_rest in problems)
     kernels = np.zeros((len(problems) // 2, n_max, n_max))
     y_pad = np.zeros((len(problems), n_max))
     for p, (x, y, _c, gamma, _limit) in enumerate(problems):
         kernels[p // 2, :len(y), :len(y)] = _kernel_matrix(x, x, gamma).T
         y_pad[p, :len(y)] = y
-    return _smo_batch(kernels, np.arange(len(problems)) // 2, y_pad,
-                      [p[2] for p in problems], tol, [p[4] for p in problems])
+    return solver(kernels, np.arange(len(problems)) // 2, y_pad,
+                  [p[2] for p in problems], tol, [p[4] for p in problems])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_smo_matches_lone_scalar_solves(seed):
     problems = packed_problems(seed)
-    alpha, converged = solve_packed(problems)
-    assert alpha.shape[0] == converged.shape[0] == len(problems)
-    assert converged.any() and not converged.all()
-    for p, (x, y, c, gamma, limit) in enumerate(problems):
-        want = scalar_smo(x, y, c, gamma, max_passes=limit)
-        assert alpha[p, :len(y)].tobytes() == want.alphas.tobytes(), p
-        assert bool(converged[p]) is want.converged, p
-        assert alpha[p, len(y):].tobytes() == bytes(8 * (alpha.shape[1] - len(y)))
+    assert {p[4] for p in problems} & {0, 1, 2, 3}  # some rows expire after a few passes
+    for tol in (SMO_TOL, 1e-9):
+        alpha, converged = solve_packed(problems, tol)
+        assert alpha.shape[0] == converged.shape[0] == len(problems)
+        assert converged.any() and not converged.all()
+        loop_alpha, loop_converged = solve_packed(problems, tol, loop_smo_batch)
+        assert alpha.tobytes() == loop_alpha.tobytes()
+        assert converged.tobytes() == loop_converged.tobytes()
+        for p, (x, y, c, gamma, limit) in enumerate(problems):
+            want = scalar_smo(x, y, c, gamma, tol=tol, max_passes=limit)
+            assert alpha[p, :len(y)].tobytes() == want.alphas.tobytes(), p
+            assert bool(converged[p]) is want.converged, p
+            assert alpha[p, len(y):].tobytes() == bytes(8 * (alpha.shape[1] - len(y)))
 
 
 def pair_bits(machines):
     return [(m.pair, m.alphas.tobytes(), m.converged.tobytes(), m.bias.tobytes(),
              m.decision.tobytes()) for m in machines]
+
+
+def count_solves(monkeypatch):
+    """Record the (problems, n_max) shape of every ``_smo_batch`` call."""
+    from emovox import svm
+
+    calls = []
+    solve = svm._smo_batch
+    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[2].shape) or solve(*a))
+    return calls
 
 
 def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
@@ -465,23 +564,68 @@ def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
     labels = [name for name, count in zip("abcd", (9, 5, 13, 7)) for _ in range(count)]
     x = r.standard_normal((len(labels), 5)) + np.array(
         ["abcd".index(label) for label in labels])[:, None]
-    calls = []
-    solve = svm._smo_batch
-    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[2].shape) or solve(*a))
-    whole = _grid_machines(x, labels, x[::3], GRID_CELLS, SMO_TOL)
+    calls = count_solves(monkeypatch)
+    whole = grid_machines(x, labels, x[::3], GRID_CELLS)
     model = train_multiclass(x, labels, 10.0, 0.1)
     assert calls == [(6 * len(GRID_CELLS), 22), (6, 22)]
-    # pairs of 14, 22, 16, 18, 12 and 20 rows and 4 gammas: 3 x 4 x 22**2
-    # stacked kernel floats pass this cap, 2 x 4 x 22**2 do not
+    # pairs of 14, 22, 16, 18, 12 and 20 rows and 4 gammas: a run takes pairs
+    # while (pairs x 4) kernels of its largest n squared stay within the cap
     monkeypatch.setattr(svm, "_PACK_FLOATS", 3 * 4 * 22 ** 2 - 1)
     calls.clear()
-    split = _grid_machines(x, labels, x[::3], GRID_CELLS, SMO_TOL)
-    assert calls == [(2 * len(GRID_CELLS), n_max) for n_max in (22, 18, 20)]
+    split = grid_machines(x, labels, x[::3], GRID_CELLS)
+    assert calls == [(2 * len(GRID_CELLS), 22), (3 * len(GRID_CELLS), 18), (len(GRID_CELLS), 20)]
+    assert pair_bits(split[1]) == pair_bits(whole[1])
+    # problems x n_max within 40 x 22: 16 + 16 + 8 problems at n_max 22, then
+    # the third pair's other 8, the next two pairs and 4 of the last at 20
+    monkeypatch.setattr(svm, "_PACK_FLOATS", 2 ** 21)
+    monkeypatch.setattr(svm, "_PACK_CELLS", 40 * 22)
+    calls.clear()
+    split = grid_machines(x, labels, x[::3], GRID_CELLS)
+    assert calls == [(40, 22), (44, 20), (12, 20)]
+    assert all(problems * n_max <= 40 * 22 for problems, n_max in calls)
     assert pair_bits(split[1]) == pair_bits(whole[1])
     monkeypatch.setattr(svm, "_PACK_FLOATS", 1)
     calls.clear()
     assert_same_ensemble(train_multiclass(x, labels, 10.0, 0.1), model)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_many_splits_match_one_call_per_split(cap, monkeypatch):
+    # splits of different sizes and class counts, some validating on rows of
+    # one class only: packing them into shared solves changes no bit
+    from emovox import svm
+
+    r = np.random.default_rng(17)
+    names = np.array(list("abc"))
+    labels = names[np.arange(60) % 3]
+    x = r.standard_normal((60, 4)) + 0.7 * (np.arange(60) % 3)[:, None]
+    splits = []
+    for fit_count, val_count, classes in ((40, 12, "abc"), (13, 7, "ab"), (28, 5, "abc"),
+                                          (9, 20, "bc")):
+        rows = r.permutation(np.flatnonzero(np.isin(labels, list(classes))))
+        fit, val = np.sort(rows[:fit_count]), rows[fit_count:fit_count + val_count]
+        splits.append((fit, labels[fit].tolist(), val))
+    splits[2] = (splits[2][0], splits[2][1], splits[2][2][labels[splits[2][2]] == "a"])
+    cells = [(c, g) for c in (1e-2, 1.0, 1e3) for g in (1e-2, 0.3, 3.0)]
+    one_by_one = [list(_grid_machines(x, [split], cells, SMO_TOL))[0] for split in splits]
+    alone = [guesses for split in splits for guesses in grid_predictions(x, [split], cells)]
+    calls = count_solves(monkeypatch)
+    if cap:
+        monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
+        monkeypatch.setattr(svm, "_PACK_CELLS", cap)
+    packed = list(_grid_machines(x, splits, cells, SMO_TOL))
+    problems = sum(len(cells) * len(machines) for _classes, machines in packed)
+    assert sum(n for n, _n_max in calls) == problems == len(cells) * (3 + 1 + 3 + 1)
+    assert len(calls) == (problems if cap else 1)
+    assert [classes for classes, _machines in packed] == [tuple("abc"), ("a", "b"),
+                                                          tuple("abc"), ("b", "c")]
+    for (classes, machines), (want_classes, want) in zip(packed, one_by_one):
+        assert classes == want_classes
+        assert pair_bits(machines) == pair_bits(want)
+    together = grid_predictions(x, splits, cells)
+    assert [g.shape for g in together] == [(len(cells), len(val)) for _f, _l, val in splits]
+    assert [g.tobytes() for g in together] == [g.tobytes() for g in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +643,7 @@ def test_grid_matches_scalar_oracle(n_classes):
             [names.index(label) for label in labels])[:, None]
         x_val = r.standard_normal((int(r.integers(1, 9)), 4)) * 1.5
         assert_grid_matches_scalar(x, labels, x_val, GRID_CELLS)
-        guesses = grid_predictions(x, labels, x_val, GRID_CELLS)
+        guesses = split_predictions(x, labels, x_val, GRID_CELLS)
         assert guesses.shape == (len(GRID_CELLS), len(x_val))
         for (c, g), row in zip(GRID_CELLS, guesses):
             model = train_multiclass(x, labels, c, g)
@@ -511,11 +655,11 @@ def test_grid_unconverged_cells_match_scalar_oracle():
     rng = np.random.default_rng(3)
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.0, 1.0)}, 20, sigma=1.0)
     cells = [(c, g) for c in (1.0, 1e3, 1e4) for g in (1.0, 30.0)]
-    _classes, machines = _grid_machines(x, labels, x[:5], cells, 1e-9)
+    _classes, machines = grid_machines(x, labels, x[:5], cells, 1e-9)
     converged = machines[0].converged
     assert not converged.all() and converged.any()
     assert_grid_matches_scalar(x, labels, x[:5], cells, tol=1e-9)
-    assert np.array_equal(grid_predictions(x, labels, x[:5], cells, tol=1e-9),
+    assert np.array_equal(split_predictions(x, labels, x[:5], cells, tol=1e-9),
                           oracle_grid_predictions(x, labels, x[:5], cells, tol=1e-9))
 
 
@@ -556,7 +700,7 @@ def test_grid_predictions_match_per_cell_oracle_random():
             x_val[0] = x[0]
         if seed % 8 < 4:
             x[-1] = x[1]  # a duplicate with another label
-        got = grid_predictions(x, labels, x_val, cells)
+        got = split_predictions(x, labels, x_val, cells)
         want = oracle_grid_predictions(x, labels, x_val, cells)
         compared += got.size
         for cell, model in enumerate(train_grid(x, labels, cells)):
@@ -570,12 +714,13 @@ def test_grid_predictions_match_per_cell_oracle_random():
 def test_grid_validation(rng):
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0)}, 4)
     with pytest.raises(TrainingError):
-        grid_predictions(x, labels, x[:2], [(1.0, 1.0), (0.0, 1.0)])
+        split_predictions(x, labels, x[:2], [(1.0, 1.0), (0.0, 1.0)])
     with pytest.raises(TrainingError, match="rare"):
-        grid_predictions(x[:5], labels[:4] + ["rare"], x[:2], [(1.0, 1.0)])
-    with pytest.raises(ValueError):
-        grid_predictions(x, labels, np.zeros((2, 3)), [(1.0, 1.0)])
-    assert grid_predictions(x, labels, x[:3], []).shape == (0, 3)
+        split_predictions(x[:5], labels[:4] + ["rare"], x[:2], [(1.0, 1.0)])
+    with pytest.raises(TrainingError, match="label count"):
+        grid_predictions(x, [(np.arange(5), labels[:4], np.arange(2))], [(1.0, 1.0)])
+    assert split_predictions(x, labels, x[:3], []).shape == (0, 3)
+    assert grid_predictions(x, [], [(1.0, 1.0)]) == []
 
 
 # ---------------------------------------------------------------------------
