@@ -42,7 +42,7 @@ from .pipeline import (
     load_audio,
     load_embedding_models,
 )
-from .svm import predict_with_margins, train_multiclass
+from .svm import predict_with_margins, train_multiclass, trainable_classes
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -89,10 +89,12 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
-    # The manifest alone decides whether folding is feasible and whether the
-    # positive label exists, so check both before extracting anything.
+    # The manifest alone decides whether folding is feasible, the class count
+    # and whether the positive label exists, so check them before extracting.
     make_folds(manifest, config.mode, config.k_outer, config.k_inner, seed=config.seed)
     classes = sorted({row.label for row in manifest})
+    if len(classes) < 2:
+        raise EvaluationError("need at least 2 classes, got %d" % len(classes))
     if config.positive_label is not None and config.positive_label not in classes:
         raise EvaluationError("positive label %r not among classes %s"
                               % (config.positive_label, tuple(classes)))
@@ -115,6 +117,7 @@ def cmd_evaluate(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
+    trainable_classes(row.label for row in manifest)  # before extracting, as evaluate checks
     result = _extract(manifest, config)
     feats = np.array([v.values for v in result.vectors])
     labels = [row.label for row in _extracted_rows(manifest, result)]

@@ -239,9 +239,10 @@ def test_extract_counts_absurd_rate_as_row_failure(workspace, rate, fine_hz, mon
 def test_extract_fatal_when_nothing_succeeds(workspace, command, tmp_path, caplog):
     root, corpus, config, _ = workspace
     manifest = root / "all_missing.csv"
-    # four speakers, so that evaluate's fold plan is feasible and only the rows fail
-    write_manifest(manifest, [ManifestRow(str(root / ("nope%d.wav" % i)), "x", "s%d" % i, "m")
-                              for i in range(4)])
+    # four speakers and two classes of two rows, so that the manifest checks
+    # of evaluate and train pass and only the rows fail
+    write_manifest(manifest, [ManifestRow(str(root / ("nope%d.wav" % i)), "xy"[i % 2],
+                                          "s%d" % i, "m") for i in range(4)])
     model = tmp_path / "model.svm"
     if command == "predict":   # a model of the config's scheme, so only the rows fail
         assert main(["train", "--manifest", str(corpus), "--config", str(config),
@@ -381,14 +382,17 @@ def test_predict_inconsistent_model_fatal(workspace, tmp_path, caplog):
 
 @pytest.mark.parametrize("setting, error", [
     ("k_outer = 2\nk_inner = 2\npositive_label = nope", "positive label 'nope'"),
-    ("k_outer = 7", "needs >= 7 speakers, got 6")])
+    ("k_outer = 7", "needs >= 7 speakers, got 6"),
+    ("k_outer = 2\nk_inner = 2", "need at least 2 classes, got 1")])
 def test_evaluate_infeasible_manifest_fatal_before_extraction(workspace, tmp_path, caplog,
                                                              setting, error):
-    # six rows of six speakers: the manifest alone decides that evaluate must fail
+    # six rows of six speakers, of both classes (of one for the class-count
+    # case): the manifest alone decides that evaluate must fail
     _, _, _, rows = workspace
     manifest = tmp_path / "six.csv"
+    picked = rows[:6] if "classes" in error else rows[:3] + rows[-3:]
     write_manifest(manifest, [ManifestRow(row.path, row.label, "s%d" % i, row.gender)
-                              for i, row in enumerate(rows[:3] + rows[-3:])])
+                              for i, row in enumerate(picked)])
     config = tmp_path / "exp.cfg"
     config.write_text("scheme = phonation\n%s\ncache_dir = %s\n" % (setting, tmp_path / "cache"))
     with caplog.at_level("ERROR", logger="emovox"):
@@ -398,6 +402,28 @@ def test_evaluate_infeasible_manifest_fatal_before_extraction(workspace, tmp_pat
     assert rc == 2
     assert error in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "six.csv"]
+
+
+@pytest.mark.parametrize("counts, error", [
+    ((6,), "need at least 2 classes, got 1"),
+    ((5, 1), "class 'rough' has 1 sample(s); need at least 2")])
+def test_train_infeasible_manifest_fatal_before_extraction(workspace, tmp_path, caplog,
+                                                          counts, error):
+    # the manifest alone decides that train must fail: nothing is extracted
+    _, _, config, rows = workspace
+    manifest = tmp_path / "rows.csv"
+    by_class = [[row for row in rows if row.label == label] for label in ("smooth", "rough")]
+    write_manifest(manifest, [row for members, count in zip(by_class, counts)
+                              for row in members[:count]])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config.read_text().replace(str(config.parent / "cache"),
+                                              str(tmp_path / "cache")))
+    with caplog.at_level("ERROR", logger="emovox"):
+        rc = main(["train", "--manifest", str(manifest), "--config", str(cfg),
+                   "--model", str(tmp_path / "model.svm")])
+    assert rc == 2
+    assert error in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "rows.csv"]
 
 
 def make_stats_manifest(path, rng):
