@@ -302,11 +302,11 @@ def test_nested_cv_packs_inner_splits_then_one_solve_per_outer_fold(monkeypatch)
     # the problems of every usable inner split of every outer fold share
     # packed SMO calls within the working-array cap; then each outer fit
     # solves its six class pairs in one call
+    from test_svm import count_solves
+
     from emovox import svm
 
-    calls = []
-    solve = svm._smo_batch
-    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[2].shape) or solve(*a))
+    calls = count_solves(monkeypatch)
     rng = np.random.default_rng(31)
     samples, feats = blob_dataset(rng, class_names=("angry", "happy", "neutral", "sad"),
                                   n_per=8, sep=2.0, sigma=1.0, n_speakers=8)

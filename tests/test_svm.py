@@ -449,10 +449,10 @@ def packed_problems(seed, count=24):
 
 
 def loop_smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
-    """``_smo_batch`` as it was before it kept its selection arrays between
-    passes: every pass rebuilds the up and low masks, the violation -y *
-    gradient and both masked copies from the alphas and the gradient.  The
-    packed solver must give its alphas and converged flags bit for bit."""
+    """Packed maximal-violating-pair SMO that rebuilds the up and low masks,
+    the violation -y * gradient and both masked copies from the alphas and
+    the gradient on every pass: the reference whose alphas and converged
+    flags ``_smo_batch`` must give bit for bit."""
     c = np.asarray(c, dtype=np.float64)
     cells, n = y.shape
     limit = np.asarray(max_passes)
