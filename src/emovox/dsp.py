@@ -8,11 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FRAME_MS, Waveform, frames, grid
+from .audio import FRAME_MS, Waveform, frame_count, frames, grid
 
 F0_MIN_HZ = 60.0
 F0_MAX_HZ = 400.0
 VOICING_THRESHOLD = 0.45
+# Frames per block of estimate_f0's correlation stage: bounds its memory,
+# and a block's matrices stay in cache.
+F0_BLOCK_FRAMES = 128
 
 LOG_FLOOR = 1e-10
 
@@ -37,6 +40,9 @@ SMOOTH_WIDTH = 3
 LSP_GRID = 128
 LSP_NEWTON_STEPS = 4
 LSP_STEP_TOL = 1e-10
+# Rows per block of lsp_from_lpc: bounds the (rows x LSP_GRID) search grids;
+# a call costs about 0.6 ms, so a 4 s utterance takes two blocks, not four.
+LSP_BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -59,43 +65,54 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
     (a constant signal has no period), are set to 0, then the track is
     median-filtered (width 3).  The strength is 0 on frames below the energy
     gate and on frames without that dip.
+
+    The correlation runs over blocks of ``F0_BLOCK_FRAMES`` frames and keeps
+    a few scalars per frame, so its memory does not grow with the signal;
+    every step is row-wise, so the track has the bits of a one-block run.
     """
     rate = w.sample_rate
     L = round(frame_ms * rate / 1000.0)
     lag_min = max(2, int(rate / F0_MAX_HZ))
     K = int(math.ceil(rate / F0_MIN_HZ))
-    seg = frames(np.concatenate([w.samples, np.zeros(K)]), L + K, grid(rate)[1])
-    n = seg.shape[0]
+    step = grid(rate)[1]
+    n = frame_count(w.samples.size, L, step)
     if n == 0 or lag_min >= K:
         z = np.zeros(0)
         return F0Track(z, z.copy())
 
-    cs = np.concatenate([np.zeros((n, 1)), np.cumsum(seg ** 2, axis=1)], axis=1)
-    energy = cs[:, L:] - cs[:, :K + 1]  # e(k) for k = 0..K
-
     nfft = _next_fast_len(L + K)
-    spec = np.fft.rfft(seg, nfft, axis=1)
-    base = np.fft.rfft(seg[:, :L], nfft, axis=1)
-    corr = np.fft.irfft(np.conj(base) * spec, nfft, axis=1)[:, :K + 1]
-    # Flooring (not adding) the normalizer keeps phi scale-free down to
-    # arbitrarily quiet input; zero segments give corr = 0 and phi = 0.
-    phi = corr / np.sqrt(np.maximum(energy[:, :1] * energy, 1e-300))
-
-    band = phi[:, lag_min:]
-    peak = band.max(axis=1)
-    earliest = np.argmax(band >= peak[:, None] - 0.01, axis=1) + lag_min
+    e0, peak, lowest = np.empty(n), np.empty(n), np.empty(n)
+    lag = np.empty(n, dtype=np.intp)   # the earliest lag, clipped to 1..K-1
+    around = np.empty((n, 3))          # phi at lag-1, lag, lag+1
+    for lo in range(0, n, F0_BLOCK_FRAMES):
+        hi = min(lo + F0_BLOCK_FRAMES, n)
+        seg = _f0_frames(w.samples, lo, hi, step, L + K)
+        cs = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(seg ** 2, axis=1)], axis=1)
+        energy = cs[:, L:] - cs[:, :K + 1]  # e(k) for k = 0..K
+        spec = np.fft.rfft(seg, nfft, axis=1)
+        base = np.fft.rfft(seg[:, :L], nfft, axis=1)
+        corr = np.fft.irfft(np.conj(base) * spec, nfft, axis=1)[:, :K + 1]
+        # Flooring (not adding) the normalizer keeps phi scale-free down to
+        # arbitrarily quiet input; zero segments give corr = 0 and phi = 0.
+        phi = corr / np.sqrt(np.maximum(energy[:, :1] * energy, 1e-300))
+        band = phi[:, lag_min:]
+        top = band.max(axis=1)
+        earliest = np.argmax(band >= top[:, None] - 0.01, axis=1) + lag_min
+        k = np.clip(earliest, 1, K - 1)
+        e0[lo:hi], peak[lo:hi], lag[lo:hi] = energy[:, 0], top, k
+        lowest[lo:hi] = band.min(axis=1)
+        around[lo:hi] = np.take_along_axis(phi, k[:, None] + np.arange(-1, 2), axis=1)
 
     # Energy gate is relative to the loudest frame so that globally rescaled
     # input keeps identical voicing decisions; all-silent input stays unvoiced.
-    e0 = energy[:, 0]
     floor = max(LOG_FLOOR, 1e-4 * float(e0.max()))
     values = np.zeros(n)
     strength = np.clip(peak, 0.0, 1.0)
-    aperiodic = (e0 < floor) | (band.min(axis=1) >= VOICING_THRESHOLD)
+    aperiodic = (e0 < floor) | (lowest >= VOICING_THRESHOLD)
     # Parabolic refinement around the picked lag, on voiced frames only.
     rows = np.flatnonzero(~(aperiodic | (peak < VOICING_THRESHOLD)))
-    k = np.clip(earliest[rows], 1, K - 1)
-    a, b, c = phi[rows, k - 1], phi[rows, k], phi[rows, k + 1]
+    k = lag[rows]
+    a, b, c = around[rows].T
     denom = a - 2.0 * b + c
     curved = np.abs(denom) > 1e-12
     shift = np.zeros(rows.size)
@@ -106,6 +123,16 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
         values = _median3(values)
     strength[aperiodic] = 0.0
     return F0Track(values, strength)
+
+
+def _f0_frames(x: np.ndarray, lo: int, hi: int, step: int, width: int) -> np.ndarray:
+    """Frames lo..hi-1 of ``width`` samples every ``step`` over x followed by
+    zeros; only a block that runs past the end of x is copied."""
+    start, stop = lo * step, (hi - 1) * step + width
+    span = x[start:stop]
+    if span.size < stop - start:
+        span = np.concatenate([span, np.zeros(stop - start - span.size)])
+    return frames(span, width, step)
 
 
 def _next_fast_len(n: int) -> int:
@@ -259,10 +286,20 @@ def lsp_from_lpc(a: np.ndarray, rate: int) -> np.ndarray:
     series do not change sign exactly p/2 times (two roots in one step, A(z)
     far from minimum phase), or with a last step over LSP_STEP_TOL, get
     companion-matrix ``eigvals`` instead, bit for bit ``np.roots``.
+
+    Rows go through in blocks of ``LSP_BLOCK_FRAMES``, so the search grid's
+    memory does not grow with the utterance; every step is row-wise, so the
+    result has the bits of a one-block run.
     """
     rows = np.asarray(a, dtype=np.float64)
     if not np.all(rows[:, 0] != 0.0):
         raise ValueError("lsp_from_lpc needs a nonzero leading coefficient")
+    return np.concatenate([_lsf_rows(rows[lo:lo + LSP_BLOCK_FRAMES], rate)
+                           for lo in range(0, max(rows.shape[0], 1), LSP_BLOCK_FRAMES)])
+
+
+def _lsf_rows(rows: np.ndarray, rate: int) -> np.ndarray:
+    """``lsp_from_lpc`` of one block of rows."""
     n, p = rows.shape[0], rows.shape[1] - 1
     ext = np.pad(rows, ((0, 0), (0, 1)))
     polys = np.concatenate([ext + ext[:, ::-1], ext - ext[:, ::-1]])

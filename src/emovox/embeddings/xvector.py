@@ -6,14 +6,16 @@ pooled over time and a final affine layer (before its nonlinearity) yields the
 512-dim embedding.  Only the forward pass lives here — weights are loaded from
 a model file or randomly initialized.
 
-The frame layers run in single precision, as Kaldi computes this network.  The
-weights as stored and loaded, the mean normalization, the pooled statistics,
-``segment6`` and the embedding stay in double precision.
+The frame layers run in single precision, as Kaldi computes this network, and
+their weights are held only in float32: a model file stores float64, and
+loading rounds the frame layers once.  The mean normalization, the pooled
+statistics, ``segment6``, ``segment7``, ``softmax`` and the embedding stay in
+double precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -49,23 +51,24 @@ class XVectorWeights:
 
     Weight matrices are stored input-major: layer output = h @ W + b.  The
     ``softmax`` layer may have any output width (the class count).
-    Read-only arrays that own their data, as ``modelio.load_xvector`` gives,
-    are kept as they are; any other input is copied, so later writes to it
-    leave the weights unchanged.  ``frame32`` holds read-only float32 copies
-    of the five frame layers, which the forward pass runs on.
+    The five frame layers are held as read-only float32 arrays, the ones the
+    forward pass runs on; the input is rounded to float32 once, and a value
+    beyond the float32 range is a ``ModelFormatError``.  The other layers are
+    read-only float64: arrays that own their data, as
+    ``modelio.load_xvector`` gives, are kept as they are.  Any other input is
+    copied, so later writes to it leave the weights unchanged.
     """
 
     layers: Dict[str, Tuple[np.ndarray, np.ndarray]]
-    frame32: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked = {}
         for name in list(LAYER_SHAPES) + ["softmax"]:
             if name not in self.layers:
                 raise ModelFormatError("missing x-vector layer %r" % name)
-            w = frozen(self.layers[name][0])
-            b = frozen(self.layers[name][1])
+            dtype = np.float32 if name in _FRAME_LAYERS else np.float64
+            with np.errstate(over="ignore"):
+                w, b = (frozen(a, dtype) for a in self.layers[name])
             if name == "softmax":
                 expected = (512, b.shape[0] if b.ndim == 1 else -1)
                 ok = w.ndim == 2 and w.shape[0] == 512 and w.shape[1] >= 1
@@ -81,21 +84,15 @@ class XVectorWeights:
                     "layer %r bias shape %s, expected (%d,)" % (name, b.shape, w.shape[1])
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                if all(np.all(np.isfinite(a)) for a in self.layers[name]):
+                    raise ModelFormatError(
+                        "layer %r has parameters beyond the float32 range" % name)
                 raise ModelFormatError("layer %r has non-finite parameters" % name)
             checked[name] = (w, b)
         extra = set(self.layers) - set(checked)
         if extra:
             raise ModelFormatError("unknown x-vector layers: %s" % sorted(extra))
-        frame32 = {}
-        for name in _FRAME_LAYERS:
-            with np.errstate(over="ignore"):
-                pair = tuple(frozen(a, np.float32) for a in checked[name])
-            if not all(np.all(np.isfinite(a)) for a in pair):
-                raise ModelFormatError("layer %r has parameters beyond the float32 range"
-                                       % name)
-            frame32[name] = pair
         object.__setattr__(self, "layers", checked)
-        object.__setattr__(self, "frame32", frame32)
 
     @property
     def n_classes(self) -> int:
@@ -153,7 +150,7 @@ def _splice(h, offsets):
 
 def _run_frame_layers(weights, h):
     for name in _FRAME_LAYERS:
-        w, b = weights.frame32[name]
+        w, b = weights.layers[name]
         if name in SPLICE_OFFSETS:
             h = _splice(h, SPLICE_OFFSETS[name])
         h = h @ w

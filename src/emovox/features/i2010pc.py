@@ -45,7 +45,9 @@ def _pitch_grid_track(w: Waveform):
     identical to the 25/10 ms analysis grid.
     """
     pad = round((PITCH_FRAME_MS - FRAME_MS) / 2 / 1000.0 * w.sample_rate)
-    padded = Waveform(np.pad(w.samples, pad), w.sample_rate, w.source_id)
+    x = np.pad(w.samples, pad)
+    x.flags.writeable = False  # nothing else holds x, so Waveform keeps it uncopied
+    padded = Waveform(x, w.sample_rate, w.source_id)
     return padded, estimate_f0(padded, frame_ms=PITCH_FRAME_MS)
 
 
@@ -84,9 +86,10 @@ def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
     ceps = mfcc_frames(spec, rate, n_mels=N_MELS_MFCC, n_ceps=15, first=0)
     mel8 = log_mel_energies(spec, rate, n_mels=8)
 
-    pre = np.concatenate([frames_mat[:, :1],
-                          frames_mat[:, 1:] - PREEMPHASIS * frames_mat[:, :-1]], axis=1)
-    lsp = lsp_from_lpc(lpc(pre, 8)[0], rate)
+    # the pre-emphasized frames are freed before the LSF search
+    lsp = lsp_from_lpc(lpc(np.concatenate(
+        [frames_mat[:, :1], frames_mat[:, 1:] - PREEMPHASIS * frames_mat[:, :-1]],
+        axis=1), 8)[0], rate)
 
     padded, pitch = _pitch_grid_track(w)
     # the padded 60 ms track, cut or zero-padded to one value per grid frame

@@ -43,12 +43,6 @@ def _pack_str(s: str) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
-def _pack_array(arr: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    head = _U32.pack(a.ndim) + b"".join(_U64.pack(d) for d in a.shape)
-    return head + a.tobytes()
-
-
 class _Reader:
     """Sequential reads from an open container file.
 
@@ -112,20 +106,25 @@ class _Reader:
 
 
 def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> None:
-    """Serialize named float64 arrays plus JSON metadata, atomically."""
-    parts = [MAGIC, _U32.pack(FORMAT_VERSION), _pack_str(kind),
-             _pack_str(json.dumps(meta or {}, sort_keys=True)),
-             _U32.pack(len(arrays))]
-    for name, arr in arrays.items():
-        parts.append(_pack_str(name))
-        parts.append(_pack_array(np.asarray(arr)))
-    blob = b"".join(parts)
+    """Serialize named float64 arrays plus JSON metadata, atomically.
+
+    The header and then each section go straight to a temp file, so at most
+    one section is converted to float64 at a time and the file's bytes are
+    never joined in memory.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emvx-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(MAGIC + _U32.pack(FORMAT_VERSION) + _pack_str(kind)
+                     + _pack_str(json.dumps(meta or {}, sort_keys=True))
+                     + _U32.pack(len(arrays)))
+            for name, arr in arrays.items():
+                a = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(_pack_str(name) + _U32.pack(a.ndim)
+                         + b"".join(_U64.pack(d) for d in a.shape))
+                fh.write(a)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -206,6 +205,8 @@ def load_tv(path, digest=None) -> TotalVariabilityModel:
 
 
 def save_xvector(path, weights: XVectorWeights) -> None:
+    """Write every layer as float64; the frame layers hold float32 values
+    (``XVectorWeights``), so a re-saved float64 file can change bytes."""
     arrays = {}
     for name, (w, b) in weights.layers.items():
         arrays[name + ".w"] = w

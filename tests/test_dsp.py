@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,16 +128,23 @@ def test_next_fast_len_matches_scipy():
         [sfft.next_fast_len(n) for n in range(1, 10_001)]
 
 
+# Rows whose NCCF never dips below the voicing threshold, or (dc_step) is a
+# straight line from the first lag on the frames across the step.
+FLAT_ROWS = {
+    "silent": np.zeros(4000),
+    "dc": np.full(2400, 0.25),
+    "dc_step": np.concatenate([np.full(1200, 0.25), np.full(1200, -0.25)]),
+}
+
+
 def test_f0_matches_per_frame_loop_oracle(rng):
     voiced = np.concatenate([voice_like(110, 0.6, rough=0.3, seed=1),
                              np.zeros(1600), voice_like(230, 0.4, seed=2)])
     rows = {
         "voiced": voiced,
-        "silent": np.zeros(4000),
+        **FLAT_ROWS,
         "clipped": np.clip(tone(140, amp=3.0), -0.3, 0.3),
-        "dc": np.full(2400, 0.25),
         "near_dc": 0.25 + 1e-6 * rng.standard_normal(2400),
-        "dc_step": np.concatenate([np.full(1200, 0.25), np.full(1200, -0.25)]),
         "noise": 0.5 * rng.standard_normal(6000),
         "mixed": np.concatenate([tone(90, 0.4), 0.4 * rng.standard_normal(3200),
                                  np.zeros(800), tone(380, 0.4)]),
@@ -155,6 +163,45 @@ def test_f0_matches_per_frame_loop_oracle(rng):
             if name == "dc_step":   # the guard's zero shift: exactly 8000 / 20 Hz
                 assert np.any(values == 400.0), frame_ms
     assert refined > 0
+
+
+def test_f0_blocks_match_one_block(rng, monkeypatch):
+    # every stage is row-wise, so the block size must not change a bit;
+    # lengths put the last frame one before, on and one after a block edge
+    voiced = np.concatenate([voice_like(120, 1.2, rough=0.3, seed=4),
+                             0.3 * rng.standard_normal(4000), voice_like(210, 1.4, seed=5)])
+
+    def tracks(block, rows):
+        monkeypatch.setattr(dsp, "F0_BLOCK_FRAMES", block)
+        return [estimate_f0(wf(x), frame_ms=frame_ms) for x, frame_ms in rows]
+
+    for block in (1, 7, 128):
+        rows = [(x, frame_ms) for frame_ms in (dsp.FRAME_MS, 60.0)
+                for x in FLAT_ROWS.values()]
+        for frame_ms in (dsp.FRAME_MS, 60.0):
+            for n in {block * k + d for k in (1, 2) for d in (-1, 0, 1)} - {0}:
+                x = voiced[:round(frame_ms * 8) + (n - 1) * 80]   # n frames at 8 kHz
+                assert frame_count(x.size, round(frame_ms * 8), 80) == n
+                rows.append((x, frame_ms))
+        for (x, frame_ms), got, ref in zip(rows, tracks(block, rows), tracks(10 ** 6, rows)):
+            assert got.values.tobytes() == ref.values.tobytes(), (block, x.size, frame_ms)
+            assert got.strength.tobytes() == ref.strength.tobytes(), (block, x.size, frame_ms)
+
+
+def test_f0_memory_does_not_grow_with_length():
+    # the correlation runs in fixed blocks: past a fixed working set, memory
+    # grows only by a few arrays of the track's length (the per-frame scalars
+    # and the output), against one (frames x lags) matrix of 435 MB at 300 s
+    for seconds in (30, 300):
+        w = wf(voice_like(150, seconds, rough=0.3, seed=6))
+        for frame_ms in (dsp.FRAME_MS, 60.0):
+            tracemalloc.start()
+            try:
+                track = estimate_f0(w, frame_ms=frame_ms)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - 16 * track.values.nbytes <= 5e6, (seconds, frame_ms, peak)
 
 
 # --------------------------------------------------------------------- lpc
@@ -442,6 +489,20 @@ def test_lsp_fallback_rows_are_np_roots_bit_for_bit(rng, monkeypatch):
     got = lsp_from_lpc(odd, 8000)
     assert len(seen) == 1 and seen[0].tobytes() == p_and_q(odd).tobytes()
     assert got.tobytes() == np.array([roots_lsp(row, 8000) for row in odd]).tobytes()
+
+
+def test_lsp_blocks_match_one_block(rng, monkeypatch):
+    # searched and eigensolved rows alike are row-wise: no block size moves a bit
+    wild = np.column_stack([np.ones(20), 4.0 * rng.standard_normal((20, 8))])
+    rows = np.vstack([minimum_phase_lpc(rng), wild, lpc(_frames(rng), 8)[0]])
+    odd, _ = lpc(_frames(rng), 7)
+    for a in (rows, odd, rows[:0]):
+        monkeypatch.setattr(dsp, "LSP_BLOCK_FRAMES", 10 ** 6)
+        whole = lsp_from_lpc(a, 8000)
+        assert whole.shape == (a.shape[0], a.shape[1] - 1)
+        for block in (1, 7, 256):
+            monkeypatch.setattr(dsp, "LSP_BLOCK_FRAMES", block)
+            assert lsp_from_lpc(a, 8000).tobytes() == whole.tobytes(), (block, a.shape)
 
 
 def test_lsp_rejects_zero_leading_coefficient():

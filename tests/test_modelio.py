@@ -1,5 +1,6 @@
 """Round-trip and corruption checks for the binary container format."""
 
+import json
 import math
 import os
 import struct
@@ -21,6 +22,7 @@ from emovox.embeddings import (
     train_ubm,
     xvector_forward,
 )
+from emovox.embeddings.xvector import _FRAME_LAYERS
 from emovox.errors import ModelFormatError
 from emovox.svm import train_multiclass, decision_scores
 
@@ -71,18 +73,20 @@ def test_read_container_copies_each_section_once(tmp_path):
 
 
 def test_load_xvector_holds_the_file_once(tmp_path):
-    # the read-only arrays read are kept; the float32 frame-layer copies the
-    # forward pass runs on add about 0.3x the file
+    # the read-only arrays read are kept, but for the frame layers, which are
+    # rounded to float32 once: about 0.3x the file while both exist, and the
+    # float64 sections of those layers are dropped once the load returns
     path = tmp_path / "xv.emvx"
     modelio.save_xvector(path, random_xvector_weights(seed=2))
     size = path.stat().st_size
     tracemalloc.start()
     try:
         weights = modelio.load_xvector(path)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * size
+    assert kept <= 0.72 * size
     for pair in weights.layers.values():
         assert all(not a.flags.writeable and a.flags.aligned for a in pair)
 
@@ -169,6 +173,66 @@ def test_no_temp_files_left_behind(tmp_path):
     assert names == ["f0.emvx", "f1.emvx", "f2.emvx"]
 
 
+def joined_container(kind, arrays, meta=None):
+    """The container as one joined blob: the reference for the streamed writer."""
+    def pack_str(text):
+        raw = text.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    parts = [modelio.MAGIC, struct.pack("<I", modelio.FORMAT_VERSION), pack_str(kind),
+             pack_str(json.dumps(meta or {}, sort_keys=True)), struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        a = np.ascontiguousarray(arr, dtype="<f8")
+        parts += [pack_str(name), struct.pack("<I", a.ndim),
+                  b"".join(struct.pack("<Q", d) for d in a.shape), a.tobytes()]
+    return b"".join(parts)
+
+
+def test_write_container_writes_the_joined_bytes(tmp_path, monkeypatch, small_ubm, rng):
+    from emovox import cache
+    from emovox.features import FeatureVector
+
+    written = []
+    real = modelio.write_container
+
+    def recording(path, kind, arrays, meta=None):
+        real(path, kind, arrays, meta)
+        written.append((path, kind, arrays, meta))
+
+    monkeypatch.setattr(modelio, "write_container", recording)
+    monkeypatch.setattr(cache, "write_container", recording)
+    modelio.save_tv(tmp_path / "m.tv", TotalVariabilityModel(
+        rng.standard_normal((small_ubm.means.size, 2)), small_ubm, 2))
+    modelio.save_xvector(tmp_path / "m.xv", random_xvector_weights(n_classes=3, seed=5))
+    x = np.concatenate([rng.standard_normal((8, 2)), rng.standard_normal((8, 2)) + 5.0])
+    modelio.save_svm(tmp_path / "m.svm", train_multiclass(x, ["a"] * 8 + ["b"] * 8, 1.0, 0.5),
+                     scheme="phonation")
+    cache.FeatureCache(tmp_path / "cache").put("ab" + "0" * 62, FeatureVector(
+        "phonation", np.linspace(-1.0, 1.0, 28), source_id="a.wav", warning="w"))
+    modelio.write_container(tmp_path / "odd.emvx", "test", {
+        "scalar": np.float64(3.25), "empty": np.zeros((0, 3)),
+        "strided": rng.standard_normal((6, 4))[::2, ::-1]}, meta={"k": [1, "é"]})
+    assert sorted(kind for _, kind, _, _ in written) == ["feature", "svm", "test", "tv",
+                                                         "xvector"]
+    for path, kind, arrays, meta in written:
+        with open(path, "rb") as fh:
+            assert fh.read() == joined_container(kind, arrays, meta), kind
+
+
+def test_save_xvector_converts_one_section_at_a_time(tmp_path):
+    # the float32 frame layers are converted to float64 one by one, and the
+    # file's bytes are never joined (that held 2.0x the file)
+    weights = random_xvector_weights(seed=2)
+    path = tmp_path / "xv.emvx"
+    tracemalloc.start()
+    try:
+        modelio.save_xvector(path, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * path.stat().st_size
+
+
 def save_ubm(path, ubm):
     modelio.write_container(path, "ubm", {
         "weights": ubm.weights,
@@ -220,6 +284,32 @@ def test_xvector_roundtrip(tmp_path, rng):
     mfcc = rng.standard_normal((40, 24))
     assert np.array_equal(xvector_forward(weights, mfcc),
                           xvector_forward(back, mfcc))
+
+
+def test_xvector_float64_layers_give_the_float32_embeddings(tmp_path, rng):
+    # frame-layer values float32 cannot hold exactly are rounded once; the
+    # model, built or loaded, gives the embeddings of its float32 cast, and a
+    # re-saved file holds the rounded values
+    layers64 = {}
+    for name, (w, b) in random_xvector_weights(seed=8).layers.items():
+        w, b = w.astype(np.float64), b.astype(np.float64)
+        layers64[name] = (w + 1e-12 * np.sign(w), b + 1e-12)
+    assert all(w.astype(np.float32).astype(np.float64).tobytes() != w.tobytes()
+               for w, _ in layers64.values())
+    cast = {name: tuple(a.astype(np.float32) if name in _FRAME_LAYERS else a
+                        for a in pair) for name, pair in layers64.items()}
+    path, resaved = tmp_path / "f64.xv", tmp_path / "resaved.xv"
+    modelio.write_container(path, "xvector", {
+        name + suffix: a for name, pair in layers64.items()
+        for suffix, a in zip((".w", ".b"), pair)})
+    loaded = modelio.load_xvector(path)
+    modelio.save_xvector(resaved, loaded)
+    assert resaved.read_bytes() != path.read_bytes()
+    models = [XVectorWeights(layers64), loaded, modelio.load_xvector(resaved)]
+    mfcc = rng.standard_normal((50, 24))
+    expected = xvector_forward(XVectorWeights(cast), mfcc).tobytes()
+    for model in models:
+        assert xvector_forward(model, mfcc).tobytes() == expected
 
 
 def test_svm_roundtrip_identical_predictions(tmp_path, rng):
@@ -396,7 +486,7 @@ def test_xvector_weights_beyond_float32_are_a_format_error():
     # finite in float64, but the frame layers run in float32 where it is inf
     layers = dict(random_xvector_weights(seed=1).layers)
     w, b = layers["frame3"]
-    w = w.copy()
+    w = w.astype(np.float64)
     w[7, 9] = 1e39
     layers["frame3"] = (w, b)
     with pytest.raises(ModelFormatError, match="float32"):
@@ -417,7 +507,7 @@ def test_corrupt_xvector_parses_or_is_a_format_error(fault_dir, xvector_blob):
         except ModelFormatError:
             return
         assert not must_fail
-        for pair in weights.frame32.values():
+        for pair in weights.layers.values():
             assert all(np.all(np.isfinite(a)) for a in pair)
 
     check()
