@@ -66,9 +66,12 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
     median-filtered (width 3).  The strength is 0 on frames below the energy
     gate and on frames without that dip.
 
-    The correlation runs over blocks of ``F0_BLOCK_FRAMES`` frames and keeps
-    a few scalars per frame, so its memory does not grow with the signal;
-    every step is row-wise, so the track has the bits of a one-block run.
+    The correlation and the parabolic step run over blocks of
+    ``F0_BLOCK_FRAMES`` frames, and a block leaves only each frame's pitch,
+    strength and e(0); the energy gate and the median filter then run on the
+    whole track.  So past a fixed working set, memory grows only by the
+    output track and a few arrays of its length.  Every step is row-wise, so
+    the track has the bits of a one-block run.
     """
     rate = w.sample_rate
     L = round(frame_ms * rate / 1000.0)
@@ -81,9 +84,8 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
         return F0Track(z, z.copy())
 
     nfft = _next_fast_len(L + K)
-    e0, peak, lowest = np.empty(n), np.empty(n), np.empty(n)
-    lag = np.empty(n, dtype=np.intp)   # the earliest lag, clipped to 1..K-1
-    around = np.empty((n, 3))          # phi at lag-1, lag, lag+1
+    e0 = np.empty(n)
+    values, strength = np.zeros(n), np.empty(n)
     for lo in range(0, n, F0_BLOCK_FRAMES):
         hi = min(lo + F0_BLOCK_FRAMES, n)
         seg = _f0_frames(w.samples, lo, hi, step, L + K)
@@ -97,31 +99,29 @@ def estimate_f0(w: Waveform, frame_ms: float = FRAME_MS) -> F0Track:
         phi = corr / np.sqrt(np.maximum(energy[:, :1] * energy, 1e-300))
         band = phi[:, lag_min:]
         top = band.max(axis=1)
-        earliest = np.argmax(band >= top[:, None] - 0.01, axis=1) + lag_min
+        periodic = band.min(axis=1) < VOICING_THRESHOLD
+        e0[lo:hi] = energy[:, 0]
+        strength[lo:hi] = np.where(periodic, np.clip(top, 0.0, 1.0), 0.0)
+        # Parabolic refinement around the picked lag, on voiced frames only.
+        rows = np.flatnonzero(periodic & (top >= VOICING_THRESHOLD))
+        earliest = np.argmax(band[rows] >= top[rows, None] - 0.01, axis=1) + lag_min
         k = np.clip(earliest, 1, K - 1)
-        e0[lo:hi], peak[lo:hi], lag[lo:hi] = energy[:, 0], top, k
-        lowest[lo:hi] = band.min(axis=1)
-        around[lo:hi] = np.take_along_axis(phi, k[:, None] + np.arange(-1, 2), axis=1)
+        a, b, c = phi[rows[:, None], k[:, None] + np.arange(-1, 2)].T
+        denom = a - 2.0 * b + c
+        curved = np.abs(denom) > 1e-12
+        shift = np.zeros(rows.size)
+        shift[curved] = 0.5 * (a - c)[curved] / denom[curved]
+        f0 = rate / (k + np.clip(shift, -0.5, 0.5))
+        values[lo + rows] = np.where((f0 < F0_MIN_HZ) | (f0 > F0_MAX_HZ), 0.0, f0)
 
     # Energy gate is relative to the loudest frame so that globally rescaled
     # input keeps identical voicing decisions; all-silent input stays unvoiced.
-    floor = max(LOG_FLOOR, 1e-4 * float(e0.max()))
-    values = np.zeros(n)
-    strength = np.clip(peak, 0.0, 1.0)
-    aperiodic = (e0 < floor) | (lowest >= VOICING_THRESHOLD)
-    # Parabolic refinement around the picked lag, on voiced frames only.
-    rows = np.flatnonzero(~(aperiodic | (peak < VOICING_THRESHOLD)))
-    k = lag[rows]
-    a, b, c = around[rows].T
-    denom = a - 2.0 * b + c
-    curved = np.abs(denom) > 1e-12
-    shift = np.zeros(rows.size)
-    shift[curved] = 0.5 * (a - c)[curved] / denom[curved]
-    values[rows] = rate / (k + np.clip(shift, -0.5, 0.5))
-    values[(values > 0) & ((values < F0_MIN_HZ) | (values > F0_MAX_HZ))] = 0.0
+    quiet = e0 < max(LOG_FLOOR, 1e-4 * float(e0.max()))
+    del e0  # free before the median filter's copies
+    values[quiet] = 0.0
+    strength[quiet] = 0.0
     if n >= 3:
         values = _median3(values)
-    strength[aperiodic] = 0.0
     return F0Track(values, strength)
 
 
@@ -155,7 +155,9 @@ def _median3(x: np.ndarray) -> np.ndarray:
     """
     p = np.pad(x, 1)
     a, b, c = p[:-2], p[1:-1], p[2:]
-    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    np.minimum(high, c, out=high)
+    return np.maximum(low, high, out=low)
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:

@@ -8,7 +8,7 @@ a model file or randomly initialized.
 
 The frame layers run in single precision, as Kaldi computes this network, and
 their weights are held only in float32: a model file stores float64, and
-loading rounds the frame layers once.  The mean normalization, the pooled
+building or loading a model rounds the frame layers once.  The mean normalization, the pooled
 statistics, ``segment6``, ``segment7``, ``softmax`` and the embedding stay in
 double precision.
 """
@@ -101,6 +101,11 @@ class XVectorWeights:
 
 def random_xvector_weights(n_classes: int = 8, seed: int = 0, scale: float = 0.05) -> XVectorWeights:
     """Random small-Gaussian weights, e.g. for tests or a toy training start."""
+    return XVectorWeights(_random_layers(n_classes, seed, scale))
+
+
+def _random_layers(n_classes, seed, scale):
+    """The float64 draws behind ``random_xvector_weights``, before rounding."""
     rng = np.random.default_rng(seed)
     layers = {}
     for name, (n_in, n_out) in LAYER_SHAPES.items():
@@ -112,7 +117,7 @@ def random_xvector_weights(n_classes: int = 8, seed: int = 0, scale: float = 0.0
         rng.standard_normal((512, n_classes)) * scale,
         rng.standard_normal(n_classes) * scale,
     )
-    return XVectorWeights(layers)
+    return layers
 
 
 def zero_xvector_weights(n_classes: int = 8) -> XVectorWeights:

@@ -189,19 +189,25 @@ def test_f0_blocks_match_one_block(rng, monkeypatch):
 
 
 def test_f0_memory_does_not_grow_with_length():
-    # the correlation runs in fixed blocks: past a fixed working set, memory
-    # grows only by a few arrays of the track's length (the per-frame scalars
-    # and the output), against one (frames x lags) matrix of 435 MB at 300 s
-    for seconds in (30, 300):
-        w = wf(voice_like(150, seconds, rough=0.3, seed=6))
-        for frame_ms in (dsp.FRAME_MS, 60.0):
+    # the correlation and the parabolic step run in fixed blocks: from 30 s to
+    # 300 s the peak grows by the output track and one more array of its
+    # length (the e(0) the global energy gate needs), against one (frames x
+    # lags) matrix of 435 MB at 300 s before the blocks
+    for frame_ms in (dsp.FRAME_MS, 60.0):
+        peaks, sizes = [], []
+        for seconds in (30, 300):
+            w = wf(voice_like(150, seconds, rough=0.3, seed=6))
             tracemalloc.start()
             try:
                 track = estimate_f0(w, frame_ms=frame_ms)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak - 16 * track.values.nbytes <= 5e6, (seconds, frame_ms, peak)
+            peaks.append(peak)
+            sizes.append(track.values.nbytes + track.strength.nbytes)
+        assert peaks[0] - sizes[0] <= 5e6, (frame_ms, peaks)
+        grown = (peaks[1] - peaks[0]) - (sizes[1] - sizes[0])
+        assert grown <= (sizes[1] - sizes[0]) / 2 + 1e5, (frame_ms, peaks, sizes)
 
 
 # --------------------------------------------------------------------- lpc

@@ -20,8 +20,8 @@ from emovox.embeddings import (
 )
 from emovox.analysis import embedding_mfcc
 from emovox.embeddings.gmm import VARIANCE_FLOOR, _reseed_empty
-from emovox.embeddings.xvector import (SPLICE_OFFSETS, _FRAME_LAYERS, _splice,
-                                       sliding_mean_normalize)
+from emovox.embeddings.xvector import (SPLICE_OFFSETS, _FRAME_LAYERS, _random_layers,
+                                       _splice, sliding_mean_normalize)
 from emovox.errors import ModelFormatError, TrainingError
 
 from conftest import voice_like, wf
@@ -341,20 +341,20 @@ def test_xvector_frame_permutation_exact(xw, rng):
     assert np.array_equal(stats_pool(reps), stats_pool(shuffled))
 
 
-def float64_frame_representations(weights, mfcc):
-    """The frame layers in double precision, on the model's float32 weights."""
+def float64_frame_representations(layers, mfcc):
+    """The frame layers in double precision, on float64 (unrounded) weights."""
     h = sliding_mean_normalize(mfcc)
     for name in _FRAME_LAYERS:
-        w, b = weights.layers[name]
+        w, b = layers[name]
         if name in SPLICE_OFFSETS:
             h = _splice(h, SPLICE_OFFSETS[name])
         h = np.maximum(h @ w + b, 0.0)
     return h
 
 
-def float64_xvector(weights, mfcc):
-    w, b = weights.layers["segment6"]
-    return stats_pool(float64_frame_representations(weights, mfcc)) @ w + b
+def float64_xvector(layers, mfcc):
+    w, b = layers["segment6"]
+    return stats_pool(float64_frame_representations(layers, mfcc)) @ w + b
 
 
 def test_xvector_float32_matches_float64_oracle(rng):
@@ -363,10 +363,14 @@ def test_xvector_float32_matches_float64_oracle(rng):
                for f0, dur, rough, seed in ((110, 1.0, 0.0, 1), (220, 2.5, 0.4, 2),
                                             (150, 4.0, 0.1, 3))]
     for seed in (0, 7):
+        # the oracle runs on the float64 draws, so the model's rounding of its
+        # frame layers to float32 is part of what is measured
+        layers = _random_layers(4, seed, 0.05)
         weights = random_xvector_weights(n_classes=4, seed=seed)
+        assert not np.array_equal(weights.layers["frame1"][0], layers["frame1"][0])
         for mfcc in inputs:
             emb = xvector_forward(weights, mfcc)
-            ref = float64_xvector(weights, mfcc)
+            ref = float64_xvector(layers, mfcc)
             assert emb.dtype == np.float64
             assert np.max(np.abs(emb - ref)) <= 1e-5 * np.max(np.abs(ref))
 
