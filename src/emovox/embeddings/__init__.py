@@ -9,7 +9,6 @@ from .xvector import (
     random_xvector_weights,
     stats_pool,
     xvector_forward,
-    zero_xvector_weights,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "train_total_variability",
     "train_ubm",
     "xvector_forward",
-    "zero_xvector_weights",
 ]

@@ -120,15 +120,6 @@ def _random_layers(n_classes, seed, scale):
     return layers
 
 
-def zero_xvector_weights(n_classes: int = 8) -> XVectorWeights:
-    layers = {
-        name: (np.zeros((n_in, n_out)), np.zeros(n_out))
-        for name, (n_in, n_out) in LAYER_SHAPES.items()
-    }
-    layers["softmax"] = (np.zeros((512, n_classes)), np.zeros(n_classes))
-    return XVectorWeights(layers)
-
-
 def sliding_mean_normalize(frames, max_window: int = MEAN_NORM_FRAMES) -> np.ndarray:
     """Subtract a per-frame mean over a centered window of min(max_window, n) frames.
 

@@ -7,9 +7,10 @@ bookkeeping that proves that is stored on the report.  The loop first plans
 every usable inner split of every outer fold, then solves and scores them all
 in one ``svm.grid_predictions`` call (a cells x validation rows prediction
 matrix per split, solved in packed runs within the solver's two caps, no
-per-cell model), and then per fold takes the inner UARs from those matrices,
-selects a cell and fits the outer model with it (``svm.train_multiclass``).
-One pass of ``svm.predict_with_margins`` gives outer-test labels and ROC scores.
+per-cell model), and per fold takes the inner UARs from those matrices and
+selects a cell.  A second call fits every outer fold as a one-cell split,
+trained on its training rows and scored on its test rows, which gives the
+fold's labels, ROC scores and converged flag.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .arrays import frozen
 from .errors import EvaluationError
 from .manifest import ManifestRow
-from .svm import grid_predictions, predict_with_margins, train_multiclass
+from .svm import grid_predictions
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -413,37 +414,29 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             )
         leakage.append((len(touched_ids), len(test_ids), 0))
 
-    # every class is in each split's fit rows, so indices refer to ``classes``
-    inner_guesses = grid_predictions(x, [split[1:] for split in splits], cells)
-    folds = []
-    pooled_scores = []
-    pooled_truth = []
+    # every class is in each inner split's fit rows, so indices refer to ``classes``
+    inner_guesses = [guesses for _classes, guesses, _margins, _ok in grid_predictions(
+        x, [(fit, fit_labels, val, cells) for _f, fit, fit_labels, val in splits])]
+    chosen = []
     for fold in range(plan.k_outer):
         uars = [_inner_uars(truth_index[val], guesses)
                 for (f, _fit, _labels, val), guesses in zip(splits, inner_guesses) if f == fold]
         scores = np.mean(uars, axis=0) if uars else np.zeros(len(cells))
-        c_win, g_win = cells[int(np.argmax(scores))]  # first best: smallest C, then gamma
+        chosen.append(cells[int(np.argmax(scores))])  # first best: smallest C, then gamma
 
-        test_mask = outer == fold
-        train_mask = ~test_mask
-        model = train_multiclass(x[train_mask], labels[train_mask].tolist(), c_win, g_win)
-        guesses, margins = predict_with_margins(model, x[test_mask])
-        confusion = _confusion(classes, labels[test_mask].tolist(), guesses)
-        fold_metrics = metrics(confusion, positive_index=pos_index)
-        folds.append(FoldOutcome(
-            fold=fold,
-            c=c_win,
-            gamma=g_win,
-            confusion=confusion,
-            uar=fold_metrics.uar,
-            acc=fold_metrics.acc,
-            sen=fold_metrics.sen,
-            spe=fold_metrics.spe,
-            test_count=int(test_mask.sum()),
-            converged=model.converged,
-        ))
-        if binary:
-            pooled_scores.extend(margins[:, pos_index].tolist())
+    test_masks = [outer == fold for fold in range(plan.k_outer)]
+    outer_fits = grid_predictions(x, [(~test, labels[~test].tolist(), test, [cell])
+                                      for test, cell in zip(test_masks, chosen)])
+    folds, pooled_scores, pooled_truth = [], [], []
+    for fold, ((c_win, g_win), test_mask, (fit_classes, guesses, margins, converged)) in enumerate(
+            zip(chosen, test_masks, outer_fits)):
+        confusion = _confusion(classes, labels[test_mask].tolist(),
+                               [fit_classes[i] for i in guesses[0]])
+        folds.append(FoldOutcome(fold, c_win, g_win, confusion,
+                                 *metrics(confusion, positive_index=pos_index),
+                                 test_count=int(test_mask.sum()), converged=bool(converged[0])))
+        if binary:  # both classes are in the fit rows, so margins are ordered like ``classes``
+            pooled_scores.extend(margins[0, :, pos_index].tolist())
             pooled_truth.extend((labels[test_mask] == classes[pos_index]).tolist())
 
     roc_points = auc = None

@@ -6,20 +6,23 @@ packed: one loop advances many independent duals of different sizes, each
 with its own labels, kernel, box bound C and pass limit, padded at the end
 to a common length, and takes for each exactly the steps a lone solve
 would.  ``_solve_pairs`` plans a stream of class pairs, each with one dual
-per (C, gamma) cell, into runs of such solves within two caps: problems x
-n_max (``_PACK_CELLS``) and stacked kernel floats (``_PACK_FLOATS``).  The
-stream is one pair set, one cell, for ``train_multiclass``, and every inner
-split's pairs and cells for ``grid_predictions``, which scores held-out rows
-with all cells at once and builds no per-cell model.  Multi-class is
-one-vs-one with majority voting; ties fall back to summed decision margins,
-then lexicographic class order.  Standardization is fitted on training data.
+per (C, gamma) cell of its own list, into runs of such solves within two
+caps: problems x n_max (``_PACK_CELLS``) and stacked kernel floats
+(``_PACK_FLOATS``), and takes every bias from the kernels it built, by one
+rule (``_biases``).  The stream is one pair set, one cell, for
+``train_multiclass``, and the pairs and cells of many splits for
+``grid_predictions``, which scores held-out rows with all cells at once and
+builds no per-cell model: the inner grid of nested CV, and its outer fits
+as one-cell splits.  Multi-class is one-vs-one with majority voting; ties
+fall back to summed decision margins, then lexicographic class order.
+Standardization is fitted on training data.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -205,78 +208,95 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     return np.clip(alpha, 0.0, c[:, None]), converged
 
 
-def _solve_pairs(pairs, cells, tol):
+def _biases(alpha, fvals, yv, c):
+    """Each row's bias from its solved dual ``alpha`` (cells, n), row r with
+    box bound ``c[r]`` and training decision values ``fvals`` = coef @ K
+    without bias: the mean of u = y - f over its free vectors, else the
+    midpoint of its up and low bounds, 0 standing in for an empty set."""
+    c = c[:, None]
+    eps = _BOUND_EPS * (1.0 + c)
+    u = yv - fvals
+    free = (alpha > eps) & (alpha < c - eps)
+    n_free = free.sum(axis=1)
+    free_mean = np.where(free, u, 0.0).sum(axis=1) / np.maximum(n_free, 1)
+    vu, vl = _masked(alpha, u, c - eps, eps, yv > 0)
+    hi, lo = vu.max(axis=1), vl.min(axis=1)
+    mid = 0.5 * (np.where(hi > -np.inf, hi, 0.0) + np.where(lo < np.inf, lo, 0.0))
+    return np.where(n_free > 0, free_mean, mid)
+
+
+def _solve_pairs(pairs, tol):
     """Solve every (c, gamma) cell of every class pair, pass limit 10 * n.
 
     ``pairs`` yields tuples that start with a pair's squared distances
-    between its rows and its +1/-1 labels.  Their problems, pair by pair and
-    cell by cell, go to ``_smo_batch`` in runs that keep problems x n_max
-    within ``_PACK_CELLS`` and the stacked kernels, pairs x gammas x n_max**2
-    floats, within ``_PACK_FLOATS``; a run's first pair ignores the kernel
-    cap and gives it at least one problem.  Yields
-    (pair tuple, alphas (cells, n), converged (cells,)) per pair in order,
-    once all its cells are solved, with a lone solve's bits.
+    between its rows, its +1/-1 labels and its cells, a (cells, 2) array of
+    (c, gamma) rows.  Their problems, pair by pair and cell by cell, go to
+    ``_smo_batch`` in runs that keep problems x n_max within ``_PACK_CELLS``
+    and the stacked kernels, one per gamma of each pair in the run and
+    n_max**2 floats each, within ``_PACK_FLOATS``; a run's first pair
+    ignores the kernel cap and gives it at least one problem.  The run that
+    solves a pair's last cells takes its training decision values from
+    those kernels, one product per gamma over all the pair's cells of that
+    gamma, and ``_biases`` from them.  Yields (pair tuple, alphas (cells,
+    n), converged (cells,), biases (cells,)) per pair in order, once all its
+    cells are solved, with a lone solve's alphas and converged flags.
     """
-    if any(c <= 0 or g <= 0 for c, g in cells):
-        raise TrainingError("C and gamma must be positive")
-    gammas = list(dict.fromkeys(g for _c, g in cells))
-    cell_kernel = np.array([gammas.index(g) for _c, g in cells], dtype=np.intp)
-    c_values = np.array([c for c, _g in cells])
-    n_cells, n_kernels = len(cells), len(gammas)
-
     def solve(chunks, n_max):
-        stacked = np.zeros((len(chunks) * n_kernels, n_max, n_max))
+        first = np.cumsum([0] + [gammas.size for _res, gammas, _kid, _lo, _hi in chunks])
+        stacked = np.zeros((first[-1], n_max, n_max))
         labels = np.zeros((len(chunks), n_max))
-        for k, (((sq, yv, *_), _alpha, _ok), lo, hi) in enumerate(chunks):
+        for k, (((sq, yv, *_), *_out), gammas, _kid, _lo, _hi) in enumerate(chunks):
             labels[k, :yv.size] = yv
-            for gi in np.unique(cell_kernel[lo:hi]):
-                stacked[k * n_kernels + gi, :yv.size, :yv.size] = np.exp(-gammas[gi] * sq).T
-        slot = np.repeat(np.arange(len(chunks)), [hi - lo for _res, lo, hi in chunks])
-        cell = np.concatenate([np.arange(lo, hi) for _res, lo, hi in chunks])
-        alpha, converged = _smo_batch(stacked, slot * n_kernels + cell_kernel[cell], labels[slot],
-                                      c_values[cell], tol, 10 * np.count_nonzero(labels, 1)[slot])
-        for k, ((_pair, out_alpha, out_ok), lo, hi) in enumerate(chunks):
-            out_alpha[lo:hi] = alpha[slot == k, :out_alpha.shape[1]]
+            for gi, g in enumerate(gammas):
+                stacked[first[k] + gi, :yv.size, :yv.size] = np.exp(-g * sq).T
+        slot = np.repeat(np.arange(len(chunks)), [hi - lo for *_res, lo, hi in chunks])
+        kernel = np.concatenate([first[k] + kid[lo:hi]
+                                 for k, (_res, _g, kid, lo, hi) in enumerate(chunks)])
+        c = np.concatenate([pair[2][lo:hi, 0] for (pair, *_out), _g, _kid, lo, hi in chunks])
+        alpha, converged = _smo_batch(stacked, kernel, labels[slot], c, tol,
+                                      10 * np.count_nonzero(labels, 1)[slot])
+        for k, (((_sq, yv, cells, *_), out_alpha, out_ok, out_bias), gammas, kid, lo, hi) \
+                in enumerate(chunks):
+            n = yv.size
+            out_alpha[lo:hi] = alpha[slot == k, :n]
             out_ok[lo:hi] = converged[slot == k]
+            if hi == len(cells):  # earlier runs solved the pair's other cells
+                coef = out_alpha * yv
+                fvals = np.empty_like(coef)
+                for gi in range(gammas.size):  # stored as K.T, which is K: sq is symmetric
+                    fvals[kid == gi] = coef[kid == gi] @ stacked[first[k] + gi, :n, :n]
+                out_bias[:] = _biases(out_alpha, fvals, yv, cells[:, 0])
 
-    chunks, ready, count, n_max = [], [], 0, 0
+    chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
     for pair in pairs:
-        result = (pair, np.zeros((n_cells, pair[1].size)), np.zeros(n_cells, dtype=bool))
+        n, n_cells = pair[1].size, len(pair[2])
+        gammas, kid = np.unique(pair[2][:, 1], return_inverse=True)
+        result = (pair, np.zeros((n_cells, n)), np.zeros(n_cells, dtype=bool), np.zeros(n_cells))
         start = 0
         while start < n_cells:
-            m = max(n_max, pair[1].size)
+            m = max(n_max, n)
             take = max(1, min(_PACK_CELLS // m - count, n_cells - start))
             if chunks and (count + take > _PACK_CELLS // m
-                           or (len(chunks) + 1) * n_kernels * m * m > _PACK_FLOATS):
+                           or (kernels + gammas.size) * m * m > _PACK_FLOATS):
                 solve(chunks, n_max)
                 yield from ready
-                chunks, ready, count, n_max = [], [], 0, 0
+                chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
             else:
-                chunks.append((result, start, start + take))
-                count, n_max, start = count + take, m, start + take
+                chunks.append((result, gammas, kid, start, start + take))
+                count, n_max, start, kernels = count + take, m, start + take, kernels + gammas.size
         ready.append(result)
     if chunks:
         solve(chunks, n_max)
     yield from ready
 
 
-def _binary_svm(xm, k, yv, alpha, c, gamma, converged) -> BinarySvm:
-    """Bias and support vectors of one solved dual (``alpha`` already clipped)."""
-    eps = _BOUND_EPS * (1.0 + c)
-    fvals = k @ (alpha * yv)
-    u = yv - fvals
-    free = (alpha > eps) & (alpha < c - eps)
-    if free.any():
-        bias = float(u[free].mean())
-    else:  # the midpoint of the up and low bounds, 0 standing in for an empty set
-        vu, vl = _masked(alpha, u, c - eps, eps, yv > 0)
-        hi, lo = vu.max(), vl.min()
-        bias = 0.5 * float((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0))
-
+def _binary_svm(xm, yv, alpha, bias, c, gamma, converged) -> BinarySvm:
+    """The machine of one solved dual (``alpha`` already clipped): its
+    support vectors, their signed coefficients and ``bias``."""
     kept = alpha > 0.0
     model_alpha = alpha.copy()
     model_alpha.setflags(write=False)
-    return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], bias, float(c), float(gamma),
+    return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], float(bias), float(c), float(gamma),
                      bool(converged), model_alpha)
 
 
@@ -305,7 +325,8 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
 
     k = _kernel_matrix(xm, xm, gamma)
     alpha, converged = _smo_batch(k.T[None], [0], yv[None], [float(c)], tol, [max_passes])
-    return _binary_svm(xm, k, yv, alpha[0], float(c), gamma, converged[0])
+    bias = _biases(alpha, (alpha * yv) @ k, yv, np.array([float(c)]))
+    return _binary_svm(xm, yv, alpha[0], bias[0], c, gamma, converged[0])
 
 
 @dataclass(frozen=True)
@@ -344,10 +365,14 @@ def trainable_classes(labels) -> list:
     return classes
 
 
-def _one_vs_one(x, labels):
+def _one_vs_one(x, labels, cells):
     """Validated classes, the fitted standardizer, and per class pair (a, b) the
     squared distances between its standardized rows, labels +1 for a and -1
-    for b, (a, b) and those rows."""
+    for b, the (c, gamma) ``cells`` as a (cells, 2) array, (a, b) and those
+    rows."""
+    cells = np.array(cells, dtype=np.float64).reshape(-1, 2)
+    if np.any(cells <= 0):
+        raise TrainingError("C and gamma must be positive")
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     lab = list(labels)
     if len(lab) != xm.shape[0]:
@@ -361,7 +386,8 @@ def _one_vs_one(x, labels):
     for a, b in itertools.combinations(classes, 2):
         mask = (lab_arr == a) | (lab_arr == b)
         zp = z[mask]
-        pairs.append((_sq_distances(zp, zp), np.where(lab_arr[mask] == a, 1.0, -1.0), (a, b), zp))
+        pairs.append((_sq_distances(zp, zp), np.where(lab_arr[mask] == a, 1.0, -1.0), cells,
+                      (a, b), zp))
     return tuple(classes), scaler, pairs
 
 
@@ -373,15 +399,14 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
     packed solve; each machine is ``train_binary_smo`` of its pair, bit for
     bit.
     """
-    classes, scaler, pairs = _one_vs_one(x, labels)
-    c, gamma = float(c), float(gamma)
-    machines = {pair: _binary_svm(z, np.exp(-gamma * sq), yv, alpha[0], c, gamma, ok[0])
-                for (sq, yv, pair, z), alpha, ok in _solve_pairs(pairs, [(c, gamma)], tol)}
-    return MulticlassSvm(classes, machines, scaler, c, gamma)
+    classes, scaler, pairs = _one_vs_one(x, labels, [(c, gamma)])
+    machines = {pair: _binary_svm(z, yv, alpha[0], bias[0], c, gamma, ok[0])
+                for (_sq, yv, _cells, pair, z), alpha, ok, bias in _solve_pairs(pairs, tol)}
+    return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
 
 
 class _PairGrid(NamedTuple):
-    """One class pair's machines for every grid cell, stacked along axis 0."""
+    """One class pair's machines for every cell of its split, stacked along axis 0."""
 
     pair: Tuple
     alphas: np.ndarray      # (cells, pair rows), clipped to each cell's box
@@ -390,71 +415,55 @@ class _PairGrid(NamedTuple):
     decision: np.ndarray    # (cells, validation rows)
 
 
-def _grid_biases(alpha, fvals, yv, c):
-    """Each cell's bias from its solved dual: the rule of ``_binary_svm``
-    (the mean of u = y - f over free vectors, else the midpoint of the up
-    and low bounds) applied to all rows of ``alpha`` (cells, n) at once,
-    row r with box bound ``c[r]``."""
-    c = c[:, None]
-    eps = _BOUND_EPS * (1.0 + c)
-    u = yv - fvals
-    free = (alpha > eps) & (alpha < c - eps)
-    n_free = free.sum(axis=1)
-    free_mean = np.where(free, u, 0.0).sum(axis=1) / np.maximum(n_free, 1)
-    vu, vl = _masked(alpha, u, c - eps, eps, yv > 0)
-    hi, lo = vu.max(axis=1), vl.min(axis=1)
-    mid = 0.5 * (np.where(hi > -np.inf, hi, 0.0) + np.where(lo < np.inf, lo, 0.0))
-    return np.where(n_free > 0, free_mean, mid)
-
-
 def _split_pairs(x, splits):
     """Each split, standardized on its fit rows, reduced at once to per pair (fit
-    x fit squared distances, labels, split index, classes, pair, val x fit ones)."""
-    for s, (fit, labels, val) in enumerate(splits):
-        classes, scaler, pairs = _one_vs_one(x[fit], labels)
+    x fit squared distances, labels, cells, split index, classes, pair, val x
+    fit ones)."""
+    for s, (fit, labels, val, cells) in enumerate(splits):
+        classes, scaler, pairs = _one_vs_one(x[fit], labels, cells)
         z_val = scaler.transform(x[val])
-        for sq, yv, pair, z in pairs:
-            yield sq, yv, s, classes, pair, _sq_distances(z_val, z)
+        for sq, yv, cells, pair, z in pairs:
+            yield sq, yv, cells, s, classes, pair, _sq_distances(z_val, z)
 
 
-def _grid_machines(x, splits, cells, tol):
-    """Per (fit rows, fit labels, validation rows) split of ``x``, its classes
-    and a ``_PairGrid`` per pair: ``train_multiclass(x[fit], labels, c,
-    gamma, tol)`` and its pair machines' ``decision_values`` on ``x[val]`` for
-    every cell, with the same alphas and converged flags and biases and
-    decision values equal to rounding.  All splits' problems stream through
-    ``_solve_pairs``; one product per pair and gamma scores all cells."""
-    cells = [(float(c), float(g)) for c, g in cells]
-    c_values, cell_gammas = np.array(cells).reshape(-1, 2).T
-    solved = _solve_pairs(_split_pairs(np.asarray(x, dtype=np.float64), splits), cells, tol)
-    for _s, split in itertools.groupby(solved, key=lambda res: res[0][2]):
+def _grid_machines(x, splits, tol):
+    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
+    ``x``, its classes and a ``_PairGrid`` per pair: ``train_multiclass(x[fit],
+    labels, c, gamma, tol)`` and its pair machines' ``decision_values`` on
+    ``x[val]`` for every cell, with the same alphas and converged flags and
+    biases and decision values equal to rounding.  All splits' problems
+    stream through ``_solve_pairs``; one product per pair and gamma scores
+    all cells."""
+    solved = _solve_pairs(_split_pairs(np.asarray(x, dtype=np.float64), splits), tol)
+    for _s, split in itertools.groupby(solved, key=lambda res: res[0][3]):
         machines = []
-        for (sq, yv, _s, classes, pair, sq_val), alpha, converged in split:
+        for (_sq, yv, cells, _s, classes, pair, sq_val), alpha, converged, bias in split:
             coef = alpha * yv
-            fvals = np.empty_like(coef)
             decision = np.empty((len(cells), sq_val.shape[0]))
-            for g in dict.fromkeys(cell_gammas):
-                sel = cell_gammas == g
-                fvals[sel] = coef[sel] @ np.exp(-g * sq)
+            for g in np.unique(cells[:, 1]):
+                sel = cells[:, 1] == g
                 decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
-            bias = _grid_biases(alpha, fvals, yv, c_values)
             machines.append(_PairGrid(pair, alpha, converged, bias, decision + bias[:, None]))
         yield classes, machines
 
 
-def grid_predictions(x, splits, cells: Sequence[Tuple[float, float]],
-                     tol: float = SMO_TOL) -> list:
-    """Per (fit rows, fit labels, validation rows) split of ``x``, an int
-    array (cells, validation rows) of indices into ``sorted(set(labels))``:
-    row r is ``predict`` of ``train_multiclass(x[fit], labels, *cells[r],
-    tol)`` on ``x[val]``, except where that vote hangs on a pair decision
-    value that is zero to rounding (duplicate rows of different labels, a
-    dimension constant in the fit rows, a gamma that no kernel value
-    survives), whose sign may differ.  ``_winners`` picks from all cells'
-    summed votes and margins at once."""
-    return [_winners(*_tally(classes, machines[0].decision.shape,
-                             ((m.pair, m.decision) for m in machines)))
-            for classes, machines in _grid_machines(x, splits, cells, tol)]
+def grid_predictions(x, splits, tol: float = SMO_TOL):
+    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split
+    of ``x``, yield its classes ``sorted(set(labels))``, an int array (cells,
+    validation rows) of indices into them, the summed margins (cells,
+    validation rows, classes) and the converged flags (cells,): row r is
+    ``predict_with_margins`` and ``converged`` of ``train_multiclass(x[fit],
+    labels, *cells[r], tol)`` on ``x[val]``, the margins equal to rounding,
+    except where a vote hangs on a pair decision value that is zero to
+    rounding (duplicate rows of different labels, a dimension constant in
+    the fit rows, a gamma that no kernel value survives), whose sign may
+    differ.  ``_winners`` picks from all cells' summed votes and margins at
+    once."""
+    for classes, machines in _grid_machines(x, splits, tol):
+        votes, margins = _tally(classes, machines[0].decision.shape,
+                                ((m.pair, m.decision) for m in machines))
+        yield classes, _winners(votes, margins), margins, np.all(
+            [m.converged for m in machines], axis=0)
 
 
 def _tally(classes, shape, decisions):

@@ -16,12 +16,11 @@ from emovox.embeddings import (
     train_total_variability,
     train_ubm,
     xvector_forward,
-    zero_xvector_weights,
 )
 from emovox.analysis import embedding_mfcc
 from emovox.embeddings.gmm import VARIANCE_FLOOR, _reseed_empty
-from emovox.embeddings.xvector import (SPLICE_OFFSETS, _FRAME_LAYERS, _random_layers,
-                                       _splice, sliding_mean_normalize)
+from emovox.embeddings.xvector import (LAYER_SHAPES, SPLICE_OFFSETS, _FRAME_LAYERS,
+                                       _random_layers, _splice, sliding_mean_normalize)
 from emovox.errors import ModelFormatError, TrainingError
 
 from conftest import voice_like, wf
@@ -317,6 +316,15 @@ def test_xvector_too_few_frames(xw, rng):
 def test_xvector_wrong_input_dim(xw, rng):
     with pytest.raises(ValueError):
         xvector_forward(xw, rng.standard_normal((30, 23)))
+
+
+def zero_xvector_weights(n_classes: int = 8) -> XVectorWeights:
+    layers = {
+        name: (np.zeros((n_in, n_out)), np.zeros(n_out))
+        for name, (n_in, n_out) in LAYER_SHAPES.items()
+    }
+    layers["softmax"] = (np.zeros((512, n_classes)), np.zeros(n_classes))
+    return XVectorWeights(layers)
 
 
 def test_xvector_zero_weights_zero_embedding(rng):

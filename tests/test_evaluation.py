@@ -224,22 +224,38 @@ def test_nested_cv_binary_roc_and_positive_class():
 
 
 def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
-    # labels and ROC scores of an outer fold come from one scoring pass
+    # two solve streams: the inner grid, then every outer fold as a one-cell
+    # split that fits on its training rows and scores its test rows once,
+    # which gives its labels and ROC scores; no model is built or scored
+    from emovox import evaluation
     from emovox.svm import BinarySvm
 
-    scored = []
-    decision_values = BinarySvm.decision_values
+    streams = []
+    grid_predictions = evaluation.grid_predictions
 
-    def counted(machine, x):
-        scored.append(len(x))
-        return decision_values(machine, x)
+    def recorded(x, splits):
+        streams.append(splits)
+        return grid_predictions(x, splits)
 
-    monkeypatch.setattr(BinarySvm, "decision_values", counted)
+    def unexpected(machine, x):
+        raise AssertionError("nested CV scored a model")
+
+    monkeypatch.setattr(evaluation, "grid_predictions", recorded)
+    monkeypatch.setattr(BinarySvm, "decision_values", unexpected)
     rng = np.random.default_rng(12)
     samples, feats = blob_dataset(rng, class_names=("dissatisfied", "satisfied"), n_per=25)
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=0)
     report = nested_cv(samples, feats, plan, SMALL_GRID)
-    assert scored == [fold.test_count for fold in report.folds]
+    assert len(streams) == 2
+    assert all(cells == SMALL_GRID for *_rest, cells in streams[0])
+    assert len(streams[1]) == plan.k_outer
+    labels = [s.label for s in samples]
+    for fold, (fit, fit_labels, test, cells) in zip(report.folds, streams[1]):
+        assert np.array_equal(test, np.asarray(plan.outer) == fold.fold)
+        assert np.array_equal(fit, ~test)
+        assert fit_labels == [label for label, t in zip(labels, test) if not t]
+        assert cells == [(fold.c, fold.gamma)]
+        assert fold.test_count == test.sum()
 
 
 def per_cell_selection(samples, feats, plan, cells):
@@ -275,6 +291,7 @@ def per_cell_selection(samples, feats, plan, cells):
                                          ("dissatisfied", "satisfied")])
 def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     from emovox import evaluation
+    from emovox.svm import predict_with_margins, train_multiclass
 
     from test_svm import oracle_grid_predictions
 
@@ -287,8 +304,21 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     report = nested_cv(samples, feats, plan, cells)
     assert [(f.c, f.gamma) for f in report.folds] == per_cell_selection(
         samples, feats, plan, cells)
-    monkeypatch.setattr(evaluation, "grid_predictions", lambda x, splits, cells: [
-        oracle_grid_predictions(x[fit], labels, x[val], cells) for fit, labels, val in splits])
+    def oracle_stream(x, splits):
+        # the inner grid by one model per cell, each outer fold by
+        # ``train_multiclass`` and ``predict_with_margins``
+        for fit, labels, val, split_cells in splits:
+            classes = tuple(sorted(set(labels)))
+            if len(split_cells) > 1:
+                guesses = oracle_grid_predictions(x[fit], labels, x[val], split_cells)
+                yield classes, guesses, None, None
+                continue
+            model = train_multiclass(x[fit], labels, *split_cells[0])
+            guesses, margins = predict_with_margins(model, x[val])
+            yield (classes, np.array([[classes.index(g) for g in guesses]]), margins[None],
+                   np.array([model.converged]))
+
+    monkeypatch.setattr(evaluation, "grid_predictions", oracle_stream)
     oracle = nested_cv(samples, feats, plan, cells)
     assert format_report(report) == format_report(oracle)
     assert fold_metrics_csv(report) == fold_metrics_csv(oracle)
@@ -298,10 +328,10 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     assert len({(f.c, f.gamma) for f in report.folds}) > 1
 
 
-def test_nested_cv_packs_inner_splits_then_one_solve_per_outer_fold(monkeypatch):
+def test_nested_cv_packs_inner_splits_then_outer_folds(monkeypatch):
     # the problems of every usable inner split of every outer fold share
-    # packed SMO calls within the working-array cap; then each outer fit
-    # solves its six class pairs in one call
+    # packed SMO calls within the working-array cap; then the six class
+    # pairs of every outer fold share packed calls within both caps
     from test_svm import count_solves
 
     from emovox import svm
@@ -321,11 +351,16 @@ def test_nested_cv_packs_inner_splits_then_one_solve_per_outer_fold(monkeypatch)
             fit_labels = labels[fit].tolist()
             usable += bool(val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)))
     assert usable > 2 * plan.k_outer
-    inner_calls, outer_calls = calls[:-plan.k_outer], calls[-plan.k_outer:]
-    assert sum(problems for problems, _n_max in inner_calls) == 6 * len(SMALL_GRID) * usable
-    assert all(problems * n_max <= svm._PACK_CELLS for problems, n_max in inner_calls)
+    # a run never mixes the two streams
+    cut = list(np.cumsum([problems for problems, _n_max in calls])).index(
+        6 * len(SMALL_GRID) * usable) + 1
+    inner_calls, outer_calls = calls[:cut], calls[cut:]
     assert len(inner_calls) < usable
-    assert [problems for problems, _n_max in outer_calls] == [6] * plan.k_outer
+    assert sum(problems for problems, _n_max in outer_calls) == 6 * plan.k_outer
+    assert len(outer_calls) < plan.k_outer
+    assert all(problems * n_max <= svm._PACK_CELLS for problems, n_max in calls)
+    # an outer problem is one cell of its pair, so it has a kernel of its own
+    assert all(problems * n_max ** 2 <= svm._PACK_FLOATS for problems, n_max in outer_calls)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])

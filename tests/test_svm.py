@@ -127,10 +127,10 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None):
         grad += step * yv * (k[:, i] - k[:, j])
 
     alpha = np.clip(alpha, 0.0, c)
-    u = yv - k @ (alpha * yv)
+    u = yv - (alpha * yv) @ k
     free = (alpha > eps) & (alpha < c - eps)
     if free.any():
-        bias = float(u[free].mean())
+        bias = float(np.where(free, u, 0.0).sum() / free.sum())
     else:
         below_c = alpha < c - eps
         above_0 = alpha > eps
@@ -179,36 +179,37 @@ def assert_same_ensemble(got, want):
 
 
 def train_grid(x, labels, cells, tol=SMO_TOL):
-    """Yield ``train_multiclass(x, labels, c, gamma, tol)`` for each
-    (c, gamma) in ``cells``, bit for bit, from one packed SMO of all pairs
-    and cells: the per-cell oracle for the grid scorer."""
-    cells = [(float(c), float(g)) for c, g in cells]
-    classes, scaler, pairs = _one_vs_one(x, labels)
-    solved = list(_solve_pairs(pairs, cells, tol))
+    """Yield a model for each (c, gamma) in ``cells`` from one packed SMO of
+    all pairs and cells, with ``train_multiclass(x, labels, c, gamma, tol)``'s
+    alphas and converged flags bit for bit and the grid's biases: the
+    per-cell oracle for the grid scorer."""
+    classes, scaler, pairs = _one_vs_one(x, labels, cells)
+    solved = list(_solve_pairs(pairs, tol))
     for cell, (c, g) in enumerate(cells):
         yield MulticlassSvm(classes, {
-            pair: _binary_svm(z, np.exp(-g * sq), yv, alpha[cell], c, g, converged[cell])
-            for (sq, yv, pair, z), alpha, converged in solved
-        }, scaler, c, g)
+            pair: _binary_svm(z, yv, alpha[cell], bias[cell], c, g, converged[cell])
+            for (_sq, yv, _cells, pair, z), alpha, converged, bias in solved
+        }, scaler, float(c), float(g))
 
 
-def one_split(x, labels, x_val):
+def one_split(x, labels, x_val, cells):
     """``x`` and ``x_val`` stacked as one matrix, and the one split that fits
-    on the rows of ``x`` and validates on those of ``x_val``."""
+    on the rows of ``x`` and validates on those of ``x_val`` with ``cells``."""
     n = len(x)
-    return np.vstack([x, x_val]), [(np.arange(n), list(labels), np.arange(n, n + len(x_val)))]
+    return np.vstack([x, x_val]), [(np.arange(n), list(labels), np.arange(n, n + len(x_val)),
+                                    cells)]
 
 
 def grid_machines(x, labels, x_val, cells, tol=SMO_TOL):
     """Classes and pair grids of ``_grid_machines`` on one split."""
-    (classes, machines), = _grid_machines(*one_split(x, labels, x_val), cells, tol)
+    (classes, machines), = _grid_machines(*one_split(x, labels, x_val, cells), tol)
     return classes, machines
 
 
 def split_predictions(x, labels, x_val, cells, tol=SMO_TOL):
-    """``grid_predictions`` of one split."""
-    matrix, splits = one_split(x, labels, x_val)
-    guesses, = grid_predictions(matrix, splits, cells, tol)
+    """The predictions of ``grid_predictions`` on one split."""
+    (_classes, guesses, _margins, _converged), = grid_predictions(
+        *one_split(x, labels, x_val, cells), tol)
     return guesses
 
 
@@ -600,32 +601,83 @@ def test_many_splits_match_one_call_per_split(cap, monkeypatch):
     names = np.array(list("abc"))
     labels = names[np.arange(60) % 3]
     x = r.standard_normal((60, 4)) + 0.7 * (np.arange(60) % 3)[:, None]
+    cells = [(c, g) for c in (1e-2, 1.0, 1e3) for g in (1e-2, 0.3, 3.0)]
     splits = []
-    for fit_count, val_count, classes in ((40, 12, "abc"), (13, 7, "ab"), (28, 5, "abc"),
-                                          (9, 20, "bc")):
+    for fit_count, val_count, classes, split_cells in (
+            (40, 12, "abc", cells), (13, 7, "ab", cells[1:5]), (28, 5, "abc", cells),
+            (9, 20, "bc", cells[4:5])):
         rows = r.permutation(np.flatnonzero(np.isin(labels, list(classes))))
         fit, val = np.sort(rows[:fit_count]), rows[fit_count:fit_count + val_count]
-        splits.append((fit, labels[fit].tolist(), val))
-    splits[2] = (splits[2][0], splits[2][1], splits[2][2][labels[splits[2][2]] == "a"])
-    cells = [(c, g) for c in (1e-2, 1.0, 1e3) for g in (1e-2, 0.3, 3.0)]
-    one_by_one = [list(_grid_machines(x, [split], cells, SMO_TOL))[0] for split in splits]
-    alone = [guesses for split in splits for guesses in grid_predictions(x, [split], cells)]
+        splits.append((fit, labels[fit].tolist(), val, split_cells))
+    splits[2] = (splits[2][0], splits[2][1], splits[2][2][labels[splits[2][2]] == "a"], cells)
+    one_by_one = [list(_grid_machines(x, [split], SMO_TOL))[0] for split in splits]
+    alone = [out for split in splits for out in grid_predictions(x, [split])]
     calls = count_solves(monkeypatch)
     if cap:
         monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
         monkeypatch.setattr(svm, "_PACK_CELLS", cap)
-    packed = list(_grid_machines(x, splits, cells, SMO_TOL))
-    problems = sum(len(cells) * len(machines) for _classes, machines in packed)
-    assert sum(n for n, _n_max in calls) == problems == len(cells) * (3 + 1 + 3 + 1)
+    packed = list(_grid_machines(x, splits, SMO_TOL))
+    problems = sum(len(m.bias) for _classes, machines in packed for m in machines)
+    assert sum(n for n, _n_max in calls) == problems == 9 * 3 + 4 * 1 + 9 * 3 + 1 * 1
     assert len(calls) == (problems if cap else 1)
     assert [classes for classes, _machines in packed] == [tuple("abc"), ("a", "b"),
                                                           tuple("abc"), ("b", "c")]
     for (classes, machines), (want_classes, want) in zip(packed, one_by_one):
         assert classes == want_classes
         assert pair_bits(machines) == pair_bits(want)
-    together = grid_predictions(x, splits, cells)
-    assert [g.shape for g in together] == [(len(cells), len(val)) for _f, _l, val in splits]
-    assert [g.tobytes() for g in together] == [g.tobytes() for g in alone]
+    together = list(grid_predictions(x, splits))
+    assert [out[1].shape for out in together] == [(len(split_cells), len(val))
+                                                  for _f, _l, val, split_cells in splits]
+    for got, want in zip(together, alone):
+        assert got[0] == want[0]
+        assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_one_cell_splits_match_train_multiclass(cap, monkeypatch):
+    # the outer fits of nested CV: splits of different sizes and class sets,
+    # each with its own one-cell list, streamed together
+    from emovox import svm
+
+    r = np.random.default_rng(23)
+    names = np.array(list("abcd"))
+    labels = names[np.arange(80) % 4]
+    x = r.standard_normal((80, 5)) + 0.8 * (np.arange(80) % 4)[:, None]
+    splits = []
+    for fit_count, val_count, classes, cell in ((50, 10, "abcd", (1.0, 0.1)),
+                                                (14, 6, "ab", (100.0, 1.0)),
+                                                (33, 9, "bcd", (1e-2, 0.3)),
+                                                (21, 4, "ad", (1e3, 3.0))):
+        rows = r.permutation(np.flatnonzero(np.isin(labels, list(classes))))
+        fit, val = np.sort(rows[:fit_count]), rows[fit_count:fit_count + val_count]
+        splits.append((fit, labels[fit].tolist(), val, [cell]))
+    models = [train_multiclass(x[fit], fit_labels, *cells[0])
+              for fit, fit_labels, _val, cells in splits]
+    calls = count_solves(monkeypatch)
+    if cap:
+        monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
+        monkeypatch.setattr(svm, "_PACK_CELLS", cap)
+    packed = list(_grid_machines(x, splits, SMO_TOL))
+    sizes = [m.alphas.shape[1] for _classes, machines in packed for m in machines]
+    assert len(sizes) == 6 + 1 + 3 + 1
+    assert calls == ([(1, n) for n in sizes] if cap else [(len(sizes), max(sizes))])
+    scores = list(grid_predictions(x, splits))
+    for (_fit, _l, val, _cells), model, (classes, machines), (score_classes, guesses, margins,
+                                                              converged) \
+            in zip(splits, models, packed, scores):
+        assert classes == score_classes == model.classes
+        assert [m.pair for m in machines] == list(model.machines)
+        z_val = model.standardizer.transform(x[val])
+        for m in machines:
+            want = model.machines[m.pair]
+            assert m.alphas[0].tobytes() == want.alphas.tobytes()
+            assert bool(m.converged[0]) is want.converged
+            assert_close(m.bias[0], want.bias)
+            assert_close(m.decision[0], want.decision_values(z_val))
+        votes, want_margins = decision_scores(model, x[val])
+        assert_close(margins[0], want_margins)
+        assert [classes[i] for i in guesses[0]] == predict(model, x[val])
+        assert converged.tolist() == [model.converged]
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +770,9 @@ def test_grid_validation(rng):
     with pytest.raises(TrainingError, match="rare"):
         split_predictions(x[:5], labels[:4] + ["rare"], x[:2], [(1.0, 1.0)])
     with pytest.raises(TrainingError, match="label count"):
-        grid_predictions(x, [(np.arange(5), labels[:4], np.arange(2))], [(1.0, 1.0)])
+        list(grid_predictions(x, [(np.arange(5), labels[:4], np.arange(2), [(1.0, 1.0)])]))
     assert split_predictions(x, labels, x[:3], []).shape == (0, 3)
-    assert grid_predictions(x, [], [(1.0, 1.0)]) == []
+    assert list(grid_predictions(x, [])) == []
 
 
 # ---------------------------------------------------------------------------
