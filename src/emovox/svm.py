@@ -263,8 +263,9 @@ def _solve_pairs(pairs, tol):
             if hi == len(cells):  # earlier runs solved the pair's other cells
                 coef = out_alpha * yv
                 fvals = np.empty_like(coef)
-                for gi in range(gammas.size):  # stored as K.T, which is K: sq is symmetric
-                    fvals[kid == gi] = coef[kid == gi] @ stacked[first[k] + gi, :n, :n]
+                for gi in range(gammas.size):
+                    sel = kid == gi  # the slice holds K.T, which is K: sq is symmetric
+                    fvals[sel] = coef[sel] @ stacked[first[k] + gi, :n, :n]
                 out_bias[:] = _biases(out_alpha, fvals, yv, cells[:, 0])
 
     chunks, ready, count, n_max, kernels = [], [], 0, 0, 0

@@ -674,7 +674,7 @@ def test_one_cell_splits_match_train_multiclass(cap, monkeypatch):
             assert bool(m.converged[0]) is want.converged
             assert_close(m.bias[0], want.bias)
             assert_close(m.decision[0], want.decision_values(z_val))
-        votes, want_margins = decision_scores(model, x[val])
+        _votes, want_margins = decision_scores(model, x[val])
         assert_close(margins[0], want_margins)
         assert [classes[i] for i in guesses[0]] == predict(model, x[val])
         assert converged.tolist() == [model.converged]
