@@ -2,14 +2,17 @@
 
 An ``Analysis`` wraps one 8 kHz ``Waveform`` and frames it once on the
 25/10 ms grid that ``emovox.audio.grid`` defines: the rectangular frames (a
-view of the samples, which the VAD ``detect_speech`` reads too) and the Hann
-frames made from them, the Hann frames' power spectrum (i2010pc's MFCCs and
-mel bands and the embedding MFCCs read it), the F0 track, the speech and
-voiced masks of the grid frames, the voicing transitions (an onset flag and
-an 80 ms chunk per run boundary of the voiced mask), the rectangular-frame
-log energy and the MFCC matrix both embeddings read.  Each is computed the
-first time a scheme asks for it.  The pipeline builds one per row on its
-first cache miss; an extractor given a bare ``Waveform`` builds its own.
+view of the samples, which the VAD ``detect_speech`` reads too), the power
+spectrum of the Hann frames made from them (i2010pc's MFCCs and mel bands
+and the embedding MFCCs read it), the F0 track, the speech and voiced masks
+of the grid frames, the voicing transitions (an onset flag and an 80 ms
+chunk per run boundary of the voiced mask), the rectangular-frame log
+energy and the MFCC matrix both embeddings read.  Each is computed the
+first time a scheme asks for it.  The Hann frames themselves are made on
+each call and not kept: besides the power spectrum only i2010pc reads
+them, and they hold twice the spectrum's bytes.  The pipeline builds one
+per row on its first cache miss; an extractor given a bare ``Waveform``
+builds its own.
 """
 
 from __future__ import annotations
@@ -55,9 +58,8 @@ class Analysis:
 
     @property
     def hann_frames(self) -> np.ndarray:
-        """Hann-windowed grid frames, one per row."""
-        return self._once("hann_frames", lambda: self.rect_frames * np.hanning(
-            self.rect_frames.shape[1]))
+        """Hann-windowed grid frames, one per row: made on each call, not kept."""
+        return self.rect_frames * np.hanning(self.rect_frames.shape[1])
 
     @property
     def hann_power(self) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Read-only arrays that no caller can write to."""
+"""Read-only arrays that no caller can write to, and the blocks of a blocked
+column reduction."""
 
 from __future__ import annotations
 
@@ -19,3 +20,17 @@ def frozen(values, dtype=np.float64) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def column_blocks(n: int, size: int) -> list:
+    """(lo, hi) blocks of ``size`` columns covering n columns.
+
+    A last block of one column joins the one before: NumPy sums a lone
+    contiguous column pairwise and hands a one-row matrix product to another
+    BLAS kernel, so a block of one would change the bits of the whole-matrix
+    call.  n = 0 gives one empty block.
+    """
+    edges = list(range(size, n, size))
+    if edges and n - edges[-1] == 1:
+        edges.pop()
+    return list(zip([0] + edges, edges + [n]))

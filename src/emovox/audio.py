@@ -33,6 +33,8 @@ TARGET_RATE = 8000
 MAX_RESAMPLE_TAPS = 2 ** 17
 # floats of the resampler's product held at once (8 MB)
 _PRODUCT_FLOATS = 2 ** 20
+# taps per block of the resampler's filter design (64 kB each)
+KAISER_BLOCK_TAPS = 2 ** 13
 FRAME_MS = 25.0
 STEP_MS = 10.0
 
@@ -135,10 +137,18 @@ def _kaiser_lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
     """Kaiser-windowed sinc with unit DC gain; ``cutoff`` is relative to Nyquist.
 
     The design of ``scipy.signal.firwin(numtaps, cutoff, window=("kaiser", beta))``.
+    The window is ``np.kaiser``'s formula; it and the sinc are elementwise,
+    so they run over blocks of ``KAISER_BLOCK_TAPS`` taps with the bits of
+    one whole-array pass, and only the gain uses the whole filter.
     """
-    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
-    h = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
-    return h / h.sum()
+    h = np.empty(numtaps)
+    alpha = (numtaps - 1) / 2.0
+    for lo in range(0, numtaps, KAISER_BLOCK_TAPS):
+        n = np.arange(lo, min(lo + KAISER_BLOCK_TAPS, numtaps), dtype=np.float64)
+        window = np.i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / np.i0(beta)
+        h[lo:lo + n.size] = cutoff * np.sinc(cutoff * (n - alpha)) * window
+    h /= h.sum()
+    return h
 
 
 @functools.lru_cache(maxsize=8)

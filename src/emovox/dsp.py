@@ -28,6 +28,8 @@ PREEMPHASIS = 0.97
 # Full 0.97 pre-emphasis tilts LPC-8 pole estimates ~10% high around 500 Hz;
 # a milder coefficient keeps low formants unbiased on resonator benchmarks.
 FORMANT_PREEMPHASIS = 0.5
+# Rows per block of formants_f1_f2: bounds its copies and LPC products.
+FORMANT_BLOCK_FRAMES = 512
 
 N_BARK_BANDS = 22
 
@@ -211,18 +213,32 @@ def _poly_roots(polys: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def formants_f1_f2(segments: np.ndarray, rate: int):
+def formants_f1_f2(segments: np.ndarray, rate: int, where=None):
     """First two formant frequencies of each short voiced segment (matrix row).
 
     Pre-emphasized, Hamming-windowed LPC of order 8; poles with bandwidth
     under 400 Hz and frequency inside (90, 3800) Hz qualify.  Missing
     formants come back as NaN, as do both formants of silent segments and of
-    segments shorter than 16 samples.  Returns two arrays, one entry per row.
+    segments shorter than 16 samples.  ``where``, a row mask, picks the
+    segments (all rows by default).  Returns two arrays, one entry per picked
+    row.
+
+    The rows go through in blocks of ``FORMANT_BLOCK_FRAMES``, each copying
+    only its picked rows, so memory grows only by the output; every step is
+    row-wise, so the result has the bits of a one-block run.
     """
-    rows = np.asarray(segments, dtype=np.float64)
-    out = np.full((rows.shape[0], 2), math.nan)
-    live = np.any(rows, axis=1) & (rows.shape[1] >= FORMANT_LPC_ORDER * 2)
-    if np.any(live):
+    segments = np.asarray(segments)
+    where = (np.ones(segments.shape[0], dtype=bool) if where is None
+             else np.asarray(where, dtype=bool))
+    out = np.full((np.count_nonzero(where), 2), math.nan)
+    done = 0
+    for lo in range(0, segments.shape[0], FORMANT_BLOCK_FRAMES):
+        hi = lo + FORMANT_BLOCK_FRAMES
+        rows = np.asarray(segments[lo:hi][where[lo:hi]], dtype=np.float64)
+        first, done = done, done + rows.shape[0]
+        live = np.any(rows, axis=1) & (rows.shape[1] >= FORMANT_LPC_ORDER * 2)
+        if not np.any(live):
+            continue
         y = rows[live]
         y = np.concatenate([y[:, :1], y[:, 1:] - FORMANT_PREEMPHASIS * y[:, :-1]],
                            axis=1) * np.hamming(y.shape[1])
@@ -233,7 +249,7 @@ def formants_f1_f2(segments: np.ndarray, rate: int):
         ok = ((np.imag(roots) > 0) & (bws < FORMANT_MAX_BW_HZ)
               & (freqs > FORMANT_MIN_HZ) & (freqs < FORMANT_MAX_HZ))
         cand = np.sort(np.where(ok, freqs, np.inf), axis=1)[:, :2]
-        out[live] = np.where(np.isinf(cand), math.nan, cand)
+        out[first + np.flatnonzero(live)] = np.where(np.isinf(cand), math.nan, cand)
     return out[:, 0], out[:, 1]
 
 

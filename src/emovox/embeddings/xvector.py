@@ -20,13 +20,17 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..arrays import frozen
+from ..arrays import column_blocks, frozen
 from ..errors import ModelFormatError
 
 N_INPUT_CEPS = 24
 EMBEDDING_DIM = 512
 MIN_FRAMES = 15
 MEAN_NORM_FRAMES = 300  # 3 s at the 10 ms frame step
+# Values per column block of stats_pool, at least two columns a block: a
+# block's sorted float32 copy and float64 deviations take 1.5 MiB (up to
+# 65,536 frames, 11 minutes) and stay in cache.
+POOL_BLOCK_VALUES = 2 ** 17
 
 LAYER_SHAPES = {
     "frame1": (N_INPUT_CEPS * 5, 512),
@@ -181,18 +185,30 @@ def stats_pool(representations) -> np.ndarray:
 
     Both column sums run in float64 over the values sorted once per column,
     which makes the pooled vector exactly invariant to the order of the frame
-    representations; constant columns give an exact zero std.
+    representations; constant columns give an exact zero std.  Columns go
+    through in blocks of about ``POOL_BLOCK_VALUES`` values, so the sorted
+    copy and the squared deviations stay bounded.  A block of two or more
+    columns sums each column down its rows, as the whole matrix does; a lone
+    column would be summed pairwise, so a last block of one column joins the
+    one before (``arrays.column_blocks``).
     """
     h = np.atleast_2d(np.asarray(representations))
     if h.dtype != np.float32:
         h = h.astype(np.float64, copy=False)
+    size = max(2, POOL_BLOCK_VALUES // max(h.shape[0], 1))
+    pooled = [_pool_columns(h[:, lo:hi]) for lo, hi in column_blocks(h.shape[1], size)]
+    return np.concatenate([mean for mean, _ in pooled] + [std for _, std in pooled])
+
+
+def _pool_columns(h):
+    """``stats_pool``'s mean and std of each column of one block."""
     n = h.shape[0]
     ordered = np.sort(h, axis=0)
     constant = ordered[0] == ordered[-1]
     mean = np.where(constant, ordered[0], ordered.sum(axis=0, dtype=np.float64) / n)
-    var = ((ordered - mean) ** 2).sum(axis=0) / n
-    std = np.sqrt(np.where(constant, 0.0, var))
-    return np.concatenate([mean, std])
+    dev = ordered - mean
+    np.square(dev, out=dev)
+    return mean, np.sqrt(np.where(constant, 0.0, dev.sum(axis=0) / n))
 
 
 def xvector_forward(weights: XVectorWeights, mfcc) -> np.ndarray:

@@ -56,7 +56,7 @@ def articulation_features(source: Waveform | Analysis) -> FeatureVector:
     else:
         warnings.append("no transitions")
 
-    f1s, f2s = formants_f1_f2(a.rect_frames[a.voiced], w.sample_rate)
+    f1s, f2s = formants_f1_f2(a.rect_frames, w.sample_rate, a.voiced)
     if not f1s.size:
         warnings.append("no voiced frames")
 

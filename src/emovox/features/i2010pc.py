@@ -26,6 +26,8 @@ from . import FeatureVector
 
 N_MELS_MFCC = 26
 PITCH_FRAME_MS = 60.0
+# Frames per block of the pulse scan: bounds its per-sample arrays.
+PULSE_BLOCK_FRAMES = 1024
 
 LLD_NAMES = tuple(
     ["pcm_loudness"]
@@ -61,21 +63,31 @@ def _per_frame_perturbation(padded: Waveform, f0_values: np.ndarray, step: int,
                             frame_len: int):
     """Frame-wise jitter (local, DDP) and local shimmer from 60 ms pulse windows.
 
-    The pulses of every voiced window come from one ``pulse_windows`` scan
-    and go through ``phonation.glottal_cycles``; undefined measures are 0.
+    The pulses of every voiced window come from ``pulse_windows`` scans and
+    go through ``phonation.glottal_cycles``; undefined measures are 0.  The
+    frames go through in blocks of ``PULSE_BLOCK_FRAMES``, each scanning
+    only the samples its windows cover.  A window's pulses depend only on
+    its own samples, so the measures have the bits of one scan of the whole
+    signal.
     """
-    starts = np.arange(f0_values.size) * step
-    periods, heights = glottal_cycles(
-        *pulse_windows(padded.samples, starts, frame_len, f0_values, padded.sample_rate),
-        padded.sample_rate)
-    measures = (periods.relative_diff(1), periods.relative_diff(2), heights.relative_diff(1))
-    return tuple(np.where(np.isnan(m), 0.0, m) for m in measures)
+    x, rate = padded.samples, padded.sample_rate
+    out = np.zeros((3, f0_values.size))
+    for lo in range(0, f0_values.size, PULSE_BLOCK_FRAMES):
+        f0 = f0_values[lo:lo + PULSE_BLOCK_FRAMES]
+        starts = np.arange(f0.size) * step
+        periods, heights = glottal_cycles(*pulse_windows(
+            x[lo * step:lo * step + starts[-1] + frame_len], starts, frame_len, f0, rate), rate)
+        out[:, lo:lo + f0.size] = (periods.relative_diff(1), periods.relative_diff(2),
+                                   heights.relative_diff(1))
+    out[np.isnan(out)] = 0.0
+    return tuple(out)
 
 
 def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
     a = Analysis.of(source)
     w, rate = a.waveform, a.waveform.sample_rate
-    frames_mat, spec = a.hann_frames, a.hann_power
+    spec = a.hann_power   # first: it makes and drops its own Hann frames
+    frames_mat = a.hann_frames
     if frames_mat.shape[0] == 0:
         # micro-recordings: behave as a single silent frame
         frames_mat = np.zeros((1, frames_mat.shape[1]))

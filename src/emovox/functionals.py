@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrays import column_blocks
+
 ALL_FUNCTIONALS = (
     "mean", "std", "skewness", "kurtosis", "max", "min",
     "position_max", "position_min",
@@ -19,6 +21,9 @@ ALL_FUNCTIONALS = (
 IS10_FUNCTIONALS = tuple(f for f in ALL_FUNCTIONALS if f not in ("max", "min"))
 SIX_BASIC = ("mean", "std", "skewness", "kurtosis", "max", "min")
 FOUR_MOMENTS = ("mean", "std", "skewness", "kurtosis")
+
+# Values per block of apply_functionals (1 MB of float64 per temporary).
+FUNCTIONAL_BLOCK_VALUES = 2 ** 17
 
 
 _PERCENTILE_NAMES = frozenset(name for name in ALL_FUNCTIONALS
@@ -93,18 +98,30 @@ def apply_functionals(blocks, names: tuple) -> np.ndarray:
     one with no rows stays absent throughout.  Absent (non-finite) values are
     dropped per column, and a column left empty yields all zeros.  Columns
     that keep the same frames are reduced together, as contiguous rows of
-    the transposed track.
+    the transposed track, in blocks of about ``FUNCTIONAL_BLOCK_VALUES``
+    values (a multiple of 16 columns, at least 16): a track of over 8,192
+    kept frames is summarised 16 columns at a time.  Every reduction
+    runs along a row, and the regression's matrix-vector product meets each
+    row in the same BLAS kernel lane as long as blocks start on multiples
+    of 16 rows and none is a lone row (``arrays.column_blocks``), so the
+    blocks keep the bits of one call.
     """
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     n = max([1] + [b.shape[0] for b in blocks])
-    values = np.hstack([np.pad(b.astype(np.float64), ((0, n - b.shape[0]), (0, 0)),
-                               constant_values=np.nan) for b in blocks])
-    out = np.zeros((values.shape[1], len(names)))
-    groups = {}
-    for j, keep in enumerate(np.isfinite(values).T):
-        groups.setdefault(keep.tobytes(), (keep, []))[1].append(j)
+    columns, groups = [], {}
+    for b in blocks:
+        b = b.astype(np.float64, copy=False)
+        keep = np.zeros((b.shape[1], n), dtype=bool)
+        keep[:, :b.shape[0]] = np.isfinite(b).T
+        for column, mask in zip(b.T, keep):
+            groups.setdefault(mask.tobytes(), (mask, []))[1].append(len(columns))
+            columns.append(column)
+    out = np.zeros((len(columns), len(names)))
     for keep, cols in groups.values():
-        if keep.any():
-            out[cols] = np.column_stack(
-                _row_stats(np.ascontiguousarray(values[keep][:, cols].T), names))
+        rows = np.flatnonzero(keep)
+        if rows.size:
+            size = 16 * max(1, FUNCTIONAL_BLOCK_VALUES // (16 * rows.size))
+            for lo, hi in column_blocks(len(cols), size):
+                x = np.array([columns[j][rows] for j in cols[lo:hi]])
+                out[cols[lo:hi]] = np.column_stack(_row_stats(x, names))
     return out.ravel()

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .embeddings import GmmUbm, TotalVariabilityModel, XVectorWeights
+from .embeddings.xvector import _FRAME_LAYERS
 from .svm import BinarySvm, MulticlassSvm, Standardizer
 
 MAGIC = b"EMVX"
@@ -47,7 +48,8 @@ class _Reader:
     """Sequential reads from an open container file.
 
     Each array section is read straight into its own float64 array, so the
-    file's bytes are held once and every array is aligned.  Every byte read
+    file's bytes are held once and every array is aligned; a section to be
+    held as float32 is rounded before the next one is read.  Every byte read
     is also fed to ``digest`` (a ``hashlib`` object) when one is given.
     """
 
@@ -86,8 +88,10 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{self.path}: undecodable string ({exc})")
 
-    def array(self) -> np.ndarray:
-        """The next section as a read-only float64 array that owns its data."""
+    def array(self, name: str, float32: bool) -> np.ndarray:
+        """The next section as a read-only array that owns its data: float32
+        if ``float32``, where a finite value beyond its range is a
+        ``ModelFormatError``, else float64."""
         ndim = self.u32()
         if ndim > 8:
             raise ModelFormatError(f"{self.path}: implausible array rank {ndim}")
@@ -101,6 +105,13 @@ class _Reader:
         self._consume(n, self.fh.readinto(out))
         if self.digest is not None:
             self.digest.update(out)
+        if float32:
+            with np.errstate(over="ignore"):
+                rounded = out.astype("<f4")
+            if np.any(np.isinf(rounded) & np.isfinite(out)):
+                raise ModelFormatError(f"{self.path}: section {name!r} has values "
+                                       "beyond the float32 range")
+            out = rounded
         out.setflags(write=False)
         return out
 
@@ -132,24 +143,27 @@ def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> 
         raise
 
 
-def read_container(path, expected_kind: str | None = None, digest=None):
+def read_container(path, expected_kind: str | None = None, digest=None,
+                   float32=frozenset()):
     """Return (kind, arrays dict, meta dict); validates magic/version/kind.
 
     The file is opened and read once.  Arrays are read-only and hold the
-    file's section bytes without a second copy.  ``digest``, a ``hashlib``
-    object, is fed every byte read, so it names exactly the bytes that were
-    parsed even if the file is replaced right after.
+    file's section bytes without a second copy; each section named in
+    ``float32`` is rounded to float32 as it is read, so at most one of them
+    is held in float64.  ``digest``, a ``hashlib`` object, is fed
+    every byte read, so it names exactly the bytes that were parsed even if
+    the file is replaced right after.
     """
     try:
         with open(path, "rb") as fh:
-            return _parse(_Reader(fh, path, digest), path, expected_kind)
+            return _parse(_Reader(fh, path, digest), path, expected_kind, float32)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ModelFormatError(f"{path}: {exc}")
 
 
-def _parse(r: _Reader, path, expected_kind):
+def _parse(r: _Reader, path, expected_kind, float32):
     if r.take(4) != MAGIC:
         raise ModelFormatError(f"{path}: not an EMVX container")
     version = r.u32()
@@ -168,7 +182,7 @@ def _parse(r: _Reader, path, expected_kind):
     arrays = {}
     for _ in range(r.u32()):
         name = r.string()
-        arrays[name] = r.array()
+        arrays[name] = r.array(name, name in float32)
     if r.left:
         raise ModelFormatError(f"{path}: trailing bytes after last section")
     return kind, arrays, meta
@@ -216,8 +230,10 @@ def save_xvector(path, weights: XVectorWeights) -> None:
 
 def load_xvector(path, digest=None) -> XVectorWeights:
     """The weights in an "xvector" file; ``digest`` is fed its bytes
-    (``read_container``).  The weights keep the read-only arrays read."""
-    _, arrays, _ = read_container(path, "xvector", digest)
+    (``read_container``).  The frame layers are rounded to float32 as they
+    are read, and the weights keep the read-only arrays read."""
+    frame_sections = {name + part for name in _FRAME_LAYERS for part in (".w", ".b")}
+    _, arrays, _ = read_container(path, "xvector", digest, frame_sections)
     layers = {}
     for key, arr in arrays.items():
         if key.endswith(".w"):

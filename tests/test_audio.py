@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,8 +182,10 @@ def assert_close_to_oracle(got, ref):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-@pytest.mark.parametrize("rate", [11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000,
-                                  176400, 192000])
+RESAMPLE_RATES = [11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000, 176400, 192000]
+
+
+@pytest.mark.parametrize("rate", RESAMPLE_RATES)
 def test_resample_matches_scipy_oracle(rate, rng):
     up = 8000 // math.gcd(8000, rate)
     taps = audio._decimation_taps(rate * up)
@@ -193,6 +196,55 @@ def test_resample_matches_scipy_oracle(rate, rng):
         for x in (rng.uniform(-1.0, 1.0, n), np.zeros(n)):
             _, ref = scipy_resample(x, rate)
             assert_close_to_oracle(resample_to_8k(wf(x, rate=rate)).samples, ref)
+
+
+def whole_array_kaiser_lowpass(numtaps, cutoff, beta):
+    """The filter design as one whole-array pass (``np.kaiser`` over every tap)."""
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
+    return h / h.sum()
+
+
+def design_args(rate):
+    """``_decimation_taps``' (numtaps, cutoff, beta) for one input rate."""
+    op_rate = rate * (8000 // math.gcd(8000, rate))
+    numtaps = math.ceil((80.0 - 7.95) / 2.285 / (math.pi * 2.0 * 140.0 / op_rate) + 1) | 1
+    return numtaps, 2.0 * 3970.0 / op_rate, 0.1102 * (80.0 - 8.7)
+
+
+@pytest.mark.parametrize("rate", RESAMPLE_RATES)
+def test_blocked_filter_design_matches_whole_array(rate):
+    taps = audio._decimation_taps.__wrapped__(rate * (8000 // math.gcd(8000, rate)))
+    numtaps, cutoff, beta = design_args(rate)
+    assert taps.size == numtaps
+    assert taps.tobytes() == whole_array_kaiser_lowpass(numtaps, cutoff, beta).tobytes()
+
+
+def test_filter_design_blocks_match_one_block(monkeypatch):
+    # tap counts one before, on and one after each block edge
+    _, cutoff, beta = design_args(44100)
+    for block in (1, 7, 64):
+        for numtaps in sorted({block * k + d for k in (1, 2) for d in (-1, 0, 1)} - {0, 1}):
+            monkeypatch.setattr(audio, "KAISER_BLOCK_TAPS", block)
+            got = audio._kaiser_lowpass(numtaps, cutoff, beta)
+            monkeypatch.setattr(audio, "KAISER_BLOCK_TAPS", 10 ** 6)
+            ref = audio._kaiser_lowpass(numtaps, cutoff, beta)
+            assert got.tobytes() == ref.tobytes(), (block, numtaps)
+            assert got.tobytes() == whole_array_kaiser_lowpass(numtaps, cutoff, beta).tobytes()
+
+
+def test_filter_design_memory_is_bounded():
+    # the 44.1 kHz family's 126,467 taps: 1 MB of output; evaluating the
+    # window and sinc over every tap at once peaked at 13.7 MB
+    args = design_args(44100)
+    tracemalloc.start()
+    try:
+        taps = audio._kaiser_lowpass(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taps.size == 126467
+    assert peak <= 3e6, peak
 
 
 def test_long_file_takes_several_products(rng, monkeypatch):

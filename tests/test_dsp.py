@@ -531,6 +531,46 @@ def test_formants_batched_degenerate_shapes():
     assert np.isnan(f1).all() and np.isnan(f2).all()
 
 
+def test_formants_blocks_match_one_block(rng, monkeypatch):
+    # every step is row-wise: row counts one before, on and one after each
+    # block edge, with silent rows, all rows or a picked subset
+    x = np.concatenate([voice_like(130, 10.5, rough=0.3, seed=7), np.zeros(4000)])
+    frames = frame_signal(wf(x + 0.01 * rng.standard_normal(x.size) * (x != 0)))
+    for block in (1, 7, dsp.FORMANT_BLOCK_FRAMES):
+        for n in sorted({block * k + d for k in (1, 2) for d in (-1, 0, 1)} - {0}):
+            rows = frames[-n:]                 # the silent tail is in every case
+            assert rows.shape[0] == n
+            pick = rng.random(n) < 0.7
+            for where in (None, pick):
+                monkeypatch.setattr(dsp, "FORMANT_BLOCK_FRAMES", 10 ** 6)
+                ref = np.column_stack(formants_f1_f2(rows, 8000, where))
+                monkeypatch.setattr(dsp, "FORMANT_BLOCK_FRAMES", block)
+                got = np.column_stack(formants_f1_f2(rows, 8000, where))
+                assert got.tobytes() == ref.tobytes(), (block, n)
+            picked = np.column_stack(formants_f1_f2(rows[pick], 8000))
+            assert got.tobytes() == picked.tobytes(), (block, n)
+
+
+def test_formants_memory_grows_only_by_the_output():
+    # 70 % of a long row's grid frames picked: copying them and running the
+    # whole LPC at once peaked 110 MB above entry at 300 s; the blocks hold
+    # FORMANT_BLOCK_FRAMES rows
+    peaks, sizes = [], []
+    for seconds in (30, 300):
+        frames = frame_signal(wf(voice_like(150, seconds, rough=0.3, seed=6)))
+        pick = np.random.default_rng(1).random(frames.shape[0]) < 0.7
+        tracemalloc.start()
+        try:
+            f1, _ = formants_f1_f2(frames, 8000, pick)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        sizes.append(2 * f1.nbytes)
+    assert peaks[0] - sizes[0] <= 8e6, peaks
+    assert (peaks[1] - peaks[0]) - (sizes[1] - sizes[0]) <= 1e5, (peaks, sizes)
+
+
 # -------------------------------------------------------------------- mfcc
 
 def test_mfcc_flat_spectrum_concentrates_in_c0():

@@ -1,5 +1,7 @@
 """GMM background model, i-vector, and x-vector forward-pass tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -18,6 +20,7 @@ from emovox.embeddings import (
     xvector_forward,
 )
 from emovox.analysis import embedding_mfcc
+from emovox.embeddings import xvector
 from emovox.embeddings.gmm import VARIANCE_FLOOR, _reseed_empty
 from emovox.embeddings.xvector import (LAYER_SHAPES, SPLICE_OFFSETS, _FRAME_LAYERS,
                                        _random_layers, _splice, sliding_mean_normalize)
@@ -416,6 +419,56 @@ def test_stats_pool_matches_numpy(rng):
     pooled = stats_pool(reps)
     assert np.allclose(pooled[:6], reps.mean(axis=0), atol=1e-12)
     assert np.allclose(pooled[6:], reps.std(axis=0), atol=1e-12)
+
+
+def whole_matrix_pool(h):
+    """``stats_pool`` as one block: every column sorted and summed at once."""
+    h = np.atleast_2d(np.asarray(h))
+    if h.dtype != np.float32:
+        h = h.astype(np.float64, copy=False)
+    n = h.shape[0]
+    ordered = np.sort(h, axis=0)
+    constant = ordered[0] == ordered[-1]
+    mean = np.where(constant, ordered[0], ordered.sum(axis=0, dtype=np.float64) / n)
+    var = ((ordered - mean) ** 2).sum(axis=0) / n
+    return np.concatenate([mean, np.sqrt(np.where(constant, 0.0, var))])
+
+
+def test_stats_pool_blocks_match_one_block(rng, monkeypatch):
+    # column counts one before, on and one after each block edge; b * k + 1
+    # would leave a lone last column, which a pairwise sum would change
+    for frames in (100, 400):
+        for block in (2, 7, 64):
+            monkeypatch.setattr(xvector, "POOL_BLOCK_VALUES", block * frames)
+            for cols in sorted({block * k + d for k in (1, 2) for d in (-1, 0, 1)} | {1}):
+                reps = np.maximum(rng.standard_normal((frames, cols)), 0.0).astype(np.float32)
+                reps[:, ::3] = 0.25                       # constant columns
+                tiled = np.tile(reps[:1], (frames, 1))    # identical rows
+                for h in (reps, reps.astype(np.float64), tiled):
+                    assert stats_pool(h).tobytes() == whole_matrix_pool(h).tobytes(), (
+                        block, frames, cols, h.dtype)
+    # a 300 s row's frame count at the shipped block size
+    monkeypatch.undo()
+    block = xvector.POOL_BLOCK_VALUES // 29984
+    assert block >= 2
+    for cols in (2 * block - 1, 2 * block, 2 * block + 1):
+        reps = np.maximum(rng.standard_normal((29984, cols)), 0.0).astype(np.float32)
+        assert stats_pool(reps).tobytes() == whole_matrix_pool(reps).tobytes(), cols
+
+
+def test_stats_pool_memory_is_bounded(rng):
+    # a 300 s row's frame-5 output: the whole-matrix pooling held a sorted
+    # copy and float64 deviations of all of it, 540 MB; a block holds
+    # POOL_BLOCK_VALUES values of each, 1.6 MB
+    reps = rng.standard_normal((29984, 1500), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        pooled = stats_pool(reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pooled.shape == (3000,)
+    assert peak <= 4e6, peak
 
 
 def test_sliding_mean_norm_short_input_is_global(rng):

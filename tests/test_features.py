@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import signal as sps
 from emovox import analysis
 from emovox.audio import Waveform, _merge_short_runs
 from emovox.dsp import F0Track, estimate_f0
-from emovox.features import EXTRACTORS, FeatureVector, fuse, phonation
+from emovox.features import EXTRACTORS, FeatureVector, fuse, i2010pc, phonation
 from emovox.analysis import Analysis
 from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
@@ -314,6 +315,70 @@ def test_per_frame_perturbation_matches_per_window_oracle(rng):
         want = per_frame_perturbation_oracle(padded, f0, step, frame_len)
         got = np.array(_per_frame_perturbation(padded, f0, step, frame_len))
         assert got.tobytes() == want.tobytes(), trial
+
+
+def test_per_frame_perturbation_blocks_match_one_block(rng, monkeypatch):
+    # a window's pulses depend only on its own samples, so no block size
+    # moves a bit: hostile signals with windows past the end, and a voice at
+    # frame counts one before, on and one after each block edge
+    def both(block, *args):
+        monkeypatch.setattr(i2010pc, "PULSE_BLOCK_FRAMES", 10 ** 6)
+        ref = np.array(_per_frame_perturbation(*args))
+        monkeypatch.setattr(i2010pc, "PULSE_BLOCK_FRAMES", block)
+        return np.array(_per_frame_perturbation(*args)), ref
+
+    for trial in range(60):
+        x = hostile_signal(rng, PULSE_KINDS[trial % 5], int(rng.integers(1, 5000)))
+        step = int(rng.choice([80, 37, 160]))
+        frame_len = int(rng.choice([480, 480, 100, 3, 2]))
+        n_windows = int(rng.integers(0, x.size // step + 8))
+        f0 = rng.uniform(55, 420, n_windows) * (rng.random(n_windows) < 0.7)
+        for block in (1, 7):
+            got, ref = both(block, wf(x), f0, step, frame_len)
+            assert got.tobytes() == ref.tobytes(), (trial, block)
+    voice = wf(np.pad(voice_like(140, 21.0, rough=0.3, seed=3), 200))
+    for block in (7, i2010pc.PULSE_BLOCK_FRAMES):
+        for n in sorted({block * k + d for k in (1, 2) for d in (-1, 0, 1)}):
+            f0 = np.where(rng.random(n) < 0.7, rng.uniform(120, 160, n), 0.0)
+            got, ref = both(block, voice, f0, 80, 480)
+            assert np.count_nonzero(ref[0]) > n // 4
+            assert got.tobytes() == ref.tobytes(), (block, n)
+
+
+def test_per_frame_perturbation_memory_grows_only_by_the_output():
+    # one scan of a 300 s row held its local maxima and every pulse at once,
+    # 101 MB above entry; the blocks scan PULSE_BLOCK_FRAMES windows at a time
+    peaks, sizes = [], []
+    for seconds in (30, 300):
+        padded = wf(np.pad(voice_like(140, seconds, rough=0.3, seed=6), 280))
+        n = seconds * 100
+        f0 = np.where(np.arange(n) % 10 < 7, 140.0, 0.0)
+        tracemalloc.start()
+        try:
+            measures = _per_frame_perturbation(padded, f0, 80, 480)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(measures[0]) > n // 2
+        peaks.append(peak)
+        sizes.append(3 * 8 * n)
+    assert peaks[0] - sizes[0] <= 8e6, peaks
+    assert (peaks[1] - peaks[0]) - (sizes[1] - sizes[0]) <= 1e5, (peaks, sizes)
+
+
+def test_i2010pc_functionals_memory_is_bounded(rng):
+    # i2010pc's [lld, delta(lld)] of a 300 s row, 30,000 x 76: summarised
+    # at once they peaked 94 MB above entry; the blocks hold 16 columns
+    lld = rng.standard_normal((30000, 38))
+    blocks = [lld, delta(lld)]
+    tracemalloc.start()
+    try:
+        vec = apply_functionals(blocks, IS10_FUNCTIONALS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vec.size == 1596
+    assert peak <= 25e6, peak
 
 
 def test_glottal_cycles_match_scalar_measures_per_window(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 from scipy import stats
 
+from emovox import functionals
 from emovox.functionals import (ALL_FUNCTIONALS, FOUR_MOMENTS, IS10_FUNCTIONALS,
                                 SIX_BASIC, apply_functionals)
 
@@ -265,3 +266,27 @@ def test_requested_subsets_match_oracle_and_full_set(rng, monkeypatch):
         asks_percentile = any(n.startswith(("quartile", "iqr", "percentile")) for n in names)
         assert bool(calls) == asks_percentile, names
         assert_matches_oracle(x, names)
+
+
+def test_column_blocks_match_one_block(rng, monkeypatch):
+    # blocks of 16 or 32 columns at column counts one before, on and one
+    # after each block edge, long enough that the regression's
+    # matrix-vector product runs BLAS kernels over several rows; finite
+    # columns, a group with the same frames absent, and ragged blocks
+    def both(values_per_block, blocks, names):
+        monkeypatch.setattr(functionals, "FUNCTIONAL_BLOCK_VALUES", 10 ** 9)
+        ref = apply_functionals(blocks, names)
+        monkeypatch.setattr(functionals, "FUNCTIONAL_BLOCK_VALUES", values_per_block)
+        return apply_functionals(blocks, names), ref
+
+    for rows in (400, 3001):
+        for cols in (15, 16, 17, 31, 32, 33, 47, 48, 49, 76):
+            x = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, size=cols)
+            x[:, ::5] = 0.0
+            gaps = x.copy()
+            gaps[7:90, 1::2] = np.nan
+            ragged = [x[:, :cols // 2], x[:rows // 3, cols // 2:]]
+            for blocks in ([x], [gaps], ragged):
+                for per_block in (1, 32 * rows):   # 16 and 32 columns a block
+                    got, ref = both(per_block, blocks, IS10_FUNCTIONALS)
+                    assert got.tobytes() == ref.tobytes(), (rows, cols, per_block)
