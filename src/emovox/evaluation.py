@@ -4,13 +4,16 @@ Fold plans are built once (speaker-independent plans never split a speaker
 across folds, at either level) and the nested loop selects (C, gamma) on inner
 folds only, so outer-test predictions can never influence a decision.  The
 bookkeeping that proves that is stored on the report.  The loop first plans
-every usable inner split of every outer fold, then solves and scores them all
-in one ``svm.grid_predictions`` call (a cells x validation rows prediction
-matrix per split, solved in packed runs within the solver's two caps, no
-per-cell model), and per fold takes the inner UARs from those matrices and
-selects a cell.  A second call fits every outer fold as a one-cell split,
-trained on its training rows and scored on its test rows, which gives the
-fold's labels, ROC scores and converged flag.
+every usable inner split of every outer fold and drops, per fold, the cells
+that ``svm.dead_cells`` finds dead in all of its inner splits (every kernel
+value between distinct rows underflows to 0.0, so every row gets one class).
+It then solves and scores the live cells of every split in one
+``svm.grid_predictions`` call (a cells x validation rows prediction matrix per
+split, solved in packed runs within the solver's two caps, no per-cell
+model), and per fold takes the inner UARs from those matrices and selects a
+live cell.  A second call fits every outer fold as a one-cell split, trained
+on its training rows and scored on its test rows, which gives the fold's
+labels, ROC scores and converged flag.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .arrays import frozen
 from .errors import EvaluationError
 from .manifest import ManifestRow
-from .svm import grid_predictions
+from .svm import dead_cells, grid_predictions
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -361,8 +364,14 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
 
     Hyperparameters are chosen per outer fold by mean inner-fold UAR (ties:
     the first cell, in C-major order the smallest C, then gamma).  Inner folds
-    whose training part lacks a trainable class are skipped; a cell with no
-    usable inner fold scores 0.
+    whose training part lacks a trainable class are skipped.  A cell is dead
+    for a fold when ``svm.dead_cells`` finds it dead in every usable inner
+    split of the fold: its gamma sends every kernel value between distinct
+    rows to exactly 0.0, so it can only give every row one class.  Dead cells
+    are not solved and cannot be selected; a cell dead in only some of the
+    fold's inner splits is solved and scored in all of them.  A fold whose
+    cells are all dead, or that has no usable inner fold, takes the first
+    cell, and its outer fit is solved as any other.
     """
     ids = tuple(r.path for r in rows)
     if ids != plan.source_ids:
@@ -414,15 +423,23 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             )
         leakage.append((len(touched_ids), len(test_ids), 0))
 
+    dead = np.ones((plan.k_outer, len(cells)), dtype=bool)  # dead in every usable inner split
+    for (fold, *_split), split_dead in zip(splits, dead_cells(
+            x, [(fit, fit_labels, val, cells) for _f, fit, fit_labels, val in splits])):
+        dead[fold] &= split_dead
+    live = [np.flatnonzero(~fold_dead) for fold_dead in dead]
+    solved = [split for split in splits if live[split[0]].size]
     # every class is in each inner split's fit rows, so indices refer to ``classes``
     inner_guesses = [guesses for _classes, guesses, _margins, _ok in grid_predictions(
-        x, [(fit, fit_labels, val, cells) for _f, fit, fit_labels, val in splits])]
+        x, [(fit, fit_labels, val, [cells[k] for k in live[f]])
+            for f, fit, fit_labels, val in solved])]
     chosen = []
-    for fold in range(plan.k_outer):
+    for fold, fold_live in enumerate(live):
         uars = [_inner_uars(truth_index[val], guesses)
-                for (f, _fit, _labels, val), guesses in zip(splits, inner_guesses) if f == fold]
-        scores = np.mean(uars, axis=0) if uars else np.zeros(len(cells))
-        chosen.append(cells[int(np.argmax(scores))])  # first best: smallest C, then gamma
+                for (f, _fit, _labels, val), guesses in zip(solved, inner_guesses) if f == fold]
+        # first best live cell: smallest C, then gamma; with none, the first cell
+        chosen.append(cells[fold_live[int(np.argmax(np.mean(uars, axis=0)))]] if uars
+                      else cells[0])
 
     test_masks = [outer == fold for fold in range(plan.k_outer)]
     outer_fits = grid_predictions(x, [(~test, labels[~test].tolist(), test, [cell])

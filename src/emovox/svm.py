@@ -5,17 +5,22 @@ maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
 packed: one loop advances many independent duals of different sizes, each
 with its own labels, kernel, box bound C and pass limit, padded at the end
 to a common length, and takes for each exactly the steps a lone solve
-would.  ``_solve_pairs`` plans a stream of class pairs, each with one dual
-per (C, gamma) cell of its own list, into runs of such solves within two
-caps: problems x n_max (``_PACK_CELLS``) and stacked kernel floats
-(``_PACK_FLOATS``), and takes every bias from the kernels it built, by one
-rule (``_biases``).  The stream is one pair set, one cell, for
+would; a pass reads and writes single entries by flat index, so its NumPy
+calls do not grow with the number of duals.  ``_solve_pairs`` plans a
+stream of class pairs, each with one dual per (C, gamma) cell of its own
+list, into runs of such solves within two caps: problems x n_max
+(``_PACK_CELLS``) and stacked kernel floats (``_PACK_FLOATS``); it builds
+each pair's kernels with one ``exp`` over all its gammas, and takes every
+bias from the kernels it built, by one rule (``_biases``, one call per run
+and pair length).  The stream is one pair set, one cell, for
 ``train_multiclass``, and the pairs and cells of many splits for
 ``grid_predictions``, which scores held-out rows with all cells at once and
 builds no per-cell model: the inner grid of nested CV, and its outer fits
-as one-cell splits.  Multi-class is one-vs-one with majority voting; ties
-fall back to summed decision margins, then lexicographic class order.
-Standardization is fitted on training data.
+as one-cell splits.  ``dead_cells`` finds the cells of a split whose gamma
+leaves no kernel value between distinct rows above 0.0, which nested CV
+neither solves nor selects.  Multi-class is one-vs-one with majority
+voting; ties fall back to summed decision margins, then lexicographic class
+order.  Standardization is fitted on training data.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ SMO_TOL = 1e-3
 _BOUND_EPS = 1e-12
 _PACK_FLOATS = 2 ** 21  # floats of stacked kernels one packed solve holds (16 MB)
 _PACK_CELLS = 2 ** 14   # problems x n_max of one packed solve's working arrays
+_MOVE_SIGN = np.array([[1.0], [-1.0]])  # alpha_i moves by +y_i * step, alpha_j by -y_j * step
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,8 @@ def _masked(a, viol, top, eps, pos):
     """``viol`` masked to the up set (else -inf) and to the low set (else +inf)."""
     below_c = a < top
     above_0 = a > eps
-    return (np.where(np.where(pos, below_c, above_0), viol, -np.inf),
-            np.where(np.where(pos, above_0, below_c), viol, np.inf))
+    flip = pos & (below_c ^ above_0)  # up is below_c where pos, else above_0; low the other
+    return np.where(above_0 ^ flip, viol, -np.inf), np.where(below_c ^ flip, viol, np.inf)
 
 
 def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
@@ -141,9 +147,13 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     pair or a gap of at most ``tol``, and is unconverged if still running
     after its pass limit.  Returns the clipped alphas and converged flags.
 
-    The violation -y * gradient and its masked copies persist, updated from
-    the two changed kernel columns as in LIBSVM (Chang & Lin, 2011), and only
-    the moved entries are re-masked: the bits of recomputing them each pass.
+    The violation -y * gradient and its masked copies persist, stacked as
+    one array, updated from the two changed kernel columns as in LIBSVM
+    (Chang & Lin, 2011), and only the two moved entries are re-masked: the
+    bits of recomputing them each pass.  A pass reads and writes single
+    entries by flat index (row r's entry i at r * n + i) and gathers both
+    kernel columns of every row with one ``take`` from the kernels viewed as
+    (kernels * n, n) rows.
     """
     c = np.asarray(c, dtype=np.float64)
     cells, n = y.shape
@@ -156,53 +166,60 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     box = c
     eps = _BOUND_EPS * (1.0 + c)
     top = c - eps
-    viol = y.copy()  # -y * gradient, the gradient starting at -1
+    v = np.empty((3, cells, n))  # -y * gradient (the gradient starting at -1), up and low copies
+    v[0] = y
     # a padded alpha is never below its top, so padding is in neither set
-    vu, vl = _masked(a, viol, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
-    kid = np.asarray(kernel_index)
-    r = np.arange(cells)
+    v[1], v[2] = _masked(a, y, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
+    columns = kernels_t.reshape(-1, n)
+    diagonal = np.ascontiguousarray(kernels_t.diagonal(axis1=1, axis2=2)).reshape(-1)
+    kid = np.asarray(kernel_index) * n  # each row's first kernel row in ``columns``
+    soonest = limit.min(initial=0)  # no row expires before this pass
+    size = cells * n  # entries of the rows still running; row r starts at r * n
+    starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
     for t in range(int(limit.max(initial=0))):
-        i = vu.argmax(axis=1)
-        j = vl.argmin(axis=1)
-        gap = vu[r, i] - vl[r, j]  # -inf when the up or the low set is empty
-        expired = limit <= t
-        done = ~expired & (gap <= tol)
-        stop = done | expired
+        ij = np.array((v[1].argmax(axis=1), v[2].argmin(axis=1)))
+        at = ij + starts
+        ends = v.take(at + up_low)
+        gap = ends[0] - ends[1]  # -inf when the up or the low set is empty
+        stop = gap <= tol
+        if t >= soonest:
+            expired = limit <= t
+            stop |= expired
         if stop.any():
+            done = stop & ~expired if t >= soonest else stop
             alpha[rows[stop]] = a[stop]
             converged[rows[done]] = True
             keep = ~stop
             if not keep.any():
                 break
-            rows, a, viol, vu, vl, box, eps, top, y, kid, limit = (
-                v[keep] for v in (rows, a, viol, vu, vl, box, eps, top, y, kid, limit))
-            i, j, gap = i[keep], j[keep], gap[keep]
-            r = np.arange(rows.size)
-        col_i = kernels_t[kid, i]
-        col_j = kernels_t[kid, j]
-        curv = col_i[r, i] + col_j[r, j] - 2.0 * col_j[r, i]
+            rows, a, box, eps, top, y, kid, limit, gap = (
+                w.compress(keep, axis=0) for w in (rows, a, box, eps, top, y, kid, limit, gap))
+            v, ij = v.compress(keep, axis=1), ij.compress(keep, axis=1)
+            soonest = limit.min()
+            size = rows.size * n
+            starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
+            at = ij + starts
+        k_at = kid + ij
+        cols = columns.take(k_at, axis=0)  # kernel columns i and j of every row
+        kd = diagonal.take(k_at)
+        curv = kd[0] + kd[1] - 2.0 * cols[1].take(at[0])  # K_ii + K_jj - 2 K_ji
         curv = np.where(1e-12 > curv, 1e-12, curv)
         step = gap / curv
-        yi = y[r, i]
-        yj = y[r, j]
-        ai = a[r, i]
-        aj = a[r, j]
+        yy = y.take(at)
+        aa = a.take(at)
+        sy = _MOVE_SIGN * yy
         # min/max as Python's builtins take them, operand order included
-        room = np.where(yi > 0, box - ai, ai)
-        step = np.where(room < step, room, step)
-        room = np.where(yj > 0, aj, box - aj)
-        step = np.where(room < step, room, step)
+        room = np.where(sy > 0, box - aa, aa)
+        step = np.where(room[0] < step, room[0], step)
+        step = np.where(room[1] < step, room[1], step)
         step = np.where(0.0 > step, 0.0, step)
-        a[r, i] += yi * step
-        a[r, j] -= yj * step
-        delta = np.subtract(col_i, col_j, out=col_i)
+        aa += sy * step
+        a.reshape(-1)[at] = aa
+        delta = np.subtract(cols[0], cols[1], out=cols[0])
         delta *= step[:, None]
-        viol -= delta
-        vu -= delta
-        vl -= delta
-        rr, ij = r[:, None], np.stack((i, j), axis=1)
-        vu[rr, ij], vl[rr, ij] = _masked(a[rr, ij], viol[rr, ij], top[:, None], eps[:, None],
-                                         y[rr, ij] > 0)
+        v -= delta
+        flat = v.reshape(-1)
+        flat[at + size], flat[at + 2 * size] = _masked(aa, v.take(at), top, eps, yy > 0)
     else:
         alpha[rows] = a
     return np.clip(alpha, 0.0, c[:, None]), converged
@@ -225,6 +242,22 @@ def _biases(alpha, fvals, yv, c):
     return np.where(n_free > 0, free_mean, mid)
 
 
+class _Gammas(NamedTuple):
+    """The gammas of a (cells, 2) array of (c, gamma) rows."""
+
+    values: np.ndarray  # the distinct gammas, ascending
+    index: np.ndarray   # each cell's gamma, as an index into ``values``
+    order: np.ndarray   # the cells grouped by gamma, in order within each group
+    edges: np.ndarray   # gamma g's group is order[edges[g]:edges[g + 1]]
+
+
+def _by_gamma(cells) -> _Gammas:
+    """The gammas of ``cells``, grouped."""
+    values, index = np.unique(cells[:, 1], return_inverse=True)
+    order = np.argsort(index, kind="stable")
+    return _Gammas(values, index, order, np.searchsorted(index[order], np.arange(values.size + 1)))
+
+
 def _solve_pairs(pairs, tol):
     """Solve every (c, gamma) cell of every class pair, pass limit 10 * n.
 
@@ -234,57 +267,71 @@ def _solve_pairs(pairs, tol):
     ``_smo_batch`` in runs that keep problems x n_max within ``_PACK_CELLS``
     and the stacked kernels, one per gamma of each pair in the run and
     n_max**2 floats each, within ``_PACK_FLOATS``; a run's first pair
-    ignores the kernel cap and gives it at least one problem.  The run that
-    solves a pair's last cells takes its training decision values from
-    those kernels, one product per gamma over all the pair's cells of that
-    gamma, and ``_biases`` from them.  Yields (pair tuple, alphas (cells,
-    n), converged (cells,), biases (cells,)) per pair in order, once all its
-    cells are solved, with a lone solve's alphas and converged flags.
+    ignores the kernel cap and gives it at least one problem.  A pair's
+    kernels come from one ``exp`` over all its gammas.  The run that solves
+    a pair's last cells takes its training decision values from those
+    kernels, one product per gamma over all the pair's cells of that gamma,
+    and ``_biases`` from them, in one call for all such pairs of a length.
+    Yields (pair tuple, alphas (cells, n), converged (cells,), biases
+    (cells,)) per pair in order, once all its cells are solved, with a lone
+    solve's alphas and converged flags.
     """
     def solve(chunks, n_max):
-        first = np.cumsum([0] + [gammas.size for _res, gammas, _kid, _lo, _hi in chunks])
+        first = np.cumsum([0] + [by_g.values.size for _res, by_g, _lo, _hi in chunks])
         stacked = np.zeros((first[-1], n_max, n_max))
         labels = np.zeros((len(chunks), n_max))
-        for k, (((sq, yv, *_), *_out), gammas, _kid, _lo, _hi) in enumerate(chunks):
+        for k, (((sq, yv, *_), *_out), by_g, _lo, _hi) in enumerate(chunks):
             labels[k, :yv.size] = yv
-            for gi, g in enumerate(gammas):
-                stacked[first[k] + gi, :yv.size, :yv.size] = np.exp(-g * sq).T
+            stacked[first[k]:first[k + 1], :yv.size, :yv.size] = np.exp(
+                -by_g.values[:, None, None] * sq).transpose(0, 2, 1)
         slot = np.repeat(np.arange(len(chunks)), [hi - lo for *_res, lo, hi in chunks])
-        kernel = np.concatenate([first[k] + kid[lo:hi]
-                                 for k, (_res, _g, kid, lo, hi) in enumerate(chunks)])
-        c = np.concatenate([pair[2][lo:hi, 0] for (pair, *_out), _g, _kid, lo, hi in chunks])
+        kernel = np.concatenate([first[k] + by_g.index[lo:hi]
+                                 for k, (_res, by_g, lo, hi) in enumerate(chunks)])
+        c = np.concatenate([pair[2][lo:hi, 0] for (pair, *_out), _g, lo, hi in chunks])
         alpha, converged = _smo_batch(stacked, kernel, labels[slot], c, tol,
                                       10 * np.count_nonzero(labels, 1)[slot])
-        for k, (((_sq, yv, cells, *_), out_alpha, out_ok, out_bias), gammas, kid, lo, hi) \
+        finished = {}  # per length, the pairs whose last cells this run solves
+        for k, (((_sq, yv, cells, *_), out_alpha, out_ok, out_bias), by_g, lo, hi) \
                 in enumerate(chunks):
             n = yv.size
             out_alpha[lo:hi] = alpha[slot == k, :n]
             out_ok[lo:hi] = converged[slot == k]
             if hi == len(cells):  # earlier runs solved the pair's other cells
-                coef = out_alpha * yv
+                order = by_g.order
+                coef = (out_alpha * yv)[order]
                 fvals = np.empty_like(coef)
-                for gi in range(gammas.size):
-                    sel = kid == gi  # the slice holds K.T, which is K: sq is symmetric
-                    fvals[sel] = coef[sel] @ stacked[first[k] + gi, :n, :n]
-                out_bias[:] = _biases(out_alpha, fvals, yv, cells[:, 0])
+                for gi, (g_lo, g_hi) in enumerate(zip(by_g.edges, by_g.edges[1:])):
+                    # the slice holds K.T, which is K: sq is symmetric
+                    np.matmul(coef[g_lo:g_hi], stacked[first[k] + gi, :n, :n], out=fvals[g_lo:g_hi])
+                finished.setdefault(n, []).append((out_alpha[order], fvals, np.broadcast_to(
+                    yv, coef.shape), cells[order, 0], order, out_bias))
+        for same in finished.values():  # rows of one length: the bits of a call per pair
+            alphas, fvals, yvs, boxes, orders, outs = zip(*same)
+            biases = _biases(*map(np.concatenate, (alphas, fvals, yvs, boxes)))
+            for order, out, part in zip(orders, outs, np.split(
+                    biases, np.cumsum([order.size for order in orders[:-1]]))):
+                out[order] = part
 
-    chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
+    chunks, ready, count, n_max, kernels, cells = [], [], 0, 0, 0, None
     for pair in pairs:
         n, n_cells = pair[1].size, len(pair[2])
-        gammas, kid = np.unique(pair[2][:, 1], return_inverse=True)
+        if pair[2] is not cells:  # the pairs of a split share its cells
+            cells = pair[2]
+            by_g = _by_gamma(cells)
         result = (pair, np.zeros((n_cells, n)), np.zeros(n_cells, dtype=bool), np.zeros(n_cells))
         start = 0
         while start < n_cells:
             m = max(n_max, n)
             take = max(1, min(_PACK_CELLS // m - count, n_cells - start))
             if chunks and (count + take > _PACK_CELLS // m
-                           or (kernels + gammas.size) * m * m > _PACK_FLOATS):
+                           or (kernels + by_g.values.size) * m * m > _PACK_FLOATS):
                 solve(chunks, n_max)
                 yield from ready
                 chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
             else:
-                chunks.append((result, gammas, kid, start, start + take))
-                count, n_max, start, kernels = count + take, m, start + take, kernels + gammas.size
+                chunks.append((result, by_g, start, start + take))
+                count, n_max, start = count + take, m, start + take
+                kernels += by_g.values.size
         ready.append(result)
     if chunks:
         solve(chunks, n_max)
@@ -427,24 +474,48 @@ def _split_pairs(x, splits):
             yield sq, yv, cells, s, classes, pair, _sq_distances(z_val, z)
 
 
+def dead_cells(x, splits):
+    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
+    ``x``, a bool array (cells,): True for a cell whose gamma sends every RBF
+    kernel value between two distinct rows of the split, fit x fit and
+    validation x fit, to exactly 0.0 on the rows standardized on its fit
+    rows.  Such a cell's pair machines decide by their biases alone, so it
+    gives every row the same class and cannot rank anything.  The split's
+    squared distances come from one product over all its rows; as exp is
+    monotone, a gamma is dead when its kernel value at the smallest of them
+    is 0.0."""
+    x = np.asarray(x, dtype=np.float64)
+    for fit, _labels, val, cells in splits:
+        scaler = fit_standardizer(x[fit])
+        z = scaler.transform(x[fit])
+        sq = _sq_distances(np.vstack([z, scaler.transform(x[val])]), z)
+        np.fill_diagonal(sq, np.inf)  # each fit row's distance to itself
+        gammas = np.array(cells, dtype=np.float64).reshape(-1, 2)[:, 1]
+        yield np.exp(-gammas * sq.min()) == 0.0
+
+
 def _grid_machines(x, splits, tol):
     """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
     ``x``, its classes and a ``_PairGrid`` per pair: ``train_multiclass(x[fit],
     labels, c, gamma, tol)`` and its pair machines' ``decision_values`` on
     ``x[val]`` for every cell, with the same alphas and converged flags and
     biases and decision values equal to rounding.  All splits' problems
-    stream through ``_solve_pairs``; one product per pair and gamma scores
-    all cells."""
+    stream through ``_solve_pairs``; per pair, one ``exp`` gives the kernels
+    of all its gammas and one product per gamma scores that gamma's
+    cells."""
     solved = _solve_pairs(_split_pairs(np.asarray(x, dtype=np.float64), splits), tol)
     for _s, split in itertools.groupby(solved, key=lambda res: res[0][3]):
-        machines = []
+        machines, by_g = [], None
         for (_sq, yv, cells, _s, classes, pair, sq_val), alpha, converged, bias in split:
-            coef = alpha * yv
+            if by_g is None:  # the pairs of a split share its cells
+                by_g = _by_gamma(cells)
+                rank = np.argsort(by_g.order)
+            coef = (alpha * yv)[by_g.order]
             decision = np.empty((len(cells), sq_val.shape[0]))
-            for g in np.unique(cells[:, 1]):
-                sel = cells[:, 1] == g
-                decision[sel] = coef[sel] @ np.exp(-g * sq_val).T
-            machines.append(_PairGrid(pair, alpha, converged, bias, decision + bias[:, None]))
+            for lo, hi, kernel in zip(by_g.edges, by_g.edges[1:],
+                                      np.exp(-by_g.values[:, None, None] * sq_val)):
+                np.matmul(coef[lo:hi], kernel.T, out=decision[lo:hi])
+            machines.append(_PairGrid(pair, alpha, converged, bias, decision[rank] + bias[:, None]))
         yield classes, machines
 
 
@@ -459,7 +530,11 @@ def grid_predictions(x, splits, tol: float = SMO_TOL):
     rounding (duplicate rows of different labels, a dimension constant in
     the fit rows, a gamma that no kernel value survives), whose sign may
     differ.  ``_winners`` picks from all cells' summed votes and margins at
-    once."""
+    once.  Every cell listed is solved, a dead one (see ``dead_cells``)
+    included; nested CV leaves those out of the cells it passes.  Each pass
+    of the packed SMO behind it reads and writes single entries by flat
+    index, in the same number of NumPy calls however many duals it
+    advances."""
     for classes, machines in _grid_machines(x, splits, tol):
         votes, margins = _tally(classes, machines[0].decision.shape,
                                 ((m.pair, m.decision) for m in machines))

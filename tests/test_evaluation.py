@@ -223,12 +223,9 @@ def test_nested_cv_binary_roc_and_positive_class():
         assert fold.sen is not None and fold.spe is not None
 
 
-def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
-    # two solve streams: the inner grid, then every outer fold as a one-cell
-    # split that fits on its training rows and scores its test rows once,
-    # which gives its labels and ROC scores; no model is built or scored
+def recorded_streams(monkeypatch):
+    """The split lists of every ``grid_predictions`` call that nested CV makes."""
     from emovox import evaluation
-    from emovox.svm import BinarySvm
 
     streams = []
     grid_predictions = evaluation.grid_predictions
@@ -237,10 +234,20 @@ def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
         streams.append(splits)
         return grid_predictions(x, splits)
 
+    monkeypatch.setattr(evaluation, "grid_predictions", recorded)
+    return streams
+
+
+def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
+    # two solve streams: the inner grid, then every outer fold as a one-cell
+    # split that fits on its training rows and scores its test rows once,
+    # which gives its labels and ROC scores; no model is built or scored
+    from emovox.svm import BinarySvm
+
     def unexpected(machine, x):
         raise AssertionError("nested CV scored a model")
 
-    monkeypatch.setattr(evaluation, "grid_predictions", recorded)
+    streams = recorded_streams(monkeypatch)
     monkeypatch.setattr(BinarySvm, "decision_values", unexpected)
     rng = np.random.default_rng(12)
     samples, feats = blob_dataset(rng, class_names=("dissatisfied", "satisfied"), n_per=25)
@@ -258,33 +265,48 @@ def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
         assert fold.test_count == test.sum()
 
 
+def usable_inner_splits(samples, plan, fold):
+    """(fit mask, validation mask) of each inner split of ``fold`` whose fit
+    rows hold at least two rows of every class."""
+    labels = np.array([s.label for s in samples], dtype=object)
+    inner = np.asarray(plan.inner[fold])
+    splits = []
+    for inner_fold in range(plan.k_inner):
+        val = inner == inner_fold
+        fit = (inner != -1) & ~val
+        fit_labels = labels[fit].tolist()
+        if val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)):
+            splits.append((fit, val))
+    return splits
+
+
 def per_cell_selection(samples, feats, plan, cells):
-    """(C, gamma) of each outer fold by the per-cell loop: one model per cell,
-    predicted and scored one cell at a time, first best mean inner UAR."""
-    from test_svm import train_grid
+    """(C, gamma) of each outer fold by the per-cell loop, and its dead cells:
+    one model per cell, predicted and scored one cell at a time, first best
+    mean inner UAR among the cells that are not dead in every usable inner
+    split (``split_is_dead``), the first cell when all are."""
+    from test_svm import split_is_dead, train_grid
 
     from emovox.svm import predict
 
     labels = np.array([s.label for s in samples], dtype=object)
     classes = sorted(set(labels))
-    chosen = []
+    chosen, dead = [], []
     for fold in range(plan.k_outer):
-        inner = np.asarray(plan.inner[fold])
         uars = [[] for _cell in cells]
-        for inner_fold in range(plan.k_inner):
-            val = inner == inner_fold
-            fit = (inner != -1) & ~val
-            fit_labels = labels[fit].tolist()
-            if not val.any() or any(fit_labels.count(cl) < 2 for cl in classes):
-                continue
+        alive = [False] * len(cells)
+        for fit, val in usable_inner_splits(samples, plan, fold):
             truth = labels[val]
-            for cell_uars, model in zip(uars, train_grid(feats[fit], fit_labels, cells)):
+            for k, (cell_uars, model) in enumerate(
+                    zip(uars, train_grid(feats[fit], labels[fit].tolist(), cells))):
+                alive[k] |= not split_is_dead(feats[fit], feats[val], cells[k][1])
                 guess = np.array(predict(model, feats[val]), dtype=object)
                 cell_uars.append(np.mean([np.mean(guess[truth == cl] == cl)
                                           for cl in classes if cl in truth]))
-        scores = [np.mean(u) if u else 0.0 for u in uars]
+        scores = [np.mean(u) if live else -np.inf for u, live in zip(uars, alive)]
         chosen.append(cells[scores.index(max(scores))])
-    return chosen
+        dead.append([cell for cell, live in zip(cells, alive) if not live])
+    return chosen, dead
 
 
 @pytest.mark.parametrize("class_names", [("angry", "happy", "sad"),
@@ -302,14 +324,18 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 3, 3, seed=2)
     cells = ExperimentConfig().grid()
     report = nested_cv(samples, feats, plan, cells)
-    assert [(f.c, f.gamma) for f in report.folds] == per_cell_selection(
-        samples, feats, plan, cells)
+    chosen, dead = per_cell_selection(samples, feats, plan, cells)
+    assert [(f.c, f.gamma) for f in report.folds] == chosen
+    assert all(dead)  # every fold has dead cells, which the oracle skips too
+    streams = []
+
     def oracle_stream(x, splits):
         # the inner grid by one model per cell, each outer fold by
         # ``train_multiclass`` and ``predict_with_margins``
+        streams.append(splits)
         for fit, labels, val, split_cells in splits:
             classes = tuple(sorted(set(labels)))
-            if len(split_cells) > 1:
+            if len(streams) == 1:
                 guesses = oracle_grid_predictions(x[fit], labels, x[val], split_cells)
                 yield classes, guesses, None, None
                 continue
@@ -320,6 +346,7 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
 
     monkeypatch.setattr(evaluation, "grid_predictions", oracle_stream)
     oracle = nested_cv(samples, feats, plan, cells)
+    assert len(streams) == 2
     assert format_report(report) == format_report(oracle)
     assert fold_metrics_csv(report) == fold_metrics_csv(oracle)
     if len(class_names) == 2:
@@ -361,6 +388,109 @@ def test_nested_cv_packs_inner_splits_then_outer_folds(monkeypatch):
     assert all(problems * n_max <= svm._PACK_CELLS for problems, n_max in calls)
     # an outer problem is one cell of its pair, so it has a kernel of its own
     assert all(problems * n_max ** 2 <= svm._PACK_FLOATS for problems, n_max in outer_calls)
+
+
+def noisy_blobs(seed, n_per=20, noise=12):
+    """``blob_dataset`` of three classes with ``noise`` standard-normal
+    columns appended: on the seeds used here no two of its rows come within
+    squared distance 0.745 on 2 + 12 standardized dims, so gamma = 1000
+    sends every kernel value between distinct rows to 0.0."""
+    rng = np.random.default_rng(seed)
+    samples, feats = blob_dataset(rng, n_per=n_per)
+    return samples, np.hstack([feats, rng.standard_normal((len(feats), noise))])
+
+
+def test_nested_cv_solves_no_dead_cell(monkeypatch):
+    from test_svm import count_solves, split_is_dead
+
+    calls = count_solves(monkeypatch)
+    samples, feats = noisy_blobs(41)
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=3)
+    cells = [(c, g) for c in (1.0, 10.0) for g in (1e-2, 1e3)]
+    report = nested_cv(samples, feats, plan, cells)
+    usable = [usable_inner_splits(samples, plan, fold) for fold in range(plan.k_outer)]
+    for fit, val in (split for splits in usable for split in splits):
+        assert split_is_dead(feats[fit], feats[val], 1e3)
+        assert not split_is_dead(feats[fit], feats[val], 1e-2)
+    # three class pairs: two live cells in every usable inner split, then one
+    # cell per outer fold
+    assert sum(problems for problems, _n_max in calls) == (
+        3 * 2 * sum(map(len, usable)) + 3 * plan.k_outer)
+    assert all(fold.gamma == 1e-2 for fold in report.folds)
+
+
+def test_nested_cv_never_selects_a_dead_cell_over_a_live_one(monkeypatch):
+    # labels at random, so a live cell scores about chance, and a dead cell
+    # first in the list: by inner UAR alone it wins some folds
+    from emovox import evaluation
+
+    samples, feats = noisy_blobs(43)
+    rng = np.random.default_rng(44)
+    labels = [s.label for s in samples]
+    samples = [ManifestRow(s.path, label, s.speaker)
+               for s, label in zip(samples, rng.permutation(labels))]
+    plan = make_folds(samples, SPEAKER_DEPENDENT, 5, 5, seed=4)
+    cells = [(1.0, 1e3), (10.0, 1e-2), (100.0, 1e-2)]
+    report = nested_cv(samples, feats, plan, cells)
+    assert all(fold.gamma == 1e-2 for fold in report.folds)
+    monkeypatch.setattr(evaluation, "dead_cells", lambda x, splits: (
+        np.zeros(len(split_cells), dtype=bool) for *_split, split_cells in splits))
+    unruled = nested_cv(samples, feats, plan, cells)
+    assert any(fold.gamma == 1e3 for fold in unruled.folds)
+
+
+def test_cell_dead_in_some_inner_splits_is_solved_in_all(monkeypatch):
+    # two rows of one speaker a small step apart: gamma = 1000 keeps their
+    # kernel value above 0 wherever one of them is a fit row, and is dead in
+    # the inner split that validates on both; gamma = 1e6 is dead everywhere
+    from test_svm import split_is_dead
+
+    streams = recorded_streams(monkeypatch)
+    samples, feats = noisy_blobs(45)
+    feats[10] = feats[0] + 0.05 * np.random.default_rng(46).standard_normal(feats.shape[1])
+    assert samples[0].speaker == samples[10].speaker
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=5)
+    cells = [(1.0, 1e6), (1.0, 1e3)]
+    report = nested_cv(samples, feats, plan, cells)
+    inner_splits = iter(streams[0])
+    partly_dead = 0
+    for fold in report.folds:
+        usable = usable_inner_splits(samples, plan, fold.fold)
+        dead = [split_is_dead(feats[fit], feats[val], 1e3) for fit, val in usable]
+        assert all(split_is_dead(feats[fit], feats[val], 1e6) for fit, val in usable)
+        if plan.outer[0] == fold.fold:  # both rows are outer-test rows: all cells dead
+            assert all(dead)
+            assert (fold.c, fold.gamma) == cells[0]
+            continue
+        assert any(dead) and not all(dead)
+        partly_dead += 1
+        for fit, val in usable:
+            _fit, _labels, val_rows, split_cells = next(inner_splits)
+            assert np.array_equal(val_rows, val)
+            assert split_cells == [(1.0, 1e3)]
+        assert (fold.c, fold.gamma) == (1.0, 1e3)
+    assert partly_dead == plan.k_outer - 1
+    assert next(inner_splits, None) is None
+
+
+def test_all_dead_grid_takes_the_first_cell_and_fits_it(monkeypatch):
+    from test_svm import count_solves
+
+    calls = count_solves(monkeypatch)
+    streams = recorded_streams(monkeypatch)
+    samples, feats = noisy_blobs(47)
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=6)
+    cells = ExperimentConfig(gamma_exp_min=3, gamma_exp_max=3).grid()
+    assert {g for _c, g in cells} == {1e3} and len(cells) == 8
+    report = nested_cv(samples, feats, plan, cells)
+    # the inner stream solves nothing, the outer one three pairs per fold
+    assert streams[0] == [] and len(streams[1]) == plan.k_outer
+    assert sum(problems for problems, _n_max in calls) == 3 * plan.k_outer
+    for fold in report.folds:
+        assert (fold.c, fold.gamma) == cells[0]
+        assert int(fold.confusion.sum()) == fold.test_count > 0
+        assert 0.0 <= fold.uar <= 1.0
+        assert isinstance(fold.converged, bool)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])

@@ -19,6 +19,7 @@ from emovox.svm import (
     _one_vs_one,
     _smo_batch,
     _solve_pairs,
+    dead_cells,
     decision_scores,
     fit_standardizer,
     grid_predictions,
@@ -219,6 +220,16 @@ def oracle_grid_predictions(x, labels, x_val, cells, tol=SMO_TOL):
     return np.array([[classes.index(label) for label in predict(model, x_val)]
                      for model in train_grid(x, labels, cells, tol=tol)],
                     dtype=np.intp).reshape(len(cells), len(x_val))
+
+
+def split_is_dead(x_fit, x_val, gamma):
+    """Whether every RBF value between two distinct rows of a split, fit x
+    fit and validation x fit, is 0.0 on rows standardized on the fit rows:
+    each kernel built whole by ``_kernel_matrix``."""
+    scaler = fit_standardizer(x_fit)
+    z = scaler.transform(x_fit)
+    fit_kernel = _kernel_matrix(z, z, gamma)[~np.eye(len(z), dtype=bool)]
+    return not fit_kernel.any() and not _kernel_matrix(scaler.transform(x_val), z, gamma).any()
 
 
 def assert_close(got, want):
@@ -433,8 +444,10 @@ def test_smo_matches_scalar_oracle():
 def packed_problems(seed, count=24):
     """Random duals for one packed ``_smo_batch`` call, as (x, y, c, gamma,
     pass limit), in twos that share rows and gamma, so a kernel: n from 2
-    to 20, some with a duplicate row of the other label, limits of 10 * n or
-    of a few passes."""
+    to 20, some with a duplicate row of the other label, some with a gamma
+    so large that every off-diagonal kernel value underflows to 0 (the
+    dead cells that ``emovox train`` still solves), limits of 10 * n or of
+    a few passes."""
     r = np.random.default_rng(seed)
     problems = []
     for p in range(count // 2):
@@ -442,7 +455,7 @@ def packed_problems(seed, count=24):
         x, y = random_binary_problem(1000 * seed + p, n=n, dim=int(r.integers(1, 5)))
         if p % 2 and n > 2:
             x[-1], y[-1] = x[0], -y[0]
-        gamma = float(10.0 ** r.integers(-2, 2))
+        gamma = float(10.0 ** r.integers(-2, 2)) if p % 6 != 4 else 1e12
         for labels in (y, -y if p % 4 < 2 else y):
             limit = 10 * n if r.random() < 0.7 else int(r.integers(0, 4))
             problems.append((x, labels, float(10.0 ** r.integers(-2, 5)), gamma, limit))
@@ -529,6 +542,9 @@ def solve_packed(problems, tol=SMO_TOL, solver=_smo_batch):
 def test_packed_smo_matches_lone_scalar_solves(seed):
     problems = packed_problems(seed)
     assert {p[4] for p in problems} & {0, 1, 2, 3}  # some rows expire after a few passes
+    off_diagonal = [_kernel_matrix(x, x, gamma)[~np.eye(len(y), dtype=bool)]
+                    for x, y, _c, gamma, _limit in problems]
+    assert sum(not k.any() for k in off_diagonal) >= 4  # duals with identity-like kernels
     for tol in (SMO_TOL, 1e-9):
         alpha, converged = solve_packed(problems, tol)
         assert alpha.shape[0] == converged.shape[0] == len(problems)
@@ -761,6 +777,43 @@ def test_grid_predictions_match_per_cell_oracle_random():
                 assert rounding_decided(model, x_val)[differ].all(), (seed, cells[cell])
                 exempt += int(differ.sum())
     assert exempt <= 0.01 * compared
+
+
+def test_dead_cells_cover_fit_and_validation_rows(rng):
+    # rows far apart on 20 dims, 8 fit and 4 validation: gamma 1000 sends
+    # every kernel value between distinct rows to 0 unless two of them,
+    # fit x fit or validation x fit, are moved next to each other
+    x = 3.0 * rng.standard_normal((12, 20))
+    cells = [(1.0, 1e-3), (1.0, 1e3), (10.0, 1e3)]
+
+    def dead(x, at=None):
+        x = x.copy()
+        if at:
+            x[at[0]] = x[at[1]] + 1e-3
+        split = (np.arange(8), list("aaaabbbb"), np.arange(8, 12), cells)
+        return next(dead_cells(x, [split])).tolist()
+
+    assert dead(x) == [False, True, True]
+    assert dead(x, (9, 3)) == [False, False, False]   # a validation row by a fit row
+    assert dead(x, (5, 1)) == [False, False, False]   # two fit rows
+    assert dead(x, (9, 8)) == [False, True, True]     # two validation rows do not count
+
+
+def test_dead_cells_match_whole_kernels():
+    gammas = [10.0 ** e for e in range(-3, 7)]
+    found = set()
+    for seed in range(12):
+        r = np.random.default_rng(600 + seed)
+        n, dim = int(r.integers(6, 40)), int(r.integers(1, 80))
+        x = r.standard_normal((n, dim))
+        fit = np.sort(r.permutation(n)[:int(r.integers(4, n - 1))])
+        val = np.setdiff1d(np.arange(n), fit)
+        labels = ["a", "b"] * (len(fit) // 2) + ["a"] * (len(fit) % 2)
+        got = next(dead_cells(x, [(fit, labels, val, [(1.0, g) for g in gammas])]))
+        want = [split_is_dead(x[fit], x[val], g) for g in gammas]
+        assert got.tolist() == want
+        found.update(want)
+    assert found == {False, True}
 
 
 def test_grid_validation(rng):
