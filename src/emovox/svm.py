@@ -6,21 +6,21 @@ packed: one loop advances many independent duals of different sizes, each
 with its own labels, kernel, box bound C and pass limit, padded at the end
 to a common length, and takes for each exactly the steps a lone solve
 would; a pass reads and writes single entries by flat index, so its NumPy
-calls do not grow with the number of duals.  ``_solve_pairs`` plans a
-stream of class pairs, each with one dual per (C, gamma) cell of its own
-list, into runs of such solves within two caps: problems x n_max
-(``_PACK_CELLS``) and stacked kernel floats (``_PACK_FLOATS``); it builds
-each pair's kernels with one ``exp`` over all its gammas, and takes every
-bias from the kernels it built, by one rule (``_biases``, one call per run
-and pair length).  The stream is one pair set, one cell, for
-``train_multiclass``, and the pairs and cells of many splits for
-``grid_predictions``, which scores held-out rows with all cells at once and
-builds no per-cell model: the inner grid of nested CV, and its outer fits
-as one-cell splits.  ``dead_cells`` finds the cells of a split whose gamma
-leaves no kernel value between distinct rows above 0.0, which nested CV
-neither solves nor selects.  Multi-class is one-vs-one with majority
-voting; ties fall back to summed decision margins, then lexicographic class
-order.  Standardization is fitted on training data.
+calls do not grow with the number of duals.  One path fits every
+multi-class SVM: ``_fit_splits`` turns (fit rows, fit labels, validation
+rows, (C, gamma) cells) splits into a stream of class pairs (``_Pair``),
+one dual per cell each, which ``_solve_pairs`` packs into runs of such
+solves within two caps: problems x n_max (``_PACK_CELLS``) and stacked
+kernel floats (``_PACK_FLOATS``).  Each pair's kernels come from one
+``exp`` over all its gammas, and every bias from them by one rule
+(``_biases``).  ``train_multiclass`` is one split of every row and one
+cell; ``grid_predictions`` scores many splits' held-out rows with all their
+cells at once and builds no per-cell model: the inner grid of nested CV,
+and its outer fits as one-cell splits.  ``dead_cells`` finds the cells of a
+split whose gamma leaves no kernel value between distinct rows above 0.0,
+which nested CV neither solves nor selects.  Multi-class is one-vs-one with
+majority voting; ties fall back to summed decision margins, then
+lexicographic class order.  Standardization is fitted on training data.
 """
 
 from __future__ import annotations
@@ -258,81 +258,90 @@ def _by_gamma(cells) -> _Gammas:
     return _Gammas(values, index, order, np.searchsorted(index[order], np.arange(values.size + 1)))
 
 
-def _solve_pairs(pairs, tol):
-    """Solve every (c, gamma) cell of every class pair, pass limit 10 * n.
+class _Pair(NamedTuple):
+    """Class pair (a, b) of one split: its inputs, and its outputs per (c, gamma)
+    cell of the split, which ``_solve_pairs`` and ``_fit_splits`` fill in place."""
 
-    ``pairs`` yields tuples that start with a pair's squared distances
-    between its rows, its +1/-1 labels and its cells, a (cells, 2) array of
-    (c, gamma) rows.  Their problems, pair by pair and cell by cell, go to
-    ``_smo_batch`` in runs that keep problems x n_max within ``_PACK_CELLS``
-    and the stacked kernels, one per gamma of each pair in the run and
-    n_max**2 floats each, within ``_PACK_FLOATS``; a run's first pair
-    ignores the kernel cap and gives it at least one problem.  A pair's
-    kernels come from one ``exp`` over all its gammas.  The run that solves
-    a pair's last cells takes its training decision values from those
-    kernels, one product per gamma over all the pair's cells of that gamma,
-    and ``_biases`` from them, in one call for all such pairs of a length.
-    Yields (pair tuple, alphas (cells, n), converged (cells,), biases
-    (cells,)) per pair in order, once all its cells are solved, with a lone
-    solve's alphas and converged flags.
+    split: int             # the split's index in its stream
+    pair: Tuple            # (a, b)
+    rows: np.ndarray       # the split's fit rows of class a or b, a mask
+    yv: np.ndarray         # their labels: +1 for a, -1 for b
+    sq: np.ndarray         # squared distances between their standardized rows
+    sq_val: np.ndarray     # from the split's standardized validation rows to them
+    cells: np.ndarray      # the split's (cells, 2) array of (c, gamma) rows
+    by_g: _Gammas          # their gammas, grouped
+    alphas: np.ndarray     # (cells, rows), clipped to each cell's box
+    converged: np.ndarray  # (cells,)
+    bias: np.ndarray       # (cells,)
+    decision: np.ndarray   # (cells, validation rows), bias included
+
+
+def _cell_products(p: _Pair, kernels):
+    """Per cell of ``p``, its coefficients alpha * y times ``kernels[g]``, g
+    the index of its gamma: one product per gamma over all its cells."""
+    coef = (p.alphas * p.yv)[p.by_g.order]
+    grouped = np.empty((coef.shape[0], kernels.shape[2]))
+    for g, (lo, hi) in enumerate(zip(p.by_g.edges, p.by_g.edges[1:])):
+        np.matmul(coef[lo:hi], kernels[g], out=grouped[lo:hi])
+    out = np.empty_like(grouped)
+    out[p.by_g.order] = grouped
+    return out
+
+
+def _solve_pairs(pairs, tol):
+    """Solve every (c, gamma) cell of every ``_Pair`` of ``pairs``, pass
+    limit 10 * n, and fill in its alphas, converged flags and biases.
+
+    The pairs' problems, pair by pair and cell by cell, go to ``_smo_batch``
+    in runs that keep problems x n_max within ``_PACK_CELLS`` and the
+    stacked kernels, one per gamma of each pair in the run and n_max**2
+    floats each, within ``_PACK_FLOATS``; a run's first pair ignores the
+    kernel cap and gives it at least one problem.  A pair's kernels come
+    from one ``exp`` over all its gammas.  The run that solves a pair's last
+    cells takes its training decision values from those kernels and its
+    biases from them.  Yields each pair in order once all its cells are
+    solved, with a lone solve's alphas and converged flags.
     """
     def solve(chunks, n_max):
-        first = np.cumsum([0] + [by_g.values.size for _res, by_g, _lo, _hi in chunks])
+        first = np.cumsum([0] + [p.by_g.values.size for p, _lo, _hi in chunks])
         stacked = np.zeros((first[-1], n_max, n_max))
         labels = np.zeros((len(chunks), n_max))
-        for k, (((sq, yv, *_), *_out), by_g, _lo, _hi) in enumerate(chunks):
-            labels[k, :yv.size] = yv
-            stacked[first[k]:first[k + 1], :yv.size, :yv.size] = np.exp(
-                -by_g.values[:, None, None] * sq).transpose(0, 2, 1)
-        slot = np.repeat(np.arange(len(chunks)), [hi - lo for *_res, lo, hi in chunks])
-        kernel = np.concatenate([first[k] + by_g.index[lo:hi]
-                                 for k, (_res, by_g, lo, hi) in enumerate(chunks)])
-        c = np.concatenate([pair[2][lo:hi, 0] for (pair, *_out), _g, lo, hi in chunks])
+        for k, (p, _lo, _hi) in enumerate(chunks):
+            labels[k, :p.yv.size] = p.yv
+            stacked[first[k]:first[k + 1], :p.yv.size, :p.yv.size] = np.exp(
+                -p.by_g.values[:, None, None] * p.sq).transpose(0, 2, 1)
+        slot = np.repeat(np.arange(len(chunks)), [hi - lo for _p, lo, hi in chunks])
+        kernel = np.concatenate([first[k] + p.by_g.index[lo:hi]
+                                 for k, (p, lo, hi) in enumerate(chunks)])
+        c = np.concatenate([p.cells[lo:hi, 0] for p, lo, hi in chunks])
         alpha, converged = _smo_batch(stacked, kernel, labels[slot], c, tol,
                                       10 * np.count_nonzero(labels, 1)[slot])
-        finished = {}  # per length, the pairs whose last cells this run solves
-        for k, (((_sq, yv, cells, *_), out_alpha, out_ok, out_bias), by_g, lo, hi) \
-                in enumerate(chunks):
-            n = yv.size
-            out_alpha[lo:hi] = alpha[slot == k, :n]
-            out_ok[lo:hi] = converged[slot == k]
-            if hi == len(cells):  # earlier runs solved the pair's other cells
-                order = by_g.order
-                coef = (out_alpha * yv)[order]
-                fvals = np.empty_like(coef)
-                for gi, (g_lo, g_hi) in enumerate(zip(by_g.edges, by_g.edges[1:])):
-                    # the slice holds K.T, which is K: sq is symmetric
-                    np.matmul(coef[g_lo:g_hi], stacked[first[k] + gi, :n, :n], out=fvals[g_lo:g_hi])
-                finished.setdefault(n, []).append((out_alpha[order], fvals, np.broadcast_to(
-                    yv, coef.shape), cells[order, 0], order, out_bias))
-        for same in finished.values():  # rows of one length: the bits of a call per pair
-            alphas, fvals, yvs, boxes, orders, outs = zip(*same)
-            biases = _biases(*map(np.concatenate, (alphas, fvals, yvs, boxes)))
-            for order, out, part in zip(orders, outs, np.split(
-                    biases, np.cumsum([order.size for order in orders[:-1]]))):
-                out[order] = part
+        for k, (p, lo, hi) in enumerate(chunks):
+            n = p.yv.size
+            p.alphas[lo:hi] = alpha[slot == k, :n]
+            p.converged[lo:hi] = converged[slot == k]
+            if hi == len(p.cells):  # earlier runs solved the pair's other cells
+                # the slices hold K.T, which is K: sq is symmetric
+                fvals = _cell_products(p, stacked[first[k]:first[k + 1], :n, :n])
+                p.bias[:] = _biases(p.alphas, fvals, p.yv, p.cells[:, 0])
 
-    chunks, ready, count, n_max, kernels, cells = [], [], 0, 0, 0, None
-    for pair in pairs:
-        n, n_cells = pair[1].size, len(pair[2])
-        if pair[2] is not cells:  # the pairs of a split share its cells
-            cells = pair[2]
-            by_g = _by_gamma(cells)
-        result = (pair, np.zeros((n_cells, n)), np.zeros(n_cells, dtype=bool), np.zeros(n_cells))
+    chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
+    for p in pairs:
+        n, n_cells, gammas = p.yv.size, len(p.cells), p.by_g.values.size
         start = 0
         while start < n_cells:
             m = max(n_max, n)
             take = max(1, min(_PACK_CELLS // m - count, n_cells - start))
             if chunks and (count + take > _PACK_CELLS // m
-                           or (kernels + by_g.values.size) * m * m > _PACK_FLOATS):
+                           or (kernels + gammas) * m * m > _PACK_FLOATS):
                 solve(chunks, n_max)
                 yield from ready
                 chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
             else:
-                chunks.append((result, by_g, start, start + take))
+                chunks.append((p, start, start + take))
                 count, n_max, start = count + take, m, start + take
-                kernels += by_g.values.size
-        ready.append(result)
+                kernels += gammas
+        ready.append(p)
     if chunks:
         solve(chunks, n_max)
     yield from ready
@@ -364,10 +373,10 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
         raise TrainingError("label count does not match sample count")
     if not np.all(np.isin(yv, (-1.0, 1.0))):
         raise TrainingError("binary labels must be -1 or +1")
-    if np.all(yv == yv[0]):
-        raise TrainingError("training data contains a single class")
-    if c <= 0 or gamma <= 0:
-        raise TrainingError("C and gamma must be positive")
+    if np.unique(yv).size < 2:
+        raise TrainingError("training data needs rows of both classes")
+    if not (0.0 < c < np.inf and 0.0 < gamma < np.inf):
+        raise TrainingError("C and gamma must be finite and positive")
     if max_passes is None:
         max_passes = 10 * n
 
@@ -413,65 +422,62 @@ def trainable_classes(labels) -> list:
     return classes
 
 
-def _one_vs_one(x, labels, cells):
-    """Validated classes, the fitted standardizer, and per class pair (a, b) the
-    squared distances between its standardized rows, labels +1 for a and -1
-    for b, the (c, gamma) ``cells`` as a (cells, 2) array, (a, b) and those
-    rows."""
-    cells = np.array(cells, dtype=np.float64).reshape(-1, 2)
-    if np.any(cells <= 0):
-        raise TrainingError("C and gamma must be positive")
-    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    lab = list(labels)
-    if len(lab) != xm.shape[0]:
-        raise TrainingError("label count does not match sample count")
-    classes = trainable_classes(lab)
-    scaler = fit_standardizer(xm)
-    z = scaler.transform(xm)
-    lab_arr = np.array(lab, dtype=object)
+def _fit_splits(x, splits, tol):
+    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
+    ``x``, its classes, the standardizer fitted on its fit rows and a solved
+    ``_Pair`` per class pair, a < b, with +1 for a: ``train_multiclass(x[fit],
+    labels, c, gamma, tol)``'s alphas and converged flags for every cell,
+    biases equal to rounding, and its pair machines' ``decision_values`` on
+    ``x[val]``.  All splits' pairs stream through ``_solve_pairs``, built as
+    it reads them; a pair's validation decisions come once its run's stacked
+    kernels are freed, from one ``exp`` over all its gammas."""
+    x = np.asarray(x, dtype=np.float64)
+    fitted = {}  # each split's classes and standardizer, until its pairs are solved
 
-    pairs = []
-    for a, b in itertools.combinations(classes, 2):
-        mask = (lab_arr == a) | (lab_arr == b)
-        zp = z[mask]
-        pairs.append((_sq_distances(zp, zp), np.where(lab_arr[mask] == a, 1.0, -1.0), cells,
-                      (a, b), zp))
-    return tuple(classes), scaler, pairs
+    def pairs():
+        for s, (fit, labels, val, cells) in enumerate(splits):
+            cells = np.array(cells, dtype=np.float64).reshape(-1, 2)
+            if not np.all((cells > 0) & (cells < np.inf)):
+                raise TrainingError("C and gamma must be finite and positive")
+            xm = np.atleast_2d(x[fit])
+            lab = list(labels)
+            if len(lab) != xm.shape[0]:
+                raise TrainingError("label count does not match sample count")
+            classes = tuple(trainable_classes(lab))
+            scaler = fit_standardizer(xm)
+            z, z_val = scaler.transform(xm), scaler.transform(x[val])
+            fitted[s] = classes, scaler
+            by_g, m, lab_arr = _by_gamma(cells), len(cells), np.array(lab, dtype=object)
+            for a, b in itertools.combinations(classes, 2):
+                rows = (lab_arr == a) | (lab_arr == b)
+                zp = z[rows]
+                yield _Pair(s, (a, b), rows, np.where(lab_arr[rows] == a, 1.0, -1.0),
+                            _sq_distances(zp, zp), _sq_distances(z_val, zp), cells, by_g,
+                            np.zeros((m, zp.shape[0])), np.zeros(m, dtype=bool), np.zeros(m),
+                            np.empty((m, z_val.shape[0])))
+
+    for s, solved in itertools.groupby(_solve_pairs(pairs(), tol), key=lambda p: p.split):
+        solved = list(solved)
+        for p in solved:
+            kernels = np.exp(-p.by_g.values[:, None, None] * p.sq_val).transpose(0, 2, 1)
+            np.add(_cell_products(p, kernels), p.bias[:, None], out=p.decision)
+        yield (*fitted.pop(s), solved)
 
 
 def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) -> MulticlassSvm:
     """Train k(k-1)/2 pairwise machines on standardized features.
 
     In each pairwise machine the lexicographically smaller class takes the +1
-    side.  All pairs are solved together, the one-cell case of the grid's
-    packed solve; each machine is ``train_binary_smo`` of its pair, bit for
-    bit.
+    side.  This is ``_fit_splits`` on one split, every row and one cell, with
+    no validation rows: all pairs are solved together, and each machine is
+    ``train_binary_smo`` of its pair, bit for bit.
     """
-    classes, scaler, pairs = _one_vs_one(x, labels, [(c, gamma)])
-    machines = {pair: _binary_svm(z, yv, alpha[0], bias[0], c, gamma, ok[0])
-                for (_sq, yv, _cells, pair, z), alpha, ok, bias in _solve_pairs(pairs, tol)}
+    (classes, scaler, pairs), = _fit_splits(x, [(slice(None), labels, slice(0), [(c, gamma)])],
+                                            tol)
+    z = scaler.transform(x)
+    machines = {p.pair: _binary_svm(z[p.rows], p.yv, p.alphas[0], p.bias[0], c, gamma,
+                                    p.converged[0]) for p in pairs}
     return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
-
-
-class _PairGrid(NamedTuple):
-    """One class pair's machines for every cell of its split, stacked along axis 0."""
-
-    pair: Tuple
-    alphas: np.ndarray      # (cells, pair rows), clipped to each cell's box
-    converged: np.ndarray   # (cells,)
-    bias: np.ndarray        # (cells,)
-    decision: np.ndarray    # (cells, validation rows)
-
-
-def _split_pairs(x, splits):
-    """Each split, standardized on its fit rows, reduced at once to per pair (fit
-    x fit squared distances, labels, cells, split index, classes, pair, val x
-    fit ones)."""
-    for s, (fit, labels, val, cells) in enumerate(splits):
-        classes, scaler, pairs = _one_vs_one(x[fit], labels, cells)
-        z_val = scaler.transform(x[val])
-        for sq, yv, cells, pair, z in pairs:
-            yield sq, yv, cells, s, classes, pair, _sq_distances(z_val, z)
 
 
 def dead_cells(x, splits):
@@ -494,31 +500,6 @@ def dead_cells(x, splits):
         yield np.exp(-gammas * sq.min()) == 0.0
 
 
-def _grid_machines(x, splits, tol):
-    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
-    ``x``, its classes and a ``_PairGrid`` per pair: ``train_multiclass(x[fit],
-    labels, c, gamma, tol)`` and its pair machines' ``decision_values`` on
-    ``x[val]`` for every cell, with the same alphas and converged flags and
-    biases and decision values equal to rounding.  All splits' problems
-    stream through ``_solve_pairs``; per pair, one ``exp`` gives the kernels
-    of all its gammas and one product per gamma scores that gamma's
-    cells."""
-    solved = _solve_pairs(_split_pairs(np.asarray(x, dtype=np.float64), splits), tol)
-    for _s, split in itertools.groupby(solved, key=lambda res: res[0][3]):
-        machines, by_g = [], None
-        for (_sq, yv, cells, _s, classes, pair, sq_val), alpha, converged, bias in split:
-            if by_g is None:  # the pairs of a split share its cells
-                by_g = _by_gamma(cells)
-                rank = np.argsort(by_g.order)
-            coef = (alpha * yv)[by_g.order]
-            decision = np.empty((len(cells), sq_val.shape[0]))
-            for lo, hi, kernel in zip(by_g.edges, by_g.edges[1:],
-                                      np.exp(-by_g.values[:, None, None] * sq_val)):
-                np.matmul(coef[lo:hi], kernel.T, out=decision[lo:hi])
-            machines.append(_PairGrid(pair, alpha, converged, bias, decision[rank] + bias[:, None]))
-        yield classes, machines
-
-
 def grid_predictions(x, splits, tol: float = SMO_TOL):
     """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split
     of ``x``, yield its classes ``sorted(set(labels))``, an int array (cells,
@@ -531,15 +512,13 @@ def grid_predictions(x, splits, tol: float = SMO_TOL):
     the fit rows, a gamma that no kernel value survives), whose sign may
     differ.  ``_winners`` picks from all cells' summed votes and margins at
     once.  Every cell listed is solved, a dead one (see ``dead_cells``)
-    included; nested CV leaves those out of the cells it passes.  Each pass
-    of the packed SMO behind it reads and writes single entries by flat
-    index, in the same number of NumPy calls however many duals it
-    advances."""
-    for classes, machines in _grid_machines(x, splits, tol):
-        votes, margins = _tally(classes, machines[0].decision.shape,
-                                ((m.pair, m.decision) for m in machines))
+    included; nested CV leaves those out of the cells it passes.  It tallies
+    the solved pairs of ``_fit_splits``, the fit path of ``train_multiclass``."""
+    for classes, _scaler, pairs in _fit_splits(x, splits, tol):
+        votes, margins = _tally(classes, pairs[0].decision.shape,
+                                ((p.pair, p.decision) for p in pairs))
         yield classes, _winners(votes, margins), margins, np.all(
-            [m.converged for m in machines], axis=0)
+            [p.converged for p in pairs], axis=0)
 
 
 def _tally(classes, shape, decisions):

@@ -14,11 +14,9 @@ from emovox.svm import (
     MulticlassSvm,
     Standardizer,
     _binary_svm,
-    _grid_machines,
+    _fit_splits,
     _kernel_matrix,
-    _one_vs_one,
     _smo_batch,
-    _solve_pairs,
     dead_cells,
     decision_scores,
     fit_standardizer,
@@ -184,12 +182,13 @@ def train_grid(x, labels, cells, tol=SMO_TOL):
     all pairs and cells, with ``train_multiclass(x, labels, c, gamma, tol)``'s
     alphas and converged flags bit for bit and the grid's biases: the
     per-cell oracle for the grid scorer."""
-    classes, scaler, pairs = _one_vs_one(x, labels, cells)
-    solved = list(_solve_pairs(pairs, tol))
+    (classes, scaler, pairs), = _fit_splits(x, [(slice(None), labels, slice(0), cells)], tol)
+    z = scaler.transform(x)
     for cell, (c, g) in enumerate(cells):
         yield MulticlassSvm(classes, {
-            pair: _binary_svm(z, yv, alpha[cell], bias[cell], c, g, converged[cell])
-            for (_sq, yv, _cells, pair, z), alpha, converged, bias in solved
+            p.pair: _binary_svm(z[p.rows], p.yv, p.alphas[cell], p.bias[cell], c, g,
+                                p.converged[cell])
+            for p in pairs
         }, scaler, float(c), float(g))
 
 
@@ -202,9 +201,9 @@ def one_split(x, labels, x_val, cells):
 
 
 def grid_machines(x, labels, x_val, cells, tol=SMO_TOL):
-    """Classes and pair grids of ``_grid_machines`` on one split."""
-    (classes, machines), = _grid_machines(*one_split(x, labels, x_val, cells), tol)
-    return classes, machines
+    """Classes and solved pairs of ``_fit_splits`` on one split."""
+    (classes, _scaler, pairs), = _fit_splits(*one_split(x, labels, x_val, cells), tol)
+    return classes, pairs
 
 
 def split_predictions(x, labels, x_val, cells, tol=SMO_TOL):
@@ -369,6 +368,11 @@ def test_smo_label_validation():
         train_binary_smo(np.zeros((3, 2)), [0.0, 1.0, 1.0], 1.0, 1.0)
     with pytest.raises(TrainingError):
         train_binary_smo(np.zeros((3, 2)), [1.0, -1.0, 1.0], -1.0, 1.0)
+
+
+def test_smo_zero_rows_is_a_training_error():
+    with pytest.raises(TrainingError):
+        train_binary_smo(np.zeros((0, 2)), [], 1.0, 1.0)
 
 
 def test_smo_alpha_box_and_balance():
@@ -564,6 +568,10 @@ def pair_bits(machines):
              m.decision.tobytes()) for m in machines]
 
 
+def scaler_bits(scaler):
+    return scaler.mean.tobytes(), scaler.std.tobytes()
+
+
 def count_solves(monkeypatch):
     """Record the (problems, n_max) shape of every ``_smo_batch`` call."""
     from emovox import svm
@@ -626,20 +634,21 @@ def test_many_splits_match_one_call_per_split(cap, monkeypatch):
         fit, val = np.sort(rows[:fit_count]), rows[fit_count:fit_count + val_count]
         splits.append((fit, labels[fit].tolist(), val, split_cells))
     splits[2] = (splits[2][0], splits[2][1], splits[2][2][labels[splits[2][2]] == "a"], cells)
-    one_by_one = [list(_grid_machines(x, [split], SMO_TOL))[0] for split in splits]
+    one_by_one = [list(_fit_splits(x, [split], SMO_TOL))[0] for split in splits]
     alone = [out for split in splits for out in grid_predictions(x, [split])]
     calls = count_solves(monkeypatch)
     if cap:
         monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
         monkeypatch.setattr(svm, "_PACK_CELLS", cap)
-    packed = list(_grid_machines(x, splits, SMO_TOL))
-    problems = sum(len(m.bias) for _classes, machines in packed for m in machines)
+    packed = list(_fit_splits(x, splits, SMO_TOL))
+    problems = sum(len(m.bias) for _classes, _scaler, machines in packed for m in machines)
     assert sum(n for n, _n_max in calls) == problems == 9 * 3 + 4 * 1 + 9 * 3 + 1 * 1
     assert len(calls) == (problems if cap else 1)
-    assert [classes for classes, _machines in packed] == [tuple("abc"), ("a", "b"),
-                                                          tuple("abc"), ("b", "c")]
-    for (classes, machines), (want_classes, want) in zip(packed, one_by_one):
+    assert [classes for classes, _scaler, _machines in packed] == [
+        tuple("abc"), ("a", "b"), tuple("abc"), ("b", "c")]
+    for (classes, scaler, machines), (want_classes, want_scaler, want) in zip(packed, one_by_one):
         assert classes == want_classes
+        assert scaler_bits(scaler) == scaler_bits(want_scaler)
         assert pair_bits(machines) == pair_bits(want)
     together = list(grid_predictions(x, splits))
     assert [out[1].shape for out in together] == [(len(split_cells), len(val))
@@ -673,15 +682,15 @@ def test_one_cell_splits_match_train_multiclass(cap, monkeypatch):
     if cap:
         monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
         monkeypatch.setattr(svm, "_PACK_CELLS", cap)
-    packed = list(_grid_machines(x, splits, SMO_TOL))
-    sizes = [m.alphas.shape[1] for _classes, machines in packed for m in machines]
+    packed = list(_fit_splits(x, splits, SMO_TOL))
+    sizes = [m.alphas.shape[1] for _classes, _scaler, machines in packed for m in machines]
     assert len(sizes) == 6 + 1 + 3 + 1
     assert calls == ([(1, n) for n in sizes] if cap else [(len(sizes), max(sizes))])
     scores = list(grid_predictions(x, splits))
-    for (_fit, _l, val, _cells), model, (classes, machines), (score_classes, guesses, margins,
-                                                              converged) \
-            in zip(splits, models, packed, scores):
+    for (_fit, _l, val, _cells), model, (classes, scaler, machines), (
+            score_classes, guesses, margins, converged) in zip(splits, models, packed, scores):
         assert classes == score_classes == model.classes
+        assert scaler_bits(scaler) == scaler_bits(model.standardizer)
         assert [m.pair for m in machines] == list(model.machines)
         z_val = model.standardizer.transform(x[val])
         for m in machines:
@@ -826,6 +835,20 @@ def test_grid_validation(rng):
         list(grid_predictions(x, [(np.arange(5), labels[:4], np.arange(2), [(1.0, 1.0)])]))
     assert split_predictions(x, labels, x[:3], []).shape == (0, 3)
     assert list(grid_predictions(x, [])) == []
+
+
+@pytest.mark.parametrize("c, gamma", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                      (1.0, np.inf)])
+def test_non_finite_c_or_gamma_fails_before_any_solve(c, gamma, rng, monkeypatch):
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0)}, 4)
+    calls = count_solves(monkeypatch)
+    with pytest.raises(TrainingError, match="finite and positive"):
+        train_binary_smo(x, np.where(np.array(labels) == "a", 1.0, -1.0), c, gamma)
+    with pytest.raises(TrainingError, match="finite and positive"):
+        train_multiclass(x, labels, c, gamma)
+    with pytest.raises(TrainingError, match="finite and positive"):
+        split_predictions(x, labels, x[:2], [(1.0, 1.0), (c, gamma)])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
