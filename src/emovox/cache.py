@@ -2,8 +2,10 @@
 
 Keys are sha256 digests over (audio bytes, scheme tag, extractor version), so
 a hit returns the stored vector bit-identically and any version bump or model
-change produces a different key.  Entries are EMVX containers written
-temp-then-rename, so concurrent writers are safe.
+change produces a different key.  An entry holds a vector's scheme, values and
+warning, not the manifest row it came from, so byte-identical files share one.
+Entries are EMVX containers written temp-then-rename, so concurrent writers
+are safe.
 """
 
 from __future__ import annotations
@@ -30,38 +32,31 @@ class FeatureCache:
 
     def __init__(self, root):
         self.root = os.fspath(root)
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".fv")
 
     def get(self, key: str, scheme: str):
-        """The stored vector of ``scheme``, or None: a counted miss.
+        """The stored vector of ``scheme``, or None.
 
         Absent and corrupt entries miss, and so does a well-formed container
         that is not a valid entry of ``scheme``: no scheme or values, another
-        or an unknown scheme, the wrong width, non-finite values, a source id
-        or warning that is not a string.  Each is recomputed and overwritten.
+        or an unknown scheme, the wrong width, non-finite values, a warning
+        that is not a string.  Each is recomputed and overwritten.  Other
+        meta keys are ignored, so an entry that also names a row reads as a hit.
         """
         try:
             _, arrays, meta = read_container(self._path(key), "feature")
             vector = FeatureVector(meta["scheme"], arrays["values"],
-                                   source_id=meta.get("source_id", ""),
                                    warning=meta.get("warning", ""))
         except (FileNotFoundError, ModelFormatError, KeyError, FeatureSchemeError):
-            vector = None
-        if vector is None or vector.scheme != scheme:
-            self.misses += 1
             return None
-        self.hits += 1
-        return vector
+        return vector if vector.scheme == scheme else None
 
     def put(self, key: str, vector: FeatureVector) -> None:
         path = self._path(key)
         arrays = {"values": vector.values}
-        meta = {"scheme": vector.scheme, "source_id": vector.source_id,
-                "warning": vector.warning}
+        meta = {"scheme": vector.scheme, "warning": vector.warning}
         try:
             write_container(path, "feature", arrays, meta)
         except FileNotFoundError:

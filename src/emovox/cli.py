@@ -70,18 +70,11 @@ def _extract(manifest: tuple[ManifestRow, ...], config: ExperimentConfig) -> Ext
     return result
 
 
-def _extracted_rows(manifest, result: ExtractionResult) -> tuple:
-    """The manifest rows whose vectors were extracted, in manifest order
-    (the order of ``result.vectors``)."""
-    ok = {v.source_id for v in result.vectors}
-    return tuple(row for row in manifest if row.path in ok)
-
-
 def cmd_extract(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = _extract(manifest, config)
-    _write_text(args.out_csv, feature_csv(result.vectors))
+    _write_text(args.out_csv, feature_csv([row.path for row in result.rows], result.vectors))
     log.info("wrote %s", args.out_csv)
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
@@ -99,10 +92,9 @@ def cmd_evaluate(args) -> int:
         raise EvaluationError("positive label %r not among classes %s"
                               % (config.positive_label, tuple(classes)))
     result = _extract(manifest, config)
-    rows = _extracted_rows(manifest, result)
-    plan = make_folds(rows, config.mode, config.k_outer, config.k_inner,
+    plan = make_folds(result.rows, config.mode, config.k_outer, config.k_inner,
                       seed=config.seed)
-    report = nested_cv(rows, np.array([v.values for v in result.vectors]), plan,
+    report = nested_cv(result.rows, np.array([v.values for v in result.vectors]), plan,
                        config.grid(), positive_label=config.positive_label)
     _write_text(args.report, format_report(report))
     _write_text(args.metrics_csv, fold_metrics_csv(report))
@@ -120,7 +112,7 @@ def cmd_train(args) -> int:
     trainable_classes(row.label for row in manifest)  # before extracting, as evaluate checks
     result = _extract(manifest, config)
     feats = np.array([v.values for v in result.vectors])
-    labels = [row.label for row in _extracted_rows(manifest, result)]
+    labels = [row.label for row in result.rows]
     model = train_multiclass(feats, labels, config.train_c, config.train_gamma)
     modelio.save_svm(args.model, model, scheme=config.scheme,
                      feature_dim=feats.shape[1])
@@ -148,8 +140,8 @@ def cmd_predict(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source_id", "label"]
                     + ["score_%s" % c for c in model.classes])
-    for vec, lab, row_margin in zip(result.vectors, labels, margins):
-        writer.writerow([vec.source_id, lab]
+    for row, lab, row_margin in zip(result.rows, labels, margins):
+        writer.writerow([row.path, lab]
                         + ["%.17g" % m for m in row_margin])
     _write_text(args.out_csv, buf.getvalue())
     log.info("wrote %s (%d rows)", args.out_csv, len(labels))

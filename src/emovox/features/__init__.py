@@ -30,14 +30,13 @@ KNOWN_SCHEMES = ("phonation", "articulation", "prosody", "i2010pc",
 class FeatureVector:
     scheme: str
     values: np.ndarray
-    source_id: str = ""
     warning: str = ""
 
     def __post_init__(self):
         if self.scheme not in KNOWN_SCHEMES:
             raise FeatureSchemeError(f"unknown scheme {self.scheme!r}")
-        if not isinstance(self.source_id, str) or not isinstance(self.warning, str):
-            raise FeatureSchemeError(f"{self.scheme}: source_id and warning must be strings")
+        if not isinstance(self.warning, str):
+            raise FeatureSchemeError(f"{self.scheme}: warning must be a string")
         values = frozen(self.values)
         if values.ndim != 1:
             raise FeatureSchemeError("feature values must be one-dimensional")
@@ -60,7 +59,6 @@ def fuse(vectors: list) -> FeatureVector:
         return vectors[0]
     return FeatureVector(
         "fusion", np.concatenate([v.values for v in vectors]),
-        source_id=vectors[0].source_id,
         warning="; ".join(v.warning for v in vectors if v.warning))
 
 

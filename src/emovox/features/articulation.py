@@ -67,5 +67,4 @@ def articulation_features(source: Waveform | Analysis) -> FeatureVector:
     # 58 onset and 58 offset descriptors, then the six formant contours
     blocks = [onset_rows, offset_rows, *contour_and_deltas(f1s), *contour_and_deltas(f2s)]
     vec = apply_functionals(blocks, FOUR_MOMENTS)
-    return FeatureVector("articulation", vec, w.source_id,
-                         warning="; ".join(warnings))
+    return FeatureVector("articulation", vec, warning="; ".join(warnings))

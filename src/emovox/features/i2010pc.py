@@ -118,4 +118,4 @@ def i2010pc_features(source: Waveform | Analysis) -> FeatureVector:
     lld = moving_average(lld)
     # the LLD_NAMES columns, then their deltas
     vec = apply_functionals([lld, delta(lld)], IS10_FUNCTIONALS)
-    return FeatureVector("i2010pc", vec, w.source_id)
+    return FeatureVector("i2010pc", vec)

@@ -225,8 +225,7 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
     runs = [(lo, hi) for lo, hi, on in _runs(a.voiced) if on]
 
     if not runs or not np.any(f0 > 0):
-        return FeatureVector("phonation", np.zeros(28), w.source_id,
-                             warning="no voiced frames")
+        return FeatureVector("phonation", np.zeros(28), warning="no voiced frames")
 
     # one pulse window per voiced run with a pitched frame, at its median F0:
     # frames lo..hi-1 span samples lo*step up to hi*step, or to the last
@@ -249,5 +248,4 @@ def phonation_features(source: Waveform | Analysis) -> FeatureVector:
     d2 = delta(d1)
     # one block per PHONATION_TRACKS entry, in that order
     blocks = [d1, d2, jit, shim, apq, ppq, a.log_energy[a.voiced]]
-    return FeatureVector("phonation", apply_functionals(blocks, FOUR_MOMENTS),
-                         w.source_id)
+    return FeatureVector("phonation", apply_functionals(blocks, FOUR_MOMENTS))

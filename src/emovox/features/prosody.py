@@ -56,8 +56,7 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
     voiced, speech = a.voiced, a.speech
 
     if f0.size == 0 or not np.any(voiced):
-        return FeatureVector("prosody", np.zeros(78), w.source_id,
-                             warning="no voiced speech")
+        return FeatureVector("prosody", np.zeros(78), warning="no voiced speech")
 
     energy = a.log_energy
     unvoiced = speech & ~voiced
@@ -116,5 +115,4 @@ def prosody_features(source: Waveform | Analysis) -> FeatureVector:
         "global_f0_slope": 0.0 if np.isnan(g_f0_slope) else g_f0_slope,
         "global_energy_slope": 0.0 if np.isnan(g_e_slope) else g_e_slope,
     })
-    return FeatureVector("prosody", np.array([values[name] for name in PROSODY_FEATURE_NAMES]),
-                         w.source_id)
+    return FeatureVector("prosody", np.array([values[name] for name in PROSODY_FEATURE_NAMES]))

@@ -1,5 +1,8 @@
 """Batch feature extraction: manifest rows -> FeatureVectors, with caching.
 
+A vector is a function of its row's audio alone; the extraction result pairs
+each one with its manifest row.
+
 The cache key folds in the extractor version and, for embedding schemes, a
 digest of the model file bytes, so stale entries can never be returned after
 either changes.  A row's first cache miss decodes its audio into one
@@ -75,26 +78,20 @@ def load_audio(path) -> audio.Waveform:
 
 
 def extract_scheme(source: audio.Waveform | Analysis, scheme: str,
-                   models: EmbeddingModels | None = None,
-                   source_id: str = "") -> FeatureVector:
+                   models: EmbeddingModels | None = None) -> FeatureVector:
     """One feature vector for one base scheme, from a waveform or its shared analysis."""
     if scheme in EXTRACTORS:
-        vec = EXTRACTORS[scheme](source)
-        return FeatureVector(scheme, vec.values, source_id=source_id,
-                             warning=vec.warning)
+        return EXTRACTORS[scheme](source)
     if scheme == "ivector":
         if models is None or models.tv is None:
             raise ConfigError("i-vector extraction needs a loaded TV model")
         stats = baum_welch_stats(models.tv.ubm, Analysis.of(source).embedding_mfcc)
-        return FeatureVector("ivector", extract_ivector(models.tv, stats),
-                             source_id=source_id)
+        return FeatureVector("ivector", extract_ivector(models.tv, stats))
     if scheme == "xvector":
         if models is None or models.xvector is None:
             raise ConfigError("x-vector extraction needs loaded weights")
-        return FeatureVector("xvector",
-                             xvector_forward(models.xvector,
-                                             Analysis.of(source).embedding_mfcc),
-                             source_id=source_id)
+        return FeatureVector("xvector", xvector_forward(models.xvector,
+                                                        Analysis.of(source).embedding_mfcc))
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
@@ -106,6 +103,7 @@ class ExtractionFailure:
 
 @dataclass
 class ExtractionResult:
+    rows: list      # the manifest row of each vector
     vectors: list
     failures: list
     cache_hits: int
@@ -123,18 +121,15 @@ def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
     parts = []
     hits = computed = 0
     for scheme in schemes:
-        tag = models.tag(scheme) if models else scheme
-        key = feature_key(raw, tag, EXTRACTOR_VERSION) if cache else None
+        key = feature_key(raw, models.tag(scheme), EXTRACTOR_VERSION) if cache else None
         vec = cache.get(key, scheme) if cache else None
         if vec is not None:
             hits += 1
-            vec = FeatureVector(vec.scheme, vec.values, source_id=row.path,
-                                warning=vec.warning)
         else:
             if analysis is None:
                 # decoded from the bytes that were hashed, not a second read
                 analysis = Analysis(audio.resample_to_8k(audio.parse_wav(raw, row.path)))
-            vec = extract_scheme(analysis, scheme, models, source_id=row.path)
+            vec = extract_scheme(analysis, scheme, models)
             computed += 1
             if cache:
                 cache.put(key, vec)
@@ -148,7 +143,7 @@ def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentCo
     """Extract the configured scheme for every manifest row.
 
     Rows whose audio cannot be read or processed become ExtractionFailures;
-    the returned vectors keep manifest order.
+    the returned rows and their vectors keep manifest order.
     """
     schemes = config.fusion_schemes()
     if models is None:
@@ -167,21 +162,22 @@ def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentCo
     else:
         outcomes = [work(row) for row in manifest]
 
-    vectors, failures = [], []
+    rows, vectors, failures = [], [], []
     hits = computed = 0
-    for out in outcomes:
+    for row, out in zip(manifest, outcomes):
         if isinstance(out, ExtractionFailure):
             failures.append(out)
         else:
             vec, h, c = out
+            rows.append(row)
             vectors.append(vec)
             hits += h
             computed += c
-    return ExtractionResult(vectors, failures, hits, computed)
+    return ExtractionResult(rows, vectors, failures, hits, computed)
 
 
-def feature_csv(vectors) -> str:
-    """Full-precision CSV: source_id column plus f0..f{d-1}."""
+def feature_csv(source_ids, vectors) -> str:
+    """Full-precision CSV: a source_id column (one id per vector) plus f0..f{d-1}."""
     import csv as _csv
     import io
 
@@ -194,6 +190,6 @@ def feature_csv(vectors) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["source_id"] + ["f%d" % i for i in range(dim)])
-    for v in vectors:
-        writer.writerow([v.source_id] + ["%.17g" % x for x in v.values])
+    for source_id, v in zip(source_ids, vectors, strict=True):
+        writer.writerow([source_id] + ["%.17g" % x for x in v.values])
     return buf.getvalue()

@@ -79,7 +79,9 @@ def fit_standardizer(x) -> Standardizer:
 
 
 def _sq_distances(a, b):
-    """Squared Euclidean distances between the rows of ``a`` and ``b``, floored at 0."""
+    """Squared Euclidean distances between the rows of ``a`` and ``b``, floored at 0:
+    exactly symmetric when ``b`` is ``a`` with a unit-stride axis, as NumPy then
+    takes ``a @ a.T`` from one triangle (BLAS syrk) and mirrors it."""
     sq = np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(sq, 0.0)
 
@@ -134,12 +136,12 @@ def _masked(a, viol, top, eps, pos):
     return np.where(above_0 ^ flip, viol, -np.inf), np.where(below_c ^ flip, viol, np.inf)
 
 
-def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
+def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
     """Maximal-violating-pair SMO on many independent duals in one loop.
 
     Problem r has labels ``y[r]``, +1 or -1 and then 0 on the padding that
     ends every shorter row, box bound ``c[r]``, pass limit ``max_passes[r]``
-    and kernel ``kernels_t[kernel_index[r]]``, transposed and zero on padded
+    and kernel ``kernels[kernel_index[r]]``, symmetric and zero on padded
     rows and columns.  A padded entry is in neither the up nor the low set,
     so its alpha stays 0, and as padding comes last each row takes a lone
     solve's steps: the same first-index pair, clipping and gradient update,
@@ -153,7 +155,7 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     bits of recomputing them each pass.  A pass reads and writes single
     entries by flat index (row r's entry i at r * n + i) and gathers both
     kernel columns of every row with one ``take`` from the kernels viewed as
-    (kernels * n, n) rows.
+    (kernels * n, n) rows: a symmetric kernel's rows are its columns.
     """
     c = np.asarray(c, dtype=np.float64)
     cells, n = y.shape
@@ -170,8 +172,8 @@ def _smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
     v[0] = y
     # a padded alpha is never below its top, so padding is in neither set
     v[1], v[2] = _masked(a, y, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
-    columns = kernels_t.reshape(-1, n)
-    diagonal = np.ascontiguousarray(kernels_t.diagonal(axis1=1, axis2=2)).reshape(-1)
+    columns = kernels.reshape(-1, n)
+    diagonal = np.ascontiguousarray(kernels.diagonal(axis1=1, axis2=2)).reshape(-1)
     kid = np.asarray(kernel_index) * n  # each row's first kernel row in ``columns``
     soonest = limit.min(initial=0)  # no row expires before this pass
     size = cells * n  # entries of the rows still running; row r starts at r * n
@@ -309,7 +311,7 @@ def _solve_pairs(pairs, tol):
         for k, (p, _lo, _hi) in enumerate(chunks):
             labels[k, :p.yv.size] = p.yv
             stacked[first[k]:first[k + 1], :p.yv.size, :p.yv.size] = np.exp(
-                -p.by_g.values[:, None, None] * p.sq).transpose(0, 2, 1)
+                -p.by_g.values[:, None, None] * p.sq)
         slot = np.repeat(np.arange(len(chunks)), [hi - lo for _p, lo, hi in chunks])
         kernel = np.concatenate([first[k] + p.by_g.index[lo:hi]
                                  for k, (p, lo, hi) in enumerate(chunks)])
@@ -321,7 +323,6 @@ def _solve_pairs(pairs, tol):
             p.alphas[lo:hi] = alpha[slot == k, :n]
             p.converged[lo:hi] = converged[slot == k]
             if hi == len(p.cells):  # earlier runs solved the pair's other cells
-                # the slices hold K.T, which is K: sq is symmetric
                 fvals = _cell_products(p, stacked[first[k]:first[k + 1], :n, :n])
                 p.bias[:] = _biases(p.alphas, fvals, p.yv, p.cells[:, 0])
 
@@ -366,7 +367,7 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
     ``converged`` False.  This is the one-problem case of the packed solver
     behind ``train_multiclass`` and ``grid_predictions``.
     """
-    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    xm = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))  # so k is symmetric
     yv = np.asarray(y, dtype=np.float64).ravel()
     n = xm.shape[0]
     if yv.shape[0] != n:
@@ -381,7 +382,7 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
         max_passes = 10 * n
 
     k = _kernel_matrix(xm, xm, gamma)
-    alpha, converged = _smo_batch(k.T[None], [0], yv[None], [float(c)], tol, [max_passes])
+    alpha, converged = _smo_batch(k[None], [0], yv[None], [float(c)], tol, [max_passes])
     bias = _biases(alpha, (alpha * yv) @ k, yv, np.array([float(c)]))
     return _binary_svm(xm, yv, alpha[0], bias[0], c, gamma, converged[0])
 
@@ -552,12 +553,7 @@ def _winners(votes, margins) -> np.ndarray:
 
 
 def predict_with_margins(model: MulticlassSvm, x) -> Tuple[list, np.ndarray]:
-    """``predict`` and the summed margins of ``decision_scores`` from one
-    scoring pass over ``x``."""
+    """Majority vote, ties resolved by summed margin, then class order, and
+    the summed margins of ``decision_scores``, from one scoring pass over ``x``."""
     votes, margins = decision_scores(model, x)
     return [model.classes[i] for i in _winners(votes, margins)], margins
-
-
-def predict(model: MulticlassSvm, x) -> list:
-    """Majority vote; ties resolved by summed margin, then class order."""
-    return predict_with_margins(model, x)[0]

@@ -351,6 +351,41 @@ def test_train_then_predict(workspace):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_identical_audio_at_two_paths_keeps_each_path(workspace, tmp_path, caplog):
+    # the cache holds a vector's content, not its row: the second of two
+    # byte-identical files is a hit on the first one's entry, and each row's
+    # own path is its source_id in the feature and prediction CSVs
+    root, manifest, _, rows = workspace
+    config = tmp_path / "exp.cfg"
+    config.write_text("scheme = phonation\ncache_dir = %s\n" % (tmp_path / "cache"))
+    with open(rows[0].path, "rb") as fh:
+        audio = fh.read()
+    twins = []
+    for name in ("a.wav", "b.wav"):
+        (tmp_path / name).write_bytes(audio)
+        twins.append(ManifestRow(str(tmp_path / name), rows[0].label, "spk0", "m"))
+    pair = tmp_path / "twins.csv"
+    write_manifest(pair, twins)
+    features = tmp_path / "features.csv"
+    with caplog.at_level("INFO", logger="emovox"):
+        assert main(["extract", "--manifest", str(pair), "--config", str(config),
+                     "--out-csv", str(features)]) == 0
+    assert any("(1 cache hits, 1 computed)" in r.message for r in caplog.records)
+    assert [len(files) for _, _, files in os.walk(tmp_path / "cache") if files] == [1]
+    lines = features.read_text().strip().split("\n")[1:]
+    assert [line.split(",")[0] for line in lines] == [row.path for row in twins]
+    assert lines[0].split(",")[1:] == lines[1].split(",")[1:]
+
+    model, predictions = tmp_path / "m.svm", tmp_path / "pred.csv"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config),
+                 "--model", str(model)]) == 0
+    assert main(["predict", "--manifest", str(pair), "--config", str(config),
+                 "--model", str(model), "--out-csv", str(predictions)]) == 0
+    lines = predictions.read_text().strip().split("\n")[1:]
+    assert [line.split(",")[0] for line in lines] == [row.path for row in twins]
+    assert lines[0].split(",")[1:] == lines[1].split(",")[1:]
+
+
 def test_predict_scheme_mismatch(workspace):
     root, manifest, config, _ = workspace
     model = root / "m.svm"

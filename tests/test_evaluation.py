@@ -287,7 +287,7 @@ def per_cell_selection(samples, feats, plan, cells):
     split (``split_is_dead``), the first cell when all are."""
     from test_svm import split_is_dead, train_grid
 
-    from emovox.svm import predict
+    from emovox.svm import predict_with_margins
 
     labels = np.array([s.label for s in samples], dtype=object)
     classes = sorted(set(labels))
@@ -300,7 +300,7 @@ def per_cell_selection(samples, feats, plan, cells):
             for k, (cell_uars, model) in enumerate(
                     zip(uars, train_grid(feats[fit], labels[fit].tolist(), cells))):
                 alive[k] |= not split_is_dead(feats[fit], feats[val], cells[k][1])
-                guess = np.array(predict(model, feats[val]), dtype=object)
+                guess = np.array(predict_with_margins(model, feats[val])[0], dtype=object)
                 cell_uars.append(np.mean([np.mean(guess[truth == cl] == cl)
                                           for cl in classes if cl in truth]))
         scores = [np.mean(u) if live else -np.inf for u, live in zip(uars, alive)]

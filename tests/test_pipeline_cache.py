@@ -37,13 +37,12 @@ def test_feature_key_sensitivity():
 
 def test_cache_roundtrip_bit_identical(tmp_path, rng):
     cache = FeatureCache(tmp_path / "cache")
-    vec = FeatureVector("prosody", rng.standard_normal(78), source_id="s1",
-                        warning="w")
+    vec = FeatureVector("prosody", rng.standard_normal(78), warning="w")
     cache.put("ab" + "0" * 62, vec)
     back = cache.get("ab" + "0" * 62, "prosody")
+    assert back is not None
     assert back.values.tobytes() == vec.values.tobytes()
-    assert (back.scheme, back.source_id, back.warning) == ("prosody", "s1", "w")
-    assert cache.hits == 1
+    assert (back.scheme, back.warning) == ("prosody", "w")
 
 
 def test_cache_miss_and_corrupt_entry(tmp_path, rng):
@@ -56,7 +55,6 @@ def test_cache_miss_and_corrupt_entry(tmp_path, rng):
     with open(path, "wb") as fh:
         fh.write(b"junk")
     assert cache.get(key, "prosody") is None
-    assert cache.misses == 2
 
 
 def test_cache_dir_has_no_temp_files(tmp_path, rng):
@@ -85,7 +83,7 @@ def test_extract_phonation_counts(tmp_path, corpus):
     assert result.failures == []
     assert (result.cache_hits, result.computed) == (0, 6)
     assert all(v.dim == 28 for v in result.vectors)
-    assert [v.source_id for v in result.vectors] == [r.path for r in rows]
+    assert result.rows == list(rows)
 
     again = extract_for_manifest(tuple(rows), config, cache)
     assert (again.cache_hits, again.computed) == (6, 0)
@@ -181,13 +179,32 @@ def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     result = extract_for_manifest(tuple(rows), config, cache)
     assert result.failures == []
     assert (result.cache_hits, result.computed) == (0, 6)
-    assert cache.misses == 6
     assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
     # the entry was overwritten with a complete one
     stored = cache.get(key, "phonation")
+    assert stored is not None
     assert stored.scheme == "phonation"
     assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
-    assert cache.hits == 1
+
+
+def test_entry_with_a_source_id_is_a_hit(tmp_path, corpus):
+    # entries once also stored the row's path in their meta; such an entry
+    # still reads as a hit, with the values and warning it holds
+    _, rows = corpus
+    config = parse_config("scheme = phonation\n")
+    fresh = extract_for_manifest(tuple(rows[:1]), config, None).vectors[0]
+    cache = FeatureCache(tmp_path / "c")
+    with open(rows[0].path, "rb") as fh:
+        key = feature_key(fh.read(), "phonation", EXTRACTOR_VERSION)
+    os.makedirs(os.path.dirname(cache._path(key)))
+    write_container(cache._path(key), "feature", {"values": fresh.values},
+                    meta={"scheme": "phonation", "source_id": "wav/old.wav",
+                          "warning": "stored"})
+    result = extract_for_manifest(tuple(rows[:1]), config, cache)
+    assert (result.cache_hits, result.computed) == (1, 0)
+    assert result.rows == rows[:1]
+    assert result.vectors[0].values.tobytes() == fresh.values.tobytes()
+    assert result.vectors[0].warning == "stored"
 
 
 def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
@@ -308,7 +325,7 @@ def test_degenerate_rows_end_finite_or_counted(tmp_path):
     assert all(np.all(np.isfinite(v.values)) for v in result.vectors)
     # the square and clipped rows of 0.25 s and 1 s are voiced, so jitter and
     # shimmer run on them
-    voiced = {os.path.basename(v.source_id) for v in result.vectors
+    voiced = {os.path.basename(row.path) for row, v in zip(result.rows, result.vectors)
               if "no voiced frames" not in v.warning}
     assert {"%s_%d_%d.wav" % (kind, rate, n) for kind in ("square", "clipped")
             for rate in (8000, 16000, 44100) for n in (rate // 4, rate)} <= voiced
@@ -317,11 +334,11 @@ def test_degenerate_rows_end_finite_or_counted(tmp_path):
     k = len(IS10_FUNCTIONALS)
     i2010pc = sum(SCHEME_DIMS[s] for s in ("articulation", "prosody", "phonation"))
     prob = [i2010pc + k * (d + LLD_NAMES.index("voicing_prob")) for d in (0, len(LLD_NAMES))]
-    for v in result.vectors:
-        if os.path.basename(v.source_id).startswith("dc_"):
+    for row, v in zip(result.rows, result.vectors):
+        if os.path.basename(row.path).startswith("dc_"):
             assert "no voiced frames" in v.warning and "no voiced speech" in v.warning, \
-                v.source_id
-            assert not np.any([v.values[c:c + k] for c in prob]), v.source_id
+                row.path
+            assert not np.any([v.values[c:c + k] for c in prob]), row.path
 
 
 def test_extract_parallel_matches_serial(tmp_path, corpus):
@@ -343,14 +360,14 @@ def test_embedding_scheme_requires_model_path():
 
 
 def test_feature_csv_full_precision(rng):
-    vecs = [FeatureVector("prosody", rng.standard_normal(78),
-                          source_id="row%d" % i) for i in range(3)]
-    text = feature_csv(vecs)
+    vecs = [FeatureVector("prosody", rng.standard_normal(78)) for _ in range(3)]
+    text = feature_csv(["row%d" % i for i in range(3)], vecs)
     lines = text.strip().split("\n")
     assert lines[0].split(",")[:2] == ["source_id", "f0"]
     assert len(lines) == 4
-    for line, vec in zip(lines[1:], vecs):
+    for i, (line, vec) in enumerate(zip(lines[1:], vecs)):
         cells = line.split(",")
+        assert cells[0] == "row%d" % i
         back = np.array([float(c) for c in cells[1:]])
         assert np.array_equal(back, vec.values)
 
@@ -359,9 +376,9 @@ def test_feature_csv_rejects_mixed_dims(rng):
     vecs = [FeatureVector("prosody", rng.standard_normal(78)),
             FeatureVector("phonation", rng.standard_normal(28))]
     with pytest.raises(ValueError, match="mixed"):
-        feature_csv(vecs)
+        feature_csv(["a", "b"], vecs)
     with pytest.raises(ValueError, match="no feature"):
-        feature_csv([])
+        feature_csv([], [])
 
 
 def six_scheme_models(rng):

@@ -17,11 +17,12 @@ from emovox.svm import (
     _fit_splits,
     _kernel_matrix,
     _smo_batch,
+    _sq_distances,
     dead_cells,
     decision_scores,
     fit_standardizer,
     grid_predictions,
-    predict,
+    predict_with_margins,
     train_binary_smo,
     train_multiclass,
 )
@@ -214,9 +215,11 @@ def split_predictions(x, labels, x_val, cells, tol=SMO_TOL):
 
 
 def oracle_grid_predictions(x, labels, x_val, cells, tol=SMO_TOL):
-    """``grid_predictions`` the slow way: one model per cell, then ``predict``."""
+    """``grid_predictions`` the slow way: one model per cell, then its labels
+    from ``predict_with_margins``."""
     classes = sorted(set(labels))
-    return np.array([[classes.index(label) for label in predict(model, x_val)]
+    return np.array([[classes.index(label)
+                      for label in predict_with_margins(model, x_val)[0]]
                      for model in train_grid(x, labels, cells, tol=tol)],
                     dtype=np.intp).reshape(len(cells), len(x_val))
 
@@ -305,6 +308,18 @@ def test_kernel_matrix_matches_scalar(rng):
             assert k[i, j] == pytest.approx(rbf_kernel(a[i], b[j], 0.7), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 7, 50, 460])
+def test_sq_distances_of_rows_to_themselves_are_exactly_symmetric(n):
+    # the solver reads a pair's kernel rows as its columns, so its kernels
+    # (exp of these distances) must equal their transposes bit for bit
+    r = np.random.default_rng(n)
+    x = r.standard_normal((n + 5, 594)) * r.uniform(0.5, 3.0, 594)
+    z = fit_standardizer(x).transform(x)[r.permutation(n + 5)[:n]]
+    sq = _sq_distances(z, z)
+    assert sq.shape == (n, n)
+    assert sq.tobytes() == sq.T.copy().tobytes()
+
+
 def test_standardizer_training_stats(rng):
     x = rng.standard_normal((40, 5)) * 3.0 + 7.0
     scaler = fit_standardizer(x)
@@ -373,6 +388,18 @@ def test_smo_label_validation():
 def test_smo_zero_rows_is_a_training_error():
     with pytest.raises(TrainingError):
         train_binary_smo(np.zeros((0, 2)), [], 1.0, 1.0)
+
+
+def test_smo_on_a_strided_view_matches_its_contiguous_copy():
+    # NumPy multiplies a view with no unit-stride axis by its transpose
+    # through copies and gemm, whose product need not be symmetric; the
+    # solver reads kernel rows as columns, so it is given a contiguous copy
+    x, y = random_binary_problem(4, n=30, dim=8)
+    strided = np.repeat(x, 2, axis=1)[:, ::2]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    for c, gamma in ((1.0, 0.3), (100.0, 2.0)):
+        assert_same_machine(train_binary_smo(strided, y, c, gamma),
+                            train_binary_smo(x.copy(), y, c, gamma))
 
 
 def test_smo_alpha_box_and_balance():
@@ -466,7 +493,7 @@ def packed_problems(seed, count=24):
     return problems
 
 
-def loop_smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
+def loop_smo_batch(kernels, kernel_index, y, c, tol, max_passes):
     """Packed maximal-violating-pair SMO that rebuilds the up and low masks,
     the violation -y * gradient and both masked copies from the alphas and
     the gradient on every pass: the reference whose alphas and converged
@@ -508,8 +535,8 @@ def loop_smo_batch(kernels_t, kernel_index, y, c, tol, max_passes):
                 v[keep] for v in (rows, a, grad, box, eps, top, pos, neg_y, y, kid, limit))
             i, j, gap = i[keep], j[keep], gap[keep]
             r = np.arange(rows.size)
-        col_i = kernels_t[kid, i]
-        col_j = kernels_t[kid, j]
+        col_i = kernels[kid, i]
+        col_j = kernels[kid, j]
         curv = col_i[r, i] + col_j[r, j] - 2.0 * col_j[r, i]
         curv = np.where(1e-12 > curv, 1e-12, curv)
         step = gap / curv
@@ -536,7 +563,7 @@ def solve_packed(problems, tol=SMO_TOL, solver=_smo_batch):
     kernels = np.zeros((len(problems) // 2, n_max, n_max))
     y_pad = np.zeros((len(problems), n_max))
     for p, (x, y, _c, gamma, _limit) in enumerate(problems):
-        kernels[p // 2, :len(y), :len(y)] = _kernel_matrix(x, x, gamma).T
+        kernels[p // 2, :len(y), :len(y)] = _kernel_matrix(x, x, gamma)
         y_pad[p, :len(y)] = y
     return solver(kernels, np.arange(len(problems)) // 2, y_pad,
                   [p[2] for p in problems], tol, [p[4] for p in problems])
@@ -701,7 +728,7 @@ def test_one_cell_splits_match_train_multiclass(cap, monkeypatch):
             assert_close(m.decision[0], want.decision_values(z_val))
         _votes, want_margins = decision_scores(model, x[val])
         assert_close(margins[0], want_margins)
-        assert [classes[i] for i in guesses[0]] == predict(model, x[val])
+        assert [classes[i] for i in guesses[0]] == predict_with_margins(model, x[val])[0]
         assert converged.tolist() == [model.converged]
 
 
@@ -725,7 +752,7 @@ def test_grid_matches_scalar_oracle(n_classes):
         for (c, g), row in zip(GRID_CELLS, guesses):
             model = train_multiclass(x, labels, c, g)
             assert_same_ensemble(model, scalar_multiclass(x, labels, c, g))
-            assert [names[i] for i in row] == predict(model, x_val)
+            assert [names[i] for i in row] == predict_with_margins(model, x_val)[0]
 
 
 def test_grid_unconverged_cells_match_scalar_oracle():
@@ -859,7 +886,7 @@ def test_non_finite_c_or_gamma_fails_before_any_solve(c, gamma, rng, monkeypatch
 def test_multiclass_three_blobs(rng):
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0)}, 30)
     model = train_multiclass(x, labels, 10.0, 1.0)
-    got = predict(model, x)
+    got = predict_with_margins(model, x)[0]
     accuracy = np.mean([g == t for g, t in zip(got, labels)])
     assert accuracy >= 0.99
 
@@ -879,7 +906,7 @@ def test_multiclass_two_class_reduces_to_binary(rng):
     scaler = fit_standardizer(x)
     y = np.where(np.array(labels) == "neg", 1.0, -1.0)
     binary = train_binary_smo(scaler.transform(x), y, 5.0, 0.7)
-    from_pairs = predict(model, x)
+    from_pairs = predict_with_margins(model, x)[0]
     from_binary = ["neg" if f > 0 else "pos" for f in binary.decision_values(scaler.transform(x))]
     assert from_pairs == from_binary
 
@@ -905,7 +932,7 @@ def test_prediction_reorder_invariance(rng):
     _, m1 = decision_scores(model1, probe)
     _, m2 = decision_scores(model2, probe)
     assert np.allclose(m1, m2, atol=1e-6)
-    assert predict(model1, probe) == predict(model2, probe)
+    assert predict_with_margins(model1, probe)[0] == predict_with_margins(model2, probe)[0]
 
 
 def _constant_machine(bias, dim=2):
@@ -929,7 +956,7 @@ def test_tie_breaks_margin_then_lexicographic():
          ("b", "c"): _constant_machine(1.0)},
         scaler, 1.0, 1.0,
     )
-    assert predict(even, np.zeros((1, 2))) == ["a"]
+    assert predict_with_margins(even, np.zeros((1, 2)))[0] == ["a"]
     # votes tie between a and c, but c accumulates the larger summed margin
     skew = MulticlassSvm(
         ("a", "b", "c"),
@@ -940,11 +967,11 @@ def test_tie_breaks_margin_then_lexicographic():
     )
     votes, margins = decision_scores(skew, np.zeros((1, 2)))
     assert votes[0].tolist() == [1.0, 1.0, 1.0]
-    assert predict(skew, np.zeros((1, 2))) == ["c"]
+    assert predict_with_margins(skew, np.zeros((1, 2)))[0] == ["c"]
 
 
 def test_decision_scores_dim_mismatch(rng):
     x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (4.0, 0.0)}, 10)
     model = train_multiclass(x, labels, 1.0, 1.0)
     with pytest.raises(ValueError):
-        predict(model, rng.standard_normal((2, 3)))
+        predict_with_margins(model, rng.standard_normal((2, 3)))
