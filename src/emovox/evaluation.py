@@ -222,25 +222,32 @@ def metrics(confusion, positive_index: Optional[int] = 0) -> Metrics:
 
 
 def roc_curve(scores, labels) -> Tuple[tuple, float]:
-    """Threshold sweep over descending scores; AUC by trapezoid."""
+    """Threshold sweep over descending scores; AUC by trapezoid.
+
+    There is one point per distinct score (0.0 and -0.0 are one score), each
+    the false and true positive rates of the rows scoring at least it, after
+    a first point at (0, 0); the last point is (1, 1).
+    """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels).astype(bool)
     if s.shape != y.shape or s.ndim != 1:
         raise EvaluationError("scores and labels must be matching 1-D sequences")
+    if np.isnan(s).any():
+        raise EvaluationError("ROC scores must not be NaN")
     n_pos = int(y.sum())
     n_neg = int((~y).sum())
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("ROC needs both classes present")
-    points = [(0.0, 0.0)]
-    for thr in np.unique(s)[::-1]:
-        hit = s >= thr
-        points.append((float((hit & ~y).sum() / n_neg), float((hit & y).sum() / n_pos)))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    fpr = np.array([p[0] for p in points])
-    tpr = np.array([p[1] for p in points])
+    order = np.argsort(-s)
+    desc = s[order]
+    tp = np.cumsum(y[order])
+    fp = np.arange(1, s.size + 1) - tp
+    # each distinct score's last row in descending order
+    last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
+    fpr = np.concatenate(([0.0], fp[last] / n_neg))
+    tpr = np.concatenate(([0.0], tp[last] / n_pos))
     auc = float(np.trapezoid(tpr, fpr))
-    return tuple(points), auc
+    return tuple(zip(fpr.tolist(), tpr.tolist())), auc
 
 
 def _log_beta_half(a: float) -> float:
@@ -349,10 +356,9 @@ def _confusion(classes, truth, predicted):
 def _inner_uars(truth, guesses):
     """UAR of each row of ``guesses`` (cells, rows) against ``truth`` (rows),
     both class indices: recall averaged over the classes present in truth."""
-    present = np.unique(truth)
+    present, counts = np.unique(truth, return_counts=True)
     hits = np.stack([np.count_nonzero(guesses[:, truth == cl] == cl, axis=1)
                      for cl in present], axis=1)
-    counts = np.array([np.count_nonzero(truth == cl) for cl in present])
     return np.mean(hits / counts, axis=1)
 
 

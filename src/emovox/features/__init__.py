@@ -1,7 +1,11 @@
-"""Per-utterance feature families and fusion.
+"""Per-utterance feature vectors and fusion.
 
-Each extractor in ``EXTRACTORS`` takes a ``Waveform`` or the row's shared
+The four hand-built schemes live in the submodules ``phonation``,
+``articulation``, ``prosody`` and ``i2010pc``, each as ``<scheme>_features``.
+An extractor takes a ``Waveform`` or the row's shared
 ``emovox.analysis.Analysis``; given a bare waveform it builds its own.
+This package does not import them: ``emovox.pipeline.extract_scheme`` loads
+a scheme's module on first use, so a run on a warm cache loads no DSP code.
 """
 
 from __future__ import annotations
@@ -61,15 +65,3 @@ def fuse(vectors: list) -> FeatureVector:
         "fusion", np.concatenate([v.values for v in vectors]),
         warning="; ".join(v.warning for v in vectors if v.warning))
 
-
-from .phonation import phonation_features  # noqa: E402
-from .articulation import articulation_features  # noqa: E402
-from .prosody import prosody_features  # noqa: E402
-from .i2010pc import i2010pc_features  # noqa: E402
-
-EXTRACTORS = {
-    "phonation": phonation_features,
-    "articulation": articulation_features,
-    "prosody": prosody_features,
-    "i2010pc": i2010pc_features,
-}

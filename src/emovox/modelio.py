@@ -24,13 +24,15 @@ import math
 import os
 import struct
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ModelFormatError
-from .embeddings import GmmUbm, TotalVariabilityModel, XVectorWeights
-from .embeddings.xvector import _FRAME_LAYERS
 from .svm import BinarySvm, MulticlassSvm, Standardizer
+
+if TYPE_CHECKING:
+    from .embeddings import TotalVariabilityModel, XVectorWeights
 
 MAGIC = b"EMVX"
 FORMAT_VERSION = 1
@@ -205,6 +207,8 @@ def save_tv(path, tv: TotalVariabilityModel) -> None:
 
 def load_tv(path, digest=None) -> TotalVariabilityModel:
     """The model in a "tv" file; ``digest`` is fed its bytes (``read_container``)."""
+    from .embeddings import GmmUbm, TotalVariabilityModel
+
     _, arrays, meta = read_container(path, "tv", digest)
     try:
         ubm = GmmUbm(arrays["ubm.weights"], arrays["ubm.means"],
@@ -232,6 +236,8 @@ def load_xvector(path, digest=None) -> XVectorWeights:
     """The weights in an "xvector" file; ``digest`` is fed its bytes
     (``read_container``).  The frame layers are rounded to float32 as they
     are read, and the weights keep the read-only arrays read."""
+    from .embeddings.xvector import _FRAME_LAYERS, XVectorWeights
+
     frame_sections = {name + part for name in _FRAME_LAYERS for part in (".w", ".b")}
     _, arrays, _ = read_container(path, "xvector", digest, frame_sections)
     layers = {}

@@ -9,27 +9,46 @@ either changes.  A row's first cache miss decodes its audio into one
 ``Analysis`` that every scheme of the row shares; a fully cached row decodes
 nothing.  Per-file failures are collected, not raised; callers decide
 how to report them.
+
+The extraction stack (``audio``, ``analysis``, ``dsp``, ``functionals``,
+``features.<scheme>`` and ``embeddings``) is imported on first use: on a
+row's first cache miss, in ``load_audio`` and in ``extract_scheme``.  So
+importing this module, or running on a fully cached manifest, loads none of
+it.  Every extractor is looked up on its module when it is called, never
+held here, so a function replaced on its module is the one that runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import importlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-
-from . import audio
 from .cache import FeatureCache, feature_key
-from .analysis import Analysis, embedding_mfcc  # noqa: F401 (embedding_mfcc re-exported)
 from .config import ExperimentConfig
-from .embeddings import baum_welch_stats, extract_ivector, xvector_forward
 from .errors import ConfigError, EmovoxError
-from .features import EXTRACTORS, FeatureVector, fuse
+from .features import FeatureVector, fuse
 from .manifest import ManifestRow
 from . import modelio
 
+if TYPE_CHECKING:
+    from .analysis import Analysis
+    from .audio import Waveform
+
 EXTRACTOR_VERSION = "9"
+
+# Schemes with a module of their own under emovox.features.
+HAND_BUILT = ("phonation", "articulation", "prosody", "i2010pc")
+
+
+def __getattr__(name):
+    # embedding_mfcc is re-exported from emovox.analysis without loading it
+    # at import time
+    if name == "embedding_mfcc":
+        from .analysis import embedding_mfcc
+        return embedding_mfcc
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -72,24 +91,34 @@ def load_embedding_models(config: ExperimentConfig) -> EmbeddingModels:
     return EmbeddingModels(tv=tv, xvector=xvec, tags=tags)
 
 
-def load_audio(path) -> audio.Waveform:
+def load_audio(path) -> Waveform:
     """Read a WAV file and bring it to the 8 kHz processing rate."""
+    from . import audio
+
     return audio.resample_to_8k(audio.load_wav(path))
 
 
-def extract_scheme(source: audio.Waveform | Analysis, scheme: str,
+def extract_scheme(source: Waveform | Analysis, scheme: str,
                    models: EmbeddingModels | None = None) -> FeatureVector:
     """One feature vector for one base scheme, from a waveform or its shared analysis."""
-    if scheme in EXTRACTORS:
-        return EXTRACTORS[scheme](source)
+    if scheme in HAND_BUILT:
+        module = importlib.import_module(f"{__package__}.features.{scheme}")
+        return getattr(module, f"{scheme}_features")(source)
     if scheme == "ivector":
         if models is None or models.tv is None:
             raise ConfigError("i-vector extraction needs a loaded TV model")
+        from .analysis import Analysis
+        from .embeddings.gmm import baum_welch_stats
+        from .embeddings.ivector import extract_ivector
+
         stats = baum_welch_stats(models.tv.ubm, Analysis.of(source).embedding_mfcc)
         return FeatureVector("ivector", extract_ivector(models.tv, stats))
     if scheme == "xvector":
         if models is None or models.xvector is None:
             raise ConfigError("x-vector extraction needs loaded weights")
+        from .analysis import Analysis
+        from .embeddings.xvector import xvector_forward
+
         return FeatureVector("xvector", xvector_forward(models.xvector,
                                                         Analysis.of(source).embedding_mfcc))
     raise ConfigError(f"unknown scheme {scheme!r}")
@@ -127,6 +156,9 @@ def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
             hits += 1
         else:
             if analysis is None:
+                from . import audio
+                from .analysis import Analysis
+
                 # decoded from the bytes that were hashed, not a second read
                 analysis = Analysis(audio.resample_to_8k(audio.parse_wav(raw, row.path)))
             vec = extract_scheme(analysis, scheme, models)
@@ -157,6 +189,8 @@ def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentCo
             return ExtractionFailure(row.path, reason)
 
     if config.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(work, manifest))
     else:

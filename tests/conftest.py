@@ -76,7 +76,9 @@ def make_corpus(directory, n_per_class=6, rate=8000, seed=0, dur_s=0.5):
     rows = []
     for cls, rough in (("smooth", 0.0), ("rough", 1.0)):
         for i in range(n_per_class):
-            f0 = 110.0 + 17.0 * (i % 4)
+            # a speaker's later takes sit a little higher, so no two rows
+            # (smooth voices ignore the seed) write the same file
+            f0 = 110.0 + 17.0 * (i % 4) + 5.0 * (i // 4)
             x = voice_like(f0, dur_s, rate, rough=rough, seed=seed * 997 + i)
             path = directory / ("%s_%02d.wav" % (cls, i))
             write_pcm16(path, x, rate)

@@ -38,9 +38,10 @@ from emovox.evaluation import (
     nested_cv,
     roc_curve,
 )
-from emovox.features import EXTRACTORS, SCHEME_DIMS
+from emovox.features import SCHEME_DIMS
 from emovox.features.phonation import phonation_features
 from emovox.manifest import ManifestRow, write_manifest
+from emovox.pipeline import extract_scheme
 from emovox.svm import train_binary_smo
 
 from conftest import dual_objective, make_corpus, tone, voice_like, wf, write_pcm16
@@ -83,7 +84,7 @@ def test_criterion_1_feature_dimensionality():
                  + rng.uniform(0.0, 0.3) * rng.standard_normal(n))
             w = wf(np.clip(x, -0.99, 0.99))
             for scheme, dim in want.items():
-                vec = EXTRACTORS[scheme](w)
+                vec = extract_scheme(w, scheme)
                 assert vec.dim == dim, (scheme, i)
                 assert np.all(np.isfinite(vec.values))
     print("PASS: criterion 1 — dims art=488 pho=28 pro=78 pc=1596 held over "

@@ -37,26 +37,44 @@ def workspace(tmp_path_factory):
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(emovox.__file__)))
 
 
-def fresh_cli(argv):
+# The extraction stack, and numpy.ma: a command on a warm cache loads none of it.
+EXTRACTION_STACK = ("emovox.audio", "emovox.dsp", "emovox.analysis", "emovox.functionals",
+                    "emovox.features.phonation", "emovox.features.articulation",
+                    "emovox.features.prosody", "emovox.features.i2010pc",
+                    "emovox.embeddings", "numpy.ma")
+
+
+def under(name, prefixes):
+    """Whether module ``name`` is one of ``prefixes`` or lies under one."""
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
+
+
+def fresh_cli(argv, prefixes=("scipy",)):
     """Run ``emovox argv`` in a fresh interpreter (``[]``: import the CLI only).
 
     Returns the exit code (0 for a bare import) and the sorted names of the
-    ``scipy`` modules the interpreter had loaded when it finished.
+    modules under ``prefixes`` (``under``) that the interpreter had loaded
+    when it finished.
     """
     code = ("import sys; from emovox.cli import main; "
             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(rc, *sorted(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code] + [str(a) for a in argv],
                          env=dict(os.environ, PYTHONPATH=SRC),
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, timeout=600)
     rc, *loaded = out.stdout.splitlines()[-1].split()
-    return int(rc), loaded
+    return int(rc), [m for m in loaded if under(m, prefixes)]
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # every command but stats runs on NumPy alone, so none pays for
     # importing SciPy at start-up
     assert fresh_cli([]) == (0, [])
+
+
+def test_cli_import_loads_no_extraction_stack():
+    # the DSP, feature and embedding modules load on a row's first cache miss
+    assert fresh_cli([], EXTRACTION_STACK) == (0, [])
 
 
 def test_extract_leaves_scipy_unloaded(workspace, tmp_path):
@@ -85,11 +103,35 @@ def test_extract_leaves_scipy_unloaded(workspace, tmp_path):
         % (tmp_path / "tv.emvx", tmp_path / "xv.emvx", tmp_path / "cache"))
     argv = ["extract", "--manifest", manifest, "--config", config,
             "--out-csv", tmp_path / "six.csv"]
-    assert fresh_cli(argv) == (0, [])
+    rc, loaded = fresh_cli(argv, ("scipy",) + EXTRACTION_STACK)
+    assert rc == 0
+    assert [m for m in loaded if under(m, ("scipy",))] == []
+    # a cold extract does load the stack, so the warm-cache checks below
+    # are not vacuous
+    stack = [p for p in EXTRACTION_STACK if p != "numpy.ma"]
+    assert [p for p in stack if not any(under(m, (p,)) for m in loaded)] == []
     assert len((tmp_path / "six.csv").read_text().strip().split("\n")) == len(rows) + 1
 
 
+def test_threaded_cold_extract_matches_serial(workspace, tmp_path):
+    # on a fresh interpreter the first rows of a threaded extract import the
+    # extraction stack from several threads at once
+    _, manifest, _, _ = workspace
+    out = {}
+    for workers in (1, 4):
+        config = tmp_path / ("w%d.cfg" % workers)
+        config.write_text("scheme = phonation+articulation+prosody+i2010pc\n"
+                          "workers = %d\n" % workers)
+        csv_path = tmp_path / ("w%d.csv" % workers)
+        assert fresh_cli(["extract", "--manifest", manifest, "--config", config,
+                          "--out-csv", csv_path]) == (0, [])
+        out[workers] = csv_path.read_bytes()
+    assert out[4] == out[1]
+
+
 def test_warm_cache_commands_leave_scipy_unloaded(workspace, tmp_path):
+    # nor do they load the extraction stack or numpy.ma: a fully cached
+    # manifest decodes no audio
     root, manifest, config, _ = workspace
     assert main(["extract", "--manifest", str(manifest), "--config", str(config),
                  "--out-csv", str(tmp_path / "warm.csv")]) == 0
@@ -101,7 +143,7 @@ def test_warm_cache_commands_leave_scipy_unloaded(workspace, tmp_path):
                  ["train"] + common + ["--model", model],
                  ["predict"] + common + ["--model", model,
                                          "--out-csv", tmp_path / "pred.csv"]):
-        assert fresh_cli(argv) == (0, []), argv[0]
+        assert fresh_cli(argv, ("scipy",) + EXTRACTION_STACK) == (0, []), argv[0]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

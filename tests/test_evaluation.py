@@ -655,6 +655,49 @@ def test_roc_single_class_error():
         roc_curve([0.1, 0.2], [1, 1])
 
 
+def loop_roc_curve(scores, labels):
+    """The threshold loop ``roc_curve`` used before its one-sort sweep: one
+    rescan of every score per distinct score."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(bool)
+    n_pos = int(y.sum())
+    n_neg = int((~y).sum())
+    points = [(0.0, 0.0)]
+    for thr in np.unique(s)[::-1]:
+        hit = s >= thr
+        points.append((float((hit & ~y).sum() / n_neg), float((hit & y).sum() / n_pos)))
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    fpr = np.array([p[0] for p in points])
+    tpr = np.array([p[1] for p in points])
+    return tuple(points), float(np.trapezoid(tpr, fpr))
+
+
+def test_roc_matches_threshold_loop_oracle(rng):
+    # ties, signed zeros, infinities and odd class sizes; every point and
+    # the AUC bit for bit
+    for trial in range(300):
+        n = int(rng.integers(2, 90))
+        scores = np.round(rng.standard_normal(n), int(rng.integers(0, 4)))
+        scores[rng.random(n) < 0.2] = 0.0
+        scores[rng.random(n) < 0.2] = -0.0
+        if trial % 10 == 0:
+            scores[rng.integers(n)] = np.inf
+            scores[rng.integers(n)] = -np.inf
+        labels = rng.random(n) < rng.uniform(0.1, 0.9)
+        labels[0], labels[-1] = True, False
+        got_points, got_auc = roc_curve(scores, labels)
+        want_points, want_auc = loop_roc_curve(scores, labels)
+        assert got_points == want_points
+        assert all(type(v) is float for p in got_points for v in p)
+        assert np.float64(got_auc).tobytes() == np.float64(want_auc).tobytes()
+
+
+def test_roc_rejects_nan_scores():
+    with pytest.raises(EvaluationError):
+        roc_curve([0.1, np.nan, 0.3], [1, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # Welch t-test and chi-square
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy import signal as sps
 from emovox import analysis
 from emovox.audio import Waveform, _merge_short_runs
 from emovox.dsp import F0Track, estimate_f0
-from emovox.features import EXTRACTORS, FeatureVector, fuse, i2010pc, phonation
+from emovox.features import FeatureVector, fuse, i2010pc, phonation
 from emovox.analysis import Analysis
 from emovox.features.articulation import (N_MFCC, articulation_features,
                                           transition_descriptors)
@@ -18,6 +18,7 @@ from emovox.features.phonation import (MAX_PERIOD_DEVIATION, PHONATION_TRACKS,
                                        WindowValues, glottal_cycles, phonation_features,
                                        pulse_windows)
 from emovox.features.prosody import PROSODY_FEATURE_NAMES, _slope_and_mse, prosody_features
+from emovox.pipeline import HAND_BUILT, extract_scheme
 from emovox.dsp import (bark_band_energies, delta, log_frame_energy, mfcc_frames,
                         power_spectrum)
 from emovox.audio import _runs, detect_speech, frame_count, frame_signal, grid
@@ -861,7 +862,7 @@ def test_dims_stable_across_inputs(scheme, dim, rng):
                               amp=rng.uniform(0.4, 0.9)),
                  lambda: 0.5 * rng.standard_normal(int(rng.uniform(2000, 6000))),
                  lambda: np.zeros(3000)):
-        v = EXTRACTORS[scheme](wf(make()))
+        v = extract_scheme(wf(make()), scheme)
         assert v.dim == dim
         assert np.all(np.isfinite(v.values))
 
@@ -871,6 +872,6 @@ def test_adversarial_inputs_all_finite():
     adversarial = [np.zeros(8000), np.full(8000, 0.5),
                    np.sign(np.sin(2 * np.pi * 100 * t)), np.zeros(80)]
     for x in adversarial:
-        for fn in EXTRACTORS.values():
-            v = fn(wf(x))
+        for scheme in HAND_BUILT:
+            v = extract_scheme(wf(x), scheme)
             assert np.all(np.isfinite(v.values))

@@ -3,6 +3,7 @@
 import os
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ def corpus(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus")
     rows = make_corpus(directory, n_per_class=3, seed=1)
     return directory, rows
+
+
+def test_corpus_files_are_distinct(tmp_path):
+    # a cache keyed by content would merge byte-identical rows, and a fold
+    # would train on one recording twice
+    rows = make_corpus(tmp_path, n_per_class=8, seed=2)
+    assert len(rows) == 16
+    assert len({Path(r.path).read_bytes() for r in rows}) == 16
 
 
 def test_extract_phonation_counts(tmp_path, corpus):
@@ -398,6 +407,8 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     import sys
 
     from emovox import analysis, audio, dsp, functionals
+    # every extractor module is loaded before the bindings are wrapped
+    from emovox.features import articulation, i2010pc, phonation, prosody  # noqa: F401
 
     _, rows = corpus
     calls = {"estimate_f0": 0, "detect_speech": 0, "voiced_segments": 0, "embedding_mfcc": 0,
@@ -440,8 +451,28 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     assert fused.values.tobytes() == alone.tobytes()
 
 
+def test_extractors_are_looked_up_when_called(corpus, monkeypatch, rng):
+    # a tracer or test that replaces an extractor on its module after the
+    # CLI is imported must see every call: nothing holds the original
+    import emovox.cli  # noqa: F401
+    from emovox.embeddings import xvector
+    from emovox.features import prosody
+
+    _, rows = corpus
+    calls = []
+    for module, name in ((prosody, "prosody_features"), (xvector, "xvector_forward")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    config = parse_config("scheme = prosody+xvector\n")
+    result = extract_for_manifest(tuple(rows[:2]), config, None, six_scheme_models(rng))
+    assert result.failures == [] and result.computed == 4
+    assert calls == ["prosody_features", "xvector_forward"] * 2
+
+
 def test_warm_row_decodes_no_audio(tmp_path, corpus, monkeypatch, rng):
-    from emovox import audio
+    from emovox import analysis, audio
 
     _, rows = corpus
     models = six_scheme_models(rng)
@@ -454,7 +485,7 @@ def test_warm_row_decodes_no_audio(tmp_path, corpus, monkeypatch, rng):
 
     for name in ("parse_wav", "load_wav", "resample_to_8k"):
         monkeypatch.setattr(audio, name, no_audio)
-    monkeypatch.setattr(pipeline, "Analysis", no_audio)
+    monkeypatch.setattr(analysis, "Analysis", no_audio)
     warm = extract_for_manifest(tuple(rows[:2]), config, cache, models)
     assert warm.failures == [] and (warm.cache_hits, warm.computed) == (12, 0)
     for a, b in zip(cold.vectors, warm.vectors):
