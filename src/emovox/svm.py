@@ -3,24 +3,21 @@
 The solver keeps the full kernel matrix in memory and updates the
 maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
 packed: one loop advances many independent duals of different sizes, each
-with its own labels, kernel, box bound C and pass limit, padded at the end
-to a common length, and takes for each exactly the steps a lone solve
-would; a pass reads and writes single entries by flat index, so its NumPy
-calls do not grow with the number of duals.  One path fits every
-multi-class SVM: ``_fit_splits`` turns (fit rows, fit labels, validation
-rows, (C, gamma) cells) splits into a stream of class pairs (``_Pair``),
-one dual per cell each, which ``_solve_pairs`` packs into runs of such
-solves within two caps: problems x n_max (``_PACK_CELLS``) and stacked
-kernel floats (``_PACK_FLOATS``).  Each pair's kernels come from one
-``exp`` over all its gammas, and every bias from them by one rule
-(``_biases``).  ``train_multiclass`` is one split of every row and one
-cell; ``grid_predictions`` scores many splits' held-out rows with all their
-cells at once and builds no per-cell model: the inner grid of nested CV,
-and its outer fits as one-cell splits.  ``dead_cells`` finds the cells of a
-split whose gamma leaves no kernel value between distinct rows above 0.0,
-which nested CV neither solves nor selects.  Multi-class is one-vs-one with
-majority voting; ties fall back to summed decision margins, then
-lexicographic class order.  Standardization is fitted on training data.
+with its own labels, kernel, box bound C and pass limit, and takes for each
+exactly the steps a lone solve would.  One path fits every multi-class SVM:
+``_fit_splits`` turns (fit rows, fit labels, validation rows, (C, gamma)
+cells) splits into a stream of class pairs (``_Pair``), one dual per cell
+each, which ``_solve_pairs`` packs into runs.  A split is standardized on
+its fit rows once and its squared distances made once
+(``_split_distances``): fit x fit, exactly symmetric with a zero diagonal,
+and validation x fit.  Every pair solves and scores on its slice of them,
+and ``dead_cells`` finds the cells whose gamma leaves no kernel value
+between distinct rows above 0.0.  ``train_multiclass`` is one split of
+every row and one cell; ``grid_predictions`` scores many splits' held-out
+rows with all their cells at once: the inner grid of nested CV, and its
+outer fits as one-cell splits.  Multi-class is one-vs-one with majority
+voting; ties fall back to summed decision margins, then lexicographic
+class order.
 """
 
 from __future__ import annotations
@@ -79,15 +76,24 @@ def fit_standardizer(x) -> Standardizer:
 
 
 def _sq_distances(a, b):
-    """Squared Euclidean distances between the rows of ``a`` and ``b``, floored at 0:
-    exactly symmetric when ``b`` is ``a`` with a unit-stride axis, as NumPy then
-    takes ``a @ a.T`` from one triangle (BLAS syrk) and mirrors it."""
+    """Squared Euclidean distances between the rows of ``a`` and ``b``, floored
+    at 0.  When ``b`` is ``a``: exactly symmetric if ``a`` has a unit-stride
+    axis, as NumPy then takes ``a @ a.T`` from one triangle (BLAS syrk) and
+    mirrors it, and with the diagonal, where rounding leaves up to 1e-12, set
+    to 0.0, so that K_ii = 1 for every gamma (the ``_smo_batch`` contract)."""
     sq = np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :] - 2.0 * (a @ b.T)
+    if b is a:
+        np.fill_diagonal(sq, 0.0)
     return np.maximum(sq, 0.0)
 
 
-def _kernel_matrix(a, b, gamma):
-    return np.exp(-gamma * _sq_distances(a, b))
+def _split_distances(xm, x_val):
+    """The standardizer fitted on a split's fit rows ``xm`` and the squared
+    distances, one product each, of the rows it standardizes: fit x fit and
+    validation ``x_val`` x fit, which the dead-cell test and every pair read."""
+    scaler = fit_standardizer(xm)
+    z = scaler.transform(xm)
+    return scaler, _sq_distances(z, z), _sq_distances(scaler.transform(x_val), z)
 
 
 @dataclass(frozen=True)
@@ -117,14 +123,12 @@ class BinarySvm:
 
     def decision_values(self, x) -> np.ndarray:
         z = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.support_vectors.size and z.shape[1] != self.support_vectors.shape[1]:
+        if z.shape[1] != self.support_vectors.shape[1]:
             raise ValueError(
                 "feature dim %d does not match model dim %d"
                 % (z.shape[1], self.support_vectors.shape[1])
             )
-        if self.support_vectors.size == 0:
-            return np.full(z.shape[0], self.bias)
-        k = _kernel_matrix(z, self.support_vectors, self.gamma)
+        k = np.exp(-self.gamma * _sq_distances(z, self.support_vectors))
         return k @ self.dual_coef + self.bias
 
 
@@ -141,13 +145,16 @@ def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
 
     Problem r has labels ``y[r]``, +1 or -1 and then 0 on the padding that
     ends every shorter row, box bound ``c[r]``, pass limit ``max_passes[r]``
-    and kernel ``kernels[kernel_index[r]]``, symmetric and zero on padded
-    rows and columns.  A padded entry is in neither the up nor the low set,
-    so its alpha stays 0, and as padding comes last each row takes a lone
-    solve's steps: the same first-index pair, clipping and gradient update,
-    in the same floating-point order.  A row stops when it has no violating
-    pair or a gap of at most ``tol``, and is unconverged if still running
-    after its pass limit.  Returns the clipped alphas and converged flags.
+    and kernel ``kernels[kernel_index[r]]``: symmetric, zero on padded rows
+    and columns and 1.0 on the rest of the diagonal, as is every kernel on
+    ``_sq_distances`` of rows to themselves, so a step's curvature K_ii + K_jj
+    - 2 K_ji is 2.0 - 2.0 K_ji, bit for bit.  A padded entry is in neither
+    the up nor the low set, so its alpha stays 0, and as padding comes last
+    each row takes a lone solve's steps: the same first-index pair, clipping
+    and gradient update, in the same floating-point order.  A row stops when
+    it has no violating pair or a gap of at most ``tol``, and is unconverged
+    if still running after its pass limit.  Returns the clipped alphas and
+    converged flags.
 
     The violation -y * gradient and its masked copies persist, stacked as
     one array, updated from the two changed kernel columns as in LIBSVM
@@ -173,7 +180,6 @@ def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
     # a padded alpha is never below its top, so padding is in neither set
     v[1], v[2] = _masked(a, y, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
     columns = kernels.reshape(-1, n)
-    diagonal = np.ascontiguousarray(kernels.diagonal(axis1=1, axis2=2)).reshape(-1)
     kid = np.asarray(kernel_index) * n  # each row's first kernel row in ``columns``
     soonest = limit.min(initial=0)  # no row expires before this pass
     size = cells * n  # entries of the rows still running; row r starts at r * n
@@ -201,10 +207,8 @@ def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
             size = rows.size * n
             starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
             at = ij + starts
-        k_at = kid + ij
-        cols = columns.take(k_at, axis=0)  # kernel columns i and j of every row
-        kd = diagonal.take(k_at)
-        curv = kd[0] + kd[1] - 2.0 * cols[1].take(at[0])  # K_ii + K_jj - 2 K_ji
+        cols = columns.take(kid + ij, axis=0)  # kernel columns i and j of every row
+        curv = 2.0 - 2.0 * cols[1].take(at[0])  # K_ii + K_jj - 2 K_ji, K_ii = K_jj = 1
         curv = np.where(1e-12 > curv, 1e-12, curv)
         step = gap / curv
         yy = y.take(at)
@@ -268,8 +272,8 @@ class _Pair(NamedTuple):
     pair: Tuple            # (a, b)
     rows: np.ndarray       # the split's fit rows of class a or b, a mask
     yv: np.ndarray         # their labels: +1 for a, -1 for b
-    sq: np.ndarray         # squared distances between their standardized rows
-    sq_val: np.ndarray     # from the split's standardized validation rows to them
+    sq: np.ndarray         # their slice of the split's fit x fit squared distances
+    sq_val: np.ndarray     # and of its validation x fit ones
     cells: np.ndarray      # the split's (cells, 2) array of (c, gamma) rows
     by_g: _Gammas          # their gammas, grouped
     alphas: np.ndarray     # (cells, rows), clipped to each cell's box
@@ -298,10 +302,9 @@ def _solve_pairs(pairs, tol):
     in runs that keep problems x n_max within ``_PACK_CELLS`` and the
     stacked kernels, one per gamma of each pair in the run and n_max**2
     floats each, within ``_PACK_FLOATS``; a run's first pair ignores the
-    kernel cap and gives it at least one problem.  A pair's kernels come
-    from one ``exp`` over all its gammas.  The run that solves a pair's last
-    cells takes its training decision values from those kernels and its
-    biases from them.  Yields each pair in order once all its cells are
+    kernel cap and gives it at least one problem.  The run that solves a
+    pair's last cells takes its biases from the pair's kernels, one ``exp``
+    over all its gammas.  Yields each pair in order once all its cells are
     solved, with a lone solve's alphas and converged flags.
     """
     def solve(chunks, n_max):
@@ -352,10 +355,8 @@ def _binary_svm(xm, yv, alpha, bias, c, gamma, converged) -> BinarySvm:
     """The machine of one solved dual (``alpha`` already clipped): its
     support vectors, their signed coefficients and ``bias``."""
     kept = alpha > 0.0
-    model_alpha = alpha.copy()
-    model_alpha.setflags(write=False)
     return BinarySvm(xm[kept].copy(), (alpha * yv)[kept], float(bias), float(c), float(gamma),
-                     bool(converged), model_alpha)
+                     bool(converged), frozen(alpha))
 
 
 def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
@@ -381,7 +382,7 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
     if max_passes is None:
         max_passes = 10 * n
 
-    k = _kernel_matrix(xm, xm, gamma)
+    k = np.exp(-gamma * _sq_distances(xm, xm))
     alpha, converged = _smo_batch(k[None], [0], yv[None], [float(c)], tol, [max_passes])
     bias = _biases(alpha, (alpha * yv) @ k, yv, np.array([float(c)]))
     return _binary_svm(xm, yv, alpha[0], bias[0], c, gamma, converged[0])
@@ -429,9 +430,10 @@ def _fit_splits(x, splits, tol):
     ``_Pair`` per class pair, a < b, with +1 for a: ``train_multiclass(x[fit],
     labels, c, gamma, tol)``'s alphas and converged flags for every cell,
     biases equal to rounding, and its pair machines' ``decision_values`` on
-    ``x[val]``.  All splits' pairs stream through ``_solve_pairs``, built as
-    it reads them; a pair's validation decisions come once its run's stacked
-    kernels are freed, from one ``exp`` over all its gammas."""
+    ``x[val]``.  All splits' pairs, their rows' slices of the split's
+    ``_split_distances``, stream through ``_solve_pairs``, built as it reads
+    them; a pair's validation decisions come once its run's stacked kernels
+    are freed, from one ``exp`` over all its gammas."""
     x = np.asarray(x, dtype=np.float64)
     fitted = {}  # each split's classes and standardizer, until its pairs are solved
 
@@ -445,17 +447,16 @@ def _fit_splits(x, splits, tol):
             if len(lab) != xm.shape[0]:
                 raise TrainingError("label count does not match sample count")
             classes = tuple(trainable_classes(lab))
-            scaler = fit_standardizer(xm)
-            z, z_val = scaler.transform(xm), scaler.transform(x[val])
+            scaler, sq, sq_val = _split_distances(xm, x[val])
             fitted[s] = classes, scaler
             by_g, m, lab_arr = _by_gamma(cells), len(cells), np.array(lab, dtype=object)
             for a, b in itertools.combinations(classes, 2):
                 rows = (lab_arr == a) | (lab_arr == b)
-                zp = z[rows]
                 yield _Pair(s, (a, b), rows, np.where(lab_arr[rows] == a, 1.0, -1.0),
-                            _sq_distances(zp, zp), _sq_distances(z_val, zp), cells, by_g,
-                            np.zeros((m, zp.shape[0])), np.zeros(m, dtype=bool), np.zeros(m),
-                            np.empty((m, z_val.shape[0])))
+                            sq[np.ix_(rows, rows)], sq_val[:, rows], cells, by_g,
+                            np.zeros((m, lab_arr[rows].size)), np.zeros(m, dtype=bool),
+                            np.zeros(m), np.empty((m, sq_val.shape[0])))
+            del sq, sq_val  # the pairs hold their slices; free the split's matrices
 
     for s, solved in itertools.groupby(_solve_pairs(pairs(), tol), key=lambda p: p.split):
         solved = list(solved)
@@ -470,8 +471,9 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
 
     In each pairwise machine the lexicographically smaller class takes the +1
     side.  This is ``_fit_splits`` on one split, every row and one cell, with
-    no validation rows: all pairs are solved together, and each machine is
-    ``train_binary_smo`` of its pair, bit for bit.
+    no validation rows: all pairs are solved together, each on its slice of
+    the split's distances, so with two classes the machine is
+    ``train_binary_smo`` of the split, bit for bit.
     """
     (classes, scaler, pairs), = _fit_splits(x, [(slice(None), labels, slice(0), [(c, gamma)])],
                                             tol)
@@ -483,22 +485,21 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
 
 def dead_cells(x, splits):
     """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
-    ``x``, a bool array (cells,): True for a cell whose gamma sends every RBF
+    ``x``, a bool array (cells,): True for a cell whose gamma sends every
     kernel value between two distinct rows of the split, fit x fit and
-    validation x fit, to exactly 0.0 on the rows standardized on its fit
-    rows.  Such a cell's pair machines decide by their biases alone, so it
-    gives every row the same class and cannot rank anything.  The split's
-    squared distances come from one product over all its rows; as exp is
-    monotone, a gamma is dead when its kernel value at the smallest of them
-    is 0.0."""
+    validation x fit, to exactly 0.0: its pair machines decide by their
+    biases alone, so it gives every row one class and ranks nothing.  As exp
+    is monotone, a gamma is dead when its kernel value at the smallest
+    off-diagonal distance of ``_split_distances``, the distances every
+    pair's solve and scores read, is 0.0."""
     x = np.asarray(x, dtype=np.float64)
     for fit, _labels, val, cells in splits:
-        scaler = fit_standardizer(x[fit])
-        z = scaler.transform(x[fit])
-        sq = _sq_distances(np.vstack([z, scaler.transform(x[val])]), z)
+        _scaler, sq, sq_val = _split_distances(np.atleast_2d(x[fit]), x[val])
         np.fill_diagonal(sq, np.inf)  # each fit row's distance to itself
+        nearest = min(sq.min(), sq_val.min(initial=np.inf))
+        del sq, sq_val  # before the next split's matrices are built
         gammas = np.array(cells, dtype=np.float64).reshape(-1, 2)[:, 1]
-        yield np.exp(-gammas * sq.min()) == 0.0
+        yield np.exp(-gammas * nearest) == 0.0
 
 
 def grid_predictions(x, splits, tol: float = SMO_TOL):
@@ -511,10 +512,9 @@ def grid_predictions(x, splits, tol: float = SMO_TOL):
     except where a vote hangs on a pair decision value that is zero to
     rounding (duplicate rows of different labels, a dimension constant in
     the fit rows, a gamma that no kernel value survives), whose sign may
-    differ.  ``_winners`` picks from all cells' summed votes and margins at
-    once.  Every cell listed is solved, a dead one (see ``dead_cells``)
-    included; nested CV leaves those out of the cells it passes.  It tallies
-    the solved pairs of ``_fit_splits``, the fit path of ``train_multiclass``."""
+    differ.  ``_winners`` picks from all
+    cells' summed votes and margins at once.  Every cell listed is solved, a
+    dead one (see ``dead_cells``) included; nested CV leaves those out."""
     for classes, _scaler, pairs in _fit_splits(x, splits, tol):
         votes, margins = _tally(classes, pairs[0].decision.shape,
                                 ((p.pair, p.decision) for p in pairs))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emovox.audio import Waveform
-from emovox.svm import BinarySvm, _kernel_matrix
+from emovox.svm import BinarySvm, _sq_distances
 
 
 def dual_objective(svm: BinarySvm) -> float:
@@ -15,7 +15,7 @@ def dual_objective(svm: BinarySvm) -> float:
     coef = svm.dual_coef
     if coef.size == 0:
         return 0.0
-    k = _kernel_matrix(svm.support_vectors, svm.support_vectors, svm.gamma)
+    k = np.exp(-svm.gamma * _sq_distances(svm.support_vectors, svm.support_vectors))
     return float(np.sum(np.abs(coef)) - 0.5 * coef @ k @ coef)
 
 

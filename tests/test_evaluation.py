@@ -495,7 +495,9 @@ def test_all_dead_grid_takes_the_first_cell_and_fits_it(monkeypatch):
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
 def test_train_multiclass_matches_per_pair_binary_smo(n_classes):
-    from test_svm import assert_same_machine
+    # each machine is the scalar oracle on its pair's slice of the split's
+    # distances, and, where the pair is the whole split, a lone binary solve
+    from test_svm import assert_same_machine, scalar_smo, zero_diagonal_sq
 
     from emovox.svm import train_binary_smo, train_multiclass
 
@@ -508,14 +510,19 @@ def test_train_multiclass_matches_per_pair_binary_smo(n_classes):
         c, gamma = float(10.0 ** r.integers(-2, 5)), float(10.0 ** r.integers(-3, 2))
         model = train_multiclass(x, labels, c, gamma)
         z = model.standardizer.transform(x)
+        sq = zero_diagonal_sq(z)
         lab = np.array(labels, dtype=object)
         assert list(model.machines) == [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
         for (a, b), machine in model.machines.items():
             mask = (lab == a) | (lab == b)
-            want = train_binary_smo(z[mask], np.where(lab[mask] == a, 1.0, -1.0), c, gamma)
-            assert_same_machine(machine, want)
-            assert machine.alphas.tobytes() == want.alphas.tobytes()
-            assert machine.dual_coef.tobytes() == want.dual_coef.tobytes()
+            y = np.where(lab[mask] == a, 1.0, -1.0)
+            wants = [scalar_smo(z[mask], y, c, gamma, sq=sq[np.ix_(mask, mask)])]
+            if n_classes == 2:
+                wants.append(train_binary_smo(z[mask], y, c, gamma))
+            for want in wants:
+                assert_same_machine(machine, want)
+                assert machine.alphas.tobytes() == want.alphas.tobytes()
+                assert machine.dual_coef.tobytes() == want.dual_coef.tobytes()
 
 
 def test_nested_cv_skips_unusable_inner_folds():

@@ -15,8 +15,8 @@ from emovox.svm import (
     Standardizer,
     _binary_svm,
     _fit_splits,
-    _kernel_matrix,
     _smo_batch,
+    _split_distances,
     _sq_distances,
     dead_cells,
     decision_scores,
@@ -87,9 +87,19 @@ def kkt_worst_violation(model, x, y):
     return worst
 
 
-def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None):
+def zero_diagonal_sq(z):
+    """``_sq_distances(z, z)`` with its diagonal set to 0.0 here, not taken on
+    trust: the squared distances every kernel of the solver is built on."""
+    sq = _sq_distances(z, z)
+    np.fill_diagonal(sq, 0.0)
+    return sq
+
+
+def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sq=None):
     """One-problem maximal-violating-pair SMO with scalar steps: the oracle
-    that every cell of the batched solver must reproduce bit for bit."""
+    that every cell of the batched solver must reproduce bit for bit.  Its
+    kernel is exp(-gamma * sq), ``sq`` by default ``zero_diagonal_sq(x)``;
+    a class pair of a larger split passes its slice of the split's matrix."""
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
     n = xm.shape[0]
@@ -97,7 +107,7 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None):
         max_passes = 10 * n
     c = float(c)
 
-    k = _kernel_matrix(xm, xm, gamma)
+    k = np.exp(-gamma * (zero_diagonal_sq(xm) if sq is None else sq))
     alpha = np.zeros(n)
     grad = -np.ones(n)
     eps = _BOUND_EPS * (1.0 + c)
@@ -145,9 +155,11 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None):
 
 
 def scalar_multiclass(x, labels, c, gamma, tol=SMO_TOL):
-    """One-vs-one ensemble of ``scalar_smo`` machines (the oracle for the grid)."""
+    """One-vs-one ensemble of ``scalar_smo`` machines (the oracle for the
+    grid), each on its pair's slice of the distances of all rows of ``x``."""
     scaler = fit_standardizer(x)
     z = scaler.transform(x)
+    sq = zero_diagonal_sq(z)
     lab = np.array(labels, dtype=object)
     classes = sorted(set(labels))
     machines = {}
@@ -155,7 +167,7 @@ def scalar_multiclass(x, labels, c, gamma, tol=SMO_TOL):
         for b in classes[ia + 1:]:
             mask = (lab == a) | (lab == b)
             machines[(a, b)] = scalar_smo(z[mask], np.where(lab[mask] == a, 1.0, -1.0),
-                                          c, gamma, tol=tol)
+                                          c, gamma, tol=tol, sq=sq[np.ix_(mask, mask)])
     return MulticlassSvm(tuple(classes), machines, scaler, float(c), float(gamma))
 
 
@@ -227,11 +239,12 @@ def oracle_grid_predictions(x, labels, x_val, cells, tol=SMO_TOL):
 def split_is_dead(x_fit, x_val, gamma):
     """Whether every RBF value between two distinct rows of a split, fit x
     fit and validation x fit, is 0.0 on rows standardized on the fit rows:
-    each kernel built whole by ``_kernel_matrix``."""
+    each kernel built whole, the fit one on ``zero_diagonal_sq``."""
     scaler = fit_standardizer(x_fit)
     z = scaler.transform(x_fit)
-    fit_kernel = _kernel_matrix(z, z, gamma)[~np.eye(len(z), dtype=bool)]
-    return not fit_kernel.any() and not _kernel_matrix(scaler.transform(x_val), z, gamma).any()
+    fit_kernel = np.exp(-gamma * zero_diagonal_sq(z))[~np.eye(len(z), dtype=bool)]
+    val_kernel = np.exp(-gamma * _sq_distances(scaler.transform(x_val), z))
+    return not fit_kernel.any() and not val_kernel.any()
 
 
 def assert_close(got, want):
@@ -265,7 +278,7 @@ GRID_CELLS = [(c, g) for c in (1e-2, 1.0, 100.0, 1e4) for g in (1e-3, 0.1, 1.0, 
 
 
 def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2) of two vectors: the oracle for ``_kernel_matrix``."""
+    """exp(-gamma * ||x - y||^2) of two vectors: the oracle for the kernel."""
     a = np.asarray(x, dtype=np.float64).ravel()
     b = np.asarray(y, dtype=np.float64).ravel()
     if a.shape != b.shape:
@@ -300,9 +313,12 @@ def test_rbf_validation():
 
 
 def test_kernel_matrix_matches_scalar(rng):
+    # a machine of one support vector b[j], coefficient 1 and bias 0 scores
+    # row a[i] with the kernel value k(a[i], b[j])
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((5, 3))
-    k = _kernel_matrix(a, b, 0.7)
+    k = np.column_stack([BinarySvm(b[j:j + 1], np.ones(1), 0.0, 1.0, 0.7).decision_values(a)
+                         for j in range(5)])
     for i in range(4):
         for j in range(5):
             assert k[i, j] == pytest.approx(rbf_kernel(a[i], b[j], 0.7), abs=1e-12)
@@ -318,6 +334,7 @@ def test_sq_distances_of_rows_to_themselves_are_exactly_symmetric(n):
     sq = _sq_distances(z, z)
     assert sq.shape == (n, n)
     assert sq.tobytes() == sq.T.copy().tobytes()
+    assert not sq.diagonal().any()
 
 
 def test_standardizer_training_stats(rng):
@@ -428,7 +445,7 @@ def test_smo_dual_matches_projected_gradient():
         c = float(r.choice([1.0, 10.0]))
         gamma = float(r.choice([0.5, 2.0]))
         model = train_binary_smo(x, y, c, gamma, tol=1e-8, max_passes=100_000)
-        oracle = projected_gradient_dual(_kernel_matrix(x, x, gamma), y, c)
+        oracle = projected_gradient_dual(np.exp(-gamma * zero_diagonal_sq(x)), y, c)
         assert abs(dual_objective(model) - oracle) < 1e-4
 
 
@@ -563,7 +580,7 @@ def solve_packed(problems, tol=SMO_TOL, solver=_smo_batch):
     kernels = np.zeros((len(problems) // 2, n_max, n_max))
     y_pad = np.zeros((len(problems), n_max))
     for p, (x, y, _c, gamma, _limit) in enumerate(problems):
-        kernels[p // 2, :len(y), :len(y)] = _kernel_matrix(x, x, gamma)
+        kernels[p // 2, :len(y), :len(y)] = np.exp(-gamma * zero_diagonal_sq(x))
         y_pad[p, :len(y)] = y
     return solver(kernels, np.arange(len(problems)) // 2, y_pad,
                   [p[2] for p in problems], tol, [p[4] for p in problems])
@@ -573,7 +590,7 @@ def solve_packed(problems, tol=SMO_TOL, solver=_smo_batch):
 def test_packed_smo_matches_lone_scalar_solves(seed):
     problems = packed_problems(seed)
     assert {p[4] for p in problems} & {0, 1, 2, 3}  # some rows expire after a few passes
-    off_diagonal = [_kernel_matrix(x, x, gamma)[~np.eye(len(y), dtype=bool)]
+    off_diagonal = [np.exp(-gamma * zero_diagonal_sq(x))[~np.eye(len(y), dtype=bool)]
                     for x, y, _c, gamma, _limit in problems]
     assert sum(not k.any() for k in off_diagonal) >= 4  # duals with identity-like kernels
     for tol in (SMO_TOL, 1e-9):
@@ -850,6 +867,67 @@ def test_dead_cells_match_whole_kernels():
         assert got.tolist() == want
         found.update(want)
     assert found == {False, True}
+
+
+@pytest.mark.parametrize("n_classes", [2, 4])
+def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes):
+    # the solver reads kernel rows as columns and takes K_ii = 1 for every gamma
+    r = np.random.default_rng(30 + n_classes)
+    labels = ["abcd"[i % n_classes] for i in range(57)]
+    x = r.standard_normal((57, 594)) * r.uniform(0.5, 3.0, 594)
+    fit, val = np.arange(45), np.arange(45, 57)
+    scaler, sq, sq_val = _split_distances(x[fit], x[val])
+    assert scaler_bits(scaler) == scaler_bits(fit_standardizer(x[fit]))
+    assert sq.shape == (45, 45) and sq_val.shape == (12, 45)
+    (_classes, _scaler, pairs), = _fit_splits(x, [(fit, labels[:45], val, [(1.0, 0.1)])], SMO_TOL)
+    assert len(pairs) == n_classes * (n_classes - 1) // 2
+    for m in [sq] + [p.sq for p in pairs]:
+        assert m.tobytes() == m.T.copy().tobytes()
+        assert not m.diagonal().any()
+    for p in pairs:
+        assert p.sq.tobytes() == sq[np.ix_(p.rows, p.rows)].tobytes()
+        assert p.sq_val.tobytes() == sq_val[:, p.rows].tobytes()
+
+
+def underflow_edge(d):
+    """The largest gamma whose kernel value exp(-gamma * d) is above 0.0,
+    and the next double above it, whose value is 0.0."""
+    live, dead = 700.0 / d, 800.0 / d
+    while np.nextafter(live, np.inf) < dead:
+        mid = 0.5 * (live + dead)
+        if mid in (live, dead):
+            break
+        live, dead = (mid, dead) if np.exp(-mid * d) > 0.0 else (live, mid)
+    return live, dead
+
+
+def pair_kernels_dead(pairs, gamma):
+    """Whether every kernel value the solver and the scorer build for the
+    pair records at ``gamma`` between distinct rows is exactly 0.0."""
+    return all(not np.exp(-gamma * p.sq)[~np.eye(len(p.sq), dtype=bool)].any()
+               and not np.exp(-gamma * p.sq_val).any() for p in pairs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dead_cells_agree_with_the_pair_records_at_the_underflow_edge(seed):
+    # the two gammas either side of the last one that leaves a kernel value
+    # above 0.0 on the pair records: the dead test must read the very
+    # distances the solver and the scorer read, not its own rounding of them
+    r = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    n, dim = int(r.integers(16, 40)), int(r.integers(20, 600))
+    labels = ["abcd"[i % k] for i in range(n)]
+    x = r.standard_normal((n, dim)) * r.uniform(0.5, 3.0, dim)
+    n_fit = n - int(r.integers(3, 8))
+    fit, val = np.arange(n_fit), np.arange(n_fit, n)
+    (_classes, _scaler, pairs), = _fit_splits(x, [(fit, labels[:n_fit], val, [(1.0, 1.0)])],
+                                              SMO_TOL)
+    nearest = min(min(p.sq[~np.eye(len(p.sq), dtype=bool)].min(), p.sq_val.min())
+                  for p in pairs)
+    gammas = [1e-3, *underflow_edge(nearest), 1e6]
+    got = next(dead_cells(x, [(fit, labels[:n_fit], val, [(1.0, g) for g in gammas])]))
+    assert got.tolist() == [pair_kernels_dead(pairs, g) for g in gammas]
+    assert got.tolist() == [False, False, True, True]
 
 
 def test_grid_validation(rng):
