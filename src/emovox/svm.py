@@ -41,7 +41,8 @@ _MOVE_SIGN = np.array([[1.0], [-1.0]])  # alpha_i moves by +y_i * step, alpha_j 
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-dimension z-score parameters with the std floored at 1e-8."""
+    """Per-dimension z-score parameters with the std floored at 1e-8.  A
+    dimension at the floor, constant on the fit rows, transforms to 0.0."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -64,7 +65,7 @@ class Standardizer:
             raise ValueError(
                 "feature dim %d does not match fitted dim %d" % (z.shape[1], self.mean.shape[0])
             )
-        return (z - self.mean) / self.std
+        return np.where(self.std > STD_FLOOR, (z - self.mean) / self.std, 0.0)
 
 
 def fit_standardizer(x) -> Standardizer:
@@ -510,9 +511,8 @@ def grid_predictions(x, splits, tol: float = SMO_TOL):
     ``predict_with_margins`` and ``converged`` of ``train_multiclass(x[fit],
     labels, *cells[r], tol)`` on ``x[val]``, the margins equal to rounding,
     except where a vote hangs on a pair decision value that is zero to
-    rounding (duplicate rows of different labels, a dimension constant in
-    the fit rows, a gamma that no kernel value survives), whose sign may
-    differ.  ``_winners`` picks from all
+    rounding (duplicate rows of different labels, a gamma that no kernel
+    value survives), whose sign may differ.  ``_winners`` picks from all
     cells' summed votes and margins at once.  Every cell listed is solved, a
     dead one (see ``dead_cells``) included; nested CV leaves those out."""
     for classes, _scaler, pairs in _fit_splits(x, splits, tol):

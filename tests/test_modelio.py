@@ -25,7 +25,7 @@ from emovox.embeddings import (
 )
 from emovox.embeddings.xvector import _FRAME_LAYERS, _random_layers
 from emovox.errors import ModelFormatError
-from emovox.svm import train_multiclass, decision_scores
+from emovox.svm import STD_FLOOR, decision_scores, train_multiclass
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +355,22 @@ def test_svm_roundtrip_identical_predictions(tmp_path, rng):
     for key in model.machines:
         assert np.array_equal(model.machines[key].alphas,
                               back.machines[key].alphas)
+
+
+def test_svm_file_keeps_a_floored_dimension(tmp_path, rng):
+    # the file stores the floored std as before, and a loaded model scores a
+    # dimension at the floor as one that adds no distance
+    x = rng.standard_normal((20, 3))
+    x[:, 1] = 2.5
+    path = tmp_path / "m.svm"
+    modelio.save_svm(path, train_multiclass(x, ["a"] * 10 + ["b"] * 10, 1.0, 0.5))
+    back, _meta = modelio.load_svm(path)
+    assert back.standardizer.std[1] == STD_FLOOR
+    probe = rng.standard_normal((4, 3))
+    probe[:, 1] = 2.5
+    moved = probe.copy()
+    moved[:, 1] += [-3.0, 1e-6, 1.0, 100.0]
+    assert decision_scores(back, probe)[1].tobytes() == decision_scores(back, moved)[1].tobytes()
 
 
 def test_svm_missing_section_error(tmp_path, rng):

@@ -353,6 +353,25 @@ def test_standardizer_floors_constant_dim(rng):
     assert np.all(scaler.transform(x)[:, 1] == 0.0)
 
 
+def test_a_fit_constant_dimension_carries_no_distance(rng):
+    # held-out rows that differ only in a dimension constant on the fit rows
+    # get the same decision values, where a floored std would send them 1e8
+    # sigma away and every kernel value to them to 0
+    x, labels = blobs(rng, {"a": (0.0, 0.0, 0.0), "b": (2.0, 2.0, 0.0)}, 10)
+    x[:, 2] = 4.25
+    probe = rng.standard_normal((6, 3)) + 1.0
+    probe[:, 2] = 4.25
+    moved = probe.copy()
+    moved[:, 2] = [4.0, -3.0, 1e3, 4.25 + 1e-6, 0.0, 7.0]
+    model = train_multiclass(x, labels, 10.0, 0.5)
+    assert not model.standardizer.transform(moved)[:, 2].any()
+    assert decision_scores(model, probe)[1].tobytes() == decision_scores(model, moved)[1].tobytes()
+    (_classes, guesses, margins, _converged), = grid_predictions(
+        *one_split(x, labels, np.vstack([probe, moved]), [(10.0, 0.5), (1.0, 3.0)]))
+    assert margins[:, :6].tobytes() == margins[:, 6:].tobytes()
+    assert np.array_equal(guesses[:, :6], guesses[:, 6:])
+
+
 def test_standardizer_ignores_test_rows(rng):
     train = rng.standard_normal((30, 4))
     test = rng.standard_normal((10, 4))
