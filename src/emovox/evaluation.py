@@ -9,8 +9,8 @@ that ``svm.dead_cells`` finds dead in all of its inner splits (every kernel
 value between distinct rows underflows to 0.0, so every row gets one class).
 It then solves and scores the live cells of every split in one
 ``svm.grid_predictions`` call (a cells x validation rows prediction matrix per
-split, solved in packed runs within the solver's two caps, no per-cell
-model), and per fold takes the inner UARs from those matrices and selects a
+split, solved in packed runs of whole class pairs, each run closed by the
+pair that brings it up to one of the solver's two caps, no per-cell model), and per fold takes the inner UARs from those matrices and selects a
 live cell.  A second call fits every outer fold as a one-cell split, trained
 on its training rows and scored on its test rows, which gives the fold's
 labels, ROC scores and converged flag.
@@ -309,6 +309,8 @@ def welch_t_test(a, b) -> Tuple[float, float]:
     bv = np.asarray(b, dtype=np.float64).ravel()
     if av.size < 2 or bv.size < 2:
         raise EvaluationError("each group needs at least 2 values")
+    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
+        raise EvaluationError("values must be finite")
     va = float(av.var(ddof=1))
     vb = float(bv.var(ddof=1))
     if va == 0.0 or vb == 0.0:
@@ -328,8 +330,8 @@ def chi_square_independence(table) -> Tuple[float, float]:
     one degree of freedom is erfc(sqrt(chi2/2)).
     """
     o = np.asarray(table, dtype=np.float64)
-    if o.shape != (2, 2) or np.any(o < 0):
-        raise EvaluationError("expected a non-negative 2x2 table")
+    if o.shape != (2, 2) or not np.all((o >= 0) & (o < np.inf)):
+        raise EvaluationError("expected a finite, non-negative 2x2 table")
     rows = o.sum(axis=1)
     cols = o.sum(axis=0)
     if np.any(rows == 0) or np.any(cols == 0):

@@ -8,6 +8,7 @@ m / f / unknown (empty cell reads as unknown).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -52,9 +53,9 @@ def _parse_row(cells, n_cols, lineno) -> ManifestRow:
                 duration = float(raw)
             except ValueError:
                 raise ManifestError(f"line {lineno}: bad duration_s {raw!r}")
-            if not duration >= 0.0:
+            if not 0.0 <= duration < math.inf:
                 raise ManifestError(
-                    f"line {lineno}: duration_s must be >= 0, got {raw}")
+                    f"line {lineno}: duration_s must be finite and >= 0, got {raw}")
     return ManifestRow(path, label, speaker, gender, duration)
 
 

@@ -7,17 +7,19 @@ with its own labels, kernel, box bound C and pass limit, and takes for each
 exactly the steps a lone solve would.  One path fits every multi-class SVM:
 ``_fit_splits`` turns (fit rows, fit labels, validation rows, (C, gamma)
 cells) splits into a stream of class pairs (``_Pair``), one dual per cell
-each, which ``_solve_pairs`` packs into runs.  A split is standardized on
-its fit rows once and its squared distances made once
-(``_split_distances``): fit x fit, exactly symmetric with a zero diagonal,
-and validation x fit.  Every pair solves and scores on its slice of them,
-and ``dead_cells`` finds the cells whose gamma leaves no kernel value
-between distinct rows above 0.0.  ``train_multiclass`` is one split of
-every row and one cell; ``grid_predictions`` scores many splits' held-out
-rows with all their cells at once: the inner grid of nested CV, and its
-outer fits as one-cell splits.  Multi-class is one-vs-one with majority
-voting; ties fall back to summed decision margins, then lexicographic
-class order.
+each, which ``_solve_pairs`` packs into runs of whole pairs, a run closing
+with the pair that brings it up to one of two caps (so it may pass a cap by
+that pair).  ``_split_distances`` standardizes a split on its fit rows and
+makes its squared distances: fit x fit, exactly symmetric with a zero
+diagonal, and validation x fit.  ``_fit_splits`` calls it once per split and
+every pair solves and scores on its slice; ``dead_cells`` calls it again
+(nested CV standardizes each inner split twice) to find the cells whose
+gamma leaves no kernel value between distinct rows above 0.0.
+``train_multiclass`` is one split of every row and one cell;
+``grid_predictions`` scores many splits' held-out rows with all their cells
+at once: the inner grid of nested CV, and its outer fits as one-cell
+splits.  Multi-class is one-vs-one with majority voting; ties fall back to
+summed decision margins, then lexicographic class order.
 """
 
 from __future__ import annotations
@@ -297,59 +299,56 @@ def _cell_products(p: _Pair, kernels):
 
 def _solve_pairs(pairs, tol):
     """Solve every (c, gamma) cell of every ``_Pair`` of ``pairs``, pass
-    limit 10 * n, and fill in its alphas, converged flags and biases.
+    limit 10 * n, fill in its alphas, converged flags and biases, and yield
+    the pairs in order, each with a lone solve's alphas and converged flags.
 
-    The pairs' problems, pair by pair and cell by cell, go to ``_smo_batch``
-    in runs that keep problems x n_max within ``_PACK_CELLS`` and the
-    stacked kernels, one per gamma of each pair in the run and n_max**2
-    floats each, within ``_PACK_FLOATS``; a run's first pair ignores the
-    kernel cap and gives it at least one problem.  The run that solves a
-    pair's last cells takes its biases from the pair's kernels, one ``exp``
-    over all its gammas.  Yields each pair in order once all its cells are
-    solved, with a lone solve's alphas and converged flags.
+    Whole pairs go to ``_smo_batch`` in runs, in stream order, all cells of
+    a pair in one run.  A run closes with the pair that brings its problems
+    x n_max up to ``_PACK_CELLS`` or its stacked kernels, one per gamma of
+    each pair and n_max**2 floats each, up to ``_PACK_FLOATS``, so a run may
+    pass a cap by its last pair; a pair that reaches a cap on its own is a
+    run by itself.  Each pair's kernels are stacked once, and its biases
+    come from them, one ``exp`` over all its gammas.
     """
-    def solve(chunks, n_max):
-        first = np.cumsum([0] + [p.by_g.values.size for p, _lo, _hi in chunks])
+    def full(problems, n_max, kernels):
+        return problems * n_max >= _PACK_CELLS or kernels * n_max * n_max >= _PACK_FLOATS
+
+    def solve(run):
+        n_max = max(p.yv.size for p in run)
+        first = np.cumsum([0] + [p.by_g.values.size for p in run])
         stacked = np.zeros((first[-1], n_max, n_max))
-        labels = np.zeros((len(chunks), n_max))
-        for k, (p, _lo, _hi) in enumerate(chunks):
+        labels = np.zeros((len(run), n_max))
+        for k, p in enumerate(run):
             labels[k, :p.yv.size] = p.yv
             stacked[first[k]:first[k + 1], :p.yv.size, :p.yv.size] = np.exp(
                 -p.by_g.values[:, None, None] * p.sq)
-        slot = np.repeat(np.arange(len(chunks)), [hi - lo for _p, lo, hi in chunks])
-        kernel = np.concatenate([first[k] + p.by_g.index[lo:hi]
-                                 for k, (p, lo, hi) in enumerate(chunks)])
-        c = np.concatenate([p.cells[lo:hi, 0] for p, lo, hi in chunks])
-        alpha, converged = _smo_batch(stacked, kernel, labels[slot], c, tol,
-                                      10 * np.count_nonzero(labels, 1)[slot])
-        for k, (p, lo, hi) in enumerate(chunks):
+        edges = np.cumsum([0] + [len(p.cells) for p in run])
+        slot = np.repeat(np.arange(len(run)), np.diff(edges))
+        alpha, converged = _smo_batch(
+            stacked, np.concatenate([first[k] + p.by_g.index for k, p in enumerate(run)]),
+            labels[slot], np.concatenate([p.cells[:, 0] for p in run]), tol,
+            10 * np.count_nonzero(labels, 1)[slot])
+        for k, p in enumerate(run):
             n = p.yv.size
-            p.alphas[lo:hi] = alpha[slot == k, :n]
-            p.converged[lo:hi] = converged[slot == k]
-            if hi == len(p.cells):  # earlier runs solved the pair's other cells
-                fvals = _cell_products(p, stacked[first[k]:first[k + 1], :n, :n])
-                p.bias[:] = _biases(p.alphas, fvals, p.yv, p.cells[:, 0])
+            p.alphas[:] = alpha[edges[k]:edges[k + 1], :n]
+            p.converged[:] = converged[edges[k]:edges[k + 1]]
+            fvals = _cell_products(p, stacked[first[k]:first[k + 1], :n, :n])
+            p.bias[:] = _biases(p.alphas, fvals, p.yv, p.cells[:, 0])
+        return run
 
-    chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
+    run, problems, n_max, kernels = [], 0, 0, 0
     for p in pairs:
-        n, n_cells, gammas = p.yv.size, len(p.cells), p.by_g.values.size
-        start = 0
-        while start < n_cells:
-            m = max(n_max, n)
-            take = max(1, min(_PACK_CELLS // m - count, n_cells - start))
-            if chunks and (count + take > _PACK_CELLS // m
-                           or (kernels + gammas) * m * m > _PACK_FLOATS):
-                solve(chunks, n_max)
-                yield from ready
-                chunks, ready, count, n_max, kernels = [], [], 0, 0, 0
-            else:
-                chunks.append((p, start, start + take))
-                count, n_max, start = count + take, m, start + take
-                kernels += gammas
-        ready.append(p)
-    if chunks:
-        solve(chunks, n_max)
-    yield from ready
+        size = (len(p.cells), p.yv.size, p.by_g.values.size)
+        if run and full(*size):
+            yield from solve(run)
+            run, problems, n_max, kernels = [], 0, 0, 0
+        run.append(p)
+        problems, n_max, kernels = problems + size[0], max(n_max, size[1]), kernels + size[2]
+        if full(problems, n_max, kernels):
+            yield from solve(run)
+            run, problems, n_max, kernels = [], 0, 0, 0
+    if run:
+        yield from solve(run)
 
 
 def _binary_svm(xm, yv, alpha, bias, c, gamma, converged) -> BinarySvm:

@@ -789,6 +789,14 @@ def test_welch_errors():
         welch_t_test([2.0, 2.0], [1.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_welch_rejects_non_finite_values(bad):
+    with pytest.raises(EvaluationError, match="finite"):
+        welch_t_test([1.0, bad], [2.0, 3.0])
+    with pytest.raises(EvaluationError, match="finite"):
+        welch_t_test([2.0, 3.0], [bad, 1.0, 4.0])
+
+
 def test_chi2_corpus_gender_table():
     # straightforward Pearson hand computation on these counts gives ~16.37
     # (expected cells 662.0/597.0/581.0/524.0)
@@ -847,6 +855,12 @@ def test_chi2_p_matches_high_precision_erfc(rng):
 def test_chi2_zero_marginal_error():
     with pytest.raises(EvaluationError):
         chi_square_independence([[0, 0], [5, 5]])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_chi2_rejects_non_finite_cells(bad):
+    with pytest.raises(EvaluationError, match="finite"):
+        chi_square_independence([[3, bad], [5, 5]])
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,9 @@ def test_field_validation():
         parse_manifest("path,label,speaker,gender\na.wav,x,s,male\n")
     with pytest.raises(ManifestError, match="duration"):
         parse_manifest("path,label,speaker,gender,duration_s\na.wav,x,s,m,abc\n")
-    with pytest.raises(ManifestError, match="duration"):
-        parse_manifest("path,label,speaker,gender,duration_s\na.wav,x,s,m,-1\n")
+    for bad in ("-1", "nan", "inf", "1e999"):
+        with pytest.raises(ManifestError, match="duration"):
+            parse_manifest("path,label,speaker,gender,duration_s\na.wav,x,s,m,%s\n" % bad)
     with pytest.raises(ManifestError, match="columns"):
         parse_manifest("path,label,speaker,gender\na.wav,x,s\n")
     with pytest.raises(ManifestError, match="no data"):

@@ -645,37 +645,63 @@ def count_solves(monkeypatch):
     return calls
 
 
-def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
-    from emovox import svm
-
+def four_class_rows():
+    """Rows of classes a-d whose class pairs have 14, 22, 16, 18, 12 and 20 rows."""
     r = np.random.default_rng(9)
     labels = [name for name, count in zip("abcd", (9, 5, 13, 7)) for _ in range(count)]
     x = r.standard_normal((len(labels), 5)) + np.array(
         ["abcd".index(label) for label in labels])[:, None]
+    return x, labels
+
+
+def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
+    from emovox import svm
+
+    x, labels = four_class_rows()
     calls = count_solves(monkeypatch)
     whole = grid_machines(x, labels, x[::3], GRID_CELLS)
     model = train_multiclass(x, labels, 10.0, 0.1)
     assert calls == [(6 * len(GRID_CELLS), 22), (6, 22)]
-    # pairs of 14, 22, 16, 18, 12 and 20 rows and 4 gammas: a run takes pairs
-    # while (pairs x 4) kernels of its largest n squared stay within the cap
+    # pairs of 14, 22, 16, 18, 12 and 20 rows and 4 gammas: a run closes with
+    # the pair that brings (pairs x 4) kernels of its largest n squared up to
+    # the cap, here the third one
     monkeypatch.setattr(svm, "_PACK_FLOATS", 3 * 4 * 22 ** 2 - 1)
     calls.clear()
     split = grid_machines(x, labels, x[::3], GRID_CELLS)
-    assert calls == [(2 * len(GRID_CELLS), 22), (3 * len(GRID_CELLS), 18), (len(GRID_CELLS), 20)]
+    assert calls == [(3 * len(GRID_CELLS), 22), (3 * len(GRID_CELLS), 20)]
     assert pair_bits(split[1]) == pair_bits(whole[1])
-    # problems x n_max within 40 x 22: 16 + 16 + 8 problems at n_max 22, then
-    # the third pair's other 8, the next two pairs and 4 of the last at 20
+    # problems x n_max up to 40 x 22: the third pair passes it (48 x 22), and
+    # the last three pairs end the stream at 48 x 20
     monkeypatch.setattr(svm, "_PACK_FLOATS", 2 ** 21)
     monkeypatch.setattr(svm, "_PACK_CELLS", 40 * 22)
     calls.clear()
     split = grid_machines(x, labels, x[::3], GRID_CELLS)
-    assert calls == [(40, 22), (44, 20), (12, 20)]
-    assert all(problems * n_max <= 40 * 22 for problems, n_max in calls)
+    assert calls == [(3 * len(GRID_CELLS), 22), (3 * len(GRID_CELLS), 20)]
     assert pair_bits(split[1]) == pair_bits(whole[1])
     monkeypatch.setattr(svm, "_PACK_FLOATS", 1)
     calls.clear()
     assert_same_ensemble(train_multiclass(x, labels, 10.0, 0.1), model)
     assert len(calls) == 6
+
+
+def test_runs_hold_whole_pairs_each_stacked_once(monkeypatch):
+    # with problems x n_max capped below the 16 x 22 of pair (a, c), a pair
+    # that reaches the cap on its own is a run by itself, (b, c) closes the
+    # run it joins, and no run cuts a pair's cells
+    from emovox import svm
+
+    x, labels = four_class_rows()
+    whole = grid_machines(x, labels, x[::3], GRID_CELLS)
+    runs = []
+    solve = svm._smo_batch
+    monkeypatch.setattr(svm, "_smo_batch",
+                        lambda *a: runs.append((a[0].shape[0],) + a[2].shape) or solve(*a))
+    monkeypatch.setattr(svm, "_PACK_CELLS", 16 * 20)
+    split = grid_machines(x, labels, x[::3], GRID_CELLS)
+    assert [run[1:] for run in runs] == [(16, 14), (16, 22), (32, 18), (16, 12), (16, 20)]
+    # 16 cells and 4 gammas a pair: every run stacks 4 kernels for each of its pairs
+    assert [kernels for kernels, _problems, _n_max in runs] == [4, 4, 8, 4, 4]
+    assert pair_bits(split[1]) == pair_bits(whole[1])
 
 
 @pytest.mark.parametrize("cap", [None, 1])
@@ -706,7 +732,9 @@ def test_many_splits_match_one_call_per_split(cap, monkeypatch):
     packed = list(_fit_splits(x, splits, SMO_TOL))
     problems = sum(len(m.bias) for _classes, _scaler, machines in packed for m in machines)
     assert sum(n for n, _n_max in calls) == problems == 9 * 3 + 4 * 1 + 9 * 3 + 1 * 1
-    assert len(calls) == (problems if cap else 1)
+    # with cap 1 every pair is a run by itself, all its cells together
+    assert [n for n, _n_max in calls] == ([len(m.bias) for _classes, _scaler, machines in packed
+                                            for m in machines] if cap else [problems])
     assert [classes for classes, _scaler, _machines in packed] == [
         tuple("abc"), ("a", "b"), tuple("abc"), ("b", "c")]
     for (classes, scaler, machines), (want_classes, want_scaler, want) in zip(packed, one_by_one):
