@@ -6,14 +6,17 @@ folds only, so outer-test predictions can never influence a decision.  The
 bookkeeping that proves that is stored on the report.  The loop first plans
 every usable inner split of every outer fold and drops, per fold, the cells
 that ``svm.dead_cells`` finds dead in all of its inner splits (every kernel
-value between distinct rows underflows to 0.0, so every row gets one class).
-It then solves and scores the live cells of every split in one
-``svm.grid_predictions`` call (a cells x validation rows prediction matrix per
-split, solved in packed runs of whole class pairs, each run closed by the
-pair that brings it up to one of the solver's two caps, no per-cell model), and per fold takes the inner UARs from those matrices and selects a
-live cell.  A second call fits every outer fold as a one-cell split, trained
-on its training rows and scored on its test rows, which gives the fold's
-labels, ROC scores and converged flag.
+value between distinct rows is at most 1e-20, so the machines decide by
+their biases and every row gets one class).  It then solves and scores the
+live cells of every split in one ``svm.grid_predictions`` call (a cells x
+validation rows prediction matrix per split, no per-cell model), solved in
+packed runs of whole class pairs, each pair one chain per gamma that runs
+through its C values in ascending order, each C warm-started from the one
+before, and each run closed by the pair that brings it up to one of the
+solver's two caps.  Per fold it takes the inner UARs from those matrices and
+selects a live cell.  A second call fits every outer fold as a one-cell
+split, a lone cold solve trained on its training rows and scored on its test
+rows, which gives the fold's labels, ROC scores and converged flag.
 """
 
 from __future__ import annotations
@@ -374,8 +377,9 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
     the first cell, in C-major order the smallest C, then gamma).  Inner folds
     whose training part lacks a trainable class are skipped.  A cell is dead
     for a fold when ``svm.dead_cells`` finds it dead in every usable inner
-    split of the fold: its gamma sends every kernel value between distinct
-    rows to exactly 0.0, so it can only give every row one class.  Dead cells
+    split of the fold: its gamma leaves every kernel value between distinct
+    rows at or below 1e-20, so it can only give every row one class, its
+    machines' biases deciding.  Dead cells
     are not solved and cannot be selected; a cell dead in only some of the
     fold's inner splits is solved and scored in all of them.  A fold whose
     cells are all dead, or that has no usable inner fold, takes the first

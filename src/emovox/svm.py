@@ -2,19 +2,23 @@
 
 The solver keeps the full kernel matrix in memory and updates the
 maximal-violating pair each step (Fan, Chen & Lin, JMLR 2005).  It runs
-packed: one loop advances many independent duals of different sizes, each
-with its own labels, kernel, box bound C and pass limit, and takes for each
-exactly the steps a lone solve would.  One path fits every multi-class SVM:
-``_fit_splits`` turns (fit rows, fit labels, validation rows, (C, gamma)
-cells) splits into a stream of class pairs (``_Pair``), one dual per cell
-each, which ``_solve_pairs`` packs into runs of whole pairs, a run closing
-with the pair that brings it up to one of two caps (so it may pass a cap by
-that pair).  ``_split_distances`` standardizes a split on its fit rows and
-makes its squared distances: fit x fit, exactly symmetric with a zero
-diagonal, and validation x fit.  ``_fit_splits`` calls it once per split and
-every pair solves and scores on its slice; ``dead_cells`` calls it again
-(nested CV standardizes each inner split twice) to find the cells whose
-gamma leaves no kernel value between distinct rows above 0.0.
+packed: one loop advances many independent chains of duals of different
+sizes, each chain with its own labels, kernel and pass limit and its box
+bounds C in ascending order.  A chain's first dual is a lone cold solve,
+step for step; each later one starts warm from the dual before it (alpha
+seeding, DeCoste & Wagstaff, KDD 2000), and a chain restarts in place as
+each dual stops.  One path fits every multi-class SVM: ``_fit_splits``
+turns (fit rows, fit labels, validation rows, (C, gamma) cells) splits into
+a stream of class pairs (``_Pair``), one chain per gamma each, which
+``_solve_pairs`` packs into runs of whole pairs, a run closing with the pair
+that brings it up to one of two caps (so it may pass a cap by that pair).
+A one-cell split is a chain of one, solved cold.  ``_split_distances``
+standardizes a split on its fit rows and makes its squared distances: fit x
+fit, exactly symmetric with a zero diagonal, and validation x fit.
+``_fit_splits`` calls it once per split and every pair solves and scores on
+its slice; ``dead_cells`` calls it again (nested CV standardizes each inner
+split twice) to find the cells whose gamma leaves no kernel value between
+distinct rows above ``_DEAD_KERNEL``.
 ``train_multiclass`` is one split of every row and one cell;
 ``grid_predictions`` scores many splits' held-out rows with all their cells
 at once: the inner grid of nested CV, and its outer fits as one-cell
@@ -37,7 +41,10 @@ STD_FLOOR = 1e-8
 SMO_TOL = 1e-3
 _BOUND_EPS = 1e-12
 _PACK_FLOATS = 2 ** 21  # floats of stacked kernels one packed solve holds (16 MB)
-_PACK_CELLS = 2 ** 14   # problems x n_max of one packed solve's working arrays
+_PACK_CELLS = 2 ** 14   # chains x n_max of one packed solve's working arrays
+# a kernel value at or below this between distinct rows moves a decision by at
+# most n * C * 1e-20, far below SMO_TOL (see ``dead_cells``)
+_DEAD_KERNEL = 1e-20
 _MOVE_SIGN = np.array([[1.0], [-1.0]])  # alpha_i moves by +y_i * step, alpha_j by -y_j * step
 
 
@@ -143,21 +150,32 @@ def _masked(a, viol, top, eps, pos):
     return np.where(above_0 ^ flip, viol, -np.inf), np.where(below_c ^ flip, viol, np.inf)
 
 
-def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
-    """Maximal-violating-pair SMO on many independent duals in one loop.
+def _smo_batch(kernels, y, c, ends, tol, max_passes, out, slot):
+    """Maximal-violating-pair SMO on many independent chains of duals in one loop.
 
-    Problem r has labels ``y[r]``, +1 or -1 and then 0 on the padding that
-    ends every shorter row, box bound ``c[r]``, pass limit ``max_passes[r]``
-    and kernel ``kernels[kernel_index[r]]``: symmetric, zero on padded rows
-    and columns and 1.0 on the rest of the diagonal, as is every kernel on
-    ``_sq_distances`` of rows to themselves, so a step's curvature K_ii + K_jj
-    - 2 K_ji is 2.0 - 2.0 K_ji, bit for bit.  A padded entry is in neither
+    Row r has labels ``y[r]``, +1 or -1 and then 0 on the padding that ends
+    every shorter row, kernel ``kernels[r]`` and pass limit
+    ``max_passes[r]``: the kernel symmetric, zero on padded rows and columns
+    and 1.0 on the rest of the diagonal, as is every kernel on
+    ``_sq_distances`` of rows to themselves, so a step's curvature K_ii +
+    K_jj - 2 K_ji is 2.0 - 2.0 K_ji, bit for bit.  Its chain is the cells q
+    from ``ends[r - 1]`` (0 for row 0) up to ``ends[r]``, at least one, with
+    box bounds ``c[q]`` ascending, solved in turn.  The first cell starts
+    cold, at alpha = 0; each next one starts where the last one stopped,
+    converged or not (alpha seeding, DeCoste & Wagstaff, KDD 2000): its
+    alphas kept if any is free in the last box, else scaled by s = C_k /
+    C_(k-1), which scales the kernel part of the gradient too, so the
+    violation becomes y + s (v - y) with no kernel product.  Both starts are
+    feasible.  A cell stops when it has no violating pair or a gap of at
+    most ``tol``, and is unconverged if still running ``max_passes[r]``
+    passes after its start.  Its alphas, clipped to its box, go to
+    ``out[slot[q]:slot[q] + n]``, n the row's unpadded length, and the row
+    restarts in place at its next cell, which takes its first pair the next
+    pass (the row steps by zero meanwhile).  A padded entry is in neither
     the up nor the low set, so its alpha stays 0, and as padding comes last
-    each row takes a lone solve's steps: the same first-index pair, clipping
-    and gradient update, in the same floating-point order.  A row stops when
-    it has no violating pair or a gap of at most ``tol``, and is unconverged
-    if still running after its pass limit.  Returns the clipped alphas and
-    converged flags.
+    each cell takes a lone solve's steps from its start: the same
+    first-index pair, clipping and gradient update, in the same
+    floating-point order.  Returns the converged flags (cells,).
 
     The violation -y * gradient and its masked copies persist, stacked as
     one array, updated from the two changed kernel columns as in LIBSVM
@@ -168,48 +186,74 @@ def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
     (kernels * n, n) rows: a symmetric kernel's rows are its columns.
     """
     c = np.asarray(c, dtype=np.float64)
-    cells, n = y.shape
-    limit = np.asarray(max_passes)
-    alpha = np.zeros((cells, n))
-    converged = np.zeros(cells, dtype=bool)
+    ends, slot = np.asarray(ends), np.asarray(slot)
+    converged = np.zeros(c.size, dtype=bool)
+    rows, n = y.shape
+    if not rows:
+        return converged
     # Working arrays hold only the rows still iterating.
-    rows = np.arange(cells)
-    a = np.zeros((cells, n))
-    box = c
-    eps = _BOUND_EPS * (1.0 + c)
-    top = c - eps
-    v = np.empty((3, cells, n))  # -y * gradient (the gradient starting at -1), up and low copies
+    cell = np.concatenate(([0], ends[:-1]))  # each row's current cell
+    last = ends - 1
+    limit = np.asarray(max_passes)
+    deadline = limit.copy()  # the pass at which each row's current cell expires
+    a = np.zeros((rows, n))
+    box = c[cell]
+    eps = _BOUND_EPS * (1.0 + box)
+    top = box - eps
+    v = np.empty((3, rows, n))  # -y * gradient (the gradient starting at -1), up and low copies
     v[0] = y
     # a padded alpha is never below its top, so padding is in neither set
     v[1], v[2] = _masked(a, y, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
     columns = kernels.reshape(-1, n)
-    kid = np.asarray(kernel_index) * n  # each row's first kernel row in ``columns``
-    soonest = limit.min(initial=0)  # no row expires before this pass
-    size = cells * n  # entries of the rows still running; row r starts at r * n
+    kid = np.arange(0, rows * n, n)  # each row's first kernel row in ``columns``
+    span = np.arange(n)
+    soonest = deadline.min()  # no cell expires before this pass
+    size = rows * n  # entries of the rows still running; row r starts at r * n
     starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
-    for t in range(int(limit.max(initial=0))):
+    for t in itertools.count():
         ij = np.array((v[1].argmax(axis=1), v[2].argmin(axis=1)))
-        at = ij + starts
-        ends = v.take(at + up_low)
-        gap = ends[0] - ends[1]  # -inf when the up or the low set is empty
+        best = v.take(ij + starts + up_low)
+        gap = best[0] - best[1]  # -inf when the up or the low set is empty
         stop = gap <= tol
         if t >= soonest:
-            expired = limit <= t
-            stop |= expired
+            stop |= deadline <= t
         if stop.any():
-            done = stop & ~expired if t >= soonest else stop
-            alpha[rows[stop]] = a[stop]
-            converged[rows[done]] = True
-            keep = ~stop
-            if not keep.any():
-                break
-            rows, a, box, eps, top, y, kid, limit, gap = (
-                w.compress(keep, axis=0) for w in (rows, a, box, eps, top, y, kid, limit, gap))
-            v, ij = v.compress(keep, axis=1), ij.compress(keep, axis=1)
-            soonest = limit.min()
-            size = rows.size * n
-            starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
-            at = ij + starts
+            s = np.flatnonzero(stop)
+            q = cell[s]
+            converged[q] = deadline[s] > t
+            real = y[s] != 0.0
+            out[(slot[q][:, None] + span)[real]] = np.clip(a[s], 0.0, box[s, None])[real]
+            more = q < last[s]
+            s = s[more]
+            if s.size:
+                # each row of ``s`` restarts at its next cell from the hybrid seed;
+                # its first pair comes next pass, so this pass it takes a zero step
+                cell[s] += 1
+                was, now = box[s], c[cell[s]]
+                y_s, v_s, a_s = y[s], v[0, s], a[s]
+                free = ((a_s > eps[s, None]) & (a_s < top[s, None])).any(axis=1)[:, None]
+                scale = (now / was)[:, None]
+                a[s] = a_s = np.where(free, a_s, a_s * scale)
+                v[0, s] = v_s = np.where(free, v_s, y_s + scale * (v_s - y_s))
+                box[s], eps[s] = now, _BOUND_EPS * (1.0 + now)
+                top[s] = now - eps[s]
+                v[1, s], v[2, s] = _masked(
+                    a_s, v_s, np.where(y_s != 0.0, top[s, None], 0.0), eps[s, None], y_s > 0)
+                deadline[s] = t + 1 + limit[s]
+                gap[s] = 0.0
+                stop[s] = False
+            if not more.all():
+                keep = ~stop
+                if not keep.any():
+                    break
+                a, box, eps, top, y, kid, limit, deadline, cell, last, gap = (
+                    w.compress(keep, axis=0)
+                    for w in (a, box, eps, top, y, kid, limit, deadline, cell, last, gap))
+                v, ij = v.compress(keep, axis=1), ij.compress(keep, axis=1)
+                size = cell.size * n
+                starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
+            soonest = deadline.min()
+        at = ij + starts
         cols = columns.take(kid + ij, axis=0)  # kernel columns i and j of every row
         curv = 2.0 - 2.0 * cols[1].take(at[0])  # K_ii + K_jj - 2 K_ji, K_ii = K_jj = 1
         curv = np.where(1e-12 > curv, 1e-12, curv)
@@ -229,9 +273,7 @@ def _smo_batch(kernels, kernel_index, y, c, tol, max_passes):
         v -= delta
         flat = v.reshape(-1)
         flat[at + size], flat[at + 2 * size] = _masked(aa, v.take(at), top, eps, yy > 0)
-    else:
-        alpha[rows] = a
-    return np.clip(alpha, 0.0, c[:, None]), converged
+    return converged
 
 
 def _biases(alpha, fvals, yv, c):
@@ -256,30 +298,32 @@ class _Gammas(NamedTuple):
 
     values: np.ndarray  # the distinct gammas, ascending
     index: np.ndarray   # each cell's gamma, as an index into ``values``
-    order: np.ndarray   # the cells grouped by gamma, in order within each group
-    edges: np.ndarray   # gamma g's group is order[edges[g]:edges[g + 1]]
+    order: np.ndarray   # the cells grouped by gamma, each group by ascending C, ties in order
+    edges: np.ndarray   # gamma g's group, its chain of C values, is order[edges[g]:edges[g + 1]]
 
 
 def _by_gamma(cells) -> _Gammas:
     """The gammas of ``cells``, grouped."""
     values, index = np.unique(cells[:, 1], return_inverse=True)
-    order = np.argsort(index, kind="stable")
+    order = np.lexsort((cells[:, 0], index))
     return _Gammas(values, index, order, np.searchsorted(index[order], np.arange(values.size + 1)))
 
 
 class _Pair(NamedTuple):
     """Class pair (a, b) of one split: its inputs, and its outputs per (c, gamma)
-    cell of the split, which ``_solve_pairs`` and ``_fit_splits`` fill in place."""
+    cell of the split, which ``_solve_pairs`` and ``_fit_splits`` fill in.
+    ``_solve_pairs`` sets its alphas, a view of its run's output, and drops
+    its fit x fit distances once its kernels are stacked."""
 
     split: int             # the split's index in its stream
     pair: Tuple            # (a, b)
     rows: np.ndarray       # the split's fit rows of class a or b, a mask
     yv: np.ndarray         # their labels: +1 for a, -1 for b
-    sq: np.ndarray         # their slice of the split's fit x fit squared distances
-    sq_val: np.ndarray     # and of its validation x fit ones
+    sq: Optional[np.ndarray]  # their slice of the split's fit x fit squared distances
+    sq_val: np.ndarray     # and of its validation x fit ones (the split's own, if every row)
     cells: np.ndarray      # the split's (cells, 2) array of (c, gamma) rows
     by_g: _Gammas          # their gammas, grouped
-    alphas: np.ndarray     # (cells, rows), clipped to each cell's box
+    alphas: Optional[np.ndarray]  # (cells, rows), clipped to each cell's box
     converged: np.ndarray  # (cells,)
     bias: np.ndarray       # (cells,)
     decision: np.ndarray   # (cells, validation rows), bias included
@@ -300,53 +344,65 @@ def _cell_products(p: _Pair, kernels):
 def _solve_pairs(pairs, tol):
     """Solve every (c, gamma) cell of every ``_Pair`` of ``pairs``, pass
     limit 10 * n, fill in its alphas, converged flags and biases, and yield
-    the pairs in order, each with a lone solve's alphas and converged flags.
+    the pairs in order.
 
-    Whole pairs go to ``_smo_batch`` in runs, in stream order, all cells of
-    a pair in one run.  A run closes with the pair that brings its problems
-    x n_max up to ``_PACK_CELLS`` or its stacked kernels, one per gamma of
-    each pair and n_max**2 floats each, up to ``_PACK_FLOATS``, so a run may
-    pass a cap by its last pair; a pair that reaches a cap on its own is a
-    run by itself.  Each pair's kernels are stacked once, and its biases
-    come from them, one ``exp`` over all its gammas.
+    A pair is one chain per gamma, its cells of that gamma by ascending C
+    (see ``_smo_batch``), so the first cell of a chain has a lone solve's
+    alphas and converged flag and each later one the warm-started solve's.
+    Whole pairs go to ``_smo_batch`` in runs, in stream order, all chains of
+    a pair in one run.  A run closes with the pair that brings its chains x
+    n_max up to ``_PACK_CELLS`` or its stacked kernels, one per chain and
+    n_max**2 floats each, up to ``_PACK_FLOATS``, so a run may pass a cap by
+    its last pair; a pair that reaches a cap on its own is a run by itself.
+    Each pair's kernels are stacked once, one ``exp`` over all its gammas,
+    and its biases come from them; its alphas are its slice of the run's one
+    output, and it is yielded without its fit x fit distances, so a split's
+    solved pairs wait for the rest of the split holding none.
     """
-    def full(problems, n_max, kernels):
-        return problems * n_max >= _PACK_CELLS or kernels * n_max * n_max >= _PACK_FLOATS
+    def full(chains, n_max):
+        return chains * n_max >= _PACK_CELLS or chains * n_max * n_max >= _PACK_FLOATS
 
     def solve(run):
         n_max = max(p.yv.size for p in run)
-        first = np.cumsum([0] + [p.by_g.values.size for p in run])
+        first = np.cumsum([0] + [p.by_g.values.size for p in run])  # each pair's first chain
+        edges = np.cumsum([0] + [len(p.cells) for p in run])        # and its first cell
         stacked = np.zeros((first[-1], n_max, n_max))
-        labels = np.zeros((len(run), n_max))
-        for k, p in enumerate(run):
-            labels[k, :p.yv.size] = p.yv
-            stacked[first[k]:first[k + 1], :p.yv.size, :p.yv.size] = np.exp(
-                -p.by_g.values[:, None, None] * p.sq)
-        edges = np.cumsum([0] + [len(p.cells) for p in run])
-        slot = np.repeat(np.arange(len(run)), np.diff(edges))
-        alpha, converged = _smo_batch(
-            stacked, np.concatenate([first[k] + p.by_g.index for k, p in enumerate(run)]),
-            labels[slot], np.concatenate([p.cells[:, 0] for p in run]), tol,
-            10 * np.count_nonzero(labels, 1)[slot])
+        labels = np.zeros((first[-1], n_max))
+        out = np.empty(sum(len(p.cells) * p.yv.size for p in run))
+        slot = np.empty(edges[-1], dtype=np.intp)
+        solved, base = [], 0
         for k, p in enumerate(run):
             n = p.yv.size
-            p.alphas[:] = alpha[edges[k]:edges[k + 1], :n]
-            p.converged[:] = converged[edges[k]:edges[k + 1]]
+            labels[first[k]:first[k + 1], :n] = p.yv
+            stacked[first[k]:first[k + 1], :n, :n] = np.exp(
+                -p.by_g.values[:, None, None] * p.sq)
+            slot[edges[k]:edges[k + 1]] = base + p.by_g.order * n
+            solved.append(p._replace(alphas=out[base:base + len(p.cells) * n].reshape(-1, n),
+                                     sq=None))
+            base += len(p.cells) * n
+        converged = _smo_batch(
+            stacked, labels,
+            np.concatenate([p.cells[p.by_g.order, 0] for p in run]),
+            np.concatenate([edges[k] + p.by_g.edges[1:] for k, p in enumerate(run)]), tol,
+            10 * np.count_nonzero(labels, 1), out, slot)
+        for k, p in enumerate(solved):
+            n = p.yv.size
+            p.converged[p.by_g.order] = converged[edges[k]:edges[k + 1]]
             fvals = _cell_products(p, stacked[first[k]:first[k + 1], :n, :n])
             p.bias[:] = _biases(p.alphas, fvals, p.yv, p.cells[:, 0])
-        return run
+        return solved
 
-    run, problems, n_max, kernels = [], 0, 0, 0
+    run, chains, n_max = [], 0, 0
     for p in pairs:
-        size = (len(p.cells), p.yv.size, p.by_g.values.size)
+        size = (p.by_g.values.size, p.yv.size)
         if run and full(*size):
             yield from solve(run)
-            run, problems, n_max, kernels = [], 0, 0, 0
+            run, chains, n_max = [], 0, 0
         run.append(p)
-        problems, n_max, kernels = problems + size[0], max(n_max, size[1]), kernels + size[2]
-        if full(problems, n_max, kernels):
+        chains, n_max = chains + size[0], max(n_max, size[1])
+        if full(chains, n_max):
             yield from solve(run)
-            run, problems, n_max, kernels = [], 0, 0, 0
+            run, chains, n_max = [], 0, 0
     if run:
         yield from solve(run)
 
@@ -365,7 +421,7 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
 
     If the violation gap is still above ``tol`` after ``max_passes`` pair
     updates (default 10 * n), the best-effort model is returned with
-    ``converged`` False.  This is the one-problem case of the packed solver
+    ``converged`` False.  This is the one-cell chain of the packed solver
     behind ``train_multiclass`` and ``grid_predictions``.
     """
     xm = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))  # so k is symmetric
@@ -383,7 +439,9 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
         max_passes = 10 * n
 
     k = np.exp(-gamma * _sq_distances(xm, xm))
-    alpha, converged = _smo_batch(k[None], [0], yv[None], [float(c)], tol, [max_passes])
+    alpha = np.zeros((1, n))
+    converged = _smo_batch(k[None], yv[None], [float(c)], [1], tol, [max_passes],
+                           alpha.reshape(-1), [0])
     bias = _biases(alpha, (alpha * yv) @ k, yv, np.array([float(c)]))
     return _binary_svm(xm, yv, alpha[0], bias[0], c, gamma, converged[0])
 
@@ -427,13 +485,15 @@ def trainable_classes(labels) -> list:
 def _fit_splits(x, splits, tol):
     """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
     ``x``, its classes, the standardizer fitted on its fit rows and a solved
-    ``_Pair`` per class pair, a < b, with +1 for a: ``train_multiclass(x[fit],
-    labels, c, gamma, tol)``'s alphas and converged flags for every cell,
-    biases equal to rounding, and its pair machines' ``decision_values`` on
-    ``x[val]``.  All splits' pairs, their rows' slices of the split's
-    ``_split_distances``, stream through ``_solve_pairs``, built as it reads
-    them; a pair's validation decisions come once its run's stacked kernels
-    are freed, from one ``exp`` over all its gammas."""
+    ``_Pair`` per class pair, a < b, with +1 for a: alphas and converged
+    flags for every cell from its chain (``_solve_pairs``; a chain's first
+    cell has ``train_multiclass(x[fit], labels, c, gamma, tol)``'s), biases,
+    and its pair machines' ``decision_values`` on ``x[val]``.  All splits'
+    pairs, their rows' slices of the split's ``_split_distances`` (the
+    matrices themselves for the one pair of a binary split), stream through
+    ``_solve_pairs``, built as it reads them; a pair's validation decisions
+    come once its run's stacked kernels are freed, from one ``exp`` over all
+    its gammas."""
     x = np.asarray(x, dtype=np.float64)
     fitted = {}  # each split's classes and standardizer, until its pairs are solved
 
@@ -452,10 +512,12 @@ def _fit_splits(x, splits, tol):
             by_g, m, lab_arr = _by_gamma(cells), len(cells), np.array(lab, dtype=object)
             for a, b in itertools.combinations(classes, 2):
                 rows = (lab_arr == a) | (lab_arr == b)
+                # the one pair of a binary split reads the split's matrices
+                whole = rows.all()
                 yield _Pair(s, (a, b), rows, np.where(lab_arr[rows] == a, 1.0, -1.0),
-                            sq[np.ix_(rows, rows)], sq_val[:, rows], cells, by_g,
-                            np.zeros((m, lab_arr[rows].size)), np.zeros(m, dtype=bool),
-                            np.zeros(m), np.empty((m, sq_val.shape[0])))
+                            sq if whole else sq[np.ix_(rows, rows)],
+                            sq_val if whole else sq_val[:, rows], cells, by_g, None,
+                            np.zeros(m, dtype=bool), np.zeros(m), np.empty((m, sq_val.shape[0])))
             del sq, sq_val  # the pairs hold their slices; free the split's matrices
 
     for s, solved in itertools.groupby(_solve_pairs(pairs(), tol), key=lambda p: p.split):
@@ -485,13 +547,20 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
 
 def dead_cells(x, splits):
     """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
-    ``x``, a bool array (cells,): True for a cell whose gamma sends every
+    ``x``, a bool array (cells,): True for a cell whose gamma leaves every
     kernel value between two distinct rows of the split, fit x fit and
-    validation x fit, to exactly 0.0: its pair machines decide by their
-    biases alone, so it gives every row one class and ranks nothing.  As exp
-    is monotone, a gamma is dead when its kernel value at the smallest
-    off-diagonal distance of ``_split_distances``, the distances every
-    pair's solve and scores read, is 0.0."""
+    validation x fit, at or below ``_DEAD_KERNEL``.  A pair machine's
+    decision is its bias plus sum_i alpha_i y_i k_i with 0 <= alpha_i <= C,
+    so such kernel values move it by at most n * C * 1e-20: 1e-12 at 10**4
+    rows and the grid's largest C, 10**4, nine orders below ``SMO_TOL``, the
+    accuracy to which the solver fixes the bias.  A vote can differ from the
+    bias's sign only where the bias is that close to 0, as in an exactly
+    balanced pair, and it then rests on terms far below the solver's
+    accuracy; so the cell is taken to give every row one class and to rank
+    nothing.  As exp is monotone, a gamma is dead when its kernel value at
+    the smallest off-diagonal distance of ``_split_distances``, the
+    distances every pair's solve and scores read, is at most
+    ``_DEAD_KERNEL``."""
     x = np.asarray(x, dtype=np.float64)
     for fit, _labels, val, cells in splits:
         _scaler, sq, sq_val = _split_distances(np.atleast_2d(x[fit]), x[val])
@@ -499,21 +568,25 @@ def dead_cells(x, splits):
         nearest = min(sq.min(), sq_val.min(initial=np.inf))
         del sq, sq_val  # before the next split's matrices are built
         gammas = np.array(cells, dtype=np.float64).reshape(-1, 2)[:, 1]
-        yield np.exp(-gammas * nearest) == 0.0
+        yield np.exp(-gammas * nearest) <= _DEAD_KERNEL
 
 
 def grid_predictions(x, splits, tol: float = SMO_TOL):
     """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split
     of ``x``, yield its classes ``sorted(set(labels))``, an int array (cells,
     validation rows) of indices into them, the summed margins (cells,
-    validation rows, classes) and the converged flags (cells,): row r is
+    validation rows, classes) and the converged flags (cells,).  For the
+    first cell of each chain (its gamma's smallest C), row r is
     ``predict_with_margins`` and ``converged`` of ``train_multiclass(x[fit],
     labels, *cells[r], tol)`` on ``x[val]``, the margins equal to rounding,
     except where a vote hangs on a pair decision value that is zero to
     rounding (duplicate rows of different labels, a gamma that no kernel
-    value survives), whose sign may differ.  ``_winners`` picks from all
-    cells' summed votes and margins at once.  Every cell listed is solved, a
-    dead one (see ``dead_cells``) included; nested CV leaves those out."""
+    value survives), whose sign may differ.  Every later cell of a chain is
+    solved warm from the cell before it (see ``_smo_batch``), so its
+    machines meet the same tolerance as a lone solve's but are not its bits.
+    ``_winners`` picks from all cells' summed votes and margins at once.
+    Every cell listed is solved, a dead one (see ``dead_cells``) included;
+    nested CV leaves those out."""
     for classes, _scaler, pairs in _fit_splits(x, splits, tol):
         votes, margins = _tally(classes, pairs[0].decision.shape,
                                 ((p.pair, p.decision) for p in pairs))

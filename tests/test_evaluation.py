@@ -355,20 +355,63 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     assert len({(f.c, f.gamma) for f in report.folds}) > 1
 
 
-def test_nested_cv_packs_inner_splits_then_outer_folds(monkeypatch):
-    # the problems of every usable inner split of every outer fold share
-    # packed SMO calls within the working-array cap; then the six class
-    # pairs of every outer fold share packed calls within both caps
+def assert_runs_hold_whole_pairs(stream, calls):
+    """The ``_smo_batch`` calls (chains, n_max) of one pair stream, in order,
+    take the stream's pairs whole and in order, a chain per pair and gamma,
+    and each run but the last closes with the pair that brings it up to a
+    cap, chains x n_max to ``_PACK_CELLS`` or chains x n_max**2 stacked
+    kernel floats to ``_PACK_FLOATS``, and not before.  Returns the calls the
+    stream used up."""
+    from emovox import svm
+
+    def full(run):
+        chains, n_max = sum(c for c, _n in run), max(n for _c, n in run)
+        return chains * n_max >= svm._PACK_CELLS or chains * n_max ** 2 >= svm._PACK_FLOATS
+
+    sizes = [(p.by_g.values.size, p.yv.size) for p in stream]
+    used = 0
+    while sizes:
+        chains, n_max = calls[used]
+        run = []
+        while sum(c for c, _n in run) < chains:
+            run.append(sizes.pop(0))
+        assert sum(c for c, _n in run) == chains and max(n for _c, n in run) == n_max
+        assert len(run) == 1 or not full(run[:-1])
+        assert full(run) or not sizes
+        used += 1
+    return used
+
+
+def packed_nested_cv_runs(monkeypatch, caps=None):
+    """Nested CV of four blob classes with the solver's caps set to ``caps``
+    (chains x n_max, stacked kernel floats): its report, which must equal
+    the one under the default caps, and the (chains, n_max) of its
+    ``_smo_batch`` runs, of its inner and of its outer stream, each checked
+    against the rule.  The class pairs of every usable inner split of every
+    outer fold share packed SMO runs, then the six pairs of every outer fold
+    do."""
     from test_svm import count_solves
 
     from emovox import svm
 
-    calls = count_solves(monkeypatch)
     rng = np.random.default_rng(31)
     samples, feats = blob_dataset(rng, class_names=("angry", "happy", "neutral", "sad"),
                                   n_per=8, sep=2.0, sigma=1.0, n_speakers=8)
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=1)
-    nested_cv(samples, feats, plan, SMALL_GRID)
+    want = format_report(nested_cv(samples, feats, plan, SMALL_GRID))
+    calls = count_solves(monkeypatch)
+    streams = []
+    solve_pairs = svm._solve_pairs
+
+    def recorded(pairs, tol):
+        streams.append([])
+        return solve_pairs((streams[-1].append(p) or p for p in pairs), tol)
+
+    monkeypatch.setattr(svm, "_solve_pairs", recorded)
+    if caps:
+        monkeypatch.setattr(svm, "_PACK_CELLS", caps[0])
+        monkeypatch.setattr(svm, "_PACK_FLOATS", caps[1])
+    assert format_report(nested_cv(samples, feats, plan, SMALL_GRID)) == want
     labels = np.array([s.label for s in samples], dtype=object)
     usable = 0
     for fold in range(plan.k_outer):
@@ -378,16 +421,34 @@ def test_nested_cv_packs_inner_splits_then_outer_folds(monkeypatch):
             fit_labels = labels[fit].tolist()
             usable += bool(val.any() and all(fit_labels.count(cl) >= 2 for cl in set(labels)))
     assert usable > 2 * plan.k_outer
-    # a run never mixes the two streams
-    cut = list(np.cumsum([problems for problems, _n_max in calls])).index(
-        6 * len(SMALL_GRID) * usable) + 1
-    inner_calls, outer_calls = calls[:cut], calls[cut:]
-    assert len(inner_calls) < usable
-    assert sum(problems for problems, _n_max in outer_calls) == 6 * plan.k_outer
-    assert len(outer_calls) < plan.k_outer
-    assert all(problems * n_max <= svm._PACK_CELLS for problems, n_max in calls)
-    # an outer problem is one cell of its pair, so it has a kernel of its own
-    assert all(problems * n_max ** 2 <= svm._PACK_FLOATS for problems, n_max in outer_calls)
+    inner, outer = streams
+    # two gammas: two chains of two C values per inner pair, one one-cell
+    # chain per outer pair
+    assert len(inner) == 6 * usable and len(outer) == 6 * plan.k_outer
+    assert {(len(p.cells), p.by_g.values.size) for p in inner} == {(4, 2)}
+    assert {(len(p.cells), p.by_g.values.size) for p in outer} == {(1, 1)}
+    cut = assert_runs_hold_whole_pairs(inner, calls)  # a run never mixes the two streams
+    assert assert_runs_hold_whole_pairs(outer, calls[cut:]) == len(calls) - cut
+    return calls[:cut], calls[cut:]
+
+
+def test_nested_cv_packs_inner_splits_then_outer_folds(monkeypatch):
+    # a run counts chains (a pair's cells of one gamma), holds each pair
+    # whole and closes at the pair that brings it up to a cap: here every
+    # inner split shares one run, and every outer fold another
+    inner_runs, outer_runs = packed_nested_cv_runs(monkeypatch)
+    assert len(inner_runs) == len(outer_runs) == 1
+
+
+def test_lowered_caps_pack_nested_cv_into_more_runs(monkeypatch):
+    # the same rule under caps that the runs reach, in both streams, some
+    # runs closed by the chains cap alone and one by the kernel-float cap
+    # alone; no output changes
+    inner_runs, outer_runs = packed_nested_cv_runs(monkeypatch, (150, 1800))
+    assert len(inner_runs) > 2 and len(outer_runs) > 1
+    closed = {(chains * n_max >= 150, chains * n_max ** 2 >= 1800)
+              for chains, n_max in inner_runs + outer_runs}
+    assert {(True, False), (False, True)} <= closed
 
 
 def noisy_blobs(seed, n_per=20, noise=12):
@@ -412,10 +473,10 @@ def test_nested_cv_solves_no_dead_cell(monkeypatch):
     for fit, val in (split for splits in usable for split in splits):
         assert split_is_dead(feats[fit], feats[val], 1e3)
         assert not split_is_dead(feats[fit], feats[val], 1e-2)
-    # three class pairs: two live cells in every usable inner split, then one
-    # cell per outer fold
-    assert sum(problems for problems, _n_max in calls) == (
-        3 * 2 * sum(map(len, usable)) + 3 * plan.k_outer)
+    # three class pairs: one chain of the two live cells in every usable
+    # inner split, then one one-cell chain per outer fold
+    assert sum(chains for chains, _n_max in calls) == (
+        3 * sum(map(len, usable)) + 3 * plan.k_outer)
     assert all(fold.gamma == 1e-2 for fold in report.folds)
 
 
@@ -485,7 +546,7 @@ def test_all_dead_grid_takes_the_first_cell_and_fits_it(monkeypatch):
     report = nested_cv(samples, feats, plan, cells)
     # the inner stream solves nothing, the outer one three pairs per fold
     assert streams[0] == [] and len(streams[1]) == plan.k_outer
-    assert sum(problems for problems, _n_max in calls) == 3 * plan.k_outer
+    assert sum(chains for chains, _n_max in calls) == 3 * plan.k_outer
     for fold in report.folds:
         assert (fold.c, fold.gamma) == cells[0]
         assert int(fold.confusion.sum()) == fold.test_count > 0

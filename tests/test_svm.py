@@ -95,38 +95,24 @@ def zero_diagonal_sq(z):
     return sq
 
 
-def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sq=None):
-    """One-problem maximal-violating-pair SMO with scalar steps: the oracle
-    that every cell of the batched solver must reproduce bit for bit.  Its
-    kernel is exp(-gamma * sq), ``sq`` by default ``zero_diagonal_sq(x)``;
-    a class pair of a larger split passes its slice of the split's matrix."""
-    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    n = xm.shape[0]
-    if max_passes is None:
-        max_passes = 10 * n
-    c = float(c)
-
-    k = np.exp(-gamma * (zero_diagonal_sq(xm) if sq is None else sq))
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
+def smo_steps(k, yv, c, alpha, grad, tol, max_passes):
+    """Maximal-violating-pair SMO steps with scalar updates of ``alpha`` and
+    the gradient ``grad`` in place, at most ``max_passes`` of them: whether
+    the solve stopped within them."""
     eps = _BOUND_EPS * (1.0 + c)
-    converged = False
     for _ in range(int(max_passes)):
         below_c = alpha < c - eps
         above_0 = alpha > eps
         up = ((yv > 0) & below_c) | ((yv < 0) & above_0)
         low = ((yv > 0) & above_0) | ((yv < 0) & below_c)
         if not (up.any() and low.any()):
-            converged = True
-            break
+            return True
         viol = -yv * grad
         i = int(np.flatnonzero(up)[np.argmax(viol[up])])
         j = int(np.flatnonzero(low)[np.argmin(viol[low])])
         gap = viol[i] - viol[j]
         if gap <= tol:
-            converged = True
-            break
+            return True
         curv = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
         step = gap / curv
         step = min(step, c - alpha[i] if yv[i] > 0 else alpha[i])
@@ -135,8 +121,14 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sq=None):
         alpha[i] += yv[i] * step
         alpha[j] -= yv[j] * step
         grad += step * yv * (k[:, i] - k[:, j])
+    return False
 
+
+def scalar_machine(xm, yv, k, c, gamma, alpha, converged):
+    """The machine of one dual solved on kernel ``k``: alphas clipped to the
+    box, and the bias by the scalar rule."""
     alpha = np.clip(alpha, 0.0, c)
+    eps = _BOUND_EPS * (1.0 + c)
     u = yv - (alpha * yv) @ k
     free = (alpha > eps) & (alpha < c - eps)
     if free.any():
@@ -154,21 +146,73 @@ def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sq=None):
                      converged, alpha)
 
 
+def scalar_smo(x, y, c, gamma, tol=SMO_TOL, max_passes=None, sq=None):
+    """One-problem maximal-violating-pair SMO with scalar steps: the oracle
+    that every cold solve of the batched solver must reproduce bit for bit.
+    Its kernel is exp(-gamma * sq), ``sq`` by default ``zero_diagonal_sq(x)``;
+    a class pair of a larger split passes its slice of the split's matrix."""
+    return scalar_chain(x, y, [c], gamma, tol, max_passes, sq)[0]
+
+
+def scalar_chain(x, y, cs, gamma, tol=SMO_TOL, max_passes=None, sq=None):
+    """``scalar_smo`` along the box bounds ``cs``, ascending, with the seed
+    and restart arithmetic of ``_smo_batch``: the oracle for every chain.
+    The first C starts cold; each next one starts from the alphas and
+    gradient the last one stopped at, converged or not, kept if an alpha is
+    free in the last box, else the alphas scaled by s = C_k / C_(k-1) and
+    the violation -y * gradient taken to y + s (v - y).  Each C has its own
+    ``max_passes`` (default 10 * n)."""
+    xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    n = xm.shape[0]
+    if max_passes is None:
+        max_passes = 10 * n
+    k = np.exp(-gamma * (zero_diagonal_sq(xm) if sq is None else sq))
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    machines, was = [], None
+    for c in map(float, cs):
+        if was is not None:
+            eps = _BOUND_EPS * (1.0 + was)
+            if not ((alpha > eps) & (alpha < was - eps)).any():
+                scale = c / was
+                alpha = alpha * scale
+                viol = -yv * grad
+                grad = -yv * (yv + scale * (viol - yv))
+        converged = smo_steps(k, yv, c, alpha, grad, tol, max_passes)
+        machines.append(scalar_machine(xm, yv, k, c, gamma, alpha, converged))
+        was = c
+    return machines
+
+
 def scalar_multiclass(x, labels, c, gamma, tol=SMO_TOL):
-    """One-vs-one ensemble of ``scalar_smo`` machines (the oracle for the
-    grid), each on its pair's slice of the distances of all rows of ``x``."""
+    """One-vs-one ensemble of ``scalar_smo`` machines (the oracle for one
+    cell), each on its pair's slice of the distances of all rows of ``x``."""
+    return scalar_chain_multiclass(x, labels, [(c, gamma)], tol)[0]
+
+
+def scalar_chain_multiclass(x, labels, cells, tol=SMO_TOL):
+    """One-vs-one ensembles of ``scalar_chain`` machines, one per (c, gamma)
+    of ``cells``, in order: each pair's cells of one gamma form a chain by
+    ascending C, ties in list order (the oracle for a grid)."""
     scaler = fit_standardizer(x)
     z = scaler.transform(x)
     sq = zero_diagonal_sq(z)
     lab = np.array(labels, dtype=object)
     classes = sorted(set(labels))
-    machines = {}
+    machines = [{} for _cell in cells]
     for ia, a in enumerate(classes):
         for b in classes[ia + 1:]:
             mask = (lab == a) | (lab == b)
-            machines[(a, b)] = scalar_smo(z[mask], np.where(lab[mask] == a, 1.0, -1.0),
-                                          c, gamma, tol=tol, sq=sq[np.ix_(mask, mask)])
-    return MulticlassSvm(tuple(classes), machines, scaler, float(c), float(gamma))
+            for gamma in sorted({g for _c, g in cells}):
+                chain = sorted((c, q) for q, (c, g) in enumerate(cells) if g == gamma)
+                solved = scalar_chain(z[mask], np.where(lab[mask] == a, 1.0, -1.0),
+                                      [c for c, _q in chain], gamma, tol=tol,
+                                      sq=sq[np.ix_(mask, mask)])
+                for (_c, q), machine in zip(chain, solved):
+                    machines[q][(a, b)] = machine
+    return [MulticlassSvm(tuple(classes), pairs, scaler, float(c), float(g))
+            for pairs, (c, g) in zip(machines, cells)]
 
 
 def assert_same_machine(got, want):
@@ -238,13 +282,16 @@ def oracle_grid_predictions(x, labels, x_val, cells, tol=SMO_TOL):
 
 def split_is_dead(x_fit, x_val, gamma):
     """Whether every RBF value between two distinct rows of a split, fit x
-    fit and validation x fit, is 0.0 on rows standardized on the fit rows:
-    each kernel built whole, the fit one on ``zero_diagonal_sq``."""
+    fit and validation x fit, is at most ``_DEAD_KERNEL`` on rows
+    standardized on the fit rows: each kernel built whole, the fit one on
+    ``zero_diagonal_sq``."""
+    from emovox import svm
+
     scaler = fit_standardizer(x_fit)
     z = scaler.transform(x_fit)
     fit_kernel = np.exp(-gamma * zero_diagonal_sq(z))[~np.eye(len(z), dtype=bool)]
     val_kernel = np.exp(-gamma * _sq_distances(scaler.transform(x_val), z))
-    return not fit_kernel.any() and not val_kernel.any()
+    return not (fit_kernel > svm._DEAD_KERNEL).any() and not (val_kernel > svm._DEAD_KERNEL).any()
 
 
 def assert_close(got, want):
@@ -252,19 +299,30 @@ def assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
+def assert_pairs_match_chain_oracle(x, labels, cells, pairs, tol=SMO_TOL):
+    """Every cell's alphas and converged flag of the solved ``pairs`` of a
+    split that fits on ``x`` bit for bit against ``scalar_chain_multiclass``,
+    whose ensembles it returns."""
+    oracle = scalar_chain_multiclass(x, labels, cells, tol)
+    for cell, ref in enumerate(oracle):
+        assert [p.pair for p in pairs] == list(ref.machines)
+        for p in pairs:
+            want = ref.machines[p.pair]
+            assert p.alphas[cell].tobytes() == want.alphas.tobytes()
+            assert bool(p.converged[cell]) is want.converged
+    return oracle
+
+
 def assert_grid_matches_scalar(x, labels, x_val, cells, tol=SMO_TOL):
     """Alphas and converged flags bit for bit, biases and validation decision
-    values to 1e-9 relative, against a ``scalar_multiclass`` per cell."""
+    values to 1e-9 relative, against ``scalar_chain_multiclass``."""
     classes, machines = grid_machines(x, labels, x_val, cells, tol)
     assert classes == tuple(sorted(set(labels)))
-    for cell, (c, g) in enumerate(cells):
-        ref = scalar_multiclass(x, labels, c, g, tol=tol)
+    oracle = assert_pairs_match_chain_oracle(x, labels, cells, machines, tol)
+    for cell, ref in enumerate(oracle):
         z_val = ref.standardizer.transform(x_val)
-        assert [m.pair for m in machines] == list(ref.machines)
         for m in machines:
             want = ref.machines[m.pair]
-            assert np.array_equal(m.alphas[cell], want.alphas)
-            assert bool(m.converged[cell]) is want.converged
             assert_close(m.bias[cell], want.bias)
             assert_close(m.decision[cell], want.decision_values(z_val))
 
@@ -593,7 +651,18 @@ def loop_smo_batch(kernels, kernel_index, y, c, tol, max_passes):
     return np.clip(alpha, 0.0, c[:, None]), converged
 
 
-def solve_packed(problems, tol=SMO_TOL, solver=_smo_batch):
+def one_cell_rows(kernels, kernel_index, y, c, tol, max_passes):
+    """``_smo_batch`` with a chain of one cell per row, row r on kernel
+    ``kernels[kernel_index[r]]``: its alphas (rows, n_max), zero on the
+    padding, and converged flags."""
+    rows, n_max = y.shape
+    alpha = np.zeros((rows, n_max))
+    converged = _smo_batch(kernels[kernel_index], y, c, np.arange(1, rows + 1), tol,
+                           max_passes, alpha.reshape(-1), np.arange(rows) * n_max)
+    return alpha, converged
+
+
+def solve_packed(problems, tol=SMO_TOL, solver=one_cell_rows):
     """One ``solver`` call over ``problems`` padded to the longest n."""
     n_max = max(len(y) for _x, y, *_rest in problems)
     kernels = np.zeros((len(problems) // 2, n_max, n_max))
@@ -626,6 +695,108 @@ def test_packed_smo_matches_lone_scalar_solves(seed):
             assert alpha[p, len(y):].tobytes() == bytes(8 * (alpha.shape[1] - len(y)))
 
 
+def packed_chains(seed, count=12):
+    """Random chains for one packed ``_smo_batch`` call, as (x, y, ascending
+    box bounds, gamma, pass limit), shaped like ``packed_problems``: one to
+    eight C values from 1e-3 to 1e4, some repeated, and on some chains a
+    limit so low that cells expire and seed the next one unconverged."""
+    r = np.random.default_rng(seed)
+    chains = []
+    for p, (x, y, _c, gamma, limit) in enumerate(packed_problems(seed, 2 * count)[::2]):
+        cs = np.sort(10.0 ** r.integers(-3, 5, int(r.integers(1, 9))))
+        chains.append((x, y, cs.tolist(), gamma, limit if p % 3 else max(limit, 4)))
+    return chains
+
+
+def solve_chains(chains, tol=SMO_TOL):
+    """One ``_smo_batch`` call over ``chains``, a kernel each, padded to the
+    longest n: each cell's alphas, as long as its row, and converged flags."""
+    n_max = max(len(y) for _x, y, *_rest in chains)
+    kernels = np.zeros((len(chains), n_max, n_max))
+    y_pad = np.zeros((len(chains), n_max))
+    for r, (x, y, _cs, gamma, _limit) in enumerate(chains):
+        kernels[r, :len(y), :len(y)] = np.exp(-gamma * zero_diagonal_sq(x))
+        y_pad[r, :len(y)] = y
+    lengths = [len(y) for _x, y, cs, *_rest in chains for _c in cs]
+    out = np.full(sum(lengths), np.nan)
+    converged = _smo_batch(kernels, y_pad,
+                           [c for _x, _y, cs, *_rest in chains for c in cs],
+                           np.cumsum([len(cs) for _x, _y, cs, *_rest in chains]), tol,
+                           [limit for *_rest, limit in chains], out,
+                           np.cumsum([0] + lengths[:-1]))
+    return np.split(out, np.cumsum(lengths)[:-1]), converged
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_chains_match_scalar_chains(seed):
+    # every cell of every chain, bit for bit, including cells seeded by an
+    # expired one, and both seeds: the alphas kept and the alphas scaled
+    chains = packed_chains(seed)
+    for tol in (SMO_TOL, 1e-9):
+        alphas, converged = solve_chains(chains, tol)
+        want = [m for x, y, cs, gamma, limit in chains
+                for m in scalar_chain(x, y, cs, gamma, tol, max_passes=limit)]
+        assert len(alphas) == len(want) == converged.size
+        for q, (alpha, machine) in enumerate(zip(alphas, want)):
+            assert alpha.tobytes() == machine.alphas.tobytes(), q
+            assert bool(converged[q]) is machine.converged, q
+        assert converged.any() and not converged.all()
+    seeds = set()  # whether each restart kept the alphas (some free) or scaled them
+    for x, y, cs, gamma, _limit in chains:
+        for was in scalar_chain(x, y, cs, gamma)[:-1]:
+            eps = _BOUND_EPS * (1.0 + was.c)
+            seeds.add(bool(((was.alphas > eps) & (was.alphas < was.c - eps)).any()))
+    assert seeds == {False, True}
+
+
+def dual_gap(alpha, y, k, c):
+    """The largest violation gap of the dual at ``alpha``, from its gradient
+    recomputed whole: max over the up set minus min over the low set."""
+    viol = -y * ((k * np.outer(y, y)) @ alpha - 1.0)
+    eps = _BOUND_EPS * (1.0 + c)
+    up = np.where(y > 0, alpha < c - eps, alpha > eps)
+    low = np.where(y > 0, alpha > eps, alpha < c - eps)
+    return viol[up].max(initial=-np.inf) - viol[low].min(initial=np.inf)
+
+
+def dual_value(alpha, y, k):
+    """The SVM dual sum(alpha) - 0.5 (alpha y)' K (alpha y)."""
+    coef = alpha * y
+    return float(alpha.sum() - 0.5 * coef @ k @ coef)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chained_cells_meet_the_tolerance_of_a_cold_solve(seed):
+    # every cell of a packed chain, expiring ones included, is feasible;
+    # every converged one, seeded by an expired cell or not, has a KKT gap
+    # of at most SMO_TOL and a dual objective within SMO_TOL relative of a
+    # lone cold solve's, or above it where the cold solve expired
+    r = np.random.default_rng(700 + seed)
+    cs = [10.0 ** e for e in range(-3, 5)]
+    chains = []
+    for p in range(12):
+        n = int(r.integers(4, 40))
+        x, y = random_binary_problem(7000 * seed + p, n=n, dim=int(r.integers(1, 8)))
+        gamma = float(10.0 ** r.integers(-3, 2))
+        chains.append((x, y, cs, gamma, 10 * n if p % 4 else int(r.integers(2, n))))
+    alphas, converged = solve_chains(chains)
+    cells = [(x, y, c, gamma) for x, y, cs, gamma, _limit in chains for c in cs]
+    checked = 0
+    for (x, y, c, gamma), alpha, done in zip(cells, alphas, converged):
+        assert np.all((alpha >= 0.0) & (alpha <= c))
+        assert abs(alpha @ y) <= 1e-9 * max(1.0, c * len(y))
+        if not done:
+            continue
+        k = np.exp(-gamma * zero_diagonal_sq(x))
+        cold = scalar_smo(x, y, c, gamma)
+        assert dual_gap(alpha, y, k, c) <= SMO_TOL + 1e-9
+        got, want = dual_value(alpha, y, k), dual_value(cold.alphas, y, k)
+        assert got >= want - SMO_TOL * abs(want)
+        assert not cold.converged or got <= want + SMO_TOL * abs(want)
+        checked += 1
+    assert checked > 50 and not converged.all()
+
+
 def pair_bits(machines):
     return [(m.pair, m.alphas.tobytes(), m.converged.tobytes(), m.bias.tobytes(),
              m.decision.tobytes()) for m in machines]
@@ -636,13 +807,25 @@ def scaler_bits(scaler):
 
 
 def count_solves(monkeypatch):
-    """Record the (problems, n_max) shape of every ``_smo_batch`` call."""
+    """Record the (chains, n_max) shape of every ``_smo_batch`` call."""
     from emovox import svm
 
     calls = []
     solve = svm._smo_batch
-    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[2].shape) or solve(*a))
+    monkeypatch.setattr(svm, "_smo_batch", lambda *a: calls.append(a[1].shape) or solve(*a))
     return calls
+
+
+def pair_records(monkeypatch):
+    """Record each ``_Pair`` as ``_solve_pairs`` reads it: with its fit x
+    fit distances, which the pairs it yields no longer hold."""
+    from emovox import svm
+
+    records = []
+    solve_pairs = svm._solve_pairs
+    monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: solve_pairs(
+        (records.append(p) or p for p in pairs), tol))
+    return records
 
 
 def four_class_rows():
@@ -661,22 +844,24 @@ def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
     calls = count_solves(monkeypatch)
     whole = grid_machines(x, labels, x[::3], GRID_CELLS)
     model = train_multiclass(x, labels, 10.0, 0.1)
-    assert calls == [(6 * len(GRID_CELLS), 22), (6, 22)]
+    # one chain per pair and gamma, its four C values in turn
+    assert calls == [(6 * 4, 22), (6, 22)]
+    assert_pairs_match_chain_oracle(x, labels, GRID_CELLS, whole[1])
     # pairs of 14, 22, 16, 18, 12 and 20 rows and 4 gammas: a run closes with
     # the pair that brings (pairs x 4) kernels of its largest n squared up to
     # the cap, here the third one
     monkeypatch.setattr(svm, "_PACK_FLOATS", 3 * 4 * 22 ** 2 - 1)
     calls.clear()
     split = grid_machines(x, labels, x[::3], GRID_CELLS)
-    assert calls == [(3 * len(GRID_CELLS), 22), (3 * len(GRID_CELLS), 20)]
+    assert calls == [(3 * 4, 22), (3 * 4, 20)]
     assert pair_bits(split[1]) == pair_bits(whole[1])
-    # problems x n_max up to 40 x 22: the third pair passes it (48 x 22), and
-    # the last three pairs end the stream at 48 x 20
+    # chains x n_max up to 10 x 22: the third pair passes it (12 x 22), and
+    # the last three pairs end the stream at 12 x 20
     monkeypatch.setattr(svm, "_PACK_FLOATS", 2 ** 21)
-    monkeypatch.setattr(svm, "_PACK_CELLS", 40 * 22)
+    monkeypatch.setattr(svm, "_PACK_CELLS", 10 * 22)
     calls.clear()
     split = grid_machines(x, labels, x[::3], GRID_CELLS)
-    assert calls == [(3 * len(GRID_CELLS), 22), (3 * len(GRID_CELLS), 20)]
+    assert calls == [(3 * 4, 22), (3 * 4, 20)]
     assert pair_bits(split[1]) == pair_bits(whole[1])
     monkeypatch.setattr(svm, "_PACK_FLOATS", 1)
     calls.clear()
@@ -685,9 +870,9 @@ def test_kernel_cap_splits_a_solve_into_runs_with_the_same_bits(monkeypatch):
 
 
 def test_runs_hold_whole_pairs_each_stacked_once(monkeypatch):
-    # with problems x n_max capped below the 16 x 22 of pair (a, c), a pair
+    # with chains x n_max capped below the 4 x 22 of pair (a, c), a pair
     # that reaches the cap on its own is a run by itself, (b, c) closes the
-    # run it joins, and no run cuts a pair's cells
+    # run it joins, and no run cuts a pair's chains
     from emovox import svm
 
     x, labels = four_class_rows()
@@ -695,12 +880,12 @@ def test_runs_hold_whole_pairs_each_stacked_once(monkeypatch):
     runs = []
     solve = svm._smo_batch
     monkeypatch.setattr(svm, "_smo_batch",
-                        lambda *a: runs.append((a[0].shape[0],) + a[2].shape) or solve(*a))
-    monkeypatch.setattr(svm, "_PACK_CELLS", 16 * 20)
+                        lambda *a: runs.append((a[0].shape[0],) + a[1].shape) or solve(*a))
+    monkeypatch.setattr(svm, "_PACK_CELLS", 4 * 20)
     split = grid_machines(x, labels, x[::3], GRID_CELLS)
-    assert [run[1:] for run in runs] == [(16, 14), (16, 22), (32, 18), (16, 12), (16, 20)]
-    # 16 cells and 4 gammas a pair: every run stacks 4 kernels for each of its pairs
-    assert [kernels for kernels, _problems, _n_max in runs] == [4, 4, 8, 4, 4]
+    assert [run[1:] for run in runs] == [(4, 14), (4, 22), (8, 18), (4, 12), (4, 20)]
+    # 4 gammas a pair: every run stacks a kernel for each of its chains
+    assert [kernels for kernels, _chains, _n_max in runs] == [4, 4, 8, 4, 4]
     assert pair_bits(split[1]) == pair_bits(whole[1])
 
 
@@ -730,11 +915,13 @@ def test_many_splits_match_one_call_per_split(cap, monkeypatch):
         monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
         monkeypatch.setattr(svm, "_PACK_CELLS", cap)
     packed = list(_fit_splits(x, splits, SMO_TOL))
-    problems = sum(len(m.bias) for _classes, _scaler, machines in packed for m in machines)
-    assert sum(n for n, _n_max in calls) == problems == 9 * 3 + 4 * 1 + 9 * 3 + 1 * 1
-    # with cap 1 every pair is a run by itself, all its cells together
-    assert [n for n, _n_max in calls] == ([len(m.bias) for _classes, _scaler, machines in packed
-                                            for m in machines] if cap else [problems])
+    # a chain per pair and gamma: 3, 3, 3 and 1 gammas
+    chains = [m.by_g.values.size for _classes, _scaler, machines in packed for m in machines]
+    assert sum(n for n, _n_max in calls) == sum(chains) == 3 * 3 + 3 * 1 + 3 * 3 + 1 * 1
+    # with cap 1 every pair is a run by itself, all its chains together
+    assert [n for n, _n_max in calls] == (chains if cap else [sum(chains)])
+    for (fit, fit_labels, _val, split_cells), (_classes, _scaler, machines) in zip(splits, packed):
+        assert_pairs_match_chain_oracle(x[fit], fit_labels, split_cells, machines)
     assert [classes for classes, _scaler, _machines in packed] == [
         tuple("abc"), ("a", "b"), tuple("abc"), ("b", "c")]
     for (classes, scaler, machines), (want_classes, want_scaler, want) in zip(packed, one_by_one):
@@ -813,10 +1000,29 @@ def test_grid_matches_scalar_oracle(n_classes):
         assert_grid_matches_scalar(x, labels, x_val, GRID_CELLS)
         guesses = split_predictions(x, labels, x_val, GRID_CELLS)
         assert guesses.shape == (len(GRID_CELLS), len(x_val))
-        for (c, g), row in zip(GRID_CELLS, guesses):
+        chained = scalar_chain_multiclass(x, labels, GRID_CELLS)
+        for (c, g), row, oracle in zip(GRID_CELLS, guesses, chained):
             model = train_multiclass(x, labels, c, g)
             assert_same_ensemble(model, scalar_multiclass(x, labels, c, g))
-            assert [names[i] for i in row] == predict_with_margins(model, x_val)[0]
+            assert [names[i] for i in row] == predict_with_margins(oracle, x_val)[0]
+            if c == GRID_CELLS[0][0]:  # the first cell of its gamma's chain is a lone solve
+                assert_same_ensemble(model, oracle)
+
+
+def test_cells_in_any_order_solve_as_chains_by_ascending_c():
+    # a cell list in no order, with a repeated cell: each gamma's cells are
+    # one chain by ascending C, ties in list order, and every cell's output
+    # is reported at its own place in the list; the repeat starts where its
+    # twin stopped: a converged twin leaves it nothing to do, an expired one
+    # is carried on
+    rng = np.random.default_rng(0)
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (1.5, 0.0), "c": (0.0, 1.5)}, 9, sigma=1.0)
+    cells = [(100.0, 0.3), (1e-2, 3.0), (1.0, 0.3), (100.0, 0.3), (1e4, 3.0), (1e-2, 0.3)]
+    assert_grid_matches_scalar(x, labels, x[::4], cells)
+    _classes, machines = grid_machines(x, labels, x[::4], cells)
+    assert 0 < sum(m.converged[0] for m in machines) < len(machines)
+    for m in machines:
+        assert (m.alphas[3].tobytes() == m.alphas[0].tobytes()) is bool(m.converged[0])
 
 
 def test_grid_unconverged_cells_match_scalar_oracle():
@@ -917,7 +1123,7 @@ def test_dead_cells_match_whole_kernels():
 
 
 @pytest.mark.parametrize("n_classes", [2, 4])
-def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes):
+def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes, monkeypatch):
     # the solver reads kernel rows as columns and takes K_ii = 1 for every gamma
     r = np.random.default_rng(30 + n_classes)
     labels = ["abcd"[i % n_classes] for i in range(57)]
@@ -926,8 +1132,11 @@ def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes):
     scaler, sq, sq_val = _split_distances(x[fit], x[val])
     assert scaler_bits(scaler) == scaler_bits(fit_standardizer(x[fit]))
     assert sq.shape == (45, 45) and sq_val.shape == (12, 45)
-    (_classes, _scaler, pairs), = _fit_splits(x, [(fit, labels[:45], val, [(1.0, 0.1)])], SMO_TOL)
-    assert len(pairs) == n_classes * (n_classes - 1) // 2
+    pairs = pair_records(monkeypatch)
+    (_classes, _scaler, solved), = _fit_splits(x, [(fit, labels[:45], val, [(1.0, 0.1)])],
+                                               SMO_TOL)
+    assert len(pairs) == len(solved) == n_classes * (n_classes - 1) // 2
+    assert all(p.sq is None for p in solved)  # dropped once the kernels are stacked
     for m in [sq] + [p.sq for p in pairs]:
         assert m.tobytes() == m.T.copy().tobytes()
         assert not m.diagonal().any()
@@ -936,30 +1145,58 @@ def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes):
         assert p.sq_val.tobytes() == sq_val[:, p.rows].tobytes()
 
 
-def underflow_edge(d):
-    """The largest gamma whose kernel value exp(-gamma * d) is above 0.0,
-    and the next double above it, whose value is 0.0."""
-    live, dead = 700.0 / d, 800.0 / d
+def test_the_pair_of_a_binary_split_reads_the_split_distances(monkeypatch):
+    # the one pair of a two-class split holds every fit row, so it reads the
+    # split's own matrices, not a copy; the pairs of a larger split hold
+    # their slices of them
+    from emovox import svm
+
+    made = []
+    split_distances = svm._split_distances
+    monkeypatch.setattr(svm, "_split_distances",
+                        lambda *a: made.append(split_distances(*a)) or made[-1])
+    records = pair_records(monkeypatch)
+    x = np.random.default_rng(8).standard_normal((30, 6))
+    fit, val = np.arange(24), np.arange(24, 30)
+    list(_fit_splits(x, [(fit, ["ab"[i % 2] for i in range(24)], val, [(1.0, 0.1)]),
+                         (fit, ["abc"[i % 3] for i in range(24)], val, [(1.0, 0.1)])], SMO_TOL))
+    pair, *pairs = records
+    (_scaler, sq, sq_val), (_scaler3, sq3, sq_val3) = made
+    assert pair.rows.all() and pair.sq is sq and pair.sq_val is sq_val
+    assert len(pairs) == 3
+    for p in pairs:
+        assert not (np.shares_memory(p.sq, sq3) or np.shares_memory(p.sq_val, sq_val3))
+        assert p.sq.tobytes() == sq3[np.ix_(p.rows, p.rows)].tobytes()
+        assert p.sq_val.tobytes() == sq_val3[:, p.rows].tobytes()
+
+
+def kernel_edge(d, level):
+    """The largest gamma whose kernel value exp(-gamma * d) is above
+    ``level``, and the next double above it, whose value is not."""
+    live, dead = 0.0, 800.0 / d
     while np.nextafter(live, np.inf) < dead:
         mid = 0.5 * (live + dead)
         if mid in (live, dead):
             break
-        live, dead = (mid, dead) if np.exp(-mid * d) > 0.0 else (live, mid)
+        live, dead = (mid, dead) if np.exp(-mid * d) > level else (live, mid)
     return live, dead
 
 
 def pair_kernels_dead(pairs, gamma):
     """Whether every kernel value the solver and the scorer build for the
-    pair records at ``gamma`` between distinct rows is exactly 0.0."""
-    return all(not np.exp(-gamma * p.sq)[~np.eye(len(p.sq), dtype=bool)].any()
-               and not np.exp(-gamma * p.sq_val).any() for p in pairs)
+    pair records at ``gamma`` between distinct rows is at most
+    ``_DEAD_KERNEL``."""
+    from emovox import svm
+
+    return all(not (np.exp(-gamma * p.sq)[~np.eye(len(p.sq), dtype=bool)] > svm._DEAD_KERNEL).any()
+               and not (np.exp(-gamma * p.sq_val) > svm._DEAD_KERNEL).any() for p in pairs)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_dead_cells_agree_with_the_pair_records_at_the_underflow_edge(seed):
-    # the two gammas either side of the last one that leaves a kernel value
-    # above 0.0 on the pair records: the dead test must read the very
-    # distances the solver and the scorer read, not its own rounding of them
+def dead_cells_at_the_edge(seed, level, monkeypatch):
+    """``dead_cells`` of a random split of 2 to 4 classes, on up to 600
+    dims, at gammas 1e-3, either side of the edge where the kernel value at
+    the smallest distance of its pair records falls to ``level``, and 1e6,
+    and whether the pair records' kernels are dead at each."""
     r = np.random.default_rng(seed)
     k = 2 + seed % 3
     n, dim = int(r.integers(16, 40)), int(r.integers(20, 600))
@@ -967,14 +1204,37 @@ def test_dead_cells_agree_with_the_pair_records_at_the_underflow_edge(seed):
     x = r.standard_normal((n, dim)) * r.uniform(0.5, 3.0, dim)
     n_fit = n - int(r.integers(3, 8))
     fit, val = np.arange(n_fit), np.arange(n_fit, n)
-    (_classes, _scaler, pairs), = _fit_splits(x, [(fit, labels[:n_fit], val, [(1.0, 1.0)])],
-                                              SMO_TOL)
+    pairs = pair_records(monkeypatch)
+    list(_fit_splits(x, [(fit, labels[:n_fit], val, [(1.0, 1.0)])], SMO_TOL))
     nearest = min(min(p.sq[~np.eye(len(p.sq), dtype=bool)].min(), p.sq_val.min())
                   for p in pairs)
-    gammas = [1e-3, *underflow_edge(nearest), 1e6]
+    gammas = [1e-3, *kernel_edge(nearest, level), 1e6]
     got = next(dead_cells(x, [(fit, labels[:n_fit], val, [(1.0, g) for g in gammas])]))
-    assert got.tolist() == [pair_kernels_dead(pairs, g) for g in gammas]
-    assert got.tolist() == [False, False, True, True]
+    return got.tolist(), [pair_kernels_dead(pairs, g) for g in gammas]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dead_cells_agree_with_the_pair_records_at_the_underflow_edge(seed, monkeypatch):
+    # the two gammas either side of the last one that leaves a kernel value
+    # above 0.0 on the pair records, with the dead level at 0.0: the dead
+    # test must read the very distances the solver and the scorer read, not
+    # its own rounding of them
+    from emovox import svm
+
+    monkeypatch.setattr(svm, "_DEAD_KERNEL", 0.0)
+    got, want = dead_cells_at_the_edge(seed, 0.0, monkeypatch)
+    assert got == want == [False, False, True, True]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dead_cells_agree_with_the_pair_records_at_the_near_dead_edge(seed, monkeypatch):
+    # the same at the edge where the largest kernel value on the pair
+    # records falls to _DEAD_KERNEL: a gamma that leaves one value above it
+    # is live, the next double up is dead
+    from emovox import svm
+
+    got, want = dead_cells_at_the_edge(seed, svm._DEAD_KERNEL, monkeypatch)
+    assert got == want == [False, False, True, True]
 
 
 def test_grid_validation(rng):
