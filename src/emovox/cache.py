@@ -1,8 +1,12 @@
 """Content-addressed feature cache.
 
-Keys are sha256 digests over (audio bytes, scheme tag, extractor version), so
-a hit returns the stored vector bit-identically and any version bump or model
-change produces a different key.  An entry holds a vector's scheme, values and
+Keys are sha256 digests over (extractor version, scheme tag, sha256 digest
+of the audio bytes), so a hit returns the stored vector bit-identically and
+any version bump or model change produces a different key; a row's bytes are
+hashed once (``audio_digest``), whatever number of schemes it is keyed for.
+Keys were once taken over the audio bytes themselves: entries written under
+that rule are never read again, and miss and are recomputed once, as on a
+version bump.  An entry holds a vector's scheme, values and
 warning, not the manifest row it came from, so byte-identical files share one.
 Entries are EMVX containers written temp-then-rename, so concurrent writers
 are safe.
@@ -18,12 +22,20 @@ from .features import FeatureVector
 from .modelio import read_container, write_container
 
 
-def feature_key(audio_bytes: bytes, scheme_tag: str, version: str) -> str:
+def audio_digest(audio_bytes: bytes) -> bytes:
+    """The sha256 digest of a file's bytes, which ``feature_key`` takes."""
+    return hashlib.sha256(audio_bytes).digest()
+
+
+def feature_key(audio_sha256: bytes, scheme_tag: str, version: str) -> str:
+    """The cache key of a file's vector of one scheme, from its ``audio_digest``."""
+    if len(audio_sha256) != 32:
+        raise ValueError("feature_key takes the 32-byte sha256 digest of the audio bytes")
     h = hashlib.sha256()
     h.update(b"emovox-feature\0")
     h.update(version.encode("utf-8") + b"\0")
     h.update(scheme_tag.encode("utf-8") + b"\0")
-    h.update(audio_bytes)
+    h.update(audio_sha256)
     return h.hexdigest()
 
 

@@ -3,20 +3,18 @@
 Fold plans are built once (speaker-independent plans never split a speaker
 across folds, at either level) and the nested loop selects (C, gamma) on inner
 folds only, so outer-test predictions can never influence a decision.  The
-bookkeeping that proves that is stored on the report.  The loop first plans
-every usable inner split of every outer fold and drops, per fold, the cells
-that ``svm.dead_cells`` finds dead in all of its inner splits (every kernel
-value between distinct rows is at most 1e-20, so the machines decide by
-their biases and every row gets one class).  It then solves and scores the
-live cells of every split in one ``svm.grid_predictions`` call (a cells x
-validation rows prediction matrix per split, no per-cell model), solved in
-packed runs of whole class pairs, each pair one chain per gamma that runs
-through its C values in ascending order, each C warm-started from the one
-before, and each run closed by the pair that brings it up to one of the
-solver's two caps.  Per fold it takes the inner UARs from those matrices and
-selects a live cell.  A second call fits every outer fold as a one-cell
-split, a lone cold solve trained on its training rows and scored on its test
-rows, which gives the fold's labels, ROC scores and converged flag.
+bookkeeping that proves that is stored on the report.  One
+``svm.grid_predictions`` stream solves and scores every usable inner split
+of every outer fold (a cells x validation rows prediction matrix per split,
+no per-cell model) in packed runs of whole class pairs, each pair one chain
+per gamma through its C values in ascending order, each C warm-started from
+the one before.  On reaching a fold the stream makes each of its splits'
+distances once: ``svm.dead_cells`` reads them for the cells dead in all the
+fold's splits (every kernel value between distinct rows is at most 1e-20, so
+the machines' biases give every row one class), and the splits bring them
+into the stream with the live cells.  Each fold selects a live cell by its
+inner UARs.  A second call fits each outer fold as a one-cell split, a lone
+cold solve: the fold's labels, ROC scores and converged flag.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from .arrays import frozen
 from .errors import EvaluationError
 from .manifest import ManifestRow
-from .svm import dead_cells, grid_predictions
+from .svm import _split_distances, dead_cells, grid_predictions
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -377,13 +375,13 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
     the first cell, in C-major order the smallest C, then gamma).  Inner folds
     whose training part lacks a trainable class are skipped.  A cell is dead
     for a fold when ``svm.dead_cells`` finds it dead in every usable inner
-    split of the fold: its gamma leaves every kernel value between distinct
-    rows at or below 1e-20, so it can only give every row one class, its
-    machines' biases deciding.  Dead cells
-    are not solved and cannot be selected; a cell dead in only some of the
-    fold's inner splits is solved and scored in all of them.  A fold whose
-    cells are all dead, or that has no usable inner fold, takes the first
-    cell, and its outer fit is solved as any other.
+    split of the fold, on the distances its pairs then solve on: its gamma
+    leaves every kernel value between distinct rows at or below 1e-20, so it
+    can only give every row one class, its machines' biases deciding.  Dead
+    cells are not solved and cannot be selected; a cell dead in only some of
+    the fold's inner splits is solved and scored in all of them.  A fold
+    whose cells are all dead, or that has no usable inner fold, takes the
+    first cell, and its outer fit is solved as any other.
     """
     ids = tuple(r.path for r in rows)
     if ids != plan.source_ids:
@@ -408,7 +406,7 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
 
     outer = np.asarray(plan.outer)
     truth_index = np.array([classes.index(label) for label in labels])
-    splits = []  # (outer fold, fit mask, fit labels, validation mask) of each usable inner split
+    usable = []  # per outer fold: (fit mask, fit labels, validation mask) per usable inner split
     leakage = []
     for fold in range(plan.k_outer):
         test_mask = outer == fold
@@ -416,6 +414,7 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             raise EvaluationError("outer fold %d is degenerate" % fold)
         inner_assign = np.asarray(plan.inner[fold])
         touched_ids = set()
+        usable.append([])
         for inner_fold in range(plan.k_inner):
             val_mask = inner_assign == inner_fold
             fit_mask = (inner_assign != -1) & (inner_assign != inner_fold)
@@ -425,7 +424,7 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             if any(fit_labels.count(cl) < 2 for cl in classes):
                 continue  # a class is missing or untrainable in this inner split
             touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
-            splits.append((fold, fit_mask, fit_labels, val_mask))
+            usable[fold].append((fit_mask, fit_labels, val_mask))
 
         test_ids = set(np.array(ids)[test_mask].tolist())
         overlap = touched_ids & test_ids
@@ -435,23 +434,27 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
             )
         leakage.append((len(touched_ids), len(test_ids), 0))
 
-    dead = np.ones((plan.k_outer, len(cells)), dtype=bool)  # dead in every usable inner split
-    for (fold, *_split), split_dead in zip(splits, dead_cells(
-            x, [(fit, fit_labels, val, cells) for _f, fit, fit_labels, val in splits])):
-        dead[fold] &= split_dead
-    live = [np.flatnonzero(~fold_dead) for fold_dead in dead]
-    solved = [split for split in splits if live[split[0]].size]
+    gammas = np.array([g for _c, g in cells], dtype=np.float64)
+    live = {}  # each fold's cells that are not dead in every usable inner split
+    streamed = []  # (fold, validation mask) of each split the inner stream yields
+
+    def inner_stream():
+        for fold, fold_splits in enumerate(usable):
+            made = [_split_distances(x[fit], x[val]) for fit, _labels, val in fold_splits]
+            dead = np.all([dead_cells(sq, sq_val, gammas) for _s, sq, sq_val in made], axis=0)
+            live[fold] = [cells[k] for k in np.flatnonzero(~dead)] if made else []
+            for fit, fit_labels, val in fold_splits if live[fold] else ():
+                streamed.append((fold, val))
+                yield fit, fit_labels, val, live[fold], made.pop(0)  # then held by its pairs alone
+
+    uars = [[] for _fold in usable]
     # every class is in each inner split's fit rows, so indices refer to ``classes``
-    inner_guesses = [guesses for _classes, guesses, _margins, _ok in grid_predictions(
-        x, [(fit, fit_labels, val, [cells[k] for k in live[f]])
-            for f, fit, fit_labels, val in solved])]
-    chosen = []
-    for fold, fold_live in enumerate(live):
-        uars = [_inner_uars(truth_index[val], guesses)
-                for (f, _fit, _labels, val), guesses in zip(solved, inner_guesses) if f == fold]
-        # first best live cell: smallest C, then gamma; with none, the first cell
-        chosen.append(cells[fold_live[int(np.argmax(np.mean(uars, axis=0)))]] if uars
-                      else cells[0])
+    for i, (_classes, guesses, _margins, _ok) in enumerate(grid_predictions(x, inner_stream())):
+        fold, val = streamed[i]
+        uars[fold].append(_inner_uars(truth_index[val], guesses))
+    # first best live cell: smallest C, then gamma; with none, the first cell
+    chosen = [live[fold][int(np.argmax(np.mean(fold_uars, axis=0)))] if fold_uars else cells[0]
+              for fold, fold_uars in enumerate(uars)]
 
     test_masks = [outer == fold for fold in range(plan.k_outer)]
     outer_fits = grid_predictions(x, [(~test, labels[~test].tolist(), test, [cell])

@@ -25,7 +25,7 @@ import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .cache import FeatureCache, feature_key
+from .cache import FeatureCache, audio_digest, feature_key
 from .config import ExperimentConfig
 from .errors import ConfigError, EmovoxError
 from .features import FeatureVector, fuse
@@ -146,11 +146,12 @@ class ExtractionResult:
 def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
     with open(row.path, "rb") as fh:
         raw = fh.read()
+    digest = audio_digest(raw) if cache else None  # the bytes are hashed once per row
     analysis = None   # built on the first cache miss and shared by every scheme
     parts = []
     hits = computed = 0
     for scheme in schemes:
-        key = feature_key(raw, models.tag(scheme), EXTRACTOR_VERSION) if cache else None
+        key = feature_key(digest, models.tag(scheme), EXTRACTOR_VERSION) if cache else None
         vec = cache.get(key, scheme) if cache else None
         if vec is not None:
             hits += 1
@@ -224,6 +225,12 @@ def feature_csv(source_ids, vectors) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["source_id"] + ["f%d" % i for i in range(dim)])
+    values = ",%.17g" * dim + "\n"  # one % per row, not one per value
     for source_id, v in zip(source_ids, vectors, strict=True):
-        writer.writerow([source_id] + ["%.17g" % x for x in v.values])
+        # csv quotes the id as it would in the whole row; the values then
+        # replace the empty cell after it and the line end
+        writer.writerow((source_id, ""))
+        buf.seek(buf.tell() - 2)
+        buf.truncate()
+        buf.write(values % tuple(v.values.tolist()))
     return buf.getvalue()

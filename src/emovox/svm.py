@@ -13,12 +13,12 @@ a stream of class pairs (``_Pair``), one chain per gamma each, which
 ``_solve_pairs`` packs into runs of whole pairs, a run closing with the pair
 that brings it up to one of two caps (so it may pass a cap by that pair).
 A one-cell split is a chain of one, solved cold.  ``_split_distances``
-standardizes a split on its fit rows and makes its squared distances: fit x
-fit, exactly symmetric with a zero diagonal, and validation x fit.
-``_fit_splits`` calls it once per split and every pair solves and scores on
-its slice; ``dead_cells`` calls it again (nested CV standardizes each inner
-split twice) to find the cells whose gamma leaves no kernel value between
-distinct rows above ``_DEAD_KERNEL``.
+standardizes a split on its fit rows and makes its squared distances once:
+fit x fit, exactly symmetric with a zero diagonal, and validation x fit.
+``_fit_splits`` calls it unless a split brings them, as nested CV's inner
+splits do once ``dead_cells`` has read them for the cells whose gamma leaves
+no kernel value between distinct rows above ``_DEAD_KERNEL``.  Every pair
+holds its split's matrices, no copy, taking its block only to stack and score.
 ``train_multiclass`` is one split of every row and one cell;
 ``grid_predictions`` scores many splits' held-out rows with all their cells
 at once: the inner grid of nested CV, and its outer fits as one-cell
@@ -311,16 +311,16 @@ def _by_gamma(cells) -> _Gammas:
 
 class _Pair(NamedTuple):
     """Class pair (a, b) of one split: its inputs, and its outputs per (c, gamma)
-    cell of the split, which ``_solve_pairs`` and ``_fit_splits`` fill in.
-    ``_solve_pairs`` sets its alphas, a view of its run's output, and drops
-    its fit x fit distances once its kernels are stacked."""
+    cell of the split, which ``_solve_pairs`` and ``_fit_splits`` fill in,
+    dropping the split's fit x fit distances once its kernels are stacked and
+    the validation ones once it is scored; its alphas view its run's output."""
 
     split: int             # the split's index in its stream
     pair: Tuple            # (a, b)
     rows: np.ndarray       # the split's fit rows of class a or b, a mask
     yv: np.ndarray         # their labels: +1 for a, -1 for b
-    sq: Optional[np.ndarray]  # their slice of the split's fit x fit squared distances
-    sq_val: np.ndarray     # and of its validation x fit ones (the split's own, if every row)
+    sq: Optional[np.ndarray]      # the split's fit x fit squared distances, block [rows][:, rows]
+    sq_val: Optional[np.ndarray]  # and its validation x fit ones, columns [:, rows]
     cells: np.ndarray      # the split's (cells, 2) array of (c, gamma) rows
     by_g: _Gammas          # their gammas, grouped
     alphas: Optional[np.ndarray]  # (cells, rows), clipped to each cell's box
@@ -354,10 +354,9 @@ def _solve_pairs(pairs, tol):
     n_max up to ``_PACK_CELLS`` or its stacked kernels, one per chain and
     n_max**2 floats each, up to ``_PACK_FLOATS``, so a run may pass a cap by
     its last pair; a pair that reaches a cap on its own is a run by itself.
-    Each pair's kernels are stacked once, one ``exp`` over all its gammas,
-    and its biases come from them; its alphas are its slice of the run's one
-    output, and it is yielded without its fit x fit distances, so a split's
-    solved pairs wait for the rest of the split holding none.
+    Each pair's kernels are stacked once, one ``exp`` over all its gammas of
+    its block of the split's fit x fit distances, and give its biases; its
+    alphas are its slice of the run's one output.
     """
     def full(chains, n_max):
         return chains * n_max >= _PACK_CELLS or chains * n_max * n_max >= _PACK_FLOATS
@@ -375,7 +374,7 @@ def _solve_pairs(pairs, tol):
             n = p.yv.size
             labels[first[k]:first[k + 1], :n] = p.yv
             stacked[first[k]:first[k + 1], :n, :n] = np.exp(
-                -p.by_g.values[:, None, None] * p.sq)
+                -p.by_g.values[:, None, None] * p.sq[np.ix_(p.rows, p.rows)])
             slot[edges[k]:edges[k + 1]] = base + p.by_g.order * n
             solved.append(p._replace(alphas=out[base:base + len(p.cells) * n].reshape(-1, n),
                                      sq=None))
@@ -488,44 +487,45 @@ def _fit_splits(x, splits, tol):
     ``_Pair`` per class pair, a < b, with +1 for a: alphas and converged
     flags for every cell from its chain (``_solve_pairs``; a chain's first
     cell has ``train_multiclass(x[fit], labels, c, gamma, tol)``'s), biases,
-    and its pair machines' ``decision_values`` on ``x[val]``.  All splits'
-    pairs, their rows' slices of the split's ``_split_distances`` (the
-    matrices themselves for the one pair of a binary split), stream through
-    ``_solve_pairs``, built as it reads them; a pair's validation decisions
-    come once its run's stacked kernels are freed, from one ``exp`` over all
-    its gammas."""
+    and its pair machines' ``decision_values`` on ``x[val]``.  A split may
+    bring its ``_split_distances(x[fit], x[val])`` as a fifth item.  All
+    splits' pairs, holding their split's matrices, stream through
+    ``_solve_pairs``, built as it reads them; a pair is scored as it comes
+    out, by one ``exp`` over all its gammas, and then drops the matrices."""
     x = np.asarray(x, dtype=np.float64)
     fitted = {}  # each split's classes and standardizer, until its pairs are solved
 
     def pairs():
-        for s, (fit, labels, val, cells) in enumerate(splits):
+        for s, (fit, labels, val, cells, *made) in enumerate(splits):
             cells = np.array(cells, dtype=np.float64).reshape(-1, 2)
             if not np.all((cells > 0) & (cells < np.inf)):
                 raise TrainingError("C and gamma must be finite and positive")
-            xm = np.atleast_2d(x[fit])
             lab = list(labels)
-            if len(lab) != xm.shape[0]:
+            if len(lab) != np.arange(len(x))[fit].size:  # the fit rows, counted, not copied
                 raise TrainingError("label count does not match sample count")
             classes = tuple(trainable_classes(lab))
-            scaler, sq, sq_val = _split_distances(xm, x[val])
+            scaler, sq, sq_val = made[0] if made else _split_distances(x[fit], x[val])
             fitted[s] = classes, scaler
             by_g, m, lab_arr = _by_gamma(cells), len(cells), np.array(lab, dtype=object)
             for a, b in itertools.combinations(classes, 2):
                 rows = (lab_arr == a) | (lab_arr == b)
-                # the one pair of a binary split reads the split's matrices
-                whole = rows.all()
-                yield _Pair(s, (a, b), rows, np.where(lab_arr[rows] == a, 1.0, -1.0),
-                            sq if whole else sq[np.ix_(rows, rows)],
-                            sq_val if whole else sq_val[:, rows], cells, by_g, None,
-                            np.zeros(m, dtype=bool), np.zeros(m), np.empty((m, sq_val.shape[0])))
-            del sq, sq_val  # the pairs hold their slices; free the split's matrices
+                yield _Pair(s, (a, b), rows, np.where(lab_arr[rows] == a, 1.0, -1.0), sq, sq_val,
+                            cells, by_g, None, np.zeros(m, dtype=bool), np.zeros(m),
+                            np.empty((m, sq_val.shape[0])))
+            del made, sq, sq_val  # the pairs alone hold the split's matrices
 
-    for s, solved in itertools.groupby(_solve_pairs(pairs(), tol), key=lambda p: p.split):
-        solved = list(solved)
-        for p in solved:
-            kernels = np.exp(-p.by_g.values[:, None, None] * p.sq_val).transpose(0, 2, 1)
-            np.add(_cell_products(p, kernels), p.bias[:, None], out=p.decision)
-        yield (*fitted.pop(s), solved)
+    def scored(p):
+        kernels = np.exp(-p.by_g.values[:, None, None] * p.sq_val[:, p.rows]).transpose(0, 2, 1)
+        np.add(_cell_products(p, kernels), p.bias[:, None], out=p.decision)
+        return p._replace(sq_val=None)
+
+    split = []
+    for p in map(scored, _solve_pairs(pairs(), tol)):
+        split.append(p)
+        if p.pair == fitted[p.split][0][-2:]:  # the split's last pair
+            del p  # the split lives on in what is yielded alone
+            yield (*fitted.pop(split[0].split), split)
+            split = []
 
 
 def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) -> MulticlassSvm:
@@ -533,7 +533,7 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
 
     In each pairwise machine the lexicographically smaller class takes the +1
     side.  This is ``_fit_splits`` on one split, every row and one cell, with
-    no validation rows: all pairs are solved together, each on its slice of
+    no validation rows: all pairs are solved together, each on its block of
     the split's distances, so with two classes the machine is
     ``train_binary_smo`` of the split, bit for bit.
     """
@@ -545,30 +545,26 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
     return MulticlassSvm(classes, machines, scaler, float(c), float(gamma))
 
 
-def dead_cells(x, splits):
-    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
-    ``x``, a bool array (cells,): True for a cell whose gamma leaves every
-    kernel value between two distinct rows of the split, fit x fit and
-    validation x fit, at or below ``_DEAD_KERNEL``.  A pair machine's
-    decision is its bias plus sum_i alpha_i y_i k_i with 0 <= alpha_i <= C,
-    so such kernel values move it by at most n * C * 1e-20: 1e-12 at 10**4
-    rows and the grid's largest C, 10**4, nine orders below ``SMO_TOL``, the
-    accuracy to which the solver fixes the bias.  A vote can differ from the
-    bias's sign only where the bias is that close to 0, as in an exactly
-    balanced pair, and it then rests on terms far below the solver's
-    accuracy; so the cell is taken to give every row one class and to rank
-    nothing.  As exp is monotone, a gamma is dead when its kernel value at
-    the smallest off-diagonal distance of ``_split_distances``, the
-    distances every pair's solve and scores read, is at most
+def dead_cells(sq, sq_val, gammas):
+    """For a split's ``_split_distances`` ``sq`` (fit x fit) and ``sq_val``
+    (validation x fit), a bool array like ``gammas``: True for a gamma that
+    leaves every kernel value between two distinct rows of the split at or
+    below ``_DEAD_KERNEL``.  A pair machine's decision is its bias plus
+    sum_i alpha_i y_i k_i with 0 <= alpha_i <= C, so such kernel values move
+    it by at most n * C * 1e-20: 1e-12 at 10**4 rows and the grid's largest
+    C, 10**4, nine orders below ``SMO_TOL``, the accuracy to which the
+    solver fixes the bias.  A vote can differ from the bias's sign only
+    where the bias is that close to 0, as in an exactly balanced pair, and
+    it then rests on terms far below the solver's accuracy; so the cell is
+    taken to give every row one class and to rank nothing.  As exp is
+    monotone, a gamma is dead when its kernel value at the smallest
+    off-diagonal distance of the two matrices, read in place, is at most
     ``_DEAD_KERNEL``."""
-    x = np.asarray(x, dtype=np.float64)
-    for fit, _labels, val, cells in splits:
-        _scaler, sq, sq_val = _split_distances(np.atleast_2d(x[fit]), x[val])
-        np.fill_diagonal(sq, np.inf)  # each fit row's distance to itself
-        nearest = min(sq.min(), sq_val.min(initial=np.inf))
-        del sq, sq_val  # before the next split's matrices are built
-        gammas = np.array(cells, dtype=np.float64).reshape(-1, 2)[:, 1]
-        yield np.exp(-gammas * nearest) <= _DEAD_KERNEL
+    n = sq.shape[0]
+    # sq flat from its second entry, as n - 1 rows of n + 1 that each end on the diagonal
+    off_diagonal = sq.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    nearest = min(off_diagonal.min(initial=np.inf), sq_val.min(initial=np.inf))
+    return np.exp(-np.asarray(gammas, dtype=np.float64) * nearest) <= _DEAD_KERNEL
 
 
 def grid_predictions(x, splits, tol: float = SMO_TOL):
@@ -586,12 +582,13 @@ def grid_predictions(x, splits, tol: float = SMO_TOL):
     machines meet the same tolerance as a lone solve's but are not its bits.
     ``_winners`` picks from all cells' summed votes and margins at once.
     Every cell listed is solved, a dead one (see ``dead_cells``) included;
-    nested CV leaves those out."""
+    nested CV leaves those out.  Splits may bring distances (``_fit_splits``)."""
     for classes, _scaler, pairs in _fit_splits(x, splits, tol):
         votes, margins = _tally(classes, pairs[0].decision.shape,
                                 ((p.pair, p.decision) for p in pairs))
-        yield classes, _winners(votes, margins), margins, np.all(
-            [p.converged for p in pairs], axis=0)
+        converged = np.all([p.converged for p in pairs], axis=0)
+        del pairs  # before the next split's runs are solved
+        yield classes, _winners(votes, margins), margins, converged
 
 
 def _tally(classes, shape, decisions):

@@ -224,15 +224,16 @@ def test_nested_cv_binary_roc_and_positive_class():
 
 
 def recorded_streams(monkeypatch):
-    """The split lists of every ``grid_predictions`` call that nested CV makes."""
+    """The splits of every ``grid_predictions`` call that nested CV makes, as
+    the call reads them, each without the distances an inner split brings."""
     from emovox import evaluation
 
     streams = []
     grid_predictions = evaluation.grid_predictions
 
     def recorded(x, splits):
-        streams.append(splits)
-        return grid_predictions(x, splits)
+        streams.append([])
+        return grid_predictions(x, (streams[-1].append(split[:4]) or split for split in splits))
 
     monkeypatch.setattr(evaluation, "grid_predictions", recorded)
     return streams
@@ -333,7 +334,7 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
         # the inner grid by one model per cell, each outer fold by
         # ``train_multiclass`` and ``predict_with_margins``
         streams.append(splits)
-        for fit, labels, val, split_cells in splits:
+        for fit, labels, val, split_cells, *_distances in splits:
             classes = tuple(sorted(set(labels)))
             if len(streams) == 1:
                 guesses = oracle_grid_predictions(x[fit], labels, x[val], split_cells)
@@ -494,8 +495,8 @@ def test_nested_cv_never_selects_a_dead_cell_over_a_live_one(monkeypatch):
     cells = [(1.0, 1e3), (10.0, 1e-2), (100.0, 1e-2)]
     report = nested_cv(samples, feats, plan, cells)
     assert all(fold.gamma == 1e-2 for fold in report.folds)
-    monkeypatch.setattr(evaluation, "dead_cells", lambda x, splits: (
-        np.zeros(len(split_cells), dtype=bool) for *_split, split_cells in splits))
+    monkeypatch.setattr(evaluation, "dead_cells",
+                        lambda sq, sq_val, gammas: np.zeros(len(gammas), dtype=bool))
     unruled = nested_cv(samples, feats, plan, cells)
     assert any(fold.gamma == 1e3 for fold in unruled.folds)
 
@@ -552,6 +553,55 @@ def test_all_dead_grid_takes_the_first_cell_and_fits_it(monkeypatch):
         assert int(fold.confusion.sum()) == fold.test_count > 0
         assert 0.0 <= fold.uar <= 1.0
         assert isinstance(fold.converged, bool)
+
+
+@pytest.mark.parametrize("class_names", [("angry", "happy", "neutral", "sad"),
+                                         ("dissatisfied", "satisfied")])
+def test_nested_cv_makes_each_split_distances_once(class_names, monkeypatch):
+    # one standardizer and pair of distance matrices per usable inner split,
+    # which the dead test reads and every pair of the split solves and
+    # scores on, holding them, not a copy; then one per outer fold
+    from emovox import evaluation, svm
+
+    made = []
+    split_distances = svm._split_distances
+
+    def counted(*args):
+        made.append(split_distances(*args))
+        return made[-1]
+
+    monkeypatch.setattr(svm, "_split_distances", counted)
+    monkeypatch.setattr(evaluation, "_split_distances", counted)
+    records = []
+    solve_pairs = svm._solve_pairs
+    monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: solve_pairs(
+        (records.append(p) or p for p in pairs), tol))
+    rng = np.random.default_rng(31)
+    samples, feats = blob_dataset(rng, class_names=class_names, n_per=8, sep=2.0, sigma=1.0,
+                                  n_speakers=8)
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=1)
+    nested_cv(samples, feats, plan, SMALL_GRID)
+    usable = sum(len(usable_inner_splits(samples, plan, fold)) for fold in range(plan.k_outer))
+    assert usable > 2 * plan.k_outer
+    assert len(made) == usable + plan.k_outer
+    pairs = len(class_names) * (len(class_names) - 1) // 2
+    assert len(records) == pairs * (usable + plan.k_outer)
+    for p in records:
+        assert any(p.sq is sq and p.sq_val is sq_val for _scaler, sq, sq_val in made)
+    # each split's pairs hold the matrices made for it, in stream order
+    owners = [next(k for k, (_s, sq, _v) in enumerate(made) if p.sq is sq) for p in records]
+    assert owners == sorted(owners) and len(set(owners)) == len(made)
+    # with no usable inner split, each fold makes only its outer fit's
+    made.clear()
+    samples, feats = [], []
+    rng = np.random.default_rng(13)
+    for i in range(44):
+        samples.append(ManifestRow("r%d" % i, "yz"[i >= 40], "s%d" % i))
+        feats.append(rng.standard_normal(2) + 8.0 * (i >= 40))
+    plan = make_folds(samples, SPEAKER_DEPENDENT, 2, 2, seed=0)
+    report = nested_cv(samples, np.array(feats), plan, SMALL_GRID)
+    assert len(made) == plan.k_outer
+    assert all((fold.c, fold.gamma) == SMALL_GRID[0] for fold in report.folds)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emovox.cache import FeatureCache, feature_key
+from emovox.cache import FeatureCache, audio_digest, feature_key
 from emovox.config import parse_config
 from emovox.errors import ConfigError
 from emovox.features import SCHEME_DIMS, FeatureVector
@@ -28,12 +28,15 @@ from conftest import make_corpus, voice_like, write_pcm16
 
 
 def test_feature_key_sensitivity():
-    base = feature_key(b"audio", "phonation", "1")
-    assert feature_key(b"audio", "phonation", "1") == base
-    assert feature_key(b"audiX", "phonation", "1") != base
-    assert feature_key(b"audio", "prosody", "1") != base
-    assert feature_key(b"audio", "phonation", "2") != base
+    base = feature_key(audio_digest(b"audio"), "phonation", "1")
+    assert feature_key(audio_digest(b"audio"), "phonation", "1") == base
+    assert feature_key(audio_digest(b"audiX"), "phonation", "1") != base
+    assert feature_key(audio_digest(b"audio"), "prosody", "1") != base
+    assert feature_key(audio_digest(b"audio"), "phonation", "2") != base
     assert len(base) == 64
+    # the key takes the bytes' digest, not the bytes
+    with pytest.raises(ValueError, match="digest"):
+        feature_key(b"audio", "phonation", "1")
 
 
 def test_cache_roundtrip_bit_identical(tmp_path, rng):
@@ -177,7 +180,7 @@ def test_extract_recomputes_incomplete_entry(tmp_path, corpus, arrays, meta):
     fresh = extract_for_manifest(tuple(rows), config, None)
     cache = FeatureCache(tmp_path / "c")
     with open(rows[0].path, "rb") as fh:
-        key = feature_key(fh.read(), "phonation", EXTRACTOR_VERSION)
+        key = feature_key(audio_digest(fh.read()), "phonation", EXTRACTOR_VERSION)
     os.makedirs(os.path.dirname(cache._path(key)))
     if isinstance(arrays, bytes):
         with open(cache._path(key), "wb") as fh:
@@ -204,7 +207,7 @@ def test_entry_with_a_source_id_is_a_hit(tmp_path, corpus):
     fresh = extract_for_manifest(tuple(rows[:1]), config, None).vectors[0]
     cache = FeatureCache(tmp_path / "c")
     with open(rows[0].path, "rb") as fh:
-        key = feature_key(fh.read(), "phonation", EXTRACTOR_VERSION)
+        key = feature_key(audio_digest(fh.read()), "phonation", EXTRACTOR_VERSION)
     os.makedirs(os.path.dirname(cache._path(key)))
     write_container(cache._path(key), "feature", {"values": fresh.values},
                     meta={"scheme": "phonation", "source_id": "wav/old.wav",
@@ -226,17 +229,18 @@ def test_extract_decodes_the_bytes_it_hashed(tmp_path, corpus, monkeypatch):
     row = ManifestRow(str(target), rows[0].label, rows[0].speaker, rows[0].gender)
     fresh = extract_for_manifest((row,), config, None)
 
-    def key_then_replace(raw, tag, version):
+    def key_then_replace(digest, tag, version):
         # the file changes on disk right after its bytes were hashed
         with open(rows[1].path, "rb") as fh:
             target.write_bytes(fh.read())
-        return feature_key(raw, tag, version)
+        return feature_key(digest, tag, version)
 
     monkeypatch.setattr(pipeline, "feature_key", key_then_replace)
     cache = FeatureCache(tmp_path / "c")
     result = extract_for_manifest((row,), config, cache)
     assert result.failures == [] and result.computed == 1
-    stored = cache.get(feature_key(original, "phonation", EXTRACTOR_VERSION), "phonation")
+    stored = cache.get(feature_key(audio_digest(original), "phonation", EXTRACTOR_VERSION),
+                       "phonation")
     assert stored.values.tobytes() == fresh.vectors[0].values.tobytes()
     assert result.vectors[0].values.tobytes() == fresh.vectors[0].values.tobytes()
 
@@ -381,6 +385,41 @@ def test_feature_csv_full_precision(rng):
         assert np.array_equal(back, vec.values)
 
 
+def per_value_feature_csv(source_ids, vectors):
+    """``feature_csv`` as it once was: every cell formatted on its own and
+    the whole row written by ``csv``."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["source_id"] + ["f%d" % i for i in range(vectors[0].dim)])
+    for source_id, v in zip(source_ids, vectors):
+        writer.writerow([source_id] + ["%.17g" % x for x in v.values])
+    return buf.getvalue()
+
+
+def test_feature_csv_matches_per_value_formatting():
+    # one template per row gives the bytes of per-value formatting: signed
+    # zeros, subnormals, the largest magnitudes and whole numbers, and ids
+    # that csv must quote
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e308, -1e308,
+            1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 123456789.0, 0.1, -2.5e-7]
+    rng = np.random.default_rng(5)
+    vectors = [FeatureVector("fusion", np.array(edge)),
+               FeatureVector("fusion", np.array(edge[::-1])),
+               FeatureVector("fusion", rng.standard_normal(len(edge)) * 10.0 ** rng.integers(
+                   -300, 300, len(edge)))]
+    vectors += [FeatureVector("fusion", np.round(rng.standard_normal(len(edge)) * 1e6))
+                for _ in range(7)]
+    ids = ["wav/a,b.wav", 'say "hi".wav', "two\nlines.wav", "plain.wav", "", " spaced ",
+           "cr\r.wav", 'mixed, "all"\n.wav', "tab\t.wav", "\u00e9t\u00e9.wav"]
+    text = feature_csv(ids, vectors)
+    assert text == per_value_feature_csv(ids, vectors)
+    one = [FeatureVector("prosody", rng.standard_normal(78))]
+    assert feature_csv([""], one) == per_value_feature_csv([""], one)
+
+
 def test_feature_csv_rejects_mixed_dims(rng):
     vecs = [FeatureVector("prosody", rng.standard_normal(78)),
             FeatureVector("phonation", rng.standard_normal(28))]
@@ -449,6 +488,44 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
     alone = np.concatenate([pipeline.extract_scheme(w, s, models).values
                             for s in SIX.split("+")])
     assert fused.values.tobytes() == alone.tobytes()
+
+
+def test_six_scheme_row_hashes_its_bytes_once(tmp_path, corpus, monkeypatch, rng):
+    # a row's six cache keys come from one digest of its file's bytes, on a
+    # cold row and on a warm one
+    import hashlib
+
+    _, rows = corpus
+    with open(rows[0].path, "rb") as fh:
+        raw = fh.read()
+    fed = []
+    sha256 = hashlib.sha256
+
+    class Recorded:
+        def __init__(self, data=b""):
+            self.h = sha256()
+            self.update(data)
+
+        def update(self, data):
+            fed.append(bytes(data))
+            self.h.update(data)
+
+        def digest(self):
+            return self.h.digest()
+
+        def hexdigest(self):
+            return self.h.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Recorded)
+    models = six_scheme_models(rng)
+    schemes = parse_config("scheme = %s\n" % SIX).fusion_schemes()
+    assert len(schemes) == 6
+    cache = FeatureCache(tmp_path / "c")
+    for want in ((0, 6), (6, 0)):
+        fed.clear()
+        _fused, hits, computed = pipeline._extract_row(rows[0], schemes, models, cache)
+        assert (hits, computed) == want
+        assert fed.count(raw) == 1
 
 
 def test_extractors_are_looked_up_when_called(corpus, monkeypatch, rng):

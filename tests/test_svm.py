@@ -828,6 +828,12 @@ def pair_records(monkeypatch):
     return records
 
 
+def pair_blocks(p):
+    """The distances that pair record ``p`` is solved and scored on: its block
+    of its split's fit x fit matrix and its columns of the validation one."""
+    return p.sq[np.ix_(p.rows, p.rows)], p.sq_val[:, p.rows]
+
+
 def four_class_rows():
     """Rows of classes a-d whose class pairs have 14, 22, 16, 18, 12 and 20 rows."""
     r = np.random.default_rng(9)
@@ -1085,19 +1091,29 @@ def test_grid_predictions_match_per_cell_oracle_random():
     assert exempt <= 0.01 * compared
 
 
+def split_dead_cells(x, fit, val, gammas):
+    """``dead_cells`` at ``gammas`` of the ``_split_distances`` of the split
+    of ``x`` that fits on rows ``fit`` and validates on rows ``val``, which
+    it reads without changing a bit."""
+    _scaler, sq, sq_val = _split_distances(x[fit], x[val])
+    before = sq.tobytes(), sq_val.tobytes()
+    dead = dead_cells(sq, sq_val, gammas)
+    assert (sq.tobytes(), sq_val.tobytes()) == before
+    return dead
+
+
 def test_dead_cells_cover_fit_and_validation_rows(rng):
     # rows far apart on 20 dims, 8 fit and 4 validation: gamma 1000 sends
     # every kernel value between distinct rows to 0 unless two of them,
     # fit x fit or validation x fit, are moved next to each other
     x = 3.0 * rng.standard_normal((12, 20))
-    cells = [(1.0, 1e-3), (1.0, 1e3), (10.0, 1e3)]
+    gammas = [1e-3, 1e3, 1e3]
 
     def dead(x, at=None):
         x = x.copy()
         if at:
             x[at[0]] = x[at[1]] + 1e-3
-        split = (np.arange(8), list("aaaabbbb"), np.arange(8, 12), cells)
-        return next(dead_cells(x, [split])).tolist()
+        return split_dead_cells(x, np.arange(8), np.arange(8, 12), gammas).tolist()
 
     assert dead(x) == [False, True, True]
     assert dead(x, (9, 3)) == [False, False, False]   # a validation row by a fit row
@@ -1114,8 +1130,7 @@ def test_dead_cells_match_whole_kernels():
         x = r.standard_normal((n, dim))
         fit = np.sort(r.permutation(n)[:int(r.integers(4, n - 1))])
         val = np.setdiff1d(np.arange(n), fit)
-        labels = ["a", "b"] * (len(fit) // 2) + ["a"] * (len(fit) % 2)
-        got = next(dead_cells(x, [(fit, labels, val, [(1.0, g) for g in gammas])]))
+        got = split_dead_cells(x, fit, val, gammas)
         want = [split_is_dead(x[fit], x[val], g) for g in gammas]
         assert got.tolist() == want
         found.update(want)
@@ -1136,19 +1151,21 @@ def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes, 
     (_classes, _scaler, solved), = _fit_splits(x, [(fit, labels[:45], val, [(1.0, 0.1)])],
                                                SMO_TOL)
     assert len(pairs) == len(solved) == n_classes * (n_classes - 1) // 2
-    assert all(p.sq is None for p in solved)  # dropped once the kernels are stacked
-    for m in [sq] + [p.sq for p in pairs]:
+    # dropped once the kernels are stacked, and once the pair is scored
+    assert all(p.sq is None and p.sq_val is None for p in solved)
+    for m in [sq] + [pair_blocks(p)[0] for p in pairs]:
         assert m.tobytes() == m.T.copy().tobytes()
         assert not m.diagonal().any()
     for p in pairs:
-        assert p.sq.tobytes() == sq[np.ix_(p.rows, p.rows)].tobytes()
-        assert p.sq_val.tobytes() == sq_val[:, p.rows].tobytes()
+        block, columns = pair_blocks(p)
+        assert block.tobytes() == sq[np.ix_(p.rows, p.rows)].tobytes()
+        assert columns.tobytes() == sq_val[:, p.rows].tobytes()
 
 
 def test_the_pair_of_a_binary_split_reads_the_split_distances(monkeypatch):
-    # the one pair of a two-class split holds every fit row, so it reads the
-    # split's own matrices, not a copy; the pairs of a larger split hold
-    # their slices of them
+    # every pair holds its split's own matrices, not a copy: the one pair of
+    # a two-class split, whose block is all of them, and the pairs of a
+    # larger split, which take their blocks only to stack and to score
     from emovox import svm
 
     made = []
@@ -1165,9 +1182,51 @@ def test_the_pair_of_a_binary_split_reads_the_split_distances(monkeypatch):
     assert pair.rows.all() and pair.sq is sq and pair.sq_val is sq_val
     assert len(pairs) == 3
     for p in pairs:
-        assert not (np.shares_memory(p.sq, sq3) or np.shares_memory(p.sq_val, sq_val3))
-        assert p.sq.tobytes() == sq3[np.ix_(p.rows, p.rows)].tobytes()
-        assert p.sq_val.tobytes() == sq_val3[:, p.rows].tobytes()
+        assert p.sq is sq3 and p.sq_val is sq_val3
+        block, columns = pair_blocks(p)
+        assert block.tobytes() == sq3[np.ix_(p.rows, p.rows)].tobytes()
+        assert columns.tobytes() == sq_val3[:, p.rows].tobytes()
+
+
+@pytest.mark.parametrize("names", ["ab", "abc"])
+def test_a_split_is_freed_before_the_next_one_solves(names, monkeypatch):
+    # with every pair a run of its own, each solve finds the distance
+    # matrices and the pair records of every earlier split gone: tallied
+    # splits hold no matrices, and no loop variable keeps the last one alive
+    import weakref
+
+    from emovox import svm
+
+    made, decisions = [], []
+    split_distances = svm._split_distances
+    solve_pairs = svm._solve_pairs
+
+    def recorded(*args):
+        out = split_distances(*args)
+        made.append((weakref.ref(out[1]), weakref.ref(out[2])))
+        return out
+
+    def alive():
+        return [k for k, refs in enumerate(made) if any(r() is not None for r in refs)
+                or any(r() is not None for s, r in decisions if s == k)]
+
+    seen = []
+    solve = svm._smo_batch
+    monkeypatch.setattr(svm, "_split_distances", recorded)
+    monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: solve_pairs(
+        (decisions.append((p.split, weakref.ref(p.decision))) or p for p in pairs), tol))
+    monkeypatch.setattr(svm, "_smo_batch", lambda *a: seen.append(alive()) or solve(*a))
+    monkeypatch.setattr(svm, "_PACK_CELLS", 1)
+    r = np.random.default_rng(12)
+    x = r.standard_normal((40, 5))
+    labels = [names[i % len(names)] for i in range(40)]
+    cells = [(1.0, 0.1), (10.0, 1.0)]
+    splits = [(np.arange(k, k + 30), labels[k:k + 30], np.arange(30, 40), cells)
+              for k in range(0, 10, 3)]
+    assert len(list(grid_predictions(x, splits))) == len(splits)
+    pairs = len(names) * (len(names) - 1) // 2
+    assert seen == [[k] for k in range(len(splits)) for _pair in range(pairs)]
+    assert alive() == []
 
 
 def kernel_edge(d, level):
@@ -1188,15 +1247,21 @@ def pair_kernels_dead(pairs, gamma):
     ``_DEAD_KERNEL``."""
     from emovox import svm
 
-    return all(not (np.exp(-gamma * p.sq)[~np.eye(len(p.sq), dtype=bool)] > svm._DEAD_KERNEL).any()
-               and not (np.exp(-gamma * p.sq_val) > svm._DEAD_KERNEL).any() for p in pairs)
+    def dead(block, columns):
+        return (not (np.exp(-gamma * block)[~np.eye(len(block), dtype=bool)]
+                     > svm._DEAD_KERNEL).any()
+                and not (np.exp(-gamma * columns) > svm._DEAD_KERNEL).any())
+
+    return all(dead(*pair_blocks(p)) for p in pairs)
 
 
 def dead_cells_at_the_edge(seed, level, monkeypatch):
     """``dead_cells`` of a random split of 2 to 4 classes, on up to 600
     dims, at gammas 1e-3, either side of the edge where the kernel value at
     the smallest distance of its pair records falls to ``level``, and 1e6,
-    and whether the pair records' kernels are dead at each."""
+    and whether the pair records' kernels are dead at each.  The split
+    brings its distances to ``_fit_splits``, as nested CV's inner splits do,
+    so its pairs and the dead test read the same two matrices."""
     r = np.random.default_rng(seed)
     k = 2 + seed % 3
     n, dim = int(r.integers(16, 40)), int(r.integers(20, 600))
@@ -1204,12 +1269,16 @@ def dead_cells_at_the_edge(seed, level, monkeypatch):
     x = r.standard_normal((n, dim)) * r.uniform(0.5, 3.0, dim)
     n_fit = n - int(r.integers(3, 8))
     fit, val = np.arange(n_fit), np.arange(n_fit, n)
+    made = _split_distances(x[fit], x[val])
     pairs = pair_records(monkeypatch)
-    list(_fit_splits(x, [(fit, labels[:n_fit], val, [(1.0, 1.0)])], SMO_TOL))
-    nearest = min(min(p.sq[~np.eye(len(p.sq), dtype=bool)].min(), p.sq_val.min())
-                  for p in pairs)
+    list(_fit_splits(x, [(fit, labels[:n_fit], val, [(1.0, 1.0)], made)], SMO_TOL))
+    assert all(p.sq is made[1] and p.sq_val is made[2] for p in pairs)
+    nearest = min(min(block[~np.eye(len(block), dtype=bool)].min(), columns.min())
+                  for block, columns in map(pair_blocks, pairs))
     gammas = [1e-3, *kernel_edge(nearest, level), 1e6]
-    got = next(dead_cells(x, [(fit, labels[:n_fit], val, [(1.0, g) for g in gammas])]))
+    before = made[1].tobytes(), made[2].tobytes()
+    got = dead_cells(made[1], made[2], gammas)
+    assert (made[1].tobytes(), made[2].tobytes()) == before
     return got.tolist(), [pair_kernels_dead(pairs, g) for g in gammas]
 
 
