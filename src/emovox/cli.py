@@ -24,7 +24,7 @@ import numpy as np  # noqa: E402 (after the BLAS pin)
 from . import modelio
 from .cache import FeatureCache
 from .config import ExperimentConfig, load_config
-from .errors import EmovoxError, EvaluationError
+from .errors import EmovoxError
 from .evaluation import (
     chi_square_independence,
     fold_metrics_csv,
@@ -32,6 +32,7 @@ from .evaluation import (
     make_folds,
     nested_cv,
     roc_csv,
+    task_classes,
     welch_t_test,
 )
 from .manifest import GENDERS, ManifestRow, read_manifest
@@ -65,6 +66,9 @@ def _extract(manifest: tuple[ManifestRow, ...], config: ExperimentConfig) -> Ext
     log.info("extracted %d/%d rows (%d cache hits, %d computed)",
              len(result.vectors), result.total, result.cache_hits,
              result.computed)
+    if result.unwritten:
+        log.warning("could not write %d computed vector(s) to the cache %s",
+                    result.unwritten, config.cache_dir)
     if not result.vectors:
         raise EmovoxError("no rows extracted successfully")
     return result
@@ -82,15 +86,10 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
-    # The manifest alone decides whether folding is feasible, the class count
-    # and whether the positive label exists, so check them before extracting.
+    # The manifest alone decides whether it can be folded and whether the task
+    # can be evaluated, so check both before extracting.
     make_folds(manifest, config.mode, config.k_outer, config.k_inner, seed=config.seed)
-    classes = sorted({row.label for row in manifest})
-    if len(classes) < 2:
-        raise EvaluationError("need at least 2 classes, got %d" % len(classes))
-    if config.positive_label is not None and config.positive_label not in classes:
-        raise EvaluationError("positive label %r not among classes %s"
-                              % (config.positive_label, tuple(classes)))
+    task_classes([row.label for row in manifest], config.positive_label)
     result = _extract(manifest, config)
     plan = make_folds(result.rows, config.mode, config.k_outer, config.k_inner,
                       seed=config.seed)

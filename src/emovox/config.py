@@ -1,4 +1,5 @@
-"""Experiment configuration: flat key=value text, unknown keys fatal.
+"""Experiment configuration: flat key=value UTF-8 text (a leading byte-order
+mark is allowed), unknown keys fatal.
 
 Example file::
 
@@ -133,7 +134,7 @@ def parse_config(text: str, origin: str = "config") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config not found: {path}")

@@ -1,9 +1,14 @@
 """Nested cross-validation, fold construction, metrics, and corpus statistics.
 
-Fold plans are built once (speaker-independent plans never split a speaker
-across folds, at either level) and the nested loop selects (C, gamma) on inner
-folds only, so outer-test predictions can never influence a decision.  The
-bookkeeping that proves that is stored on the report.  One
+Fold plans are built once, by one assignment rule per mode that deals the
+outer folds over all rows and each fold's inner folds over its training rows
+(speaker-independent plans never split a speaker across folds, at either
+level), and the nested loop selects (C, gamma) on inner folds only, so
+outer-test predictions can never influence a decision.  The bookkeeping that
+proves that is stored on the report.  ``task_classes`` decides whether a task
+can be evaluated at all (two classes or more, a positive label among them):
+``emovox evaluate`` asks it of the manifest before extracting, and
+``nested_cv`` of the rows it is given.  One
 ``svm.grid_predictions`` stream solves and scores every usable inner split
 of every outer fold (a cells x validation rows prediction matrix per split,
 no per-cell model) in packed runs of whole class pairs, each pair one chain
@@ -94,38 +99,11 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_speaker_assignment(speaker_order, per_speaker_class_counts, classes, k):
-    """Assign whole speakers to folds, balancing per-class sample counts.
-
-    Each speaker goes to the fold where adding it gives the smallest
-    sum-of-squares class load; ties pick the lowest fold index.
-    """
-    load = np.zeros((k, len(classes)))
-    assignment = {}
-    for spk in speaker_order:
-        add = per_speaker_class_counts[spk]
-        costs = np.sum((load + add[None, :]) ** 2, axis=1)
-        fold = int(np.argmin(costs))
-        assignment[spk] = fold
-        load[fold] += add
-    return assignment
-
-
-def _stratified_assignment(indices, labels, k, rng):
-    """Deal each class's shuffled samples round-robin over k folds."""
-    assign = {}
-    for cl in sorted(set(labels[i] for i in indices)):
-        members = [i for i in indices if labels[i] == cl]
-        order = [members[j] for j in rng.permutation(len(members))]
-        offset = int(rng.integers(k))
-        for pos, idx in enumerate(order):
-            assign[idx] = (pos + offset) % k
-    return assign
-
-
 def make_folds(rows: Sequence[ManifestRow], mode: str, k_outer: int = 5,
                k_inner: int = 5, seed: int = 0) -> FoldPlan:
-    """Build a deterministic nested fold plan over manifest rows (path, speaker, label)."""
+    """Build a deterministic nested fold plan over manifest rows (path, speaker,
+    label): one rule per mode deals the outer folds over all rows, then each
+    outer fold's inner folds over its training rows."""
     if mode not in MODES:
         raise EvaluationError("unknown mode %r; expected one of %s" % (mode, MODES))
     if k_outer < 2 or k_inner < 2:
@@ -141,56 +119,51 @@ def make_folds(rows: Sequence[ManifestRow], mode: str, k_outer: int = 5,
     n = len(rows)
 
     if mode == SPEAKER_INDEPENDENT:
-        speakers = sorted(set(r.speaker for r in rows))
-        if len(speakers) < k_outer:
-            raise EvaluationError(
-                "speaker-independent folding needs >= %d speakers, got %d"
-                % (k_outer, len(speakers))
-            )
-        counts = {
-            spk: np.array(
-                [sum(1 for r in rows if r.speaker == spk and r.label == cl)
-                 for cl in classes],
-                dtype=np.float64,
-            )
-            for spk in speakers
-        }
-        order = [speakers[i] for i in rng.permutation(len(speakers))]
-        outer_by_speaker = _greedy_speaker_assignment(order, counts, classes, k_outer)
-        outer = tuple(outer_by_speaker[r.speaker] for r in rows)
+        speakers = [r.speaker for r in rows]
+        counts = {}  # each speaker's rows per class
+        for spk, cl in zip(speakers, labels):
+            counts.setdefault(spk, np.zeros(len(classes)))[classes.index(cl)] += 1
 
-        inner = []
-        for fold in range(k_outer):
-            train_speakers = sorted({r.speaker for r, f in zip(rows, outer) if f != fold})
-            if len(train_speakers) < k_inner:
-                raise EvaluationError(
-                    "outer fold %d leaves %d training speakers; inner folding needs >= %d"
-                    % (fold, len(train_speakers), k_inner)
-                )
-            sub_order = [train_speakers[i] for i in rng.permutation(len(train_speakers))]
-            by_speaker = _greedy_speaker_assignment(sub_order, counts, classes, k_inner)
-            inner.append(tuple(
-                by_speaker[r.speaker] if f != fold else -1
-                for r, f in zip(rows, outer)
-            ))
+        def assign(indices, k, too_few):
+            # whole speakers, shuffled, each to the fold where it gives the
+            # smallest sum-of-squares class load (ties: the lowest fold)
+            present = sorted({speakers[i] for i in indices})
+            if len(present) < k:
+                raise EvaluationError(too_few.format(n=len(present), k=k))
+            load = np.zeros((k, len(classes)))
+            fold_of = {}
+            for j in rng.permutation(len(present)):
+                add = counts[present[j]]
+                fold = int(np.argmin(np.sum((load + add) ** 2, axis=1)))
+                fold_of[present[j]] = fold
+                load[fold] += add
+            return {i: fold_of[speakers[i]] for i in indices}
     else:
         for cl in classes:
-            count = labels.count(cl)
-            if count < k_outer:
-                raise EvaluationError(
-                    "class %r has %d sample(s); speaker-dependent folding needs >= %d"
-                    % (cl, count, k_outer)
-                )
-        outer_map = _stratified_assignment(range(n), labels, k_outer, rng)
-        outer = tuple(outer_map[i] for i in range(n))
-        inner = []
-        for fold in range(k_outer):
-            train_idx = [i for i in range(n) if outer[i] != fold]
-            inner_map = _stratified_assignment(train_idx, labels, k_inner, rng)
-            inner.append(tuple(
-                inner_map[i] if outer[i] != fold else -1 for i in range(n)
-            ))
+            if labels.count(cl) < k_outer:
+                raise EvaluationError("class %r has %d sample(s); speaker-dependent folding "
+                                      "needs >= %d" % (cl, labels.count(cl), k_outer))
 
+        def assign(indices, k, _too_few):
+            # each class's rows, shuffled, dealt round-robin from a random fold
+            fold_of = {}
+            for cl in sorted({labels[i] for i in indices}):
+                members = [i for i in indices if labels[i] == cl]
+                order = rng.permutation(len(members))
+                offset = int(rng.integers(k))
+                for pos, j in enumerate(order):
+                    fold_of[members[j]] = (pos + offset) % k
+            return fold_of
+
+    outer_map = assign(range(n), k_outer,
+                       "speaker-independent folding needs >= {k} speakers, got {n}")
+    outer = tuple(outer_map[i] for i in range(n))
+    inner = []
+    for fold in range(k_outer):
+        inner_map = assign([i for i in range(n) if outer[i] != fold], k_inner,
+                           "outer fold %d leaves {n} training speakers; inner folding needs >= {k}"
+                           % fold)
+        inner.append(tuple(inner_map.get(i, -1) for i in range(n)))
     return FoldPlan(mode, k_outer, k_inner, tuple(ids), outer, tuple(inner), seed)
 
 
@@ -365,6 +338,22 @@ def _inner_uars(truth, guesses):
     return np.mean(hits / counts, axis=1)
 
 
+def task_classes(labels, positive_label: Optional[str] = None) -> Tuple[tuple, Optional[str]]:
+    """The sorted classes of a task over ``labels`` and its positive label.
+
+    A task needs at least two classes.  A given ``positive_label`` must be
+    one of them; without one, ``dissatisfied`` is positive when it is a class.
+    """
+    classes = tuple(sorted(set(labels)))
+    if len(classes) < 2:
+        raise EvaluationError("need at least 2 classes, got %d" % len(classes))
+    if positive_label is None:
+        return classes, DEFAULT_POSITIVE_LABEL if DEFAULT_POSITIVE_LABEL in classes else None
+    if positive_label not in classes:
+        raise EvaluationError("positive label %r not among classes %s" % (positive_label, classes))
+    return classes, positive_label
+
+
 def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
               cells: Sequence[Tuple[float, float]],
               positive_label: Optional[str] = None) -> EvalReport:
@@ -394,17 +383,12 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
     if not cells:
         raise EvaluationError("the (C, gamma) cell list is empty")
     labels = np.array([r.label for r in rows], dtype=object)
-    classes = tuple(sorted(set(labels.tolist())))
-    if len(classes) < 2:
-        raise EvaluationError("need at least 2 classes, got %d" % len(classes))
-    if positive_label is None and DEFAULT_POSITIVE_LABEL in classes:
-        positive_label = DEFAULT_POSITIVE_LABEL
+    classes, positive_label = task_classes(labels.tolist(), positive_label)
     binary = len(classes) == 2
-    if positive_label is not None and positive_label not in classes:
-        raise EvaluationError("positive label %r not among classes %s" % (positive_label, classes))
-    pos_index = classes.index(positive_label) if (binary and positive_label) else (0 if binary else None)
+    pos_index = classes.index(positive_label or classes[0]) if binary else None
 
     outer = np.asarray(plan.outer)
+    id_array = np.array(ids)
     truth_index = np.array([classes.index(label) for label in labels])
     usable = []  # per outer fold: (fit mask, fit labels, validation mask) per usable inner split
     leakage = []
@@ -413,20 +397,19 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
         if not test_mask.any() or test_mask.all():
             raise EvaluationError("outer fold %d is degenerate" % fold)
         inner_assign = np.asarray(plan.inner[fold])
-        touched_ids = set()
-        usable.append([])
+        in_inner = inner_assign != -1
+        fold_splits = []
         for inner_fold in range(plan.k_inner):
             val_mask = inner_assign == inner_fold
-            fit_mask = (inner_assign != -1) & (inner_assign != inner_fold)
-            if not val_mask.any() or not fit_mask.any():
-                continue
+            fit_mask = in_inner & ~val_mask
             fit_labels = labels[fit_mask].tolist()
-            if any(fit_labels.count(cl) < 2 for cl in classes):
-                continue  # a class is missing or untrainable in this inner split
-            touched_ids.update(np.array(ids)[val_mask | fit_mask].tolist())
-            usable[fold].append((fit_mask, fit_labels, val_mask))
-
-        test_ids = set(np.array(ids)[test_mask].tolist())
+            # usable when it validates some rows and fits >= 2 rows of every class
+            if val_mask.any() and all(fit_labels.count(cl) >= 2 for cl in classes):
+                fold_splits.append((fit_mask, fit_labels, val_mask))
+        usable.append(fold_splits)
+        # every usable split touches all of the fold's inner rows
+        touched_ids = set(id_array[in_inner].tolist()) if fold_splits else set()
+        test_ids = set(id_array[test_mask].tolist())
         overlap = touched_ids & test_ids
         if overlap:
             raise EvaluationError(

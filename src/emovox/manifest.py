@@ -2,12 +2,15 @@
 
 Header must be exactly ``path,label,speaker,gender`` with an optional trailing
 ``duration_s`` column.  Paths are unique, labels non-empty, gender one of
-m / f / unknown (empty cell reads as unknown).
+m / f / unknown (empty cell reads as unknown).  Files are UTF-8, with an
+optional leading byte-order mark; a cell holding commas, quotes or line
+breaks round-trips through ``write_manifest``'s CSV quoting.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -60,7 +63,8 @@ def _parse_row(cells, n_cols, lineno) -> ManifestRow:
 
 
 def parse_manifest(text: str, origin: str = "manifest") -> tuple[ManifestRow, ...]:
-    reader = csv.reader(text.splitlines())
+    # csv splits the records itself, so a quoted line break stays in its cell
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -77,7 +81,8 @@ def parse_manifest(text: str, origin: str = "manifest") -> tuple[ManifestRow, ..
             f"',duration_s'; got '{','.join(header)}'")
     rows = []
     seen = {}
-    for lineno, cells in enumerate(reader, start=2):
+    for cells in reader:
+        lineno = reader.line_num  # a record's last line
         if not cells or (len(cells) == 1 and not cells[0].strip()):
             continue
         row = _parse_row(cells, n_cols, lineno)
@@ -94,7 +99,7 @@ def parse_manifest(text: str, origin: str = "manifest") -> tuple[ManifestRow, ..
 
 def read_manifest(path) -> tuple[ManifestRow, ...]:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}")

@@ -8,7 +8,7 @@ digest of the model file bytes, so stale entries can never be returned after
 either changes.  A row's first cache miss decodes its audio into one
 ``Analysis`` that every scheme of the row shares; a fully cached row decodes
 nothing.  Per-file failures are collected, not raised; callers decide
-how to report them.
+how to report them.  A failed cache write fails no row: it is counted.
 
 The extraction stack (``audio``, ``analysis``, ``dsp``, ``functionals``,
 ``features.<scheme>`` and ``embeddings``) is imported on first use: on a
@@ -137,6 +137,7 @@ class ExtractionResult:
     failures: list
     cache_hits: int
     computed: int
+    unwritten: int  # computed vectors the cache could not store
 
     @property
     def total(self) -> int:
@@ -149,7 +150,7 @@ def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
     digest = audio_digest(raw) if cache else None  # the bytes are hashed once per row
     analysis = None   # built on the first cache miss and shared by every scheme
     parts = []
-    hits = computed = 0
+    hits = computed = unwritten = 0
     for scheme in schemes:
         key = feature_key(digest, models.tag(scheme), EXTRACTOR_VERSION) if cache else None
         vec = cache.get(key, scheme) if cache else None
@@ -165,9 +166,12 @@ def _extract_row(row, schemes: tuple, models, cache: FeatureCache | None):
             vec = extract_scheme(analysis, scheme, models)
             computed += 1
             if cache:
-                cache.put(key, vec)
+                try:
+                    cache.put(key, vec)
+                except OSError:  # the row keeps its vector
+                    unwritten += 1
         parts.append(vec)
-    return fuse(parts), hits, computed
+    return fuse(parts), hits, computed, unwritten
 
 
 def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentConfig,
@@ -176,7 +180,8 @@ def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentCo
     """Extract the configured scheme for every manifest row.
 
     Rows whose audio cannot be read or processed become ExtractionFailures;
-    the returned rows and their vectors keep manifest order.
+    the returned rows and their vectors keep manifest order.  A vector the
+    cache cannot store is still returned, and counted as unwritten.
     """
     schemes = config.fusion_schemes()
     if models is None:
@@ -198,17 +203,15 @@ def extract_for_manifest(manifest: tuple[ManifestRow, ...], config: ExperimentCo
         outcomes = [work(row) for row in manifest]
 
     rows, vectors, failures = [], [], []
-    hits = computed = 0
+    tallies = (0, 0, 0)  # cache hits, computed vectors, unwritten ones
     for row, out in zip(manifest, outcomes):
         if isinstance(out, ExtractionFailure):
             failures.append(out)
         else:
-            vec, h, c = out
             rows.append(row)
-            vectors.append(vec)
-            hits += h
-            computed += c
-    return ExtractionResult(rows, vectors, failures, hits, computed)
+            vectors.append(out[0])
+            tallies = tuple(t + count for t, count in zip(tallies, out[1:]))
+    return ExtractionResult(rows, vectors, failures, *tallies)
 
 
 def feature_csv(source_ids, vectors) -> str:

@@ -297,7 +297,6 @@ class _Gammas(NamedTuple):
     """The gammas of a (cells, 2) array of (c, gamma) rows."""
 
     values: np.ndarray  # the distinct gammas, ascending
-    index: np.ndarray   # each cell's gamma, as an index into ``values``
     order: np.ndarray   # the cells grouped by gamma, each group by ascending C, ties in order
     edges: np.ndarray   # gamma g's group, its chain of C values, is order[edges[g]:edges[g + 1]]
 
@@ -306,7 +305,7 @@ def _by_gamma(cells) -> _Gammas:
     """The gammas of ``cells``, grouped."""
     values, index = np.unique(cells[:, 1], return_inverse=True)
     order = np.lexsort((cells[:, 0], index))
-    return _Gammas(values, index, order, np.searchsorted(index[order], np.arange(values.size + 1)))
+    return _Gammas(values, order, np.searchsorted(index[order], np.arange(values.size + 1)))
 
 
 class _Pair(NamedTuple):

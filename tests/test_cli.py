@@ -481,6 +481,49 @@ def test_evaluate_infeasible_manifest_fatal_before_extraction(workspace, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "six.csv"]
 
 
+@pytest.mark.parametrize("setting, labels, error", [
+    ("positive_label = nope", ("smooth", "rough"),
+     "positive label 'nope' not among classes ('rough', 'smooth')"),
+    ("positive_label = smooth", ("smooth",), "need at least 2 classes, got 1")])
+def test_evaluate_task_check_message_exact(workspace, tmp_path, caplog, setting, labels, error):
+    # the one evaluable-task check gives evaluate its whole error line
+    _, _, _, rows = workspace
+    manifest = tmp_path / "rows.csv"
+    write_manifest(manifest, [row for row in rows if row.label in labels])
+    config = tmp_path / "exp.cfg"
+    config.write_text("scheme = phonation\nk_outer = 2\nk_inner = 2\n%s\ncache_dir = %s\n"
+                      % (setting, tmp_path / "cache"))
+    with caplog.at_level("ERROR", logger="emovox"):
+        rc = main(["evaluate", "--manifest", str(manifest), "--config", str(config),
+                   "--report", str(tmp_path / "report.txt"),
+                   "--metrics-csv", str(tmp_path / "metrics.csv")])
+    assert rc == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [error]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "rows.csv"]
+
+
+def test_unwritable_cache_fails_no_row(workspace, tmp_path, caplog):
+    # a regular file as cache_dir: no entry can be written, every vector is kept
+    root, manifest, config, rows = workspace
+    reference = tmp_path / "reference.csv"
+    assert main(["extract", "--manifest", str(manifest), "--config", str(config),
+                 "--out-csv", str(reference)]) == 0
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_bytes(b"")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config.read_text().replace(str(root / "cache"), str(blocker)))
+    out = tmp_path / "features.csv"
+    with caplog.at_level("INFO", logger="emovox"):
+        rc = main(["extract", "--manifest", str(manifest), "--config", str(cfg),
+                   "--out-csv", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == reference.read_bytes()
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["could not write %d computed vector(s) to the cache %s"
+                        % (len(rows), blocker)]
+    assert blocker.read_bytes() == b""
+
+
 @pytest.mark.parametrize("counts, error", [
     ((6,), "need at least 2 classes, got 1"),
     ((5, 1), "class 'rough' has 1 sample(s); need at least 2")])

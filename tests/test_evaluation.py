@@ -12,6 +12,7 @@ from emovox.errors import EvaluationError
 from emovox.evaluation import (
     SPEAKER_DEPENDENT,
     SPEAKER_INDEPENDENT,
+    FoldPlan,
     _student_t_sf,
     chi_square_independence,
     fold_metrics_csv,
@@ -21,6 +22,7 @@ from emovox.evaluation import (
     nested_cv,
     roc_csv,
     roc_curve,
+    task_classes,
     welch_t_test,
 )
 from emovox.manifest import ManifestRow
@@ -135,6 +137,112 @@ def test_fold_plan_validation():
         make_folds(ok, SPEAKER_DEPENDENT, 1, 2)
 
 
+def _greedy_speaker_assignment(speaker_order, per_speaker_class_counts, classes, k):
+    load = np.zeros((k, len(classes)))
+    assignment = {}
+    for spk in speaker_order:
+        add = per_speaker_class_counts[spk]
+        costs = np.sum((load + add[None, :]) ** 2, axis=1)
+        fold = int(np.argmin(costs))
+        assignment[spk] = fold
+        load[fold] += add
+    return assignment
+
+
+def _stratified_assignment(indices, labels, k, rng):
+    assign = {}
+    for cl in sorted(set(labels[i] for i in indices)):
+        members = [i for i in indices if labels[i] == cl]
+        order = [members[j] for j in rng.permutation(len(members))]
+        offset = int(rng.integers(k))
+        for pos, idx in enumerate(order):
+            assign[idx] = (pos + offset) % k
+    return assign
+
+
+def two_branch_make_folds(rows, mode, k_outer=5, k_inner=5, seed=0):
+    """The fold planner with each level of each mode written out on its own:
+    the oracle that ``make_folds``' one routine per mode must reproduce."""
+    if mode not in (SPEAKER_INDEPENDENT, SPEAKER_DEPENDENT):
+        raise EvaluationError("unknown mode %r; expected one of %s"
+                              % (mode, (SPEAKER_INDEPENDENT, SPEAKER_DEPENDENT)))
+    if k_outer < 2 or k_inner < 2:
+        raise EvaluationError("fold counts must be at least 2")
+    ids = [r.path for r in rows]
+    if len(set(ids)) != len(ids):
+        raise EvaluationError("duplicate source ids in sample set")
+    if not rows:
+        raise EvaluationError("empty sample set")
+    labels = [r.label for r in rows]
+    classes = sorted(set(labels))
+    rng = np.random.default_rng(seed)
+    n = len(rows)
+    if mode == SPEAKER_INDEPENDENT:
+        speakers = sorted(set(r.speaker for r in rows))
+        if len(speakers) < k_outer:
+            raise EvaluationError("speaker-independent folding needs >= %d speakers, got %d"
+                                  % (k_outer, len(speakers)))
+        counts = {spk: np.array([sum(1 for r in rows if r.speaker == spk and r.label == cl)
+                                 for cl in classes], dtype=np.float64)
+                  for spk in speakers}
+        order = [speakers[i] for i in rng.permutation(len(speakers))]
+        outer_by_speaker = _greedy_speaker_assignment(order, counts, classes, k_outer)
+        outer = tuple(outer_by_speaker[r.speaker] for r in rows)
+        inner = []
+        for fold in range(k_outer):
+            train_speakers = sorted({r.speaker for r, f in zip(rows, outer) if f != fold})
+            if len(train_speakers) < k_inner:
+                raise EvaluationError(
+                    "outer fold %d leaves %d training speakers; inner folding needs >= %d"
+                    % (fold, len(train_speakers), k_inner))
+            sub_order = [train_speakers[i] for i in rng.permutation(len(train_speakers))]
+            by_speaker = _greedy_speaker_assignment(sub_order, counts, classes, k_inner)
+            inner.append(tuple(by_speaker[r.speaker] if f != fold else -1
+                               for r, f in zip(rows, outer)))
+    else:
+        for cl in classes:
+            count = labels.count(cl)
+            if count < k_outer:
+                raise EvaluationError(
+                    "class %r has %d sample(s); speaker-dependent folding needs >= %d"
+                    % (cl, count, k_outer))
+        outer_map = _stratified_assignment(range(n), labels, k_outer, rng)
+        outer = tuple(outer_map[i] for i in range(n))
+        inner = []
+        for fold in range(k_outer):
+            train_idx = [i for i in range(n) if outer[i] != fold]
+            inner_map = _stratified_assignment(train_idx, labels, k_inner, rng)
+            inner.append(tuple(inner_map[i] if outer[i] != fold else -1 for i in range(n)))
+    return FoldPlan(mode, k_outer, k_inner, tuple(ids), outer, tuple(inner), seed)
+
+
+def _plan_or_error(planner, *args):
+    try:
+        return planner(*args)
+    except EvaluationError as exc:
+        return str(exc)
+
+
+def test_fold_plans_and_errors_match_two_branch_oracle():
+    # random manifests of 5-80 rows, 1-14 speakers and 1-4 classes, k from 2 to 5
+    errors = []
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        n, n_speakers, n_classes = rng.integers(5, 81), rng.integers(1, 15), rng.integers(1, 5)
+        k_outer, k_inner = (int(k) for k in rng.integers(2, 6, size=2))
+        rows = [ManifestRow("p%d" % i, "c%d" % rng.integers(n_classes),
+                            "s%d" % rng.integers(n_speakers)) for i in range(n)]
+        for mode in (SPEAKER_INDEPENDENT, SPEAKER_DEPENDENT):
+            args = (rows, mode, k_outer, k_inner, seed)
+            want = _plan_or_error(two_branch_make_folds, *args)
+            assert _plan_or_error(make_folds, *args) == want, (seed, mode)
+            if isinstance(want, str):
+                errors.append(want)
+    # both plans and each level's error are compared
+    assert 500 < len(errors) < 3500
+    assert {e.split(" ", 1)[0] for e in errors} == {"speaker-independent", "outer", "class"}
+
+
 def test_grid_default_is_80_cells():
     cells = ExperimentConfig().grid()
     assert len(cells) == 80
@@ -182,6 +290,52 @@ def test_nested_cv_leakage_audit(blob_report):
     for touched, tested, leaked in report.leakage:
         assert leaked == 0
         assert touched == n - tested
+
+
+def test_nested_cv_leakage_triples_on_blobs(blob_report):
+    # (inner ids touched, outer-test ids, leaked ids) per fold, as recorded
+    # before the audit took each fold's touched ids from one mask
+    assert blob_report[0].leakage == ((72, 18, 0),) * 5
+    rng = np.random.default_rng(8)
+    samples, feats = blob_dataset(rng)
+    keep = [i for i, row in enumerate(samples) if row.label != "c" or row.path < "c04"]
+    samples, feats = [samples[i] for i in keep], feats[keep]
+    audits = [nested_cv(samples, feats, make_folds(samples, SPEAKER_DEPENDENT, k_outer, k_inner),
+                        SMALL_GRID).leakage
+              for k_outer, k_inner in ((3, 2), (4, 2), (2, 3))]
+    # fold 1 of the first plan has no usable inner split, so touches no id
+    assert audits == [((43, 21, 0), (0, 22, 0), (43, 21, 0)), ((48, 16, 0),) * 4,
+                      ((32, 32, 0),) * 2]
+
+
+@pytest.mark.parametrize("labels, positive, want", [
+    (["a", "b", "a"], None, (("a", "b"), None)),
+    (["satisfied", "dissatisfied"], None, (("dissatisfied", "satisfied"), "dissatisfied")),
+    (["satisfied", "dissatisfied"], "satisfied", (("dissatisfied", "satisfied"), "satisfied")),
+    (["x", "dissatisfied", "y"], None, (("dissatisfied", "x", "y"), "dissatisfied")),
+    (["rough", "smooth"], "smooth", (("rough", "smooth"), "smooth"))])
+def test_task_classes(labels, positive, want):
+    assert task_classes(labels, positive) == want
+
+
+@pytest.mark.parametrize("labels, positive, message", [
+    (["smooth"] * 6, None, "need at least 2 classes, got 1"),
+    (["smooth"] * 6, "smooth", "need at least 2 classes, got 1"),
+    ([], None, "need at least 2 classes, got 0"),
+    (["rough", "smooth"], "nope", "positive label 'nope' not among classes ('rough', 'smooth')")])
+def test_task_classes_messages(labels, positive, message):
+    # the exact messages ``emovox evaluate`` gave before extracting; nested_cv
+    # raises the same ones on the rows it is given
+    with pytest.raises(EvaluationError) as exc:
+        task_classes(labels, positive)
+    assert str(exc.value) == message
+    if labels:
+        rows = [ManifestRow("p%d" % i, label, "s%d" % i) for i, label in enumerate(labels)]
+        plan = FoldPlan(SPEAKER_DEPENDENT, 2, 2, tuple(r.path for r in rows),
+                        (0, 1) * (len(rows) // 2), ((-1, 0) * (len(rows) // 2),) * 2, 0)
+        with pytest.raises(EvaluationError) as exc:
+            nested_cv(rows, np.zeros((len(rows), 1)), plan, SMALL_GRID, positive_label=positive)
+        assert str(exc.value) == message
 
 
 def test_nested_cv_tie_break_prefers_small_c_then_gamma():

@@ -1,5 +1,7 @@
 """Manifest CSV contract and experiment-config parsing."""
 
+import re
+
 import pytest
 
 from emovox.config import load_config, parse_config
@@ -79,6 +81,42 @@ def test_write_read_roundtrip(tmp_path):
     assert back == tuple(rows)
 
 
+@pytest.mark.parametrize("odd", ["\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029", ",", '"', '",\n"'])
+def test_write_read_roundtrip_odd_path_characters(tmp_path, odd):
+    # str.splitlines would end a line at each of these but the comma and quote
+    rows = [ManifestRow("a%sb.wav" % odd, "x", "s1"), ManifestRow("c.wav", "y", "s2")]
+    path = tmp_path / "m.csv"
+    write_manifest(path, rows)
+    assert read_manifest(path) == tuple(rows)
+
+
+def test_line_numbers_count_physical_lines():
+    # a record whose quoted path holds a line break spans lines 2 and 3
+    text = 'path,label,speaker,gender\n"a\nb.wav",x,s,m\nc.wav,,s,m\n'
+    with pytest.raises(ManifestError, match="line 4: empty label"):
+        parse_manifest(text)
+    with pytest.raises(ManifestError, match="line 5: duplicate .*first seen on line 3"):
+        parse_manifest(text.replace("c.wav,,s,m", '"a\nb.wav",x,s,m'))
+    with pytest.raises(ManifestError, match="line 3: empty label"):
+        parse_manifest(GOOD.replace("\n", "\r\n").replace("b.wav,sad", "b.wav,"))
+
+
+def test_manifest_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" and Notepad write one; it is not part of the header
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(GOOD_DUR, encoding="utf-8")
+    marked.write_text(GOOD_DUR, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert read_manifest(marked) == read_manifest(plain) == parse_manifest(GOOD_DUR)
+    # a second mark is not one
+    marked.write_text("\ufeff" + GOOD_DUR, encoding="utf-8-sig")
+    with pytest.raises(ManifestError, match="header"):
+        read_manifest(marked)
+    with pytest.raises(ManifestError, match="header"):
+        parse_manifest("\ufeff" + GOOD_DUR)
+
+
 def test_read_missing_manifest():
     with pytest.raises(ManifestError, match="not found"):
         read_manifest("/nonexistent/manifest.csv")
@@ -123,6 +161,19 @@ def test_config_full_file(tmp_path):
     assert cfg.seed == 17
     assert cfg.workers == 4
     assert cfg.positive_label == "sad"
+
+
+def test_config_byte_order_mark(tmp_path):
+    text = "scheme = prosody\nseed = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_config(marked) == load_config(plain) == parse_config(text)
+    # anywhere else it is part of a key
+    marked.write_text("scheme = prosody\n\ufeffseed = 3\n", encoding="utf-8-sig")
+    with pytest.raises(ConfigError, match=re.escape("line 2: unknown key '\\ufeffseed'")):
+        load_config(marked)
 
 
 def test_unknown_key_fatal():

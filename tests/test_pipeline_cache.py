@@ -136,6 +136,22 @@ def test_cache_makes_each_shard_directory_once(tmp_path, corpus, monkeypatch, rn
         assert a.values.tobytes() == b.values.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unwritable_cache_keeps_every_vector(tmp_path, corpus, workers):
+    # a file where the cache root should be: each write fails, no row does
+    _, rows = corpus
+    config = parse_config("scheme = phonation+prosody\nworkers = %d\n" % workers)
+    blocker = tmp_path / "c"
+    blocker.write_bytes(b"")
+    result = extract_for_manifest(tuple(rows), config, FeatureCache(blocker))
+    plain = extract_for_manifest(tuple(rows), config, None)
+    assert result.failures == [] and result.rows == list(rows)
+    assert (result.cache_hits, result.computed, result.unwritten) == (0, 12, 12)
+    assert [v.values.tobytes() for v in result.vectors] == [
+        v.values.tobytes() for v in plain.vectors]
+    assert plain.unwritten == 0
+
+
 def test_extract_fusion_caches_members(tmp_path, corpus):
     _, rows = corpus
     config = parse_config("scheme = phonation+prosody\n")
@@ -469,8 +485,8 @@ def test_six_scheme_row_analyses_the_utterance_once(corpus, monkeypatch, rng):
                 monkeypatch.setattr(module, name, wrapper)
     models = six_scheme_models(rng)
     schemes = parse_config("scheme = %s\n" % SIX).fusion_schemes()
-    fused, hits, computed = pipeline._extract_row(rows[0], schemes, models, None)
-    assert (hits, computed) == (0, 6)
+    fused, hits, computed, unwritten = pipeline._extract_row(rows[0], schemes, models, None)
+    assert (hits, computed, unwritten) == (0, 6, 0)
     # One 25/10 ms track shared by three schemes, plus i2010pc's 60 ms track;
     # one speech mask and one voicing segmentation (the counts perfbench
     # reports per row); one framing of the grid, shared by the VAD, the
@@ -523,8 +539,8 @@ def test_six_scheme_row_hashes_its_bytes_once(tmp_path, corpus, monkeypatch, rng
     cache = FeatureCache(tmp_path / "c")
     for want in ((0, 6), (6, 0)):
         fed.clear()
-        _fused, hits, computed = pipeline._extract_row(rows[0], schemes, models, cache)
-        assert (hits, computed) == want
+        _fused, hits, computed, unwritten = pipeline._extract_row(rows[0], schemes, models, cache)
+        assert (hits, computed, unwritten) == want + (0,)
         assert fed.count(raw) == 1
 
 
