@@ -27,6 +27,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from emovox.errors import ManifestError  # noqa: E402
 from emovox.manifest import ManifestRow, write_manifest  # noqa: E402
 
 EMODB_EMOTIONS = {
@@ -98,7 +99,11 @@ def main(argv=None) -> int:
         print("error: no parseable .wav files under %s" % args.directory,
               file=sys.stderr)
         return 2
-    write_manifest(args.output, rows)
+    try:
+        write_manifest(args.output, rows)
+    except ManifestError as exc:  # a path that would not read back as written
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     print("wrote %s (%d rows, %d files skipped)"
           % (args.output, len(rows), len(skipped)))
     for name in skipped[:20]:

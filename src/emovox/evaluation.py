@@ -13,13 +13,14 @@ can be evaluated at all (two classes or more, a positive label among them):
 of every outer fold (a cells x validation rows prediction matrix per split,
 no per-cell model) in packed runs of whole class pairs, each pair one chain
 per gamma through its C values in ascending order, each C warm-started from
-the one before.  On reaching a fold the stream makes each of its splits'
-distances once: ``svm.dead_cells`` reads them for the cells dead in all the
-fold's splits (every kernel value between distinct rows is at most 1e-20, so
-the machines' biases give every row one class), and the splits bring them
-into the stream with the live cells.  Each fold selects a live cell by its
-inner UARs.  A second call fits each outer fold as a one-cell split, a lone
-cold solve: the fold's labels, ROC scores and converged flag.
+the one before.  A split is its fit labels, cells and ``svm.split_distances``
+matrices.  On reaching a fold the stream makes each of its splits' matrices
+once: ``svm.dead_cells`` reads them for the cells dead in all the fold's
+splits (every kernel value between distinct rows is at most 1e-20, so the
+machines' biases give every row one class), and the splits hand them on with
+the live cells.  Each fold selects a live cell by its inner UARs.  A second
+stream fits each outer fold as a one-cell split, a lone cold solve, making
+its matrices on reaching it: the fold's labels, ROC scores and converged flag.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .arrays import frozen
 from .errors import EvaluationError
 from .manifest import ManifestRow
-from .svm import _split_distances, dead_cells, grid_predictions
+from .svm import dead_cells, grid_predictions, split_distances
 
 SPEAKER_INDEPENDENT = "speaker_independent"
 SPEAKER_DEPENDENT = "speaker_dependent"
@@ -380,6 +381,8 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
         raise EvaluationError(
             "feature matrix of shape %s does not match sample count %d" % (x.shape, len(rows))
         )
+    if not np.all(np.isfinite(x)):
+        raise EvaluationError("feature values must be finite")
     if not cells:
         raise EvaluationError("the (C, gamma) cell list is empty")
     labels = np.array([r.label for r in rows], dtype=object)
@@ -391,11 +394,12 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
     id_array = np.array(ids)
     truth_index = np.array([classes.index(label) for label in labels])
     usable = []  # per outer fold: (fit mask, fit labels, validation mask) per usable inner split
-    leakage = []
+    test_masks, leakage = [], []
     for fold in range(plan.k_outer):
         test_mask = outer == fold
         if not test_mask.any() or test_mask.all():
             raise EvaluationError("outer fold %d is degenerate" % fold)
+        test_masks.append(test_mask)
         inner_assign = np.asarray(plan.inner[fold])
         in_inner = inner_assign != -1
         fold_splits = []
@@ -423,25 +427,26 @@ def nested_cv(rows: Sequence[ManifestRow], x, plan: FoldPlan,
 
     def inner_stream():
         for fold, fold_splits in enumerate(usable):
-            made = [_split_distances(x[fit], x[val]) for fit, _labels, val in fold_splits]
-            dead = np.all([dead_cells(sq, sq_val, gammas) for _s, sq, sq_val in made], axis=0)
+            made = [split_distances(x[fit], x[val])[1:] for fit, _labels, val in fold_splits]
+            dead = np.all([dead_cells(sq, sq_val, gammas) for sq, sq_val in made], axis=0)
             live[fold] = [cells[k] for k in np.flatnonzero(~dead)] if made else []
-            for fit, fit_labels, val in fold_splits if live[fold] else ():
+            for _fit, fit_labels, val in fold_splits if live[fold] else ():
                 streamed.append((fold, val))
-                yield fit, fit_labels, val, live[fold], made.pop(0)  # then held by its pairs alone
+                yield fit_labels, live[fold], *made.pop(0)  # then held by its pairs alone
 
     uars = [[] for _fold in usable]
     # every class is in each inner split's fit rows, so indices refer to ``classes``
-    for i, (_classes, guesses, _margins, _ok) in enumerate(grid_predictions(x, inner_stream())):
+    for i, (_classes, guesses, _margins, _ok) in enumerate(grid_predictions(inner_stream())):
         fold, val = streamed[i]
         uars[fold].append(_inner_uars(truth_index[val], guesses))
     # first best live cell: smallest C, then gamma; with none, the first cell
     chosen = [live[fold][int(np.argmax(np.mean(fold_uars, axis=0)))] if fold_uars else cells[0]
               for fold, fold_uars in enumerate(uars)]
 
-    test_masks = [outer == fold for fold in range(plan.k_outer)]
-    outer_fits = grid_predictions(x, [(~test, labels[~test].tolist(), test, [cell])
-                                      for test, cell in zip(test_masks, chosen)])
+    # each fold's matrices made as the stream reaches it, so one fold's at a time
+    outer_fits = grid_predictions((labels[~test].tolist(), [cell],
+                                   *split_distances(x[~test], x[test])[1:])
+                                  for test, cell in zip(test_masks, chosen))
     folds, pooled_scores, pooled_truth = [], [], []
     for fold, ((c_win, g_win), test_mask, (fit_classes, guesses, margins, converged)) in enumerate(
             zip(chosen, test_masks, outer_fits)):

@@ -4,12 +4,16 @@ Header must be exactly ``path,label,speaker,gender`` with an optional trailing
 ``duration_s`` column.  Paths are unique, labels non-empty, gender one of
 m / f / unknown (empty cell reads as unknown).  Files are UTF-8, with an
 optional leading byte-order mark; a cell holding commas, quotes or line
-breaks round-trips through ``write_manifest``'s CSV quoting.
+breaks round-trips through ``write_manifest``'s CSV quoting.  The reader
+strips each cell, and Python 3.11's ``csv`` writer leaves a lone carriage
+return unquoted, so ``write_manifest`` reads each row back before it writes
+anything and refuses one that would come back different, or a repeated path.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -108,16 +112,38 @@ def read_manifest(path) -> tuple[ManifestRow, ...]:
     return parse_manifest(text, origin=os.fspath(path))
 
 
+def _csv_record(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
 def write_manifest(path, rows, include_durations: bool | None = None) -> None:
+    """Write ``rows`` as a manifest that ``read_manifest`` reads back as they
+    are, durations included when any row has one unless ``include_durations``
+    says otherwise.  Each row is parsed back first, and one that would not
+    come back the same (whitespace at either end of a cell, a lone carriage
+    return, an empty path, label or speaker, a bad gender or duration) or
+    that repeats a path raises ManifestError naming it before ``path`` is
+    touched."""
     rows = list(rows)
     if include_durations is None:
         include_durations = any(r.duration_s is not None for r in rows)
-    header = list(REQUIRED_COLUMNS) + (["duration_s"] if include_durations else [])
+    records = [_csv_record(list(REQUIRED_COLUMNS) + (["duration_s"] if include_durations else []))]
+    seen = set()
+    for n, r in enumerate(rows, 1):
+        cells = [r.path, r.label, r.speaker, r.gender]
+        if include_durations:
+            cells.append("" if r.duration_s is None else repr(float(r.duration_s)))
+        records.append(_csv_record(cells))
+        if r.path in seen:
+            raise ManifestError(f"row {n}: duplicate path {r.path!r}")
+        seen.add(r.path)
+        try:
+            back = parse_manifest(records[0] + records[-1])
+        except ManifestError:
+            back = None
+        if back != (r if include_durations else dataclasses.replace(r, duration_s=None),):
+            raise ManifestError(f"row {n} would not read back as written: {r!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in rows:
-            cells = [r.path, r.label, r.speaker, r.gender]
-            if include_durations:
-                cells.append("" if r.duration_s is None else repr(float(r.duration_s)))
-            writer.writerow(cells)
+        fh.write("".join(records))

@@ -7,23 +7,23 @@ sizes, each chain with its own labels, kernel and pass limit and its box
 bounds C in ascending order.  A chain's first dual is a lone cold solve,
 step for step; each later one starts warm from the dual before it (alpha
 seeding, DeCoste & Wagstaff, KDD 2000), and a chain restarts in place as
-each dual stops.  One path fits every multi-class SVM: ``_fit_splits``
-turns (fit rows, fit labels, validation rows, (C, gamma) cells) splits into
-a stream of class pairs (``_Pair``), one chain per gamma each, which
-``_solve_pairs`` packs into runs of whole pairs, a run closing with the pair
-that brings it up to one of two caps (so it may pass a cap by that pair).
-A one-cell split is a chain of one, solved cold.  ``_split_distances``
-standardizes a split on its fit rows and makes its squared distances once:
-fit x fit, exactly symmetric with a zero diagonal, and validation x fit.
-``_fit_splits`` calls it unless a split brings them, as nested CV's inner
-splits do once ``dead_cells`` has read them for the cells whose gamma leaves
-no kernel value between distinct rows above ``_DEAD_KERNEL``.  Every pair
-holds its split's matrices, no copy, taking its block only to stack and score.
-``train_multiclass`` is one split of every row and one cell;
-``grid_predictions`` scores many splits' held-out rows with all their cells
-at once: the inner grid of nested CV, and its outer fits as one-cell
-splits.  Multi-class is one-vs-one with majority voting; ties fall back to
-summed decision margins, then lexicographic class order.
+each dual stops.  As with LIBSVM's precomputed kernels (Chang & Lin, 2011),
+the fit path sees distances, not rows: a split is (fit labels, (C, gamma)
+cells, sq, sq_val), ``split_distances``'s fit x fit (exactly symmetric, zero
+diagonal) and validation x fit matrices of rows standardized on its fit
+rows.  ``_fit_splits`` turns splits into a stream of class pairs
+(``_Pair``), one chain per gamma each, each holding its split's matrices, no
+copy; ``_solve_pairs`` packs them into runs of whole pairs, a run closing
+with the pair that brings it up to one of two caps (so it may pass a cap by
+that pair), and yields each pair solved and scored, without the matrices.
+A one-cell split is a chain of one, solved cold.  ``train_multiclass`` is
+one split of every row and one cell; ``grid_predictions`` scores many
+splits' validation rows with all their cells at once: the inner grid of
+nested CV, and its outer fits as one-cell splits.  ``dead_cells`` reads a
+split's matrices for the cells whose gamma leaves no kernel value between
+distinct rows above ``_DEAD_KERNEL``.  Multi-class is one-vs-one with
+majority voting; ties fall back to summed decision margins, then
+lexicographic class order.
 """
 
 from __future__ import annotations
@@ -97,12 +97,12 @@ def _sq_distances(a, b):
     return np.maximum(sq, 0.0)
 
 
-def _split_distances(xm, x_val):
-    """The standardizer fitted on a split's fit rows ``xm`` and the squared
+def split_distances(x_fit, x_val):
+    """The standardizer fitted on a split's fit rows ``x_fit`` and the squared
     distances, one product each, of the rows it standardizes: fit x fit and
     validation ``x_val`` x fit, which the dead-cell test and every pair read."""
-    scaler = fit_standardizer(xm)
-    z = scaler.transform(xm)
+    scaler = fit_standardizer(x_fit)
+    z = scaler.transform(x_fit)
     return scaler, _sq_distances(z, z), _sq_distances(scaler.transform(x_val), z)
 
 
@@ -168,14 +168,14 @@ def _smo_batch(kernels, y, c, ends, tol, max_passes, out, slot):
     violation becomes y + s (v - y) with no kernel product.  Both starts are
     feasible.  A cell stops when it has no violating pair or a gap of at
     most ``tol``, and is unconverged if still running ``max_passes[r]``
-    passes after its start.  Its alphas, clipped to its box, go to
-    ``out[slot[q]:slot[q] + n]``, n the row's unpadded length, and the row
-    restarts in place at its next cell, which takes its first pair the next
-    pass (the row steps by zero meanwhile).  A padded entry is in neither
-    the up nor the low set, so its alpha stays 0, and as padding comes last
-    each cell takes a lone solve's steps from its start: the same
-    first-index pair, clipping and gradient update, in the same
-    floating-point order.  Returns the converged flags (cells,).
+    passes after its start.  Its alphas, clipped to its box, go to row
+    ``slot[q]`` of ``out`` (cells, n), and the row restarts in place at its
+    next cell, which takes its first pair the next pass (the row steps by
+    zero meanwhile).  A padded entry is in neither the up nor the low set,
+    so its alpha stays exactly 0, and as padding comes last each cell takes
+    a lone solve's steps from its start: the same first-index pair, clipping
+    and gradient update, in the same floating-point order.  Returns the
+    converged flags (cells,), cell q's at ``slot[q]`` like its alphas.
 
     The violation -y * gradient and its masked copies persist, stacked as
     one array, updated from the two changed kernel columns as in LIBSVM
@@ -206,7 +206,6 @@ def _smo_batch(kernels, y, c, ends, tol, max_passes, out, slot):
     v[1], v[2] = _masked(a, y, np.where(y != 0.0, top[:, None], 0.0), eps[:, None], y > 0)
     columns = kernels.reshape(-1, n)
     kid = np.arange(0, rows * n, n)  # each row's first kernel row in ``columns``
-    span = np.arange(n)
     soonest = deadline.min()  # no cell expires before this pass
     size = rows * n  # entries of the rows still running; row r starts at r * n
     starts, up_low = np.arange(0, size, n), np.array([[size], [2 * size]])
@@ -220,9 +219,8 @@ def _smo_batch(kernels, y, c, ends, tol, max_passes, out, slot):
         if stop.any():
             s = np.flatnonzero(stop)
             q = cell[s]
-            converged[q] = deadline[s] > t
-            real = y[s] != 0.0
-            out[(slot[q][:, None] + span)[real]] = np.clip(a[s], 0.0, box[s, None])[real]
+            converged[slot[q]] = deadline[s] > t
+            out[slot[q]] = np.clip(a[s], 0.0, box[s, None])
             more = q < last[s]
             s = s[more]
             if s.size:
@@ -309,41 +307,41 @@ def _by_gamma(cells) -> _Gammas:
 
 
 class _Pair(NamedTuple):
-    """Class pair (a, b) of one split: its inputs, and its outputs per (c, gamma)
-    cell of the split, which ``_solve_pairs`` and ``_fit_splits`` fill in,
-    dropping the split's fit x fit distances once its kernels are stacked and
-    the validation ones once it is scored; its alphas view its run's output."""
+    """Class pair (a, b) of one split: its inputs, holding the split's
+    matrices until ``_solve_pairs`` yields it with its outputs per (c,
+    gamma) cell of the split instead; its alphas view its run's output."""
 
     split: int             # the split's index in its stream
     pair: Tuple            # (a, b)
     rows: np.ndarray       # the split's fit rows of class a or b, a mask
     yv: np.ndarray         # their labels: +1 for a, -1 for b
-    sq: Optional[np.ndarray]      # the split's fit x fit squared distances, block [rows][:, rows]
-    sq_val: Optional[np.ndarray]  # and its validation x fit ones, columns [:, rows]
     cells: np.ndarray      # the split's (cells, 2) array of (c, gamma) rows
     by_g: _Gammas          # their gammas, grouped
-    alphas: Optional[np.ndarray]  # (cells, rows), clipped to each cell's box
-    converged: np.ndarray  # (cells,)
-    bias: np.ndarray       # (cells,)
-    decision: np.ndarray   # (cells, validation rows), bias included
+    sq: Optional[np.ndarray]      # the split's fit x fit squared distances, block [rows][:, rows]
+    sq_val: Optional[np.ndarray]  # and its validation x fit ones, columns [:, rows]
+    alphas: Optional[np.ndarray] = None     # (cells, rows), clipped to each cell's box
+    converged: Optional[np.ndarray] = None  # (cells,)
+    bias: Optional[np.ndarray] = None       # (cells,)
+    decision: Optional[np.ndarray] = None   # (cells, validation rows), bias included
 
 
-def _cell_products(p: _Pair, kernels):
-    """Per cell of ``p``, its coefficients alpha * y times ``kernels[g]``, g
-    the index of its gamma: one product per gamma over all its cells."""
-    coef = (p.alphas * p.yv)[p.by_g.order]
+def _cell_products(by_g: _Gammas, coef, kernels):
+    """Per cell, its row of ``coef`` (cells, n) times ``kernels[g]``, g the
+    index of its gamma in ``by_g``: one product per gamma over all its cells."""
+    coef = coef[by_g.order]
     grouped = np.empty((coef.shape[0], kernels.shape[2]))
-    for g, (lo, hi) in enumerate(zip(p.by_g.edges, p.by_g.edges[1:])):
+    for g, (lo, hi) in enumerate(zip(by_g.edges, by_g.edges[1:])):
         np.matmul(coef[lo:hi], kernels[g], out=grouped[lo:hi])
     out = np.empty_like(grouped)
-    out[p.by_g.order] = grouped
+    out[by_g.order] = grouped
     return out
 
 
 def _solve_pairs(pairs, tol):
     """Solve every (c, gamma) cell of every ``_Pair`` of ``pairs``, pass
-    limit 10 * n, fill in its alphas, converged flags and biases, and yield
-    the pairs in order.
+    limit 10 * n, and yield the pairs in order, each with its alphas,
+    converged flags, biases and validation decision values and without its
+    split's matrices.
 
     A pair is one chain per gamma, its cells of that gamma by ascending C
     (see ``_smo_batch``), so the first cell of a chain has a lone solve's
@@ -354,8 +352,11 @@ def _solve_pairs(pairs, tol):
     n_max**2 floats each, up to ``_PACK_FLOATS``, so a run may pass a cap by
     its last pair; a pair that reaches a cap on its own is a run by itself.
     Each pair's kernels are stacked once, one ``exp`` over all its gammas of
-    its block of the split's fit x fit distances, and give its biases; its
-    alphas are its slice of the run's one output.
+    its block of the split's fit x fit distances, and its alphas are a row
+    slice of the run's output.  Every pair of a run takes its biases from
+    the stacked kernels, which are then freed, and each pair is scored as it
+    is yielded, by one ``exp`` over all its gammas of its columns of the
+    split's validation distances.
     """
     def full(chains, n_max):
         return chains * n_max >= _PACK_CELLS or chains * n_max * n_max >= _PACK_FLOATS
@@ -366,29 +367,31 @@ def _solve_pairs(pairs, tol):
         edges = np.cumsum([0] + [len(p.cells) for p in run])        # and its first cell
         stacked = np.zeros((first[-1], n_max, n_max))
         labels = np.zeros((first[-1], n_max))
-        out = np.empty(sum(len(p.cells) * p.yv.size for p in run))
-        slot = np.empty(edges[-1], dtype=np.intp)
-        solved, base = [], 0
         for k, p in enumerate(run):
             n = p.yv.size
             labels[first[k]:first[k + 1], :n] = p.yv
             stacked[first[k]:first[k + 1], :n, :n] = np.exp(
                 -p.by_g.values[:, None, None] * p.sq[np.ix_(p.rows, p.rows)])
-            slot[edges[k]:edges[k + 1]] = base + p.by_g.order * n
-            solved.append(p._replace(alphas=out[base:base + len(p.cells) * n].reshape(-1, n),
-                                     sq=None))
-            base += len(p.cells) * n
+        alphas = np.empty((edges[-1], n_max))
         converged = _smo_batch(
             stacked, labels,
             np.concatenate([p.cells[p.by_g.order, 0] for p in run]),
             np.concatenate([edges[k] + p.by_g.edges[1:] for k, p in enumerate(run)]), tol,
-            10 * np.count_nonzero(labels, 1), out, slot)
-        for k, p in enumerate(solved):
+            10 * np.count_nonzero(labels, 1), alphas,
+            np.concatenate([edges[k] + p.by_g.order for k, p in enumerate(run)]))
+        solved = []  # each pair's alphas and biases
+        for k, p in enumerate(run):
             n = p.yv.size
-            p.converged[p.by_g.order] = converged[edges[k]:edges[k + 1]]
-            fvals = _cell_products(p, stacked[first[k]:first[k + 1], :n, :n])
-            p.bias[:] = _biases(p.alphas, fvals, p.yv, p.cells[:, 0])
-        return solved
+            a = alphas[edges[k]:edges[k + 1], :n]
+            fvals = _cell_products(p.by_g, a * p.yv, stacked[first[k]:first[k + 1], :n, :n])
+            solved.append((a, _biases(a, fvals, p.yv, p.cells[:, 0])))
+        del stacked
+        for k, (p, (a, bias)) in enumerate(zip(run, solved)):
+            kernels = np.exp(-p.by_g.values[:, None, None] * p.sq_val[:, p.rows])
+            yield p._replace(sq=None, sq_val=None, alphas=a,
+                             converged=converged[edges[k]:edges[k + 1]], bias=bias,
+                             decision=_cell_products(p.by_g, a * p.yv, kernels.transpose(0, 2, 1))
+                             + bias[:, None])
 
     run, chains, n_max = [], 0, 0
     for p in pairs:
@@ -438,8 +441,7 @@ def train_binary_smo(x, y, c: float, gamma: float, tol: float = SMO_TOL,
 
     k = np.exp(-gamma * _sq_distances(xm, xm))
     alpha = np.zeros((1, n))
-    converged = _smo_batch(k[None], yv[None], [float(c)], [1], tol, [max_passes],
-                           alpha.reshape(-1), [0])
+    converged = _smo_batch(k[None], yv[None], [float(c)], [1], tol, [max_passes], alpha, [0])
     bias = _biases(alpha, (alpha * yv) @ k, yv, np.array([float(c)]))
     return _binary_svm(xm, yv, alpha[0], bias[0], c, gamma, converged[0])
 
@@ -480,50 +482,39 @@ def trainable_classes(labels) -> list:
     return classes
 
 
-def _fit_splits(x, splits, tol):
-    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split of
-    ``x``, its classes, the standardizer fitted on its fit rows and a solved
-    ``_Pair`` per class pair, a < b, with +1 for a: alphas and converged
-    flags for every cell from its chain (``_solve_pairs``; a chain's first
-    cell has ``train_multiclass(x[fit], labels, c, gamma, tol)``'s), biases,
-    and its pair machines' ``decision_values`` on ``x[val]``.  A split may
-    bring its ``_split_distances(x[fit], x[val])`` as a fifth item.  All
-    splits' pairs, holding their split's matrices, stream through
-    ``_solve_pairs``, built as it reads them; a pair is scored as it comes
-    out, by one ``exp`` over all its gammas, and then drops the matrices."""
-    x = np.asarray(x, dtype=np.float64)
-    fitted = {}  # each split's classes and standardizer, until its pairs are solved
+def _fit_splits(splits, tol):
+    """Per (fit labels, (C, gamma) cells, sq, sq_val) split, ``sq`` and
+    ``sq_val`` its ``split_distances``, its classes and a solved ``_Pair``
+    per class pair, a < b, with +1 for a: alphas and converged flags for
+    every cell from its chain (``_solve_pairs``; a chain's first cell has
+    ``train_multiclass``'s on the split's fit rows), biases, and its pair
+    machines' decision values on the validation rows.  All splits' pairs,
+    holding their split's matrices, stream through ``_solve_pairs``, built
+    as it reads them, and a split is yielded once its last pair is solved."""
+    classes_of = {}  # each split's classes, until its pairs are solved
 
     def pairs():
-        for s, (fit, labels, val, cells, *made) in enumerate(splits):
+        for s, (labels, cells, sq, sq_val) in enumerate(splits):
             cells = np.array(cells, dtype=np.float64).reshape(-1, 2)
             if not np.all((cells > 0) & (cells < np.inf)):
                 raise TrainingError("C and gamma must be finite and positive")
             lab = list(labels)
-            if len(lab) != np.arange(len(x))[fit].size:  # the fit rows, counted, not copied
+            if len(lab) != sq.shape[0]:
                 raise TrainingError("label count does not match sample count")
-            classes = tuple(trainable_classes(lab))
-            scaler, sq, sq_val = made[0] if made else _split_distances(x[fit], x[val])
-            fitted[s] = classes, scaler
-            by_g, m, lab_arr = _by_gamma(cells), len(cells), np.array(lab, dtype=object)
+            classes_of[s] = classes = tuple(trainable_classes(lab))
+            by_g, lab = _by_gamma(cells), np.array(lab, dtype=object)
             for a, b in itertools.combinations(classes, 2):
-                rows = (lab_arr == a) | (lab_arr == b)
-                yield _Pair(s, (a, b), rows, np.where(lab_arr[rows] == a, 1.0, -1.0), sq, sq_val,
-                            cells, by_g, None, np.zeros(m, dtype=bool), np.zeros(m),
-                            np.empty((m, sq_val.shape[0])))
-            del made, sq, sq_val  # the pairs alone hold the split's matrices
-
-    def scored(p):
-        kernels = np.exp(-p.by_g.values[:, None, None] * p.sq_val[:, p.rows]).transpose(0, 2, 1)
-        np.add(_cell_products(p, kernels), p.bias[:, None], out=p.decision)
-        return p._replace(sq_val=None)
+                rows = (lab == a) | (lab == b)
+                yield _Pair(s, (a, b), rows, np.where(lab[rows] == a, 1.0, -1.0), cells, by_g,
+                            sq, sq_val)
+            del sq, sq_val  # the pairs alone hold the split's matrices
 
     split = []
-    for p in map(scored, _solve_pairs(pairs(), tol)):
+    for p in _solve_pairs(pairs(), tol):
         split.append(p)
-        if p.pair == fitted[p.split][0][-2:]:  # the split's last pair
+        if p.pair == classes_of[p.split][-2:]:  # the split's last pair
             del p  # the split lives on in what is yielded alone
-            yield (*fitted.pop(split[0].split), split)
+            yield classes_of.pop(split[0].split), split
             split = []
 
 
@@ -531,13 +522,16 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
     """Train k(k-1)/2 pairwise machines on standardized features.
 
     In each pairwise machine the lexicographically smaller class takes the +1
-    side.  This is ``_fit_splits`` on one split, every row and one cell, with
-    no validation rows: all pairs are solved together, each on its block of
-    the split's distances, so with two classes the machine is
-    ``train_binary_smo`` of the split, bit for bit.
+    side.  Feature values must be finite.  This is ``_fit_splits`` on one
+    split, ``split_distances(x, x[:0])``, every row and one cell: all pairs
+    are solved together, each on its block of the split's distances, so with
+    two classes the machine is ``train_binary_smo`` of the split, bit for bit.
     """
-    (classes, scaler, pairs), = _fit_splits(x, [(slice(None), labels, slice(0), [(c, gamma)])],
-                                            tol)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise TrainingError("feature values must be finite")
+    scaler, sq, sq_val = split_distances(x, x[:0])
+    (classes, pairs), = _fit_splits([(labels, [(c, gamma)], sq, sq_val)], tol)
     z = scaler.transform(x)
     machines = {p.pair: _binary_svm(z[p.rows], p.yv, p.alphas[0], p.bias[0], c, gamma,
                                     p.converged[0]) for p in pairs}
@@ -545,7 +539,7 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
 
 
 def dead_cells(sq, sq_val, gammas):
-    """For a split's ``_split_distances`` ``sq`` (fit x fit) and ``sq_val``
+    """For a split's ``split_distances`` ``sq`` (fit x fit) and ``sq_val``
     (validation x fit), a bool array like ``gammas``: True for a gamma that
     leaves every kernel value between two distinct rows of the split at or
     below ``_DEAD_KERNEL``.  A pair machine's decision is its bias plus
@@ -566,23 +560,23 @@ def dead_cells(sq, sq_val, gammas):
     return np.exp(-np.asarray(gammas, dtype=np.float64) * nearest) <= _DEAD_KERNEL
 
 
-def grid_predictions(x, splits, tol: float = SMO_TOL):
-    """Per (fit rows, fit labels, validation rows, (C, gamma) cells) split
-    of ``x``, yield its classes ``sorted(set(labels))``, an int array (cells,
+def grid_predictions(splits, tol: float = SMO_TOL):
+    """Per (fit labels, (C, gamma) cells, sq, sq_val) split (``_fit_splits``),
+    yield its classes ``sorted(set(labels))``, an int array (cells,
     validation rows) of indices into them, the summed margins (cells,
     validation rows, classes) and the converged flags (cells,).  For the
     first cell of each chain (its gamma's smallest C), row r is
-    ``predict_with_margins`` and ``converged`` of ``train_multiclass(x[fit],
-    labels, *cells[r], tol)`` on ``x[val]``, the margins equal to rounding,
-    except where a vote hangs on a pair decision value that is zero to
-    rounding (duplicate rows of different labels, a gamma that no kernel
-    value survives), whose sign may differ.  Every later cell of a chain is
-    solved warm from the cell before it (see ``_smo_batch``), so its
-    machines meet the same tolerance as a lone solve's but are not its bits.
-    ``_winners`` picks from all cells' summed votes and margins at once.
-    Every cell listed is solved, a dead one (see ``dead_cells``) included;
-    nested CV leaves those out.  Splits may bring distances (``_fit_splits``)."""
-    for classes, _scaler, pairs in _fit_splits(x, splits, tol):
+    ``predict_with_margins`` and ``converged`` of ``train_multiclass`` on
+    the split's fit rows with ``cells[r]`` and ``tol``, on its validation
+    rows, the margins equal to rounding, except where a vote hangs on a pair
+    decision value that is zero to rounding (duplicate rows of different
+    labels, a gamma that no kernel value survives), whose sign may differ.
+    Every later cell of a chain is solved warm from the cell before it (see
+    ``_smo_batch``), so its machines meet the same tolerance as a lone
+    solve's but are not its bits.  ``_winners`` picks from all cells' summed
+    votes and margins at once.  Every cell listed is solved, a dead one (see
+    ``dead_cells``) included; nested CV leaves those out."""
+    for classes, pairs in _fit_splits(splits, tol):
         votes, margins = _tally(classes, pairs[0].decision.shape,
                                 ((p.pair, p.decision) for p in pairs))
         converged = np.all([p.converged for p in pairs], axis=0)

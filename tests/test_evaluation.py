@@ -378,16 +378,16 @@ def test_nested_cv_binary_roc_and_positive_class():
 
 
 def recorded_streams(monkeypatch):
-    """The splits of every ``grid_predictions`` call that nested CV makes, as
-    the call reads them, each without the distances an inner split brings."""
+    """The (fit labels, cells, sq, sq_val) splits of every ``grid_predictions``
+    call that nested CV makes, as the call reads them."""
     from emovox import evaluation
 
     streams = []
     grid_predictions = evaluation.grid_predictions
 
-    def recorded(x, splits):
+    def recorded(splits):
         streams.append([])
-        return grid_predictions(x, (streams[-1].append(split[:4]) or split for split in splits))
+        return grid_predictions(streams[-1].append(split) or split for split in splits)
 
     monkeypatch.setattr(evaluation, "grid_predictions", recorded)
     return streams
@@ -397,7 +397,7 @@ def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
     # two solve streams: the inner grid, then every outer fold as a one-cell
     # split that fits on its training rows and scores its test rows once,
     # which gives its labels and ROC scores; no model is built or scored
-    from emovox.svm import BinarySvm
+    from emovox.svm import BinarySvm, split_distances
 
     def unexpected(machine, x):
         raise AssertionError("nested CV scored a model")
@@ -409,15 +409,17 @@ def test_nested_cv_scores_each_outer_fold_once(monkeypatch):
     plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=0)
     report = nested_cv(samples, feats, plan, SMALL_GRID)
     assert len(streams) == 2
-    assert all(cells == SMALL_GRID for *_rest, cells in streams[0])
+    assert all(cells == SMALL_GRID for _labels, cells, _sq, _sq_val in streams[0])
     assert len(streams[1]) == plan.k_outer
     labels = [s.label for s in samples]
-    for fold, (fit, fit_labels, test, cells) in zip(report.folds, streams[1]):
-        assert np.array_equal(test, np.asarray(plan.outer) == fold.fold)
-        assert np.array_equal(fit, ~test)
+    for fold, (fit_labels, cells, sq, sq_val) in zip(report.folds, streams[1]):
+        # the distances of the fold's training rows and of its test rows to them
+        test = np.asarray(plan.outer) == fold.fold
+        _scaler, want_sq, want_val = split_distances(feats[~test], feats[test])
+        assert sq.tobytes() == want_sq.tobytes() and sq_val.tobytes() == want_val.tobytes()
         assert fit_labels == [label for label, t in zip(labels, test) if not t]
         assert cells == [(fold.c, fold.gamma)]
-        assert fold.test_count == test.sum()
+        assert fold.test_count == test.sum() == len(sq_val)
 
 
 def usable_inner_splits(samples, plan, fold):
@@ -468,7 +470,7 @@ def per_cell_selection(samples, feats, plan, cells):
                                          ("dissatisfied", "satisfied")])
 def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     from emovox import evaluation
-    from emovox.svm import predict_with_margins, train_multiclass
+    from emovox.svm import predict_with_margins, split_distances, train_multiclass
 
     from test_svm import oracle_grid_predictions
 
@@ -482,23 +484,30 @@ def test_nested_cv_report_matches_per_cell_oracle(class_names, monkeypatch):
     chosen, dead = per_cell_selection(samples, feats, plan, cells)
     assert [(f.c, f.gamma) for f in report.folds] == chosen
     assert all(dead)  # every fold has dead cells, which the oracle skips too
-    streams = []
+    streams, rows_of = [], []  # each made split's fit x fit matrix and its rows
 
-    def oracle_stream(x, splits):
+    def recorded(x_fit, x_val):
+        made = split_distances(x_fit, x_val)
+        rows_of.append((made[1], x_fit, x_val))
+        return made
+
+    def oracle_stream(splits):
         # the inner grid by one model per cell, each outer fold by
         # ``train_multiclass`` and ``predict_with_margins``
         streams.append(splits)
-        for fit, labels, val, split_cells, *_distances in splits:
+        for labels, split_cells, sq, _sq_val in splits:
+            x_fit, x_val = next((x_fit, x_val) for m, x_fit, x_val in rows_of if m is sq)
             classes = tuple(sorted(set(labels)))
             if len(streams) == 1:
-                guesses = oracle_grid_predictions(x[fit], labels, x[val], split_cells)
+                guesses = oracle_grid_predictions(x_fit, labels, x_val, split_cells)
                 yield classes, guesses, None, None
                 continue
-            model = train_multiclass(x[fit], labels, *split_cells[0])
-            guesses, margins = predict_with_margins(model, x[val])
+            model = train_multiclass(x_fit, labels, *split_cells[0])
+            guesses, margins = predict_with_margins(model, x_val)
             yield (classes, np.array([[classes.index(g) for g in guesses]]), margins[None],
                    np.array([model.converged]))
 
+    monkeypatch.setattr(evaluation, "split_distances", recorded)
     monkeypatch.setattr(evaluation, "grid_predictions", oracle_stream)
     oracle = nested_cv(samples, feats, plan, cells)
     assert len(streams) == 2
@@ -661,6 +670,8 @@ def test_cell_dead_in_some_inner_splits_is_solved_in_all(monkeypatch):
     # the inner split that validates on both; gamma = 1e6 is dead everywhere
     from test_svm import split_is_dead
 
+    from emovox.svm import split_distances
+
     streams = recorded_streams(monkeypatch)
     samples, feats = noisy_blobs(45)
     feats[10] = feats[0] + 0.05 * np.random.default_rng(46).standard_normal(feats.shape[1])
@@ -681,8 +692,9 @@ def test_cell_dead_in_some_inner_splits_is_solved_in_all(monkeypatch):
         assert any(dead) and not all(dead)
         partly_dead += 1
         for fit, val in usable:
-            _fit, _labels, val_rows, split_cells = next(inner_splits)
-            assert np.array_equal(val_rows, val)
+            _labels, split_cells, sq, sq_val = next(inner_splits)
+            _scaler, want_sq, want_val = split_distances(feats[fit], feats[val])
+            assert sq.tobytes() == want_sq.tobytes() and sq_val.tobytes() == want_val.tobytes()
             assert split_cells == [(1.0, 1e3)]
         assert (fold.c, fold.gamma) == (1.0, 1e3)
     assert partly_dead == plan.k_outer - 1
@@ -718,14 +730,14 @@ def test_nested_cv_makes_each_split_distances_once(class_names, monkeypatch):
     from emovox import evaluation, svm
 
     made = []
-    split_distances = svm._split_distances
+    split_distances = svm.split_distances
 
     def counted(*args):
         made.append(split_distances(*args))
         return made[-1]
 
-    monkeypatch.setattr(svm, "_split_distances", counted)
-    monkeypatch.setattr(evaluation, "_split_distances", counted)
+    monkeypatch.setattr(svm, "split_distances", counted)
+    monkeypatch.setattr(evaluation, "split_distances", counted)
     records = []
     solve_pairs = svm._solve_pairs
     monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: solve_pairs(
@@ -756,6 +768,56 @@ def test_nested_cv_makes_each_split_distances_once(class_names, monkeypatch):
     report = nested_cv(samples, np.array(feats), plan, SMALL_GRID)
     assert len(made) == plan.k_outer
     assert all((fold.c, fold.gamma) == SMALL_GRID[0] for fold in report.folds)
+
+
+def test_outer_fits_make_one_fold_distances_at_a_time(monkeypatch):
+    # the outer stream makes each fold's matrices only when it reaches the
+    # fold: with every class pair a run of its own, each outer solve finds
+    # exactly one outer fold's matrices alive, where a list of all five
+    # folds' splits would hold them all from the first solve on
+    import weakref
+
+    from emovox import evaluation, svm
+
+    rng = np.random.default_rng(8)
+    samples, feats = blob_dataset(rng)
+    plan = make_folds(samples, SPEAKER_INDEPENDENT, 5, 5, seed=4)
+    want = format_report(nested_cv(samples, feats, plan, SMALL_GRID))
+    outer = []  # weak references to each outer fold's two matrices
+    split_distances = svm.split_distances
+
+    def recorded(x_fit, x_val):
+        made = split_distances(x_fit, x_val)
+        if len(x_fit) + len(x_val) == len(samples):  # an outer fold's split covers every row
+            outer.append((weakref.ref(made[1]), weakref.ref(made[2])))
+        return made
+
+    seen = []  # per solve: the outer folds made so far, and those still alive
+    solve = svm._smo_batch
+
+    def counted(*args):
+        seen.append((len(outer), sum(any(r() is not None for r in refs) for refs in outer)))
+        return solve(*args)
+
+    monkeypatch.setattr(evaluation, "split_distances", recorded)
+    monkeypatch.setattr(svm, "_smo_batch", counted)
+    monkeypatch.setattr(svm, "_PACK_CELLS", 1)
+    assert format_report(nested_cv(samples, feats, plan, SMALL_GRID)) == want
+    outer_solves = [alive for made, alive in seen if made]
+    # three class pairs per fold, each a run; then every fold's matrices are gone
+    assert [made for made, _alive in seen if made] == [k for k in range(1, 6) for _pair in "abc"]
+    assert outer_solves == [1] * 3 * plan.k_outer
+    assert not any(r() is not None for refs in outer for r in refs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nested_cv_rejects_non_finite_features(bad):
+    # a typed error before any fold is fitted, and no RuntimeWarning first
+    samples, feats = blob_dataset(np.random.default_rng(16), n_per=10)
+    plan = make_folds(samples, SPEAKER_DEPENDENT, 5, 5, seed=0)
+    feats[7, 1] = bad
+    with pytest.raises(EvaluationError, match="^feature values must be finite$"):
+        nested_cv(samples, feats, plan, SMALL_GRID)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])

@@ -1,5 +1,7 @@
 """Manifest CSV contract and experiment-config parsing."""
 
+import csv
+import io
 import re
 
 import pytest
@@ -89,6 +91,79 @@ def test_write_read_roundtrip_odd_path_characters(tmp_path, odd):
     path = tmp_path / "m.csv"
     write_manifest(path, rows)
     assert read_manifest(path) == tuple(rows)
+
+
+def old_writer_text(rows, durations):
+    """The text ``write_manifest`` wrote before it read rows back: one
+    ``csv.writer`` over the header and every row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["path", "label", "speaker", "gender"] + ["duration_s"] * durations)
+    for r in rows:
+        cells = [r.path, r.label, r.speaker, r.gender]
+        writer.writerow(cells + ["" if r.duration_s is None else repr(float(r.duration_s))]
+                        * durations)
+    return out.getvalue()
+
+
+def test_write_keeps_the_bytes_of_rows_that_read_back(tmp_path):
+    rows = [ManifestRow("x y.wav", "ha,ppy", "s1", "m", 2.25),
+            ManifestRow('q"\nb\u2028.wav', "sad", "s2", "unknown", None),
+            ManifestRow("c.wav", "é", "s 3", "f", 0.0)]
+    path = tmp_path / "m.csv"
+    for durations in (None, True, False):
+        write_manifest(path, rows, include_durations=durations)
+        assert path.read_bytes() == old_writer_text(rows, durations is not False).encode()
+        back = read_manifest(path)
+        assert back == tuple(rows if durations is not False
+                             else [ManifestRow(r.path, r.label, r.speaker, r.gender) for r in rows])
+
+
+@pytest.mark.parametrize("row", [
+    ManifestRow("a\rb.wav", "x", "s1"), ManifestRow(" a.wav ", "x", "s1"),
+    ManifestRow("a.wav\u2028", "x", "s1"), ManifestRow("\x0ba.wav", "x", "s1"),
+    ManifestRow("a.wav\x85", "x", "s1"), ManifestRow("a.wav", "x ", "s1"),
+    ManifestRow("a.wav", "x", "\ts1"), ManifestRow("a.wav", "x", "s1", " m"),
+    ManifestRow("", "x", "s1"), ManifestRow("a.wav", " ", "s1"),
+    ManifestRow("a.wav", "x", "s1", "robot"), ManifestRow("a.wav", "x", "s1", "m", float("nan")),
+    ManifestRow("a.wav", "x", "s1", "m", -1.0)])
+def test_write_refuses_a_row_that_would_not_read_back(tmp_path, row):
+    # the writer's text would read back as another row or not at all, so
+    # nothing is written and the error names the row
+    path = tmp_path / "m.csv"
+    path.write_text("untouched")
+    with pytest.raises(ManifestError) as exc:
+        write_manifest(path, [ManifestRow("c.wav", "y", "s2"), row])
+    assert str(exc.value) == "row 2 would not read back as written: %r" % (row,)
+    assert path.read_text() == "untouched"
+
+
+def test_write_refuses_a_repeated_path(tmp_path):
+    path = tmp_path / "m.csv"
+    rows = [ManifestRow("a.wav", "x", "s1"), ManifestRow("b.wav", "y", "s1"),
+            ManifestRow("a.wav", "y", "s2")]
+    with pytest.raises(ManifestError, match="^row 3: duplicate path 'a.wav'$"):
+        write_manifest(path, rows)
+    assert not path.exists()
+
+
+def test_make_manifest_reports_a_path_that_would_not_read_back(tmp_path, monkeypatch, capsys):
+    # a corpus directory named with a leading space gives relative paths
+    # that the reader would strip: an error line and exit 2, no manifest
+    import importlib.util
+    import pathlib
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_manifest.py"
+    spec = importlib.util.spec_from_file_location("make_manifest", script)
+    make_manifest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_manifest)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / " emo").mkdir()
+    (tmp_path / " emo" / "03a01Fa.wav").write_bytes(b"")
+    assert make_manifest.main(["emodb", " emo", "-o", "m.csv"]) == 2
+    row = ManifestRow(" emo/03a01Fa.wav", "happiness", "emodb03", "m")
+    assert capsys.readouterr().err == "error: row 1 would not read back as written: %r\n" % (row,)
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_line_numbers_count_physical_lines():

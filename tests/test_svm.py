@@ -16,13 +16,13 @@ from emovox.svm import (
     _binary_svm,
     _fit_splits,
     _smo_batch,
-    _split_distances,
     _sq_distances,
     dead_cells,
     decision_scores,
     fit_standardizer,
     grid_predictions,
     predict_with_margins,
+    split_distances,
     train_binary_smo,
     train_multiclass,
 )
@@ -239,7 +239,8 @@ def train_grid(x, labels, cells, tol=SMO_TOL):
     all pairs and cells, with ``train_multiclass(x, labels, c, gamma, tol)``'s
     alphas and converged flags bit for bit and the grid's biases: the
     per-cell oracle for the grid scorer."""
-    (classes, scaler, pairs), = _fit_splits(x, [(slice(None), labels, slice(0), cells)], tol)
+    scaler, sq, sq_val = split_distances(x, x[:0])
+    (classes, pairs), = _fit_splits([(labels, cells, sq, sq_val)], tol)
     z = scaler.transform(x)
     for cell, (c, g) in enumerate(cells):
         yield MulticlassSvm(classes, {
@@ -250,23 +251,21 @@ def train_grid(x, labels, cells, tol=SMO_TOL):
 
 
 def one_split(x, labels, x_val, cells):
-    """``x`` and ``x_val`` stacked as one matrix, and the one split that fits
-    on the rows of ``x`` and validates on those of ``x_val`` with ``cells``."""
-    n = len(x)
-    return np.vstack([x, x_val]), [(np.arange(n), list(labels), np.arange(n, n + len(x_val)),
-                                    cells)]
+    """The one split that fits on the rows of ``x`` and validates on those of
+    ``x_val`` with ``cells``, as a list."""
+    return [(list(labels), cells, *split_distances(x, x_val)[1:])]
 
 
 def grid_machines(x, labels, x_val, cells, tol=SMO_TOL):
     """Classes and solved pairs of ``_fit_splits`` on one split."""
-    (classes, _scaler, pairs), = _fit_splits(*one_split(x, labels, x_val, cells), tol)
+    (classes, pairs), = _fit_splits(one_split(x, labels, x_val, cells), tol)
     return classes, pairs
 
 
 def split_predictions(x, labels, x_val, cells, tol=SMO_TOL):
     """The predictions of ``grid_predictions`` on one split."""
     (_classes, guesses, _margins, _converged), = grid_predictions(
-        *one_split(x, labels, x_val, cells), tol)
+        one_split(x, labels, x_val, cells), tol)
     return guesses
 
 
@@ -425,7 +424,7 @@ def test_a_fit_constant_dimension_carries_no_distance(rng):
     assert not model.standardizer.transform(moved)[:, 2].any()
     assert decision_scores(model, probe)[1].tobytes() == decision_scores(model, moved)[1].tobytes()
     (_classes, guesses, margins, _converged), = grid_predictions(
-        *one_split(x, labels, np.vstack([probe, moved]), [(10.0, 0.5), (1.0, 3.0)]))
+        one_split(x, labels, np.vstack([probe, moved]), [(10.0, 0.5), (1.0, 3.0)]))
     assert margins[:, :6].tobytes() == margins[:, 6:].tobytes()
     assert np.array_equal(guesses[:, :6], guesses[:, 6:])
 
@@ -656,9 +655,9 @@ def one_cell_rows(kernels, kernel_index, y, c, tol, max_passes):
     ``kernels[kernel_index[r]]``: its alphas (rows, n_max), zero on the
     padding, and converged flags."""
     rows, n_max = y.shape
-    alpha = np.zeros((rows, n_max))
+    alpha = np.full((rows, n_max), np.nan)
     converged = _smo_batch(kernels[kernel_index], y, c, np.arange(1, rows + 1), tol,
-                           max_passes, alpha.reshape(-1), np.arange(rows) * n_max)
+                           max_passes, alpha, np.arange(rows))
     return alpha, converged
 
 
@@ -710,7 +709,8 @@ def packed_chains(seed, count=12):
 
 def solve_chains(chains, tol=SMO_TOL):
     """One ``_smo_batch`` call over ``chains``, a kernel each, padded to the
-    longest n: each cell's alphas, as long as its row, and converged flags."""
+    longest n: each cell's alphas, as long as its row, and converged flags.
+    Every cell's alphas are one row of the output, its padding exactly 0."""
     n_max = max(len(y) for _x, y, *_rest in chains)
     kernels = np.zeros((len(chains), n_max, n_max))
     y_pad = np.zeros((len(chains), n_max))
@@ -718,13 +718,14 @@ def solve_chains(chains, tol=SMO_TOL):
         kernels[r, :len(y), :len(y)] = np.exp(-gamma * zero_diagonal_sq(x))
         y_pad[r, :len(y)] = y
     lengths = [len(y) for _x, y, cs, *_rest in chains for _c in cs]
-    out = np.full(sum(lengths), np.nan)
+    out = np.full((len(lengths), n_max), np.nan)
     converged = _smo_batch(kernels, y_pad,
                            [c for _x, _y, cs, *_rest in chains for c in cs],
                            np.cumsum([len(cs) for _x, _y, cs, *_rest in chains]), tol,
-                           [limit for *_rest, limit in chains], out,
-                           np.cumsum([0] + lengths[:-1]))
-    return np.split(out, np.cumsum(lengths)[:-1]), converged
+                           [limit for *_rest, limit in chains], out, np.arange(len(lengths)))
+    for row, n in zip(out, lengths):
+        assert row[n:].tobytes() == bytes(8 * (n_max - n))
+    return [row[:n] for row, n in zip(out, lengths)], converged
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -895,6 +896,30 @@ def test_runs_hold_whole_pairs_each_stacked_once(monkeypatch):
     assert pair_bits(split[1]) == pair_bits(whole[1])
 
 
+def test_a_run_frees_its_kernels_before_its_pairs_are_scored(monkeypatch):
+    # biases for the whole run come first, then the stacked kernels go, so
+    # no pair's validation kernels are built beside them
+    import weakref
+
+    from emovox import svm
+
+    x, labels = four_class_rows()
+    stacks, freed = [], []
+    solve, solve_pairs = svm._smo_batch, svm._solve_pairs
+
+    def scored(p):
+        freed.append(stacks[-1]() is None)
+        return p
+
+    monkeypatch.setattr(svm, "_smo_batch",
+                        lambda *a: stacks.append(weakref.ref(a[0])) or solve(*a))
+    monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: map(scored,
+                                                                     solve_pairs(pairs, tol)))
+    monkeypatch.setattr(svm, "_PACK_CELLS", 4 * 20)  # the five runs of the test above
+    grid_machines(x, labels, x[::3], GRID_CELLS)
+    assert len(stacks) == 5 and freed == [True] * 6
+
+
 @pytest.mark.parametrize("cap", [None, 1])
 def test_many_splits_match_one_call_per_split(cap, monkeypatch):
     # splits of different sizes and class counts, some validating on rows of
@@ -906,37 +931,42 @@ def test_many_splits_match_one_call_per_split(cap, monkeypatch):
     labels = names[np.arange(60) % 3]
     x = r.standard_normal((60, 4)) + 0.7 * (np.arange(60) % 3)[:, None]
     cells = [(c, g) for c in (1e-2, 1.0, 1e3) for g in (1e-2, 0.3, 3.0)]
-    splits = []
+    rows_of, splits = [], []
     for fit_count, val_count, classes, split_cells in (
             (40, 12, "abc", cells), (13, 7, "ab", cells[1:5]), (28, 5, "abc", cells),
             (9, 20, "bc", cells[4:5])):
         rows = r.permutation(np.flatnonzero(np.isin(labels, list(classes))))
         fit, val = np.sort(rows[:fit_count]), rows[fit_count:fit_count + val_count]
-        splits.append((fit, labels[fit].tolist(), val, split_cells))
-    splits[2] = (splits[2][0], splits[2][1], splits[2][2][labels[splits[2][2]] == "a"], cells)
-    one_by_one = [list(_fit_splits(x, [split], SMO_TOL))[0] for split in splits]
-    alone = [out for split in splits for out in grid_predictions(x, [split])]
+        rows_of.append((fit, val, split_cells))
+    fit, val, _cells = rows_of[2]
+    rows_of[2] = (fit, val[labels[val] == "a"], cells)
+    for fit, val, split_cells in rows_of:
+        scaler, sq, sq_val = split_distances(x[fit], x[val])
+        assert scaler_bits(scaler) == scaler_bits(fit_standardizer(x[fit]))
+        splits.append((labels[fit].tolist(), split_cells, sq, sq_val))
+    one_by_one = [list(_fit_splits([split], SMO_TOL))[0] for split in splits]
+    alone = [out for split in splits for out in grid_predictions([split])]
     calls = count_solves(monkeypatch)
     if cap:
         monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
         monkeypatch.setattr(svm, "_PACK_CELLS", cap)
-    packed = list(_fit_splits(x, splits, SMO_TOL))
+    packed = list(_fit_splits(splits, SMO_TOL))
     # a chain per pair and gamma: 3, 3, 3 and 1 gammas
-    chains = [m.by_g.values.size for _classes, _scaler, machines in packed for m in machines]
+    chains = [m.by_g.values.size for _classes, machines in packed for m in machines]
     assert sum(n for n, _n_max in calls) == sum(chains) == 3 * 3 + 3 * 1 + 3 * 3 + 1 * 1
     # with cap 1 every pair is a run by itself, all its chains together
     assert [n for n, _n_max in calls] == (chains if cap else [sum(chains)])
-    for (fit, fit_labels, _val, split_cells), (_classes, _scaler, machines) in zip(splits, packed):
+    for (fit_labels, split_cells, *_distances), (fit, _val, _cells), (_classes, machines) in zip(
+            splits, rows_of, packed):
         assert_pairs_match_chain_oracle(x[fit], fit_labels, split_cells, machines)
-    assert [classes for classes, _scaler, _machines in packed] == [
+    assert [classes for classes, _machines in packed] == [
         tuple("abc"), ("a", "b"), tuple("abc"), ("b", "c")]
-    for (classes, scaler, machines), (want_classes, want_scaler, want) in zip(packed, one_by_one):
+    for (classes, machines), (want_classes, want) in zip(packed, one_by_one):
         assert classes == want_classes
-        assert scaler_bits(scaler) == scaler_bits(want_scaler)
         assert pair_bits(machines) == pair_bits(want)
-    together = list(grid_predictions(x, splits))
+    together = list(grid_predictions(splits))
     assert [out[1].shape for out in together] == [(len(split_cells), len(val))
-                                                  for _f, _l, val, split_cells in splits]
+                                                  for _fit, val, split_cells in rows_of]
     for got, want in zip(together, alone):
         assert got[0] == want[0]
         assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
@@ -952,27 +982,31 @@ def test_one_cell_splits_match_train_multiclass(cap, monkeypatch):
     names = np.array(list("abcd"))
     labels = names[np.arange(80) % 4]
     x = r.standard_normal((80, 5)) + 0.8 * (np.arange(80) % 4)[:, None]
-    splits = []
+    rows_of, scalers, splits = [], [], []
     for fit_count, val_count, classes, cell in ((50, 10, "abcd", (1.0, 0.1)),
                                                 (14, 6, "ab", (100.0, 1.0)),
                                                 (33, 9, "bcd", (1e-2, 0.3)),
                                                 (21, 4, "ad", (1e3, 3.0))):
         rows = r.permutation(np.flatnonzero(np.isin(labels, list(classes))))
         fit, val = np.sort(rows[:fit_count]), rows[fit_count:fit_count + val_count]
-        splits.append((fit, labels[fit].tolist(), val, [cell]))
+        scaler, sq, sq_val = split_distances(x[fit], x[val])
+        rows_of.append((fit, val))
+        scalers.append(scaler)
+        splits.append((labels[fit].tolist(), [cell], sq, sq_val))
     models = [train_multiclass(x[fit], fit_labels, *cells[0])
-              for fit, fit_labels, _val, cells in splits]
+              for (fit, _val), (fit_labels, cells, *_distances) in zip(rows_of, splits)]
     calls = count_solves(monkeypatch)
     if cap:
         monkeypatch.setattr(svm, "_PACK_FLOATS", cap)
         monkeypatch.setattr(svm, "_PACK_CELLS", cap)
-    packed = list(_fit_splits(x, splits, SMO_TOL))
-    sizes = [m.alphas.shape[1] for _classes, _scaler, machines in packed for m in machines]
+    packed = list(_fit_splits(splits, SMO_TOL))
+    sizes = [m.alphas.shape[1] for _classes, machines in packed for m in machines]
     assert len(sizes) == 6 + 1 + 3 + 1
     assert calls == ([(1, n) for n in sizes] if cap else [(len(sizes), max(sizes))])
-    scores = list(grid_predictions(x, splits))
-    for (_fit, _l, val, _cells), model, (classes, scaler, machines), (
-            score_classes, guesses, margins, converged) in zip(splits, models, packed, scores):
+    scores = list(grid_predictions(splits))
+    for (_fit, val), scaler, model, (classes, machines), (
+            score_classes, guesses, margins, converged) in zip(rows_of, scalers, models, packed,
+                                                               scores):
         assert classes == score_classes == model.classes
         assert scaler_bits(scaler) == scaler_bits(model.standardizer)
         assert [m.pair for m in machines] == list(model.machines)
@@ -1092,10 +1126,10 @@ def test_grid_predictions_match_per_cell_oracle_random():
 
 
 def split_dead_cells(x, fit, val, gammas):
-    """``dead_cells`` at ``gammas`` of the ``_split_distances`` of the split
+    """``dead_cells`` at ``gammas`` of the ``split_distances`` of the split
     of ``x`` that fits on rows ``fit`` and validates on rows ``val``, which
     it reads without changing a bit."""
-    _scaler, sq, sq_val = _split_distances(x[fit], x[val])
+    _scaler, sq, sq_val = split_distances(x[fit], x[val])
     before = sq.tobytes(), sq_val.tobytes()
     dead = dead_cells(sq, sq_val, gammas)
     assert (sq.tobytes(), sq_val.tobytes()) == before
@@ -1144,14 +1178,13 @@ def test_split_and_pair_distances_are_symmetric_with_a_zero_diagonal(n_classes, 
     labels = ["abcd"[i % n_classes] for i in range(57)]
     x = r.standard_normal((57, 594)) * r.uniform(0.5, 3.0, 594)
     fit, val = np.arange(45), np.arange(45, 57)
-    scaler, sq, sq_val = _split_distances(x[fit], x[val])
+    scaler, sq, sq_val = split_distances(x[fit], x[val])
     assert scaler_bits(scaler) == scaler_bits(fit_standardizer(x[fit]))
     assert sq.shape == (45, 45) and sq_val.shape == (12, 45)
     pairs = pair_records(monkeypatch)
-    (_classes, _scaler, solved), = _fit_splits(x, [(fit, labels[:45], val, [(1.0, 0.1)])],
-                                               SMO_TOL)
+    (_classes, solved), = _fit_splits([(labels[:45], [(1.0, 0.1)], sq, sq_val)], SMO_TOL)
     assert len(pairs) == len(solved) == n_classes * (n_classes - 1) // 2
-    # dropped once the kernels are stacked, and once the pair is scored
+    # a solved pair is yielded without them
     assert all(p.sq is None and p.sq_val is None for p in solved)
     for m in [sq] + [pair_blocks(p)[0] for p in pairs]:
         assert m.tobytes() == m.T.copy().tobytes()
@@ -1166,19 +1199,14 @@ def test_the_pair_of_a_binary_split_reads_the_split_distances(monkeypatch):
     # every pair holds its split's own matrices, not a copy: the one pair of
     # a two-class split, whose block is all of them, and the pairs of a
     # larger split, which take their blocks only to stack and to score
-    from emovox import svm
-
-    made = []
-    split_distances = svm._split_distances
-    monkeypatch.setattr(svm, "_split_distances",
-                        lambda *a: made.append(split_distances(*a)) or made[-1])
     records = pair_records(monkeypatch)
     x = np.random.default_rng(8).standard_normal((30, 6))
     fit, val = np.arange(24), np.arange(24, 30)
-    list(_fit_splits(x, [(fit, ["ab"[i % 2] for i in range(24)], val, [(1.0, 0.1)]),
-                         (fit, ["abc"[i % 3] for i in range(24)], val, [(1.0, 0.1)])], SMO_TOL))
-    pair, *pairs = records
+    made = [split_distances(x[fit], x[val]) for _split in range(2)]
     (_scaler, sq, sq_val), (_scaler3, sq3, sq_val3) = made
+    list(_fit_splits([(["ab"[i % 2] for i in range(24)], [(1.0, 0.1)], sq, sq_val),
+                      (["abc"[i % 3] for i in range(24)], [(1.0, 0.1)], sq3, sq_val3)], SMO_TOL))
+    pair, *pairs = records
     assert pair.rows.all() and pair.sq is sq and pair.sq_val is sq_val
     assert len(pairs) == 3
     for p in pairs:
@@ -1198,7 +1226,6 @@ def test_a_split_is_freed_before_the_next_one_solves(names, monkeypatch):
     from emovox import svm
 
     made, decisions = [], []
-    split_distances = svm._split_distances
     solve_pairs = svm._solve_pairs
 
     def recorded(*args):
@@ -1206,26 +1233,31 @@ def test_a_split_is_freed_before_the_next_one_solves(names, monkeypatch):
         made.append((weakref.ref(out[1]), weakref.ref(out[2])))
         return out
 
+    def decided(p):
+        decisions.append((p.split, weakref.ref(p.decision)))
+        return p
+
     def alive():
         return [k for k, refs in enumerate(made) if any(r() is not None for r in refs)
                 or any(r() is not None for s, r in decisions if s == k)]
 
     seen = []
     solve = svm._smo_batch
-    monkeypatch.setattr(svm, "_split_distances", recorded)
-    monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: solve_pairs(
-        (decisions.append((p.split, weakref.ref(p.decision))) or p for p in pairs), tol))
+    # ``map`` holds no yielded pair, as a loop variable would
+    monkeypatch.setattr(svm, "_solve_pairs", lambda pairs, tol: map(decided,
+                                                                     solve_pairs(pairs, tol)))
     monkeypatch.setattr(svm, "_smo_batch", lambda *a: seen.append(alive()) or solve(*a))
     monkeypatch.setattr(svm, "_PACK_CELLS", 1)
     r = np.random.default_rng(12)
     x = r.standard_normal((40, 5))
     labels = [names[i % len(names)] for i in range(40)]
     cells = [(1.0, 0.1), (10.0, 1.0)]
-    splits = [(np.arange(k, k + 30), labels[k:k + 30], np.arange(30, 40), cells)
-              for k in range(0, 10, 3)]
-    assert len(list(grid_predictions(x, splits))) == len(splits)
+    starts = range(0, 10, 3)
+    # each split's matrices made as the stream reaches it
+    splits = ((labels[k:k + 30], cells, *recorded(x[k:k + 30], x[30:40])[1:]) for k in starts)
+    assert len(list(grid_predictions(splits))) == len(starts)
     pairs = len(names) * (len(names) - 1) // 2
-    assert seen == [[k] for k in range(len(splits)) for _pair in range(pairs)]
+    assert seen == [[k] for k in range(len(starts)) for _pair in range(pairs)]
     assert alive() == []
 
 
@@ -1259,9 +1291,8 @@ def dead_cells_at_the_edge(seed, level, monkeypatch):
     """``dead_cells`` of a random split of 2 to 4 classes, on up to 600
     dims, at gammas 1e-3, either side of the edge where the kernel value at
     the smallest distance of its pair records falls to ``level``, and 1e6,
-    and whether the pair records' kernels are dead at each.  The split
-    brings its distances to ``_fit_splits``, as nested CV's inner splits do,
-    so its pairs and the dead test read the same two matrices."""
+    and whether the pair records' kernels are dead at each.  Its pairs and
+    the dead test read the same two matrices, as in nested CV."""
     r = np.random.default_rng(seed)
     k = 2 + seed % 3
     n, dim = int(r.integers(16, 40)), int(r.integers(20, 600))
@@ -1269,9 +1300,9 @@ def dead_cells_at_the_edge(seed, level, monkeypatch):
     x = r.standard_normal((n, dim)) * r.uniform(0.5, 3.0, dim)
     n_fit = n - int(r.integers(3, 8))
     fit, val = np.arange(n_fit), np.arange(n_fit, n)
-    made = _split_distances(x[fit], x[val])
+    made = split_distances(x[fit], x[val])
     pairs = pair_records(monkeypatch)
-    list(_fit_splits(x, [(fit, labels[:n_fit], val, [(1.0, 1.0)], made)], SMO_TOL))
+    list(_fit_splits([(labels[:n_fit], [(1.0, 1.0)], made[1], made[2])], SMO_TOL))
     assert all(p.sq is made[1] and p.sq_val is made[2] for p in pairs)
     nearest = min(min(block[~np.eye(len(block), dtype=bool)].min(), columns.min())
                   for block, columns in map(pair_blocks, pairs))
@@ -1313,9 +1344,9 @@ def test_grid_validation(rng):
     with pytest.raises(TrainingError, match="rare"):
         split_predictions(x[:5], labels[:4] + ["rare"], x[:2], [(1.0, 1.0)])
     with pytest.raises(TrainingError, match="label count"):
-        list(grid_predictions(x, [(np.arange(5), labels[:4], np.arange(2), [(1.0, 1.0)])]))
+        list(grid_predictions([(labels[:4], [(1.0, 1.0)], *split_distances(x[:5], x[:2])[1:])]))
     assert split_predictions(x, labels, x[:3], []).shape == (0, 3)
-    assert list(grid_predictions(x, [])) == []
+    assert list(grid_predictions([])) == []
 
 
 @pytest.mark.parametrize("c, gamma", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
@@ -1374,6 +1405,17 @@ def test_multiclass_small_class_error(rng):
 def test_multiclass_single_class_error(rng):
     with pytest.raises(TrainingError):
         train_multiclass(rng.standard_normal((4, 2)), ["a"] * 4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiclass_rejects_non_finite_features(bad, rng, monkeypatch):
+    # a typed error before any solve, and no RuntimeWarning first
+    x, labels = blobs(rng, {"a": (0.0, 0.0), "b": (3.0, 0.0)}, 5)
+    x[3, 1] = bad
+    calls = count_solves(monkeypatch)
+    with pytest.raises(TrainingError, match="^feature values must be finite$"):
+        train_multiclass(x, labels, 1.0, 1.0)
+    assert calls == []
 
 
 def test_prediction_reorder_invariance(rng):
