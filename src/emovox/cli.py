@@ -36,13 +36,7 @@ from .evaluation import (
     welch_t_test,
 )
 from .manifest import GENDERS, ManifestRow, read_manifest
-from .pipeline import (
-    ExtractionResult,
-    extract_for_manifest,
-    feature_csv,
-    load_audio,
-    load_embedding_models,
-)
+from .pipeline import ExtractionResult, extract_for_manifest, feature_csv, load_audio
 from .svm import predict_with_margins, train_multiclass, trainable_classes
 
 EXIT_OK = 0
@@ -59,8 +53,7 @@ def _write_text(path, text: str) -> None:
 
 def _extract(manifest: tuple[ManifestRow, ...], config: ExperimentConfig) -> ExtractionResult:
     cache = FeatureCache(config.cache_dir) if config.cache_dir else None
-    models = load_embedding_models(config)
-    result = extract_for_manifest(manifest, config, cache, models)
+    result = extract_for_manifest(manifest, config, cache)
     for failure in result.failures:
         log.warning("skipped %s: %s", failure.path, failure.reason)
     log.info("extracted %d/%d rows (%d cache hits, %d computed)",
@@ -113,8 +106,10 @@ def cmd_train(args) -> int:
     feats = np.array([v.values for v in result.vectors])
     labels = [row.label for row in result.rows]
     model = train_multiclass(feats, labels, config.train_c, config.train_gamma)
-    modelio.save_svm(args.model, model, scheme=config.scheme,
-                     feature_dim=feats.shape[1])
+    if not model.converged:
+        log.warning("pairwise machine(s) did not converge: %s", ", ".join(
+            "%s vs %s" % pair for pair, m in sorted(model.machines.items()) if not m.converged))
+    modelio.save_svm(args.model, model, scheme=config.scheme)
     log.info("trained on %d rows (C=%g gamma=%g); wrote %s",
              len(labels), config.train_c, config.train_gamma, args.model)
     return EXIT_PARTIAL if result.failures else EXIT_OK
@@ -130,9 +125,9 @@ def cmd_predict(args) -> int:
         return EXIT_FATAL
     result = _extract(manifest, config)
     feats = np.array([v.values for v in result.vectors])
-    if feats.shape[1] != meta["feature_dim"]:
+    if feats.shape[1] != model.standardizer.mean.size:
         log.error("model expects %d-dim features, extracted %d dims",
-                  meta["feature_dim"], feats.shape[1])
+                  model.standardizer.mean.size, feats.shape[1])
         return EXIT_FATAL
     labels, margins = predict_with_margins(model, feats)
     buf = io.StringIO()
@@ -155,18 +150,21 @@ def _mean_std(values) -> tuple:
 
 
 def _stats_text(manifest: tuple[ManifestRow, ...], durations: dict) -> str:
-    classes = sorted({row.label for row in manifest})
+    per_class = {}  # label -> its rows, their known durations and gender counts
+    for row in manifest:
+        rows, durs, genders = per_class.setdefault(row.label, ([], [], dict.fromkeys(GENDERS, 0)))
+        rows.append(row)
+        if durations.get(row.path) is not None:
+            durs.append(durations[row.path])
+        genders[row.gender] += 1
+    classes = sorted(per_class)
     lines = ["corpus statistics", "=" * 17, ""]
     lines.append("rows: %d" % len(manifest))
     lines.append("classes: %d (%s)" % (len(classes), ", ".join(classes)))
     lines.append("")
-    per_class_gender = {}
     for cls in classes:
-        rows = [r for r in manifest if r.label == cls]
-        durs = [durations[r.path] for r in rows if durations.get(r.path) is not None]
+        rows, durs, genders = per_class[cls]
         mean, std = _mean_std(durs)
-        genders = {g: sum(1 for r in rows if r.gender == g) for g in GENDERS}
-        per_class_gender[cls] = genders
         lines.append("class %s:" % cls)
         lines.append("  count: %d" % len(rows))
         if durs:
@@ -184,20 +182,17 @@ def _stats_text(manifest: tuple[ManifestRow, ...], durations: dict) -> str:
                      "two classes (found %d)" % len(classes))
         return "\n".join(lines) + "\n"
     a_cls, b_cls = classes
-    a_durs = [durations[r.path] for r in manifest
-              if r.label == a_cls and durations.get(r.path) is not None]
-    b_durs = [durations[r.path] for r in manifest
-              if r.label == b_cls and durations.get(r.path) is not None]
+    _, a_durs, a_genders = per_class[a_cls]
+    _, b_durs, b_genders = per_class[b_cls]
     try:
         t, p = welch_t_test(a_durs, b_durs)
         lines.append("welch_t duration %s vs %s: t=%.4f p=%.3g"
                      % (a_cls, b_cls, t, p))
     except EmovoxError as exc:
         lines.append("welch_t skipped: %s" % exc)
-    table = [[per_class_gender[a_cls]["m"], per_class_gender[a_cls]["f"]],
-             [per_class_gender[b_cls]["m"], per_class_gender[b_cls]["f"]]]
     try:
-        chi2, p = chi_square_independence(table)
+        chi2, p = chi_square_independence([[a_genders["m"], a_genders["f"]],
+                                           [b_genders["m"], b_genders["f"]]])
         lines.append("chi_square gender x class: chi2=%.4f p=%.3g" % (chi2, p))
     except EmovoxError as exc:
         lines.append("chi_square skipped: %s" % exc)
@@ -278,10 +273,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except EmovoxError as exc:
-        log.error("%s", exc)
-        return EXIT_FATAL
-    except FileNotFoundError as exc:
+    except (EmovoxError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_FATAL
 

@@ -253,8 +253,8 @@ def load_xvector(path, digest=None) -> XVectorWeights:
         raise ModelFormatError(f"{path}: {exc}")
 
 
-def save_svm(path, model: MulticlassSvm, scheme: str = "",
-             feature_dim: int | None = None) -> None:
+def save_svm(path, model: MulticlassSvm, scheme: str = "") -> None:
+    """Write ``model``; its meta's ``feature_dim`` is the standardizer's width."""
     machine_meta = []
     arrays = {
         "standardizer.mean": model.standardizer.mean,
@@ -272,8 +272,7 @@ def save_svm(path, model: MulticlassSvm, scheme: str = "",
         "c": model.c,
         "gamma": model.gamma,
         "scheme": scheme,
-        "feature_dim": feature_dim if feature_dim is not None
-        else int(model.standardizer.mean.size),
+        "feature_dim": int(model.standardizer.mean.size),
         "machines": machine_meta,
     }
     write_container(path, "svm", arrays, meta)

@@ -307,9 +307,10 @@ def _by_gamma(cells) -> _Gammas:
 
 
 class _Pair(NamedTuple):
-    """Class pair (a, b) of one split: its inputs, holding the split's
-    matrices until ``_solve_pairs`` yields it with its outputs per (c,
-    gamma) cell of the split instead; its alphas view its run's output."""
+    """Class pair (a, b) of one split: its inputs, holding the split's fit
+    distances until its kernels are stacked and its validation ones until
+    ``_solve_pairs`` yields it with its outputs per (c, gamma) cell of the
+    split instead; its alphas view its run's output."""
 
     split: int             # the split's index in its stream
     pair: Tuple            # (a, b)
@@ -352,11 +353,11 @@ def _solve_pairs(pairs, tol):
     n_max**2 floats each, up to ``_PACK_FLOATS``, so a run may pass a cap by
     its last pair; a pair that reaches a cap on its own is a run by itself.
     Each pair's kernels are stacked once, one ``exp`` over all its gammas of
-    its block of the split's fit x fit distances, and its alphas are a row
-    slice of the run's output.  Every pair of a run takes its biases from
-    the stacked kernels, which are then freed, and each pair is scored as it
-    is yielded, by one ``exp`` over all its gammas of its columns of the
-    split's validation distances.
+    its block of the split's fit x fit distances, which it then lets go of,
+    and its alphas are a row slice of the run's output.  Every pair of a run
+    takes its biases from the stacked kernels, which are then freed, and each
+    pair is scored as it is yielded, by one ``exp`` over all its gammas of its
+    columns of the split's validation distances.
     """
     def full(chains, n_max):
         return chains * n_max >= _PACK_CELLS or chains * n_max * n_max >= _PACK_FLOATS
@@ -372,6 +373,8 @@ def _solve_pairs(pairs, tol):
             labels[first[k]:first[k + 1], :n] = p.yv
             stacked[first[k]:first[k + 1], :n, :n] = np.exp(
                 -p.by_g.values[:, None, None] * p.sq[np.ix_(p.rows, p.rows)])
+            run[k] = p._replace(sq=None)  # its kernels stacked, it lets go of the fit distances
+        del p
         alphas = np.empty((edges[-1], n_max))
         converged = _smo_batch(
             stacked, labels,
@@ -388,7 +391,7 @@ def _solve_pairs(pairs, tol):
         del stacked
         for k, (p, (a, bias)) in enumerate(zip(run, solved)):
             kernels = np.exp(-p.by_g.values[:, None, None] * p.sq_val[:, p.rows])
-            yield p._replace(sq=None, sq_val=None, alphas=a,
+            yield p._replace(sq_val=None, alphas=a,
                              converged=converged[edges[k]:edges[k + 1]], bias=bias,
                              decision=_cell_products(p.by_g, a * p.yv, kernels.transpose(0, 2, 1))
                              + bias[:, None])
@@ -401,6 +404,7 @@ def _solve_pairs(pairs, tol):
             run, chains, n_max = [], 0, 0
         run.append(p)
         chains, n_max = chains + size[0], max(n_max, size[1])
+        del p  # the run alone holds it
         if full(chains, n_max):
             yield from solve(run)
             run, chains, n_max = [], 0, 0
@@ -531,7 +535,9 @@ def train_multiclass(x, labels, c: float, gamma: float, tol: float = SMO_TOL) ->
     if not np.all(np.isfinite(x)):
         raise TrainingError("feature values must be finite")
     scaler, sq, sq_val = split_distances(x, x[:0])
-    (classes, pairs), = _fit_splits([(labels, [(c, gamma)], sq, sq_val)], tol)
+    split = iter([(labels, [(c, gamma)], sq, sq_val)])  # let go of once read
+    del sq, sq_val  # so its pairs alone hold the matrices
+    (classes, pairs), = _fit_splits(split, tol)
     z = scaler.transform(x)
     machines = {p.pair: _binary_svm(z[p.rows], p.yv, p.alphas[0], p.bias[0], c, gamma,
                                     p.converged[0]) for p in pairs}

@@ -546,6 +546,60 @@ def test_train_infeasible_manifest_fatal_before_extraction(workspace, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "rows.csv"]
 
 
+def test_train_warns_of_unconverged_machines(workspace, tmp_path, monkeypatch, caplog):
+    # one warning names the unconverged class pairs, and the model file
+    # holds the trained model as it is
+    import dataclasses
+
+    from emovox import cli, modelio
+    from emovox.svm import train_multiclass
+
+    _, _, config, rows = workspace
+    manifest = tmp_path / "three.csv"
+    write_manifest(manifest, [dataclasses.replace(row, label="abc"[i % 3])
+                              for i, row in enumerate(rows)])
+    argv = ["train", "--manifest", str(manifest), "--config", str(config), "--model"]
+    with caplog.at_level("WARNING", logger="emovox"):
+        assert main(argv + [str(tmp_path / "converged.svm")]) == 0
+    assert caplog.records == []
+
+    trained = []
+
+    def one_unconverged(*args):
+        model = train_multiclass(*args)
+        machines = dict(model.machines)
+        machines["a", "c"] = dataclasses.replace(machines["a", "c"], converged=False)
+        trained.append(dataclasses.replace(model, machines=machines))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "train_multiclass", one_unconverged)
+    with caplog.at_level("WARNING", logger="emovox"):
+        assert main(argv + [str(tmp_path / "model.svm")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "pairwise machine(s) did not converge: a vs c"]
+    modelio.save_svm(tmp_path / "expected.svm", trained[0], scheme="phonation")
+    assert (tmp_path / "model.svm").read_bytes() == (tmp_path / "expected.svm").read_bytes()
+
+
+def test_extract_loads_each_embedding_model_once(workspace, tmp_path, monkeypatch):
+    from emovox import modelio
+    from emovox.embeddings import GmmUbm, TotalVariabilityModel
+
+    _, manifest, _, _ = workspace
+    rng = np.random.default_rng(3)
+    ubm = GmmUbm(np.full(2, 0.5), rng.standard_normal((2, 24)), np.ones((2, 24)))
+    modelio.save_tv(tmp_path / "tv.emvx",
+                    TotalVariabilityModel(0.1 * rng.standard_normal((48, 2)), ubm, 2))
+    config = tmp_path / "iv.cfg"
+    config.write_text("scheme = ivector\ntv_model = %s\n" % (tmp_path / "tv.emvx"))
+    loads = []
+    load_tv = modelio.load_tv
+    monkeypatch.setattr(modelio, "load_tv", lambda *a: loads.append(a) or load_tv(*a))
+    assert main(["extract", "--manifest", str(manifest), "--config", str(config),
+                 "--out-csv", str(tmp_path / "iv.csv")]) == 0
+    assert len(loads) == 1
+
+
 def make_stats_manifest(path, rng):
     rows = []
     for i in range(40):
@@ -604,6 +658,28 @@ def test_stats_single_class_skips_tests(tmp_path):
     text = out.read_text()
     assert "tests skipped: only one class" in text
     assert "welch_t" not in text
+
+
+def test_stats_report_text_exact(tmp_path):
+    # classes interleaved in the manifest, every gender, one duration read
+    # from its WAV and one file that cannot be read
+    write_pcm16(tmp_path / "read.wav", tone(200.0, 1.25), 8000)
+    rows = [ManifestRow("r%d.wav" % i, "ba"[i % 2], "s%d" % i, ("m", "f", "unknown")[i % 3],
+                        1.0 + 0.75 * i) for i in range(7)]
+    rows += [ManifestRow(str(tmp_path / "read.wav"), "a", "s7", "f"),
+             ManifestRow(str(tmp_path / "gone.wav"), "b", "s8", "m")]
+    manifest = tmp_path / "mixed.csv"
+    write_manifest(manifest, rows)
+    out = tmp_path / "mixed.txt"
+    assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert out.read_text() == (
+        "corpus statistics\n=================\n\nrows: 9\nclasses: 2 (a, b)\n\n"
+        "class a:\n  count: 4\n  duration_s: 2.75 +/- 1.58 (n=4)\n"
+        "  gender: m=1 f=2 unknown=1\n\n"
+        "class b:\n  count: 5\n  duration_s: 3.25 +/- 1.94 (n=4)\n"
+        "  gender: m=3 f=1 unknown=1\n\n"
+        "welch_t duration a vs b: t=-0.4000 p=0.704\n"
+        "chi_square gender x class: chi2=1.2153 p=0.27\n")
 
 
 def test_stats_counts_echo_manifest(tmp_path, rng):

@@ -342,7 +342,7 @@ def test_svm_roundtrip_identical_predictions(tmp_path, rng):
     labels = ["a"] * 15 + ["b"] * 15 + ["c"] * 15
     model = train_multiclass(x, labels, 10.0, 0.5)
     path = tmp_path / "m.svm"
-    modelio.save_svm(path, model, scheme="phonation", feature_dim=3)
+    modelio.save_svm(path, model, scheme="phonation")
     back, meta = modelio.load_svm(path)
     assert meta["scheme"] == "phonation"
     assert meta["feature_dim"] == 3

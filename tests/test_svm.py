@@ -1261,6 +1261,32 @@ def test_a_split_is_freed_before_the_next_one_solves(names, monkeypatch):
     assert alive() == []
 
 
+def test_train_multiclass_frees_its_distances_once_stacked(monkeypatch):
+    # all six pairs of 240 rows are one run, so its one solve comes after
+    # every pair's kernels are stacked: by then neither train_multiclass,
+    # its split, a pair record nor a loop variable holds the fit x fit matrix
+    import weakref
+
+    from emovox import svm
+
+    made, seen = [], []
+    make, solve = svm.split_distances, svm._smo_batch
+
+    def recorded(*args):
+        out = make(*args)
+        made.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(svm, "split_distances", recorded)
+    monkeypatch.setattr(svm, "_smo_batch",
+                        lambda *a: seen.append([r() is not None for r in made]) or solve(*a))
+    r = np.random.default_rng(3)
+    x = r.standard_normal((240, 6))
+    model = svm.train_multiclass(x, ["abcd"[i % 4] for i in range(240)], 1.0, 0.1)
+    assert seen == [[False]]
+    assert len(model.machines) == 6
+
+
 def kernel_edge(d, level):
     """The largest gamma whose kernel value exp(-gamma * d) is above
     ``level``, and the next double above it, whose value is not."""
